@@ -241,14 +241,16 @@ func BenchmarkFlowRun(b *testing.B) {
 // uncached optimizes all 64 windows, cold starts an empty cache
 // (optimize one, serve 63 by content hash), warm reruns against the
 // populated cache and optimizes nothing. The cold/warm gap is the
-// figure recorded in BENCH_flow.json.
+// figure recorded in BENCH_flow.json. Grid 512 (4 nm/px, 96-px windows,
+// opcbench's array_cache geometry): at grid 256 the motif's bars are
+// four pixels wide and every window optimizes to zero shots.
 func BenchmarkFlowCached(b *testing.B) {
 	l := layout.GenerateArray(8, 8, layout.ArrayConfig{})
 	mkCfg := func(c *wcache.Cache) flow.Config {
 		return flow.Config{
-			GridN:   256,
-			CorePx:  32, // one core per array cell
-			HaloPx:  8,  // stays inside the motif margin: windows dedup
+			GridN:   512,
+			CorePx:  64, // one core per array cell
+			HaloPx:  16, // stays inside the motif margin: windows dedup
 			Optics:  optics.Default(),
 			KOpt:    4,
 			Workers: 1,
@@ -266,6 +268,9 @@ func BenchmarkFlowCached(b *testing.B) {
 	ref, err := flow.Run(l, mkCfg(nil))
 	if err != nil {
 		b.Fatal(err)
+	}
+	if len(ref.Shots) == 0 {
+		b.Fatal("the array optimizes to no shots: every leg would time and compare empty lists")
 	}
 	check := func(b *testing.B, res *flow.Result, wantHits int) {
 		b.Helper()

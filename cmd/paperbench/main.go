@@ -165,7 +165,7 @@ func main() {
 		emit("flow", t)
 	}
 	if *ca { // cache exhibit only on request: it optimizes the array five times
-		co := bench.DefaultCacheOptions(o.GridN)
+		co := bench.DefaultCacheOptions()
 		dir, err := os.MkdirTemp("", "cfaopc-cache-*")
 		if err != nil {
 			log.Fatal(err)

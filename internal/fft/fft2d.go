@@ -4,36 +4,109 @@ import "cfaopc/internal/grid"
 
 // Forward2D computes the in-place 2D forward DFT of g (rows first, then
 // columns).
-func Forward2D(g *grid.Complex) { transform2D(g, true) }
+func Forward2D(g *grid.Complex) { transform2D(g, false, full(g.H), full(g.W)) }
 
 // Inverse2D computes the in-place 2D inverse DFT of g, scaled by 1/(W·H).
-func Inverse2D(g *grid.Complex) { transform2D(g, false) }
+func Inverse2D(g *grid.Complex) { transform2D(g, true, full(g.H), full(g.W)) }
 
-func transform2D(g *grid.Complex, forward bool) {
-	rowPlan := cachedPlan(g.W)
-	colPlan := cachedPlan(g.H)
-	for y := 0; y < g.H; y++ {
-		row := g.Data[y*g.W : (y+1)*g.W]
-		if forward {
-			rowPlan.Forward(row)
-		} else {
-			rowPlan.Inverse(row)
+// Inverse2DBand is Inverse2D for a spectrum confined to the rows of the
+// band |fy| ≤ half (rows 0..half and H-half..H-1). Only those rows are
+// read: every other row is taken to be zero whatever it holds, so a
+// caller reusing a buffer need not clear it. Zero rows transform to zero
+// and add nothing to a column, so skipping them leaves every element
+// equal to what Inverse2D computes from the zero-filled spectrum. When
+// the band covers the axis it is Inverse2D.
+func Inverse2DBand(g *grid.Complex, half int) {
+	transform2D(g, true, band(g.H, half), full(g.W))
+}
+
+// Forward2DBand computes the forward DFT of g on the columns of the band
+// |fx| ≤ half (columns 0..half and W-half..W-1) only, where it equals
+// Forward2D's result on every row. The other columns are left holding
+// row-pass intermediates and must not be read. When the band covers the
+// axis it is Forward2D.
+func Forward2DBand(g *grid.Complex, half int) {
+	transform2D(g, false, full(g.H), band(g.W, half))
+}
+
+// span is a half-open index range.
+type span struct{ lo, hi int }
+
+func full(n int) [2]span { return [2]span{{0, n}} }
+
+// band returns the index ranges holding the wrapped frequencies |f| ≤ half
+// of an n-point axis.
+func band(n, half int) [2]span {
+	if half < 0 || 2*half+1 >= n {
+		return full(n)
+	}
+	return [2]span{{0, half + 1}, {n - half, n}}
+}
+
+// transform2D runs the row pass over the given rows and then the column
+// pass over the given columns; rows outside the given ones count as zero
+// and are never read. Rows are transformed in place; columns are gathered
+// colBlock at a time into the plan's work buffer, transformed there, and
+// scattered back, with the inverse's index reversal and 1/H folded into
+// the scatter.
+func transform2D(g *grid.Complex, inverse bool, rows, cols [2]span) {
+	w, h := g.W, g.H
+	allRows := rows[0].hi-rows[0].lo == h
+
+	rowPlan := cachedPlan(w)
+	rw := rowPlan.getWork()
+	scratch := (*rw)[colBlock*w:]
+	for _, r := range rows {
+		for y := r.lo; y < r.hi; y++ {
+			row := g.Data[y*w : (y+1)*w]
+			if inverse {
+				rowPlan.inverse(row, scratch)
+			} else {
+				rowPlan.transform(row, scratch)
+			}
 		}
 	}
-	col := make([]complex128, g.H)
-	for x := 0; x < g.W; x++ {
-		for y := 0; y < g.H; y++ {
-			col[y] = g.Data[y*g.W+x]
-		}
-		if forward {
-			colPlan.Forward(col)
-		} else {
-			colPlan.Inverse(col)
-		}
-		for y := 0; y < g.H; y++ {
-			g.Data[y*g.W+x] = col[y]
+	rowPlan.work.Put(rw)
+
+	colPlan := cachedPlan(h)
+	cw := colPlan.getWork()
+	buf, scratch := (*cw)[:colBlock*h], (*cw)[colBlock*h:]
+	inv := 1 / float64(h)
+	for _, c := range cols {
+		for x := c.lo; x < c.hi; x += colBlock {
+			nb := min(colBlock, c.hi-x)
+			if !allRows {
+				clear(buf[:nb*h])
+			}
+			for _, r := range rows {
+				for y := r.lo; y < r.hi; y++ {
+					for b, v := range g.Data[y*w+x : y*w+x+nb] {
+						buf[b*h+y] = v
+					}
+				}
+			}
+			for b := 0; b < nb; b++ {
+				colPlan.transform(buf[b*h:(b+1)*h], scratch)
+			}
+			for y := 0; y < h; y++ {
+				out := g.Data[y*w+x : y*w+x+nb]
+				if !inverse {
+					for b := range out {
+						out[b] = buf[b*h+y]
+					}
+					continue
+				}
+				src := y
+				if y > 0 {
+					src = h - y
+				}
+				for b := range out {
+					out[b] = scale(buf[b*h+src], inv)
+				}
+			}
 		}
 	}
+	colPlan.work.Put(cw)
 }
 
 // Convolve returns the circular convolution of two equal-size complex grids

@@ -1006,10 +1006,12 @@ func capString(s string, n int) string {
 // into ctx.Err() for the whole run. A tile that lands on PathEmpty
 // writes its quarantine bundle here, from the worker that watched it
 // fail.
-func (env *runEnv) runTile(ctx context.Context, sims map[int]*litho.Simulator, j tileJob) tileOut {
+func (env *runEnv) runTile(ctx context.Context, sims map[int]*litho.Simulator, j tileJob) (out tileOut) {
 	start := time.Now()
 	cfg := env.cfg
-	out := tileOut{stat: TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}}
+	out = tileOut{stat: TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}}
+	// out is the named result: a deferred write to a local would land
+	// after the return value was already copied out.
 	defer func() { out.stat.Wall = time.Since(start) }()
 	if j.skip {
 		// The occupancy scan proved this window empty at plan time; it
@@ -1221,27 +1223,41 @@ func (env *runEnv) appendPartial(index, attempt int, s opt.Snapshot) {
 	}
 }
 
+// numericsVersion names the arithmetic that turns a window into shots:
+// the FFT plans, the litho forward and adjoint sums, the optimizers. It is
+// hashed into the config fingerprint, and through it into every dedup
+// cache key, checkpoint header and remote-worker handshake, so results of
+// different arithmetic never mix: a stale cache entry is a miss, an old
+// journal fails the header check, a skewed worker is refused at connect.
+// Bump it in any change that can alter a floating-point result on the
+// optimize path, even in the last bit.
+//
+//	1: radix-2 and Bluestein FFT, full 2-D transforms
+//	2: mixed-radix Stockham FFT, band-pruned transforms in litho
+const numericsVersion = 2
+
 // configFingerprint hashes every config knob that can change a window's
 // optimized output — tiling geometry, validation policy, optics, engine
-// metadata, adaptive-plan knobs, and the physical pixel pitch — but no
-// layout geometry. It serves two masters: it is the window dedup
-// cache's key prefix (layout-free, so identical windows collide across
-// layouts and runs), and it is folded into the per-(layout, tiling)
-// checkpoint fingerprint below. It cannot cover the optimizer funcs
-// themselves (not hashable); Config.Engines is the stand-in, so set it
-// whenever a disk cache is shared across processes.
+// metadata, adaptive-plan knobs, the physical pixel pitch, and the
+// numerics version — but no layout geometry. It serves two masters: it
+// is the window dedup cache's key prefix (layout-free, so identical
+// windows collide across layouts and runs), and it is folded into the
+// per-(layout, tiling) checkpoint fingerprint below. It cannot cover the
+// optimizer funcs themselves (not hashable); Config.Engines is the
+// stand-in, so set it whenever a disk cache is shared across processes.
 func configFingerprint(cfg Config, dxNM float64) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "grid=%d core=%d halo=%d kopt=%d retries=%d rmin=%g rmax=%g dx=%g\n",
 		cfg.GridN, cfg.CorePx, cfg.HaloPx, cfg.KOpt, cfg.TileRetries, cfg.RMinPx, cfg.RMaxPx, dxNM)
 	fmt.Fprintf(h, "optics=%+v\n", cfg.Optics)
 	fmt.Fprintf(h, "engines=%+v\n", cfg.Engines)
+	fmt.Fprintf(h, "numerics=%d\n", numericsVersion)
 	// The adaptive knobs are deliberately absent: a window's result
 	// depends on its content and geometry (both in the window key), not
 	// on how the plan chose to draw it, so uniform and adaptive runs
 	// share cache entries. The journal fingerprint below does cover
 	// them — tile indices mean different windows across plans.
-	return fmt.Sprintf("cfaopc-cfg-v1 %016x", h.Sum64())
+	return fmt.Sprintf("cfaopc-cfg-v2 %016x", h.Sum64())
 }
 
 // fingerprint binds a checkpoint journal to one (layout, tiling) pair:

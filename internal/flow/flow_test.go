@@ -9,6 +9,7 @@ import (
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/wcache"
 )
 
 // circleOptimizer adapts core.CircleOpt to the flow Optimizer signature.
@@ -368,6 +369,58 @@ func TestCoreOwnershipNoDuplicates(t *testing.T) {
 		seen[k]++
 		if seen[k] > 1 {
 			t.Fatalf("duplicated shot %v", k)
+		}
+	}
+}
+
+// TileStat.Wall was once set by a defer on a local copy after the value
+// had been returned, so every in-process tile reported zero. An occupied
+// tile that ran its ladder must report Wall ≥ RasterWall > 0; cached,
+// unoccupied and plan-skipped tiles must still report a sane, non-
+// negative pair.
+func TestTileStatWall(t *testing.T) {
+	cfg := testConfig()
+	cfg.Optimize = ruleFallback()
+	corner := &layout.Layout{Name: "corner", TileNM: 1024, Rects: []layout.Rect{{X: 100, Y: 100, W: 80, H: 200}}}
+	res, err := Run(corner, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	occupied := 0
+	for _, st := range res.TileStats {
+		if st.Wall < st.RasterWall || st.RasterWall < 0 {
+			t.Errorf("tile %d: Wall %v < RasterWall %v", st.Index, st.Wall, st.RasterWall)
+		}
+		if st.Occupied {
+			occupied++
+			if st.RasterWall <= 0 || st.Wall <= 0 {
+				t.Errorf("occupied tile %d: Wall %v, RasterWall %v, want both positive", st.Index, st.Wall, st.RasterWall)
+			}
+		}
+	}
+	if occupied == 0 || occupied == len(res.TileStats) {
+		t.Fatalf("%d of %d tiles occupied; the test needs both kinds", occupied, len(res.TileStats))
+	}
+
+	cfg = adaptiveConfig()
+	cfg.Cache = mustCache(t, wcache.Config{})
+	for _, l := range []*layout.Layout{arrayLayout(), adaptiveLayout()} {
+		res, err = Run(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range res.TileStats {
+			if st.Wall < st.RasterWall || st.RasterWall < 0 {
+				t.Errorf("%s tile %d (hit=%v): Wall %v, RasterWall %v", l.Name, st.Index, st.CacheHit, st.Wall, st.RasterWall)
+			}
+			if st.CacheHit && st.Wall <= 0 {
+				t.Errorf("%s cached tile %d: Wall %v, want positive", l.Name, st.Index, st.Wall)
+			}
+		}
+		if l.Name == "adaptive" && res.Skipped == 0 {
+			t.Fatal("the adaptive run skipped no tile")
+		} else if l.Name != "adaptive" && res.CacheHits == 0 {
+			t.Fatal("the array run served no tile from the cache")
 		}
 	}
 }

@@ -113,12 +113,12 @@ func (env *runEnv) runProcSlot(ctx context.Context, id int, jobCh <-chan tileJob
 // rasterize supervisor-side, dispatch until a reply lands or the
 // breaker opens, then fall back to the shared in-process degradation
 // ladder. Every failed dispatch is counted on the tile and the run.
-func (s *procSlot) runTileProc(ctx context.Context, j tileJob) tileOut {
+func (s *procSlot) runTileProc(ctx context.Context, j tileJob) (out tileOut) {
 	env := s.env
 	cfg := env.cfg
 	start := time.Now()
-	out := tileOut{stat: TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}}
-	defer func() { out.stat.Wall = time.Since(start) }()
+	out = tileOut{stat: TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}}
+	defer func() { out.stat.Wall = time.Since(start) }() // out is the named result
 	if j.skip {
 		return out
 	}

@@ -134,15 +134,15 @@ func (s *Simulator) kcount(set *optics.KernelSet, optimizing bool) int {
 }
 
 // applyKernel fills dst with Ĥ_k ⊙ maskF on the kernel's support bins
-// (zero elsewhere) and inverse-transforms it into the spatial field.
+// and inverse-transforms it into the spatial field. The support is the
+// band |f| ≤ k.Half: only the band's rows are zeroed and filled, and the
+// inverse reads no other row, so a recycled dst costs no full clear.
 func (s *Simulator) applyKernel(dst *grid.Complex, k *optics.Kernel, maskF *grid.Complex) {
 	n := s.N
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
 	side := 2*k.Half + 1
 	for by := -k.Half; by <= k.Half; by++ {
 		iy := (by + n) % n
+		clear(dst.Data[iy*n : (iy+1)*n])
 		row := (by + k.Half) * side
 		for bx := -k.Half; bx <= k.Half; bx++ {
 			c := k.Coef[row+bx+k.Half]
@@ -153,7 +153,7 @@ func (s *Simulator) applyKernel(dst *grid.Complex, k *optics.Kernel, maskF *grid
 			dst.Data[iy*n+ix] = c * maskF.Data[iy*n+ix]
 		}
 	}
-	fft.Inverse2D(dst)
+	fft.Inverse2DBand(dst, k.Half)
 }
 
 // Aerial computes the aerial intensity image of mask under the given
@@ -262,11 +262,14 @@ func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optim
 		for ki := start; ki < end; ki++ {
 			tmp := bufs[ki-start]
 			ck := fields[ki]
+			// Only the kernel's support bins are read back below, so
+			// the forward transform computes just those columns.
+			half := set.Kernels[ki].Half
 			fill := func(tmp, ck *grid.Complex) {
 				for i := range tmp.Data {
 					tmp.Data[i] = complex(dLdI.Data[i], 0) * ck.Data[i]
 				}
-				fft.Forward2D(tmp)
+				fft.Forward2DBand(tmp, half)
 			}
 			if workers == 1 {
 				fill(tmp, ck)

@@ -5,16 +5,24 @@ import (
 	"math/rand"
 	"testing"
 
+	"cfaopc/internal/fft"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/optics"
 )
 
 // testSim builds a cheap but physical simulator: 256 nm tile on a 32×32
 // grid (8 nm/px) keeps kernel supports tiny.
-func testSim(t testing.TB, n int) *Simulator {
+func testSim(t testing.TB, n int) *Simulator { return simAt(t, n, 256) }
+
+// flowSim builds a simulator the way the tiled flow sees one: 8 nm pixels,
+// so the kernel band grows with the window (Half ≈ n/9) and the pruned
+// transforms have rows and columns to skip.
+func flowSim(t testing.TB, n int) *Simulator { return simAt(t, n, 8*float64(n)) }
+
+func simAt(t testing.TB, n int, tileNM float64) *Simulator {
 	t.Helper()
 	cfg := optics.Default()
-	cfg.TileNM = 256
+	cfg.TileNM = tileNM
 	cfg.NumKernels = 6
 	s, err := New(cfg, n)
 	if err != nil {
@@ -145,46 +153,126 @@ func TestSimulateDoseCornerNesting(t *testing.T) {
 
 // The analytic mask gradient must match central finite differences of the
 // loss. This validates the whole adjoint chain: resist sigmoid → aerial
-// backward → kernel conjugation.
+// backward → kernel conjugation — on a power-of-two grid and on the two
+// mixed-radix window sizes (96 = 4·4·2·3, 160 = 4·4·2·5), whose band-pruned
+// transforms skip most rows and columns.
 func TestLossGradMatchesFiniteDifference(t *testing.T) {
-	s := testSim(t, 32)
-	rng := rand.New(rand.NewSource(42))
-	mask := grid.NewReal(32, 32)
-	target := grid.NewReal(32, 32)
-	for y := 12; y < 20; y++ {
-		for x := 12; x < 20; x++ {
-			target.Set(x, y, 1)
+	for _, s := range []*Simulator{testSim(t, 32), flowSim(t, 96), flowSim(t, 160)} {
+		n := s.N
+		rng := rand.New(rand.NewSource(42))
+		mask := grid.NewReal(n, n)
+		target := grid.NewReal(n, n)
+		for y := 3 * n / 8; y < 5*n/8; y++ {
+			for x := 3 * n / 8; x < 5*n/8; x++ {
+				target.Set(x, y, 1)
+			}
 		}
-	}
-	for i := range mask.Data {
-		mask.Data[i] = 0.3 + 0.4*rng.Float64()
-	}
+		for i := range mask.Data {
+			mask.Data[i] = 0.3 + 0.4*rng.Float64()
+		}
 
-	for _, weights := range [][2]float64{{1, 0}, {0, 1}, {1, 1}} {
-		wL2, wPVB := weights[0], weights[1]
-		res := s.LossGrad(mask, target, wL2, wPVB)
-		if res.GradM.HasNaN() {
-			t.Fatal("gradient contains NaN")
+		for _, weights := range [][2]float64{{1, 0}, {0, 1}, {1, 1}} {
+			wL2, wPVB := weights[0], weights[1]
+			res := s.LossGrad(mask, target, wL2, wPVB)
+			if res.GradM.HasNaN() {
+				t.Fatal("gradient contains NaN")
+			}
+			const eps = 1e-5
+			for _, px := range [][2]int{{13 * n / 32, 13 * n / 32}, {n / 2, n / 2}, {5 * n / 32, 5 * n / 32}, {5 * n / 8, 3 * n / 8}} {
+				x, y := px[0], px[1]
+				orig := mask.At(x, y)
+				mask.Set(x, y, orig+eps)
+				lp := s.LossGrad(mask, target, wL2, wPVB).Loss
+				mask.Set(x, y, orig-eps)
+				lm := s.LossGrad(mask, target, wL2, wPVB).Loss
+				mask.Set(x, y, orig)
+				numeric := (lp - lm) / (2 * eps)
+				analytic := res.GradM.At(x, y)
+				scale := math.Max(math.Abs(numeric), math.Abs(analytic))
+				if scale < 1e-8 {
+					continue
+				}
+				if math.Abs(numeric-analytic) > 1e-3*scale+1e-8 {
+					t.Errorf("n=%d w=(%g,%g) pixel (%d,%d): analytic %g vs numeric %g",
+						n, wL2, wPVB, x, y, analytic, numeric)
+				}
+			}
 		}
-		const eps = 1e-5
-		for _, px := range [][2]int{{13, 13}, {16, 16}, {5, 5}, {20, 12}} {
-			x, y := px[0], px[1]
-			orig := mask.At(x, y)
-			mask.Set(x, y, orig+eps)
-			lp := s.LossGrad(mask, target, wL2, wPVB).Loss
-			mask.Set(x, y, orig-eps)
-			lm := s.LossGrad(mask, target, wL2, wPVB).Loss
-			mask.Set(x, y, orig)
-			numeric := (lp - lm) / (2 * eps)
-			analytic := res.GradM.At(x, y)
-			scale := math.Max(math.Abs(numeric), math.Abs(analytic))
-			if scale < 1e-8 {
-				continue
+	}
+}
+
+// Aerial and AerialBackward run band-pruned transforms; this reference
+// spells out the same sums with the full Forward2D/Inverse2D. Pruning
+// skips only work whose result is zero or never read, so the two must
+// agree exactly, not to a tolerance.
+func TestAerialMatchesFullTransformReference(t *testing.T) {
+	for _, n := range []int{96, 160} {
+		s := flowSim(t, n)
+		rng := rand.New(rand.NewSource(int64(n)))
+		mask := grid.NewReal(n, n)
+		dLdI := grid.NewReal(n, n)
+		for i := range mask.Data {
+			mask.Data[i] = rng.Float64()
+			dLdI.Data[i] = rng.NormFloat64()
+		}
+		set := s.Defocus
+		if 2*set.Kernels[0].Half+1 >= n/2 {
+			t.Fatalf("n=%d: band %d leaves nothing to prune", n, set.Kernels[0].Half)
+		}
+		// support calls f with the kernel coefficient and grid index of
+		// every support bin.
+		support := func(k *optics.Kernel, f func(c complex128, idx int)) {
+			side := 2*k.Half + 1
+			for by := -k.Half; by <= k.Half; by++ {
+				for bx := -k.Half; bx <= k.Half; bx++ {
+					f(k.Coef[(by+k.Half)*side+bx+k.Half], (by+n)%n*n+(bx+n)%n)
+				}
 			}
-			if math.Abs(numeric-analytic) > 1e-3*scale+1e-8 {
-				t.Errorf("w=(%g,%g) pixel (%d,%d): analytic %g vs numeric %g",
-					wL2, wPVB, x, y, analytic, numeric)
+		}
+
+		maskF := grid.FromReal(mask)
+		fft.Forward2D(maskF)
+		wantI := grid.NewReal(n, n)
+		wantFields := make([]*grid.Complex, len(set.Kernels))
+		for ki := range set.Kernels {
+			k := &set.Kernels[ki]
+			field := grid.NewComplex(n, n)
+			support(k, func(c complex128, idx int) { field.Data[idx] = c * maskF.Data[idx] })
+			fft.Inverse2D(field)
+			wantFields[ki] = field
+			for i, v := range field.Data {
+				wantI.Data[i] += k.Weight * (real(v)*real(v) + imag(v)*imag(v))
 			}
+		}
+		fields := make([]*grid.Complex, len(set.Kernels))
+		gotI := s.Aerial(mask, set, false, fields)
+		if d := gotI.SqDiff(wantI); d != 0 {
+			t.Errorf("n=%d: aerial image differs from the full-transform reference (Σd² = %g)", n, d)
+		}
+		for ki := range fields {
+			for i, v := range fields[ki].Data {
+				if v != wantFields[ki].Data[i] {
+					t.Fatalf("n=%d: field %d differs at %d: %v vs %v", n, ki, i, v, wantFields[ki].Data[i])
+				}
+			}
+		}
+
+		accF := grid.NewComplex(n, n)
+		for ki := range set.Kernels {
+			k := &set.Kernels[ki]
+			tmp := grid.NewComplex(n, n)
+			for i := range tmp.Data {
+				tmp.Data[i] = complex(dLdI.Data[i], 0) * fields[ki].Data[i]
+			}
+			fft.Forward2D(tmp)
+			support(k, func(c complex128, idx int) {
+				accF.Data[idx] += complex(k.Weight, 0) * complex(real(c), -imag(c)) * tmp.Data[idx]
+			})
+		}
+		fft.Inverse2D(accF)
+		wantG := grid.RealPart(accF).Scale(2)
+		if d := s.AerialBackward(dLdI, set, false, fields).SqDiff(wantG); d != 0 {
+			t.Errorf("n=%d: mask gradient differs from the full-transform reference (Σd² = %g)", n, d)
 		}
 	}
 }

@@ -27,25 +27,31 @@ func TestParallelAerialBitIdentical(t *testing.T) {
 	}
 }
 
+// Also at the benchmark's 192-px window (4·4·4·3, band-pruned), where
+// concurrent kernels share one FFT plan and its scratch pool.
 func TestParallelLossGradBitIdentical(t *testing.T) {
-	s := testSim(t, 32)
-	target := grid.NewReal(32, 32)
-	mask := grid.NewReal(32, 32)
-	for y := 10; y < 22; y++ {
-		for x := 13; x < 19; x++ {
-			target.Set(x, y, 1)
-			mask.Set(x, y, 1)
+	for _, s := range []*Simulator{testSim(t, 32), flowSim(t, 192)} {
+		n := s.N
+		target := grid.NewReal(n, n)
+		mask := grid.NewReal(n, n)
+		for y := 5 * n / 16; y < 11*n/16; y++ {
+			for x := 13 * n / 32; x < 19*n/32; x++ {
+				target.Set(x, y, 1)
+				mask.Set(x, y, 1)
+			}
 		}
-	}
-	s.Workers = 1
-	serial := s.LossGrad(mask, target, 1, 1)
-	s.Workers = 4
-	par := s.LossGrad(mask, target, 1, 1)
-	if serial.Loss != par.Loss {
-		t.Fatalf("loss differs: %v vs %v", serial.Loss, par.Loss)
-	}
-	if serial.GradM.SqDiff(par.GradM) != 0 {
-		t.Fatal("gradient differs between worker counts")
+		s.Workers = 1
+		serial := s.LossGrad(mask, target, 1, 1)
+		for _, w := range []int{2, 4} {
+			s.Workers = w
+			par := s.LossGrad(mask, target, 1, 1)
+			if serial.Loss != par.Loss {
+				t.Fatalf("n=%d workers=%d: loss differs: %v vs %v", n, w, serial.Loss, par.Loss)
+			}
+			if serial.GradM.SqDiff(par.GradM) != 0 {
+				t.Fatalf("n=%d workers=%d: gradient differs from serial", n, w)
+			}
+		}
 	}
 }
 

@@ -189,6 +189,11 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	armWrite := func() { rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)) }
 
 	for {
+		// Ask before draining, not after: the hub publishes its terminal
+		// event and then shuts, so a shut seen here means the drain below
+		// takes the end of the stream. Asked after the drain, the two
+		// could land in between and the stream end without the event.
+		shut := sub.isShut()
 		evs, dropped := sub.drain()
 		if len(evs) > 0 || dropped > 0 {
 			armWrite()
@@ -217,7 +222,7 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 		if terminal {
 			return
 		}
-		if sub.isShut() {
+		if shut {
 			// The hub ended the stream without a terminal event — the
 			// event journal died, or the daemon is shutting down. End the
 			// stream after the drain above; the client polls the job
@@ -293,6 +298,7 @@ func serveMask(m *Manager, w http.ResponseWriter, r *http.Request) {
 	var served, limit int64
 	done := false
 	for {
+		shut := sub.isShut() // before the drain, as in serveEvents
 		evs, _ := sub.drain()
 		for _, ev := range evs {
 			switch {
@@ -319,8 +325,8 @@ func serveMask(m *Manager, w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if done || sub.isShut() {
-			// isShut without a terminal event means the stream died with
+		if done || shut {
+			// shut without a terminal event means the stream died with
 			// the event journal; the rows served so far are all the rows
 			// this follower will ever be told are safe.
 			return
