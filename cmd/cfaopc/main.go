@@ -27,8 +27,10 @@
 //
 // With -proc-workers N tiles run in supervised worker subprocesses (the
 // binary re-executes itself as its own worker, or -worker-bin names
-// one): a crashed worker costs one dispatch, not the run, and output
-// stays byte-identical to the in-process flow.
+// one), with -remote-hosts on tileworker -listen hosts — the same
+// session either way: a crashed worker or dropped link costs one
+// dispatch, not the run, and output stays byte-identical to the
+// in-process flow.
 //
 // Tiled runs can skip repeated work: -window-cache mem|disk serves
 // content-identical windows from a dedup cache (disk adds a persistent
@@ -63,7 +65,6 @@ import (
 	"cfaopc/internal/litho"
 	"cfaopc/internal/metrics"
 	"cfaopc/internal/optics"
-	"cfaopc/internal/procpool"
 	"cfaopc/internal/procworker"
 	"cfaopc/internal/server"
 	"cfaopc/internal/wcache"
@@ -73,15 +74,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cfaopc: ")
 
-	if procpool.InWorker() {
-		// Spawned as our own tile worker (the -proc-workers default):
-		// serve frames on stdin/stdout and exit. Flags are ignored —
-		// every knob a tile needs travels inside its task.
-		if err := procworker.Serve(os.Stdin, os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
+	// Spawned as our own tile worker (the -proc-workers default): serve
+	// the session on stdin/stdout and exit. Flags are ignored — every
+	// knob a tile needs travels inside its task.
+	procworker.ServeIfWorker()
 
 	var (
 		caseID      = flag.Int("case", 0, "synthetic benchmark case (1-10)")
@@ -109,9 +105,9 @@ func main() {
 		procWorkers = flag.Int("proc-workers", 0, "tiled flow: run tiles in this many supervised worker subprocesses (0 = in-process; overrides -tile-workers)")
 		workerBin   = flag.String("worker-bin", "", "tiled flow: worker binary for -proc-workers (default: re-execute this binary)")
 		remoteHosts = flag.String("remote-hosts", "", "tiled flow: comma-separated tileworker -listen addresses; tiles shard across them (excludes -proc-workers)")
-		remoteSil   = flag.Duration("remote-silence", 0, "remote hosts: reconnect a host whose frames stop for this long (0 = 10s default)")
-		remoteBack  = flag.Duration("remote-backoff", 0, "remote hosts: base reconnect backoff, doubled per consecutive failure (0 = 50ms default)")
-		remoteLimit = flag.Int("remote-crash-limit", 0, "remote hosts: consecutive failures before a host's breaker opens and its tiles degrade to in-process (0 = 3 default)")
+		remoteSil   = flag.Duration("remote-silence", 0, "-remote-hosts / -proc-workers: drop a worker whose frames stop for this long and reconnect or respawn (0 = 10s default)")
+		remoteBack  = flag.Duration("remote-backoff", 0, "-remote-hosts / -proc-workers: base reconnect/respawn backoff, doubled per consecutive failure (0 = 50ms default)")
+		remoteLimit = flag.Int("remote-crash-limit", 0, "-remote-hosts / -proc-workers: consecutive failures before a worker slot's breaker opens and its tiles degrade to in-process (0 = 3 default)")
 		winCache    = flag.String("window-cache", "off", "tiled flow: dedup identical windows — off | mem | disk (disk adds a persistent tier under -cache-dir)")
 		cacheDir    = flag.String("cache-dir", "", "tiled flow: directory for the -window-cache disk tier (survives across runs)")
 		adaptive    = flag.Bool("adaptive-tiles", false, "tiled flow: occupancy-adaptive tiling — merge sparse 2×2 blocks, skip empty ones, split dense windows (output stays deterministic)")
@@ -157,8 +153,8 @@ func main() {
 		log.Fatal("-remote-hosts and -proc-workers are mutually exclusive transports; pick one")
 	case *remoteHosts != "" && *tileCore <= 0:
 		log.Fatal("-remote-hosts needs the tiled flow; set -tile-core > 0")
-	case (*remoteSil != 0 || *remoteBack != 0 || *remoteLimit != 0) && *remoteHosts == "":
-		log.Fatal("-remote-silence / -remote-backoff / -remote-crash-limit only apply with -remote-hosts")
+	case (*remoteSil != 0 || *remoteBack != 0 || *remoteLimit != 0) && *remoteHosts == "" && *procWorkers <= 0:
+		log.Fatal("-remote-silence / -remote-backoff / -remote-crash-limit only apply with -remote-hosts or -proc-workers")
 	case *remoteSil < 0 || *remoteBack < 0 || *remoteLimit < 0:
 		log.Fatal("-remote-silence, -remote-backoff, and -remote-crash-limit must be >= 0")
 	case *winCache != "off" && *winCache != "mem" && *winCache != "disk":
@@ -350,10 +346,10 @@ func main() {
 			if len(fCfg.RemoteHosts) == 0 {
 				log.Fatal("-remote-hosts: no addresses after splitting on commas")
 			}
-			fCfg.RemoteSilence = *remoteSil
-			fCfg.RemoteBackoff = *remoteBack
-			fCfg.RemoteCrashLimit = *remoteLimit
 		}
+		fCfg.LinkSilence = *remoteSil
+		fCfg.LinkBackoff = *remoteBack
+		fCfg.LinkCrashLimit = *remoteLimit
 		if *maskOut != "" {
 			var err error
 			bandFile, err = newPGMBandWriter(*maskOut, *gridN)
@@ -381,14 +377,7 @@ func main() {
 			// by construction, and a partial band file would be torn).
 			fmt.Printf("drained: %d of %d tiles completed and checkpointed; no stitched output written\n",
 				res.Completed, res.Tiles)
-			if res.ProcCrashes > 0 || res.Broken > 0 {
-				fmt.Printf("proc: %d worker crashes survived, %d slots circuit-broken to in-process\n",
-					res.ProcCrashes, res.Broken)
-			}
-			if res.RemoteCrashes > 0 || res.RemoteBroken > 0 {
-				fmt.Printf("remote: %d link failures survived, %d breaker openings degraded tiles to in-process\n",
-					res.RemoteCrashes, res.RemoteBroken)
-			}
+			printLinkSummary(res)
 			if *ckptPath != "" {
 				fmt.Printf("resume: re-run with the same flags and -checkpoint %s\n", *ckptPath)
 			}
@@ -475,14 +464,7 @@ func main() {
 			fmt.Printf("faults: %d retried, %d fallback, %d empty, %d resumed from checkpoint, %d stalled, %d quarantined\n",
 				res.Retried, res.Fallbacks, res.Empty, res.Resumed, res.Stalled, res.Quarantined)
 		}
-		if res.ProcCrashes > 0 || res.Broken > 0 {
-			fmt.Printf("proc: %d worker crashes survived, %d slots circuit-broken to in-process\n",
-				res.ProcCrashes, res.Broken)
-		}
-		if res.RemoteCrashes > 0 || res.RemoteBroken > 0 {
-			fmt.Printf("remote: %d link failures survived, %d breaker openings degraded tiles to in-process\n",
-				res.RemoteCrashes, res.RemoteBroken)
-		}
+		printLinkSummary(res)
 		if res.CheckpointDegraded {
 			fmt.Printf("storage: checkpoint journal failed mid-run (%s) — results are correct but this run cannot be resumed (-strict-storage to fail fast)\n",
 				res.CheckpointErr)
@@ -552,6 +534,15 @@ func main() {
 		}
 	}
 	fmt.Printf("wrote %s and renders under %s/\n", shotPath, *outDir)
+}
+
+// printLinkSummary reports what the worker slots survived; a healthy or
+// in-process run prints nothing.
+func printLinkSummary(res *flow.Result) {
+	if res.LinkCrashes > 0 || res.LinkBroken > 0 {
+		fmt.Printf("workers: %d failed dispatches survived, %d breaker openings degraded tiles to in-process\n",
+			res.LinkCrashes, res.LinkBroken)
+	}
 }
 
 // runJobSpec executes one cfaopcd job spec via the shared service

@@ -1,12 +1,14 @@
-// Command tileworker is the standalone tile-worker binary for the
-// tiled flow's distributed modes. By default it speaks the procpool
-// frame protocol on stdin/stdout (the -proc-workers subprocess
-// transport); with -listen it becomes a multi-host shard: a TCP server
-// speaking the same protocol, one handshaken session per coordinator
-// connection (flow.Config.RemoteHosts). cmd/cfaopc re-executes itself
-// as its own pipe worker by default, so the pipe mode of this binary
-// exists for deployments that want the worker pinned to a separate
-// (smaller, or differently sandboxed) executable via -worker-bin.
+// Command tileworker is the standalone tile-worker binary: the worker
+// side of the one session protocol the tiled flow's two dispatch modes
+// share (coordinator-first Hello with protocol version and config
+// fingerprint, then CRC-guarded task/beat/partial/reply frames). By
+// default it serves a single session on stdin/stdout — what a
+// coordinator's -proc-workers -worker-bin spawns; with -listen it
+// serves one session per accepted TCP connection
+// (flow.Config.RemoteHosts). cmd/cfaopc re-executes itself as its own
+// worker by default, so the stdin/stdout mode of this binary exists for
+// deployments that want the worker pinned to a separate (smaller, or
+// differently sandboxed) executable.
 package main
 
 import (
@@ -24,13 +26,13 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("tileworker: ")
-	listen := flag.String("listen", "", "serve tile tasks over TCP on this address (e.g. :9643); empty serves stdin/stdout")
+	listen := flag.String("listen", "", "serve tile tasks over TCP on this address (e.g. :9643); empty serves one session on stdin/stdout")
 	fingerprint := flag.String("fingerprint", "", "config fingerprint pin: reject coordinators whose run config differs (empty accepts any)")
 	handshake := flag.Duration("handshake", 5*time.Second, "deadline for each connection's Hello exchange")
 	flag.Parse()
 
 	if *listen == "" {
-		if err := procworker.Serve(os.Stdin, os.Stdout); err != nil {
+		if err := procworker.Serve(*fingerprint); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -23,8 +23,7 @@ type RemoteOptions struct {
 	Features int   // bars in the random layout
 	Pool     int   // worker subprocess / remote host count
 
-	// WorkerCmd builds one pipe-transport worker subprocess (the
-	// -proc-workers rows).
+	// WorkerCmd builds one worker subprocess (the -proc-workers rows).
 	WorkerCmd func() *exec.Cmd
 	// StartHost launches one loopback TCP tile-worker host and returns
 	// its dial address (the -remote rows).
@@ -141,9 +140,9 @@ func (r *Runner) RemoteTable(o RemoteOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if res.ProcCrashes+res.Broken+res.RemoteCrashes+res.RemoteBroken > 0 {
-			return nil, fmt.Errorf("bench: %s variant degraded (crashes %d/%d, broken %d/%d): exhibit would not measure the healthy path",
-				v.name, res.ProcCrashes, res.RemoteCrashes, res.Broken, res.RemoteBroken)
+		if res.LinkCrashes+res.LinkBroken > 0 {
+			return nil, fmt.Errorf("bench: %s variant degraded (%d failed dispatches, %d breaker openings): exhibit would not measure the healthy path",
+				v.name, res.LinkCrashes, res.LinkBroken)
 		}
 		identical := "baseline"
 		if base == nil {

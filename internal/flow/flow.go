@@ -57,7 +57,19 @@
 //     a self-contained repro bundle (window target, owning rects, config
 //     fingerprint, per-attempt history, injected-fault script) through
 //     internal/quarantine; cmd/replaytile replays bundles offline via
-//     ReplayWindow.
+//     RunWindow.
+//
+// Every tile takes one pipeline — rasterize, cache lookup, execute,
+// cache store (runTile) — and RunContext reads validate → plan → replay
+// → execute → reduce. Where a tile executes is the only thing that
+// varies: on the lane's own simulators, or (Config.ProcWorkers,
+// Config.RemoteHosts) on a tile worker in another process or on another
+// machine. Both kinds of worker speak one session protocol
+// (internal/netpool over internal/procpool frames) and are supervised by
+// one slot type (slot.go); a subprocess is merely a dial that spawns the
+// worker and uses its stdin/stdout as the connection. A slot that cannot
+// keep a worker alive falls back to the in-process ladder, so no worker
+// failure can fail a run or change its bytes.
 package flow
 
 import (
@@ -209,81 +221,57 @@ type Config struct {
 	// radius bound they are all emitted when the last tile finishes.
 	MaskWriter MaskWriter
 
-	// ProcWorkers, when > 0, dispatches tiles to that many supervised
-	// worker subprocesses instead of in-process goroutines, so a
-	// process-fatal tile failure (OOM kill, runtime fatal, wedged FFT)
-	// costs one dispatch, not the run. Each worker slot detects
-	// crash/EOF/heartbeat silence, respawns its process with exponential
-	// backoff and jitter, and circuit-breaks to the in-process
-	// degradation ladder after ProcCrashLimit consecutive failures — the
-	// run always completes. The determinism contract extends across the
-	// process boundary: for any mix of proc and in-process execution,
-	// crashes, respawns, and checkpoint resume, the stitched shot list
-	// and streamed bands are byte-identical to the serial in-process
-	// run. TileWorkers is ignored when ProcWorkers is set.
+	// ProcWorkers and RemoteHosts move tile execution out of this
+	// process, to tile workers speaking one session protocol
+	// (internal/netpool) reached two ways. Both are supervised the same:
+	// a slot detects crash, EOF, link drop and silence, respawns or
+	// reconnects with exponential backoff and jitter, and after
+	// LinkCrashLimit consecutive failures its circuit breaker degrades
+	// its tiles to the in-process ladder, so the run always completes —
+	// even with zero reachable workers. The determinism contract extends
+	// across the boundary: results reduce in row-major tile order and
+	// resume state is journal-keyed, so shots, streamed bands and
+	// checkpoints are byte-identical to the serial in-process run for
+	// any mix of hosts, crashes, reconnects and interrupt+resume. The
+	// two are mutually exclusive, both need Engines metadata (the worker
+	// rebuilds the optimizer chain from it), and both ignore
+	// TileWorkers.
+	//
+	// ProcWorkers, when > 0, runs that many local worker subprocesses
+	// (WorkerCmd), each reached over its stdin/stdout: a process-fatal
+	// tile failure (OOM kill, runtime fatal, wedged FFT) costs one
+	// dispatch, not the run. A slot whose breaker opens stays in-process
+	// for the rest of the run.
 	ProcWorkers int
+	// RemoteHosts, when non-empty, shards tiles across TCP tile-worker
+	// hosts (cmd/tileworker -listen), one slot per host. An open breaker
+	// lets one probe dispatch through every 5s, so a partitioned host
+	// can rejoin the run.
+	RemoteHosts []string
 	// WorkerCmd builds one worker subprocess command (required when
 	// ProcWorkers > 0; must be safe to call concurrently). The
 	// supervisor forces procpool.WorkerEnv=1 into its environment; the
-	// child must detect that (procpool.InWorker) and serve frames on
-	// stdin/stdout — cmd/tileworker, or any binary embedding
-	// internal/procworker.
+	// child must detect that (procpool.InWorker) and serve the session
+	// on stdin/stdout — cmd/tileworker, or any binary calling
+	// procworker.ServeIfWorker.
 	WorkerCmd func() *exec.Cmd
-	// ProcCrashLimit is how many consecutive failed dispatches break a
-	// worker slot to in-process execution. Zero means the default (3).
-	ProcCrashLimit int
-	// ProcSilence kills a worker that emits no frame (ping, heartbeat,
-	// snapshot, reply) for this long while a task is in flight — the
-	// cross-process analogue of StallTimeout, catching a process that is
-	// alive but wedged beyond even its ping loop. Zero means the default
-	// (10s); it should comfortably exceed the worker's ~100ms ping
-	// cadence.
-	ProcSilence time.Duration
-	// ProcBackoff is the base delay before respawning a crashed worker;
-	// it doubles per consecutive crash (capped at 2s) with jitter so a
-	// crash-looping fleet does not respawn in lockstep. Zero means the
-	// default (50ms).
-	ProcBackoff time.Duration
-
-	// RemoteHosts, when non-empty, shards tiles across TCP tile-worker
-	// hosts (cmd/tileworker -listen) instead of local subprocesses: one
-	// supervised slot per host, speaking the same frame protocol over
-	// the network. The PR 5 supervisor machinery carries over with the
-	// transport swapped — respawn becomes reconnect with exponential
-	// backoff + jitter, the silence watchdog covers dead links and
-	// stalled remotes, and a per-host circuit breaker degrades a
-	// flapping host's tiles to the local in-process ladder (and, with
-	// RemoteCooldown, probes it again later). The determinism contract
-	// is unchanged: results reduce in row-major tile order and resume
-	// state is journal-keyed, so shots, streamed bands and checkpoints
-	// are byte-identical for any host mix, reconnect history, and
-	// interrupt+resume — including a run where zero hosts are reachable,
-	// which completes entirely on the local ladder. Mutually exclusive
-	// with ProcWorkers; requires Engines metadata like proc mode.
-	RemoteHosts []string
 	// RemoteDial overrides the transport used to reach RemoteHosts
-	// (tests route through in-memory pipes or a chaos proxy). Nil dials
-	// plain TCP.
+	// (tests route through in-memory pipes here). Nil dials plain TCP.
 	RemoteDial func(ctx context.Context, addr string) (net.Conn, error)
-	// RemoteSilence is the per-link silence watchdog: a host that sends
-	// no frame for this long while a task is in flight is presumed dead
-	// or partitioned and its link is cut. Zero means the default (10s).
-	RemoteSilence time.Duration
-	// RemoteBackoff is the base reconnect delay; it doubles per
-	// consecutive failure (capped at 2s) with jitter. Zero means the
-	// default (50ms).
-	RemoteBackoff time.Duration
-	// RemoteCrashLimit is how many consecutive failed dispatches open a
-	// host's circuit breaker. Zero means the default (3).
-	RemoteCrashLimit int
-	// RemoteCooldown is how long an open breaker waits before letting
-	// one probe dispatch through (half-open) — a degraded host can
-	// rejoin the run. Zero means the default (5s); negative makes the
-	// breaker terminal like a subprocess slot's.
-	RemoteCooldown time.Duration
-	// RemoteHandshake bounds each dial + Hello exchange. Zero means the
-	// default (5s).
-	RemoteHandshake time.Duration
+	// LinkSilence kills a session that delivers no frame (ping,
+	// heartbeat, snapshot, reply — or handshake answer) for this long
+	// while one is due: the cross-process analogue of StallTimeout,
+	// catching a wedged process, a dead link and a stalled remote alike.
+	// Zero means 10s; it should comfortably exceed the worker's ~100ms
+	// ping cadence.
+	LinkSilence time.Duration
+	// LinkBackoff is the base delay before a respawn or reconnect; it
+	// doubles per consecutive failure (capped at 2s) with jitter so a
+	// crash-looping fleet does not retry in lockstep. Zero means 50ms.
+	LinkBackoff time.Duration
+	// LinkCrashLimit is how many consecutive failed dispatches open a
+	// slot's circuit breaker. Zero means 3.
+	LinkCrashLimit int
 
 	// Cache, when non-nil, is the window dedup cache: each eligible tile
 	// is keyed by a canonical content hash (window target raster, owning
@@ -339,68 +327,27 @@ type Config struct {
 	QuarantineMaxBytes   int64
 }
 
-// procCrashLimit / procSilence / procBackoff resolve the supervision
+// linkSilence / linkBackoff / linkCrashLimit resolve the supervision
 // defaults documented on Config.
-func (cfg Config) procCrashLimit() int {
-	if cfg.ProcCrashLimit > 0 {
-		return cfg.ProcCrashLimit
-	}
-	return 3
-}
-
-func (cfg Config) procSilence() time.Duration {
-	if cfg.ProcSilence > 0 {
-		return cfg.ProcSilence
+func (cfg Config) linkSilence() time.Duration {
+	if cfg.LinkSilence > 0 {
+		return cfg.LinkSilence
 	}
 	return 10 * time.Second
 }
 
-func (cfg Config) procBackoff() time.Duration {
-	if cfg.ProcBackoff > 0 {
-		return cfg.ProcBackoff
+func (cfg Config) linkBackoff() time.Duration {
+	if cfg.LinkBackoff > 0 {
+		return cfg.LinkBackoff
 	}
 	return 50 * time.Millisecond
 }
 
-// remoteSilence / remoteBackoff / remoteCrashLimit / remoteCooldown /
-// remoteHandshake resolve the remote-transport defaults documented on
-// Config.
-func (cfg Config) remoteSilence() time.Duration {
-	if cfg.RemoteSilence > 0 {
-		return cfg.RemoteSilence
-	}
-	return 10 * time.Second
-}
-
-func (cfg Config) remoteBackoff() time.Duration {
-	if cfg.RemoteBackoff > 0 {
-		return cfg.RemoteBackoff
-	}
-	return 50 * time.Millisecond
-}
-
-func (cfg Config) remoteCrashLimit() int {
-	if cfg.RemoteCrashLimit > 0 {
-		return cfg.RemoteCrashLimit
+func (cfg Config) linkCrashLimit() int {
+	if cfg.LinkCrashLimit > 0 {
+		return cfg.LinkCrashLimit
 	}
 	return 3
-}
-
-func (cfg Config) remoteCooldown() time.Duration {
-	if cfg.RemoteCooldown < 0 {
-		return 0 // terminal breaker, like a subprocess slot
-	}
-	if cfg.RemoteCooldown > 0 {
-		return cfg.RemoteCooldown
-	}
-	return 5 * time.Second
-}
-
-func (cfg Config) remoteHandshake() time.Duration {
-	if cfg.RemoteHandshake > 0 {
-		return cfg.RemoteHandshake
-	}
-	return 5 * time.Second
 }
 
 // withInjectedFaults resolves Config.Faults into wrapped optimizers.
@@ -510,18 +457,14 @@ type Result struct {
 	// Completed counts tiles accounted for (computed or replayed); it
 	// equals Tiles except on a drained run.
 	Completed int
-	// ProcCrashes totals failed worker dispatches across the run;
-	// Broken counts worker slots that circuit-broke to in-process
-	// execution. Both stay zero without ProcWorkers.
-	ProcCrashes int
-	Broken      int
-	// RemoteCrashes totals failed remote dispatches (connect failures,
-	// link drops, silence kills, rejected handshakes); RemoteBroken
-	// counts breaker-open episodes across hosts (a host that degrades,
-	// heals, and degrades again counts twice). Both stay zero without
-	// RemoteHosts.
-	RemoteCrashes int
-	RemoteBroken  int
+	// LinkCrashes totals failed worker dispatches across the run (spawn
+	// and connect failures, refused handshakes, worker deaths, link
+	// drops, silence kills, worker-reported task errors); LinkBroken
+	// counts breaker-open episodes across slots (a remote host that
+	// degrades, heals, and degrades again counts twice). Both stay zero
+	// in-process.
+	LinkCrashes int
+	LinkBroken  int
 
 	// CacheHits / CacheMisses count cache lookups by freshly processed
 	// tiles (replayed-from-journal tiles perform none); CacheBytes is
@@ -581,33 +524,6 @@ func tileWorkerCount(w, jobs int) int {
 	return w
 }
 
-// extractWindow copies the window×window region at origin (ox, oy) out of
-// the full rasterized layout into a fresh target grid, reporting whether
-// any pixel is occupied. The origin may be negative and the window may
-// extend past the grid at the borders; out-of-grid pixels stay empty.
-func extractWindow(full *grid.Real, ox, oy, window int) (*grid.Real, bool) {
-	target := grid.NewReal(window, window)
-	occupied := false
-	for y := 0; y < window; y++ {
-		fy := oy + y
-		if fy < 0 || fy >= full.H {
-			continue
-		}
-		for x := 0; x < window; x++ {
-			fx := ox + x
-			if fx < 0 || fx >= full.W {
-				continue
-			}
-			v := full.Data[fy*full.W+fx]
-			target.Data[y*window+x] = v
-			if v > 0.5 {
-				occupied = true
-			}
-		}
-	}
-	return target, occupied
-}
-
 // ownedShots translates window-local shots to full-grid coordinates and
 // keeps those whose centers fall in the core [cx, cx+corePx) × [cy,
 // cy+corePx) — the ownership rule that makes seam shots unique.
@@ -651,7 +567,7 @@ type tileOut struct {
 // config (faults injected), the layout and its span index, the open
 // journal and the partial snapshots replayed from it, plus an error
 // channel for asynchronous failures (journal appends, bundle saves).
-// ReplayWindow builds a minimal env with no layout, index or journal.
+// RunWindow builds a minimal env with no layout, index or journal.
 type runEnv struct {
 	cfg       Config                         // effective config: Faults already wrapped in
 	rawFaults FaultPlan                      // the unwrapped plan, recorded into bundles
@@ -691,19 +607,10 @@ type runEnv struct {
 	// worker's redispatch counter otherwise).
 	dispatch int
 
-	// Proc mode: one shared set of in-process simulators (one per
-	// window size in the plan) serves every circuit-broken slot
-	// (serialized by fbMu), and the crash/breaker totals accumulate
-	// across slots.
-	fbSims      map[int]*litho.Simulator
-	fbMu        sync.Mutex
-	quarMu      sync.Mutex // serializes bundle saves with retention pruning
-	procCrashes atomic.Int64
-	procBroken  atomic.Int64
-	// Remote mode keeps its own totals so a mixed report stays honest
-	// about which transport suffered.
-	remoteCrashes atomic.Int64
-	remoteBroken  atomic.Int64
+	quarMu sync.Mutex // serializes bundle saves with retention pruning
+	// Failed dispatches and breaker openings across every worker slot.
+	linkCrashes atomic.Int64
+	linkBroken  atomic.Int64
 }
 
 // reportErr surfaces the first asynchronous failure; later ones drop.
@@ -998,17 +905,22 @@ func capString(s string, n int) string {
 	return s[:n] + " …[truncated]"
 }
 
-// runTile rasterizes, optimizes and filters one window, degrading
-// through retry → fallback → empty instead of failing the run. The
-// window target is rasterized on demand from the layout's span index —
-// the streaming path; no full-grid raster exists anywhere. When ctx is
-// canceled the tile is abandoned (stat.Path stays empty); Run turns that
-// into ctx.Err() for the whole run. A tile that lands on PathEmpty
-// writes its quarantine bundle here, from the worker that watched it
-// fail.
-func (env *runEnv) runTile(ctx context.Context, sims map[int]*litho.Simulator, j tileJob) (out tileOut) {
+// executor is the one step of a tile that depends on where tiles run:
+// given the rasterized window it fills out with the degradation
+// ladder's result — on this goroutine's own simulators, or through a
+// worker slot that falls back to the local ladder when its breaker
+// opens. A canceled context leaves out.stat.Path empty.
+type executor func(ctx context.Context, j tileJob, target *grid.Real, out *tileOut)
+
+// runTile takes one window through raster → cache lookup → execute →
+// cache store, the same pipeline in every dispatch mode. The window
+// target is rasterized on demand from the layout's span index — the
+// streaming path; no full-grid raster exists anywhere. A tile degrades
+// through retry → fallback → empty instead of failing the run; when ctx
+// is canceled it is abandoned (stat.Path stays empty) and RunContext
+// turns that into ctx.Err() for the whole run.
+func (env *runEnv) runTile(ctx context.Context, exec executor, j tileJob) (out tileOut) {
 	start := time.Now()
-	cfg := env.cfg
 	out = tileOut{stat: TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}}
 	// out is the named result: a deferred write to a local would land
 	// after the return value was already copied out.
@@ -1018,8 +930,8 @@ func (env *runEnv) runTile(ctx context.Context, sims map[int]*litho.Simulator, j
 		// contributes exactly what an unoccupied tile always has.
 		return out
 	}
-	ox := j.cx - cfg.HaloPx
-	oy := j.cy - cfg.HaloPx
+	ox := j.cx - env.cfg.HaloPx
+	oy := j.cy - env.cfg.HaloPx
 	target, occupied := env.ix.Window(ox, oy, j.window, j.window)
 	out.stat.Occupied = occupied
 	out.stat.RasterWall = time.Since(start)
@@ -1029,27 +941,31 @@ func (env *runEnv) runTile(ctx context.Context, sims map[int]*litho.Simulator, j
 	if env.tryCache(j, target, &out) {
 		return out
 	}
-	env.ladder(ctx, sims[j.window], j, target, &out)
+	exec(ctx, j, target, &out)
 	env.storeCache(j, &out)
 	return out
 }
 
 // ladder walks the in-process degradation sequence for one rasterized
-// window and folds the outcome into out — the shared tail of runTile,
-// a circuit-broken proc slot, and ReplayWindow-style single-window
-// runs.
+// window and folds the outcome into out.
 func (env *runEnv) ladder(ctx context.Context, sim *litho.Simulator, j tileJob,
 	target *grid.Real, out *tileOut) {
-	cfg := env.cfg
-	ox := j.cx - cfg.HaloPx
-	oy := j.cy - cfg.HaloPx
 	shots, path, outcomes := env.attemptSequence(ctx, sim, j, target)
+	env.fold(j, target, shots, path, outcomes, out)
+}
+
+// fold records one walked ladder — here or on a worker — in out:
+// window-local shots pass the core-ownership filter, the attempt
+// history lands on the stat, and a tile that ended on PathEmpty writes
+// its quarantine bundle from the process that holds its target.
+func (env *runEnv) fold(j tileJob, target *grid.Real, shots []geom.Circle, path string,
+	outcomes []AttemptOutcome, out *tileOut) {
 	out.stat.Path = path
 	applyOutcomes(&out.stat, outcomes)
 	switch path {
 	case PathPrimary, PathFallback:
 		out.raw = shots
-		out.shots = ownedShots(shots, ox, oy, j.cx, j.cy, j.core)
+		out.shots = ownedShots(shots, j.cx-env.cfg.HaloPx, j.cy-env.cfg.HaloPx, j.cx, j.cy, j.core)
 		out.stat.Shots = len(out.shots)
 	case PathEmpty:
 		env.saveQuarantine(j, target, outcomes, &out.stat)
@@ -1285,59 +1201,61 @@ func Run(l *layout.Layout, cfg Config) (*Result, error) {
 	return RunContext(context.Background(), l, cfg)
 }
 
+// validate rejects configurations RunContext cannot run.
+func (cfg Config) validate() error {
+	switch {
+	case cfg.GridN <= 0:
+		return fmt.Errorf("flow: invalid grid %d", cfg.GridN)
+	case cfg.CorePx <= 0 || cfg.HaloPx < 0:
+		return fmt.Errorf("flow: invalid core %d / halo %d", cfg.CorePx, cfg.HaloPx)
+	case cfg.Optimize == nil:
+		return fmt.Errorf("flow: no optimizer")
+	case cfg.TileRetries < 0:
+		return fmt.Errorf("flow: negative retries %d", cfg.TileRetries)
+	case cfg.StallTimeout < 0 || cfg.PartialEvery < 0:
+		return fmt.Errorf("flow: negative stall timeout %s / partial interval %d", cfg.StallTimeout, cfg.PartialEvery)
+	case cfg.StallTimeout > 0 && cfg.TileTimeout > 0 && cfg.StallTimeout > cfg.TileTimeout:
+		return fmt.Errorf("flow: stall timeout %s exceeds tile timeout %s (the wall deadline would always fire first)",
+			cfg.StallTimeout, cfg.TileTimeout)
+	case cfg.ProcWorkers < 0:
+		return fmt.Errorf("flow: negative proc workers %d", cfg.ProcWorkers)
+	case cfg.ProcWorkers > 0 && cfg.WorkerCmd == nil:
+		return fmt.Errorf("flow: ProcWorkers set but no WorkerCmd to spawn them with")
+	case len(cfg.RemoteHosts) > 0 && cfg.ProcWorkers > 0:
+		return fmt.Errorf("flow: RemoteHosts and ProcWorkers are mutually exclusive transports")
+	case (len(cfg.RemoteHosts) > 0 || cfg.ProcWorkers > 0) && cfg.Engines.Primary == "":
+		return fmt.Errorf("flow: ProcWorkers and RemoteHosts require Engines metadata (the worker rebuilds the optimizer chain from it)")
+	case cfg.AdaptiveMergeMax < 0 || cfg.AdaptiveMergeMax > 1 || cfg.AdaptiveSplitMin < 0 || cfg.AdaptiveSplitMin > 1:
+		return fmt.Errorf("flow: adaptive thresholds merge=%g split=%g outside [0, 1]",
+			cfg.AdaptiveMergeMax, cfg.AdaptiveSplitMin)
+	case cfg.CorePx+2*cfg.HaloPx > cfg.GridN:
+		return fmt.Errorf("flow: window %d exceeds grid %d", cfg.CorePx+2*cfg.HaloPx, cfg.GridN)
+	}
+	return nil
+}
+
 // RunContext is Run under a context: cancellation (SIGINT, deadline)
 // stops the worker pool and the in-flight simulations promptly and
 // returns ctx.Err(). Completed tiles are still journaled when
 // checkpointing is enabled, so a canceled run resumes where it stopped.
+// It reads validate → plan → replay → execute → reduce.
 func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, error) {
-	switch {
-	case cfg.GridN <= 0:
-		return nil, fmt.Errorf("flow: invalid grid %d", cfg.GridN)
-	case cfg.CorePx <= 0 || cfg.HaloPx < 0:
-		return nil, fmt.Errorf("flow: invalid core %d / halo %d", cfg.CorePx, cfg.HaloPx)
-	case cfg.Optimize == nil:
-		return nil, fmt.Errorf("flow: no optimizer")
-	case cfg.TileRetries < 0:
-		return nil, fmt.Errorf("flow: negative retries %d", cfg.TileRetries)
-	case cfg.StallTimeout < 0 || cfg.PartialEvery < 0:
-		return nil, fmt.Errorf("flow: negative stall timeout %s / partial interval %d", cfg.StallTimeout, cfg.PartialEvery)
-	case cfg.StallTimeout > 0 && cfg.TileTimeout > 0 && cfg.StallTimeout > cfg.TileTimeout:
-		return nil, fmt.Errorf("flow: stall timeout %s exceeds tile timeout %s (the wall deadline would always fire first)",
-			cfg.StallTimeout, cfg.TileTimeout)
-	case cfg.ProcWorkers < 0:
-		return nil, fmt.Errorf("flow: negative proc workers %d", cfg.ProcWorkers)
-	case cfg.ProcWorkers > 0 && cfg.WorkerCmd == nil:
-		return nil, fmt.Errorf("flow: ProcWorkers set but no WorkerCmd to spawn them with")
-	case cfg.ProcWorkers > 0 && cfg.Engines.Primary == "":
-		return nil, fmt.Errorf("flow: ProcWorkers requires Engines metadata (the worker rebuilds the optimizer chain from it)")
-	case len(cfg.RemoteHosts) > 0 && cfg.ProcWorkers > 0:
-		return nil, fmt.Errorf("flow: RemoteHosts and ProcWorkers are mutually exclusive transports")
-	case len(cfg.RemoteHosts) > 0 && cfg.Engines.Primary == "":
-		return nil, fmt.Errorf("flow: RemoteHosts requires Engines metadata (the worker rebuilds the optimizer chain from it)")
-	case cfg.AdaptiveMergeMax < 0 || cfg.AdaptiveMergeMax > 1 || cfg.AdaptiveSplitMin < 0 || cfg.AdaptiveSplitMin > 1:
-		return nil, fmt.Errorf("flow: adaptive thresholds merge=%g split=%g outside [0, 1]",
-			cfg.AdaptiveMergeMax, cfg.AdaptiveSplitMin)
-	}
-	window := cfg.CorePx + 2*cfg.HaloPx
-	if window > cfg.GridN {
-		return nil, fmt.Errorf("flow: window %d exceeds grid %d", window, cfg.GridN)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	dx := float64(l.TileNM) / float64(cfg.GridN)
-
-	// Optics are shift-invariant, so one kernel set serves every window
-	// of a given physical size; with adaptive tiling there are a handful
-	// of sizes, each binding its own (cached) kernel set.
 	baseOptics := cfg.Optics
-	opticsFor := func(w int) optics.Config {
-		o := baseOptics
-		o.TileNM = float64(w) * dx
-		return o
-	}
-
 	env := &runEnv{
 		cfg:       cfg.withInjectedFaults(),
 		rawFaults: cfg.Faults,
-		opticsFor: opticsFor,
+		// Optics are shift-invariant, so one kernel set serves every
+		// window of a given physical size; with adaptive tiling there
+		// are a handful of sizes, each binding its own (cached) set.
+		opticsFor: func(w int) optics.Config {
+			o := baseOptics
+			o.TileNM = float64(w) * dx
+			return o
+		},
 		lay:       l,
 		fp:        fingerprint(l, cfg),
 		keyPrefix: configFingerprint(cfg, dx),
@@ -1355,166 +1273,40 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		}
 	}
 
-	// Streaming path: no full-grid raster is ever allocated. Workers
-	// rasterize each window on demand from the row-bucketed span index,
-	// which also feeds the occupancy scan the adaptive plan reads.
+	// Plan. No full-grid raster is ever allocated: workers rasterize
+	// each window on demand from the row-bucketed span index, which
+	// also feeds the occupancy scan the adaptive plan reads.
 	env.ix = layout.NewWindowIndex(l, cfg.GridN)
-
 	plan := planTiles(cfg, env.ix)
-	jobs := plan.jobs
-	// The full plan, kept intact for by-index lookups (band accounting of
-	// journal-replayed tiles) after jobs is filtered down to the
-	// remainder.
-	allJobs := plan.jobs
-	nTiles := len(jobs)
+	nTiles := len(plan.jobs)
 	outs := make([]tileOut, nTiles)
 	// Prefill identity so a drained run's stats stay truthful for tiles
 	// that were never dispatched.
-	for _, j := range jobs {
+	for _, j := range plan.jobs {
 		outs[j.index].stat = TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}
 	}
-
 	var asm *bandAssembler
 	if cfg.MaskWriter != nil {
 		asm = newBandAssembler(cfg.GridN, cfg.CorePx, plan.perRow, cfg.RMaxPx, cfg.MaskWriter)
 	}
 
-	// Replay the checkpoint journal (if any): completed tiles drop out of
-	// the job list, and the freshest partial snapshot of each unfinished
-	// tile warm-starts its recomputation.
-	resumed := 0
-	if cfg.CheckpointPath != "" {
-		var payloads [][]byte
-		journal, payloads, err := checkpoint.OpenFS(cfg.FS, cfg.CheckpointPath, env.fp)
-		if err != nil {
-			return nil, fmt.Errorf("flow: %w", err)
-		}
-		defer journal.Close()
-		env.journal = journal
-		env.partialSink = env.appendPartial
-		done := make(map[int]bool, len(payloads))
-		partials := make(map[int]partialRecord)
-		for _, p := range payloads {
-			rec, derr := decodeRecord(p)
-			if derr != nil {
-				return nil, fmt.Errorf("flow: corrupt checkpoint record: %w", derr)
-			}
-			switch {
-			case rec.Tile != nil:
-				idx := rec.Tile.Stat.Index
-				if idx < 0 || idx >= nTiles {
-					return nil, fmt.Errorf("flow: checkpoint tile %d out of range [0, %d)", idx, nTiles)
-				}
-				rec.Tile.Stat.Resumed = true
-				outs[idx] = tileOut{shots: rec.Tile.Shots, stat: rec.Tile.Stat}
-				if !done[idx] {
-					done[idx] = true
-					resumed++
-					// Replayed tiles complete (again) right here, before
-					// any worker starts — subscribers see the full tile
-					// picture on a resumed run, marked Resumed.
-					env.emitTile(idx, rec.Tile.Stat)
-				}
-			case rec.Partial != nil:
-				idx := rec.Partial.Index
-				if idx < 0 || idx >= nTiles {
-					return nil, fmt.Errorf("flow: checkpoint partial for tile %d out of range [0, %d)", idx, nTiles)
-				}
-				partials[idx] = *rec.Partial // append order: last snapshot wins
-			}
-		}
-		for idx := range partials {
-			if done[idx] {
-				delete(partials, idx)
-			}
-		}
-		if len(partials) > 0 {
-			env.partials = partials
-		}
-		if resumed > 0 {
-			// Fresh slice: allJobs aliases the plan's backing array and
-			// must stay intact for by-index lookups below.
-			remaining := make([]tileJob, 0, len(jobs))
-			for _, j := range jobs {
-				if !done[j.index] {
-					remaining = append(remaining, j)
-				}
-			}
-			jobs = remaining
-		}
-		// Replayed tiles count toward band completion exactly like
-		// recomputed ones, so streamed bands work across resume.
-		if asm != nil {
-			for idx := 0; idx < nTiles; idx++ {
-				if done[idx] {
-					r0, r1 := plan.rowSpan(allJobs[idx])
-					asm.tileDone(r0, r1, outs[idx].shots)
-				}
-			}
-		}
+	// Replay the checkpoint journal, if any.
+	jobs, resumed, err := env.replay(&plan, outs, asm)
+	if env.journal != nil {
+		defer env.journal.Close()
 	}
-	procMode := cfg.ProcWorkers > 0
-	remoteMode := len(cfg.RemoteHosts) > 0
-	workers := tileWorkerCount(cfg.TileWorkers, len(jobs))
-	if procMode {
-		workers = tileWorkerCount(cfg.ProcWorkers, len(jobs))
-	}
-	if remoteMode {
-		// One slot per host — slots are pinned to their host, so none
-		// are dropped even when there are fewer jobs than hosts (the
-		// extra slots simply draw nothing).
-		workers = len(cfg.RemoteHosts)
+	if err != nil {
+		return nil, err
 	}
 
-	// Simulators are built serially up front so a kernel error surfaces
-	// before any goroutine starts: one per (tile worker, window size)
-	// in-process, or a single shared per-size fallback set for
-	// circuit-broken slots in proc mode (worker subprocesses build their
-	// own). Skip tiles never bind a simulator, so an all-empty adaptive
-	// plan builds none.
-	newSim := func(w int) (*litho.Simulator, error) {
-		sim, err := litho.New(opticsFor(w), w)
-		if err != nil {
-			// Adaptive plans derive extra window sizes; name the size so a
-			// threshold-induced kernel failure is actionable.
-			return nil, fmt.Errorf("flow: %dpx window simulator: %w", w, err)
-		}
-		sim.KOpt = cfg.KOpt
-		sim.Workers = cfg.Workers
-		return sim, nil
+	// Execute: one goroutine per lane draws tiles off jobCh.
+	lanes, err := env.lanes(cfg.connector(len(jobs)), &plan, len(jobs))
+	if err != nil {
+		return nil, err
 	}
-	newSimSet := func() (map[int]*litho.Simulator, error) {
-		set := make(map[int]*litho.Simulator, len(plan.sizes))
-		for _, w := range plan.sizes {
-			sim, err := newSim(w)
-			if err != nil {
-				return nil, err
-			}
-			set[w] = sim
-		}
-		return set, nil
-	}
-	var workerSims []map[int]*litho.Simulator
-	if procMode || remoteMode {
-		set, err := newSimSet()
-		if err != nil {
-			return nil, err
-		}
-		env.fbSims = set
-	} else {
-		workerSims = make([]map[int]*litho.Simulator, workers)
-		for i := range workerSims {
-			set, err := newSimSet()
-			if err != nil {
-				return nil, err
-			}
-			workerSims[i] = set
-		}
-	}
-
 	// complete folds one finished tile into the shared run state. It is
-	// the single sink both in-process workers and proc slots feed, so
-	// checkpointing and band streaming behave identically in every mode.
+	// the single sink every lane feeds, so checkpointing and band
+	// streaming behave identically in every dispatch mode.
 	var completed atomic.Int64
 	completed.Store(int64(resumed))
 	complete := func(j tileJob, out tileOut) {
@@ -1535,39 +1327,20 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 			}
 		}
 	}
-
 	jobCh := make(chan tileJob)
 	var wg sync.WaitGroup
-	switch {
-	case remoteMode:
-		for i, host := range cfg.RemoteHosts {
-			wg.Add(1)
-			go func(id int, host string) {
-				defer wg.Done()
-				env.runRemoteSlot(ctx, id, host, jobCh, complete)
-			}(i, host)
-		}
-	case procMode:
-		for s := 0; s < workers; s++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				env.runProcSlot(ctx, id, jobCh, complete)
-			}(s)
-		}
-	default:
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(sims map[int]*litho.Simulator) {
-				defer wg.Done()
-				for j := range jobCh {
-					if ctx.Err() != nil {
-						continue // drain without work so the feeder never blocks
-					}
-					complete(j, env.runTile(ctx, sims, j))
+	for _, ln := range lanes {
+		wg.Add(1)
+		go func(ln lane) {
+			defer wg.Done()
+			defer ln.stop()
+			for j := range jobCh {
+				if ctx.Err() != nil {
+					continue // drain without work so the feeder never blocks
 				}
-			}(workerSims[w])
-		}
+				complete(j, env.runTile(ctx, ln.exec, j))
+			}
+		}(ln)
 	}
 	drained := false
 feed:
@@ -1599,46 +1372,9 @@ feed:
 		}
 	}
 
-	// Ordered reduce: row-major tile order regardless of completion order.
-	res := &Result{Tiles: nTiles, TileStats: make([]TileStat, 0, nTiles), Resumed: resumed}
-	for i := range outs {
-		st := &outs[i].stat
-		res.Shots = append(res.Shots, outs[i].shots...)
-		res.TileStats = append(res.TileStats, *st)
-		switch st.Path {
-		case PathPrimary:
-			if st.Attempts > 1 {
-				res.Retried++
-			}
-		case PathFallback:
-			res.Fallbacks++
-		case PathEmpty:
-			res.Empty++
-		}
-		if st.Stalled {
-			res.Stalled++
-		}
-		if st.Bundle != "" {
-			res.Quarantined++
-		}
-	}
+	res := env.reduce(&plan, outs, len(lanes))
+	res.Resumed = resumed
 	res.Completed = int(completed.Load())
-	res.ProcCrashes = int(env.procCrashes.Load())
-	res.Broken = int(env.procBroken.Load())
-	res.RemoteCrashes = int(env.remoteCrashes.Load())
-	res.RemoteBroken = int(env.remoteBroken.Load())
-	res.CacheHits = int(env.cacheHits.Load())
-	res.CacheMisses = int(env.cacheMisses.Load())
-	if cfg.Cache != nil {
-		res.CacheBytes = cfg.Cache.Stats().Bytes
-	}
-	res.Merged, res.Split, res.Skipped = plan.merged, plan.split, plan.skipped
-	res.PeakBytes = estimatePeakBytes(cfg, plan.maxWindow, workers, env.ix.Bytes(), len(res.Shots))
-	if s, ok := env.ckptErr.Load().(string); ok {
-		res.CheckpointDegraded = true
-		res.CheckpointErr = s
-	}
-	res.QuarantineDropped = int(env.quarDropped.Load())
 	if drained {
 		// Graceful shutdown: hand back the partial result for reporting,
 		// but no stitched mask — the shot list is incomplete by
@@ -1663,6 +1399,184 @@ feed:
 		res.Mask = geom.RasterizeCircles(cfg.GridN, cfg.GridN, res.Shots)
 	}
 	return res, nil
+}
+
+// replay opens the checkpoint journal (if configured) and folds its
+// records into outs: completed tiles drop out of the returned job list
+// (and count toward band completion exactly like recomputed ones, so
+// streamed bands work across resume), and the freshest partial snapshot
+// of each unfinished tile is kept to warm-start its recomputation.
+func (env *runEnv) replay(plan *tilePlan, outs []tileOut, asm *bandAssembler) (jobs []tileJob, resumed int, err error) {
+	cfg := env.cfg
+	if cfg.CheckpointPath == "" {
+		return plan.jobs, 0, nil
+	}
+	journal, payloads, err := checkpoint.OpenFS(cfg.FS, cfg.CheckpointPath, env.fp)
+	if err != nil {
+		return nil, 0, fmt.Errorf("flow: %w", err)
+	}
+	env.journal = journal
+	env.partialSink = env.appendPartial
+	nTiles := len(outs)
+	done := make(map[int]bool, len(payloads))
+	partials := make(map[int]partialRecord)
+	for _, p := range payloads {
+		rec, derr := decodeRecord(p)
+		if derr != nil {
+			return nil, 0, fmt.Errorf("flow: corrupt checkpoint record: %w", derr)
+		}
+		switch {
+		case rec.Tile != nil:
+			idx := rec.Tile.Stat.Index
+			if idx < 0 || idx >= nTiles {
+				return nil, 0, fmt.Errorf("flow: checkpoint tile %d out of range [0, %d)", idx, nTiles)
+			}
+			rec.Tile.Stat.Resumed = true
+			outs[idx] = tileOut{shots: rec.Tile.Shots, stat: rec.Tile.Stat}
+			if !done[idx] {
+				done[idx] = true
+				resumed++
+				// Replayed tiles complete (again) right here, before
+				// any worker starts — subscribers see the full tile
+				// picture on a resumed run, marked Resumed.
+				env.emitTile(idx, rec.Tile.Stat)
+			}
+		case rec.Partial != nil:
+			idx := rec.Partial.Index
+			if idx < 0 || idx >= nTiles {
+				return nil, 0, fmt.Errorf("flow: checkpoint partial for tile %d out of range [0, %d)", idx, nTiles)
+			}
+			partials[idx] = *rec.Partial // append order: last snapshot wins
+		}
+	}
+	for idx := range partials {
+		if done[idx] {
+			delete(partials, idx)
+		}
+	}
+	if len(partials) > 0 {
+		env.partials = partials
+	}
+	for _, j := range plan.jobs {
+		if !done[j.index] {
+			jobs = append(jobs, j)
+		} else if asm != nil {
+			r0, r1 := plan.rowSpan(j)
+			asm.tileDone(r0, r1, outs[j.index].shots)
+		}
+	}
+	return jobs, resumed, nil
+}
+
+// lane is one worker goroutine's way of executing tiles, plus the
+// cleanup it owes when the job stream ends.
+type lane struct {
+	exec executor
+	stop func()
+}
+
+// lanes builds the run's worker lanes. Simulators are built serially up
+// front so a kernel error surfaces before any goroutine starts: one set
+// (a simulator per window size in the plan) per in-process lane, or —
+// worker processes build their own — a single shared set that every
+// slot's open breaker falls back to, one tile at a time. Skip tiles
+// never bind a simulator, so an all-empty adaptive plan builds none.
+func (env *runEnv) lanes(conn *connector, plan *tilePlan, jobs int) ([]lane, error) {
+	cfg := env.cfg
+	newSimSet := func() (map[int]*litho.Simulator, error) {
+		set := make(map[int]*litho.Simulator, len(plan.sizes))
+		for _, w := range plan.sizes {
+			sim, err := litho.New(env.opticsFor(w), w)
+			if err != nil {
+				// Adaptive plans derive extra window sizes; name the size so a
+				// threshold-induced kernel failure is actionable.
+				return nil, fmt.Errorf("flow: %dpx window simulator: %w", w, err)
+			}
+			sim.KOpt = cfg.KOpt
+			sim.Workers = cfg.Workers
+			set[w] = sim
+		}
+		return set, nil
+	}
+	local := func() (executor, error) {
+		sims, err := newSimSet()
+		if err != nil {
+			return nil, err
+		}
+		return func(ctx context.Context, j tileJob, target *grid.Real, out *tileOut) {
+			env.ladder(ctx, sims[j.window], j, target, out)
+		}, nil
+	}
+	if conn == nil {
+		lanes := make([]lane, tileWorkerCount(cfg.TileWorkers, jobs))
+		for i := range lanes {
+			exec, err := local()
+			if err != nil {
+				return nil, err
+			}
+			lanes[i] = lane{exec: exec, stop: func() {}}
+		}
+		return lanes, nil
+	}
+	ladder, err := local()
+	if err != nil {
+		return nil, err
+	}
+	var mu sync.Mutex
+	shared := func(ctx context.Context, j tileJob, target *grid.Real, out *tileOut) {
+		mu.Lock()
+		defer mu.Unlock()
+		ladder(ctx, j, target, out)
+	}
+	lanes := make([]lane, len(conn.hosts))
+	for i, host := range conn.hosts {
+		s := env.newSlot(i, host, conn, shared)
+		lanes[i] = lane{exec: s.execute, stop: s.shutdown}
+	}
+	return lanes, nil
+}
+
+// reduce stitches the per-tile outputs in row-major tile order,
+// regardless of completion order, and totals the run's counters.
+func (env *runEnv) reduce(plan *tilePlan, outs []tileOut, workers int) *Result {
+	cfg := env.cfg
+	res := &Result{Tiles: len(outs), TileStats: make([]TileStat, 0, len(outs))}
+	for i := range outs {
+		st := &outs[i].stat
+		res.Shots = append(res.Shots, outs[i].shots...)
+		res.TileStats = append(res.TileStats, *st)
+		switch st.Path {
+		case PathPrimary:
+			if st.Attempts > 1 {
+				res.Retried++
+			}
+		case PathFallback:
+			res.Fallbacks++
+		case PathEmpty:
+			res.Empty++
+		}
+		if st.Stalled {
+			res.Stalled++
+		}
+		if st.Bundle != "" {
+			res.Quarantined++
+		}
+	}
+	res.LinkCrashes = int(env.linkCrashes.Load())
+	res.LinkBroken = int(env.linkBroken.Load())
+	res.CacheHits = int(env.cacheHits.Load())
+	res.CacheMisses = int(env.cacheMisses.Load())
+	if cfg.Cache != nil {
+		res.CacheBytes = cfg.Cache.Stats().Bytes
+	}
+	res.Merged, res.Split, res.Skipped = plan.merged, plan.split, plan.skipped
+	res.PeakBytes = estimatePeakBytes(cfg, plan.maxWindow, workers, env.ix.Bytes(), len(res.Shots))
+	if s, ok := env.ckptErr.Load().(string); ok {
+		res.CheckpointDegraded = true
+		res.CheckpointErr = s
+	}
+	res.QuarantineDropped = int(env.quarDropped.Load())
+	return res
 }
 
 // WindowHooks observes and seeds a single-window run (RunWindow)
@@ -1725,13 +1639,6 @@ func RunWindow(ctx context.Context, sim *litho.Simulator, cfg Config, index, cx,
 	}
 	stat.Wall = time.Since(start)
 	return shots, stat, outcomes
-}
-
-// ReplayWindow is RunWindow with no hooks — the offline entry point
-// cmd/replaytile uses on quarantine bundles.
-func ReplayWindow(ctx context.Context, sim *litho.Simulator, cfg Config, index, cx, cy int,
-	target *grid.Real) ([]geom.Circle, TileStat, []AttemptOutcome) {
-	return RunWindow(ctx, sim, cfg, index, cx, cy, target, WindowHooks{})
 }
 
 // CompactCheckpoint rewrites cfg.CheckpointPath dropping superseded

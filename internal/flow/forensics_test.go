@@ -113,7 +113,7 @@ func TestJoinFailures(t *testing.T) {
 
 // TestQuarantineBundleRoundTrip is the forensics acceptance test: a tile
 // that exhausts every engine writes a self-contained bundle, and
-// ReplayWindow on nothing but that bundle reproduces the recorded
+// RunWindow on nothing but that bundle reproduces the recorded
 // attempt sequence exactly.
 func TestQuarantineBundleRoundTrip(t *testing.T) {
 	qdir := filepath.Join(t.TempDir(), "quarantine")
@@ -198,7 +198,7 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 	}
 	rcfg.Faults = FaultPlan{b.Tile.Index: script}
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: append([]float64(nil), b.Target...)}
-	_, rstat, routcomes := ReplayWindow(context.Background(), sim, rcfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target)
+	_, rstat, routcomes := RunWindow(context.Background(), sim, rcfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target, WindowHooks{})
 	if rstat.Path != PathEmpty || len(routcomes) != len(b.Attempts) {
 		t.Fatalf("replay stat: %+v (%d outcomes)", rstat, len(routcomes))
 	}

@@ -167,7 +167,7 @@ func netConfig(t *testing.T, hosts ...string) Config {
 	cfg.Fallback = ruleFallback()
 	cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 	cfg.RemoteHosts = hosts
-	cfg.RemoteBackoff = 10 * time.Millisecond
+	cfg.LinkBackoff = 10 * time.Millisecond
 	return cfg
 }
 
@@ -206,8 +206,8 @@ func TestNetAcceptance(t *testing.T) {
 		cfg := netConfig(t, hostA.addr, hostB.addr, deadAddr(t))
 		// Generous limit and backoff: a killed host needs time to be
 		// restarted before its slot's reconnect budget runs out.
-		cfg.RemoteCrashLimit = 6
-		cfg.RemoteBackoff = 25 * time.Millisecond
+		cfg.LinkCrashLimit = 6
+		cfg.LinkBackoff = 25 * time.Millisecond
 		cfg.Faults = plan
 		cfg.MaskWriter = w
 		return cfg
@@ -218,7 +218,7 @@ func TestNetAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.RemoteCrashes != 0 || ref.RemoteBroken != 0 {
+	if ref.LinkCrashes != 0 || ref.LinkBroken != 0 {
 		t.Fatalf("serial reference recorded remote activity: %+v", ref)
 	}
 
@@ -230,15 +230,15 @@ func TestNetAcceptance(t *testing.T) {
 	if res.Completed != 4 {
 		t.Fatalf("Completed = %d, want 4", res.Completed)
 	}
-	// The partitioned slot alone burns RemoteCrashLimit dials before its
+	// The partitioned slot alone burns LinkCrashLimit dials before its
 	// breaker opens; the scripted kills add more when their tiles land on
 	// a live host. Exact counts depend on which slot drew which tile, so
 	// the assertions are floors.
-	if res.RemoteBroken < 1 {
-		t.Errorf("RemoteBroken = %d, want >= 1 (partitioned slot)", res.RemoteBroken)
+	if res.LinkBroken < 1 {
+		t.Errorf("LinkBroken = %d, want >= 1 (partitioned slot)", res.LinkBroken)
 	}
-	if res.RemoteCrashes < 6 {
-		t.Errorf("RemoteCrashes = %d, want >= RemoteCrashLimit", res.RemoteCrashes)
+	if res.LinkCrashes < 6 {
+		t.Errorf("LinkCrashes = %d, want >= LinkCrashLimit", res.LinkCrashes)
 	}
 	sameResult(t, res, ref)
 	if netColl.Mask.SqDiff(refColl.Mask) != 0 {
@@ -352,9 +352,9 @@ func TestNetMatrix(t *testing.T) {
 					hosts = append(hosts, p.Addr())
 				}
 				cfg := netConfig(t, hosts...)
-				cfg.RemoteCrashLimit = 3
+				cfg.LinkCrashLimit = 3
 				if kind == "stall" {
-					cfg.RemoteSilence = 250 * time.Millisecond
+					cfg.LinkSilence = 250 * time.Millisecond
 				}
 				res, err := Run(l, cfg)
 				if err != nil {
@@ -364,8 +364,8 @@ func TestNetMatrix(t *testing.T) {
 					t.Fatalf("completed %d of %d tiles", res.Completed, res.Tiles)
 				}
 				if kind == "partition" {
-					if res.RemoteBroken < 1 {
-						t.Errorf("RemoteBroken = %d, want >= 1", res.RemoteBroken)
+					if res.LinkBroken < 1 {
+						t.Errorf("LinkBroken = %d, want >= 1", res.LinkBroken)
 					}
 					for _, st := range res.TileStats {
 						if st.Host != "" {
@@ -373,8 +373,8 @@ func TestNetMatrix(t *testing.T) {
 						}
 					}
 				}
-				if res.RemoteCrashes < 1 {
-					t.Errorf("RemoteCrashes = %d: the %s fault never bit", res.RemoteCrashes, kind)
+				if res.LinkCrashes < 1 {
+					t.Errorf("LinkCrashes = %d: the %s fault never bit", res.LinkCrashes, kind)
 				}
 				sameResult(t, res, ref)
 			})
@@ -417,8 +417,8 @@ func TestNetPartialRedispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RemoteCrashes != 1 {
-		t.Fatalf("RemoteCrashes = %d, want exactly the scripted cut", res.RemoteCrashes)
+	if res.LinkCrashes != 1 {
+		t.Fatalf("LinkCrashes = %d, want exactly the scripted cut", res.LinkCrashes)
 	}
 	st := res.TileStats[0]
 	if st.Host != p.Addr() || st.ProcCrashes != 1 {
@@ -439,7 +439,7 @@ func TestNetPartialRedispatch(t *testing.T) {
 func TestNetZeroHostsDegradesLocal(t *testing.T) {
 	l := bigLayout()
 	cfg := netConfig(t, deadAddr(t), deadAddr(t))
-	cfg.RemoteCrashLimit = 2
+	cfg.LinkCrashLimit = 2
 	res, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -450,6 +450,47 @@ func TestNetZeroHostsDegradesLocal(t *testing.T) {
 	for _, st := range res.TileStats {
 		if st.Host != "" || st.Proc {
 			t.Errorf("tile %d claims remote/proc provenance: %+v", st.Index, st)
+		}
+	}
+	ref, err := Run(l, serialRef(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, res, ref)
+}
+
+// TestOldWorkerRefusedByVersion: a worker built before protocol v3
+// announces itself unasked (Hello-first, v2) and ignores the
+// coordinator's Hello. The handshake must refuse it by version — not
+// wedge on two peers each waiting for the other — so the slot breaks
+// and the run completes on the local ladder.
+func TestOldWorkerRefusedByVersion(t *testing.T) {
+	l := bigLayout()
+	cfg := netConfig(t, "old-worker")
+	cfg.LinkCrashLimit = 2
+	cfg.RemoteDial = func(context.Context, string) (net.Conn, error) {
+		coord, worker := net.Pipe()
+		go io.Copy(io.Discard, worker) // non-task frames are skipped
+		go func() {
+			payload, _ := procpool.EncodeMessage(&procpool.Message{Hello: &procpool.Hello{Version: 2, PID: 1}})
+			procpool.WriteFrame(worker, payload)
+		}()
+		return coord, nil
+	}
+	start := time.Now()
+	res, err := Run(l, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.LinkCrashes != 2 || res.LinkBroken != 1 {
+		t.Fatalf("crashes=%d broken=%d, want 2/1", res.LinkCrashes, res.LinkBroken)
+	}
+	if since := time.Since(start); since > 8*time.Second {
+		t.Fatalf("run took %s: the old worker was waited out, not refused", since)
+	}
+	for _, st := range res.TileStats {
+		if st.Host != "" {
+			t.Errorf("tile %d was computed by the old worker", st.Index)
 		}
 	}
 	ref, err := Run(l, serialRef(cfg))

@@ -143,7 +143,7 @@ func TestNumericsVersionSkewedWorkerRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := netConfig(t, ln.Addr().String())
-	cfg.RemoteCrashLimit = 2
+	cfg.LinkCrashLimit = 2
 	dx := float64(l.TileNM) / float64(cfg.GridN)
 	srv := &netpool.Server{Pin: configFingerprintV1(cfg, dx), Runner: testRunner}
 	served := make(chan error, 1)
@@ -162,8 +162,8 @@ func TestNumericsVersionSkewedWorkerRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != res.Tiles || res.RemoteBroken != 1 {
-		t.Fatalf("completed %d of %d tiles, %d hosts broken; want all tiles and the one host broken", res.Completed, res.Tiles, res.RemoteBroken)
+	if res.Completed != res.Tiles || res.LinkBroken != 1 {
+		t.Fatalf("completed %d of %d tiles, %d hosts broken; want all tiles and the one host broken", res.Completed, res.Tiles, res.LinkBroken)
 	}
 	for _, st := range res.TileStats {
 		if st.Host != "" {

@@ -15,6 +15,7 @@ import (
 	"cfaopc/internal/checkpoint"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
+	"cfaopc/internal/netpool"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
 )
@@ -29,7 +30,8 @@ func TestMain(m *testing.M) {
 			// Spawned as a loopback TCP host for the net tests.
 			runNetHost(addr)
 		}
-		if err := procpool.Serve(os.Stdin, os.Stdout, testRunner()); err != nil {
+		srv := &netpool.Server{Runner: testRunner}
+		if err := srv.ServeConn(procpool.Stdio()); err != nil {
 			os.Exit(1)
 		}
 		os.Exit(0)
@@ -38,7 +40,7 @@ func TestMain(m *testing.M) {
 }
 
 // testRunner is the worker-side task executor the re-exec branches
-// serve (pipe and TCP alike): the proc tests' miniature of the engine
+// serve (stdin/stdout and TCP alike): the proc tests' miniature of the engine
 // registry, with a per-session simulator cache.
 func testRunner() procpool.Runner {
 	var cache SimCache
@@ -100,7 +102,7 @@ func procConfig(t *testing.T) Config {
 	cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 	cfg.ProcWorkers = 1
 	cfg.WorkerCmd = testWorkerCmd(t)
-	cfg.ProcBackoff = 5 * time.Millisecond
+	cfg.LinkBackoff = 5 * time.Millisecond
 	return cfg
 }
 
@@ -150,7 +152,7 @@ func TestProcAcceptance(t *testing.T) {
 	mk := func(w MaskWriter) Config {
 		cfg := procConfig(t)
 		cfg.ProcWorkers = 4
-		cfg.ProcCrashLimit = 3
+		cfg.LinkCrashLimit = 3
 		cfg.Faults = plan
 		cfg.MaskWriter = w
 		return cfg
@@ -161,7 +163,7 @@ func TestProcAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.ProcCrashes != 0 || ref.Broken != 0 {
+	if ref.LinkCrashes != 0 || ref.LinkBroken != 0 {
 		t.Fatalf("serial reference recorded proc activity: %+v", ref)
 	}
 
@@ -171,14 +173,14 @@ func TestProcAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tiles 1 and 2: one failed dispatch each. Tile 3: exactly
-	// ProcCrashLimit failures, then the breaker. The counts are exact
+	// LinkCrashLimit failures, then the breaker. The counts are exact
 	// because a slot handles one tile at a time and the consecutive
 	// counter resets on every success.
-	if res.ProcCrashes != 5 {
-		t.Fatalf("ProcCrashes = %d, want 5", res.ProcCrashes)
+	if res.LinkCrashes != 5 {
+		t.Fatalf("LinkCrashes = %d, want 5", res.LinkCrashes)
 	}
-	if res.Broken != 1 {
-		t.Fatalf("Broken = %d, want 1", res.Broken)
+	if res.LinkBroken != 1 {
+		t.Fatalf("LinkBroken = %d, want 1", res.LinkBroken)
 	}
 	if res.Completed != 4 {
 		t.Fatalf("Completed = %d, want 4", res.Completed)
@@ -248,7 +250,7 @@ func TestCrashMatrix(t *testing.T) {
 				mk := func() Config {
 					cfg := procConfig(t)
 					cfg.ProcWorkers = workers
-					cfg.ProcCrashLimit = crashLimit
+					cfg.LinkCrashLimit = crashLimit
 					cfg.Faults = plan
 					return cfg
 				}
@@ -260,9 +262,9 @@ func TestCrashMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.ProcCrashes != wantCrashes || res.Broken != wantBroken {
+				if res.LinkCrashes != wantCrashes || res.LinkBroken != wantBroken {
 					t.Fatalf("crashes=%d broken=%d, want %d/%d",
-						res.ProcCrashes, res.Broken, wantCrashes, wantBroken)
+						res.LinkCrashes, res.LinkBroken, wantCrashes, wantBroken)
 				}
 				sameResult(t, res, ref)
 			})
@@ -278,13 +280,13 @@ func TestWorkerSoftErrorBreaksToFallback(t *testing.T) {
 	l := bigLayout() // two occupied tiles of four
 	cfg := procConfig(t)
 	cfg.Engines.Primary = "bogus" // the worker-side registry rejects it
-	cfg.ProcCrashLimit = 2
+	cfg.LinkCrashLimit = 2
 	res, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProcCrashes != 2 || res.Broken != 1 {
-		t.Fatalf("crashes=%d broken=%d, want 2/1", res.ProcCrashes, res.Broken)
+	if res.LinkCrashes != 2 || res.LinkBroken != 1 {
+		t.Fatalf("crashes=%d broken=%d, want 2/1", res.LinkCrashes, res.LinkBroken)
 	}
 	for _, st := range res.TileStats {
 		if st.Proc {
@@ -304,15 +306,15 @@ func TestWorkerSoftErrorBreaksToFallback(t *testing.T) {
 func TestWorkerSpawnFailureBreaks(t *testing.T) {
 	l := bigLayout()
 	cfg := procConfig(t)
-	cfg.ProcCrashLimit = 2
+	cfg.LinkCrashLimit = 2
 	missing := filepath.Join(t.TempDir(), "no-such-worker")
 	cfg.WorkerCmd = func() *exec.Cmd { return exec.Command(missing) }
 	res, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProcCrashes != 2 || res.Broken != 1 {
-		t.Fatalf("crashes=%d broken=%d, want 2/1", res.ProcCrashes, res.Broken)
+	if res.LinkCrashes != 2 || res.LinkBroken != 1 {
+		t.Fatalf("crashes=%d broken=%d, want 2/1", res.LinkCrashes, res.LinkBroken)
 	}
 	ref, err := Run(l, serialRef(cfg))
 	if err != nil {
@@ -322,21 +324,21 @@ func TestWorkerSpawnFailureBreaks(t *testing.T) {
 }
 
 // TestNonWorkerBinarySilenceBreaks: a binary that starts but never
-// speaks the protocol (no Hello) is killed after ProcSilence and
-// counted as a failed dispatch, so a misconfigured -worker-bin degrades
+// answers the coordinator's Hello is killed at the handshake deadline
+// (bounded by LinkSilence) and counted as a failed dispatch, so a misconfigured -worker-bin degrades
 // instead of wedging the run.
 func TestNonWorkerBinarySilenceBreaks(t *testing.T) {
 	l := bigLayout()
 	cfg := procConfig(t)
-	cfg.ProcCrashLimit = 2
-	cfg.ProcSilence = 150 * time.Millisecond
+	cfg.LinkCrashLimit = 2
+	cfg.LinkSilence = 150 * time.Millisecond
 	cfg.WorkerCmd = func() *exec.Cmd { return exec.Command("sleep", "60") }
 	res, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProcCrashes != 2 || res.Broken != 1 {
-		t.Fatalf("crashes=%d broken=%d, want 2/1", res.ProcCrashes, res.Broken)
+	if res.LinkCrashes != 2 || res.LinkBroken != 1 {
+		t.Fatalf("crashes=%d broken=%d, want 2/1", res.LinkCrashes, res.LinkBroken)
 	}
 	ref, err := Run(l, serialRef(cfg))
 	if err != nil {
@@ -418,8 +420,8 @@ func testDrain(t *testing.T, proc bool) {
 	if st := res.TileStats[1]; st.Path != "" || st.Attempts != 0 {
 		t.Fatalf("undispatched tile has activity: %+v", st)
 	}
-	if proc && res.ProcCrashes != 1 {
-		t.Fatalf("drained run ProcCrashes = %d, want 1", res.ProcCrashes)
+	if proc && res.LinkCrashes != 1 {
+		t.Fatalf("drained run LinkCrashes = %d, want 1", res.LinkCrashes)
 	}
 
 	// Resume: tile 0 replays from the journal, the rest compute, and
@@ -622,7 +624,7 @@ func TestProcPartialResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ProcCrashes != 0 || res.Broken != 0 {
+	if res.LinkCrashes != 0 || res.LinkBroken != 0 {
 		t.Fatalf("healthy resume recorded crashes: %+v", res)
 	}
 	for _, st := range res.TileStats {
@@ -667,21 +669,21 @@ func TestProcPartialResume(t *testing.T) {
 	}
 }
 
-// TestProcKnobDefaults pins the proc-mode tuning defaults and their
+// TestLinkKnobDefaults pins the worker-supervision defaults and their
 // overrides.
-func TestProcKnobDefaults(t *testing.T) {
+func TestLinkKnobDefaults(t *testing.T) {
 	var zero Config
-	if got := zero.procCrashLimit(); got != 3 {
+	if got := zero.linkCrashLimit(); got != 3 {
 		t.Errorf("default crash limit = %d", got)
 	}
-	if got := zero.procSilence(); got != 10*time.Second {
+	if got := zero.linkSilence(); got != 10*time.Second {
 		t.Errorf("default silence = %s", got)
 	}
-	if got := zero.procBackoff(); got != 50*time.Millisecond {
+	if got := zero.linkBackoff(); got != 50*time.Millisecond {
 		t.Errorf("default backoff = %s", got)
 	}
-	set := Config{ProcCrashLimit: 7, ProcSilence: time.Second, ProcBackoff: time.Millisecond}
-	if set.procCrashLimit() != 7 || set.procSilence() != time.Second || set.procBackoff() != time.Millisecond {
+	set := Config{LinkCrashLimit: 7, LinkSilence: time.Second, LinkBackoff: time.Millisecond}
+	if set.linkCrashLimit() != 7 || set.linkSilence() != time.Second || set.linkBackoff() != time.Millisecond {
 		t.Error("overrides not honored")
 	}
 	if _, ok := TileInfoFrom(context.Background()); ok {

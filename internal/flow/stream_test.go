@@ -23,6 +23,35 @@ func fixedRuleOptimizer(dx float64) Optimizer {
 	}
 }
 
+// extractWindow copies the window×window region at origin (ox, oy) out of
+// the full rasterized layout into a fresh target grid, reporting whether
+// any pixel is occupied — the pre-streaming rasterizer, kept as the
+// reference the streamed windows are compared against. The origin may be
+// negative and the window may extend past the grid at the borders;
+// out-of-grid pixels stay empty.
+func extractWindow(full *grid.Real, ox, oy, window int) (*grid.Real, bool) {
+	target := grid.NewReal(window, window)
+	occupied := false
+	for y := 0; y < window; y++ {
+		fy := oy + y
+		if fy < 0 || fy >= full.H {
+			continue
+		}
+		for x := 0; x < window; x++ {
+			fx := ox + x
+			if fx < 0 || fx >= full.W {
+				continue
+			}
+			v := full.Data[fy*full.W+fx]
+			target.Data[y*window+x] = v
+			if v > 0.5 {
+				occupied = true
+			}
+		}
+	}
+	return target, occupied
+}
+
 // referenceFullGridRun replays the pre-streaming flow exactly: rasterize
 // the entire chip, extract every halo window out of the dense grid,
 // optimize, and keep core-owned shots in row-major order. It is the

@@ -15,9 +15,9 @@ import (
 // does not set a deadline of its own.
 const DefaultHandshake = 5 * time.Second
 
-// Dialer opens coordinator-side connections to listening tile workers.
-// The zero value dials plain TCP with the default handshake deadline
-// and no fingerprint.
+// Dialer opens coordinator-side sessions with tile workers. The zero
+// value dials plain TCP with the default handshake deadline and no
+// fingerprint.
 type Dialer struct {
 	// Fingerprint is the run's config fingerprint, sent in the opening
 	// Hello. A worker started with a fingerprint pin refuses a
@@ -27,8 +27,9 @@ type Dialer struct {
 	// Handshake bounds the whole connect: dial, Hello out, Hello back.
 	// Zero means DefaultHandshake.
 	Handshake time.Duration
-	// Dial overrides the transport (tests route through the chaos
-	// proxy or in-memory pipes here). Nil dials TCP.
+	// Dial overrides the transport: a subprocess's pipes
+	// (procpool.Spawn), or in tests the chaos proxy or in-memory pipes.
+	// Nil dials TCP.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
@@ -39,12 +40,12 @@ func (d Dialer) handshake() time.Duration {
 	return DefaultHandshake
 }
 
-// Connect dials addr and runs the bidirectional handshake: the
-// coordinator's Hello (version + fingerprint) goes first, the worker
-// answers with its own Hello (echoing the accepted fingerprint) or a
-// Reject. Any skew — protocol version, fingerprint pin — and any
-// silence past the handshake deadline fail here, before a single task
-// is risked on the link.
+// Connect dials addr and runs the handshake: the coordinator's Hello
+// (version + fingerprint) goes first, the worker answers with its own
+// Hello (echoing the accepted fingerprint) or a Reject. Any skew —
+// protocol version, fingerprint pin — and any silence past the
+// handshake deadline fail here, before a single task is risked on the
+// link, and the connection is closed (a spawned worker is dead).
 func (d Dialer) Connect(ctx context.Context, addr string) (*Conn, error) {
 	deadline := time.Now().Add(d.handshake())
 	dctx, cancel := context.WithDeadline(ctx, deadline)
@@ -68,8 +69,8 @@ func (d Dialer) Connect(ctx context.Context, addr string) (*Conn, error) {
 	}
 	nc.SetDeadline(time.Time{})
 	c := &Conn{
+		Hello:  *hello,
 		nc:     nc,
-		hello:  hello,
 		events: make(chan procpool.Event, 64),
 		done:   make(chan struct{}),
 		dead:   make(chan struct{}),
@@ -109,15 +110,15 @@ func shake(nc net.Conn, fingerprint string) (*procpool.Hello, error) {
 	return m.Hello, nil
 }
 
-// Conn is one coordinator→worker TCP session after a successful
-// handshake. It mirrors procpool.Worker's surface — tasks in via Send,
-// everything out (including link death) via the Events stream — so the
-// flow's supervisor slot drives subprocess pipes and remote links
-// through one interface. The first event is always the worker's
-// EvHello, replayed from the handshake.
+// Conn is one coordinator→worker session after a successful handshake,
+// over whatever the Dialer dialed: tasks in via Send, everything out
+// (including link death) via the Events stream. It does no policy —
+// reconnect, backoff and circuit-breaking live in the flow's slot.
 type Conn struct {
-	nc    net.Conn
-	hello *procpool.Hello
+	// Hello is the worker's handshake answer (PID, echoed fingerprint).
+	Hello procpool.Hello
+
+	nc net.Conn
 
 	events chan procpool.Event
 	done   chan struct{} // closed by Kill/Close: emit drops, no more delivery
@@ -143,9 +144,9 @@ func (c *Conn) Send(t *procpool.Task) error {
 	return procpool.WriteFrame(c.nc, payload)
 }
 
-// Kill tears the link down immediately and stops event delivery — the
-// remote analog of SIGKILLing a subprocess worker (the worker itself
-// survives and serves its next coordinator).
+// Kill tears the link down immediately and stops event delivery. A
+// spawned worker is SIGKILLed and reaped; a listening host survives and
+// serves its next coordinator.
 func (c *Conn) Kill() {
 	c.killOnce.Do(func() {
 		close(c.done)
@@ -172,14 +173,11 @@ func (c *Conn) Close() {
 	})
 }
 
-// read decodes frames into events until the link breaks, then delivers
-// the terminal EvExit — the same event grammar procpool.Worker emits,
-// so one supervisor loop serves both transports.
+// read decodes frames into events until the link breaks, then makes
+// the peer's death true (closing the connection kills a spawned worker
+// that sent garbage but lives on) and delivers the terminal EvExit.
 func (c *Conn) read() {
 	defer close(c.dead)
-	// Replay the handshake as the first event: the flow's slot waits
-	// for EvHello after connecting, uniformly across transports.
-	c.emit(procpool.Event{Kind: procpool.EvHello, Hello: c.hello})
 	var exitErr error
 	for {
 		payload, err := procpool.ReadFrame(c.nc)

@@ -1,16 +1,15 @@
-// Package netpool promotes the procpool frame protocol from
-// stdin/stdout pipes to TCP: a Dialer/Conn pair on the coordinator
-// side, a Server wrapping procpool.ServeTasks on the worker side, the
-// retry policy both sides of the flow's supervisor share (exponential
-// Backoff, per-host circuit Breaker), and a deterministic chaos Proxy —
-// the network analog of flow.InjectFaults — for exercising every link
-// failure mode on a scripted schedule.
+// Package netpool is the tile-worker session: a Dialer/Conn pair on the
+// coordinator side, a Server on the worker side (handshake, then
+// procpool.ServeTasks), the retry policy the flow's supervisor slot
+// uses (exponential Backoff, circuit Breaker), and a deterministic
+// chaos Proxy — the network analog of flow.InjectFaults — for
+// exercising every link failure mode on a scripted schedule.
 //
-// The package deliberately adds no protocol of its own beyond the
-// bidirectional Hello handshake: frames on the wire are exactly the
-// CRC-guarded gob frames of internal/procpool, so a TCP session and a
-// pipe session are interchangeable to both the supervisor and the
-// worker loop.
+// The session runs over any net.Conn: a TCP socket, or the stdin/stdout
+// of a subprocess the Dialer's Dial spawned (procpool.Spawn). It adds
+// no protocol of its own beyond the coordinator-first Hello handshake:
+// frames on the wire are exactly the CRC-guarded gob frames of
+// internal/procpool.
 package netpool
 
 import (

@@ -11,10 +11,11 @@ import (
 	"cfaopc/internal/procpool"
 )
 
-// Server turns a listener into a tile-worker host: each accepted
-// connection is handshaken (version + optional fingerprint pin, under a
-// deadline) and then served with procpool.ServeTasks — the same task
-// loop a pipe worker runs, one session per coordinator connection.
+// Server is the worker side of a session: ServeConn handshakes one
+// connection (version + optional fingerprint pin, under a deadline) and
+// then runs procpool.ServeTasks on it. Serve does that for every
+// connection a listener accepts; a spawned worker calls ServeConn once,
+// on procpool.Stdio.
 type Server struct {
 	// Pin, when non-empty, is the only config fingerprint this worker
 	// accepts: a coordinator whose Hello carries anything else is
@@ -66,11 +67,9 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) ServeConn(nc net.Conn) error {
 	defer nc.Close()
 	nc.SetDeadline(time.Now().Add(s.handshake()))
-	hello, err := s.accept(nc)
-	if err != nil {
+	if err := s.accept(nc); err != nil {
 		return err
 	}
-	_ = hello
 	nc.SetDeadline(time.Time{})
 	return procpool.ServeTasks(nc, nc, s.Runner())
 }
@@ -79,34 +78,34 @@ func (s *Server) ServeConn(nc net.Conn) error {
 // with an echo of the accepted fingerprint, or with a Reject (which is
 // also the error returned) when the coordinator's version or config
 // disagrees with this worker.
-func (s *Server) accept(nc net.Conn) (*procpool.Hello, error) {
+func (s *Server) accept(nc net.Conn) error {
 	payload, err := procpool.ReadFrame(nc)
 	if err != nil {
-		return nil, fmt.Errorf("netpool: read hello: %w", err)
+		return fmt.Errorf("netpool: read hello: %w", err)
 	}
 	m, err := procpool.DecodeMessage(payload)
 	if err != nil {
-		return nil, fmt.Errorf("netpool: decode hello: %w", err)
+		return fmt.Errorf("netpool: decode hello: %w", err)
 	}
 	if m.Hello == nil {
-		return nil, s.reject(nc, "first frame is not a hello")
+		return s.reject(nc, "first frame is not a hello")
 	}
 	if m.Hello.Version != procpool.ProtocolVersion {
-		return nil, s.reject(nc, fmt.Sprintf("protocol skew: coordinator v%d, worker v%d", m.Hello.Version, procpool.ProtocolVersion))
+		return s.reject(nc, fmt.Sprintf("protocol skew: coordinator v%d, worker v%d", m.Hello.Version, procpool.ProtocolVersion))
 	}
 	if s.Pin != "" && m.Hello.Fingerprint != s.Pin {
-		return nil, s.reject(nc, "config fingerprint mismatch: coordinator and worker were built for different runs")
+		return s.reject(nc, "config fingerprint mismatch: coordinator and worker were built for different runs")
 	}
 	answer, err := procpool.EncodeMessage(&procpool.Message{Hello: &procpool.Hello{
 		Version: procpool.ProtocolVersion, PID: os.Getpid(), Fingerprint: m.Hello.Fingerprint,
 	}})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := procpool.WriteFrame(nc, answer); err != nil {
-		return nil, fmt.Errorf("netpool: answer hello: %w", err)
+		return fmt.Errorf("netpool: answer hello: %w", err)
 	}
-	return m.Hello, nil
+	return nil
 }
 
 // reject sends a terminal Reject hello (best-effort) and returns the

@@ -1,9 +1,10 @@
-// Package procpool is the process-isolation layer under the tiled
-// flow's -proc-workers mode: a supervised worker subprocess speaks a
-// length-prefixed, CRC32-guarded gob frame protocol on stdin/stdout —
-// the same framing discipline internal/checkpoint uses on disk — and
-// the supervisor side (Worker) turns everything the child does (hello,
-// heartbeats, partial snapshots, replies, death) into one event stream.
+// Package procpool is the wire layer of the tile-worker session: a
+// length-prefixed, CRC32-guarded gob frame protocol — the same framing
+// discipline internal/checkpoint uses on disk — its message schema,
+// the worker-side task loop (ServeTasks), and Spawn, which makes a
+// subprocess's stdin/stdout one more connection the session can run
+// over. The session itself (handshake, event stream) lives in
+// internal/netpool and is the same on pipes and on TCP.
 //
 // The package deliberately knows nothing about the flow: a Task payload
 // is a quarantine.Bundle (the self-contained window encoding PR 4

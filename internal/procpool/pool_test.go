@@ -1,12 +1,12 @@
 package procpool
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"io"
+	"net"
 	"os"
 	"os/exec"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -14,31 +14,9 @@ import (
 	"cfaopc/internal/quarantine"
 )
 
-// TestMain doubles as the worker binary: a supervisor-spawned copy of
-// the test executable (WorkerEnv set by Start) serves the stub runner
-// instead of running the test list — the same re-exec trick the flow
-// package uses for its engine-backed workers.
-func TestMain(m *testing.M) {
-	if InWorker() {
-		if err := Serve(os.Stdin, os.Stdout, stubRunner); err != nil {
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-// killIndex is the tile index the stub runner treats as a scripted
-// mid-task SIGKILL.
-const killIndex = 666
-
 // stubRunner echoes a primary-path reply after emitting one beat and
-// one partial, except for killIndex which dies the way an OOM kill
-// does: no reply frame, ever.
+// one partial.
 func stubRunner(_ context.Context, t *Task, sink Sink) Reply {
-	if t.Bundle.Tile.Index == killIndex {
-		SelfKill()
-	}
 	sink.Beat(t.Bundle.Tile.Index, 1, 0.5)
 	sink.Partial(t.Bundle.Tile.Index, PartialState{Iter: 1, Params: []float64{1, 2}})
 	return Reply{
@@ -52,180 +30,123 @@ func testTask(index int) *Task {
 	return &Task{Bundle: quarantine.Bundle{Tile: quarantine.Tile{Index: index}}}
 }
 
-func startTestWorker(t *testing.T) *Worker {
+func sendMsg(t *testing.T, w io.Writer, m *Message) {
 	t.Helper()
-	self, err := os.Executable()
+	payload, err := EncodeMessage(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(self)
-	cmd.Stderr = os.Stderr
-	w, err := Start(cmd)
+	if err := WriteFrame(w, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func readMsg(t *testing.T, r io.Reader) *Message {
+	t.Helper()
+	payload, err := ReadFrame(r)
+	if err != nil {
+		t.Fatalf("read worker frame: %v", err)
+	}
+	m, err := DecodeMessage(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
+	return m
 }
 
-// awaitEvent reads events until one of kind k arrives, failing the test
-// on EvExit (unless that is what was asked for) or timeout.
-func awaitEvent(t *testing.T, w *Worker, k EventKind) Event {
-	t.Helper()
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case ev := <-w.Events():
-			if ev.Kind == k {
-				return ev
-			}
-			if ev.Kind == EvExit {
-				t.Fatalf("worker exited (err %v) while waiting for event kind %d", ev.Err, k)
-			}
-		case <-deadline:
-			t.Fatalf("timed out waiting for event kind %d", k)
-		}
-	}
-}
-
-func TestWorkerLifecycle(t *testing.T) {
-	w := startTestWorker(t)
-	defer w.Close()
-
-	hello := awaitEvent(t, w, EvHello)
-	if hello.Hello.Version != ProtocolVersion {
-		t.Fatalf("hello version = %d, want %d", hello.Hello.Version, ProtocolVersion)
-	}
-	if hello.Hello.PID != w.PID() {
-		t.Fatalf("hello PID = %d, supervisor sees %d", hello.Hello.PID, w.PID())
-	}
-
-	if err := w.Send(testTask(7)); err != nil {
-		t.Fatal(err)
-	}
-	beat := awaitEvent(t, w, EvBeat)
-	if beat.Beat.Index != 7 || beat.Beat.Iter != 1 {
-		t.Fatalf("beat = %+v", beat.Beat)
-	}
-	partial := awaitEvent(t, w, EvPartial)
-	if partial.Partial.Index != 7 || len(partial.Partial.State.Params) != 2 {
-		t.Fatalf("partial = %+v", partial.Partial)
-	}
-	reply := awaitEvent(t, w, EvReply)
-	if reply.Reply.Index != 7 || reply.Reply.Path != "primary" || len(reply.Reply.Shots) != 1 {
-		t.Fatalf("reply = %+v", reply.Reply)
-	}
-
-	// A second task on the same worker: the loop must survive.
-	if err := w.Send(testTask(8)); err != nil {
-		t.Fatal(err)
-	}
-	if reply := awaitEvent(t, w, EvReply); reply.Reply.Index != 8 {
-		t.Fatalf("second reply index = %d", reply.Reply.Index)
-	}
-
-	// Close is the clean shutdown: EOF on stdin, worker exits cleanly.
-	w.Close()
-	ev := awaitEvent(t, w, EvExit)
-	if ev.Err != io.EOF {
-		t.Fatalf("clean shutdown exit err = %v, want io.EOF", ev.Err)
-	}
-}
-
-func TestWorkerCrashMidTask(t *testing.T) {
-	w := startTestWorker(t)
-	defer w.Close()
-	awaitEvent(t, w, EvHello)
-	if err := w.Send(testTask(killIndex)); err != nil {
-		t.Fatal(err)
-	}
-	ev := awaitEvent(t, w, EvExit)
-	if ev.Err == nil || ev.Err == io.EOF {
-		// SIGKILL before the reply can tear a frame or land exactly on a
-		// boundary (EOF with no reply); either way Err must be non-nil …
-		// except a boundary kill IS io.EOF. What matters is: no EvReply
-		// arrived first, and the exit is terminal.
-		if ev.Err == nil {
-			t.Fatal("EvExit with nil error")
-		}
-	}
-	// Kill after death must be safe and idempotent.
-	w.Kill()
-	w.Kill()
-}
-
-func TestWorkerKill(t *testing.T) {
-	w := startTestWorker(t)
-	awaitEvent(t, w, EvHello)
-	w.Kill()
-	// After Kill the events channel stops delivering; Close must not hang.
-	done := make(chan struct{})
-	go func() { w.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung after Kill")
-	}
-}
-
-// TestServeInProcess drives Serve over in-memory pipes so the worker
-// loop itself (not just the subprocess wrapper) shows up in coverage:
-// hello first, beats and partials forwarded, reply per task, EOF = nil.
-func TestServeInProcess(t *testing.T) {
-	taskR, taskW := io.Pipe()   // supervisor → worker
-	replyR, replyW := io.Pipe() // worker → supervisor
-
+// TestServeTasks drives the worker loop over in-memory pipes: stray
+// non-task frames are skipped (a future supervisor may send them),
+// beats and partials are forwarded before the reply, one reply per
+// task, EOF = nil.
+func TestServeTasks(t *testing.T) {
+	coord, worker := net.Pipe()
 	served := make(chan error, 1)
-	go func() { served <- Serve(taskR, replyW, stubRunner) }()
+	go func() { served <- ServeTasks(worker, worker, stubRunner) }()
 
-	readMsg := func() *Message {
-		t.Helper()
-		payload, err := ReadFrame(replyR)
-		if err != nil {
-			t.Fatalf("read worker frame: %v", err)
-		}
-		m, err := DecodeMessage(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
-	if m := readMsg(); m.Hello == nil || m.Hello.Version != ProtocolVersion {
-		t.Fatalf("first frame = %+v, want hello", m)
-	}
-
-	payload, err := EncodeMessage(&Message{Task: testTask(3)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(taskW, payload); err != nil {
-		t.Fatal(err)
-	}
-
-	var sawBeat, sawPartial bool
-	for {
-		m := readMsg()
-		switch {
-		case m.Ping != nil: // liveness while in flight; cadence untested
-		case m.Beat != nil:
-			sawBeat = true
-		case m.Partial != nil:
-			sawPartial = true
-		case m.Reply != nil:
-			if m.Reply.Index != 3 || m.Reply.Path != "primary" {
-				t.Fatalf("reply = %+v", m.Reply)
+	sendMsg(t, coord, &Message{Ping: &Ping{}}) // not a task: skipped
+	for _, index := range []int{3, 9} {
+		sendMsg(t, coord, &Message{Task: testTask(index)})
+		var sawBeat, sawPartial bool
+		for done := false; !done; {
+			m := readMsg(t, coord)
+			switch {
+			case m.Ping != nil: // liveness while in flight; cadence untested
+			case m.Beat != nil:
+				sawBeat = true
+			case m.Partial != nil:
+				sawPartial = true
+			case m.Reply != nil:
+				if m.Reply.Index != index || m.Reply.Path != "primary" {
+					t.Fatalf("reply = %+v", m.Reply)
+				}
+				if !sawBeat || !sawPartial {
+					t.Fatalf("reply before forwarded stream (beat %v partial %v)", sawBeat, sawPartial)
+				}
+				done = true
+			default:
+				t.Fatalf("unexpected frame %+v", m)
 			}
-			if !sawBeat || !sawPartial {
-				t.Fatalf("reply before forwarded stream (beat %v partial %v)", sawBeat, sawPartial)
-			}
-			taskW.Close() // EOF: clean shutdown
-			if err := <-served; err != nil {
-				t.Fatalf("Serve returned %v on clean EOF", err)
-			}
-			return
-		default:
-			t.Fatalf("unexpected frame %+v", m)
 		}
+	}
+	coord.Close() // EOF: clean shutdown
+	if err := <-served; err != nil {
+		t.Fatalf("ServeTasks returned %v on clean EOF", err)
+	}
+}
+
+// TestServeTasksCancelsAbandonedTask: a coordinator that cuts the link
+// mid-task (silence kill, run cancel, partition) has abandoned the
+// tile. The first ping that cannot be written must cancel the runner's
+// context, so the host stops optimizing an orphan instead of finishing
+// it.
+func TestServeTasksCancelsAbandonedTask(t *testing.T) {
+	coord, worker := net.Pipe()
+	started := make(chan struct{})
+	canceled := make(chan struct{})
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeTasks(worker, worker, func(ctx context.Context, t *Task, _ Sink) Reply {
+			close(started)
+			<-ctx.Done()
+			close(canceled)
+			return Reply{Index: t.Bundle.Tile.Index}
+		})
+	}()
+	sendMsg(t, coord, &Message{Task: testTask(1)})
+	<-started
+	coord.Close()
+	select {
+	case <-canceled:
+	case <-time.After(20 * pingEvery):
+		t.Fatal("runner context still live long after the coordinator hung up")
+	}
+	if err := <-served; err == nil {
+		t.Fatal("ServeTasks returned nil after losing its coordinator mid-task")
+	}
+}
+
+// TestServeTasksSurfacesStreamErrors: a supervisor that writes garbage,
+// tears a frame, or frames something that is not a Message is fatal to
+// the worker loop — ServeTasks must return the error rather than spin.
+func TestServeTasksSurfacesStreamErrors(t *testing.T) {
+	for name, write := range map[string]func(w io.Writer){
+		"unframed":    func(w io.Writer) { w.Write([]byte("garbage, not a frame at all")) },
+		"undecodable": func(w io.Writer) { WriteFrame(w, []byte("framed but not gob")) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			coord, worker := net.Pipe()
+			served := make(chan error, 1)
+			go func() { served <- ServeTasks(worker, worker, stubRunner) }()
+			// Write from a goroutine: ServeTasks may reject the header
+			// before draining the rest, stranding an unbuffered write.
+			go func() {
+				write(coord)
+				coord.Close()
+			}()
+			if err := <-served; err == nil {
+				t.Fatal("ServeTasks returned nil on a corrupt stream")
+			}
+		})
 	}
 }
 
@@ -249,196 +170,58 @@ func TestDecodeMessageRejectsMalformed(t *testing.T) {
 	}
 }
 
-// fakeWorker starts a "worker" that just cats a crafted byte stream —
-// the cheapest way to drive the supervisor's reader through protocol
-// violations a real worker never commits.
-func fakeWorker(t *testing.T, dir string, frames ...*Message) *Worker {
-	t.Helper()
-	var buf bytes.Buffer
-	for _, m := range frames {
-		payload, err := EncodeMessage(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFrame(&buf, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(dir, "stream")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	w, err := Start(exec.Command("cat", path))
+// TestSpawnConn pins what Spawn promises of a child's stdin/stdout as a
+// connection: bytes round-trip, the worker env is forced, CloseWrite is
+// the child's stdin EOF, read deadlines fire on a mute child, and Close
+// is SIGKILL plus reap.
+func TestSpawnConn(t *testing.T) {
+	cmd := exec.Command("sh", "-c", `echo "$`+WorkerEnv+`"; exec cat`)
+	nc, err := Spawn(cmd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w
-}
-
-func TestSupervisorRejectsWrongProtocolVersion(t *testing.T) {
-	w := fakeWorker(t, t.TempDir(), &Message{Hello: &Hello{Version: ProtocolVersion + 1, PID: 1}})
-	defer w.Close()
-	ev := awaitEvent(t, w, EvExit)
-	if ev.Err == nil || ev.Err == io.EOF {
-		t.Fatalf("version mismatch exit err = %v, want protocol error", ev.Err)
+	defer nc.Close()
+	if nc.LocalAddr().Network() != "pipe" || nc.RemoteAddr().String() != "pipe" {
+		t.Fatalf("addrs = %v / %v", nc.LocalAddr(), nc.RemoteAddr())
 	}
-}
-
-func TestSupervisorRejectsEmptyMessage(t *testing.T) {
-	// An all-nil message violates the one-of invariant; the supervisor
-	// must kill the stream rather than guess.
-	w := fakeWorker(t, t.TempDir(),
-		&Message{Hello: &Hello{Version: ProtocolVersion, PID: 1}},
-		&Message{})
-	defer w.Close()
-	awaitEvent(t, w, EvHello)
-	ev := awaitEvent(t, w, EvExit)
-	if ev.Err == nil || ev.Err == io.EOF {
-		t.Fatalf("empty message exit err = %v, want protocol error", ev.Err)
+	buf := make([]byte, 2)
+	if _, err := io.ReadFull(nc, buf); err != nil || string(buf) != "1\n" {
+		t.Fatalf("child saw %s=%q (err %v), want 1", WorkerEnv, buf, err)
 	}
-}
+	if _, err := nc.Write([]byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	buf = make([]byte, 4)
+	if _, err := io.ReadFull(nc, buf); err != nil || string(buf) != "ping" {
+		t.Fatalf("echo = %q, err %v", buf, err)
+	}
+	if err := nc.(interface{ CloseWrite() error }).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := nc.Read(buf); err != io.EOF {
+		t.Fatalf("read after CloseWrite = %v, want the child's clean EOF", err)
+	}
 
-func TestSupervisorRejectsGarbageStream(t *testing.T) {
-	// A binary that is not a tile worker at all: its output fails frame
-	// decoding and the worker surfaces as dead with a non-EOF error.
-	w, err := Start(exec.Command("echo", "this is not a frame protocol"))
+	// A child that never writes: the read deadline is what bounds a
+	// handshake, and Close must kill and reap it rather than wait.
+	mute := exec.Command("sleep", "60")
+	nc2, err := Spawn(mute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	ev := awaitEvent(t, w, EvExit)
-	if ev.Err == nil || ev.Err == io.EOF {
-		t.Fatalf("garbage stream exit err = %v, want framing error", ev.Err)
+	nc2.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, err := nc2.Read(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read on a mute child = %v, want the deadline", err)
 	}
-}
+	nc2.SetWriteDeadline(time.Time{})
+	nc2.Close()
+	nc2.Close() // idempotent
+	if mute.ProcessState == nil {
+		t.Fatal("Close returned before the child was reaped")
+	}
 
-// TestServeIgnoresNonTaskFrames: a worker must tolerate (skip) stray
-// non-task frames from a future supervisor rather than die on them.
-func TestServeIgnoresNonTaskFrames(t *testing.T) {
-	taskR, taskW := io.Pipe()
-	replyR, replyW := io.Pipe()
-	served := make(chan error, 1)
-	go func() { served <- Serve(taskR, replyW, stubRunner) }()
-
-	send := func(m *Message) {
-		t.Helper()
-		payload, err := EncodeMessage(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFrame(taskW, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drain the synchronous hello first or both sides of the unbuffered
-	// pipes block: Serve writing hello, this test writing the ping.
-	if payload, err := ReadFrame(replyR); err != nil {
-		t.Fatal(err)
-	} else if m, err := DecodeMessage(payload); err != nil || m.Hello == nil {
-		t.Fatalf("first frame = %+v, err %v, want hello", m, err)
-	}
-	send(&Message{Ping: &Ping{}}) // not a task: skipped
-	send(&Message{Task: testTask(9)})
-	for {
-		payload, err := ReadFrame(replyR)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := DecodeMessage(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Reply != nil {
-			if m.Reply.Index != 9 {
-				t.Fatalf("reply index = %d", m.Reply.Index)
-			}
-			break
-		}
-	}
-	taskW.Close()
-	if err := <-served; err != nil {
-		t.Fatalf("Serve returned %v on clean EOF", err)
-	}
-}
-
-// TestServeSurfacesStreamErrors: a supervisor that writes garbage (or
-// tears a frame) is fatal to the worker loop — Serve must return the
-// decode error rather than spin.
-func TestServeSurfacesStreamErrors(t *testing.T) {
-	taskR, taskW := io.Pipe()
-	replyR, replyW := io.Pipe()
-	served := make(chan error, 1)
-	go func() { served <- Serve(taskR, replyW, stubRunner) }()
-	go io.Copy(io.Discard, replyR) // drain hello and anything after
-
-	// Write from a goroutine: Serve may reject the header before
-	// draining the rest, leaving an unbuffered-pipe write stranded.
-	go func() {
-		taskW.Write([]byte("garbage, not a frame at all"))
-		taskW.Close()
-	}()
-	if err := <-served; err == nil || err == io.EOF {
-		t.Fatalf("Serve on garbage stream = %v, want framing/decode error", err)
-	}
-}
-
-// TestServeRejectsUndecodablePayload: a well-framed payload that is not
-// a gob Message is equally fatal.
-func TestServeRejectsUndecodablePayload(t *testing.T) {
-	taskR, taskW := io.Pipe()
-	replyR, replyW := io.Pipe()
-	served := make(chan error, 1)
-	go func() { served <- Serve(taskR, replyW, stubRunner) }()
-	go io.Copy(io.Discard, replyR)
-
-	if err := WriteFrame(taskW, []byte("framed but not gob")); err != nil {
-		t.Fatal(err)
-	}
-	taskW.Close()
-	if err := <-served; err == nil || err == io.EOF {
-		t.Fatalf("Serve on undecodable payload = %v, want decode error", err)
-	}
-}
-
-func TestSendAfterKillFails(t *testing.T) {
-	w := startTestWorker(t)
-	awaitEvent(t, w, EvHello)
-	w.Kill()
-	// Kill stops event delivery, so EvExit may be dropped — poll instead:
-	// once the process is reaped the pipe breaks and Send must surface an
-	// error, not panic or hang.
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if err := w.Send(testTask(1)); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("Send kept succeeding after Kill")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	w.Close()
-}
-
-func TestStartFailsForMissingBinary(t *testing.T) {
-	if _, err := Start(exec.Command("/nonexistent/tileworker-binary")); err == nil {
-		t.Fatal("Start of missing binary succeeded")
-	}
-}
-
-// TestCloseKillsStubbornWorker: a worker that ignores stdin EOF (here:
-// sleep, which never reads stdin) must be killed after the grace
-// period; Close must return rather than hang.
-func TestCloseKillsStubbornWorker(t *testing.T) {
-	w, err := Start(exec.Command("sleep", "60"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { w.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("Close hung on a worker that ignores EOF")
+	if _, err := Spawn(exec.Command("/nonexistent/tileworker-binary")); err == nil {
+		t.Fatal("Spawn of a missing binary succeeded")
 	}
 }

@@ -9,27 +9,26 @@ import (
 	"cfaopc/internal/quarantine"
 )
 
-// ProtocolVersion is bumped whenever the message schema changes
-// incompatibly; the supervisor rejects a worker whose Hello disagrees.
-// v2 added the TCP handshake fields (Fingerprint, Reject) for
-// internal/netpool's multi-host transport.
-const ProtocolVersion = 2
+// ProtocolVersion is bumped whenever the message schema or the
+// handshake order changes incompatibly; either side refuses a peer
+// whose Hello disagrees. v2 added Fingerprint and Reject; v3 made the
+// handshake coordinator-first on every transport, so a v2 pipe worker
+// (which announced itself unasked) is refused by version instead of
+// wedging the exchange.
+const ProtocolVersion = 3
 
-// Hello is the handshake frame. On a stdin/stdout pipe only the worker
-// sends one (version + liveness proof, before any task is accepted).
-// Over TCP (internal/netpool) both sides speak: the coordinator's Hello
-// opens the connection and carries the run's config fingerprint, and
-// the worker's answer either echoes the accepted fingerprint or carries
-// a Reject reason and closes — version skew and config skew fail the
-// connection at the handshake, not mid-run.
+// Hello is the handshake frame, the same on a subprocess's pipes and on
+// TCP. The coordinator's Hello opens the session and carries the run's
+// config fingerprint; the worker's answer either echoes the accepted
+// fingerprint or carries a Reject reason and closes — version skew and
+// config skew fail the connection at the handshake, not mid-run.
 type Hello struct {
 	Version int
 	PID     int
 	// Fingerprint is the coordinator run's config fingerprint (the same
-	// string that prefixes window dedup-cache keys). A listening worker
-	// started with a fingerprint pin rejects a coordinator whose
-	// fingerprint differs; the worker's reply echoes the fingerprint it
-	// accepted. Empty on pipe workers.
+	// string that prefixes window dedup-cache keys). A worker started
+	// with a fingerprint pin rejects a coordinator whose fingerprint
+	// differs; the worker's reply echoes the fingerprint it accepted.
 	Fingerprint string
 	// Reject is the worker's reason for refusing the handshake
 	// (version skew, fingerprint pin mismatch). A non-empty Reject is
@@ -161,4 +160,28 @@ func DecodeMessage(p []byte) (*Message, error) {
 		return nil, fmt.Errorf("procpool: message sets %d of the one-of fields", set)
 	}
 	return m, nil
+}
+
+// EventKind discriminates the coordinator-side events of a session.
+type EventKind int
+
+const (
+	EvPing EventKind = iota
+	EvBeat
+	EvPartial
+	EvReply
+	// EvExit is the terminal event: the worker died or the stream
+	// broke. Err is io.EOF for a clean close, the framing or decode
+	// error otherwise; no further events follow.
+	EvExit
+)
+
+// Event is one occurrence on a session's worker→coordinator stream.
+// Exactly the field matching Kind is set (Err only for EvExit).
+type Event struct {
+	Kind    EventKind
+	Beat    *Beat
+	Partial *Partial
+	Reply   *Reply
+	Err     error
 }

@@ -34,7 +34,7 @@ func SelfKill() {
 const pingEvery = 100 * time.Millisecond
 
 // Sink receives the liveness and snapshot stream a running task emits;
-// Serve forwards each call as one frame to the supervisor.
+// ServeTasks forwards each call as one frame to the supervisor.
 type Sink interface {
 	Beat(index, iter int, loss float64)
 	Partial(index int, s PartialState)
@@ -59,48 +59,15 @@ func (s frameSink) Partial(index int, p PartialState) {
 	s.send(&Message{Partial: &Partial{Index: index, State: p}})
 }
 
-// Serve is the worker main loop: announce Hello, then read tasks off r
-// one at a time, run each through the injected Runner while pinging,
-// and write the reply to w. EOF on r is the supervisor's clean shutdown
-// and returns nil; any other stream error is fatal to the worker.
-func Serve(r io.Reader, w io.Writer, run Runner) error {
-	var mu sync.Mutex
-	send := func(m *Message) error {
-		payload, err := EncodeMessage(m)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return WriteFrame(w, payload)
-	}
-	if err := send(&Message{Hello: &Hello{Version: ProtocolVersion, PID: os.Getpid()}}); err != nil {
-		return err
-	}
-	return serveTasks(r, send, run)
-}
-
-// ServeTasks is the worker task loop without the opening Hello — for
-// transports whose handshake has already completed (internal/netpool's
-// TCP sessions, where both sides exchanged Hello frames before the
-// first task). Semantics otherwise match Serve.
+// ServeTasks is the worker task loop of a session whose handshake has
+// completed: read tasks off r one at a time, run each through the
+// injected Runner while pinging, and write the reply to w. EOF on r is
+// the coordinator's clean shutdown and returns nil; any other stream
+// error is fatal to the session. The first frame that cannot be written
+// cancels the running task's context — a coordinator that cut the link
+// has abandoned the tile, and finishing it would only burn the host.
 func ServeTasks(r io.Reader, w io.Writer, run Runner) error {
 	var mu sync.Mutex
-	send := func(m *Message) error {
-		payload, err := EncodeMessage(m)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return WriteFrame(w, payload)
-	}
-	return serveTasks(r, send, run)
-}
-
-// serveTasks reads tasks one at a time, runs each through the Runner
-// while pinging, and sends the reply through send.
-func serveTasks(r io.Reader, send func(*Message) error, run Runner) error {
 	for {
 		payload, err := ReadFrame(r)
 		if err == io.EOF {
@@ -116,25 +83,38 @@ func serveTasks(r io.Reader, send func(*Message) error, run Runner) error {
 		if m.Task == nil {
 			continue // tolerate non-task frames from future supervisors
 		}
-		stop := make(chan struct{})
-		var pingers sync.WaitGroup
-		pingers.Add(1)
+		ctx, cancel := context.WithCancel(context.Background())
+		send := func(m *Message) error {
+			payload, err := EncodeMessage(m)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if err := WriteFrame(w, payload); err != nil {
+				cancel()
+				return err
+			}
+			return nil
+		}
+		var pinger sync.WaitGroup
+		pinger.Add(1)
 		go func() {
-			defer pingers.Done()
+			defer pinger.Done()
 			t := time.NewTicker(pingEvery)
 			defer t.Stop()
 			for {
 				select {
-				case <-stop:
+				case <-ctx.Done():
 					return
 				case <-t.C:
 					send(&Message{Ping: &Ping{}})
 				}
 			}
 		}()
-		reply := run(context.Background(), m.Task, frameSink{send: send})
-		close(stop)
-		pingers.Wait()
+		reply := run(ctx, m.Task, frameSink{send: send})
+		cancel()
+		pinger.Wait()
 		if err := send(&Message{Reply: &reply}); err != nil {
 			return err
 		}

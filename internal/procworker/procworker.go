@@ -1,15 +1,16 @@
 // Package procworker is the engine-backed tile worker: the glue that
-// sits above internal/flow, internal/engine and internal/procpool and
-// turns a process into a frame-serving tile worker. It exists as its
-// own package (rather than living in flow) because engine construction
-// imports the flow — procpool stays a leaf, the flow stays below the
-// engine registry, and every binary that wants to be its own worker
-// (cmd/cfaopc, cmd/tileworker) just calls Serve or ServeIfWorker.
+// sits above internal/flow, internal/engine and internal/netpool and
+// turns a process into the worker side of a tile session, on its own
+// stdin/stdout or on a listener. It exists as its own package (rather
+// than living in flow) because engine construction imports the flow —
+// procpool stays a leaf, the flow stays below the engine registry, and
+// every binary that wants to be its own worker (cmd/cfaopc,
+// cmd/paperbench) just calls ServeIfWorker.
 package procworker
 
 import (
 	"context"
-	"io"
+	"log"
 	"net"
 	"os"
 	"time"
@@ -50,31 +51,32 @@ func Runner() procpool.Runner {
 	}
 }
 
-// Serve runs the pipe-transport worker loop on r/w until the
-// supervisor closes the task stream.
-func Serve(r io.Reader, w io.Writer) error {
-	return procpool.Serve(r, w, Runner())
+// Serve runs one session on this process's stdin/stdout — the worker
+// end of a coordinator's procpool.Spawn — until the coordinator closes
+// the task stream. pin is the optional config fingerprint pin.
+func Serve(pin string) error {
+	srv := &netpool.Server{Pin: pin, Runner: Runner}
+	return srv.ServeConn(procpool.Stdio())
 }
 
-// Listen serves the same worker loop over TCP: every coordinator
-// connection is handshaken (protocol version + optional config
-// fingerprint pin, under the handshake deadline) and then served its
-// own task session. It blocks until the listener closes.
+// Listen serves the same session over TCP, one per coordinator
+// connection, each handshaken under the handshake deadline. It blocks
+// until the listener closes.
 func Listen(ln net.Listener, pin string, handshake time.Duration) error {
 	srv := &netpool.Server{Pin: pin, Handshake: handshake, Runner: Runner}
 	return srv.Serve(ln)
 }
 
 // ServeIfWorker is the re-exec branch every worker-capable binary runs
-// first: when the process was spawned as a pipe tile worker
-// (procpool.InWorker), it serves frames on stdin/stdout and exits.
-// Returns without side effects otherwise.
+// first: when the process was spawned as a tile worker
+// (procpool.InWorker), it serves its stdin/stdout and exits. Returns
+// without side effects otherwise.
 func ServeIfWorker() {
 	if !procpool.InWorker() {
 		return
 	}
-	if err := Serve(os.Stdin, os.Stdout); err != nil {
-		os.Exit(1)
+	if err := Serve(""); err != nil {
+		log.Fatal(err)
 	}
 	os.Exit(0)
 }

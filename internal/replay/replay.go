@@ -3,7 +3,7 @@
 // tiling knobs, engine metadata, injected-fault script, recorded
 // attempt history — so Run can reconstruct the exact optimizer chain
 // (engine.FromMeta), re-inject the same deterministic faults, walk the
-// same primary → retries → fallback ladder (flow.ReplayWindow), and
+// same primary → retries → fallback ladder (flow.RunWindow), and
 // compare what happened against what the live run recorded. That
 // comparison is the point: "reproduced" means the failure is
 // deterministic and debuggable from the bundle alone; a divergence
@@ -117,7 +117,7 @@ func Run(ctx context.Context, b *quarantine.Bundle, o Options) (*Report, error) 
 	}
 
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: append([]float64(nil), b.Target...)}
-	shots, stat, outcomes := flow.ReplayWindow(ctx, sim, cfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target)
+	shots, stat, outcomes := flow.RunWindow(ctx, sim, cfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target, flow.WindowHooks{})
 
 	rep := &Report{Bundle: b, Stat: stat, Shots: shots}
 	n := len(b.Attempts)
