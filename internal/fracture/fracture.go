@@ -6,7 +6,9 @@
 package fracture
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
@@ -96,162 +98,237 @@ func (c CircleRuleConfig) validate() {
 //
 // The DFS start point is the first skeleton pixel in scan order rather
 // than a random one, making the fracturing deterministic.
+//
+// Only the labelling pass looks at the whole window. Every region is then
+// cropped to its bounding box and thinned, walked and repaired there, so
+// the cost follows the shapes, not the window they sit in.
 func CircleRule(mask *grid.Real, cfg CircleRuleConfig) []geom.Circle {
 	cfg.validate()
-	var shots []geom.Circle
 	labels := geom.Components(mask, true)
+	if labels.N == 0 {
+		return nil
+	}
+	f := fracturer{cfg: cfg, ladder: geom.LadderFor(cfg.RMin, cfg.RMax)}
 	for id := 1; id <= labels.N; id++ {
-		region := labels.Region(id)
-		skel := geom.Skeleton(region)
-		pts := geom.SkeletonPoints(skel)
-		if len(pts) == 0 {
-			continue
+		f.crop(labels, id)
+		first := len(f.shots)
+		if f.walkSkeleton() && !cfg.DisableRepair {
+			f.repairCoverage(first)
 		}
-		regionShots := walkSkeleton(skel, region, pts[0], cfg)
-		if !cfg.DisableRepair {
-			regionShots = repairCoverage(region, regionShots, cfg)
-		}
-		shots = append(shots, regionShots...)
 	}
-	return shots
+	return f.shots
 }
 
-// repairCoverage adds circles for mask areas the skeleton walk left bare.
-// Zhang–Suen thinning collapses wide blobs (anything broader than 2·RMax,
-// like the 320 nm block of case 10) toward a point, so skeleton sampling
-// alone under-covers them. Greedily place a circle at the deepest
-// uncovered pixel — radius chosen by the same cover-rate rule as Algorithm
-// 1 — until no uncovered pocket can fit a legal RMin circle.
-func repairCoverage(region *grid.Real, shots []geom.Circle, cfg CircleRuleConfig) []geom.Circle {
-	covered := geom.RasterizeCircles(region.W, region.H, shots)
-	for guard := 0; guard < 4096; guard++ {
-		uncovered := grid.NewReal(region.W, region.H)
-		anyUncovered := false
-		for i := range region.Data {
-			if region.Data[i] > 0.5 && covered.Data[i] <= 0.5 {
-				uncovered.Data[i] = 1
-				anyUncovered = true
-			}
-		}
-		if !anyUncovered {
-			break
-		}
-		// Depth of each uncovered pixel = distance to the nearest pixel
-		// that is covered or outside the mask.
-		complement := grid.NewReal(region.W, region.H)
-		for i := range complement.Data {
-			if uncovered.Data[i] <= 0.5 {
-				complement.Data[i] = 1
-			}
-		}
-		depth := geom.DistanceTransform(complement)
-		best, bestIdx := 0.0, -1
-		for i, v := range depth.Data {
-			if uncovered.Data[i] > 0.5 && v > best {
-				best = v
-				bestIdx = i
-			}
-		}
-		if bestIdx < 0 || best < cfg.RMin {
-			break // remaining slivers cannot host a legal circle
-		}
-		p := geom.Pt{X: bestIdx % region.W, Y: bestIdx / region.W}
-		c, ok := selectRadius(p, region, cfg)
-		if !ok {
-			break
-		}
-		shots = append(shots, c)
-		paintCircle(covered, c)
-	}
-	return shots
+// fracturer is the state of one CircleRule call: the shot list so far,
+// the current region cropped out of the window, and buffers that are
+// reused from region to region.
+type fracturer struct {
+	cfg    CircleRuleConfig
+	ladder *geom.CoverLadder
+	shots  []geom.Circle
+
+	// The crop: the region's bounding box plus a one-pixel background
+	// ring, w×h with crop pixel (0, 0) at window pixel (ox, oy). The ring
+	// is there on every side, also where the box touches the window
+	// border; valid is the part of the crop that lies inside the window.
+	w, h, ox, oy int
+	valid        geom.Rect
+	region       []uint8 // 1 on the region's pixels
+
+	work  []uint8   // skeleton during the walk, then the uncovered pixels
+	depth []float64 // squared depth of the uncovered pixels
+	stack []walkItem
+	thin  geom.Thinner
+	edt   geom.EDT
 }
 
-// paintCircle incrementally adds one circle to a coverage raster.
-func paintCircle(m *grid.Real, c geom.Circle) {
-	r2 := c.R * c.R
-	x0, x1 := int(c.X-c.R-1), int(c.X+c.R+1)
-	y0, y1 := int(c.Y-c.R-1), int(c.Y+c.R+1)
-	for y := y0; y <= y1; y++ {
-		if y < 0 || y >= m.H {
-			continue
-		}
-		dy := float64(y) - c.Y
-		for x := x0; x <= x1; x++ {
-			if x < 0 || x >= m.W {
-				continue
-			}
-			dx := float64(x) - c.X
-			if dx*dx+dy*dy <= r2 {
-				m.Data[y*m.W+x] = 1
+type walkItem struct{ idx, cnt int32 }
+
+// crop copies component id of the labelling into the region raster.
+func (f *fracturer) crop(labels *geom.Labels, id int) {
+	b := labels.Bounds[id]
+	f.w, f.h, f.ox, f.oy = b.W+2, b.H+2, b.X-1, b.Y-1
+	x0, y0 := max(0, -f.ox), max(0, -f.oy)
+	f.valid = geom.Rect{X: x0, Y: y0,
+		W: min(f.w, labels.W-f.ox) - x0, H: min(f.h, labels.H-f.oy) - y0}
+	f.region = resize(f.region, f.w*f.h)
+	clear(f.region)
+	for y := 0; y < b.H; y++ {
+		row := f.region[(y+1)*f.w+1:]
+		for x, v := range labels.Label[(b.Y+y)*labels.W+b.X:][:b.W] {
+			if int(v) == id {
+				row[x] = 1
 			}
 		}
 	}
 }
 
-// walkSkeleton runs the DFS sampling (Algorithm 1 lines 9–23) over one
-// region's skeleton.
-func walkSkeleton(skel, region *grid.Real, start geom.Pt, cfg CircleRuleConfig) []geom.Circle {
-	w, h := skel.W, skel.H
-	visited := make([]bool, w*h)
-	type item struct {
-		p   geom.Pt
-		cnt int
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	stack := []item{{start, 0}}
-	var shots []geom.Circle
-	neigh := [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}}
+	return s[:n]
+}
+
+// walkSkeleton thins the region and runs the DFS sampling (Algorithm 1
+// lines 9–23) over its skeleton, appending to f.shots. It reports whether
+// there was a skeleton to walk: thinning erases a 2×2 block altogether.
+func (f *fracturer) walkSkeleton() bool {
+	f.work = resize(f.work, len(f.region))
+	skel := f.work
+	copy(skel, f.region)
+	f.thin.Thin(skel, f.w, f.h)
+	start := bytes.IndexByte(skel, 1)
+	if start < 0 {
+		return false
+	}
+	const visited = 2
+	w := f.w
+	neigh := [8]int{1, -1, w, -w, w + 1, -w + 1, w - 1, -w - 1}
+	stack := append(f.stack[:0], walkItem{idx: int32(start)})
 	for len(stack) > 0 {
 		it := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		idx := it.p.Y*w + it.p.X
-		if visited[idx] {
+		idx := int(it.idx)
+		if skel[idx] == visited {
 			continue
 		}
-		visited[idx] = true
+		skel[idx] = visited
+		// Skeleton pixels never lie on the background ring, so every
+		// neighbour is inside the crop.
 		for _, d := range neigh {
-			nx, ny := it.p.X+d[0], it.p.Y+d[1]
-			if nx < 0 || nx >= w || ny < 0 || ny >= h {
-				continue
-			}
-			ni := ny*w + nx
-			if skel.Data[ni] > 0.5 && !visited[ni] {
-				stack = append(stack, item{geom.Pt{X: nx, Y: ny}, it.cnt + 1})
+			if skel[idx+d] == 1 {
+				stack = append(stack, walkItem{int32(idx + d), it.cnt + 1})
 			}
 		}
-		if it.cnt%cfg.SampleDist == 0 {
-			if c, ok := selectRadius(it.p, region, cfg); ok {
-				shots = append(shots, c)
-			}
+		if int(it.cnt)%f.cfg.SampleDist == 0 {
+			f.shots = append(f.shots, f.selectRadius(idx%w, idx/w))
 		}
 	}
-	return shots
+	f.stack = stack
+	return true
 }
 
-// selectRadius implements the circle radius selection (lines 19–23): grow
-// r in half-pixel steps from RMin (the paper grows in 1 nm steps at 1
-// nm/px; half-pixel steps keep a comparable granularity relative to the
-// feature size on coarser grids); emit the first circle whose cover rate
-// drops below the threshold, or an RMax circle if cover never drops.
-func selectRadius(p geom.Pt, region *grid.Real, cfg CircleRuleConfig) (geom.Circle, bool) {
-	prev := cfg.RMin
-	for r := cfg.RMin; ; r += 0.5 {
-		if r > cfg.RMax {
-			r = cfg.RMax
-		}
-		c := geom.Circle{X: float64(p.X), Y: float64(p.Y), R: r}
-		if geom.CoverRate(c, region) < cfg.CoverThreshold {
+// selectRadius implements the circle radius selection (lines 19–23) at
+// crop pixel (x, y): grow r in half-pixel steps from RMin (the paper grows
+// in 1 nm steps at 1 nm/px; half-pixel steps keep a comparable granularity
+// relative to the feature size on coarser grids); emit the first circle
+// whose cover rate drops below the threshold, or an RMax circle if cover
+// never drops. Walking the ladder's rings outward costs one pass over the
+// final disk, where probing geom.CoverRate at every step costs one pass
+// per step.
+func (f *fracturer) selectRadius(x, y int) geom.Circle {
+	c := geom.Circle{X: float64(x + f.ox), Y: float64(y + f.oy), R: f.cfg.RMin}
+	inside := 0
+	for j := 0; j < f.ladder.Steps(); j++ {
+		inside += f.ladder.Ring(j, f.region, f.w, f.h, x, y)
+		if f.ladder.Rate(j, inside) < f.cfg.CoverThreshold {
 			// The paper emits the first circle past the threshold; at 1
 			// nm/px that overshoots the mask boundary by ≤1 nm, but at
 			// coarser grids the overshoot bloats the union (many
 			// overlapping spills), so emit the last compliant radius
 			// instead — the same circle in the paper's resolution limit.
-			c.R = prev
-			return c, true
+			return c
 		}
-		if r == cfg.RMax {
-			return c, true // interior point: cover never dropped
+		c.R = f.ladder.Radius(j)
+	}
+	return c // interior point: cover never dropped
+}
+
+// repairCoverage adds circles for mask areas the skeleton walk left bare,
+// given the region's shots so far, f.shots[first:]. Zhang–Suen thinning
+// collapses wide blobs (anything broader than 2·RMax, like the 320 nm
+// block of case 10) toward a point, so skeleton sampling alone
+// under-covers them. Greedily place a circle at the deepest uncovered
+// pixel — radius chosen by the same cover-rate rule as Algorithm 1 —
+// until no uncovered pocket can fit a legal RMin circle.
+func (f *fracturer) repairCoverage(first int) {
+	uncovered := f.work
+	copy(uncovered, f.region)
+	for _, c := range f.shots[first:] {
+		f.erase(uncovered, c)
+	}
+	box := geom.Rect{X: 1, Y: 1, W: f.w - 2, H: f.h - 2}
+	for guard := 0; guard < 4096; guard++ {
+		box = f.boundsIn(uncovered, box)
+		if box.W == 0 {
+			break
 		}
-		prev = r
+		// Depth of each uncovered pixel = distance to the nearest pixel
+		// that is covered or outside the mask. Every such pixel beyond
+		// the ring around the uncovered box is farther away than one on
+		// the ring — but only the part of the ring that is inside the
+		// window exists: where a window border cuts the shape there is
+		// nothing beyond it to be near to.
+		x0, y0 := max(box.X-1, f.valid.X), max(box.Y-1, f.valid.Y)
+		x1 := min(box.X+box.W, f.valid.X+f.valid.W-1)
+		y1 := min(box.Y+box.H, f.valid.Y+f.valid.H-1)
+		dw, dh := x1-x0+1, y1-y0+1
+		f.depth = resize(f.depth, dw*dh)
+		for y := 0; y < dh; y++ {
+			for x, u := range uncovered[(y0+y)*f.w+x0:][:dw] {
+				f.depth[y*dw+x] = float64(u) * geom.Unreached
+			}
+		}
+		f.edt.Squared(f.depth, dw, dh)
+		best, bx, by := 0.0, -1, -1
+		for y := 0; y < dh; y++ {
+			for x, u := range uncovered[(y0+y)*f.w+x0:][:dw] {
+				v := f.depth[y*dw+x]
+				if v >= geom.Unreached/2 {
+					v = math.Inf(1) // a window that is all uncovered
+				}
+				if u != 0 && v > best {
+					best, bx, by = v, x0+x, y0+y
+				}
+			}
+		}
+		if math.Sqrt(best) < f.cfg.RMin {
+			break // remaining slivers cannot host a legal circle
+		}
+		c := f.selectRadius(bx, by)
+		f.shots = append(f.shots, c)
+		f.erase(uncovered, c)
+	}
+}
+
+// boundsIn returns the bounding box of the nonzero pixels of pix inside
+// box, with W == 0 when there are none.
+func (f *fracturer) boundsIn(pix []uint8, box geom.Rect) geom.Rect {
+	x0, x1, y0, y1 := f.w, -1, f.h, -1
+	for y := box.Y; y < box.Y+box.H; y++ {
+		row := pix[y*f.w+box.X:][:box.W]
+		l := bytes.IndexByte(row, 1)
+		if l < 0 {
+			continue
+		}
+		x0 = min(x0, box.X+l)
+		x1 = max(x1, box.X+bytes.LastIndexByte(row, 1))
+		y0 = min(y0, y)
+		y1 = y
+	}
+	if x1 < 0 {
+		return geom.Rect{}
+	}
+	return geom.Rect{X: x0, Y: y0, W: x1 - x0 + 1, H: y1 - y0 + 1}
+}
+
+// erase clears the pixels of one circle (window coordinates) from a crop
+// raster, with the pixel predicate of geom.RasterizeCircles.
+func (f *fracturer) erase(pix []uint8, c geom.Circle) {
+	cx, cy := c.X-float64(f.ox), c.Y-float64(f.oy)
+	r2 := c.R * c.R
+	x0, x1 := max(int(cx-c.R-1), 0), min(int(cx+c.R+1), f.w-1)
+	y0, y1 := max(int(cy-c.R-1), 0), min(int(cy+c.R+1), f.h-1)
+	for y := y0; y <= y1; y++ {
+		dy := float64(y) - cy
+		row := pix[y*f.w:]
+		for x := x0; x <= x1; x++ {
+			dx := float64(x) - cx
+			if dx*dx+dy*dy <= r2 {
+				row[x] = 0
+			}
+		}
 	}
 }
 

@@ -127,3 +127,25 @@ func GreedyCircles(mask *grid.Real, cfg GreedyCircleConfig) []geom.Circle {
 	}
 	return shots
 }
+
+// paintCircle incrementally adds one circle to a coverage raster.
+func paintCircle(m *grid.Real, c geom.Circle) {
+	r2 := c.R * c.R
+	x0, x1 := int(c.X-c.R-1), int(c.X+c.R+1)
+	y0, y1 := int(c.Y-c.R-1), int(c.Y+c.R+1)
+	for y := y0; y <= y1; y++ {
+		if y < 0 || y >= m.H {
+			continue
+		}
+		dy := float64(y) - c.Y
+		for x := x0; x <= x1; x++ {
+			if x < 0 || x >= m.W {
+				continue
+			}
+			dx := float64(x) - c.X
+			if dx*dx+dy*dy <= r2 {
+				m.Data[y*m.W+x] = 1
+			}
+		}
+	}
+}

@@ -22,76 +22,69 @@ func fg(m *grid.Real, x, y int) bool {
 }
 
 // Labels holds the result of connected-component labeling: Label[i] is the
-// 1-based component id of pixel i (0 for background) and N the number of
-// components.
+// 1-based component id of pixel i (0 for background), N the number of
+// components and Bounds[id] the tight bounding box of component id
+// (Bounds[0] is unused), found in the same pass.
 type Labels struct {
-	W, H  int
-	Label []int32
-	N     int
+	W, H   int
+	Label  []int32
+	N      int
+	Bounds []Rect
 }
 
-// Components labels the foreground of m into connected regions. With
-// eightConn true, diagonal neighbours connect (the convention CircleRule
-// uses, matching skeleton 8-neighbourhoods); otherwise 4-connectivity.
+// Components labels the foreground of m into connected regions, numbered
+// in row-major order of their first pixel. With eightConn true, diagonal
+// neighbours connect (the convention CircleRule uses, matching skeleton
+// 8-neighbourhoods); otherwise 4-connectivity.
 func Components(m *grid.Real, eightConn bool) *Labels {
-	l := &Labels{W: m.W, H: m.H, Label: make([]int32, m.W*m.H)}
-	var stack []int
-	neigh4 := [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}}
-	neigh8 := [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}}
-	neigh := neigh4
+	w, h := m.W, m.H
+	l := &Labels{W: w, H: h, Label: make([]int32, w*h), Bounds: make([]Rect, 1)}
+	neigh := [8][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}, {1, 1}, {1, -1}, {-1, 1}, {-1, -1}}
+	nn := 4
 	if eightConn {
-		neigh = neigh8
+		nn = 8
 	}
-	for start := range m.Data {
-		if m.Data[start] <= 0.5 || l.Label[start] != 0 {
+	var stack []int32
+	for start, v := range m.Data {
+		if v <= 0.5 || l.Label[start] != 0 {
 			continue
 		}
 		l.N++
 		id := int32(l.N)
-		stack = append(stack[:0], start)
+		x0, x1, y0, y1 := w, -1, h, -1
+		stack = append(stack[:0], int32(start))
 		l.Label[start] = id
 		for len(stack) > 0 {
-			cur := stack[len(stack)-1]
+			cur := int(stack[len(stack)-1])
 			stack = stack[:len(stack)-1]
-			cx, cy := cur%m.W, cur/m.W
-			for _, d := range neigh {
+			cx, cy := cur%w, cur/w
+			x0, x1 = min(x0, cx), max(x1, cx)
+			y0, y1 = min(y0, cy), max(y1, cy)
+			for _, d := range neigh[:nn] {
 				nx, ny := cx+d[0], cy+d[1]
-				if nx < 0 || nx >= m.W || ny < 0 || ny >= m.H {
+				if nx < 0 || nx >= w || ny < 0 || ny >= h {
 					continue
 				}
-				ni := ny*m.W + nx
+				ni := ny*w + nx
 				if m.Data[ni] > 0.5 && l.Label[ni] == 0 {
 					l.Label[ni] = id
-					stack = append(stack, ni)
+					stack = append(stack, int32(ni))
 				}
 			}
 		}
+		l.Bounds = append(l.Bounds, Rect{X: x0, Y: y0, W: x1 - x0 + 1, H: y1 - y0 + 1})
 	}
 	return l
 }
 
-// Region returns the binary mask of one labeled component (1-based id).
-func (l *Labels) Region(id int) *grid.Real {
-	r := grid.NewReal(l.W, l.H)
-	want := int32(id)
-	for i, v := range l.Label {
-		if v == want {
-			r.Data[i] = 1
-		}
-	}
-	return r
-}
-
-// Area returns the pixel count of component id.
-func (l *Labels) Area(id int) int {
-	n := 0
-	want := int32(id)
+// Areas returns the pixel count of every component in one pass over the
+// labels: Areas()[id] for id 1..N, and the background count at index 0.
+func (l *Labels) Areas() []int {
+	a := make([]int, l.N+1)
 	for _, v := range l.Label {
-		if v == want {
-			n++
-		}
+		a[v]++
 	}
-	return n
+	return a
 }
 
 // DiskElement returns the offsets of a discrete disk of the given radius,

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"cfaopc/internal/grid"
@@ -36,7 +37,7 @@ func TestComponentsFourVsEight(t *testing.T) {
 	}
 }
 
-func TestComponentsRegionsAndAreas(t *testing.T) {
+func TestComponentsAreasAndBounds(t *testing.T) {
 	m := mk(
 		"##..#",
 		"##..#",
@@ -47,17 +48,42 @@ func TestComponentsRegionsAndAreas(t *testing.T) {
 	if l.N != 3 {
 		t.Fatalf("components = %d, want 3", l.N)
 	}
-	total := 0
-	for id := 1; id <= l.N; id++ {
-		a := l.Area(id)
-		total += a
-		r := l.Region(id)
-		if int(r.Sum()) != a {
-			t.Fatalf("region %d area mismatch: %v vs %d", id, r.Sum(), a)
-		}
+	areas := l.Areas()
+	if want := []int{11, 4, 2, 3}; !reflect.DeepEqual(areas, want) {
+		t.Fatalf("areas = %v, want %v (background first, then row-major ids)", areas, want)
 	}
-	if total != int(m.Sum()) {
-		t.Fatalf("component areas %d do not sum to mask area %v", total, m.Sum())
+	if want := []Rect{{}, {0, 0, 2, 2}, {4, 0, 1, 2}, {0, 3, 3, 1}}; !reflect.DeepEqual(l.Bounds, want) {
+		t.Fatalf("bounds = %v, want %v", l.Bounds, want)
+	}
+}
+
+// The bounding box of every component is tight: it holds all of the
+// component's pixels and each of its four edges holds at least one.
+func TestComponentsBoundsAreTight(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		m := grid.NewReal(30, 20)
+		for i := range m.Data {
+			if rng.Intn(3) == 0 {
+				m.Data[i] = 1
+			}
+		}
+		l := Components(m, trial%2 == 0)
+		if len(l.Bounds) != l.N+1 {
+			t.Fatalf("len(Bounds) = %d for %d components", len(l.Bounds), l.N)
+		}
+		for id := 1; id <= l.N; id++ {
+			x0, x1, y0, y1 := m.W, -1, m.H, -1
+			for i, v := range l.Label {
+				if int(v) == id {
+					x0, x1 = min(x0, i%m.W), max(x1, i%m.W)
+					y0, y1 = min(y0, i/m.W), max(y1, i/m.W)
+				}
+			}
+			if want := (Rect{x0, y0, x1 - x0 + 1, y1 - y0 + 1}); l.Bounds[id] != want {
+				t.Fatalf("trial %d component %d: bounds %v, want %v", trial, id, l.Bounds[id], want)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -115,5 +116,94 @@ func TestCoverRateOffGridCountsAgainst(t *testing.T) {
 	cr := CoverRate(Circle{X: 0, Y: 8, R: 4}, m)
 	if cr > 0.7 {
 		t.Fatalf("off-grid circle cover rate %v, want ≈ 0.5", cr)
+	}
+}
+
+// The ring prober is CoverRate computed incrementally: at every radius of
+// the ladder, for centres inside the grid, on and across its border and
+// right outside, the two integers it divides are CoverRate's.
+func TestCoverLadderMatchesCoverRate(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	w, h := 37, 29
+	region := grid.NewReal(w, h)
+	pix := make([]uint8, w*h)
+	for i := range pix {
+		// A blob with ragged edges, so that rates take many values.
+		x, y := float64(i%w)-17, float64(i/w)-13
+		if x*x/200+y*y/90+rng.Float64()*0.3 < 1 {
+			region.Data[i], pix[i] = 1, 1
+		}
+	}
+	centres := []Pt{{18, 14}, {5, 20}, {0, 0}, {w - 1, h - 1}, {0, 14}, {18, h - 1},
+		{-1, 5}, {w, 5}, {10, -3}, {w + 4, h + 4}, {-40, -40}}
+	for _, bounds := range [][2]float64{{6, 38}, {0.75, 4.75}, {1.5, 9.5}, {3, 19}, {2.3, 7.1}, {0.2, 0.2}, {5, 5}} {
+		l := LadderFor(bounds[0], bounds[1])
+		if got := l.Radius(0); got != bounds[0] {
+			t.Fatalf("ladder %v starts at %v", bounds, got)
+		}
+		if got := l.Radius(l.Steps() - 1); got != bounds[1] {
+			t.Fatalf("ladder %v ends at %v", bounds, got)
+		}
+		for _, c := range centres {
+			inside := 0
+			for j := 0; j < l.Steps(); j++ {
+				inside += l.Ring(j, pix, w, h, c.X, c.Y)
+				want := CoverRate(Circle{X: float64(c.X), Y: float64(c.Y), R: l.Radius(j)}, region)
+				if got := l.Rate(j, inside); got != want {
+					t.Fatalf("ladder %v centre %v step %d (r=%v): rate %v, CoverRate %v",
+						bounds, c, j, l.Radius(j), got, want)
+				}
+			}
+		}
+	}
+}
+
+// The ladder's radii are the ones the selection loop has always tried: a
+// running sum from RMin in half-pixel steps, the last one clamped to RMax.
+func TestLadderRadii(t *testing.T) {
+	for _, b := range [][2]float64{{6, 38}, {0.75, 4.75}, {2.3, 7.1}, {1.2, 1.2}, {0.1, 0.35}} {
+		var want []float64
+		for r := b[0]; ; r += 0.5 {
+			if r > b[1] {
+				r = b[1]
+			}
+			want = append(want, r)
+			if r == b[1] {
+				break
+			}
+		}
+		l := LadderFor(b[0], b[1])
+		if l.Steps() != len(want) {
+			t.Fatalf("ladder %v has %d steps, want %d", b, l.Steps(), len(want))
+		}
+		for j, r := range want {
+			if l.Radius(j) != r {
+				t.Fatalf("ladder %v step %d = %v, want %v", b, j, l.Radius(j), r)
+			}
+		}
+	}
+}
+
+// LadderFor memoizes, and sweeping many bounds neither grows the table
+// without limit nor invalidates a ladder a caller still holds.
+func TestLadderForIsBounded(t *testing.T) {
+	first := LadderFor(2, 9)
+	if LadderFor(2, 9) != first {
+		t.Fatal("same bounds, different ladder")
+	}
+	for i := 0; i < 100; i++ {
+		LadderFor(1, 2+float64(i)/10)
+	}
+	ladders.Lock()
+	n := len(ladders.byBounds)
+	ladders.Unlock()
+	if n > 16 {
+		t.Fatalf("%d ladders cached", n)
+	}
+	// first was evicted on the way; it still works, and a rebuilt ladder
+	// for the same bounds is the same table.
+	again := LadderFor(2, 9)
+	if !reflect.DeepEqual(again, first) {
+		t.Fatal("ladder for the same bounds differs after eviction")
 	}
 }

@@ -6,50 +6,70 @@ import (
 	"cfaopc/internal/grid"
 )
 
-// edtInf is the "unreachable" squared distance. It is large enough to lose
-// against any real squared distance on practical grids yet finite, which
-// keeps the lower-envelope arithmetic well defined (the standard
-// Felzenszwalb–Huttenlocher implementation trick).
-const edtInf = 1e20
+// Unreached is the squared distance EDT.Squared takes to mean "no seed
+// here". It is large enough to lose against any real squared distance on
+// practical grids yet finite, which keeps the lower-envelope arithmetic
+// well defined (the standard Felzenszwalb–Huttenlocher implementation
+// trick). Results of Unreached/2 and above mean no seed was in reach.
+const Unreached = 1e20
 
 // DistanceTransform returns the exact Euclidean distance from every pixel
 // to the nearest foreground pixel of m, using the Felzenszwalb–Huttenlocher
 // lower-envelope-of-parabolas algorithm (O(n) per row/column). Foreground
 // pixels map to 0; if m has no foreground at all, every pixel maps to +Inf.
 func DistanceTransform(m *grid.Real) *grid.Real {
-	w, h := m.W, m.H
-	d := grid.NewReal(w, h)
+	d := grid.NewReal(m.W, m.H)
 	for i, v := range m.Data {
-		if v > 0.5 {
-			d.Data[i] = 0
-		} else {
-			d.Data[i] = edtInf
+		if v <= 0.5 {
+			d.Data[i] = Unreached
 		}
 	}
-	f := make([]float64, maxInt(w, h))
-	out := make([]float64, maxInt(w, h))
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			f[y] = d.Data[y*w+x]
-		}
-		edt1d(f[:h], out[:h])
-		for y := 0; y < h; y++ {
-			d.Data[y*w+x] = out[y]
-		}
-	}
-	for y := 0; y < h; y++ {
-		copy(f[:w], d.Data[y*w:(y+1)*w])
-		edt1d(f[:w], out[:w])
-		copy(d.Data[y*w:(y+1)*w], out[:w])
-	}
+	var e EDT
+	e.Squared(d.Data, m.W, m.H)
 	for i, v := range d.Data {
-		if v >= edtInf/2 {
+		if v >= Unreached/2 {
 			d.Data[i] = math.Inf(1)
 		} else {
 			d.Data[i] = math.Sqrt(v)
 		}
 	}
 	return d
+}
+
+// EDT holds the scratch of the squared distance transform, so a caller
+// that runs many transforms allocates only while the buffers grow.
+type EDT struct {
+	v      []int     // parabola locations
+	z      []float64 // envelope boundaries
+	f, out []float64 // one row or column in, out
+}
+
+// Squared replaces d — a dense w×h field holding 0 at seed pixels and
+// Unreached everywhere else — with the exact squared Euclidean distance
+// to the nearest seed: one lower-envelope pass down every column, then
+// one along every row.
+func (e *EDT) Squared(d []float64, w, h int) {
+	if n := max(w, h); len(e.f) < n {
+		e.v = make([]int, n)
+		e.z = make([]float64, n+1)
+		e.f = make([]float64, n)
+		e.out = make([]float64, n)
+	}
+	f, out := e.f, e.out
+	for x := 0; x < w; x++ {
+		for y := 0; y < h; y++ {
+			f[y] = d[y*w+x]
+		}
+		e.pass(f[:h], out[:h])
+		for y := 0; y < h; y++ {
+			d[y*w+x] = out[y]
+		}
+	}
+	for y := 0; y < h; y++ {
+		row := d[y*w : (y+1)*w]
+		copy(f, row)
+		e.pass(f[:w], row)
+	}
 }
 
 // SignedDistance returns the signed Euclidean distance field of a binary
@@ -85,13 +105,12 @@ func SignedDistance(m *grid.Real) *grid.Real {
 	return sd
 }
 
-// edt1d computes the 1D squared-distance transform of sampled function f
+// pass computes the 1D squared-distance transform of sampled function f
 // into out (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
 // Functions").
-func edt1d(f, out []float64) {
+func (e *EDT) pass(f, out []float64) {
 	n := len(f)
-	v := make([]int, n)       // parabola locations
-	z := make([]float64, n+1) // envelope boundaries
+	v, z := e.v, e.z
 	k := 0
 	v[0] = 0
 	z[0] = math.Inf(-1)
@@ -129,11 +148,4 @@ func edt1d(f, out []float64) {
 		dq := float64(q - v[k])
 		out[q] = dq*dq + f[v[k]]
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

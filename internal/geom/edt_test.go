@@ -160,3 +160,39 @@ func TestDistanceTransformLipschitz(t *testing.T) {
 		}
 	}
 }
+
+// One EDT serves transforms of any sequence of sizes: a smaller field
+// after a larger one sees nothing of it, and once the scratch has grown
+// Squared allocates nothing.
+func TestEDTScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var e EDT
+	for _, dim := range [][2]int{{40, 25}, {7, 9}, {1, 30}, {30, 1}, {33, 33}} {
+		m := grid.NewReal(dim[0], dim[1])
+		for i := range m.Data {
+			if rng.Intn(12) == 0 {
+				m.Data[i] = 1
+			}
+		}
+		m.Data[rng.Intn(len(m.Data))] = 1
+		d := make([]float64, len(m.Data))
+		fill := func() {
+			for i, v := range m.Data {
+				d[i] = 0
+				if v <= 0.5 {
+					d[i] = Unreached
+				}
+			}
+		}
+		fill()
+		e.Squared(d, m.W, m.H)
+		for i, want := range bruteDistance(m).Data {
+			if got := math.Sqrt(d[i]); got != want {
+				t.Fatalf("%d×%d pixel %d: distance %v, want %v", m.W, m.H, i, got, want)
+			}
+		}
+		if a := testing.AllocsPerRun(5, func() { fill(); e.Squared(d, m.W, m.H) }); a != 0 {
+			t.Fatalf("%d×%d: %v allocations with warm scratch", m.W, m.H, a)
+		}
+	}
+}

@@ -118,18 +118,6 @@ func TestSkeletonConnectivityProperty(t *testing.T) {
 	}
 }
 
-func TestSkeletonPoints(t *testing.T) {
-	m := mk(
-		"...",
-		".#.",
-		"...",
-	)
-	pts := SkeletonPoints(Skeleton(m))
-	if len(pts) != 1 || pts[0] != (Pt{1, 1}) {
-		t.Fatalf("points = %v", pts)
-	}
-}
-
 func TestSkeletonEmptyMask(t *testing.T) {
 	s := Skeleton(grid.NewReal(5, 5))
 	if s.Sum() != 0 {

@@ -115,14 +115,10 @@ func CleanMask(m *grid.Real, minPx int) *grid.Real {
 		return out
 	}
 	labels := geom.Components(out, true)
-	for id := 1; id <= labels.N; id++ {
-		if labels.Area(id) < minPx {
-			want := int32(id)
-			for i, v := range labels.Label {
-				if v == want {
-					out.Data[i] = 0
-				}
-			}
+	areas := labels.Areas()
+	for i, id := range labels.Label {
+		if id != 0 && areas[id] < minPx {
+			out.Data[i] = 0
 		}
 	}
 	return out

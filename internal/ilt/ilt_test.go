@@ -2,10 +2,12 @@ package ilt
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
+	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
 )
@@ -193,5 +195,56 @@ func TestMaskFromLatentRange(t *testing.T) {
 	m := maskFromLatent(p, 4)
 	if m.Data[0] > 1e-6 || math.Abs(m.Data[1]-0.5) > 1e-12 || m.Data[2] < 1-1e-6 {
 		t.Fatalf("maskFromLatent = %v", m.Data)
+	}
+}
+
+// cleanMaskRef is CleanMask as it was: one full scan for the area of each
+// component and a second one to clear it, O(pixels × components).
+func cleanMaskRef(m *grid.Real, minPx int) *grid.Real {
+	out := m.Binarize(0.5)
+	if minPx <= 0 {
+		return out
+	}
+	labels := geom.Components(out, true)
+	for id := 1; id <= labels.N; id++ {
+		area := 0
+		for _, v := range labels.Label {
+			if int(v) == id {
+				area++
+			}
+		}
+		if area < minPx {
+			for i, v := range labels.Label {
+				if int(v) == id {
+					out.Data[i] = 0
+				}
+			}
+		}
+	}
+	return out
+}
+
+// The one-pass CleanMask equals the per-component one on the suite
+// targets sprinkled with speckles of one to nine pixels, the debris a
+// rough Mosaic mask carries.
+func TestCleanMaskMatchesRefOnSuite(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, l := range layout.GenerateSuite() {
+		m := l.Rasterize(256)
+		for k := 0; k < 60; k++ {
+			x0, y0 := rng.Intn(m.W-3), rng.Intn(m.H-3)
+			for n := rng.Intn(9); n >= 0; n-- {
+				m.Set(x0+rng.Intn(3), y0+rng.Intn(3), 0.4+rng.Float64())
+			}
+		}
+		for _, minPx := range []int{0, 1, 2, 4, 7, 1 << 20} {
+			got, want := CleanMask(m, minPx), cleanMaskRef(m, minPx)
+			if got.SqDiff(want) != 0 {
+				t.Fatalf("%s minPx %d: CleanMask differs from the reference", l.Name, minPx)
+			}
+		}
+		if kept, all := CleanMask(m, 4).Sum(), m.Binarize(0.5).Sum(); kept == all || kept == 0 {
+			t.Fatalf("%s: cleanup kept %v of %v pixels; the speckles test nothing", l.Name, kept, all)
+		}
 	}
 }
