@@ -11,29 +11,80 @@ import (
 	"testing"
 )
 
-// buildTool compiles ./cmd/<name> into dir and returns the binary path.
-func buildTool(t *testing.T, dir, name string) string {
+// tools is every binary under ./cmd. The ones marked driven are run end
+// to end by a test below; the rest only have to build and answer -h.
+var tools = []struct {
+	name   string
+	driven bool
+}{
+	{"cfaopc", true},
+	{"cfaopcd", false},
+	{"evalmask", true},
+	{"genlayout", true},
+	{"kernelinfo", false},
+	{"paperbench", false},
+	{"pwplot", false},
+	{"replaytile", false},
+	{"shotscale", false},
+	{"tileworker", true},
+}
+
+// buildTools compiles the named tools (none named: every tool in the
+// table) into one temp directory and returns a lookup from tool name to
+// binary path.
+func buildTools(t *testing.T, names ...string) func(name string) string {
 	t.Helper()
-	out := filepath.Join(dir, name)
-	cmd := exec.Command("go", "build", "-o", out, "./cmd/"+name)
-	cmd.Env = os.Environ()
-	if msg, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("build %s: %v\n%s", name, err, msg)
+	if testing.Short() {
+		t.Skip("short mode: skipping CLI build")
 	}
-	return out
+	if len(names) == 0 {
+		for _, tool := range tools {
+			names = append(names, tool.name)
+		}
+	}
+	dir := t.TempDir()
+	for _, name := range names {
+		cmd := exec.Command("go", "build", "-o", filepath.Join(dir, name), "./cmd/"+name)
+		if msg, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", name, err, msg)
+		}
+	}
+	return func(name string) string { return filepath.Join(dir, name) }
+}
+
+// TestCLIToolsBuildAndUsage keeps the tools table equal to ./cmd and
+// smoke-runs -h on every binary no other test executes.
+func TestCLIToolsBuildAndUsage(t *testing.T) {
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dirs) != len(tools) {
+		t.Fatalf("cmd/ holds %d binaries, the tools table %d", len(dirs), len(tools))
+	}
+	for i, d := range dirs {
+		if d.Name() != tools[i].name {
+			t.Fatalf("cmd/%s is missing from the tools table (sorted; entry %d is %s)", d.Name(), i, tools[i].name)
+		}
+	}
+	bin := buildTools(t)
+	for _, tool := range tools {
+		if tool.driven {
+			continue
+		}
+		out, err := exec.Command(bin(tool.name), "-h").CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("Usage of")) {
+			t.Errorf("%s -h: %v\n%s", tool.name, err, out)
+		}
+	}
 }
 
 // TestCLIEndToEnd builds the command-line tools and drives the full
 // artifact flow a user would: generate layouts, optimize one, and re-score
 // the emitted shot list.
 func TestCLIEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping CLI build")
-	}
-	bin := t.TempDir()
-	genlayout := buildTool(t, bin, "genlayout")
-	cfaopc := buildTool(t, bin, "cfaopc")
-	evalmask := buildTool(t, bin, "evalmask")
+	bin := buildTools(t, "genlayout", "cfaopc", "evalmask")
+	genlayout, cfaopc, evalmask := bin("genlayout"), bin("cfaopc"), bin("evalmask")
 
 	work := t.TempDir()
 	run := func(name string, args ...string) string {
@@ -101,12 +152,8 @@ func TestCLIEndToEnd(t *testing.T) {
 // reaching a worker are one session protocol, and neither may change
 // the output.
 func TestCLIWorkerParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skipping CLI build")
-	}
-	bin := t.TempDir()
-	cfaopc := buildTool(t, bin, "cfaopc")
-	tileworker := buildTool(t, bin, "tileworker")
+	bin := buildTools(t, "cfaopc", "tileworker")
+	cfaopc, tileworker := bin("cfaopc"), bin("tileworker")
 
 	// A listening worker on an OS-chosen port; its "listening on" log
 	// line carries the bound address.
@@ -170,5 +217,121 @@ func TestCLIWorkerParity(t *testing.T) {
 	}
 	if got := shots("remote", "["+addr+"]", "-remote-hosts", addr); !bytes.Equal(got, ref) {
 		t.Error("-remote-hosts shot list differs from the in-process run")
+	}
+}
+
+// runCLI runs one cfaopc invocation in dir and returns its combined
+// output, failing the test on a non-zero exit.
+func runCLI(t *testing.T, dir, cfaopc string, args ...string) string {
+	t.Helper()
+	cmd := exec.Command(cfaopc, args...)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("cfaopc %v: %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+func readFile(t *testing.T, path ...string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(path...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCLIFlagsEqualJobSpec gives one job to cfaopc twice — as flags and
+// as a -job JSON file — in-process and on two worker subprocesses. Flags
+// and JSON are two spellings of one spec on one run path, so the shot
+// CSV and the streamed mask PGM must be the same bytes all four times.
+func TestCLIFlagsEqualJobSpec(t *testing.T) {
+	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	work := t.TempDir()
+	spec := `{"case":4,"grid":128,"method":"circlerule","fallback":"none","tile_core":64,"tile_halo":16,"tile_workers":2}`
+	if err := os.WriteFile(filepath.Join(work, "job.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flags := []string{"-case", "4", "-grid", "128", "-method", "circlerule", "-fallback", "none",
+		"-tile-core", "64", "-tile-halo", "16", "-tile-workers", "2", "-stream"}
+
+	var refShots, refMask []byte
+	for _, transport := range [][]string{nil, {"-proc-workers", "2"}} {
+		name := "inproc"
+		if transport != nil {
+			name = "proc"
+		}
+		out := runCLI(t, work, cfaopc, append(append(flags, "-mask-out", name+".pgm", "-out", name+"-flags"), transport...)...)
+		if transport != nil && (!strings.Contains(out, "[proc]") || strings.Contains(out, "workers: ")) {
+			t.Fatalf("-proc-workers run did not stay on its workers:\n%s", out)
+		}
+		shots, mask := readFile(t, work, name+"-flags", "case4_shots.csv"), readFile(t, work, name+".pgm")
+		if refShots == nil {
+			refShots, refMask = shots, mask
+			if len(bytes.Split(refShots, []byte("\n"))) < 3 || !bytes.HasPrefix(refMask, []byte("P5\n128 128\n255\n")) {
+				t.Fatalf("reference artifacts look empty: %d shot bytes, %d mask bytes", len(refShots), len(refMask))
+			}
+		}
+		runCLI(t, work, cfaopc, append([]string{"-job", "job.json", "-out", name + "-job"}, transport...)...)
+		for what, got := range map[string][2][]byte{
+			"flags shots": {shots, refShots},
+			"flags mask":  {mask, refMask},
+			"-job shots":  {readFile(t, work, name+"-job", "shots.csv"), refShots},
+			"-job mask":   {readFile(t, work, name+"-job", "mask.pgm"), refMask},
+		} {
+			if !bytes.Equal(got[0], got[1]) {
+				t.Errorf("%s run: %s differ from the in-process flag run", name, what)
+			}
+		}
+	}
+
+	// A spec key given beside -job would be silently shadowed; a zero the
+	// wire format reads as "default" would be silently replaced. Both are
+	// refused.
+	for _, bad := range [][]string{
+		{"-job", "job.json", "-grid", "128"},
+		{"-case", "4", "-tile-core", "64", "-tile-halo", "0"},
+		{"-case", "4", "-tile-halo", "16"},
+	} {
+		cmd := exec.Command(cfaopc, bad...)
+		cmd.Dir = work
+		if out, err := cmd.CombinedOutput(); err == nil {
+			t.Errorf("cfaopc %v succeeded:\n%s", bad, out)
+		}
+	}
+}
+
+// TestCLICheckpointCompact is the maintenance loop README documents: a
+// checkpointed tiled run, -checkpoint-compact with the same flags, and a
+// re-run that resumes every tile from the compacted journal to the same
+// shot bytes. The compaction takes its fingerprint from the same
+// flow.Config the run does, so it cannot reject a journal cfaopc wrote.
+func TestCLICheckpointCompact(t *testing.T) {
+	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	work := t.TempDir()
+	job := []string{"-case", "4", "-grid", "128", "-method", "circlerule",
+		"-tile-core", "64", "-tile-halo", "16", "-stream", "-checkpoint", "run.ckpt"}
+
+	runCLI(t, work, cfaopc, append(job, "-out", "first")...)
+	out := runCLI(t, work, cfaopc, append(job, "-checkpoint-compact")...)
+	if !strings.Contains(out, "compacted run.ckpt: kept 4 records, dropped 0") {
+		t.Fatalf("compaction report unexpected:\n%s", out)
+	}
+	out = runCLI(t, work, cfaopc, append(job, "-out", "second")...)
+	tiles := 0
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  tile ") {
+			tiles++
+			if !strings.Contains(line, "[resumed]") {
+				t.Errorf("tile recomputed after compaction: %s", line)
+			}
+		}
+	}
+	if tiles != 4 {
+		t.Fatalf("resumed run reported %d tiles, want 4:\n%s", tiles, out)
+	}
+	if !bytes.Equal(readFile(t, work, "first", "case4_shots.csv"), readFile(t, work, "second", "case4_shots.csv")) {
+		t.Error("shot list resumed from the compacted journal differs from the original run")
 	}
 }

@@ -70,7 +70,7 @@ func main() {
 			d.Replayed.Engine, orClean(d.Replayed.Err), mark)
 	}
 	fmt.Printf("replay: path=%s attempts=%d wall=%s\n",
-		orNone(rep.Stat.Path), rep.Stat.Attempts, time.Since(start).Round(time.Millisecond))
+		orNone(rep.Path), rep.Walked, time.Since(start).Round(time.Millisecond))
 
 	switch {
 	case *fixed != "":
@@ -78,7 +78,7 @@ func main() {
 			fmt.Printf("FIXED: primary %q succeeds on the captured window (%d shots)\n", *fixed, len(rep.Shots))
 			return
 		}
-		fmt.Printf("NOT FIXED: primary %q still ends on path %q\n", *fixed, rep.Stat.Path)
+		fmt.Printf("NOT FIXED: primary %q still ends on path %q\n", *fixed, rep.Path)
 		os.Exit(2)
 	case rep.Reproduced:
 		fmt.Println("REPRODUCED: identical attempt-by-attempt failure sequence")

@@ -29,7 +29,8 @@ type Options struct {
 	SampleNM float64 // circle sample distance in nm
 }
 
-// Defaults mirror cmd/cfaopc's flag defaults.
+// Defaults are what a job spec that names no knob resolves to
+// (JobSpec.Normalize, and through it cmd/cfaopc's flag defaults).
 func Defaults() Options { return Options{Iters: 60, Gamma: 3, SampleNM: 32} }
 
 // Names lists the accepted method names.

@@ -11,6 +11,7 @@ import (
 	"cfaopc/internal/litho"
 	"cfaopc/internal/opt"
 	"cfaopc/internal/procpool"
+	"cfaopc/internal/quarantine"
 )
 
 // TileInfo identifies the window an optimizer invocation is serving. The
@@ -41,39 +42,9 @@ func TileInfoFrom(ctx context.Context) (TileInfo, bool) {
 	return info, ok
 }
 
-// Fault is one injected failure mode for a single optimizer attempt.
-// Fields compose: Stall and Sleep run first, then Panic, then NaN.
-type Fault struct {
-	// Sleep blocks before anything else, respecting the attempt's
-	// context so per-tile timeouts and run cancellation stay prompt.
-	Sleep time.Duration
-	// BeatEvery, when > 0, emits synthetic optimizer heartbeats at that
-	// interval while the injected Sleep runs — the signature of a tile
-	// that is slow but alive, which the stall watchdog must spare.
-	BeatEvery time.Duration
-	// Stall blocks until the attempt's context is canceled without ever
-	// emitting a heartbeat — a wedged optimizer, the failure mode the
-	// stall watchdog (Config.StallTimeout) exists to kill early.
-	Stall bool
-	// Panic aborts the attempt with a panic, exercising the isolation
-	// recover path.
-	Panic bool
-	// NaN returns a NaN-poisoned mask and shot list, exercising output
-	// validation.
-	NaN bool
-	// BadRadius returns one shot with a radius far outside any sane
-	// [RMin, RMax] bound, exercising the radius check.
-	BadRadius bool
-	// Kill, when > 0, SIGKILLs the whole process — mid-tile, no reply,
-	// no cleanup — while the tile's dispatch counter is below Kill, but
-	// only inside a tile-worker subprocess (procpool.InWorker). Kill: 1
-	// scripts one crash followed by a clean redispatch; a huge Kill
-	// scripts a crash loop that must trip the supervisor's circuit
-	// breaker. In-process runs ignore it entirely, which is what lets
-	// one fault plan drive a proc run and its serial reference to
-	// byte-identical output.
-	Kill int
-}
+// Fault is one injected failure mode for a single optimizer attempt. The
+// declaration lives with the bundle schema that records fault scripts.
+type Fault = quarantine.Fault
 
 // FaultPlan maps a tile index to its per-attempt fault scripts: attempt
 // k of tile i suffers plan[i][k]; attempts past the end of the slice run

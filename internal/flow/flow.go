@@ -57,7 +57,7 @@
 //     a self-contained repro bundle (window target, owning rects, config
 //     fingerprint, per-attempt history, injected-fault script) through
 //     internal/quarantine; cmd/replaytile replays bundles offline via
-//     RunWindow.
+//     ServeTask.
 //
 // Every tile takes one pipeline — rasterize, cache lookup, execute,
 // cache store (runTile) — and RunContext reads validate → plan → replay
@@ -96,6 +96,7 @@ import (
 	"cfaopc/internal/litho"
 	"cfaopc/internal/opt"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
 	"cfaopc/internal/wcache"
 )
@@ -426,16 +427,9 @@ type TileStat struct {
 	CacheKey string
 }
 
-// AttemptOutcome records one optimizer invocation for forensics: it
-// feeds TileStat.Failure, quarantine bundles, and replay comparison.
-type AttemptOutcome struct {
-	Attempt  int    // global attempt counter; the fallback is TileRetries+1
-	Engine   string // "primary" or "fallback"
-	Err      string // "" on success; capped at maxAttemptErrBytes
-	Iters    int    // heartbeats emitted during this attempt
-	LastLoss float64
-	Stalled  bool // killed by the stall watchdog
-}
+// AttemptOutcome records one optimizer invocation for forensics. The
+// declaration lives with the wire protocol that carries it in a Reply.
+type AttemptOutcome = procpool.Outcome
 
 // Result is the stitched output.
 type Result struct {
@@ -567,7 +561,7 @@ type tileOut struct {
 // config (faults injected), the layout and its span index, the open
 // journal and the partial snapshots replayed from it, plus an error
 // channel for asynchronous failures (journal appends, bundle saves).
-// RunWindow builds a minimal env with no layout, index or journal.
+// ServeTask builds a minimal env with no layout, index or journal.
 type runEnv struct {
 	cfg       Config                         // effective config: Faults already wrapped in
 	rawFaults FaultPlan                      // the unwrapped plan, recorded into bundles
@@ -1034,17 +1028,12 @@ func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptO
 		TargetW: target.W,
 		TargetH: target.H,
 		Target:  append([]float64(nil), target.Data...),
+		Faults:  env.rawFaults[j.index],
 	}
 	if env.lay != nil {
 		b.LayoutName = env.lay.Name
 		b.TileNM = env.lay.TileNM
 		b.Rects = overlapRects(env.lay, cfg.GridN, ox, oy, j.window)
-	}
-	for _, f := range env.rawFaults[j.index] {
-		b.Faults = append(b.Faults, quarantine.Fault{
-			Sleep: f.Sleep, BeatEvery: f.BeatEvery, Stall: f.Stall,
-			Panic: f.Panic, NaN: f.NaN, BadRadius: f.BadRadius, Kill: f.Kill,
-		})
 	}
 	for _, o := range outcomes {
 		b.Attempts = append(b.Attempts, quarantine.Attempt{
@@ -1577,68 +1566,6 @@ func (env *runEnv) reduce(plan *tilePlan, outs []tileOut, workers int) *Result {
 	}
 	res.QuarantineDropped = int(env.quarDropped.Load())
 	return res
-}
-
-// WindowHooks observes and seeds a single-window run (RunWindow)
-// without the journal/quarantine machinery of a tiled run — the knobs
-// a tile-worker subprocess needs to stream liveness and resume state
-// across the process boundary.
-type WindowHooks struct {
-	// Dispatch is published on TileInfo as the tile's redispatch
-	// counter, the key process-fatal fault scripts fire on.
-	Dispatch int
-	// OnBeat observes every optimizer heartbeat (iteration, loss).
-	OnBeat func(iter int, loss float64)
-	// OnPartial receives mid-attempt snapshots every cfg.PartialEvery
-	// iterations (nil, or PartialEvery <= 0, disables them).
-	OnPartial func(attempt int, s opt.Snapshot)
-	// Resume warm-starts attempt ResumeAttempt from a prior snapshot,
-	// replaying the uninterrupted trajectory exactly.
-	Resume        *opt.Snapshot
-	ResumeAttempt int
-}
-
-// RunWindow runs one window's exact degradation sequence (primary →
-// retries → fallback → empty) on an explicit target raster, outside any
-// tiled run. cfg.Faults is honored, so a recorded script re-injects the
-// same deterministic failures. The returned shots are window-local (no
-// core-ownership filtering), and no checkpoint or quarantine side
-// effects are performed; the stat and outcomes mirror what a live run
-// would have recorded. It backs both offline bundle replay
-// (cmd/replaytile) and live tile-worker subprocesses (ServeTask).
-func RunWindow(ctx context.Context, sim *litho.Simulator, cfg Config, index, cx, cy int,
-	target *grid.Real, hooks WindowHooks) ([]geom.Circle, TileStat, []AttemptOutcome) {
-	start := time.Now()
-	env := &runEnv{
-		cfg:       cfg.withInjectedFaults(),
-		rawFaults: cfg.Faults,
-		opticsFor: func(int) optics.Config { return sim.Cfg },
-		dispatch:  hooks.Dispatch,
-	}
-	if hooks.OnBeat != nil {
-		env.onBeat = func(_, iter int, loss float64) { hooks.OnBeat(iter, loss) }
-	}
-	if hooks.OnPartial != nil {
-		env.partialSink = func(_, attempt int, s opt.Snapshot) { hooks.OnPartial(attempt, s) }
-	}
-	if hooks.Resume != nil {
-		r := hooks.Resume
-		env.partials = map[int]partialRecord{index: {
-			Index: index, Attempt: hooks.ResumeAttempt, Iter: r.Iter, Loss: r.Loss,
-			Params: r.Params, OptT: r.OptT, OptM: r.OptM, OptV: r.OptV,
-		}}
-	}
-	j := tileJob{index: index, cx: cx, cy: cy, core: cfg.CorePx, window: target.W}
-	shots, path, outcomes := env.attemptSequence(ctx, sim, j, target)
-	stat := TileStat{Index: index, CX: cx, CY: cy, Occupied: true, Path: path}
-	applyOutcomes(&stat, outcomes)
-	if path == PathPrimary || path == PathFallback {
-		stat.Shots = len(shots)
-	} else {
-		shots = nil
-	}
-	stat.Wall = time.Since(start)
-	return shots, stat, outcomes
 }
 
 // CompactCheckpoint rewrites cfg.CheckpointPath dropping superseded

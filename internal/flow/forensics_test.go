@@ -13,6 +13,7 @@ import (
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/opt"
+	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
 )
 
@@ -113,7 +114,7 @@ func TestJoinFailures(t *testing.T) {
 
 // TestQuarantineBundleRoundTrip is the forensics acceptance test: a tile
 // that exhausts every engine writes a self-contained bundle, and
-// RunWindow on nothing but that bundle reproduces the recorded
+// ServeTask on nothing but that bundle reproduces the recorded
 // attempt sequence exactly.
 func TestQuarantineBundleRoundTrip(t *testing.T) {
 	qdir := filepath.Join(t.TempDir(), "quarantine")
@@ -186,21 +187,10 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.KOpt = b.KOpt
-	rcfg := Config{
-		GridN: b.GridN, CorePx: b.CorePx, HaloPx: b.HaloPx, KOpt: b.KOpt,
-		Optimize: ruleFallback(), Fallback: ruleFallback(),
-		TileRetries: b.TileRetries, TileTimeout: b.TileTimeout, StallTimeout: b.StallTimeout,
-		RMinPx: b.RMinPx, RMaxPx: b.RMaxPx,
-	}
-	script := make([]Fault, len(b.Faults))
-	for i, f := range b.Faults {
-		script[i] = Fault{Sleep: f.Sleep, BeatEvery: f.BeatEvery, Stall: f.Stall, Panic: f.Panic, NaN: f.NaN, BadRadius: f.BadRadius}
-	}
-	rcfg.Faults = FaultPlan{b.Tile.Index: script}
-	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: append([]float64(nil), b.Target...)}
-	_, rstat, routcomes := RunWindow(context.Background(), sim, rcfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target, WindowHooks{})
-	if rstat.Path != PathEmpty || len(routcomes) != len(b.Attempts) {
-		t.Fatalf("replay stat: %+v (%d outcomes)", rstat, len(routcomes))
+	reply := ServeTask(context.Background(), sim, &procpool.Task{Bundle: *b}, ruleFallback(), ruleFallback(), nil)
+	routcomes := reply.Outcomes
+	if reply.Err != "" || reply.Path != PathEmpty || len(routcomes) != len(b.Attempts) {
+		t.Fatalf("replay: %+v", reply)
 	}
 	for i, oc := range routcomes {
 		if oc.Err != b.Attempts[i].Err || oc.Engine != b.Attempts[i].Engine {
@@ -208,8 +198,8 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 				i, oc.Engine, oc.Err, b.Attempts[i].Engine, b.Attempts[i].Err)
 		}
 	}
-	if rstat.Failure != st.Failure {
-		t.Fatalf("replayed failure %q != recorded %q", rstat.Failure, st.Failure)
+	if got := joinFailures(routcomes); got != st.Failure {
+		t.Fatalf("replayed failure %q != recorded %q", got, st.Failure)
 	}
 }
 

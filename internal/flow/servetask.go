@@ -32,42 +32,41 @@ func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
 		PartialEvery: t.PartialEvery,
 	}
 	if len(b.Faults) > 0 {
-		script := make([]Fault, 0, len(b.Faults))
-		for _, f := range b.Faults {
-			script = append(script, Fault{
-				Sleep: f.Sleep, BeatEvery: f.BeatEvery, Stall: f.Stall,
-				Panic: f.Panic, NaN: f.NaN, BadRadius: f.BadRadius, Kill: f.Kill,
-			})
-		}
-		cfg.Faults = FaultPlan{b.Tile.Index: script}
+		cfg.Faults = FaultPlan{b.Tile.Index: b.Faults}
 	}
 	return cfg
 }
 
-// ServeTask executes one dispatched tile inside a worker process: it
-// rebuilds the window Config from the task's bundle, runs the full
-// degradation ladder via RunWindow with heartbeats and snapshots
-// streaming to sink, and packages the window-local result as the reply
-// frame. The caller resolves the optimizer chain from Bundle.Engines
-// (the flow cannot — engine construction lives above this package) and
-// owns the simulator, which it should cache across tasks since every
-// window in a run shares one imaging condition.
+// ServeTask walks one window's exact degradation ladder (primary →
+// retries → fallback → empty) from nothing but its task: the window
+// Config comes from the task's bundle (taskConfig; a recorded fault
+// script re-injects the same deterministic failures), heartbeats and
+// snapshots stream to sink, and the window-local result — no
+// core-ownership filter, no checkpoint or quarantine side effects; those
+// are the supervisor's — is packaged as the reply frame. It is what a
+// tile worker runs per task and what offline bundle replay
+// (internal/replay) runs per bundle. The caller resolves the optimizer
+// chain from Bundle.Engines (the flow cannot — engine construction
+// lives above this package) and owns the simulator, which it should
+// cache across tasks since every window in a run shares one imaging
+// condition.
 func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 	primary, fallback Optimizer, sink procpool.Sink) procpool.Reply {
 	b := &t.Bundle
-	reply := procpool.Reply{Index: b.Tile.Index}
+	index := b.Tile.Index
+	reply := procpool.Reply{Index: index}
 	if err := b.ValidateTask(); err != nil {
 		reply.Err = err.Error()
 		return reply
 	}
 	cfg := taskConfig(t, primary, fallback)
-	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: b.Target}
-	hooks := WindowHooks{Dispatch: t.Dispatch}
+	// A window needs no layout, span index or journal: just the resolved
+	// config and where its liveness and resume state travel.
+	env := &runEnv{cfg: cfg.withInjectedFaults(), dispatch: t.Dispatch}
 	if sink != nil {
-		index := b.Tile.Index
-		hooks.OnBeat = func(iter int, loss float64) { sink.Beat(index, iter, loss) }
+		env.onBeat = sink.Beat
 		if t.PartialEvery > 0 {
-			hooks.OnPartial = func(attempt int, s opt.Snapshot) {
+			env.partialSink = func(index, attempt int, s opt.Snapshot) {
 				sink.Partial(index, procpool.PartialState{
 					Attempt: attempt, Iter: s.Iter, Loss: s.Loss,
 					Params: s.Params, OptT: s.OptT, OptM: s.OptM, OptV: s.OptV,
@@ -76,26 +75,18 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 		}
 	}
 	if r := t.Resume; r != nil {
-		hooks.Resume = &opt.Snapshot{
-			Iter: r.Iter, Loss: r.Loss, Params: r.Params,
-			OptT: r.OptT, OptM: r.OptM, OptV: r.OptV,
-		}
-		hooks.ResumeAttempt = r.Attempt
+		env.partials = map[int]partialRecord{index: {
+			Index: index, Attempt: r.Attempt, Iter: r.Iter, Loss: r.Loss,
+			Params: r.Params, OptT: r.OptT, OptM: r.OptM, OptV: r.OptV,
+		}}
 	}
-	shots, stat, outcomes := RunWindow(ctx, sim, cfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target, hooks)
-	if stat.Path == "" {
-		// Only a canceled context abandons a ladder; a worker's context
-		// is never canceled mid-task, so this is strictly defensive.
-		reply.Err = "task canceled mid-ladder"
-		return reply
-	}
-	reply.Shots = shots
-	reply.Path = stat.Path
-	for _, o := range outcomes {
-		reply.Outcomes = append(reply.Outcomes, procpool.Outcome{
-			Attempt: o.Attempt, Engine: o.Engine, Err: o.Err,
-			Iters: o.Iters, LastLoss: o.LastLoss, Stalled: o.Stalled,
-		})
+	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: b.Target}
+	j := tileJob{index: index, cx: b.Tile.CX, cy: b.Tile.CY, core: cfg.CorePx, window: target.W}
+	reply.Shots, reply.Path, reply.Outcomes = env.attemptSequence(ctx, sim, j, target)
+	if reply.Path == "" {
+		// Only a canceled context abandons a ladder: a replay
+		// interrupted from the keyboard, never a worker mid-task.
+		return procpool.Reply{Index: index, Err: "task canceled mid-ladder"}
 	}
 	return reply
 }

@@ -130,14 +130,10 @@ func (s *slot) execute(ctx context.Context, j tileJob, target *grid.Real, out *t
 			out.stat.ProcCrashes = dispatch
 			out.stat.Proc = s.host == ""
 			out.stat.Host = s.host
-			outcomes := make([]AttemptOutcome, len(reply.Outcomes))
-			for i, o := range reply.Outcomes {
-				outcomes[i] = AttemptOutcome(o)
-			}
 			// The supervisor stays the single authority on what enters
 			// the stitched result: ownership filter, stats and quarantine
 			// policy are applied here exactly as for a local ladder.
-			env.fold(j, target, reply.Shots, reply.Path, outcomes, out)
+			env.fold(j, target, reply.Shots, reply.Path, reply.Outcomes, out)
 			return
 		}
 		dispatch++

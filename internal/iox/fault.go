@@ -194,7 +194,7 @@ func (f *FaultFS) Rename(oldpath, newpath string) error {
 	return f.inner.Rename(oldpath, newpath)
 }
 
-func (f *FaultFS) Remove(path string) error                  { return f.inner.Remove(path) }
+func (f *FaultFS) Remove(path string) error                     { return f.inner.Remove(path) }
 func (f *FaultFS) MkdirAll(path string, perm os.FileMode) error { return f.inner.MkdirAll(path, perm) }
 
 func (f *FaultFS) SyncDir(dir string) error {

@@ -72,11 +72,11 @@ type OSFS struct{}
 func (OSFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(path, flag, perm)
 }
-func (OSFS) Open(path string) (File, error)            { return os.Open(path) }
-func (OSFS) Create(path string) (File, error)          { return os.Create(path) }
-func (OSFS) ReadFile(path string) ([]byte, error)      { return os.ReadFile(path) }
-func (OSFS) Rename(oldpath, newpath string) error      { return os.Rename(oldpath, newpath) }
-func (OSFS) Remove(path string) error                  { return os.Remove(path) }
+func (OSFS) Open(path string) (File, error)               { return os.Open(path) }
+func (OSFS) Create(path string) (File, error)             { return os.Create(path) }
+func (OSFS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
+func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (OSFS) Remove(path string) error                     { return os.Remove(path) }
 func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
 
 func (OSFS) WriteFile(path string, data []byte, perm os.FileMode) error {

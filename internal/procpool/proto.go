@@ -96,14 +96,16 @@ type Partial struct {
 	State PartialState
 }
 
-// Outcome mirrors one flow.AttemptOutcome in wire form.
+// Outcome records one optimizer invocation (flow.AttemptOutcome is
+// this type): it travels in a worker's Reply and feeds TileStat.Failure,
+// quarantine bundles, and replay comparison.
 type Outcome struct {
-	Attempt  int
-	Engine   string
-	Err      string
-	Iters    int
+	Attempt  int    // global attempt counter; the fallback is TileRetries+1
+	Engine   string // "primary" or "fallback"
+	Err      string // "" on success; capped by the flow at 2 KiB
+	Iters    int    // heartbeats emitted during this attempt
 	LastLoss float64
-	Stalled  bool
+	Stalled  bool // killed by the stall watchdog
 }
 
 // Reply is the worker's result for one task: window-local shots (the

@@ -66,20 +66,40 @@ type Attempt struct {
 	Stalled  bool // killed by the stall watchdog, not the wall deadline
 }
 
-// Fault mirrors flow.Fault without importing it (the flow imports this
-// package). A recorded script lets replays re-inject the same
-// deterministic failures.
+// Fault is one injected failure mode for a single optimizer attempt
+// (flow.Fault is this type). It lives here, below the flow, because a
+// recorded script travels in every bundle so replays and tile workers
+// re-inject the same deterministic failures. Fields compose: Stall and
+// Sleep run first, then Panic, then NaN.
 type Fault struct {
-	Sleep     time.Duration
-	Panic     bool
-	NaN       bool
+	// Sleep blocks before anything else, respecting the attempt's
+	// context so per-tile timeouts and run cancellation stay prompt.
+	Sleep time.Duration
+	// Panic aborts the attempt with a panic, exercising the isolation
+	// recover path.
+	Panic bool
+	// NaN returns a NaN-poisoned mask and shot list, exercising output
+	// validation.
+	NaN bool
+	// BadRadius returns one shot with a radius far outside any sane
+	// [RMin, RMax] bound, exercising the radius check.
 	BadRadius bool
-	Stall     bool
+	// Stall blocks until the attempt's context is canceled without ever
+	// emitting a heartbeat — a wedged optimizer, the failure mode the
+	// stall watchdog (flow.Config.StallTimeout) exists to kill early.
+	Stall bool
+	// BeatEvery, when > 0, emits synthetic optimizer heartbeats at that
+	// interval while the injected Sleep runs — the signature of a tile
+	// that is slow but alive, which the stall watchdog must spare.
 	BeatEvery time.Duration
-	// Kill scripts process-fatal death: a tile worker subprocess
-	// SIGKILLs itself while this tile's dispatch counter is below Kill.
-	// It is a no-op in-process, so the same script drives proc-mode
-	// crash testing and leaves serial reference runs untouched.
+	// Kill, when > 0, SIGKILLs the whole process — mid-tile, no reply,
+	// no cleanup — while the tile's dispatch counter is below Kill, but
+	// only inside a tile-worker subprocess (procpool.InWorker). Kill: 1
+	// scripts one crash followed by a clean redispatch; a huge Kill
+	// scripts a crash loop that must trip the supervisor's circuit
+	// breaker. In-process runs ignore it entirely, which is what lets
+	// one fault plan drive a proc run and its serial reference to
+	// byte-identical output.
 	Kill int
 }
 

@@ -1,10 +1,14 @@
 // Package replay re-runs a quarantine bundle offline. A bundle is a
 // complete description of one failed tile — target raster, optics,
 // tiling knobs, engine metadata, injected-fault script, recorded
-// attempt history — so Run can reconstruct the exact optimizer chain
-// (engine.FromMeta), re-inject the same deterministic faults, walk the
-// same primary → retries → fallback ladder (flow.RunWindow), and
-// compare what happened against what the live run recorded. That
+// attempt history — and it is also the encoding a live tile travels to
+// a worker in. So Run serves the bundle as a task to the very executor
+// a tile worker runs (procworker.Runner: engine.FromMeta rebuilds the
+// optimizer chain, flow.ServeTask maps bundle → flow.Config, re-injects
+// the recorded faults and walks the primary → retries → fallback
+// ladder), then compares what happened against what the live run
+// recorded. One mapping means a bundle field can never be honoured by
+// workers and ignored by replay. That
 // comparison is the point: "reproduced" means the failure is
 // deterministic and debuggable from the bundle alone; a divergence
 // means the failure depended on something outside it (machine state,
@@ -19,11 +23,10 @@ import (
 	"context"
 	"fmt"
 
-	"cfaopc/internal/engine"
 	"cfaopc/internal/flow"
 	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
-	"cfaopc/internal/litho"
+	"cfaopc/internal/procpool"
+	"cfaopc/internal/procworker"
 	"cfaopc/internal/quarantine"
 )
 
@@ -54,7 +57,8 @@ type AttemptDiff struct {
 // Report is the outcome of one bundle replay.
 type Report struct {
 	Bundle   *quarantine.Bundle
-	Stat     flow.TileStat
+	Path     string        // outcome path the replay ended on (flow.Path*)
+	Walked   int           // attempts the replay made
 	Shots    []geom.Circle // window-local shots when the replay succeeded
 	Attempts []AttemptDiff
 
@@ -74,56 +78,21 @@ func Run(ctx context.Context, b *quarantine.Bundle, o Options) (*Report, error) 
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	meta := b.Engines
+	task := procpool.Task{Bundle: *b, Workers: o.Workers}
 	if o.Fixed != "" {
-		meta.Primary = o.Fixed
+		task.Bundle.Engines.Primary = o.Fixed
 	}
-	primary, fallback, err := engine.FromMeta(meta)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+	if o.NoFaults {
+		task.Bundle.Faults = nil
 	}
+	reply := procworker.Runner()(ctx, &task, nil)
+	if reply.Err != "" {
+		return nil, fmt.Errorf("replay: %s", reply.Err)
+	}
+	outcomes := reply.Outcomes
 
-	sim, err := litho.New(b.Optics, b.Tile.WindowPx)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	sim.KOpt = b.KOpt
-	sim.Workers = o.Workers
-
-	cfg := flow.Config{
-		GridN:        b.GridN,
-		CorePx:       b.CorePx,
-		HaloPx:       b.HaloPx,
-		KOpt:         b.KOpt,
-		Workers:      o.Workers,
-		Optimize:     primary,
-		Fallback:     fallback,
-		TileRetries:  b.TileRetries,
-		TileTimeout:  b.TileTimeout,
-		StallTimeout: b.StallTimeout,
-		RMinPx:       b.RMinPx,
-		RMaxPx:       b.RMaxPx,
-		Engines:      meta,
-	}
-	if len(b.Faults) > 0 && !o.NoFaults {
-		script := make([]flow.Fault, len(b.Faults))
-		for i, f := range b.Faults {
-			script[i] = flow.Fault{
-				Sleep: f.Sleep, BeatEvery: f.BeatEvery, Stall: f.Stall,
-				Panic: f.Panic, NaN: f.NaN, BadRadius: f.BadRadius, Kill: f.Kill,
-			}
-		}
-		cfg.Faults = flow.FaultPlan{b.Tile.Index: script}
-	}
-
-	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: append([]float64(nil), b.Target...)}
-	shots, stat, outcomes := flow.RunWindow(ctx, sim, cfg, b.Tile.Index, b.Tile.CX, b.Tile.CY, target, flow.WindowHooks{})
-
-	rep := &Report{Bundle: b, Stat: stat, Shots: shots}
-	n := len(b.Attempts)
-	if len(outcomes) > n {
-		n = len(outcomes)
-	}
+	rep := &Report{Bundle: b, Path: reply.Path, Walked: len(outcomes), Shots: reply.Shots}
+	n := max(len(b.Attempts), len(outcomes))
 	errsMatch := len(outcomes) == len(b.Attempts)
 	for i := 0; i < n; i++ {
 		d := AttemptDiff{Index: i}
@@ -144,8 +113,8 @@ func Run(ctx context.Context, b *quarantine.Bundle, o Options) (*Report, error) 
 		}
 		rep.Attempts = append(rep.Attempts, d)
 	}
-	rep.PathMatch = stat.Path == flow.PathEmpty
+	rep.PathMatch = rep.Path == flow.PathEmpty
 	rep.Reproduced = rep.PathMatch && errsMatch
-	rep.Fixed = o.Fixed != "" && (stat.Path == flow.PathPrimary)
+	rep.Fixed = o.Fixed != "" && rep.Path == flow.PathPrimary
 	return rep, nil
 }

@@ -9,6 +9,8 @@ import (
 	"cfaopc/internal/flow"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/procpool"
+	"cfaopc/internal/procworker"
 	"cfaopc/internal/quarantine"
 )
 
@@ -98,10 +100,10 @@ func TestReplayNoFaultsSucceeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Reproduced || rep.PathMatch {
-		t.Fatalf("fault-free replay still failed: %+v", rep.Stat)
+		t.Fatalf("fault-free replay still failed on path %q", rep.Path)
 	}
-	if rep.Stat.Path != flow.PathPrimary || len(rep.Shots) == 0 {
-		t.Fatalf("fault-free replay: path %q, %d shots", rep.Stat.Path, len(rep.Shots))
+	if rep.Path != flow.PathPrimary || len(rep.Shots) == 0 {
+		t.Fatalf("fault-free replay: path %q, %d shots", rep.Path, len(rep.Shots))
 	}
 }
 
@@ -114,7 +116,7 @@ func TestReplayFixedEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !rep.Fixed || rep.Reproduced {
-		t.Fatalf("report: fixed=%v reproduced=%v stat=%+v", rep.Fixed, rep.Reproduced, rep.Stat)
+		t.Fatalf("report: fixed=%v reproduced=%v path=%q", rep.Fixed, rep.Reproduced, rep.Path)
 	}
 }
 
@@ -130,5 +132,31 @@ func TestReplayUnknownFixedEngine(t *testing.T) {
 	b := quarantinedBundle(t)
 	if _, err := Run(context.Background(), b, Options{Fixed: "no-such-engine"}); err == nil {
 		t.Fatal("unknown engine accepted")
+	}
+}
+
+// One bundle, replayed offline and served as a live task by the tile
+// worker's own executor, walks one attempt sequence: replay keeps no
+// bundle → flow.Config mapping of its own for a bundle field to be
+// honoured by workers and ignored by.
+func TestReplayWalksTheWorkerLadder(t *testing.T) {
+	b := quarantinedBundle(t)
+	rep, err := Run(context.Background(), b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply := procworker.Runner()(context.Background(), &procpool.Task{Bundle: *b}, nil)
+	if reply.Err != "" {
+		t.Fatal(reply.Err)
+	}
+	if reply.Path != rep.Path || len(reply.Outcomes) != rep.Walked || rep.Walked != len(rep.Attempts) {
+		t.Fatalf("worker: path %q, %d attempts; replay: path %q, %d walked, %d diffed",
+			reply.Path, len(reply.Outcomes), rep.Path, rep.Walked, len(rep.Attempts))
+	}
+	for i, o := range reply.Outcomes {
+		got := rep.Attempts[i].Replayed
+		if o.Attempt != got.Index || o.Engine != got.Engine || o.Err != got.Err || o.Stalled != got.Stalled {
+			t.Errorf("attempt %d: worker %+v, replay %+v", i, o, got)
+		}
 	}
 }

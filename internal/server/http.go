@@ -287,7 +287,7 @@ func serveMask(m *Manager, w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 
-	headerLen := int64(len(fmt.Sprintf("P5\n%d %d\n255\n", st.Grid, st.Grid)))
+	headerLen := int64(len(pgmHeader(st.Grid)))
 	rowBytes := int64(st.Grid)
 	var f *os.File
 	defer func() {

@@ -8,6 +8,7 @@ import (
 	"cfaopc/internal/engine"
 	"cfaopc/internal/flow"
 	"cfaopc/internal/fracture"
+	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/iox"
 	"cfaopc/internal/layout"
@@ -49,53 +50,74 @@ type RunOpts struct {
 	Cache *wcache.Cache
 }
 
-// RunSpec executes a normalized job spec through the tiled flow. It is
-// the one code path shared by the daemon and the cfaopc -job CLI mode,
-// which is what makes "daemon output == direct CLI output" a
-// byte-for-byte statement rather than a hope.
+// FlowConfig is the one place a job spec becomes a flow.Config: every
+// knob that enters the run's config fingerprint — the optimizer chain
+// and the engine metadata that stands in for it, optics, tiling, the
+// validation bounds, retries — plus the spec's scheduling knobs. What a
+// caller may still set on the result is how and where this process runs
+// it (transport, timeouts, quarantine, KeepMask), on the fields
+// flow.Config already owns; Run fills in the RunOpts plumbing.
+func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
+	fallback := s.Fallback
+	if fallback == "none" {
+		fallback = "" // the metadata's spelling of "no fallback"
+	}
+	// The optimizers are built from the metadata that rides into worker
+	// tasks and quarantine bundles, so a tile worker or replaytile
+	// rebuilds this exact chain by the same call.
+	meta := engine.Meta(s.Method, fallback, engine.Options{Iters: s.Iters, Gamma: s.Gamma, SampleNM: s.SampleNM})
+	optimize, fb, err := engine.FromMeta(meta)
+	if err != nil {
+		return cfg, err
+	}
+	dx := float64(l.TileNM) / float64(s.GridN)
+	return flow.Config{
+		GridN:       s.GridN,
+		CorePx:      s.TileCore,
+		HaloPx:      s.TileHalo,
+		Optics:      optics.Default(),
+		KOpt:        s.KOpt,
+		TileWorkers: s.TileWorkers,
+		Optimize:    optimize,
+		Fallback:    fb,
+		Engines:     meta,
+		TileRetries: 1,
+		// Validation bounds follow the MRC radius window (12-76 nm),
+		// scaled to window-grid pixels with a tolerance band so
+		// borderline-legal shots degrade via MRC reporting, not tile
+		// retries.
+		RMinPx:       6 / dx,
+		RMaxPx:       152 / dx,
+		PartialEvery: s.PartialEvery,
+		KeepMask:     false, // the service product is shots + streamed bands
+	}, nil
+}
+
+// RunSpec executes a normalized job spec through the tiled flow:
+// FlowConfig, then Run. The daemon, the benchmark and cfaopc (whose
+// flags and -job file are two more ways to write the spec) all come
+// through these two halves, so there is no second assembly of a product
+// run for their bytes to drift from.
 func RunSpec(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*flow.Result, error) {
-	engOpts := engine.Options{Iters: spec.Iters, Gamma: spec.Gamma, SampleNM: spec.SampleNM}
-	optimize, err := engine.For(spec.Method, engOpts)
+	cfg, err := spec.FlowConfig(l)
 	if err != nil {
 		return nil, err
 	}
-	dx := float64(l.TileNM) / float64(spec.GridN)
-	cfg := flow.Config{
-		GridN:       spec.GridN,
-		CorePx:      spec.TileCore,
-		HaloPx:      spec.TileHalo,
-		Optics:      optics.Default(),
-		KOpt:        spec.KOpt,
-		TileWorkers: spec.TileWorkers,
-		Optimize:    optimize,
-		TileRetries: 1,
-		// MRC radius window (12-76 nm) scaled to window pixels, with
-		// the same tolerance band the CLI uses.
-		RMinPx:         6 / dx,
-		RMaxPx:         152 / dx,
-		CheckpointPath: o.Checkpoint,
-		FS:             o.FS,
-		Cache:          o.Cache,
-		PartialEvery:   spec.PartialEvery,
-		KeepMask:       false, // the service product is shots + streamed bands
-		Events:         o.Events,
-		Drain:          o.Drain,
-	}
-	fbName := ""
-	if spec.Fallback != "none" {
-		fb, err := engine.For(spec.Fallback, engOpts)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Fallback = fb
-		fbName = spec.Fallback
-	}
-	cfg.Engines = engine.Meta(spec.Method, fbName, engOpts)
+	return Run(ctx, l, cfg, o)
+}
 
+// Run executes cfg over l and writes the artifacts o names: the mask
+// PGM streamed in bands while the flow runs, the beam-ordered shot CSV
+// after it, both fsynced before Run returns. The plumbing fields of
+// cfg that RunOpts also names (CheckpointPath, FS, Cache, Events,
+// Drain, MaskWriter) are Run's to set — whatever cfg held is replaced.
+func Run(ctx context.Context, l *layout.Layout, cfg flow.Config, o RunOpts) (*flow.Result, error) {
+	cfg.CheckpointPath, cfg.FS, cfg.Cache = o.Checkpoint, o.FS, o.Cache
+	cfg.Events, cfg.Drain, cfg.MaskWriter = o.Events, o.Drain, nil
 	var bands *bandFile
 	if o.MaskPath != "" {
-		bands, err = newBandFile(o.FS, o.MaskPath, spec.GridN, o.OnBand)
-		if err != nil {
+		var err error
+		if bands, err = newBandFile(o.FS, o.MaskPath, cfg.GridN, o.OnBand); err != nil {
 			return nil, err
 		}
 		cfg.MaskWriter = bands
@@ -114,32 +136,42 @@ func RunSpec(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*
 		}
 	}
 	if o.ShotsPath != "" {
-		shots := fracture.OrderShots(res.Shots)
-		f, err := iox.OrOS(o.FS).Create(o.ShotsPath)
-		if err != nil {
-			return res, err
-		}
-		bw := bufio.NewWriter(f)
-		if err := fracture.WriteShotsCSV(bw, shots, dx); err != nil {
-			f.Close()
-			return res, err
-		}
-		if err := bw.Flush(); err != nil {
-			f.Close()
-			return res, err
-		}
-		// The shot list is the product; it must be on the platter before
-		// the caller records the job done.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return res, err
-		}
-		if err := f.Close(); err != nil {
+		dx := float64(l.TileNM) / float64(cfg.GridN)
+		if err := WriteShots(o.FS, o.ShotsPath, res.Shots, dx); err != nil {
 			return res, err
 		}
 	}
 	return res, nil
 }
+
+// WriteShots writes the hand-off artifact: shots ordered to minimize
+// beam travel, as CSV in nm (dx nm per pixel), fsynced — the shot list
+// is the product; it must be on the platter before the caller records
+// the job done.
+func WriteShots(fsys iox.FS, path string, shots []geom.Circle, dx float64) error {
+	f, err := iox.OrOS(fsys).Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	if err := fracture.WriteShotsCSV(bw, fracture.OrderShots(shots), dx); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// pgmHeader is the binary PGM (P5) preamble of an n×n mask; a follower
+// serving the file needs its length to map rows to byte offsets.
+func pgmHeader(n int) string { return fmt.Sprintf("P5\n%d %d\n255\n", n, n) }
 
 // bandFile streams the stitched mask to disk as a binary PGM (P5), one
 // flow band at a time, flushing each band before reporting it so a
@@ -161,7 +193,7 @@ func newBandFile(fsys iox.FS, path string, n int, onBand func(row, rows int)) (*
 		return nil, err
 	}
 	w := bufio.NewWriter(f)
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", n, n); err != nil {
+	if _, err := w.WriteString(pgmHeader(n)); err != nil {
 		f.Close()
 		return nil, err
 	}

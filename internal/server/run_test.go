@@ -11,7 +11,10 @@ import (
 	"time"
 
 	"cfaopc/internal/checkpoint"
+	"cfaopc/internal/fracture"
+	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
+	"cfaopc/internal/iox"
 )
 
 // --- bandFile contract ---
@@ -67,6 +70,41 @@ func TestBandFileAbortLeavesPartialFile(t *testing.T) {
 func TestNewBandFileBadPath(t *testing.T) {
 	if _, err := newBandFile(nil, filepath.Join(t.TempDir(), "no", "such", "dir", "m.pgm"), 8, nil); err == nil {
 		t.Fatal("created a band file under a nonexistent directory")
+	}
+}
+
+// --- WriteShots contract ---
+
+// The shot list is the product: WriteShots must report every way the
+// bytes can fail to reach the platter — a missing directory, a full
+// disk mid-write, a failed fsync — and write the ordered CSV otherwise.
+func TestWriteShotsDurableOrError(t *testing.T) {
+	shots := []geom.Circle{{X: 10, Y: 10, R: 4}, {X: 90, Y: 90, R: 5}, {X: 12, Y: 11, R: 4}}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "shots.csv")
+	if err := WriteShots(nil, good, shots, 2); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fracture.ReadShotsCSV(strings.NewReader(string(b)), 2)
+	if err != nil || len(got) != len(shots) || got[1] != shots[2] {
+		t.Fatalf("CSV not the beam-ordered list (neighbour of shot 0 second): %v, %+v", err, got)
+	}
+	for name, fsys := range map[string]iox.FS{
+		"create": nil,
+		"enospc": iox.NewFaultFS(nil, iox.Plan{WriteBudget: 8}),
+		"fsync":  iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 1}),
+	} {
+		path := filepath.Join(dir, name+".csv")
+		if name == "create" {
+			path = filepath.Join(dir, "no", "such", "dir", "shots.csv")
+		}
+		if err := WriteShots(fsys, path, shots, 2); err == nil {
+			t.Errorf("%s fault: WriteShots reported success", name)
+		}
 	}
 }
 
