@@ -1139,7 +1139,8 @@ func (env *runEnv) appendPartial(index, attempt int, s opt.Snapshot) {
 //
 //	1: radix-2 and Bluestein FFT, full 2-D transforms
 //	2: mixed-radix Stockham FFT, band-pruned transforms in litho
-const numericsVersion = 2
+//	3: reduced-grid SOCS, corner-packed transforms, QL kernel build
+const numericsVersion = 3
 
 // configFingerprint hashes every config knob that can change a window's
 // optimized output — tiling geometry, validation policy, optics, engine

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -240,5 +241,132 @@ func TestHermEigTrace(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// hermNorm is the Frobenius norm, the ‖H‖ the solver's error bounds scale
+// with.
+func hermNorm(h []complex128) float64 {
+	s := 0.0
+	for _, v := range h {
+		s += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return math.Sqrt(s)
+}
+
+// checkAgainstJacobi holds HermEig to the Jacobi oracle's eigenvalues and
+// to the defining properties of an eigendecomposition. Eigenvectors are
+// not compared: inside a degenerate eigenspace the two solvers return
+// different, equally valid bases.
+func checkAgainstJacobi(t *testing.T, name string, h []complex128, n int) {
+	t.Helper()
+	norm := math.Max(hermNorm(h), 1e-300)
+	vals, vecs := HermEig(h, n)
+	want, _ := hermEigJacobi(h, n)
+	for i := range want {
+		if math.Abs(vals[i]-want[i]) > 1e-10*norm {
+			t.Errorf("%s: eigenvalue %d = %.17g, Jacobi oracle %.17g", name, i, vals[i], want[i])
+		}
+		if i > 0 && vals[i] > vals[i-1] {
+			t.Errorf("%s: eigenvalues not descending at %d", name, i)
+		}
+	}
+	if r := hermResidual(h, n, vals, vecs); r > 1e-9*norm {
+		t.Errorf("%s: residual ‖Hv−λv‖ = %g, ‖H‖ = %g", name, r, norm)
+	}
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			var dot complex128
+			for r := 0; r < n; r++ {
+				dot += cmplx.Conj(vecs[r*n+i]) * vecs[r*n+j]
+			}
+			if i == j {
+				dot--
+			}
+			if cmplx.Abs(dot) > 1e-10 {
+				t.Fatalf("%s: VᴴV − I = %v at (%d,%d)", name, dot, i, j)
+			}
+		}
+	}
+}
+
+func TestHermEigMatchesJacobiOracle(t *testing.T) {
+	sizes, upTo := []int{71, 120}, 40 // 71 and 120: the source Gram matrices of a 1536 nm window and the largest allowed
+	if testing.Short() {
+		sizes, upTo = nil, 16 // the Jacobi oracle is slow under the race detector
+	}
+	for n := 1; n <= upTo; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		checkAgainstJacobi(t, fmt.Sprintf("random/%d", n), randHermitian(n, int64(n)+7), n)
+	}
+	for _, n := range []int{2, 3, 9, 24} {
+		// Real symmetric: every phase is ±1.
+		sym := randSymmetric(n, int64(n))
+		h := make([]complex128, n*n)
+		for i, v := range sym.Data {
+			h[i] = complex(v, 0)
+		}
+		checkAgainstJacobi(t, fmt.Sprintf("symmetric/%d", n), h, n)
+
+		// Diagonal, with repeats and a zero: nothing to reduce or iterate.
+		diag := make([]complex128, n*n)
+		for i := 0; i < n; i++ {
+			diag[i*n+i] = complex(float64(i/2)-1, 0)
+		}
+		checkAgainstJacobi(t, fmt.Sprintf("diagonal/%d", n), diag, n)
+
+		// Rank one: one eigenvalue ‖u‖², the rest exactly degenerate at 0.
+		rng := rand.New(rand.NewSource(int64(n)))
+		u := make([]complex128, n)
+		for i := range u {
+			u[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		one := make([]complex128, n*n)
+		for i := range u {
+			for j := range u {
+				one[i*n+j] = u[i] * cmplx.Conj(u[j])
+			}
+		}
+		checkAgainstJacobi(t, fmt.Sprintf("rankone/%d", n), one, n)
+
+		// Exactly degenerate and not diagonal: a reflection I − 2uuᴴ/‖u‖²
+		// shifted and scaled has eigenvalue 3 (n−1 times) and −1 (once).
+		var uu float64
+		for _, v := range u {
+			uu += real(v)*real(v) + imag(v)*imag(v)
+		}
+		refl := make([]complex128, n*n)
+		for i := range u {
+			for j := range u {
+				refl[i*n+j] = -4 * u[i] * cmplx.Conj(u[j]) / complex(uu, 0)
+			}
+			refl[i*n+i] += 3
+		}
+		checkAgainstJacobi(t, fmt.Sprintf("degenerate/%d", n), refl, n)
+	}
+}
+
+func TestHermEigPanicsOnLengthMismatch(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for a matrix that is not n×n")
+		}
+	}()
+	HermEig(make([]complex128, 5), 2)
+}
+
+var sinkVals []float64
+
+func BenchmarkHermEig(b *testing.B) {
+	for _, n := range []int{71, 120} {
+		h := randHermitian(n, int64(n))
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkVals, _ = HermEig(h, n)
+			}
+		})
 	}
 }

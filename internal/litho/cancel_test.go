@@ -27,7 +27,7 @@ func TestCooperativeCancel(t *testing.T) {
 		}
 	}
 
-	ref := sim.LossGrad(mask, target, 1, 1)
+	ref := keep(sim.LossGrad(mask, target, 1, 1))
 
 	// A live context must not perturb anything.
 	sim.Ctx = context.Background()

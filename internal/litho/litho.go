@@ -36,7 +36,9 @@ const (
 	ResistSteepness = 50.0
 )
 
-// Simulator binds a kernel pair (focus + defocus) to a pixel grid.
+// Simulator binds a kernel pair (focus + defocus) to a pixel grid. It owns
+// the buffers its passes run in, so one Simulator serves one goroutine at
+// a time; the tiled flow builds one per lane.
 type Simulator struct {
 	Cfg     optics.Config // the imaging condition the kernels derive from
 	N       int           // grid pixels per side
@@ -52,35 +54,110 @@ type Simulator struct {
 	// computed into private buffers and reduced in kernel order.
 	Workers int
 	// Ctx, when non-nil, is checked cooperatively between per-kernel
-	// convolution batches. Once it is canceled, Aerial and
-	// AerialBackward stop early and return incomplete images; any
+	// convolution batches. Once it is canceled, Aerial, AerialBackward,
+	// Simulate and LossGrad stop early and return incomplete images; any
 	// caller that sets Ctx must check Ctx.Err() after a pass and
 	// discard the output when it is non-nil. This is how the tiled
 	// flow makes SIGINT and per-tile deadlines interrupt a simulation
 	// within one kernel convolution instead of one full tile.
 	Ctx context.Context
 
-	// scratch recycles N×N complex grids across forward and adjoint
-	// passes. Each pass needs one spectrum plus one buffer per worker
-	// (~16·N² bytes each); without reuse, concurrent tile-level flows
-	// allocate that per kernel per iteration and thrash the GC.
-	scratch sync.Pool
+	// simGrid pins the side M of the simulation grid. It is zero outside
+	// the tests, which selects M by rule (simGridFor).
+	simGrid int
+	// arena is every grid a pass needs, sized on first use and then
+	// reused: a warm LossGrad allocates nothing.
+	arena *arena
 }
 
-// getComplex returns a recycled (or fresh) N×N complex scratch grid. The
-// contents are stale; callers must overwrite or zero every element.
-func (s *Simulator) getComplex() *grid.Complex {
-	if c, _ := s.scratch.Get().(*grid.Complex); c != nil {
-		return c
+// simGridFor returns the side M of the grid the per-kernel work runs on.
+// Every coherent field is band-limited to the kernel support |f| ≤ half
+// whatever the pixel pitch, so Σ wₖ|fieldₖ|² is band-limited to 2·half and
+// M > 4·half samples hold it without aliasing; 4·half+2 also keeps the
+// ±half bins of (dL/dI)·field — a product reaching 3·half — clear of their
+// own aliases, which is what makes the reduced adjoint exact. From there M
+// is the next power of two or three times one: lengths the FFT runs almost
+// entirely in radix-4 stages, which beat shorter lengths with more odd
+// factors (96 against 90, 64 against 54). M never exceeds n: a grid too
+// coarse for its band simulates on itself, as it always did.
+func simGridFor(n, half int) int {
+	need := 4*half + 2
+	m := 4
+	for m < need {
+		m *= 2
 	}
-	return grid.NewComplex(s.N, s.N)
+	if m/4*3 >= need {
+		m = m / 4 * 3
+	}
+	return min(n, m)
 }
 
-// putComplex returns a scratch grid to the pool.
-func (s *Simulator) putComplex(c *grid.Complex) {
-	if c != nil {
-		s.scratch.Put(c)
+// arena holds the working set of one Simulator. N-grids are n×n (the
+// mask's pixels), M-grids m×m (the simulation grid).
+type arena struct {
+	n, m, half int
+	// down = m²/n² scales the mask so that an inverse transform on the
+	// M-grid yields true field samples; up = 1/down scales intensities so
+	// that an M-grid spectrum zero-padded to N is the N-grid spectrum.
+	down, up float64
+
+	specN  *grid.Complex      // N-grid: the mask's spectrum going in, the gradient's coming out
+	packN  *grid.Complex      // N-grid: both corners' images as (re, im), then both dL/dI; packM itself when m == n
+	packM  *grid.Complex      // M-grid: the same pair on the simulation grid
+	inten  [2][]float64       // M-grid Σ wₖ|fieldₖ|², one per corner
+	fields [2][]*grid.Complex // M-grid coherent fields LossGrad saves for its adjoint, per corner
+	bufs   []*grid.Complex    // M-grid, one per worker
+	gradM  *grid.Real
+	res    DiffResult
+
+	// The batch in flight. slots[j] runs kernel job.start+j and signals
+	// wg; the closures are built once, so starting a goroutine on one
+	// allocates nothing.
+	job struct {
+		set      *optics.KernelSet
+		fields   []*grid.Complex // forward: where field k goes (nil: bufs); adjoint: the saved fields
+		corner   int             // adjoint: 0 reads the real part of packM, 1 the imaginary
+		backward bool
+		start    int
 	}
+	wg    sync.WaitGroup
+	slots []func()
+}
+
+// arenaFor returns the simulator's arena, (re)building it when the grid or
+// the kernel support it was sized for changed.
+func (s *Simulator) arenaFor(set *optics.KernelSet) *arena {
+	half := set.Kernels[0].Half
+	m := s.simGrid
+	if m == 0 {
+		m = simGridFor(s.N, half)
+	}
+	if a := s.arena; a != nil && a.n == s.N && a.m == m && a.half == half {
+		return a
+	}
+	n := s.N
+	a := &arena{n: n, m: m, half: half,
+		down:  float64(m*m) / float64(n*n),
+		up:    float64(n*n) / float64(m*m),
+		specN: grid.NewComplex(n, n),
+		packM: grid.NewComplex(m, m),
+		inten: [2][]float64{make([]float64, m*m), make([]float64, m*m)},
+		gradM: grid.NewReal(n, n),
+	}
+	a.packN = a.packM
+	if m != n {
+		a.packN = grid.NewComplex(n, n)
+	}
+	s.arena = a
+	return a
+}
+
+// saved returns k M-grids for the fields of one corner.
+func (a *arena) saved(corner, k int) []*grid.Complex {
+	for len(a.fields[corner]) < k {
+		a.fields[corner] = append(a.fields[corner], grid.NewComplex(a.m, a.m))
+	}
+	return a.fields[corner][:k]
 }
 
 // canceled reports whether the simulator's context (if any) is done.
@@ -96,26 +173,25 @@ func (s *Simulator) workerCount(jobs int) int {
 	if w < 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w < 1 {
-		w = 1
-	}
-	if w > jobs {
-		w = jobs
-	}
-	return w
+	return max(1, min(w, jobs))
 }
 
 // New computes (or fetches cached) kernel sets for cfg and binds them to
 // an n×n pixel grid.
 func New(cfg optics.Config, n int) (*Simulator, error) {
+	return newWith(cfg, n, optics.CachedKernels)
+}
+
+// newWith is New over a given source of kernel sets.
+func newWith(cfg optics.Config, n int, kernels func(optics.Config, bool) (*optics.KernelSet, error)) (*Simulator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("litho: invalid grid size %d", n)
 	}
-	focus, err := optics.CachedKernels(cfg, false)
+	focus, err := kernels(cfg, false)
 	if err != nil {
 		return nil, err
 	}
-	defocus, err := optics.CachedKernels(cfg, true)
+	defocus, err := kernels(cfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -133,195 +209,260 @@ func (s *Simulator) kcount(set *optics.KernelSet, optimizing bool) int {
 	return k
 }
 
-// applyKernel fills dst with Ĥ_k ⊙ maskF on the kernel's support bins
-// and inverse-transforms it into the spatial field. The support is the
-// band |f| ≤ k.Half: only the band's rows are zeroed and filled, and the
-// inverse reads no other row, so a recycled dst costs no full clear.
-func (s *Simulator) applyKernel(dst *grid.Complex, k *optics.Kernel, maskF *grid.Complex) {
-	n := s.N
+// wrap maps a signed frequency bin to its index on an n-point axis.
+func wrap(b, n int) int {
+	if b < 0 {
+		return b + n
+	}
+	return b
+}
+
+// moveBand copies the spectrum bins |fx|, |fy| ≤ band from src to dst —
+// grids of different sizes, each holding its bins wrapped — and clears the
+// rest of dst's band rows. That is everything a band-pruned inverse of dst
+// reads, so dst needs no other clearing.
+func moveBand(dst, src *grid.Complex, band int) {
+	for by := -band; by <= band; by++ {
+		drow := dst.Data[wrap(by, dst.H)*dst.W:][:dst.W]
+		srow := src.Data[wrap(by, src.H)*src.W:][:src.W]
+		clear(drow)
+		copy(drow[:band+1], srow[:band+1])
+		copy(drow[dst.W-band:], srow[src.W-band:])
+	}
+}
+
+// loadMask leaves the mask's spectrum, scaled for the simulation grid, on
+// the band |f| ≤ half of specN: the only bins a kernel reads.
+func (a *arena) loadMask(mask *grid.Real) {
+	if mask.W != a.n || mask.H != a.n {
+		panic(fmt.Sprintf("litho: mask %dx%d does not match grid %d", mask.W, mask.H, a.n))
+	}
+	for i, v := range mask.Data {
+		a.specN.Data[i] = complex(a.down*v, 0)
+	}
+	fft.Forward2DBand(a.specN, a.half)
+}
+
+// applyKernel fills dst with Ĥ_k ⊙ (mask spectrum) on the kernel's support
+// bins and inverse-transforms it into the spatial field on the simulation
+// grid. The support is the band |f| ≤ k.Half: only the band's rows are
+// zeroed and filled, and the inverse reads no other row, so a recycled dst
+// costs no full clear.
+func (a *arena) applyKernel(dst *grid.Complex, k *optics.Kernel) {
+	n, m := a.n, a.m
 	side := 2*k.Half + 1
 	for by := -k.Half; by <= k.Half; by++ {
-		iy := (by + n) % n
-		clear(dst.Data[iy*n : (iy+1)*n])
-		row := (by + k.Half) * side
+		src := a.specN.Data[wrap(by, n)*n:][:n]
+		row := dst.Data[wrap(by, m)*m:][:m]
+		clear(row)
+		coef := k.Coef[(by+k.Half)*side:][:side]
 		for bx := -k.Half; bx <= k.Half; bx++ {
-			c := k.Coef[row+bx+k.Half]
-			if c == 0 {
-				continue
+			if c := coef[bx+k.Half]; c != 0 {
+				row[wrap(bx, m)] = c * src[wrap(bx, n)]
 			}
-			ix := (bx + n) % n
-			dst.Data[iy*n+ix] = c * maskF.Data[iy*n+ix]
 		}
 	}
 	fft.Inverse2DBand(dst, k.Half)
 }
 
-// Aerial computes the aerial intensity image of mask under the given
-// kernel set. When fields is non-nil it must have length ≥ the number of
-// kernels used; the per-kernel coherent fields are stored there for a
-// later adjoint pass. optimizing selects the truncated kernel count.
-func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
-	if mask.W != s.N || mask.H != s.N {
-		panic(fmt.Sprintf("litho: mask %dx%d does not match grid %d", mask.W, mask.H, s.N))
+// adjointKernel leaves FFT((dL/dI) ⊙ field) in tmp on the columns of the
+// kernel's band, the only bins gather reads. dL/dI is one part of packM.
+func (a *arena) adjointKernel(tmp *grid.Complex, k *optics.Kernel, field *grid.Complex) {
+	if a.job.corner == 0 {
+		for i, g := range a.packM.Data {
+			tmp.Data[i] = complex(real(g)*real(field.Data[i]), real(g)*imag(field.Data[i]))
+		}
+	} else {
+		for i, g := range a.packM.Data {
+			tmp.Data[i] = complex(imag(g)*real(field.Data[i]), imag(g)*imag(field.Data[i]))
+		}
 	}
-	maskF := s.getComplex()
-	for i, v := range mask.Data {
-		maskF.Data[i] = complex(v, 0)
-	}
-	fft.Forward2D(maskF)
-	intensity := grid.NewReal(s.N, s.N)
-	kc := s.kcount(set, optimizing)
-	workers := s.workerCount(kc)
+	fft.Forward2DBand(tmp, k.Half)
+}
 
-	// Per-kernel fields are computed into private buffers (batched to
-	// bound memory) and reduced serially in kernel order so the result is
-	// identical at any worker count. Fields handed back to the caller are
-	// freshly allocated; internal buffers come from the scratch pool.
-	bufs := make([]*grid.Complex, workers)
+// work runs slot j of the batch in flight.
+func (a *arena) work(j int) {
+	ki := a.job.start + j
+	k := &a.job.set.Kernels[ki]
+	if a.job.backward {
+		a.adjointKernel(a.bufs[j], k, a.job.fields[ki])
+	} else {
+		a.applyKernel(a.forwardField(ki, j), k)
+	}
+}
+
+// forwardField is where the forward pass leaves kernel ki's field: its
+// saved slot, or slot j's recycled buffer when fields are not kept.
+func (a *arena) forwardField(ki, j int) *grid.Complex {
+	if a.job.fields != nil {
+		return a.job.fields[ki]
+	}
+	return a.bufs[j]
+}
+
+// reduce folds slot j's result into the pass's accumulator. It runs
+// serially, in kernel order, so sums are identical at any worker count.
+func (a *arena) reduce(j int) {
+	ki := a.job.start + j
+	k := &a.job.set.Kernels[ki]
+	if !a.job.backward {
+		acc, w := a.inten[a.job.corner], k.Weight
+		for i, v := range a.forwardField(ki, j).Data {
+			re, im := real(v), imag(v)
+			acc[i] += w * (re*re + im*im)
+		}
+		return
+	}
+	// dL/dM = Σ_k 2λ_k·Re[A_kᴴ(g ⊙ c_k)] for real g, where A_kᴴ =
+	// F⁻¹·conj(Ĥ_k)·F is the adjoint of the kernel convolution — hence
+	// the unconjugated field in adjointKernel and the conjugated kernel
+	// here. Only the support bins of the spectrum are touched.
+	n, m := a.n, a.m
+	tmp := a.bufs[j]
+	side := 2*k.Half + 1
+	w := complex(k.Weight, 0)
+	for by := -k.Half; by <= k.Half; by++ {
+		acc := a.specN.Data[wrap(by, n)*n:][:n]
+		row := tmp.Data[wrap(by, m)*m:][:m]
+		coef := k.Coef[(by+k.Half)*side:][:side]
+		for bx := -k.Half; bx <= k.Half; bx++ {
+			if c := coef[bx+k.Half]; c != 0 {
+				acc[wrap(bx, n)] += w * complex(real(c), -imag(c)) * row[wrap(bx, m)]
+			}
+		}
+	}
+}
+
+// run executes the first kc kernels of the job described in a.job in
+// batches of one kernel per worker: the transforms of a batch run
+// concurrently into private buffers, then reduce folds them in kernel
+// order. A canceled context abandons the pass between batches.
+func (s *Simulator) run(a *arena, kc int) {
+	workers := s.workerCount(kc)
+	for len(a.bufs) < workers {
+		j := len(a.bufs)
+		a.bufs = append(a.bufs, grid.NewComplex(a.m, a.m))
+		a.slots = append(a.slots, func() { defer a.wg.Done(); a.work(j) })
+	}
 	for start := 0; start < kc; start += workers {
 		if s.canceled() {
-			break // abandoned pass: the intensity image stays incomplete
+			break // abandoned pass: the accumulator stays incomplete
 		}
-		end := start + workers
-		if end > kc {
-			end = kc
+		a.job.start = start
+		batch := min(workers, kc-start)
+		if workers == 1 {
+			a.work(0)
+		} else {
+			a.wg.Add(batch)
+			for j := 0; j < batch; j++ {
+				go a.slots[j]()
+			}
+			a.wg.Wait()
 		}
-		var wg sync.WaitGroup
-		for ki := start; ki < end; ki++ {
-			var dst *grid.Complex
-			if fields != nil {
-				dst = grid.NewComplex(s.N, s.N)
-				fields[ki] = dst
-			} else {
-				if bufs[ki-start] == nil {
-					bufs[ki-start] = s.getComplex()
-				}
-				dst = bufs[ki-start]
-			}
-			if workers == 1 {
-				s.applyKernel(dst, &set.Kernels[ki], maskF)
-				continue
-			}
-			wg.Add(1)
-			go func(ki int, dst *grid.Complex) {
-				defer wg.Done()
-				s.applyKernel(dst, &set.Kernels[ki], maskF)
-			}(ki, dst)
-		}
-		wg.Wait()
-		for ki := start; ki < end; ki++ {
-			dst := bufs[ki-start]
-			if fields != nil {
-				dst = fields[ki]
-			}
-			w := set.Kernels[ki].Weight
-			for i, v := range dst.Data {
-				re, im := real(v), imag(v)
-				intensity.Data[i] += w * (re*re + im*im)
-			}
+		for j := 0; j < batch; j++ {
+			a.reduce(j)
 		}
 	}
-	s.putComplex(maskF)
-	for _, b := range bufs {
-		s.putComplex(b)
+}
+
+// forward accumulates Σ_k λ_k|field_k|² of the loaded mask on the
+// simulation grid for one corner, over the first kc kernels of set. Field
+// k is left in fields[k] when fields is non-nil.
+func (s *Simulator) forward(a *arena, corner int, set *optics.KernelSet, kc int, fields []*grid.Complex) {
+	clear(a.inten[corner])
+	a.job.set, a.job.fields, a.job.corner, a.job.backward = set, fields, corner, false
+	s.run(a, kc)
+}
+
+// raise turns the two corners' simulation-grid intensities into packN =
+// (corner 0) + i·(corner 1) on the pixel grid, by zero-padding the
+// spectrum of the pair: each image is real and band-limited to 2·half, so
+// one complex transform pair carries both exactly.
+func (a *arena) raise() {
+	for i := range a.packM.Data {
+		a.packM.Data[i] = complex(a.up*a.inten[0][i], a.up*a.inten[1][i])
+	}
+	if a.m == a.n {
+		return
+	}
+	fft.Forward2DBand(a.packM, 2*a.half)
+	moveBand(a.packN, a.packM, 2*a.half)
+	fft.Inverse2DBand(a.packN, 2*a.half)
+}
+
+// backward is the adjoint of forward followed by raise, for the pair of
+// gradients packN = dL/dI₀ + i·dL/dI₁: the transpose of zero-padding is
+// cropping (lower), and each kernel's adjoint then runs on the simulation
+// grid against the saved fields. It leaves dL/dmask in gradM.
+func (s *Simulator) backward(a *arena, sets [2]*optics.KernelSet, kc [2]int, fields [2][]*grid.Complex) {
+	if a.m != a.n {
+		fft.Forward2DBand(a.packN, 2*a.half)
+		moveBand(a.packM, a.packN, 2*a.half)
+		fft.Inverse2DBand(a.packM, 2*a.half)
+	}
+	for by := -a.half; by <= a.half; by++ {
+		clear(a.specN.Data[wrap(by, a.n)*a.n:][:a.n])
+	}
+	for corner, set := range sets {
+		a.job.set, a.job.fields, a.job.corner, a.job.backward = set, fields[corner], corner, true
+		s.run(a, kc[corner])
+	}
+	fft.Inverse2DBand(a.specN, a.half)
+	for i, v := range a.specN.Data {
+		a.gradM.Data[i] = 2 * real(v)
+	}
+}
+
+// Aerial computes the aerial intensity image of mask under the given
+// kernel set. When fields is non-nil it must have length ≥ the number of
+// kernels used; the per-kernel coherent fields, sampled on the simulation
+// grid, are stored there for a later AerialBackward. optimizing selects
+// the truncated kernel count. The returned image is the caller's.
+func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
+	a := s.arenaFor(set)
+	a.loadMask(mask)
+	kc := s.kcount(set, optimizing)
+	if fields != nil {
+		fields = fields[:kc]
+		for ki := range fields {
+			fields[ki] = grid.NewComplex(a.m, a.m)
+		}
+	}
+	s.forward(a, 0, set, kc, fields)
+	clear(a.inten[1])
+	a.raise()
+	intensity := grid.NewReal(s.N, s.N)
+	for i, v := range a.packN.Data {
+		intensity.Data[i] = real(v)
 	}
 	return intensity
 }
 
 // AerialBackward propagates a gradient dL/dI through the aerial image back
 // to the mask: dL/dM = Σ_k λ_k · 2·Re[ IFFT( conj(Ĥ_k) ⊙ FFT(dLdI ⊙
-// conj(c_k)) ) ], where c_k are the coherent fields saved by Aerial.
+// c_k) ) ], where c_k are the coherent fields saved by Aerial. The
+// returned gradient is the caller's.
 func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
-	n := s.N
+	a := s.arenaFor(set)
+	for i, g := range dLdI.Data {
+		a.packN.Data[i] = complex(g, 0)
+	}
 	kc := s.kcount(set, optimizing)
-	workers := s.workerCount(kc)
-	accF := s.getComplex()
-	for i := range accF.Data {
-		accF.Data[i] = 0
-	}
-
-	// dL/dM_j = 2λ·Re[Aᵀ(g ⊙ conj(c_k))]_j = 2λ·Re[Aᴴ(g ⊙ c_k)]_j for
-	// real g, where Aᴴ = F⁻¹·conj(Ĥ)·F is the adjoint of the kernel
-	// convolution — hence the *unconjugated* field below and the
-	// conjugated kernel in the support accumulation. The per-kernel
-	// forward FFTs run in parallel batches; the support-bin accumulation
-	// stays serial and ordered for determinism.
-	bufs := make([]*grid.Complex, workers)
-	for i := range bufs {
-		bufs[i] = s.getComplex()
-	}
-	for start := 0; start < kc; start += workers {
-		if s.canceled() {
-			break // abandoned pass: the gradient stays incomplete
-		}
-		end := start + workers
-		if end > kc {
-			end = kc
-		}
-		var wg sync.WaitGroup
-		for ki := start; ki < end; ki++ {
-			tmp := bufs[ki-start]
-			ck := fields[ki]
-			// Only the kernel's support bins are read back below, so
-			// the forward transform computes just those columns.
-			half := set.Kernels[ki].Half
-			fill := func(tmp, ck *grid.Complex) {
-				for i := range tmp.Data {
-					tmp.Data[i] = complex(dLdI.Data[i], 0) * ck.Data[i]
-				}
-				fft.Forward2DBand(tmp, half)
-			}
-			if workers == 1 {
-				fill(tmp, ck)
-				continue
-			}
-			wg.Add(1)
-			go func(tmp, ck *grid.Complex) {
-				defer wg.Done()
-				fill(tmp, ck)
-			}(tmp, ck)
-		}
-		wg.Wait()
-		for ki := start; ki < end; ki++ {
-			k := &set.Kernels[ki]
-			tmp := bufs[ki-start]
-			side := 2*k.Half + 1
-			w := complex(k.Weight, 0)
-			for by := -k.Half; by <= k.Half; by++ {
-				iy := (by + n) % n
-				row := (by + k.Half) * side
-				for bx := -k.Half; bx <= k.Half; bx++ {
-					c := k.Coef[row+bx+k.Half]
-					if c == 0 {
-						continue
-					}
-					ix := (bx + n) % n
-					idx := iy*n + ix
-					accF.Data[idx] += w * complex(real(c), -imag(c)) * tmp.Data[idx]
-				}
-			}
-		}
-	}
-	fft.Inverse2D(accF)
-	gradM := grid.NewReal(n, n)
-	for i, v := range accF.Data {
-		gradM.Data[i] = 2 * real(v)
-	}
-	s.putComplex(accF)
-	for _, b := range bufs {
-		s.putComplex(b)
-	}
-	return gradM
+	s.backward(a, [2]*optics.KernelSet{set, set}, [2]int{kc, 0}, [2][]*grid.Complex{fields, nil})
+	return a.gradM.Clone()
 }
 
 // Sigmoid is the logistic function used by both resist and mask
 // binarization models.
 func Sigmoid(x float64) float64 {
+	return logistic(x, math.Exp(-math.Abs(x)))
+}
+
+// logistic is Sigmoid(x) given e = exp(−|x|), which never overflows.
+func logistic(x, e float64) float64 {
 	if x >= 0 {
-		e := math.Exp(-x)
 		return 1 / (1 + e)
 	}
-	e := math.Exp(x)
 	return e / (1 + e)
 }
 
@@ -356,10 +497,17 @@ type Result struct {
 }
 
 // Simulate runs the full-accuracy forward model (all kernels, hard resist)
-// at the three process corners.
+// at the three process corners. The result's grids are the caller's.
 func (s *Simulator) Simulate(mask *grid.Real) *Result {
-	iNom := s.Aerial(mask, s.Focus, false, nil)
-	iDef := s.Aerial(mask, s.Defocus, false, nil)
+	a := s.arenaFor(s.Focus)
+	a.loadMask(mask)
+	s.forward(a, 0, s.Focus, len(s.Focus.Kernels), nil)
+	s.forward(a, 1, s.Defocus, len(s.Defocus.Kernels), nil)
+	a.raise()
+	iNom, iDef := grid.NewReal(s.N, s.N), grid.NewReal(s.N, s.N)
+	for i, v := range a.packN.Data {
+		iNom.Data[i], iDef.Data[i] = real(v), imag(v)
+	}
 	return &Result{
 		INom: iNom,
 		IDef: iDef,
@@ -370,7 +518,9 @@ func (s *Simulator) Simulate(mask *grid.Real) *Result {
 }
 
 // DiffResult carries the differentiable losses of Equation (6) and their
-// gradient with respect to the (continuous) mask.
+// gradient with respect to the (continuous) mask. It belongs to the
+// simulator that returned it and is valid until that simulator's next
+// pass, which overwrites it: callers consume it (or copy GradM) first.
 type DiffResult struct {
 	L2    float64    // ‖Z_nom − T‖² with the sigmoid resist, in px²
 	PVB   float64    // ‖Z_max − T‖² + ‖Z_min − T‖² surrogate, in px²
@@ -381,47 +531,54 @@ type DiffResult struct {
 // LossGrad evaluates L = wL2·L2 + wPVB·PVB on the truncated kernel set and
 // returns the exact gradient with respect to every mask pixel. This is the
 // single entry point all pixel- and circle-level ILT engines differentiate
-// through.
+// through. Both process corners travel through the pixel-grid transforms
+// as one complex image — nominal in the real part, defocus in the
+// imaginary — and once its buffers exist a call allocates nothing.
 func (s *Simulator) LossGrad(mask, target *grid.Real, wL2, wPVB float64) *DiffResult {
-	n := s.N
-	res := &DiffResult{}
-
-	// Nominal corner: focus kernels, unit dose.
-	kf := s.kcount(s.Focus, true)
-	fieldsF := make([]*grid.Complex, kf)
-	iNom := s.Aerial(mask, s.Focus, true, fieldsF)
-	zNom := ResistSigmoid(iNom, 1.0)
-	dLdINom := grid.NewReal(n, n)
-	for i := range zNom.Data {
-		d := zNom.Data[i] - target.Data[i]
-		res.L2 += d * d
-		dLdINom.Data[i] = wL2 * 2 * d * ResistSteepness * zNom.Data[i] * (1 - zNom.Data[i])
+	a := s.arenaFor(s.Focus)
+	a.loadMask(mask)
+	sets := [2]*optics.KernelSet{s.Focus, s.Defocus}
+	kc := [2]int{s.kcount(s.Focus, true), s.kcount(s.Defocus, true)}
+	if wPVB == 0 {
+		kc[1] = 0 // the defocus corner is not simulated at all
 	}
-	grad := s.AerialBackward(dLdINom, s.Focus, true, fieldsF)
+	fields := [2][]*grid.Complex{a.saved(0, kc[0]), a.saved(1, kc[1])}
+	s.forward(a, 0, sets[0], kc[0], fields[0])
+	s.forward(a, 1, sets[1], kc[1], fields[1])
+	a.raise()
 
-	// Defocus corner: one aerial image serves both dose corners.
-	if wPVB != 0 {
-		kd := s.kcount(s.Defocus, true)
-		fieldsD := make([]*grid.Complex, kd)
-		iDef := s.Aerial(mask, s.Defocus, true, fieldsD)
-		zMax := ResistSigmoid(iDef, DoseMax)
-		zMin := ResistSigmoid(iDef, DoseMin)
-		dLdIDef := grid.NewReal(n, n)
-		const dMax2 = DoseMax * DoseMax
-		const dMin2 = DoseMin * DoseMin
-		for i := range zMax.Data {
-			dmax := zMax.Data[i] - target.Data[i]
-			dmin := zMin.Data[i] - target.Data[i]
-			res.PVB += dmax*dmax + dmin*dmin
-			dLdIDef.Data[i] = wPVB * 2 * ResistSteepness *
-				(dmax*zMax.Data[i]*(1-zMax.Data[i])*dMax2 +
-					dmin*zMin.Data[i]*(1-zMin.Data[i])*dMin2)
+	// Sigmoid resist and loss at full resolution; each pixel's pair of
+	// intensities is replaced by its pair of dL/dI. One defocus image
+	// serves both dose corners.
+	const dMax2 = DoseMax * DoseMax
+	const dMin2 = DoseMin * DoseMin
+	l2, pvb := 0.0, 0.0
+	pack := a.packN.Data
+	for i, t := range target.Data[:len(pack)] {
+		// The exponentials first, back to back: the divisions that follow
+		// then overlap instead of each waiting on its own call.
+		xNom := ResistSteepness * (real(pack[i]) - Threshold)
+		eNom := math.Exp(-math.Abs(xNom))
+		if wPVB == 0 {
+			zNom := logistic(xNom, eNom)
+			d := zNom - t
+			l2 += d * d
+			pack[i] = complex(wL2*2*d*ResistSteepness*zNom*(1-zNom), 0)
+			continue
 		}
-		gradDef := s.AerialBackward(dLdIDef, s.Defocus, true, fieldsD)
-		grad.Add(gradDef)
+		xMax := ResistSteepness * (dMax2*imag(pack[i]) - Threshold)
+		xMin := ResistSteepness * (dMin2*imag(pack[i]) - Threshold)
+		eMax, eMin := math.Exp(-math.Abs(xMax)), math.Exp(-math.Abs(xMin))
+		zNom, zMax, zMin := logistic(xNom, eNom), logistic(xMax, eMax), logistic(xMin, eMin)
+		d, dmax, dmin := zNom-t, zMax-t, zMin-t
+		l2 += d * d
+		pvb += dmax*dmax + dmin*dmin
+		pack[i] = complex(wL2*2*d*ResistSteepness*zNom*(1-zNom),
+			wPVB*2*ResistSteepness*(dmax*zMax*(1-zMax)*dMax2+dmin*zMin*(1-zMin)*dMin2))
 	}
+	res := &a.res
+	*res = DiffResult{L2: l2, PVB: pvb, Loss: wL2*l2 + wPVB*pvb, GradM: a.gradM}
 
-	res.Loss = wL2*res.L2 + wPVB*res.PVB
-	res.GradM = grad
+	s.backward(a, sets, kc, fields)
 	return res
 }

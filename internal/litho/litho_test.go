@@ -31,6 +31,14 @@ func simAt(t testing.TB, n int, tileNM float64) *Simulator {
 	return s
 }
 
+// keep copies a LossGrad result out of the simulator's arena, so it can be
+// compared with the result of a later call.
+func keep(r *DiffResult) *DiffResult {
+	c := *r
+	c.GradM = r.GradM.Clone()
+	return &c
+}
+
 func TestNewRejectsBadInputs(t *testing.T) {
 	cfg := optics.Default()
 	if _, err := New(cfg, 0); err == nil {
@@ -155,10 +163,19 @@ func TestSimulateDoseCornerNesting(t *testing.T) {
 // loss. This validates the whole adjoint chain: resist sigmoid → aerial
 // backward → kernel conjugation — on a power-of-two grid and on the two
 // mixed-radix window sizes (96 = 4·4·2·3, 160 = 4·4·2·5), whose band-pruned
-// transforms skip most rows and columns.
+// transforms skip most rows and columns and whose per-kernel work runs on
+// a smaller simulation grid. On the grids small enough for it, the
+// differences are also taken of the direct-space oracle's loss, so the
+// gradient is held to the physics and not only to LossGrad's own forward
+// pass.
 func TestLossGradMatchesFiniteDifference(t *testing.T) {
-	for _, s := range []*Simulator{testSim(t, 32), flowSim(t, 96), flowSim(t, 160)} {
+	sims := append([]*Simulator{flowSim(t, 96), flowSim(t, 160)}, oracleSims(t)...)
+	for _, s := range sims {
 		n := s.N
+		var o *oracle
+		if n <= 32 {
+			o = newOracle(n, s.Focus, s.Defocus)
+		}
 		rng := rand.New(rand.NewSource(42))
 		mask := grid.NewReal(n, n)
 		target := grid.NewReal(n, n)
@@ -173,28 +190,39 @@ func TestLossGradMatchesFiniteDifference(t *testing.T) {
 
 		for _, weights := range [][2]float64{{1, 0}, {0, 1}, {1, 1}} {
 			wL2, wPVB := weights[0], weights[1]
-			res := s.LossGrad(mask, target, wL2, wPVB)
+			res := keep(s.LossGrad(mask, target, wL2, wPVB))
 			if res.GradM.HasNaN() {
 				t.Fatal("gradient contains NaN")
 			}
 			const eps = 1e-5
 			for _, px := range [][2]int{{13 * n / 32, 13 * n / 32}, {n / 2, n / 2}, {5 * n / 32, 5 * n / 32}, {5 * n / 8, 3 * n / 8}} {
 				x, y := px[0], px[1]
-				orig := mask.At(x, y)
-				mask.Set(x, y, orig+eps)
-				lp := s.LossGrad(mask, target, wL2, wPVB).Loss
-				mask.Set(x, y, orig-eps)
-				lm := s.LossGrad(mask, target, wL2, wPVB).Loss
-				mask.Set(x, y, orig)
-				numeric := (lp - lm) / (2 * eps)
 				analytic := res.GradM.At(x, y)
-				scale := math.Max(math.Abs(numeric), math.Abs(analytic))
-				if scale < 1e-8 {
-					continue
+				// central differences of loss along the pixel (x, y)
+				central := func(loss func() float64) float64 {
+					orig := mask.At(x, y)
+					mask.Set(x, y, orig+eps)
+					lp := loss()
+					mask.Set(x, y, orig-eps)
+					lm := loss()
+					mask.Set(x, y, orig)
+					return (lp - lm) / (2 * eps)
 				}
-				if math.Abs(numeric-analytic) > 1e-3*scale+1e-8 {
-					t.Errorf("n=%d w=(%g,%g) pixel (%d,%d): analytic %g vs numeric %g",
-						n, wL2, wPVB, x, y, analytic, numeric)
+				numerics := map[string]float64{
+					"LossGrad's loss": central(func() float64 { return s.LossGrad(mask, target, wL2, wPVB).Loss }),
+				}
+				if o != nil {
+					numerics["the oracle's loss"] = central(func() float64 { return o.loss(s, mask, target, wL2, wPVB) })
+				}
+				for of, numeric := range numerics {
+					scale := math.Max(math.Abs(numeric), math.Abs(analytic))
+					if scale < 1e-8 {
+						continue
+					}
+					if math.Abs(numeric-analytic) > 1e-3*scale+1e-8 {
+						t.Errorf("n=%d w=(%g,%g) pixel (%d,%d): analytic %g vs central differences of %s %g",
+							n, wL2, wPVB, x, y, analytic, of, numeric)
+					}
 				}
 			}
 		}
@@ -203,11 +231,14 @@ func TestLossGradMatchesFiniteDifference(t *testing.T) {
 
 // Aerial and AerialBackward run band-pruned transforms; this reference
 // spells out the same sums with the full Forward2D/Inverse2D. Pruning
-// skips only work whose result is zero or never read, so the two must
-// agree exactly, not to a tolerance.
+// skips only work whose result is zero or never read, so with the
+// simulation grid pinned to the pixel grid the two must agree exactly, not
+// to a tolerance. (TestReducedGridMatchesFullGrid holds the rule-chosen
+// grid to this one.)
 func TestAerialMatchesFullTransformReference(t *testing.T) {
 	for _, n := range []int{96, 160} {
 		s := flowSim(t, n)
+		s.simGrid = n
 		rng := rand.New(rand.NewSource(int64(n)))
 		mask := grid.NewReal(n, n)
 		dLdI := grid.NewReal(n, n)
@@ -314,22 +345,5 @@ func TestKOptTruncation(t *testing.T) {
 	evalImg := s.Aerial(m, s.Focus, false, nil)
 	if full.SqDiff(evalImg) != 0 {
 		t.Fatal("evaluation path affected by KOpt")
-	}
-}
-
-func BenchmarkLossGrad64(b *testing.B) {
-	s := testSim(b, 64)
-	s.KOpt = 4
-	mask := grid.NewReal(64, 64)
-	target := grid.NewReal(64, 64)
-	for y := 24; y < 40; y++ {
-		for x := 24; x < 40; x++ {
-			target.Set(x, y, 1)
-			mask.Set(x, y, 1)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.LossGrad(mask, target, 1, 1)
 	}
 }

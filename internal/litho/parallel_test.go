@@ -41,7 +41,7 @@ func TestParallelLossGradBitIdentical(t *testing.T) {
 			}
 		}
 		s.Workers = 1
-		serial := s.LossGrad(mask, target, 1, 1)
+		serial := keep(s.LossGrad(mask, target, 1, 1))
 		for _, w := range []int{2, 4} {
 			s.Workers = w
 			par := s.LossGrad(mask, target, 1, 1)

@@ -70,6 +70,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 // pupilBins returns the pupil cutoff NA/λ expressed in frequency bins.
 func (c Config) pupilBins() float64 { return c.NA / c.Wavelength * c.TileNM }
 
@@ -170,7 +177,7 @@ func (c Config) sourcePoints() [][2]int {
 
 var (
 	kernelCacheMu sync.Mutex
-	kernelCache   = map[kernelKey]*KernelSet{}
+	kernelCache   = map[kernelKey]*kernelEntry{}
 )
 
 type kernelKey struct {
@@ -178,26 +185,35 @@ type kernelKey struct {
 	defocus bool
 }
 
+// kernelEntry is one memoized decomposition. The entry is created under
+// kernelCacheMu; once makes every caller of one key share one compute.
+type kernelEntry struct {
+	once sync.Once
+	set  *KernelSet
+	err  error
+}
+
+// computeKernels is ComputeKernels, replaceable by the single-flight test.
+var computeKernels = ComputeKernels
+
 // CachedKernels returns the SOCS kernel set for cfg, memoizing by the full
-// configuration value. The decomposition costs ~0.1 s at production scale,
-// and multi-resolution engines request the same physical condition
-// repeatedly, so callers should prefer this over ComputeKernels.
+// configuration value. The decomposition costs tens of milliseconds at
+// production scale — as much as optimizing a small tile — and
+// multi-resolution engines, tile workers and concurrent jobs request the
+// same physical condition repeatedly, so callers should prefer this over
+// ComputeKernels. Concurrent first callers of one key wait for a single
+// computation and share its result (or its error).
 func CachedKernels(cfg Config, defocus bool) (*KernelSet, error) {
 	key := kernelKey{cfg: cfg, defocus: defocus}
 	kernelCacheMu.Lock()
-	if set, ok := kernelCache[key]; ok {
-		kernelCacheMu.Unlock()
-		return set, nil
+	e := kernelCache[key]
+	if e == nil {
+		e = &kernelEntry{}
+		kernelCache[key] = e
 	}
 	kernelCacheMu.Unlock()
-	set, err := ComputeKernels(cfg, defocus)
-	if err != nil {
-		return nil, err
-	}
-	kernelCacheMu.Lock()
-	kernelCache[key] = set
-	kernelCacheMu.Unlock()
-	return set, nil
+	e.once.Do(func() { e.set, e.err = computeKernels(cfg, defocus) })
+	return e.set, e.err
 }
 
 // ComputeKernels builds the SOCS kernel set for the configuration. With
@@ -223,28 +239,48 @@ func ComputeKernels(cfg Config, defocus bool) (*KernelSet, error) {
 	side := 2*half + 1
 	nf := side * side
 
-	// B[f, s] = P(f + f0_s) / √ns.
+	// B[f, s] = P(f + f0_s) / √ns. The pupil is evaluated once per
+	// distinct bin f + f0_s, not once per (f, s) pair.
+	reach := half
+	for _, p := range src {
+		reach = max(reach, half+abs(p[0]), half+abs(p[1]))
+	}
+	span := 2*reach + 1
+	pupil := make([]complex128, span*span)
+	for i := range pupil {
+		pupil[i] = cfg.pupil(float64(i%span-reach), float64(i/span-reach), defocus)
+	}
 	b := make([]complex128, nf*ns)
 	wsrc := complex(1/math.Sqrt(float64(ns)), 0)
 	for fi := 0; fi < nf; fi++ {
 		fy := fi/side - half
 		fx := fi%side - half
 		for s, p := range src {
-			b[fi*ns+s] = cfg.pupil(float64(fx+p[0]), float64(fy+p[1]), defocus) * wsrc
+			b[fi*ns+s] = pupil[(fy+p[1]+reach)*span+fx+p[0]+reach] * wsrc
 		}
 	}
 
-	// Gram matrix G = B†B (ns×ns Hermitian).
+	// Gram matrix G = B†B (ns×ns Hermitian), accumulated one row of B at a
+	// time so both operands are contiguous. Zero entries add nothing and
+	// are skipped: whole rows of them outside every shifted pupil (the
+	// corners of the square support), and about half of every other row.
 	g := make([]complex128, ns*ns)
-	for i := 0; i < ns; i++ {
-		for j := i; j < ns; j++ {
-			var s complex128
-			for fi := 0; fi < nf; fi++ {
-				bi := b[fi*ns+i]
-				s += complex(real(bi), -imag(bi)) * b[fi*ns+j]
+	for fi := 0; fi < nf; fi++ {
+		row := b[fi*ns : (fi+1)*ns]
+		for i, bi := range row {
+			if bi == 0 {
+				continue
 			}
-			g[i*ns+j] = s
-			g[j*ns+i] = complex(real(s), -imag(s))
+			ci := complex(real(bi), -imag(bi))
+			gi := g[i*ns : (i+1)*ns]
+			for j := i; j < ns; j++ {
+				gi[j] += ci * row[j]
+			}
+		}
+	}
+	for i := 0; i < ns; i++ {
+		for j := i + 1; j < ns; j++ {
+			g[j*ns+i] = complex(real(g[i*ns+j]), -imag(g[i*ns+j]))
 		}
 	}
 
@@ -254,38 +290,44 @@ func ComputeKernels(cfg Config, defocus bool) (*KernelSet, error) {
 		k = ns
 	}
 
+	// Kernel k is the left singular vector B·v_k/√λ_k. All kept kernels
+	// are formed together, one row of B at a time, so the inner loop runs
+	// along a row of the eigenvector matrix (its first k entries).
 	set := &KernelSet{Cfg: cfg, Defocus: defocus}
-	for ki := 0; ki < k; ki++ {
-		lam := vals[ki]
-		if lam < 1e-12 {
-			break // numerically zero modes carry no energy
-		}
-		coef := make([]complex128, nf)
-		inv := complex(1/math.Sqrt(lam), 0)
-		for fi := 0; fi < nf; fi++ {
-			var s complex128
-			for sj := 0; sj < ns; sj++ {
-				s += b[fi*ns+sj] * vecs[sj*ns+ki]
+	for ki := 0; ki < k && vals[ki] >= 1e-12; ki++ { // numerically zero modes carry no energy
+		set.Kernels = append(set.Kernels, Kernel{Weight: vals[ki], Half: half, Coef: make([]complex128, nf)})
+	}
+	k = len(set.Kernels)
+	acc := make([]complex128, k)
+	for fi := 0; fi < nf; fi++ {
+		clear(acc)
+		for sj, bv := range b[fi*ns : (fi+1)*ns] {
+			if bv == 0 {
+				continue
 			}
-			coef[fi] = s * inv
+			for ki, v := range vecs[sj*ns : sj*ns+k] {
+				acc[ki] += bv * v
+			}
 		}
-		set.Kernels = append(set.Kernels, Kernel{Weight: lam, Half: half, Coef: coef})
+		for ki, s := range acc {
+			set.Kernels[ki].Coef[fi] = s * complex(1/math.Sqrt(vals[ki]), 0)
+		}
 	}
 	if len(set.Kernels) == 0 {
 		return nil, fmt.Errorf("optics: decomposition produced no kernels")
 	}
 
 	// Clear-field normalization: scale weights so Σ λ_k |H_k(0)|² = 1.
-	clear := 0.0
+	open := 0.0
 	for i := range set.Kernels {
 		h0 := set.Kernels[i].At(0, 0)
-		clear += set.Kernels[i].Weight * (real(h0)*real(h0) + imag(h0)*imag(h0))
+		open += set.Kernels[i].Weight * (real(h0)*real(h0) + imag(h0)*imag(h0))
 	}
-	if clear <= 0 {
+	if open <= 0 {
 		return nil, fmt.Errorf("optics: clear-field intensity is zero; cannot normalize")
 	}
 	for i := range set.Kernels {
-		set.Kernels[i].Weight /= clear
+		set.Kernels[i].Weight /= open
 	}
 	return set, nil
 }

@@ -3,6 +3,8 @@ package optics
 import (
 	"math"
 	"math/cmplx"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -195,5 +197,55 @@ func TestComputeKernelsRejectsInvalid(t *testing.T) {
 	c.NA = -1
 	if _, err := ComputeKernels(c, false); err == nil {
 		t.Fatal("expected error for invalid config")
+	}
+}
+
+// Concurrent first callers of one key — two daemon jobs of one window size
+// starting together, parallel benchmark runners — must share one
+// decomposition, not each run their own.
+func TestCachedKernelsSingleFlight(t *testing.T) {
+	var computes atomic.Int32
+	release := make(chan struct{})
+	computeKernels = func(cfg Config, defocus bool) (*KernelSet, error) {
+		computes.Add(1)
+		<-release // hold the first compute until every caller has arrived
+		return ComputeKernels(cfg, defocus)
+	}
+	defer func() { computeKernels = ComputeKernels }()
+
+	cfg := smallConfig()
+	cfg.TileNM = 500.5 // a key no other test uses; cold on every -count run
+	kernelCacheMu.Lock()
+	delete(kernelCache, kernelKey{cfg: cfg, defocus: true})
+	kernelCacheMu.Unlock()
+	const callers = 8
+	sets := make([]*KernelSet, callers)
+	var arrived, done sync.WaitGroup
+	arrived.Add(callers)
+	done.Add(callers)
+	for i := 0; i < callers; i++ {
+		go func(i int) {
+			defer done.Done()
+			arrived.Done()
+			set, err := CachedKernels(cfg, true)
+			if err != nil {
+				t.Error(err)
+			}
+			sets[i] = set
+		}(i)
+	}
+	arrived.Wait()
+	close(release)
+	done.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("%d goroutines on a cold key ran %d decompositions, want 1", callers, n)
+	}
+	for i, set := range sets {
+		if set == nil || set != sets[0] {
+			t.Fatalf("caller %d got kernel set %p, caller 0 got %p", i, set, sets[0])
+		}
+	}
+	if set, _ := CachedKernels(cfg, true); set != sets[0] || computes.Load() != 1 {
+		t.Fatal("a warm lookup recomputed")
 	}
 }
