@@ -79,6 +79,28 @@ func TestCLIToolsBuildAndUsage(t *testing.T) {
 	}
 }
 
+// TestEveryInternalPackageIsShipped fails, naming the orphan, when an
+// internal package is no longer a dependency of any binary or example:
+// its own tests would keep passing, so nothing else notices.
+func TestEveryInternalPackageIsShipped(t *testing.T) {
+	list := func(args ...string) []string {
+		out, err := exec.Command("go", append([]string{"list"}, args...)...).Output()
+		if err != nil {
+			t.Fatalf("go list %v: %v", args, err)
+		}
+		return strings.Fields(string(out))
+	}
+	shipped := map[string]bool{}
+	for _, pkg := range list("-deps", "./cmd/...", "./examples/...") {
+		shipped[pkg] = true
+	}
+	for _, pkg := range list("./internal/...") {
+		if !shipped[pkg] {
+			t.Errorf("%s is imported by nothing under ./cmd or ./examples", pkg)
+		}
+	}
+}
+
 // TestCLIEndToEnd builds the command-line tools and drives the full
 // artifact flow a user would: generate layouts, optimize one, and re-score
 // the emitted shot list.

@@ -118,9 +118,6 @@ func main() {
 		procWorkers = flag.Int("proc-workers", 0, "tiled flow: run tiles in this many supervised worker subprocesses (0 = in-process; overrides -tile-workers)")
 		workerBin   = flag.String("worker-bin", "", "tiled flow: worker binary for -proc-workers (default: re-execute this binary)")
 		remoteHosts = flag.String("remote-hosts", "", "tiled flow: comma-separated tileworker -listen addresses; tiles shard across them (excludes -proc-workers)")
-		remoteSil   = flag.Duration("remote-silence", 0, "-remote-hosts / -proc-workers: drop a worker whose frames stop for this long and reconnect or respawn (0 = 10s default)")
-		remoteBack  = flag.Duration("remote-backoff", 0, "-remote-hosts / -proc-workers: base reconnect/respawn backoff, doubled per consecutive failure (0 = 50ms default)")
-		remoteLimit = flag.Int("remote-crash-limit", 0, "-remote-hosts / -proc-workers: consecutive failures before a worker slot's breaker opens and its tiles degrade to in-process (0 = 3 default)")
 		winCache    = flag.String("window-cache", "off", "tiled flow: dedup identical windows — off | mem | disk (disk adds a persistent tier under -cache-dir)")
 		cacheDir    = flag.String("cache-dir", "", "tiled flow: directory for the -window-cache disk tier (survives across runs)")
 		adaptive    = flag.Bool("adaptive-tiles", false, "tiled flow: occupancy-adaptive tiling — merge sparse 2×2 blocks, skip empty ones, split dense windows (output stays deterministic)")
@@ -151,10 +148,6 @@ func main() {
 		log.Fatal("-partial-every journals mid-tile snapshots and needs -checkpoint <path>")
 	case *workerBin != "" && *procWorkers <= 0:
 		log.Fatal("-worker-bin only applies with -proc-workers > 0")
-	case (*remoteSil != 0 || *remoteBack != 0 || *remoteLimit != 0) && *remoteHosts == "" && *procWorkers <= 0:
-		log.Fatal("-remote-silence / -remote-backoff / -remote-crash-limit only apply with -remote-hosts or -proc-workers")
-	case *remoteSil < 0 || *remoteBack < 0 || *remoteLimit < 0:
-		log.Fatal("-remote-silence, -remote-backoff, and -remote-crash-limit must be >= 0")
 	case *winCache != "off" && *winCache != "mem" && *winCache != "disk":
 		log.Fatalf("-window-cache %q: want off, mem, or disk", *winCache)
 	case (*winCache == "disk") != (*cacheDir != ""):
@@ -206,7 +199,6 @@ func main() {
 	cfg.Workers = *workers
 	cfg.TileRetries, cfg.TileTimeout, cfg.StallTimeout = *tileRetries, *tileTimeout, *stallTO
 	cfg.QuarantineDir, cfg.StrictStorage, cfg.AdaptiveTiles = *quarDir, *strictIO, *adaptive
-	cfg.LinkSilence, cfg.LinkBackoff, cfg.LinkCrashLimit = *remoteSil, *remoteBack, *remoteLimit
 	if *procWorkers > 0 {
 		bin := *workerBin
 		if bin == "" {

@@ -71,10 +71,3 @@ func main() {
 			n, sim.DX, len(rects), len(circles), red, time.Since(start).Round(time.Second))
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

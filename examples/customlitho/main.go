@@ -11,10 +11,8 @@ import (
 	"log"
 
 	"cfaopc/internal/grid"
-	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
-	"cfaopc/internal/sraf"
 )
 
 func main() {
@@ -60,56 +58,6 @@ func main() {
 		dx2 := sim.DX * sim.DX
 		fmt.Printf("%-30s %10.0f %10.0f %10d\n",
 			cond.name, float64(l2)*dx2, float64(pvb)*dx2, len(sim.Focus.Kernels))
-	}
-
-	// Rule-based scattering bars: the classic OPC assist for isolated
-	// features. Compare the isolated bar's process-variation band with and
-	// without SRAFs (the bars are sub-resolution: they must not print).
-	iso := &layout.Layout{
-		Name:   "iso",
-		TileNM: 2048,
-		Rects:  []layout.Rect{{X: 960, Y: 700, W: 90, H: 640}},
-	}
-	withBars := sraf.WithSRAFs(iso, sraf.DefaultRules())
-	fmt.Printf("\nrule-based SRAFs on an isolated 90 nm bar (%d bars inserted):\n",
-		len(withBars.Rects)-len(iso.Rects))
-	simCfg := optics.Default()
-	isoSim, err := litho.New(simCfg, 256)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, variant := range []struct {
-		name string
-		l    *layout.Layout
-	}{{"bare mask", iso}, {"with SRAFs", withBars}} {
-		mask := variant.l.Rasterize(256)
-		res := isoSim.Simulate(mask)
-		pvb := 0
-		for i := range res.ZMax.Data {
-			if (res.ZMax.Data[i] > 0.5) != (res.ZMin.Data[i] > 0.5) {
-				pvb++
-			}
-		}
-		// Count printed pixels more than ~40 nm away from the drawn bar:
-		// SRAFs are sub-resolution and must not print.
-		stray := 0
-		for y := 0; y < 256; y++ {
-			for x := 0; x < 256; x++ {
-				if res.ZNom.At(x, y) <= 0.5 {
-					continue
-				}
-				xNM := (float64(x) + 0.5) * isoSim.DX
-				yNM := (float64(y) + 0.5) * isoSim.DX
-				t := iso.Rects[0]
-				if xNM < float64(t.X)-40 || xNM > float64(t.X+t.W)+40 ||
-					yNM < float64(t.Y)-40 || yNM > float64(t.Y+t.H)+40 {
-					stray++
-				}
-			}
-		}
-		dx2 := isoSim.DX * isoSim.DX
-		fmt.Printf("  %-12s PVB %6.0f nm², stray printed px: %d\n",
-			variant.name, float64(pvb)*dx2, stray)
 	}
 
 	// The kernel spectra themselves are inspectable: show the energy

@@ -106,7 +106,7 @@ func (r *Runner) engine(name string) ilt.Engine {
 	cfg.Iterations = r.Opt.BaselineIters
 	// Mask-rule cleanup: drop features smaller than ~24×24 nm regardless
 	// of grid resolution (speckles that would never survive MRC).
-	cfg.MinFeaturePx = maxInt(2, int(576/(r.Sim.DX*r.Sim.DX)))
+	cfg.MinFeaturePx = max(2, int(576/(r.Sim.DX*r.Sim.DX)))
 	switch name {
 	case "DevelSet":
 		return &ilt.LevelSet{Cfg: cfg}
@@ -135,7 +135,7 @@ func (r *Runner) PixelMask(name string, ci int) *grid.Real {
 // ruleConfig returns the CircleRule settings for sample distance mNM.
 func (r *Runner) ruleConfig(mNM float64) fracture.CircleRuleConfig {
 	cfg := fracture.DefaultCircleRuleConfig(r.Sim.DX)
-	cfg.SampleDist = maxInt(1, int(mNM/r.Sim.DX+0.5))
+	cfg.SampleDist = max(1, int(mNM/r.Sim.DX+0.5))
 	return cfg
 }
 
@@ -152,7 +152,7 @@ func (r *Runner) RunRect(name string, ci int) metrics.Report {
 	mask := r.PixelMask(name, ci)
 	block := 1 // RectBlockNM ≤ 0 means the finest grid the mask has
 	if r.Opt.RectBlockNM > 0 {
-		block = maxInt(1, int(r.Opt.RectBlockNM/r.Sim.DX+0.5))
+		block = max(1, int(r.Opt.RectBlockNM/r.Sim.DX+0.5))
 	}
 	rects := fracture.RectShots(mask, block)
 	return r.EvaluateMask(ci, mask, len(rects))
@@ -186,11 +186,4 @@ func (r *Runner) RunCircleOpt(ci int, mNM, gamma float64) (metrics.Report, *core
 	res := e.Optimize(r.Sim, r.Targets[ci])
 	r.circleOptCache[key] = res
 	return r.EvaluateMask(ci, res.Mask, len(res.Shots)), res
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -37,6 +37,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -118,7 +119,7 @@ func OpenFS(fsys iox.FS, path string, header []byte) (*Journal, [][]byte, error)
 		f.Close()
 		return nil, nil, err
 	}
-	if !bytesEqual(gotHeader, header) {
+	if !bytes.Equal(gotHeader, header) {
 		f.Close()
 		return nil, nil, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
 	}
@@ -160,14 +161,14 @@ func replay(f iox.File) (header []byte, payloads [][]byte, validOff int64, err e
 	}
 	m := make([]byte, len(magic))
 	n, err := io.ReadFull(f, m)
-	if err != nil && bytesEqual(m[:n], magic[:n]) {
+	if err != nil && bytes.Equal(m[:n], magic[:n]) {
 		// The whole file is a strict prefix of the magic: a crash tore
 		// the very first write, so the journal never finished being
 		// born. Report it like a torn header and let Open restart the
 		// file — this is a birth crash, not foreign data.
 		return nil, nil, 0, errNoHeader
 	}
-	if err != nil || !bytesEqual(m, magic) {
+	if err != nil || !bytes.Equal(m, magic) {
 		return nil, nil, 0, fmt.Errorf("checkpoint: not a journal (bad magic)")
 	}
 	off := int64(len(magic))
@@ -307,16 +308,4 @@ func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.f.Close()
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

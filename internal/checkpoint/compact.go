@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,11 +15,6 @@ type CompactStats struct {
 	Dropped     int   // superseded records removed
 	BytesBefore int64 // journal size before, including magic and header
 	BytesAfter  int64
-}
-
-// Compact is CompactFS on the real filesystem.
-func Compact(path string, header []byte, keyOf func(payload []byte) (string, error)) (CompactStats, error) {
-	return CompactFS(nil, path, header, keyOf)
 }
 
 // CompactFS rewrites the journal at path keeping only the LAST record
@@ -46,7 +42,7 @@ func CompactFS(fsys iox.FS, path string, header []byte, keyOf func(payload []byt
 	if err != nil {
 		return stats, err
 	}
-	if !bytesEqual(gotHeader, header) {
+	if !bytes.Equal(gotHeader, header) {
 		return stats, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
 	}
 	stats.BytesBefore = validOff

@@ -38,7 +38,7 @@ func TestCompactDropsSuperseded(t *testing.T) {
 	j.Close()
 	before, _ := os.Stat(path)
 
-	stats, err := Compact(path, hdr, firstByteKey)
+	stats, err := CompactFS(nil, path, hdr, firstByteKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestCompactIdempotent(t *testing.T) {
 	j.Append([]byte("a2"))
 	j.Close()
 
-	if _, err := Compact(path, hdr, firstByteKey); err != nil {
+	if _, err := CompactFS(nil, path, hdr, firstByteKey); err != nil {
 		t.Fatal(err)
 	}
 	first, _ := os.ReadFile(path)
-	stats, err := Compact(path, hdr, firstByteKey)
+	stats, err := CompactFS(nil, path, hdr, firstByteKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCompactHeaderMismatch(t *testing.T) {
 	j, _ := open(t, path, []byte("fp-A"))
 	j.Append([]byte("a"))
 	j.Close()
-	if _, err := Compact(path, []byte("fp-B"), firstByteKey); !errors.Is(err, ErrHeaderMismatch) {
+	if _, err := CompactFS(nil, path, []byte("fp-B"), firstByteKey); !errors.Is(err, ErrHeaderMismatch) {
 		t.Fatalf("err = %v, want ErrHeaderMismatch", err)
 	}
 	// The failed compaction must leave the journal readable and intact.
@@ -112,7 +112,7 @@ func TestCompactKeyErrorLeavesJournal(t *testing.T) {
 	j.Close()
 	orig, _ := os.ReadFile(path)
 
-	if _, err := Compact(path, hdr, firstByteKey); err == nil || !strings.Contains(err.Error(), "empty payload") {
+	if _, err := CompactFS(nil, path, hdr, firstByteKey); err == nil || !strings.Contains(err.Error(), "empty payload") {
 		t.Fatalf("err = %v, want keyOf failure", err)
 	}
 	after, _ := os.ReadFile(path)
@@ -135,7 +135,7 @@ func TestCompactDropsTornTail(t *testing.T) {
 	f.Write([]byte{0, 0, 0, 9, 1, 2})
 	f.Close()
 
-	stats, err := Compact(path, hdr, firstByteKey)
+	stats, err := CompactFS(nil, path, hdr, firstByteKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCompactDropsTornTail(t *testing.T) {
 }
 
 func TestCompactMissingJournal(t *testing.T) {
-	if _, err := Compact(filepath.Join(t.TempDir(), "absent.ckpt"), []byte("fp"), firstByteKey); err == nil {
+	if _, err := CompactFS(nil, filepath.Join(t.TempDir(), "absent.ckpt"), []byte("fp"), firstByteKey); err == nil {
 		t.Fatal("compacted a journal that does not exist")
 	}
 }
@@ -167,7 +167,7 @@ func TestCompactTmpPathBlocked(t *testing.T) {
 	if err := os.Mkdir(path+".compact.tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(path, hdr, firstByteKey); err == nil {
+	if _, err := CompactFS(nil, path, hdr, firstByteKey); err == nil {
 		t.Fatal("compaction succeeded with its temp path blocked")
 	}
 	after, _ := os.ReadFile(path)

@@ -166,7 +166,7 @@ func TestCompactRenameFault(t *testing.T) {
 	if _, err := os.Stat(path + ".compact.tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file left behind")
 	}
-	payloads, err := Read(path, header)
+	payloads, err := ReadFS(nil, path, header)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCompactRenameFault(t *testing.T) {
 		t.Fatalf("original journal damaged: %d records", len(payloads))
 	}
 	// And with a clean filesystem the same compaction succeeds.
-	stats, err := Compact(path, header, keyOf)
+	stats, err := CompactFS(nil, path, header, keyOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestStorageFaultMatrix(t *testing.T) {
 		if _, err := CompactFS(ff2, path, header, keyOf); err == nil {
 			t.Fatal("rename fault should abort compaction")
 		}
-		if _, err := Read(path, header); err != nil {
+		if _, err := ReadFS(nil, path, header); err != nil {
 			t.Fatalf("journal damaged by aborted compaction: %v", err)
 		}
 	}
@@ -266,7 +266,7 @@ func TestTornMagicRestartsJournal(t *testing.T) {
 	if err := os.WriteFile(path, []byte("CFCK"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if payloads, err := Read(path, header); err != nil || len(payloads) != 0 {
+	if payloads, err := ReadFS(nil, path, header); err != nil || len(payloads) != 0 {
 		t.Fatalf("Read on torn magic: %v, %d payloads", err, len(payloads))
 	}
 	j, payloads, err := Open(path, header)
@@ -280,7 +280,7 @@ func TestTornMagicRestartsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Close()
-	got, err := Read(path, header)
+	got, err := ReadFS(nil, path, header)
 	if err != nil || len(got) != 1 || string(got[0]) != "first" {
 		t.Fatalf("restarted journal did not round-trip: %v, %q", err, got)
 	}

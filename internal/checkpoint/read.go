@@ -1,16 +1,12 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
 	"cfaopc/internal/iox"
 )
-
-// Read is ReadFS on the real filesystem.
-func Read(path string, header []byte) ([][]byte, error) {
-	return ReadFS(nil, path, header)
-}
 
 // ReadFS replays the journal at path without taking the append handle:
 // the file is opened read-only, never truncated, and never locked, so
@@ -38,7 +34,7 @@ func ReadFS(fsys iox.FS, path string, header []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !bytesEqual(gotHeader, header) {
+	if !bytes.Equal(gotHeader, header) {
 		return nil, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
 	}
 	return payloads, nil

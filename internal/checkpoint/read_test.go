@@ -19,7 +19,7 @@ func TestReadReplaysWithoutDisturbing(t *testing.T) {
 		}
 	}
 	// Read while the append handle is still open: the observer contract.
-	recs, err := Read(path, hdr)
+	recs, err := ReadFS(nil, path, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestReadReplaysWithoutDisturbing(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if recs, err = Read(path, hdr); err != nil || len(recs) != 4 {
+	if recs, err = ReadFS(nil, path, hdr); err != nil || len(recs) != 4 {
 		t.Fatalf("after close: %d records, err %v", len(recs), err)
 	}
 }
@@ -48,7 +48,7 @@ func TestReadHeaderMismatch(t *testing.T) {
 	j, _ := open(t, path, []byte("fp-A"))
 	j.Append([]byte("x"))
 	j.Close()
-	if _, err := Read(path, []byte("fp-B")); !errors.Is(err, ErrHeaderMismatch) {
+	if _, err := ReadFS(nil, path, []byte("fp-B")); !errors.Is(err, ErrHeaderMismatch) {
 		t.Fatalf("err = %v, want ErrHeaderMismatch", err)
 	}
 }
@@ -70,7 +70,7 @@ func TestReadTornTailLeftInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	torn, _ := os.Stat(path)
-	recs, err := Read(path, hdr)
+	recs, err := ReadFS(nil, path, hdr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,14 @@ func TestReadHeaderlessJournalIsEmpty(t *testing.T) {
 	if err := os.WriteFile(path, []byte("CFCKPT1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Read(path, []byte("h"))
+	recs, err := ReadFS(nil, path, []byte("h"))
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("recs = %v, err = %v; want empty, nil", recs, err)
 	}
 }
 
 func TestReadMissingFile(t *testing.T) {
-	if _, err := Read(filepath.Join(t.TempDir(), "absent"), []byte("h")); err == nil {
+	if _, err := ReadFS(nil, filepath.Join(t.TempDir(), "absent"), []byte("h")); err == nil {
 		t.Fatal("missing file read as success")
 	}
 }

@@ -38,17 +38,6 @@ type Params struct {
 // Len returns the number of circles.
 func (p *Params) Len() int { return len(p.X) }
 
-// Clone returns a deep copy.
-func (p *Params) Clone() *Params {
-	c := &Params{
-		X: append([]float64(nil), p.X...),
-		Y: append([]float64(nil), p.Y...),
-		R: append([]float64(nil), p.R...),
-		Q: append([]float64(nil), p.Q...),
-	}
-	return c
-}
-
 // ActiveShots returns the quantized circles whose activation exceeds the
 // threshold — the final shot list (one circle = one writer shot).
 func (p *Params) ActiveShots(cfg Config, w, h int) []geom.Circle {

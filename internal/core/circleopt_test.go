@@ -275,15 +275,3 @@ func TestCircleOptDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestParamsClone(t *testing.T) {
-	p := &Params{X: []float64{1}, Y: []float64{2}, R: []float64{3}, Q: []float64{4}}
-	c := p.Clone()
-	c.X[0] = 99
-	if p.X[0] != 1 {
-		t.Fatal("Clone aliases the original")
-	}
-	if p.Len() != 1 {
-		t.Fatal("Len wrong")
-	}
-}

@@ -108,15 +108,3 @@ func transform2D(g *grid.Complex, inverse bool, rows, cols [2]span) {
 	}
 	colPlan.work.Put(cw)
 }
-
-// Convolve returns the circular convolution of two equal-size complex grids
-// computed via the frequency domain. Inputs are not modified.
-func Convolve(a, b *grid.Complex) *grid.Complex {
-	fa := a.Clone()
-	fb := b.Clone()
-	Forward2D(fa)
-	Forward2D(fb)
-	fa.MulPointwise(fb)
-	Inverse2D(fa)
-	return fa
-}

@@ -312,49 +312,3 @@ func TestBandMatchesFull(t *testing.T) {
 		}
 	}
 }
-
-func TestConvolveDeltaIsIdentity(t *testing.T) {
-	n := 8
-	a := grid.NewComplex(n, n)
-	rng := rand.New(rand.NewSource(5))
-	for i := range a.Data {
-		a.Data[i] = complex(rng.Float64(), 0)
-	}
-	delta := grid.NewComplex(n, n)
-	delta.Set(0, 0, 1)
-	c := Convolve(a, delta)
-	for i := range a.Data {
-		if cmplx.Abs(c.Data[i]-a.Data[i]) > 1e-10 {
-			t.Fatalf("delta convolution not identity at %d", i)
-		}
-	}
-}
-
-func TestConvolveMatchesDirect(t *testing.T) {
-	n := 6
-	a := grid.NewComplex(n, n)
-	b := grid.NewComplex(n, n)
-	rng := rand.New(rand.NewSource(9))
-	for i := range a.Data {
-		a.Data[i] = complex(rng.Float64(), rng.Float64())
-		b.Data[i] = complex(rng.Float64(), rng.Float64())
-	}
-	want := grid.NewComplex(n, n)
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			var s complex128
-			for v := 0; v < n; v++ {
-				for u := 0; u < n; u++ {
-					s += a.At(u, v) * b.At(((x-u)%n+n)%n, ((y-v)%n+n)%n)
-				}
-			}
-			want.Set(x, y, s)
-		}
-	}
-	got := Convolve(a, b)
-	for i := range want.Data {
-		if cmplx.Abs(got.Data[i]-want.Data[i]) > 1e-8 {
-			t.Fatalf("convolution mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"slices"
 	"testing"
 
 	"cfaopc/internal/layout"
@@ -57,3 +58,41 @@ func BenchmarkFlowRunStreaming(b *testing.B) { runFlowBenchmark(b, false) }
 // BenchmarkFlowRunFullMask opts back into the dense stitched mask, the
 // pre-streaming behavior.
 func BenchmarkFlowRunFullMask(b *testing.B) { runFlowBenchmark(b, true) }
+
+// BenchmarkFlowTransport times the same four-tile run per way of
+// reaching a tile worker: in this process, on a spawned subprocess, on
+// a loopback TCP host. One lane each, so the gap between legs is the
+// transport's wall overhead. A leg is timed only after its shots
+// compared == against the in-process run's.
+func BenchmarkFlowTransport(b *testing.B) {
+	l := quadLayout()
+	legs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"inproc", serialRef(procConfig(b))},
+		{"subprocess", procConfig(b)},
+		{"tcp", netConfig(b, startHost(b, false).addr)},
+	}
+	ref, err := Run(l, legs[0].cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			res, err := Run(l, leg.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !slices.Equal(res.Shots, ref.Shots) || res.LinkCrashes != 0 {
+				b.Fatalf("%d shots, %d failed dispatches; in-process %d shots", len(res.Shots), res.LinkCrashes, len(ref.Shots))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(l, leg.cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -294,15 +294,9 @@ type Config struct {
 	// are skipped without rasterizing. The plan is deterministic (from
 	// layout.WindowIndex occupancy) and sorted row-major, so determinism,
 	// checkpointing, and band streaming all hold exactly as in uniform
-	// mode; the adaptive knobs are part of the checkpoint fingerprint, so
-	// a journal can't silently cross tiling modes.
+	// mode; the flag is part of the checkpoint fingerprint, so a journal
+	// can't silently cross tiling modes.
 	AdaptiveTiles bool
-	// AdaptiveMergeMax is the maximum merged-window occupancy fraction
-	// for a 2×2 merge (default 0.02); AdaptiveSplitMin is the minimum
-	// window occupancy fraction that splits a cell (default 0.35; split
-	// requires even CorePx). Both are fractions of window pixel area.
-	AdaptiveMergeMax float64
-	AdaptiveSplitMin float64
 
 	// Drain, when non-nil and closed mid-run, stops dispatching new
 	// tiles: in-flight tiles finish and are journaled, the checkpoint is
@@ -319,13 +313,6 @@ type Config struct {
 	// result, and the run does not wait on the sink. See EventSink for
 	// the concurrency contract the callback must honor.
 	Events EventSink
-
-	// QuarantineMaxBundles / QuarantineMaxBytes bound the quarantine
-	// directory: after each bundle write the oldest .qrb+.json pairs are
-	// pruned until both budgets hold (zero = unlimited on that axis).
-	// The just-written bundle is the newest, so it always survives.
-	QuarantineMaxBundles int
-	QuarantineMaxBytes   int64
 }
 
 // linkSilence / linkBackoff / linkCrashLimit resolve the supervision
@@ -601,7 +588,7 @@ type runEnv struct {
 	// worker's redispatch counter otherwise).
 	dispatch int
 
-	quarMu sync.Mutex // serializes bundle saves with retention pruning
+	quarMu sync.Mutex // serializes bundle saves
 	// Failed dispatches and breaker openings across every worker slot.
 	linkCrashes atomic.Int64
 	linkBroken  atomic.Int64
@@ -967,9 +954,7 @@ func (env *runEnv) fold(j tileJob, target *grid.Real, shots []geom.Circle, path 
 }
 
 // saveQuarantine writes the repro bundle for a tile that degraded to
-// empty and then enforces the retention budget. Saves and prunes are
-// serialized under quarMu so concurrent empty tiles cannot race the
-// budget accounting.
+// empty. Saves are serialized under quarMu.
 func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []AttemptOutcome, st *TileStat) {
 	cfg := env.cfg
 	if cfg.QuarantineDir == "" {
@@ -990,15 +975,6 @@ func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []Attem
 		return
 	}
 	st.Bundle = bpath
-	if cfg.QuarantineMaxBundles > 0 || cfg.QuarantineMaxBytes > 0 {
-		if _, perr := quarantine.Prune(cfg.QuarantineDir, cfg.QuarantineMaxBundles, cfg.QuarantineMaxBytes); perr != nil {
-			if cfg.StrictStorage {
-				env.reportErr(perr)
-			} else {
-				env.quarDropped.Add(1)
-			}
-		}
-	}
 }
 
 // buildBundle assembles the self-contained repro artifact for a tile
@@ -1176,8 +1152,9 @@ func configFingerprint(cfg Config, dxNM float64) string {
 func fingerprint(l *layout.Layout, cfg Config) []byte {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "cfg=%s\n", configFingerprint(cfg, float64(l.TileNM)/float64(cfg.GridN)))
-	fmt.Fprintf(h, "adaptive=%v merge=%g split=%g\n",
-		cfg.AdaptiveTiles, cfg.AdaptiveMergeMax, cfg.AdaptiveSplitMin)
+	// merge/split were Config knobs no binary ever set; the literal zeros
+	// keep every journal header written so far matching.
+	fmt.Fprintf(h, "adaptive=%v merge=0 split=0\n", cfg.AdaptiveTiles)
 	fmt.Fprintf(h, "layout=%s tile=%d\n", l.Name, l.TileNM)
 	for _, r := range l.Rects {
 		fmt.Fprintf(h, "%d,%d,%d,%d\n", r.X, r.Y, r.W, r.H)
@@ -1215,9 +1192,6 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("flow: RemoteHosts and ProcWorkers are mutually exclusive transports")
 	case (len(cfg.RemoteHosts) > 0 || cfg.ProcWorkers > 0) && cfg.Engines.Primary == "":
 		return fmt.Errorf("flow: ProcWorkers and RemoteHosts require Engines metadata (the worker rebuilds the optimizer chain from it)")
-	case cfg.AdaptiveMergeMax < 0 || cfg.AdaptiveMergeMax > 1 || cfg.AdaptiveSplitMin < 0 || cfg.AdaptiveSplitMin > 1:
-		return fmt.Errorf("flow: adaptive thresholds merge=%g split=%g outside [0, 1]",
-			cfg.AdaptiveMergeMax, cfg.AdaptiveSplitMin)
 	case cfg.CorePx+2*cfg.HaloPx > cfg.GridN:
 		return fmt.Errorf("flow: window %d exceeds grid %d", cfg.CorePx+2*cfg.HaloPx, cfg.GridN)
 	}

@@ -48,7 +48,7 @@ func runNetHost(addr string) {
 // dies — the "operator restarts the crashed shard" role the coordinator's
 // reconnect loop is built against.
 type testHost struct {
-	t       *testing.T
+	t       testing.TB
 	addr    string
 	respawn bool
 
@@ -57,7 +57,7 @@ type testHost struct {
 	stop bool
 }
 
-func startHost(t *testing.T, respawn bool) *testHost {
+func startHost(t testing.TB, respawn bool) *testHost {
 	t.Helper()
 	h := &testHost{t: t, respawn: respawn}
 	addr, err := h.spawn("127.0.0.1:0")
@@ -160,7 +160,7 @@ func deadAddr(t *testing.T) string {
 // netConfig is the shared remote-mode config: cheap deterministic rule
 // engine on both rungs, fast reconnect backoff so link-failure loops
 // resolve in test time.
-func netConfig(t *testing.T, hosts ...string) Config {
+func netConfig(t testing.TB, hosts ...string) Config {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Optimize = ruleFallback()

@@ -34,8 +34,7 @@ func configFingerprintV1(cfg Config, dxNM float64) string {
 func fingerprintV1(l *layout.Layout, cfg Config) []byte {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "cfg=%s\n", configFingerprintV1(cfg, float64(l.TileNM)/float64(cfg.GridN)))
-	fmt.Fprintf(h, "adaptive=%v merge=%g split=%g\n",
-		cfg.AdaptiveTiles, cfg.AdaptiveMergeMax, cfg.AdaptiveSplitMin)
+	fmt.Fprintf(h, "adaptive=%v merge=0 split=0\n", cfg.AdaptiveTiles)
 	fmt.Fprintf(h, "layout=%s tile=%d\n", l.Name, l.TileNM)
 	for _, r := range l.Rects {
 		fmt.Fprintf(h, "%d,%d,%d,%d\n", r.X, r.Y, r.W, r.H)

@@ -16,11 +16,12 @@ import (
 	"cfaopc/internal/layout"
 )
 
-// Adaptive thresholds resolved when the config leaves them zero. Both
-// are fractions of a window's pixel area.
+// Adaptive thresholds, as fractions of a window's pixel area: the
+// maximum merged-window occupancy for a 2×2 merge, and the minimum
+// window occupancy that splits a cell.
 const (
-	defaultMergeMax = 0.02
-	defaultSplitMin = 0.35
+	mergeMax = 0.02
+	splitMin = 0.35
 )
 
 // tilePlan is the resolved tiling of one run: the job list in reduce
@@ -56,20 +57,20 @@ func (p *tilePlan) rowSpan(j tileJob) (int, int) {
 // cells by window occupancy:
 //
 //   - an even-aligned 2×2 block of full cells whose combined (merged)
-//     window occupancy is ≤ AdaptiveMergeMax of its area becomes one
+//     window occupancy is ≤ mergeMax of its area becomes one
 //     tile with a 2·CorePx core — or a skip tile when exactly empty;
 //   - a remaining cell with zero window occupancy becomes a skip tile
 //     (no rasterization, no shots — the same contribution an
 //     unoccupied tile has always made);
-//   - a full cell at ≥ AdaptiveSplitMin occupancy splits into four
+//   - a full cell at ≥ splitMin occupancy splits into four
 //     CorePx/2-core tiles (requires even CorePx);
 //   - everything else stays a base tile.
 //
 // Windows stay square (core + 2·HaloPx on each axis) at every size, and
 // a merge is only taken when its window fits the grid. The job list is
 // sorted by (cy, cx) and indexed in that order; those indices are the
-// checkpoint journal keys, so the adaptive knobs are part of the
-// journal fingerprint.
+// checkpoint journal keys, so AdaptiveTiles is part of the journal
+// fingerprint.
 func planTiles(cfg Config, ix *layout.WindowIndex) tilePlan {
 	core, halo := cfg.CorePx, cfg.HaloPx
 	window := core + 2*halo
@@ -84,15 +85,6 @@ func planTiles(cfg Config, ix *layout.WindowIndex) tilePlan {
 		}
 		p.finish()
 		return p
-	}
-
-	mergeMax := cfg.AdaptiveMergeMax
-	if mergeMax == 0 {
-		mergeMax = defaultMergeMax
-	}
-	splitMin := cfg.AdaptiveSplitMin
-	if splitMin == 0 {
-		splitMin = defaultSplitMin
 	}
 
 	used := make([]bool, p.rows*p.cols)

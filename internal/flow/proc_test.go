@@ -8,7 +8,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -79,7 +78,7 @@ func testEngine(name string, iters int) (Optimizer, bool) {
 }
 
 // testWorkerCmd re-executes this test binary as the worker subprocess.
-func testWorkerCmd(t *testing.T) func() *exec.Cmd {
+func testWorkerCmd(t testing.TB) func() *exec.Cmd {
 	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
@@ -95,7 +94,7 @@ func testWorkerCmd(t *testing.T) func() *exec.Cmd {
 // procConfig is the shared proc-mode config: cheap deterministic rule
 // engine on both rungs, fast respawn backoff so crash loops resolve in
 // test time.
-func procConfig(t *testing.T) Config {
+func procConfig(t testing.TB) Config {
 	cfg := testConfig()
 	cfg.Optimize = ruleFallback()
 	cfg.Fallback = ruleFallback()
@@ -688,43 +687,6 @@ func TestLinkKnobDefaults(t *testing.T) {
 	}
 	if _, ok := TileInfoFrom(context.Background()); ok {
 		t.Error("TileInfoFrom invented info on a bare context")
-	}
-}
-
-// TestQuarantineRetentionInFlow: with a bundle budget configured, a run
-// that quarantines two tiles keeps only the newest bundle pair.
-func TestQuarantineRetentionInFlow(t *testing.T) {
-	l := bigLayout() // tiles 0 and 3 occupied
-	cfg := testConfig()
-	cfg.TileWorkers = 1 // serial: tile 3's bundle is written after tile 0's
-	cfg.Optimize = InjectFaults(ruleFallback(), FaultPlan{
-		0: {{NaN: true}},
-		3: {{NaN: true}},
-	})
-	qdir := filepath.Join(t.TempDir(), "quarantine")
-	cfg.QuarantineDir = qdir
-	cfg.QuarantineMaxBundles = 1
-	res, err := Run(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Empty != 2 || res.Quarantined != 2 {
-		t.Fatalf("empty=%d quarantined=%d, want 2/2", res.Empty, res.Quarantined)
-	}
-	entries, err := os.ReadDir(qdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
-	}
-	if len(names) != 2 || !strings.HasPrefix(names[0], "tile0003") || !strings.HasPrefix(names[1], "tile0003") {
-		t.Fatalf("retained files = %v, want only the newest tile's pair", names)
-	}
-	// The survivor is still a loadable bundle.
-	if _, err := quarantine.Load(filepath.Join(qdir, "tile0003.qrb")); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -29,7 +29,7 @@ const parentJournalHeader = "cfaopc-flow-v4 e56c04a1be7c49a5"
 func parentFile(name string) string { return filepath.Join("testdata", "parent", name) }
 
 func TestParentJournalDecodes(t *testing.T) {
-	payloads, err := checkpoint.Read(parentFile("journal.ckpt"), []byte(parentJournalHeader))
+	payloads, err := checkpoint.ReadFS(nil, parentFile("journal.ckpt"), []byte(parentJournalHeader))
 	if err != nil {
 		t.Fatal(err)
 	}

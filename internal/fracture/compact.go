@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
 )
 
 // CompactShots removes circles that are redundant: shots whose covered
@@ -99,43 +98,4 @@ func UnionEquals(w, h int, a, b []geom.Circle) bool {
 	ra := geom.RasterizeCircles(w, h, a)
 	rb := geom.RasterizeCircles(w, h, b)
 	return ra.SqDiff(rb) == 0
-}
-
-// CoverageHistogram returns how many union pixels are covered by exactly
-// 1, 2, 3… shots (index 0 = covered once). Useful for analyzing overlap
-// cost, which the circular writer tolerates but which still costs dose.
-func CoverageHistogram(w, h int, shots []geom.Circle) []int {
-	counts := grid.NewReal(w, h)
-	for _, c := range shots {
-		r2 := c.R * c.R
-		x0, x1 := int(c.X-c.R-1), int(c.X+c.R+1)
-		y0, y1 := int(c.Y-c.R-1), int(c.Y+c.R+1)
-		for y := y0; y <= y1; y++ {
-			if y < 0 || y >= h {
-				continue
-			}
-			dy := float64(y) - c.Y
-			for x := x0; x <= x1; x++ {
-				if x < 0 || x >= w {
-					continue
-				}
-				dx := float64(x) - c.X
-				if dx*dx+dy*dy <= r2 {
-					counts.Data[y*w+x]++
-				}
-			}
-		}
-	}
-	var hist []int
-	for _, v := range counts.Data {
-		n := int(v)
-		if n == 0 {
-			continue
-		}
-		for len(hist) < n {
-			hist = append(hist, 0)
-		}
-		hist[n-1]++
-	}
-	return hist
 }

@@ -98,25 +98,3 @@ func TestCompactNestedCluster(t *testing.T) {
 		t.Fatal("union changed")
 	}
 }
-
-func TestCoverageHistogram(t *testing.T) {
-	shots := []geom.Circle{
-		{X: 10, Y: 10, R: 4},
-		{X: 13, Y: 10, R: 4},
-	}
-	hist := CoverageHistogram(32, 32, shots)
-	if len(hist) < 2 {
-		t.Fatalf("hist = %v, want overlap bin", hist)
-	}
-	if hist[0] == 0 || hist[1] == 0 {
-		t.Fatalf("hist = %v, want both single and double coverage", hist)
-	}
-	total := 0
-	for _, v := range hist {
-		total += v
-	}
-	union := int(geom.RasterizeCircles(32, 32, shots).Sum())
-	if total != union {
-		t.Fatalf("hist total %d != union %d", total, union)
-	}
-}

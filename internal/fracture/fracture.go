@@ -75,7 +75,7 @@ type CircleRuleConfig struct {
 // [12, 76] nm, I = 0.9) converted to pixels for the given resolution.
 func DefaultCircleRuleConfig(dxNM float64) CircleRuleConfig {
 	return CircleRuleConfig{
-		SampleDist:     maxInt(1, int(32/dxNM+0.5)),
+		SampleDist:     max(1, int(32/dxNM+0.5)),
 		RMin:           12 / dxNM,
 		RMax:           76 / dxNM,
 		CoverThreshold: 0.9,
@@ -330,11 +330,4 @@ func (f *fracturer) erase(pix []uint8, c geom.Circle) {
 			}
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

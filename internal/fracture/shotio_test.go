@@ -48,35 +48,3 @@ func TestReadShotsCSVErrors(t *testing.T) {
 		t.Errorf("header-only input: %v, %d shots", err, len(got))
 	}
 }
-
-func TestRectShotsCSVRoundTrip(t *testing.T) {
-	rects := []geom.Rect{{X: 5, Y: 6, W: 7, H: 8}, {X: 0, Y: 0, W: 100, H: 1}}
-	var buf bytes.Buffer
-	if err := WriteRectShotsCSV(&buf, rects, 2); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadRectShotsCSV(bytes.NewReader(buf.Bytes()), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 {
-		t.Fatalf("round trip lost rects: %d", len(back))
-	}
-	for i := range rects {
-		if back[i] != rects[i] {
-			t.Fatalf("rect %d drifted: %+v vs %+v", i, back[i], rects[i])
-		}
-	}
-}
-
-func TestReadRectShotsCSVErrors(t *testing.T) {
-	if _, err := ReadRectShotsCSV(strings.NewReader("1,2,3,4\n"), 0); err == nil {
-		t.Error("zero dx accepted")
-	}
-	if _, err := ReadRectShotsCSV(strings.NewReader("1,2,0,4\n"), 2); err == nil {
-		t.Error("zero width accepted")
-	}
-	if _, err := ReadRectShotsCSV(strings.NewReader("x,y\n1,2\n"), 2); err == nil {
-		t.Error("short row accepted")
-	}
-}

@@ -139,14 +139,6 @@ func Erode(m *grid.Real, elem []Pt) *grid.Real {
 	return out
 }
 
-// Open is erosion followed by dilation (removes speckles thinner than the
-// element).
-func Open(m *grid.Real, elem []Pt) *grid.Real { return Dilate(Erode(m, elem), elem) }
-
-// Close is dilation followed by erosion (fills gaps thinner than the
-// element).
-func Close(m *grid.Real, elem []Pt) *grid.Real { return Erode(Dilate(m, elem), elem) }
-
 // RemoveCheckerboards rewrites m in place so that no 2×2 neighbourhood has
 // the two-diagonal pattern (non-manifold corners), by filling one cell.
 // Rectilinear partition requires manifold region boundaries.

@@ -141,35 +141,6 @@ func TestErodeBorderActsAsBackground(t *testing.T) {
 	}
 }
 
-func TestOpenRemovesSpeckle(t *testing.T) {
-	m := mk(
-		"#....",
-		".....",
-		"..###",
-		"..###",
-		"..###",
-	)
-	o := Open(m, DiskElement(1))
-	if o.At(0, 0) != 0 {
-		t.Fatal("opening kept the speckle")
-	}
-	if o.At(3, 3) != 1 {
-		t.Fatal("opening destroyed the solid block center")
-	}
-}
-
-func TestCloseFillsGap(t *testing.T) {
-	m := mk(
-		"##.##",
-		"##.##",
-		"##.##",
-	)
-	c := Close(m, DiskElement(1))
-	if c.At(2, 1) != 1 {
-		t.Fatal("closing did not bridge the 1px gap")
-	}
-}
-
 // Property: dilation is extensive (m ⊆ dilate(m)), erosion anti-extensive.
 func TestMorphologyExtensivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))

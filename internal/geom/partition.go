@@ -9,9 +9,6 @@ import (
 // Rect is an axis-aligned pixel rectangle: cells [X, X+W) × [Y, Y+H).
 type Rect struct{ X, Y, W, H int }
 
-// Area returns the cell count of the rectangle.
-func (r Rect) Area() int { return r.W * r.H }
-
 // PartitionRects decomposes the foreground of m into the minimum number of
 // non-overlapping axis-aligned rectangles — the classical VSB fracturing
 // objective. It implements the optimal algorithm for rectilinear regions

@@ -33,12 +33,6 @@ func (g *Real) At(x, y int) float64 { return g.Data[y*g.W+x] }
 // Set stores v at column x, row y.
 func (g *Real) Set(x, y int, v float64) { g.Data[y*g.W+x] = v }
 
-// Idx returns the flat index of (x, y).
-func (g *Real) Idx(x, y int) int { return y*g.W + x }
-
-// In reports whether (x, y) lies inside the grid.
-func (g *Real) In(x, y int) bool { return x >= 0 && x < g.W && y >= 0 && y < g.H }
-
 // Clone returns a deep copy of g.
 func (g *Real) Clone() *Real {
 	c := NewReal(g.W, g.H)
@@ -59,24 +53,6 @@ func (g *Real) sameShape(o *Real) {
 	}
 }
 
-// Add sets g = g + o elementwise and returns g.
-func (g *Real) Add(o *Real) *Real {
-	g.sameShape(o)
-	for i, v := range o.Data {
-		g.Data[i] += v
-	}
-	return g
-}
-
-// Sub sets g = g - o elementwise and returns g.
-func (g *Real) Sub(o *Real) *Real {
-	g.sameShape(o)
-	for i, v := range o.Data {
-		g.Data[i] -= v
-	}
-	return g
-}
-
 // Mul sets g = g ⊙ o elementwise and returns g.
 func (g *Real) Mul(o *Real) *Real {
 	g.sameShape(o)
@@ -90,15 +66,6 @@ func (g *Real) Mul(o *Real) *Real {
 func (g *Real) Scale(s float64) *Real {
 	for i := range g.Data {
 		g.Data[i] *= s
-	}
-	return g
-}
-
-// AddScaled sets g = g + s·o elementwise and returns g.
-func (g *Real) AddScaled(o *Real, s float64) *Real {
-	g.sameShape(o)
-	for i, v := range o.Data {
-		g.Data[i] += s * v
 	}
 	return g
 }
@@ -142,17 +109,6 @@ func (g *Real) MaxAbs() float64 {
 		}
 	}
 	return m
-}
-
-// CountAbove returns the number of elements strictly greater than t.
-func (g *Real) CountAbove(t float64) int {
-	n := 0
-	for _, v := range g.Data {
-		if v > t {
-			n++
-		}
-	}
-	return n
 }
 
 // Binarize returns a new grid with 1 where g > t and 0 elsewhere.
@@ -203,36 +159,6 @@ func (g *Complex) Clone() *Complex {
 	return c
 }
 
-// MulPointwise sets g = g ⊙ o elementwise and returns g.
-func (g *Complex) MulPointwise(o *Complex) *Complex {
-	if g.W != o.W || g.H != o.H {
-		panic(fmt.Sprintf("grid: shape mismatch %dx%d vs %dx%d", g.W, g.H, o.W, o.H))
-	}
-	for i, v := range o.Data {
-		g.Data[i] *= v
-	}
-	return g
-}
-
-// MulConj sets g = g ⊙ conj(o) elementwise and returns g.
-func (g *Complex) MulConj(o *Complex) *Complex {
-	if g.W != o.W || g.H != o.H {
-		panic(fmt.Sprintf("grid: shape mismatch %dx%d vs %dx%d", g.W, g.H, o.W, o.H))
-	}
-	for i, v := range o.Data {
-		g.Data[i] *= complex(real(v), -imag(v))
-	}
-	return g
-}
-
-// Scale multiplies every element by s and returns g.
-func (g *Complex) Scale(s complex128) *Complex {
-	for i := range g.Data {
-		g.Data[i] *= s
-	}
-	return g
-}
-
 // FromReal returns a complex grid whose real parts are copied from r.
 func FromReal(r *Real) *Complex {
 	c := NewComplex(r.W, r.H)
@@ -247,16 +173,6 @@ func RealPart(c *Complex) *Real {
 	r := NewReal(c.W, c.H)
 	for i, v := range c.Data {
 		r.Data[i] = real(v)
-	}
-	return r
-}
-
-// AbsSq returns a real grid holding |c|² per element.
-func AbsSq(c *Complex) *Real {
-	r := NewReal(c.W, c.H)
-	for i, v := range c.Data {
-		re, im := real(v), imag(v)
-		r.Data[i] = re*re + im*im
 	}
 	return r
 }

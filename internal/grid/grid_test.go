@@ -16,12 +16,6 @@ func TestRealAccessors(t *testing.T) {
 	if got := g.At(2, 1); got != 7.5 {
 		t.Fatalf("At(2,1) = %v, want 7.5", got)
 	}
-	if g.Idx(2, 1) != 6 {
-		t.Fatalf("Idx(2,1) = %d, want 6", g.Idx(2, 1))
-	}
-	if !g.In(3, 2) || g.In(4, 2) || g.In(-1, 0) || g.In(0, 3) {
-		t.Fatal("In() boundary checks wrong")
-	}
 }
 
 func TestNewRealPanicsOnBadDims(t *testing.T) {
@@ -43,17 +37,6 @@ func TestElementwiseOps(t *testing.T) {
 	copy(a.Data, []float64{1, 2, 3, 4})
 	copy(b.Data, []float64{10, 20, 30, 40})
 
-	c := a.Clone().Add(b)
-	want := []float64{11, 22, 33, 44}
-	for i := range want {
-		if c.Data[i] != want[i] {
-			t.Fatalf("Add[%d] = %v, want %v", i, c.Data[i], want[i])
-		}
-	}
-	d := b.Clone().Sub(a)
-	if d.Data[3] != 36 {
-		t.Fatalf("Sub[3] = %v, want 36", d.Data[3])
-	}
 	e := a.Clone().Mul(b)
 	if e.Data[2] != 90 {
 		t.Fatalf("Mul[2] = %v, want 90", e.Data[2])
@@ -62,10 +45,6 @@ func TestElementwiseOps(t *testing.T) {
 	if f.Data[1] != 1 {
 		t.Fatalf("Scale[1] = %v, want 1", f.Data[1])
 	}
-	g := a.Clone().AddScaled(b, 0.1)
-	if math.Abs(g.Data[0]-2) > 1e-12 {
-		t.Fatalf("AddScaled[0] = %v, want 2", g.Data[0])
-	}
 }
 
 func TestShapeMismatchPanics(t *testing.T) {
@@ -73,10 +52,10 @@ func TestShapeMismatchPanics(t *testing.T) {
 	b := NewReal(3, 2)
 	defer func() {
 		if recover() == nil {
-			t.Error("Add with mismatched shapes did not panic")
+			t.Error("Mul with mismatched shapes did not panic")
 		}
 	}()
-	a.Add(b)
+	a.Mul(b)
 }
 
 func TestReductions(t *testing.T) {
@@ -87,9 +66,6 @@ func TestReductions(t *testing.T) {
 	}
 	if got := g.MaxAbs(); got != 4 {
 		t.Fatalf("MaxAbs = %v, want 4", got)
-	}
-	if got := g.CountAbove(0.5); got != 2 {
-		t.Fatalf("CountAbove(0.5) = %d, want 2", got)
 	}
 	o := NewReal(2, 2)
 	copy(o.Data, []float64{1, 1, 1, 1})
@@ -128,28 +104,6 @@ func TestHasNaN(t *testing.T) {
 	}
 }
 
-func TestComplexOps(t *testing.T) {
-	a := NewComplex(2, 1)
-	b := NewComplex(2, 1)
-	a.Set(0, 0, 1+2i)
-	a.Set(1, 0, 3-1i)
-	b.Set(0, 0, 2i)
-	b.Set(1, 0, 1+1i)
-
-	c := a.Clone().MulPointwise(b)
-	if c.At(0, 0) != (1+2i)*(2i) {
-		t.Fatalf("MulPointwise = %v", c.At(0, 0))
-	}
-	d := a.Clone().MulConj(b)
-	if d.At(1, 0) != (3-1i)*(1-1i) {
-		t.Fatalf("MulConj = %v", d.At(1, 0))
-	}
-	e := a.Clone().Scale(2)
-	if e.At(0, 0) != 2+4i {
-		t.Fatalf("Scale = %v", e.At(0, 0))
-	}
-}
-
 func TestRealComplexConversion(t *testing.T) {
 	r := NewReal(2, 2)
 	copy(r.Data, []float64{1, 2, 3, 4})
@@ -159,11 +113,6 @@ func TestRealComplexConversion(t *testing.T) {
 		if back.Data[i] != r.Data[i] {
 			t.Fatalf("roundtrip[%d] = %v, want %v", i, back.Data[i], r.Data[i])
 		}
-	}
-	c.Set(0, 0, 3+4i)
-	sq := AbsSq(c)
-	if math.Abs(sq.At(0, 0)-25) > 1e-12 {
-		t.Fatalf("AbsSq = %v, want 25", sq.At(0, 0))
 	}
 }
 
@@ -194,18 +143,6 @@ func TestDownsamplePanicsOnNonDivisible(t *testing.T) {
 	DownsampleBox(NewReal(5, 4), 2)
 }
 
-func TestUpsampleNearest(t *testing.T) {
-	g := NewReal(2, 1)
-	copy(g.Data, []float64{1, 2})
-	u := UpsampleNearest(g, 2)
-	want := []float64{1, 1, 2, 2, 1, 1, 2, 2}
-	for i := range want {
-		if u.Data[i] != want[i] {
-			t.Fatalf("nearest[%d] = %v, want %v", i, u.Data[i], want[i])
-		}
-	}
-}
-
 func TestUpsampleBilinearConstant(t *testing.T) {
 	g := NewReal(3, 3)
 	g.Fill(7)
@@ -229,27 +166,6 @@ func TestDownsamplePreservesMean(t *testing.T) {
 		meanG := g.Sum() / float64(len(g.Data))
 		meanD := d.Sum() / float64(len(d.Data))
 		return math.Abs(meanG-meanD) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: upsample(nearest) then downsample(box) is the identity.
-func TestUpDownRoundtrip(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := NewReal(6, 5)
-		for i := range g.Data {
-			g.Data[i] = rng.Float64()
-		}
-		r := DownsampleBox(UpsampleNearest(g, 3), 3)
-		for i := range g.Data {
-			if math.Abs(r.Data[i]-g.Data[i]) > 1e-9 {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -93,21 +93,3 @@ func UpsampleBilinear(g *Real, factor int) *Real {
 	}
 	return out
 }
-
-// UpsampleNearest enlarges g by an integer factor with nearest-neighbour
-// replication; useful for binary masks where interpolation would blur.
-func UpsampleNearest(g *Real, factor int) *Real {
-	if factor <= 0 {
-		panic(fmt.Sprintf("grid: invalid upsample factor %d", factor))
-	}
-	w, h := g.W*factor, g.H*factor
-	out := NewReal(w, h)
-	for y := 0; y < h; y++ {
-		src := (y / factor) * g.W
-		dst := y * w
-		for x := 0; x < w; x++ {
-			out.Data[dst+x] = g.Data[src+x/factor]
-		}
-	}
-	return out
-}

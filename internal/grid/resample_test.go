@@ -33,15 +33,6 @@ func TestUpsampleBilinearPanicsOnBadFactor(t *testing.T) {
 	UpsampleBilinear(NewReal(2, 2), 0)
 }
 
-func TestUpsampleNearestPanicsOnBadFactor(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	UpsampleNearest(NewReal(2, 2), -1)
-}
-
 func TestDownsampleIdentityFactorOne(t *testing.T) {
 	g := NewReal(3, 3)
 	for i := range g.Data {

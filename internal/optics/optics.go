@@ -70,13 +70,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // pupilBins returns the pupil cutoff NA/λ expressed in frequency bins.
 func (c Config) pupilBins() float64 { return c.NA / c.Wavelength * c.TileNM }
 
@@ -243,7 +236,7 @@ func ComputeKernels(cfg Config, defocus bool) (*KernelSet, error) {
 	// distinct bin f + f0_s, not once per (f, s) pair.
 	reach := half
 	for _, p := range src {
-		reach = max(reach, half+abs(p[0]), half+abs(p[1]))
+		reach = max(reach, half+max(p[0], -p[0]), half+max(p[1], -p[1]))
 	}
 	span := 2*reach + 1
 	pupil := make([]complex128, span*span)

@@ -182,11 +182,6 @@ func (b *Bundle) Validate() error {
 // BaseName is the deterministic file stem for a tile's bundle.
 func BaseName(tileIndex int) string { return fmt.Sprintf("tile%04d", tileIndex) }
 
-// Save writes b on the real filesystem; see SaveFS.
-func Save(dir string, b *Bundle) (string, error) {
-	return SaveFS(nil, dir, b)
-}
-
 // SaveFS writes b under dir as <tileNNNN>.qrb (CRC-guarded gob) plus a
 // <tileNNNN>.json sidecar, overwriting previous bundles for the same
 // tile, and returns the .qrb path. Writes go through a temp file +

@@ -53,7 +53,7 @@ func sampleBundle() *Bundle {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	b := sampleBundle()
-	path, err := Save(dir, b)
+	path, err := SaveFS(nil, dir, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestSaveDeterministicOverwrite(t *testing.T) {
 	dir := t.TempDir()
 	b := sampleBundle()
-	p1, err := Save(dir, b)
+	p1, err := SaveFS(nil, dir, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSaveDeterministicOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Save(dir, b)
+	p2, err := SaveFS(nil, dir, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestSaveDeterministicOverwrite(t *testing.T) {
 
 func TestLoadRejectsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	path, err := Save(dir, sampleBundle())
+	path, err := SaveFS(nil, dir, sampleBundle())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestValidate(t *testing.T) {
 		t.Fatal("attempt-less bundle accepted")
 	}
 	b = sampleBundle()
-	if _, err := Save(t.TempDir(), b); err != nil {
+	if _, err := SaveFS(nil, t.TempDir(), b); err != nil {
 		t.Fatalf("valid bundle rejected: %v", err)
 	}
 }
@@ -197,7 +197,7 @@ func bytesEqFloat(a, b []float64) bool {
 func TestSaveErrors(t *testing.T) {
 	b := sampleBundle()
 	b.Attempts = nil
-	if _, err := Save(t.TempDir(), b); err == nil {
+	if _, err := SaveFS(nil, t.TempDir(), b); err == nil {
 		t.Fatal("invalid bundle saved")
 	}
 
@@ -207,7 +207,7 @@ func TestSaveErrors(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Save(blocked, sampleBundle()); err == nil {
+	if _, err := SaveFS(nil, blocked, sampleBundle()); err == nil {
 		t.Fatal("saved under a regular file")
 	}
 }

@@ -276,7 +276,7 @@ func serveMask(m *Manager, w http.ResponseWriter, r *http.Request) {
 	// announced row" is exactly "bytes safe to read". Starting from the
 	// live tail (not history) keeps a restarted job's stale band
 	// announcements from a previous daemon life out of the accounting.
-	sub, err := m.Subscribe(id, maxInt64(0, st.LastSeq), sseBufCap)
+	sub, err := m.Subscribe(id, max(0, st.LastSeq), sseBufCap)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
@@ -347,11 +347,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -62,11 +62,6 @@ type hub struct {
 	closed  bool // no further events will ever be published
 }
 
-// newHub opens the hub on the real filesystem; see newHubFS.
-func newHub(path, jobID string, spec *JobSpec) (*hub, error) {
-	return newHubFS(nil, path, jobID, spec)
-}
-
 // newHubFS opens (or reopens) the job's event journal and rebuilds the
 // in-memory history from it, so seq numbering continues where a killed
 // daemon stopped.
@@ -89,11 +84,6 @@ func newHubFS(fsys iox.FS, path, jobID string, spec *JobSpec) (*hub, error) {
 		h.history = append(h.history, ev)
 	}
 	return h, nil
-}
-
-// readHistory reads on the real filesystem; see readHistoryFS.
-func readHistory(path, jobID string, spec *JobSpec) ([]JobEvent, error) {
-	return readHistoryFS(nil, path, jobID, spec)
 }
 
 // readHistoryFS replays a finished job's event journal without taking
@@ -147,8 +137,6 @@ func (h *hub) publish(ev JobEvent) (JobEvent, error) {
 	return ev, nil
 }
 
-// journalSize reports the event journal's on-disk byte size (0 once
-// closed), for storage-health reporting.
 // subscriberCount reports the live subscriber count — the SSE layer's
 // stalled-client drop test asserts it returns to zero.
 func (h *hub) subscriberCount() int {
@@ -157,6 +145,8 @@ func (h *hub) subscriberCount() int {
 	return len(h.subs)
 }
 
+// journalSize reports the event journal's on-disk byte size (0 once
+// closed), for storage-health reporting.
 func (h *hub) journalSize() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -13,7 +13,7 @@ func testHub(t *testing.T) (*hub, string, *JobSpec) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "events.log")
-	h, err := newHub(path, "job-0001", spec)
+	h, err := newHubFS(nil, path, "job-0001", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestHubRestartContinuesSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "events.log")
-	h1, err := newHub(path, "job-0001", spec)
+	h1, err := newHubFS(nil, path, "job-0001", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestHubRestartContinuesSeq(t *testing.T) {
 	}
 	h1.close()
 
-	h2, err := newHub(path, "job-0001", spec)
+	h2, err := newHubFS(nil, path, "job-0001", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,19 +134,19 @@ func TestHubJournalBindsJobIdentity(t *testing.T) {
 	spec, _ := parseSpecString(t, `{"case":1}`)
 	other, _ := parseSpecString(t, `{"case":2}`)
 	path := filepath.Join(t.TempDir(), "events.log")
-	h, err := newHub(path, "job-0001", spec)
+	h, err := newHubFS(nil, path, "job-0001", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.publish(JobEvent{Kind: "state", State: "queued"})
 	h.close()
-	if _, err := newHub(path, "job-0002", spec); err == nil {
+	if _, err := newHubFS(nil, path, "job-0002", spec); err == nil {
 		t.Fatal("journal accepted under a different job ID")
 	}
-	if _, err := newHub(path, "job-0001", other); err == nil {
+	if _, err := newHubFS(nil, path, "job-0001", other); err == nil {
 		t.Fatal("journal accepted under a different spec")
 	}
-	if _, err := readHistory(path, "job-0002", spec); err == nil {
+	if _, err := readHistoryFS(nil, path, "job-0002", spec); err == nil {
 		t.Fatal("readHistory accepted a different job ID")
 	}
 }
@@ -157,7 +157,7 @@ func TestHubReadHistoryMatchesHub(t *testing.T) {
 		h.publish(JobEvent{Kind: "beat", Tile: i, Iter: i})
 	}
 	h.close()
-	evs, err := readHistory(path, "job-0001", spec)
+	evs, err := readHistoryFS(nil, path, "job-0001", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestHubSeqNeverRegresses(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.log")
 	var last int64
 	for life := 0; life < 4; life++ {
-		h, err := newHub(path, "job-0001", spec)
+		h, err := newHubFS(nil, path, "job-0001", spec)
 		if err != nil {
 			t.Fatalf("life %d: %v", life, err)
 		}
@@ -266,7 +266,7 @@ func TestHubSeqNeverRegresses(t *testing.T) {
 		}
 		h.close()
 	}
-	evs, err := readHistory(path, "job-0001", spec)
+	evs, err := readHistoryFS(nil, path, "job-0001", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

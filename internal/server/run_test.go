@@ -278,12 +278,6 @@ func TestHTTPFailedJob(t *testing.T) {
 	}
 }
 
-func TestMaxInt64(t *testing.T) {
-	if maxInt64(3, 7) != 7 || maxInt64(7, 3) != 7 {
-		t.Fatal("maxInt64 broken")
-	}
-}
-
 // manyTileSpecJSON has 64 windows so a cancel or shutdown reliably
 // lands between tile completions.
 const manyTileSpecJSON = `{"layout":"t.glp","grid":512,"tile_core":64,"iters":2,"kopt":3}`
@@ -407,7 +401,7 @@ func TestNewManagerRejectsForeignEventJournal(t *testing.T) {
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	h, err := newHub(path, "job-9999", spec)
+	h, err := newHubFS(nil, path, "job-9999", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
