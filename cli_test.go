@@ -24,7 +24,7 @@ var tools = []struct {
 	{"kernelinfo", false},
 	{"paperbench", false},
 	{"pwplot", false},
-	{"replaytile", false},
+	{"replaytile", true},
 	{"shotscale", false},
 	{"tileworker", true},
 }
@@ -355,5 +355,42 @@ func TestCLICheckpointCompact(t *testing.T) {
 	}
 	if !bytes.Equal(readFile(t, work, "first", "case4_shots.csv"), readFile(t, work, "second", "case4_shots.csv")) {
 		t.Error("shot list resumed from the compacted journal differs from the original run")
+	}
+}
+
+// TestCLIReplayTile drives replaytile against the quarantine bundle a
+// parent commit wrote (internal/flow/testdata/parent): the recorded
+// failure reproduces, dropping the fault script or swapping the engine
+// changes the verdict, and a damaged copy is refused with the frame
+// reader's typed error — torn and CRC, observed through a binary.
+func TestCLIReplayTile(t *testing.T) {
+	replaytile := buildTools(t, "replaytile")("replaytile")
+	bundle := readFile(t, "internal", "flow", "testdata", "parent", "tile0003.qrb")
+	work := t.TempDir()
+	torn := bundle[:len(bundle)/2]
+	flipped := append([]byte(nil), bundle...)
+	flipped[len(flipped)/2] ^= 0xff
+	for name, data := range map[string][]byte{"good.qrb": bundle, "torn.qrb": torn, "flipped.qrb": flipped} {
+		if err := os.WriteFile(filepath.Join(work, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		args []string
+		exit int
+		want string
+	}{
+		{[]string{"good.qrb"}, 0, "REPRODUCED: identical attempt-by-attempt failure sequence"},
+		{[]string{"-no-faults", "good.qrb"}, 2, "NOT REPRODUCED"},
+		{[]string{"-fixed", "circlerule", "good.qrb"}, 2, "NOT FIXED"},
+		{[]string{"torn.qrb"}, 1, "torn"},
+		{[]string{"flipped.qrb"}, 1, "CRC"},
+	} {
+		cmd := exec.Command(replaytile, tc.args...)
+		cmd.Dir = work
+		out, err := cmd.CombinedOutput()
+		if got := cmd.ProcessState.ExitCode(); got != tc.exit || !bytes.Contains(out, []byte(tc.want)) {
+			t.Errorf("replaytile %v: exit %d (%v), want %d and %q in:\n%s", tc.args, got, err, tc.exit, tc.want, out)
+		}
 	}
 }

@@ -10,9 +10,7 @@
 //	header record   (opaque fingerprint bytes supplied by the caller)
 //	tile record *   (opaque payload bytes, typically a gob blob)
 //
-// where every record is
-//
-//	uint32 BE payload length | uint32 BE CRC32(IEEE, payload) | payload
+// where every record is one iox frame (length | CRC32 | payload).
 //
 // A process killed mid-append leaves a short or corrupt final record;
 // Open tolerates exactly that failure mode: it replays every valid
@@ -38,10 +36,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -101,7 +97,7 @@ func OpenFS(fsys iox.FS, path string, header []byte) (*Journal, [][]byte, error)
 		return startFresh(f, header)
 	}
 
-	gotHeader, payloads, validOff, err := replay(f)
+	payloads, validOff, err := replay(f, header, path)
 	if errors.Is(err, errNoHeader) {
 		// The creating process died between writing the magic and the
 		// header record; nothing was journaled, so restart the file.
@@ -118,10 +114,6 @@ func OpenFS(fsys iox.FS, path string, header []byte) (*Journal, [][]byte, error)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
-	}
-	if !bytes.Equal(gotHeader, header) {
-		f.Close()
-		return nil, nil, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
 	}
 	// Drop the torn tail (if any) and position for appends.
 	if err := f.Truncate(validOff); err != nil {
@@ -150,14 +142,14 @@ func startFresh(f iox.File, header []byte) (*Journal, [][]byte, error) {
 }
 
 // replay reads magic, the header record and every tile record, stopping
-// at the first torn (truncated) record. It returns the header payload,
-// the tile payloads in file order, and the offset just past the last
-// valid record. A record that is fully present but fails its CRC while
-// more records follow is mid-file corruption and is returned as an
-// error.
-func replay(f iox.File) (header []byte, payloads [][]byte, validOff int64, err error) {
+// at the first torn (truncated) record. It verifies the header against
+// the caller's (ErrHeaderMismatch, naming path) and returns the tile
+// payloads in file order and the offset just past the last valid record.
+// A record that is fully present but fails its CRC while more records
+// follow is mid-file corruption and is returned as an error.
+func replay(f iox.File, want []byte, path string) (payloads [][]byte, validOff int64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	m := make([]byte, len(magic))
 	n, err := io.ReadFull(f, m)
@@ -166,10 +158,10 @@ func replay(f iox.File) (header []byte, payloads [][]byte, validOff int64, err e
 		// the very first write, so the journal never finished being
 		// born. Report it like a torn header and let Open restart the
 		// file — this is a birth crash, not foreign data.
-		return nil, nil, 0, errNoHeader
+		return nil, 0, errNoHeader
 	}
 	if err != nil || !bytes.Equal(m, magic) {
-		return nil, nil, 0, fmt.Errorf("checkpoint: not a journal (bad magic)")
+		return nil, 0, fmt.Errorf("checkpoint: not a journal (bad magic)")
 	}
 	off := int64(len(magic))
 	first := true
@@ -179,19 +171,21 @@ func replay(f iox.File) (header []byte, payloads [][]byte, validOff int64, err e
 			break // clean end of journal
 		}
 		if rerr != nil {
-			if errors.Is(rerr, errTorn) {
+			if errors.Is(rerr, iox.ErrTornFrame) {
 				// Torn tail: everything before it stands. A torn
 				// *header* means the journal never finished being born;
 				// Open restarts such a file.
 				if first {
-					return nil, nil, 0, errNoHeader
+					return nil, 0, errNoHeader
 				}
 				break
 			}
-			return nil, nil, 0, rerr
+			return nil, 0, rerr
 		}
 		if first {
-			header = payload
+			if !bytes.Equal(payload, want) {
+				return nil, 0, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
+			}
 			first = false
 		} else {
 			payloads = append(payloads, payload)
@@ -199,75 +193,58 @@ func replay(f iox.File) (header []byte, payloads [][]byte, validOff int64, err e
 		off += n
 	}
 	if first {
-		return nil, nil, 0, errNoHeader
+		return nil, 0, errNoHeader
 	}
-	return header, payloads, off, nil
+	return payloads, off, nil
 }
 
 // errNoHeader marks a journal whose header record never made it to disk.
 var errNoHeader = errors.New("checkpoint: journal has no valid header")
 
-// errTorn marks a record that ends before its declared length or fails
-// its CRC at the end of the file — the signature of a write cut short.
-var errTorn = errors.New("checkpoint: torn record")
-
-// readRecord decodes one record at the current offset. io.EOF at a
-// record boundary is a clean end. A short header/payload is torn. A CRC
-// mismatch is torn when it is the final record, corruption otherwise.
+// readRecord decodes one record (an iox frame) at the current offset.
+// io.EOF at a record boundary is a clean end and a short header/payload
+// is torn, as the frame reader reports them. On top of it sits the one
+// distinction only a journal can make: a CRC mismatch is torn when it is
+// the final record, mid-file corruption otherwise.
 func readRecord(f iox.File) (payload []byte, n int64, err error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, 0, io.EOF
-		}
-		return nil, 0, errTorn
-	}
-	ln := binary.BigEndian.Uint32(hdr[0:4])
-	want := binary.BigEndian.Uint32(hdr[4:8])
-	if ln > MaxRecordBytes {
-		return nil, 0, fmt.Errorf("checkpoint: record length %d exceeds limit", ln)
-	}
-	payload = make([]byte, ln)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, 0, errTorn
-	}
-	if crc32.ChecksumIEEE(payload) != want {
-		// Distinguish "last record damaged" (torn) from mid-file rot:
-		// peek one byte ahead.
+	payload, err = iox.ReadFrame(f, MaxRecordBytes)
+	if errors.Is(err, iox.ErrFrameCRC) {
+		// Peek one byte ahead: nothing after the damaged record means a
+		// write cut short, anything means disk rot.
 		var b [1]byte
-		if _, err := f.Read(b[:]); err == io.EOF {
-			return nil, 0, errTorn
+		if _, perr := f.Read(b[:]); perr == io.EOF {
+			return nil, 0, iox.ErrTornFrame
 		}
 		return nil, 0, fmt.Errorf("checkpoint: mid-journal CRC mismatch")
 	}
-	return payload, 8 + int64(ln), nil
+	if err != nil {
+		return nil, 0, err
+	}
+	return payload, 8 + int64(len(payload)), nil
 }
 
 // Append writes one payload as a length-prefixed, CRC-guarded record.
 // Safe for concurrent use. The write is buffered by the OS, not
-// fsynced; call Sync for a durability barrier. A write error poisons
-// the journal: this and all later Appends fail, and the on-disk tail
-// is whatever prefix landed (a torn record the next Open truncates).
+// fsynced; call Sync for a durability barrier. A failed Append — a
+// write error, or a payload over MaxRecordBytes — poisons the journal:
+// this and all later Appends fail, and the on-disk tail is whatever
+// prefix landed (a torn record the next Open truncates).
 func (j *Journal) Append(payload []byte) error {
-	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("checkpoint: payload %d bytes exceeds record limit", len(payload))
-	}
-	rec := make([]byte, 8+len(payload))
-	binary.BigEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
-	copy(rec[8:], payload)
+	rec, err := iox.AppendFrame(nil, payload, MaxRecordBytes)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.poisoned != nil {
 		return fmt.Errorf("%w: %v", ErrPoisoned, j.poisoned)
 	}
-	n, err := j.f.Write(rec)
-	j.size += int64(n)
+	if err == nil {
+		var n int
+		n, err = j.f.Write(rec)
+		j.size += int64(n)
+	}
 	if err != nil {
 		j.poisoned = err
-		return err
 	}
-	return nil
+	return err
 }
 
 // Sync flushes appended records to stable storage. A sync error poisons

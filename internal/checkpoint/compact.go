@@ -1,13 +1,6 @@
 package checkpoint
 
-import (
-	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
-
-	"cfaopc/internal/iox"
-)
+import "cfaopc/internal/iox"
 
 // CompactStats reports what a Compact pass did.
 type CompactStats struct {
@@ -26,10 +19,11 @@ type CompactStats struct {
 //
 // Replay semantics are last-record-wins per key, so resuming from the
 // compacted journal is byte-identical to resuming from the original.
-// The rewrite goes through a temp file + fsync + rename + parent-dir
-// fsync, so a crash at any instant leaves either the original journal
-// or the durable compacted one; a torn tail on the input is dropped
-// exactly as Open would drop it.
+// The rewrite goes through iox.AtomicWrite (temp file + fsync + rename +
+// parent-dir fsync), so a crash at any instant leaves either the
+// original journal or the durable compacted one; a torn tail on the
+// input is dropped exactly as Open would drop it. The compacted journal
+// is assembled in memory beside the replayed payloads it is made of.
 func CompactFS(fsys iox.FS, path string, header []byte, keyOf func(payload []byte) (string, error)) (CompactStats, error) {
 	fsys = iox.OrOS(fsys)
 	var stats CompactStats
@@ -37,13 +31,10 @@ func CompactFS(fsys iox.FS, path string, header []byte, keyOf func(payload []byt
 	if err != nil {
 		return stats, err
 	}
-	gotHeader, payloads, validOff, err := replay(f)
+	payloads, validOff, err := replay(f, header, path)
 	f.Close()
 	if err != nil {
 		return stats, err
-	}
-	if !bytes.Equal(gotHeader, header) {
-		return stats, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
 	}
 	stats.BytesBefore = validOff
 
@@ -52,65 +43,31 @@ func CompactFS(fsys iox.FS, path string, header []byte, keyOf func(payload []byt
 	// the common no-duplicates case.
 	last := make(map[string]int, len(payloads))
 	var order []string
-	keys := make([]string, len(payloads))
 	for i, p := range payloads {
 		k, kerr := keyOf(p)
 		if kerr != nil {
 			return stats, kerr
 		}
-		keys[i] = k
 		if _, seen := last[k]; !seen {
 			order = append(order, k)
 		}
 		last[k] = i
 	}
 
-	tmp := path + ".compact.tmp"
-	out, err := fsys.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return stats, err
-	}
-	cleanup := func() { out.Close(); fsys.Remove(tmp) }
-	if _, err := out.Write(magic); err != nil {
-		cleanup()
-		return stats, err
-	}
-	j := &Journal{f: out}
-	if err := j.Append(header); err != nil {
-		cleanup()
+	data := append([]byte(nil), magic...)
+	if data, err = iox.AppendFrame(data, header, MaxRecordBytes); err != nil {
 		return stats, err
 	}
 	for _, k := range order {
-		if err := j.Append(payloads[last[k]]); err != nil {
-			cleanup()
+		if data, err = iox.AppendFrame(data, payloads[last[k]], MaxRecordBytes); err != nil {
 			return stats, err
 		}
 	}
-	if err := out.Sync(); err != nil {
-		cleanup()
-		return stats, err
-	}
-	st, err := out.Stat()
-	if err != nil {
-		cleanup()
-		return stats, err
-	}
-	if err := out.Close(); err != nil {
-		fsys.Remove(tmp)
-		return stats, err
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return stats, err
-	}
-	// The rename replaced a directory entry; without syncing the parent
-	// a crash can resurrect the pre-compaction journal with the temp
-	// file gone — still correct, but the compaction silently lost.
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+	if err := iox.AtomicWrite(fsys, path, data, 0o644); err != nil {
 		return stats, err
 	}
 	stats.Kept = len(order)
 	stats.Dropped = len(payloads) - len(order)
-	stats.BytesAfter = st.Size()
+	stats.BytesAfter = int64(len(data))
 	return stats, nil
 }

@@ -164,7 +164,7 @@ func TestCompactTmpPathBlocked(t *testing.T) {
 	orig, _ := os.ReadFile(path)
 	// A directory squatting on the temp path: the rewrite must fail
 	// cleanly and leave the journal untouched.
-	if err := os.Mkdir(path+".compact.tmp", 0o755); err != nil {
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := CompactFS(nil, path, hdr, firstByteKey); err == nil {

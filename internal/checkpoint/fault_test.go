@@ -163,7 +163,7 @@ func TestCompactRenameFault(t *testing.T) {
 	if _, err := CompactFS(ff, path, header, keyOf); !errors.Is(err, syscall.EIO) {
 		t.Fatalf("want EIO from rename, got %v", err)
 	}
-	if _, err := os.Stat(path + ".compact.tmp"); !os.IsNotExist(err) {
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatal("temp file left behind")
 	}
 	payloads, err := ReadFS(nil, path, header)

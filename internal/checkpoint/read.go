@@ -1,9 +1,7 @@
 package checkpoint
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
 
 	"cfaopc/internal/iox"
 )
@@ -27,15 +25,9 @@ func ReadFS(fsys iox.FS, path string, header []byte) ([][]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	gotHeader, payloads, _, err := replay(f)
+	payloads, _, err := replay(f, header, path)
 	if errors.Is(err, errNoHeader) {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(gotHeader, header) {
-		return nil, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
-	}
-	return payloads, nil
+	return payloads, err
 }

@@ -27,8 +27,7 @@ func (env *runEnv) cacheEligible(j tileJob) bool {
 // machinery that binds checkpoint journals, minus the layout terms, so
 // identical windows collide across layouts and across runs.
 func (env *runEnv) windowKey(j tileJob, target *grid.Real) wcache.Key {
-	ox := j.cx - env.cfg.HaloPx
-	oy := j.cy - env.cfg.HaloPx
+	ox, oy := j.origin(env.cfg.HaloPx)
 	ls := env.ix.WindowSpans(ox, oy, j.window, j.window)
 	spans := make([]wcache.Span, len(ls))
 	for i, s := range ls {
@@ -65,8 +64,7 @@ func (env *runEnv) tryCache(j tileJob, target *grid.Real, out *tileOut) bool {
 		return false
 	}
 	env.cacheHits.Add(1)
-	ox := j.cx - env.cfg.HaloPx
-	oy := j.cy - env.cfg.HaloPx
+	ox, oy := j.origin(env.cfg.HaloPx)
 	out.shots = ownedShots(e.Shots, ox, oy, j.cx, j.cy, j.core)
 	out.stat.CacheHit = true
 	out.stat.Path = e.Path

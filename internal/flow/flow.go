@@ -73,9 +73,7 @@
 package flow
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -88,7 +86,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cfaopc/internal/checkpoint"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/iox"
@@ -534,6 +531,10 @@ type tileJob struct {
 	skip   bool
 }
 
+// origin is the window's top-left corner in full-grid pixels: the core
+// origin pulled back by the halo.
+func (j tileJob) origin(halo int) (ox, oy int) { return j.cx - halo, j.cy - halo }
+
 // tileOut is one window's contribution before the ordered reduce. raw
 // holds the full window-local shot list (pre-ownership-filter) so a
 // fresh result can be published to the dedup cache for twins with any
@@ -557,17 +558,10 @@ type runEnv struct {
 	fp        []byte
 	keyPrefix string // config fingerprint: the dedup cache key prefix
 	ix        *layout.WindowIndex
-	fsys      iox.FS // resolved Config.FS (never nil in a tiled run)
-	journal   *checkpoint.Journal
-	partials  map[int]partialRecord
+	journal   *tileJournal // nil without a checkpoint
+	partials  map[int]procpool.PartialState
 	errCh     chan error
 
-	// Checkpoint degradation state: on the first journal write/sync
-	// failure (without StrictStorage) the run records the cause, stops
-	// journaling, and keeps computing — correct but un-resumable.
-	ckptOnce    sync.Once
-	ckptDead    atomic.Bool
-	ckptErr     atomic.Value // string: first storage error
 	quarDropped atomic.Int64 // bundles lost to storage faults
 
 	cacheHits   atomic.Int64
@@ -576,7 +570,7 @@ type runEnv struct {
 	// partialSink receives mid-attempt optimizer snapshots (journal
 	// append in a tiled run, a wire frame in a worker); nil disables
 	// snapshotting regardless of PartialEvery.
-	partialSink func(index, attempt int, s opt.Snapshot)
+	partialSink func(index int, s procpool.PartialState)
 	// onBeat, when non-nil, observes every optimizer heartbeat in
 	// addition to the per-attempt stall watchdog — a worker forwards
 	// them to its supervisor as liveness frames.
@@ -603,29 +597,6 @@ func (env *runEnv) reportErr(err error) {
 	case env.errCh <- err:
 	default:
 	}
-}
-
-// degradeCheckpoint handles a journal write/sync failure per the
-// durability contract: under StrictStorage it fails the run; otherwise
-// it poisons journaling for the rest of the run (first cause recorded,
-// later tiles simply skip the append) and the run finishes correct but
-// un-resumable. The journal fd itself is already poisoned by
-// internal/checkpoint, so nothing ever retries an fsync that failed.
-func (env *runEnv) degradeCheckpoint(err error) {
-	if env.cfg.StrictStorage {
-		env.reportErr(fmt.Errorf("checkpoint append: %w", err))
-		return
-	}
-	env.ckptOnce.Do(func() {
-		env.ckptErr.Store(err.Error())
-		env.ckptDead.Store(true)
-	})
-}
-
-// journalHealthy reports whether checkpoint appends should still be
-// attempted.
-func (env *runEnv) journalHealthy() bool {
-	return env.journal != nil && !env.ckptDead.Load()
 }
 
 // validateTile rejects optimizer output that would poison the stitched
@@ -740,15 +711,13 @@ func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimi
 	hb := newBeatState()
 	beat := hb.beat
 	if env.onBeat != nil {
-		index := j.index
 		beat = func(iter int, loss float64, at time.Time) {
 			hb.beat(iter, loss, at)
-			env.onBeat(index, iter, loss)
+			env.onBeat(j.index, iter, loss)
 		}
 	}
 	tctx = opt.WithProgress(tctx, beat)
 	if env.partialSink != nil && cfg.PartialEvery > 0 {
-		index := j.index
 		tctx = opt.WithSnapshots(tctx, func(s opt.Snapshot) {
 			// A canceled attempt's parameters are garbage-contaminated
 			// (the simulator aborts mid-kernel); journaling them would
@@ -756,14 +725,12 @@ func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimi
 			if tctx.Err() != nil {
 				return
 			}
-			env.partialSink(index, attempt, s)
+			s.Attempt = attempt
+			env.partialSink(j.index, procpool.PartialState(s))
 		}, cfg.PartialEvery)
 	}
 	if p, ok := env.partials[j.index]; ok && p.Attempt == attempt {
-		tctx = opt.WithResume(tctx, opt.Snapshot{
-			Iter: p.Iter, Loss: p.Loss, Params: p.Params,
-			OptT: p.OptT, OptM: p.OptM, OptV: p.OptV,
-		})
+		tctx = opt.WithResume(tctx, opt.Snapshot(p))
 	}
 	if cfg.StallTimeout > 0 {
 		stop := make(chan struct{})
@@ -911,8 +878,7 @@ func (env *runEnv) runTile(ctx context.Context, exec executor, j tileJob) (out t
 		// contributes exactly what an unoccupied tile always has.
 		return out
 	}
-	ox := j.cx - env.cfg.HaloPx
-	oy := j.cy - env.cfg.HaloPx
+	ox, oy := j.origin(env.cfg.HaloPx)
 	target, occupied := env.ix.Window(ox, oy, j.window, j.window)
 	out.stat.Occupied = occupied
 	out.stat.RasterWall = time.Since(start)
@@ -946,7 +912,8 @@ func (env *runEnv) fold(j tileJob, target *grid.Real, shots []geom.Circle, path 
 	switch path {
 	case PathPrimary, PathFallback:
 		out.raw = shots
-		out.shots = ownedShots(shots, j.cx-env.cfg.HaloPx, j.cy-env.cfg.HaloPx, j.cx, j.cy, j.core)
+		ox, oy := j.origin(env.cfg.HaloPx)
+		out.shots = ownedShots(shots, ox, oy, j.cx, j.cy, j.core)
 		out.stat.Shots = len(out.shots)
 	case PathEmpty:
 		env.saveQuarantine(j, target, outcomes, &out.stat)
@@ -962,7 +929,7 @@ func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []Attem
 	}
 	env.quarMu.Lock()
 	defer env.quarMu.Unlock()
-	bpath, err := quarantine.SaveFS(env.fsys, cfg.QuarantineDir, env.buildBundle(j, target, outcomes))
+	bpath, err := quarantine.SaveFS(cfg.FS, cfg.QuarantineDir, env.buildBundle(j, target, outcomes))
 	if err != nil {
 		// Losing the bundle loses forensics, never the tile: the empty
 		// result is already folded in, so the run continues and the drop
@@ -981,8 +948,7 @@ func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []Attem
 // that exhausted every engine.
 func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptOutcome) *quarantine.Bundle {
 	cfg := env.cfg
-	ox := j.cx - cfg.HaloPx
-	oy := j.cy - cfg.HaloPx
+	ox, oy := j.origin(cfg.HaloPx)
 	b := &quarantine.Bundle{
 		FormatVersion: quarantine.FormatVersion,
 		Fingerprint:   string(env.fp),
@@ -1037,73 +1003,6 @@ func overlapRects(l *layout.Layout, gridN, ox, oy, window int) []layout.Rect {
 	return out
 }
 
-// tileRecord is the gob payload journaled per completed tile.
-type tileRecord struct {
-	Shots []geom.Circle
-	Stat  TileStat
-}
-
-// partialRecord journals iteration-level progress inside a long
-// snapshot-capable tile (CircleOpt): the flat circle parameters plus
-// the Adam state after Iter stage-2 iterations of the given attempt.
-// On resume the tile warm-starts from here and — because the optimizer
-// state rides along — replays the uninterrupted trajectory exactly.
-type partialRecord struct {
-	Index   int
-	Attempt int
-	Iter    int
-	Loss    float64
-	Params  []float64
-	OptT    int
-	OptM    []float64
-	OptV    []float64
-}
-
-// journalRecord frames one checkpoint payload: exactly one of Tile or
-// Partial is set.
-type journalRecord struct {
-	Tile    *tileRecord
-	Partial *partialRecord
-}
-
-func encodeRecord(rec journalRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeRecord(p []byte) (journalRecord, error) {
-	var rec journalRecord
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&rec); err != nil {
-		return rec, err
-	}
-	if (rec.Tile == nil) == (rec.Partial == nil) {
-		return rec, fmt.Errorf("record is neither a tile nor a partial")
-	}
-	return rec, nil
-}
-
-// appendPartial journals one mid-tile snapshot. Append is
-// concurrency-safe, so snapshot records from parallel tiles interleave
-// freely with completed-tile records.
-func (env *runEnv) appendPartial(index, attempt int, s opt.Snapshot) {
-	if !env.journalHealthy() {
-		return
-	}
-	buf, err := encodeRecord(journalRecord{Partial: &partialRecord{
-		Index: index, Attempt: attempt, Iter: s.Iter, Loss: s.Loss,
-		Params: s.Params, OptT: s.OptT, OptM: s.OptM, OptV: s.OptV,
-	}})
-	if err == nil {
-		err = env.journal.Append(buf)
-	}
-	if err != nil {
-		env.degradeCheckpoint(fmt.Errorf("partial: %w", err))
-	}
-}
-
 // numericsVersion names the arithmetic that turns a window into shots:
 // the FFT plans, the litho forward and adjoint sums, the optimizers. It is
 // hashed into the config fingerprint, and through it into every dedup
@@ -1140,26 +1039,6 @@ func configFingerprint(cfg Config, dxNM float64) string {
 	// share cache entries. The journal fingerprint below does cover
 	// them — tile indices mean different windows across plans.
 	return fmt.Sprintf("cfaopc-cfg-v2 %016x", h.Sum64())
-}
-
-// fingerprint binds a checkpoint journal to one (layout, tiling) pair:
-// the config fingerprint above plus the layout identity and geometry.
-// Resuming with a different optimizer chain remains the caller's
-// responsibility, like any cache key. v3 added per-tile cache/adaptive
-// stats and the config-fingerprint split; v4 added remote-host
-// provenance to TileStat — each bump makes older journals fail the
-// header check instead of decoding garbage.
-func fingerprint(l *layout.Layout, cfg Config) []byte {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "cfg=%s\n", configFingerprint(cfg, float64(l.TileNM)/float64(cfg.GridN)))
-	// merge/split were Config knobs no binary ever set; the literal zeros
-	// keep every journal header written so far matching.
-	fmt.Fprintf(h, "adaptive=%v merge=0 split=0\n", cfg.AdaptiveTiles)
-	fmt.Fprintf(h, "layout=%s tile=%d\n", l.Name, l.TileNM)
-	for _, r := range l.Rects {
-		fmt.Fprintf(h, "%d,%d,%d,%d\n", r.X, r.Y, r.W, r.H)
-	}
-	return []byte(fmt.Sprintf("cfaopc-flow-v4 %016x", h.Sum64()))
 }
 
 // Run tiles the layout and optimizes every window. It is RunContext with
@@ -1223,7 +1102,6 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		lay:       l,
 		fp:        fingerprint(l, cfg),
 		keyPrefix: configFingerprint(cfg, dx),
-		fsys:      iox.OrOS(cfg.FS),
 		errCh:     make(chan error, 1),
 		events:    cfg.Events,
 	}
@@ -1242,8 +1120,7 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	// also feeds the occupancy scan the adaptive plan reads.
 	env.ix = layout.NewWindowIndex(l, cfg.GridN)
 	plan := planTiles(cfg, env.ix)
-	nTiles := len(plan.jobs)
-	outs := make([]tileOut, nTiles)
+	outs := make([]tileOut, len(plan.jobs))
 	// Prefill identity so a drained run's stats stay truthful for tiles
 	// that were never dispatched.
 	for _, j := range plan.jobs {
@@ -1256,12 +1133,10 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 
 	// Replay the checkpoint journal, if any.
 	jobs, resumed, err := env.replay(&plan, outs, asm)
-	if env.journal != nil {
-		defer env.journal.Close()
-	}
 	if err != nil {
 		return nil, err
 	}
+	defer env.journal.close()
 
 	// Execute: one goroutine per lane draws tiles off jobCh.
 	lanes, err := env.lanes(cfg.connector(len(jobs)), &plan, len(jobs))
@@ -1277,18 +1152,12 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		outs[j.index] = out
 		completed.Add(1)
 		env.emitTile(j.index, out.stat)
-		if asm != nil && ctx.Err() == nil {
-			r0, r1 := plan.rowSpan(j)
-			asm.tileDone(r0, r1, out.shots)
-		}
-		if env.journalHealthy() && ctx.Err() == nil {
-			buf, err := encodeRecord(journalRecord{Tile: &tileRecord{Shots: out.shots, Stat: out.stat}})
-			if err == nil {
-				err = env.journal.Append(buf)
+		if ctx.Err() == nil {
+			if asm != nil {
+				r0, r1 := plan.rowSpan(j)
+				asm.tileDone(r0, r1, out.shots)
 			}
-			if err != nil {
-				env.degradeCheckpoint(err)
-			}
+			env.journal.tile(out)
 		}
 	}
 	jobCh := make(chan tileJob)
@@ -1328,108 +1197,30 @@ feed:
 		return nil, fmt.Errorf("flow: %w", err)
 	default:
 	}
-	if asm != nil && !drained {
+	if drained {
+		if err := env.journal.sync(); err != nil {
+			return nil, fmt.Errorf("flow: %w", err)
+		}
+	} else if asm != nil {
 		// Every tile has completed, so this drains the remaining bands in
 		// order and surfaces any writer error from mid-run emissions.
 		if err := asm.finish(); err != nil {
 			return nil, fmt.Errorf("flow: mask writer: %w", err)
 		}
 	}
-
 	res := env.reduce(&plan, outs, len(lanes))
 	res.Resumed = resumed
 	res.Completed = int(completed.Load())
 	if drained {
 		// Graceful shutdown: hand back the partial result for reporting,
 		// but no stitched mask — the shot list is incomplete by
-		// construction. The journal is synced so a resume picks up
-		// exactly where the drain stopped dispatch; a sync failure
-		// degrades the run like any other checkpoint fault.
-		if env.journalHealthy() {
-			if err := env.journal.Sync(); err != nil {
-				if cfg.StrictStorage {
-					return nil, fmt.Errorf("flow: %w", err)
-				}
-				env.degradeCheckpoint(fmt.Errorf("drain sync: %w", err))
-				if s, ok := env.ckptErr.Load().(string); ok {
-					res.CheckpointDegraded = true
-					res.CheckpointErr = s
-				}
-			}
-		}
+		// construction.
 		return res, ErrDrained
 	}
 	if cfg.KeepMask {
 		res.Mask = geom.RasterizeCircles(cfg.GridN, cfg.GridN, res.Shots)
 	}
 	return res, nil
-}
-
-// replay opens the checkpoint journal (if configured) and folds its
-// records into outs: completed tiles drop out of the returned job list
-// (and count toward band completion exactly like recomputed ones, so
-// streamed bands work across resume), and the freshest partial snapshot
-// of each unfinished tile is kept to warm-start its recomputation.
-func (env *runEnv) replay(plan *tilePlan, outs []tileOut, asm *bandAssembler) (jobs []tileJob, resumed int, err error) {
-	cfg := env.cfg
-	if cfg.CheckpointPath == "" {
-		return plan.jobs, 0, nil
-	}
-	journal, payloads, err := checkpoint.OpenFS(cfg.FS, cfg.CheckpointPath, env.fp)
-	if err != nil {
-		return nil, 0, fmt.Errorf("flow: %w", err)
-	}
-	env.journal = journal
-	env.partialSink = env.appendPartial
-	nTiles := len(outs)
-	done := make(map[int]bool, len(payloads))
-	partials := make(map[int]partialRecord)
-	for _, p := range payloads {
-		rec, derr := decodeRecord(p)
-		if derr != nil {
-			return nil, 0, fmt.Errorf("flow: corrupt checkpoint record: %w", derr)
-		}
-		switch {
-		case rec.Tile != nil:
-			idx := rec.Tile.Stat.Index
-			if idx < 0 || idx >= nTiles {
-				return nil, 0, fmt.Errorf("flow: checkpoint tile %d out of range [0, %d)", idx, nTiles)
-			}
-			rec.Tile.Stat.Resumed = true
-			outs[idx] = tileOut{shots: rec.Tile.Shots, stat: rec.Tile.Stat}
-			if !done[idx] {
-				done[idx] = true
-				resumed++
-				// Replayed tiles complete (again) right here, before
-				// any worker starts — subscribers see the full tile
-				// picture on a resumed run, marked Resumed.
-				env.emitTile(idx, rec.Tile.Stat)
-			}
-		case rec.Partial != nil:
-			idx := rec.Partial.Index
-			if idx < 0 || idx >= nTiles {
-				return nil, 0, fmt.Errorf("flow: checkpoint partial for tile %d out of range [0, %d)", idx, nTiles)
-			}
-			partials[idx] = *rec.Partial // append order: last snapshot wins
-		}
-	}
-	for idx := range partials {
-		if done[idx] {
-			delete(partials, idx)
-		}
-	}
-	if len(partials) > 0 {
-		env.partials = partials
-	}
-	for _, j := range plan.jobs {
-		if !done[j.index] {
-			jobs = append(jobs, j)
-		} else if asm != nil {
-			r0, r1 := plan.rowSpan(j)
-			asm.tileDone(r0, r1, outs[j.index].shots)
-		}
-	}
-	return jobs, resumed, nil
 }
 
 // lane is one worker goroutine's way of executing tiles, plus the
@@ -1535,35 +1326,9 @@ func (env *runEnv) reduce(plan *tilePlan, outs []tileOut, workers int) *Result {
 	}
 	res.Merged, res.Split, res.Skipped = plan.merged, plan.split, plan.skipped
 	res.PeakBytes = estimatePeakBytes(cfg, plan.maxWindow, workers, env.ix.Bytes(), len(res.Shots))
-	if s, ok := env.ckptErr.Load().(string); ok {
-		res.CheckpointDegraded = true
-		res.CheckpointErr = s
-	}
+	res.CheckpointDegraded, res.CheckpointErr = env.journal.degraded()
 	res.QuarantineDropped = int(env.quarDropped.Load())
 	return res
-}
-
-// CompactCheckpoint rewrites cfg.CheckpointPath dropping superseded
-// records: duplicate completed-tile records and every partial-progress
-// snapshot that a later snapshot or the tile's completion made
-// redundant. Replay semantics are last-record-wins for both kinds, so a
-// resume from the compacted journal is byte-identical to a resume from
-// the original — the journal is just smaller, which is what matters
-// after a many-restart run over a huge chip.
-func CompactCheckpoint(l *layout.Layout, cfg Config) (checkpoint.CompactStats, error) {
-	if cfg.CheckpointPath == "" {
-		return checkpoint.CompactStats{}, fmt.Errorf("flow: no checkpoint path to compact")
-	}
-	return checkpoint.CompactFS(cfg.FS, cfg.CheckpointPath, fingerprint(l, cfg), func(p []byte) (string, error) {
-		rec, err := decodeRecord(p)
-		if err != nil {
-			return "", fmt.Errorf("flow: corrupt checkpoint record: %w", err)
-		}
-		if rec.Tile != nil {
-			return fmt.Sprintf("tile-%d", rec.Tile.Stat.Index), nil
-		}
-		return fmt.Sprintf("tile-%d", rec.Partial.Index), nil
-	})
 }
 
 // estimatePeakBytes adds up the flow-owned buffers documented on

@@ -1,0 +1,262 @@
+package flow
+
+import (
+	"fmt"
+	"hash/fnv"
+
+	"cfaopc/internal/checkpoint"
+	"cfaopc/internal/geom"
+	"cfaopc/internal/iox"
+	"cfaopc/internal/layout"
+	"cfaopc/internal/procpool"
+)
+
+// tileJournal is the run's checkpoint journal and the only code that
+// knows its record format: the header fingerprint, the two record types
+// and their gob codec, replay, the tile and partial appends, what a
+// storage failure does to the run, the drain barrier and the compaction
+// key. A nil *tileJournal is a run without a checkpoint: every method is
+// a no-op on it.
+//
+// It keeps no health flag of its own. checkpoint.Journal poisons itself
+// on the first failed append or fsync and never retries on that fd, so
+// Journal.Err() — the first storage error — is the one record of a
+// degraded journal: later appends skip, the run finishes correct but
+// un-resumable, and Result.CheckpointDegraded/CheckpointErr report it.
+// Under Config.StrictStorage the failure goes to fail and the run dies.
+type tileJournal struct {
+	j      *checkpoint.Journal
+	strict bool
+	fail   func(error) // fails the run; called under strict only
+}
+
+// tileRecord is the gob payload journaled per completed tile.
+type tileRecord struct {
+	Shots []geom.Circle
+	Stat  TileStat
+}
+
+// partialRecord journals iteration-level progress inside a long
+// snapshot-capable tile (CircleOpt): the flat circle parameters plus
+// the Adam state after Iter stage-2 iterations of the given attempt.
+// On resume the tile warm-starts from here and — because the optimizer
+// state rides along — replays the uninterrupted trajectory exactly.
+// In memory and on the wire the same snapshot is a
+// procpool.PartialState; the two copies between them are partial and
+// decodeJournal below.
+type partialRecord struct {
+	Index   int
+	Attempt int
+	Iter    int
+	Loss    float64
+	Params  []float64
+	OptT    int
+	OptM    []float64
+	OptV    []float64
+}
+
+// journalRecord frames one checkpoint payload: exactly one of Tile or
+// Partial is set.
+type journalRecord struct {
+	Tile    *tileRecord
+	Partial *partialRecord
+}
+
+func encodeRecord(rec journalRecord) ([]byte, error) { return iox.EncodeGob(rec) }
+
+func decodeRecord(p []byte) (journalRecord, error) {
+	var rec journalRecord
+	if err := iox.DecodeGob(p, &rec); err != nil {
+		return rec, err
+	}
+	if (rec.Tile == nil) == (rec.Partial == nil) {
+		return rec, fmt.Errorf("record is neither a tile nor a partial")
+	}
+	return rec, nil
+}
+
+// fingerprint is the journal header. It binds a checkpoint journal to
+// one (layout, tiling) pair: the config fingerprint plus the layout
+// identity and geometry. Resuming with a different optimizer chain
+// remains the caller's responsibility, like any cache key. v3 added
+// per-tile cache/adaptive stats and the config-fingerprint split; v4
+// added remote-host provenance to TileStat — each bump makes older
+// journals fail the header check instead of decoding garbage.
+func fingerprint(l *layout.Layout, cfg Config) []byte {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "cfg=%s\n", configFingerprint(cfg, float64(l.TileNM)/float64(cfg.GridN)))
+	// merge/split were Config knobs no binary ever set; the literal zeros
+	// keep every journal header written so far matching.
+	fmt.Fprintf(h, "adaptive=%v merge=0 split=0\n", cfg.AdaptiveTiles)
+	fmt.Fprintf(h, "layout=%s tile=%d\n", l.Name, l.TileNM)
+	for _, r := range l.Rects {
+		fmt.Fprintf(h, "%d,%d,%d,%d\n", r.X, r.Y, r.W, r.H)
+	}
+	return []byte(fmt.Sprintf("cfaopc-flow-v4 %016x", h.Sum64()))
+}
+
+// decodeJournal folds journal payloads, last record wins: the completed
+// tiles in order of first appearance, and the freshest snapshot of every
+// tile that has none.
+func decodeJournal(payloads [][]byte, nTiles int) ([]tileRecord, map[int]procpool.PartialState, error) {
+	var tiles []tileRecord
+	at := make(map[int]int, len(payloads)) // tile index → position in tiles
+	partials := make(map[int]procpool.PartialState)
+	for _, p := range payloads {
+		rec, err := decodeRecord(p)
+		if err != nil {
+			return nil, nil, fmt.Errorf("flow: corrupt checkpoint record: %w", err)
+		}
+		switch {
+		case rec.Tile != nil:
+			idx := rec.Tile.Stat.Index
+			if idx < 0 || idx >= nTiles {
+				return nil, nil, fmt.Errorf("flow: checkpoint tile %d out of range [0, %d)", idx, nTiles)
+			}
+			if i, seen := at[idx]; seen {
+				tiles[i] = *rec.Tile
+			} else {
+				at[idx] = len(tiles)
+				tiles = append(tiles, *rec.Tile)
+			}
+		case rec.Partial != nil:
+			p := rec.Partial
+			if p.Index < 0 || p.Index >= nTiles {
+				return nil, nil, fmt.Errorf("flow: checkpoint partial for tile %d out of range [0, %d)", p.Index, nTiles)
+			}
+			partials[p.Index] = procpool.PartialState{
+				Attempt: p.Attempt, Iter: p.Iter, Loss: p.Loss,
+				Params: p.Params, OptT: p.OptT, OptM: p.OptM, OptV: p.OptV,
+			}
+		}
+	}
+	for idx := range at {
+		delete(partials, idx)
+	}
+	return tiles, partials, nil
+}
+
+// replay opens the checkpoint journal (if configured) and folds its
+// records into outs: completed tiles drop out of the returned job list
+// (and count toward band completion exactly like recomputed ones, so
+// streamed bands work across resume), and the freshest partial snapshot
+// of each unfinished tile is kept to warm-start its recomputation.
+func (env *runEnv) replay(plan *tilePlan, outs []tileOut, asm *bandAssembler) (jobs []tileJob, resumed int, err error) {
+	cfg := env.cfg
+	if cfg.CheckpointPath == "" {
+		return plan.jobs, 0, nil
+	}
+	j, payloads, err := checkpoint.OpenFS(cfg.FS, cfg.CheckpointPath, env.fp)
+	if err != nil {
+		return nil, 0, fmt.Errorf("flow: %w", err)
+	}
+	tiles, partials, err := decodeJournal(payloads, len(outs))
+	if err != nil {
+		j.Close()
+		return nil, 0, err
+	}
+	env.journal = &tileJournal{j: j, strict: cfg.StrictStorage, fail: env.reportErr}
+	env.partials, env.partialSink = partials, env.journal.partial
+	for _, rec := range tiles {
+		// Replayed tiles complete (again) right here, before any worker
+		// starts — subscribers see the full tile picture on a resumed
+		// run, marked Resumed.
+		rec.Stat.Resumed = true
+		outs[rec.Stat.Index] = tileOut{shots: rec.Shots, stat: rec.Stat}
+		env.emitTile(rec.Stat.Index, rec.Stat)
+	}
+	for _, j := range plan.jobs {
+		if !outs[j.index].stat.Resumed {
+			jobs = append(jobs, j)
+		} else if asm != nil {
+			r0, r1 := plan.rowSpan(j)
+			asm.tileDone(r0, r1, outs[j.index].shots)
+		}
+	}
+	return jobs, len(tiles), nil
+}
+
+// healthy reports whether appends should still be attempted.
+func (t *tileJournal) healthy() bool { return t != nil && t.j.Err() == nil }
+
+// append journals one record. Append is concurrency-safe, so snapshot
+// records from parallel tiles interleave freely with completed-tile
+// records.
+func (t *tileJournal) append(rec journalRecord) {
+	if !t.healthy() {
+		return
+	}
+	buf, err := encodeRecord(rec)
+	if err == nil {
+		err = t.j.Append(buf)
+	}
+	if err != nil && t.strict {
+		t.fail(fmt.Errorf("checkpoint append: %w", err))
+	}
+}
+
+// tile journals one completed tile.
+func (t *tileJournal) tile(out tileOut) {
+	t.append(journalRecord{Tile: &tileRecord{Shots: out.shots, Stat: out.stat}})
+}
+
+// partial journals one mid-tile snapshot.
+func (t *tileJournal) partial(index int, s procpool.PartialState) {
+	t.append(journalRecord{Partial: &partialRecord{
+		Index: index, Attempt: s.Attempt, Iter: s.Iter, Loss: s.Loss,
+		Params: s.Params, OptT: s.OptT, OptM: s.OptM, OptV: s.OptV,
+	}})
+}
+
+// sync is the drain barrier: everything appended so far is durable when
+// it returns nil, so a resume picks up exactly where the drain stopped
+// dispatch. A sync failure degrades the run like any other checkpoint
+// fault, and is returned only under StrictStorage.
+func (t *tileJournal) sync() error {
+	if !t.healthy() {
+		return nil
+	}
+	if err := t.j.Sync(); err != nil && t.strict {
+		return err
+	}
+	return nil
+}
+
+// degraded reports the first storage error, if one stopped journaling.
+func (t *tileJournal) degraded() (bool, string) {
+	if t != nil {
+		if err := t.j.Err(); err != nil {
+			return true, err.Error()
+		}
+	}
+	return false, ""
+}
+
+func (t *tileJournal) close() {
+	if t != nil {
+		t.j.Close()
+	}
+}
+
+// CompactCheckpoint rewrites cfg.CheckpointPath dropping superseded
+// records: duplicate completed-tile records and every partial-progress
+// snapshot that a later snapshot or the tile's completion made
+// redundant. Replay semantics are last-record-wins for both kinds, so a
+// resume from the compacted journal is byte-identical to a resume from
+// the original — the journal is just smaller, which is what matters
+// after a many-restart run over a huge chip.
+func CompactCheckpoint(l *layout.Layout, cfg Config) (checkpoint.CompactStats, error) {
+	if cfg.CheckpointPath == "" {
+		return checkpoint.CompactStats{}, fmt.Errorf("flow: no checkpoint path to compact")
+	}
+	return checkpoint.CompactFS(cfg.FS, cfg.CheckpointPath, fingerprint(l, cfg), func(p []byte) (string, error) {
+		rec, err := decodeRecord(p)
+		if err != nil {
+			return "", fmt.Errorf("flow: corrupt checkpoint record: %w", err)
+		}
+		if rec.Tile != nil {
+			return fmt.Sprintf("tile-%d", rec.Tile.Stat.Index), nil
+		}
+		return fmt.Sprintf("tile-%d", rec.Partial.Index), nil
+	})
+}

@@ -472,8 +472,7 @@ func TestOldWorkerRefusedByVersion(t *testing.T) {
 		coord, worker := net.Pipe()
 		go io.Copy(io.Discard, worker) // non-task frames are skipped
 		go func() {
-			payload, _ := procpool.EncodeMessage(&procpool.Message{Hello: &procpool.Hello{Version: 2, PID: 1}})
-			procpool.WriteFrame(worker, payload)
+			procpool.WriteMessage(worker, &procpool.Message{Hello: &procpool.Hello{Version: 2, PID: 1}})
 		}()
 		return coord, nil
 	}

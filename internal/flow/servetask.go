@@ -6,7 +6,6 @@ import (
 
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
-	"cfaopc/internal/opt"
 	"cfaopc/internal/procpool"
 )
 
@@ -66,19 +65,11 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 	if sink != nil {
 		env.onBeat = sink.Beat
 		if t.PartialEvery > 0 {
-			env.partialSink = func(index, attempt int, s opt.Snapshot) {
-				sink.Partial(index, procpool.PartialState{
-					Attempt: attempt, Iter: s.Iter, Loss: s.Loss,
-					Params: s.Params, OptT: s.OptT, OptM: s.OptM, OptV: s.OptV,
-				})
-			}
+			env.partialSink = sink.Partial
 		}
 	}
-	if r := t.Resume; r != nil {
-		env.partials = map[int]partialRecord{index: {
-			Index: index, Attempt: r.Attempt, Iter: r.Iter, Loss: r.Loss,
-			Params: r.Params, OptT: r.OptT, OptM: r.OptM, OptV: r.OptV,
-		}}
+	if t.Resume != nil {
+		env.partials = map[int]procpool.PartialState{index: *t.Resume}
 	}
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: b.Target}
 	j := tileJob{index: index, cx: b.Tile.CX, cy: b.Tile.CY, core: cfg.CorePx, window: target.W}

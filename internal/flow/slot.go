@@ -8,7 +8,6 @@ import (
 
 	"cfaopc/internal/grid"
 	"cfaopc/internal/netpool"
-	"cfaopc/internal/opt"
 	"cfaopc/internal/procpool"
 )
 
@@ -117,10 +116,7 @@ func (s *slot) execute(ctx context.Context, j tileJob, target *grid.Real, out *t
 	// half-finished when the previous run died).
 	s.resume = nil
 	if p, ok := env.partials[j.index]; ok {
-		s.resume = &procpool.PartialState{
-			Attempt: p.Attempt, Iter: p.Iter, Loss: p.Loss,
-			Params: p.Params, OptT: p.OptT, OptM: p.OptM, OptV: p.OptV,
-		}
+		s.resume = &p
 	}
 	dispatch := 0
 	for ctx.Err() == nil && s.breaker.Allow() {
@@ -198,9 +194,9 @@ func (env *runEnv) buildTask(j tileJob, target *grid.Real, dispatch int, resume 
 	return t
 }
 
-// await consumes session events until a reply for j arrives, the link
-// dies, or it goes silent past the slot's silence bound. Any frame —
-// ping, beat, partial — counts as liveness; Partial frames are
+// await consumes session messages until a reply for j arrives, the link
+// dies, or it goes silent past the slot's silence bound. Any message —
+// ping, beat, partial — counts as liveness; Partial snapshots are
 // additionally journaled and retained for redispatch, exactly like an
 // in-process snapshot, so a host that dies mid-tile hands its progress
 // to the replacement.
@@ -219,50 +215,49 @@ func (s *slot) await(ctx context.Context, j tileJob) (*procpool.Reply, bool) {
 			// reconnect vs breaker.
 			s.kill()
 			return nil, false
-		case ev := <-s.link.Events():
+		case m, ok := <-s.link.Messages():
+			if !ok {
+				// The link ended (worker death, drop, protocol garbage).
+				s.link = nil
+				return nil, false
+			}
 			if !timer.Stop() {
 				<-timer.C
 			}
 			timer.Reset(s.silence)
-			switch ev.Kind {
-			case procpool.EvExit:
-				s.link = nil
-				return nil, false
-			case procpool.EvPartial:
-				if ev.Partial.Index == j.index {
-					st := ev.Partial.State
+			switch {
+			case m.Partial != nil:
+				if m.Partial.Index == j.index {
+					st := m.Partial.State
 					s.resume = &st
-					if env.journal != nil && env.cfg.PartialEvery > 0 {
-						env.appendPartial(j.index, st.Attempt, opt.Snapshot{
-							Iter: st.Iter, Loss: st.Loss, Params: st.Params,
-							OptT: st.OptT, OptM: st.OptM, OptV: st.OptV,
-						})
+					if env.cfg.PartialEvery > 0 {
+						env.journal.partial(j.index, st)
 					}
 				}
-			case procpool.EvBeat:
+			case m.Beat != nil:
 				// Forwarded optimizer heartbeat: liveness (the timer reset
 				// above), and — when someone subscribed — progress, so the
 				// event stream looks the same in every dispatch mode.
-				if env.onBeat != nil && ev.Beat.Index == j.index {
-					env.onBeat(ev.Beat.Index, ev.Beat.Iter, ev.Beat.Loss)
+				if env.onBeat != nil && m.Beat.Index == j.index {
+					env.onBeat(m.Beat.Index, m.Beat.Iter, m.Beat.Loss)
 				}
-			case procpool.EvReply:
-				if ev.Reply.Index != j.index {
+			case m.Reply != nil:
+				if m.Reply.Index != j.index {
 					// Protocol confusion (a stale reply for some other
 					// tile): this link cannot be trusted with the tile.
 					s.kill()
 					return nil, false
 				}
-				if ev.Reply.Err != "" {
+				if m.Reply.Err != "" {
 					// The worker is healthy but the task failed
 					// deterministically (bad payload, engine setup).
 					// Count it like a crash so the breaker bounds the
 					// retries and the tile still completes in-process.
 					return nil, false
 				}
-				return ev.Reply, true
+				return m.Reply, true
 			}
-			// EvPing: liveness only.
+			// A Ping is liveness only.
 		}
 	}
 }

@@ -109,11 +109,7 @@ func TestParentFramesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := procpool.ReadFrame(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := procpool.DecodeMessage(payload)
+		m, err := procpool.ReadMessage(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}

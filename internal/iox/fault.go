@@ -177,8 +177,6 @@ func (f *FaultFS) Create(path string) (File, error) {
 	return &faultFile{File: inner, fs: f, path: path}, nil
 }
 
-func (f *FaultFS) ReadFile(path string) ([]byte, error) { return f.inner.ReadFile(path) }
-
 func (f *FaultFS) WriteFile(path string, data []byte, perm os.FileMode) error {
 	allow, ferr := f.admitWrite(path, len(data))
 	if err := f.inner.WriteFile(path, data[:allow], perm); err != nil {

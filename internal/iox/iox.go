@@ -23,6 +23,11 @@
 // AtomicWrite is the shared temp+fsync+rename+parent-fsync helper: a
 // rename is only crash-durable once the parent directory's entry is
 // synced, a step the wcache and quarantine writers used to skip.
+//
+// frame.go holds the byte formats those layers share, once each: the
+// length | CRC32 | payload frame (journal records, cache entries,
+// bundles, tile-worker messages), the sealed file built from it, and
+// the gob codec under all of them.
 package iox
 
 import (
@@ -54,7 +59,6 @@ type FS interface {
 	OpenFile(path string, flag int, perm os.FileMode) (File, error)
 	Open(path string) (File, error)
 	Create(path string) (File, error)
-	ReadFile(path string) ([]byte, error)
 	WriteFile(path string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
@@ -74,7 +78,6 @@ func (OSFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
 }
 func (OSFS) Open(path string) (File, error)               { return os.Open(path) }
 func (OSFS) Create(path string) (File, error)             { return os.Create(path) }
-func (OSFS) ReadFile(path string) ([]byte, error)         { return os.ReadFile(path) }
 func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (OSFS) Remove(path string) error                     { return os.Remove(path) }
 func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
@@ -117,21 +120,17 @@ func AtomicWrite(fsys FS, path string, data []byte, perm os.FileMode) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return err
+	if err == nil {
+		err = fsys.Rename(tmp, path)
 	}
-	if err := fsys.Rename(tmp, path); err != nil {
+	if err != nil {
 		fsys.Remove(tmp)
 		return err
 	}

@@ -33,7 +33,7 @@ func TestOSFSRoundtrip(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fsys.ReadFile(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,8 +135,6 @@ func (r *Recorder) Create(path string) (File, error) {
 	return r.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 }
 
-func (r *Recorder) ReadFile(path string) ([]byte, error) { return r.inner.ReadFile(path) }
-
 func (r *Recorder) WriteFile(path string, data []byte, perm os.FileMode) error {
 	if err := r.inner.WriteFile(path, data, perm); err != nil {
 		return err

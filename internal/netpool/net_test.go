@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"cfaopc/internal/iox"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
 )
@@ -68,20 +69,46 @@ func startServer(t *testing.T, srv *Server) string {
 	return ln.Addr().String()
 }
 
-func awaitConn(t *testing.T, c *Conn, k procpool.EventKind) procpool.Event {
+// Message kinds awaitConn can wait for.
+var (
+	isPing    = func(m *procpool.Message) bool { return m.Ping != nil }
+	isBeat    = func(m *procpool.Message) bool { return m.Beat != nil }
+	isPartial = func(m *procpool.Message) bool { return m.Partial != nil }
+	isReply   = func(m *procpool.Message) bool { return m.Reply != nil }
+)
+
+// awaitConn returns the session's next message of the wanted kind.
+func awaitConn(t *testing.T, c *Conn, want func(*procpool.Message) bool) *procpool.Message {
 	t.Helper()
 	deadline := time.After(30 * time.Second)
 	for {
 		select {
-		case ev := <-c.Events():
-			if ev.Kind == k {
-				return ev
+		case m, ok := <-c.Messages():
+			if !ok {
+				t.Fatalf("link died (err %v) while waiting for a message", c.Err())
 			}
-			if ev.Kind == procpool.EvExit {
-				t.Fatalf("link died (err %v) while waiting for event kind %d", ev.Err, k)
+			if want(m) {
+				return m
 			}
 		case <-deadline:
-			t.Fatalf("timed out waiting for event kind %d", k)
+			t.Fatal("timed out waiting for a message")
+		}
+	}
+}
+
+// awaitExit drains the session to the end of its stream and returns the
+// terminal error.
+func awaitExit(t *testing.T, c *Conn) error {
+	t.Helper()
+	deadline := time.After(30 * time.Second)
+	for {
+		select {
+		case _, ok := <-c.Messages():
+			if !ok {
+				return c.Err()
+			}
+		case <-deadline:
+			t.Fatal("timed out waiting for the link to end")
 		}
 	}
 }
@@ -117,15 +144,15 @@ var behaviours = map[string]func(net.Conn){
 	// itself unasked, then skips the coordinator's Hello as a non-task
 	// frame.
 	"hello-first-v2": func(nc net.Conn) {
-		payload, _ := procpool.EncodeMessage(&procpool.Message{Hello: &procpool.Hello{Version: 2, PID: os.Getpid()}})
-		procpool.WriteFrame(nc, payload)
+		procpool.WriteMessage(nc, &procpool.Message{Hello: &procpool.Hello{Version: 2, PID: os.Getpid()}})
 		io.Copy(io.Discard, nc)
 	},
 	// garbage handshakes properly, then stops speaking the protocol (in
 	// a well-formed frame, so the proxy's frame counter forwards it).
 	"garbage": func(nc net.Conn) {
 		if (&Server{}).accept(nc) == nil {
-			procpool.WriteFrame(nc, []byte("framed, but not a message"))
+			frame, _ := iox.AppendFrame(nil, []byte("framed, but not a message"), procpool.MaxFrameBytes)
+			nc.Write(frame)
 			io.Copy(io.Discard, nc)
 		}
 	},
@@ -213,11 +240,7 @@ var connectors = []struct {
 // the coordinator itself is the misbehaving party.
 func sendRaw(t *testing.T, nc net.Conn, m *procpool.Message) {
 	t.Helper()
-	payload, err := procpool.EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := procpool.WriteFrame(nc, payload); err != nil {
+	if err := procpool.WriteMessage(nc, m); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -226,11 +249,7 @@ func sendRaw(t *testing.T, nc net.Conn, m *procpool.Message) {
 func readReject(t *testing.T, nc net.Conn) string {
 	t.Helper()
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	payload, err := procpool.ReadFrame(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := procpool.DecodeMessage(payload)
+	m, err := procpool.ReadMessage(nc)
 	if err != nil || m.Hello == nil || m.Hello.Reject == "" {
 		t.Fatalf("answer = %+v err %v, want a reject", m, err)
 	}
@@ -262,24 +281,24 @@ func TestHandshakeTable(t *testing.T) {
 			if err := c.Send(task(11)); err != nil {
 				t.Fatal(err)
 			}
-			if beat := awaitConn(t, c, procpool.EvBeat); beat.Beat.Index != 11 {
+			if beat := awaitConn(t, c, isBeat); beat.Beat.Index != 11 {
 				t.Fatalf("beat index = %d", beat.Beat.Index)
 			}
-			if reply := awaitConn(t, c, procpool.EvReply); reply.Reply.Index != 11 || reply.Reply.Path != "primary" {
+			if reply := awaitConn(t, c, isReply); reply.Reply.Index != 11 || reply.Reply.Path != "primary" {
 				t.Fatalf("reply = %+v", reply.Reply)
 			}
 			// A second task on the same session: the loop must survive.
 			if err := c.Send(task(12)); err != nil {
 				t.Fatal(err)
 			}
-			if reply := awaitConn(t, c, procpool.EvReply); reply.Reply.Index != 12 {
+			if reply := awaitConn(t, c, isReply); reply.Reply.Index != 12 {
 				t.Fatalf("second reply index = %d", reply.Reply.Index)
 			}
 			// Graceful close: the worker loop gets its EOF and the
 			// session winds down with a clean exit.
 			c.Close()
-			if ev := <-c.Events(); ev.Kind != procpool.EvExit || ev.Err != io.EOF {
-				t.Fatalf("after close: event %v err %v, want clean EvExit", ev.Kind, ev.Err)
+			if err := awaitExit(t, c); err != io.EOF {
+				t.Fatalf("after close: stream ended with %v, want a clean io.EOF", err)
 			}
 		}},
 		{"coordinator version skew refused", func(t *testing.T, dial func(string) dialFunc) {
@@ -293,7 +312,7 @@ func TestHandshakeTable(t *testing.T) {
 				t.Fatalf("reject = %q, want a version-skew reason", reason)
 			}
 			// The reject is terminal: the worker closes the connection.
-			if _, err := procpool.ReadFrame(nc); err == nil {
+			if _, err := procpool.ReadMessage(nc); err == nil {
 				t.Fatal("worker kept the connection open after a reject")
 			}
 		}},
@@ -354,7 +373,7 @@ func TestHandshakeTable(t *testing.T) {
 			}
 			// The task outlives the handshake window several times
 			// over; the deadline was cleared once the Hellos crossed.
-			if reply := awaitConn(t, c, procpool.EvReply); reply.Reply.Index != 7 {
+			if reply := awaitConn(t, c, isReply); reply.Reply.Index != 7 {
 				t.Fatalf("reply index = %d", reply.Reply.Index)
 			}
 		}},
@@ -364,9 +383,8 @@ func TestHandshakeTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Kill()
-			ev := awaitConn(t, c, procpool.EvExit)
-			if ev.Err == nil || ev.Err == io.EOF {
-				t.Fatalf("garbage stream exit err = %v, want a decode error", ev.Err)
+			if err := awaitExit(t, c); err == nil || err == io.EOF {
+				t.Fatalf("garbage stream exit err = %v, want a decode error", err)
 			}
 		}},
 		{"worker drops the link mid-task", func(t *testing.T, dial func(string) dialFunc) {
@@ -378,8 +396,8 @@ func TestHandshakeTable(t *testing.T) {
 			if err := c.Send(task(3)); err != nil {
 				t.Fatal(err)
 			}
-			if ev := awaitConn(t, c, procpool.EvExit); ev.Err == nil {
-				t.Fatal("EvExit with nil error")
+			if awaitExit(t, c) == nil {
+				t.Fatal("stream ended with nil error")
 			}
 		}},
 		{"kill mid-task", func(t *testing.T, dial func(string) dialFunc) {
@@ -390,7 +408,7 @@ func TestHandshakeTable(t *testing.T) {
 			if err := c.Send(task(1)); err != nil {
 				t.Fatal(err)
 			}
-			awaitConn(t, c, procpool.EvPing) // the task is in flight
+			awaitConn(t, c, isPing) // the task is in flight
 			c.Kill()
 			// After Kill, sends fail promptly (the link is gone) — poll,
 			// since the teardown races the write.
@@ -439,7 +457,7 @@ func TestSpawnedWorkerIsReaped(t *testing.T) {
 			if err := c.Send(task(1)); err != nil {
 				t.Fatal(err)
 			}
-			awaitConn(t, c, procpool.EvPing)
+			awaitConn(t, c, isPing)
 			end(c)
 			if cmd.ProcessState == nil {
 				t.Fatal("worker not reaped")
@@ -460,10 +478,10 @@ func TestPartialFramesForwarded(t *testing.T) {
 	if err := c.Send(want); err != nil {
 		t.Fatal(err)
 	}
-	if p := awaitConn(t, c, procpool.EvPartial); p.Partial.Index != 5 || len(p.Partial.State.Params) != 2 {
+	if p := awaitConn(t, c, isPartial); p.Partial.Index != 5 || len(p.Partial.State.Params) != 2 {
 		t.Fatalf("partial = %+v", p.Partial)
 	}
-	awaitConn(t, c, procpool.EvReply)
+	awaitConn(t, c, isReply)
 }
 
 func TestServerHandshakeDeadline(t *testing.T) {
@@ -501,7 +519,7 @@ func TestConnectRefusedPort(t *testing.T) {
 
 func TestConnSurfacesServerDeath(t *testing.T) {
 	// The server host dies mid-session (listener and session torn
-	// down): the coordinator sees a terminal EvExit, not a hang.
+	// down): the coordinator sees the stream end with an error, not a hang.
 	srv := &Server{Runner: echoRunner}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -518,9 +536,8 @@ func TestConnSurfacesServerDeath(t *testing.T) {
 	// sending a frame the worker loop treats as fatal garbage.
 	nc := c.nc
 	nc.Close() // sever from the client side of the TCP pair
-	ev := <-c.Events()
-	if ev.Kind != procpool.EvExit || ev.Err == nil {
-		t.Fatalf("event = %v err %v, want EvExit with error", ev.Kind, ev.Err)
+	if awaitExit(t, c) == nil {
+		t.Fatal("severed link ended with nil error")
 	}
 }
 
@@ -563,8 +580,7 @@ func TestProxyFaults(t *testing.T) {
 		if err := c.Send(task(3)); err != nil {
 			t.Fatal(err)
 		}
-		ev := awaitConn(t, c, procpool.EvExit)
-		if ev.Err == nil {
+		if awaitExit(t, c) == nil {
 			t.Fatal("cut link exited with nil error")
 		}
 	})
@@ -582,9 +598,8 @@ func TestProxyFaults(t *testing.T) {
 		if err := c.Send(task(3)); err != nil {
 			t.Fatal(err)
 		}
-		ev := awaitConn(t, c, procpool.EvExit)
-		if !errors.Is(ev.Err, procpool.ErrTornFrame) {
-			t.Fatalf("truncated frame exit err = %v, want ErrTornFrame", ev.Err)
+		if err := awaitExit(t, c); !errors.Is(err, iox.ErrTornFrame) {
+			t.Fatalf("truncated frame exit err = %v, want ErrTornFrame", err)
 		}
 	})
 	t.Run("garble", func(t *testing.T) {
@@ -601,9 +616,8 @@ func TestProxyFaults(t *testing.T) {
 		if err := c.Send(task(3)); err != nil {
 			t.Fatal(err)
 		}
-		ev := awaitConn(t, c, procpool.EvExit)
-		if !errors.Is(ev.Err, procpool.ErrFrameCRC) {
-			t.Fatalf("garbled frame exit err = %v, want ErrFrameCRC", ev.Err)
+		if err := awaitExit(t, c); !errors.Is(err, iox.ErrFrameCRC) {
+			t.Fatalf("garbled frame exit err = %v, want ErrFrameCRC", err)
 		}
 	})
 	t.Run("stall", func(t *testing.T) {
@@ -624,8 +638,8 @@ func TestProxyFaults(t *testing.T) {
 		// exactly the case only a silence watchdog (the flow's) can
 		// detect; here we just assert the stall is real.
 		select {
-		case ev := <-c.Events():
-			t.Fatalf("stalled link delivered %v", ev.Kind)
+		case m, ok := <-c.Messages():
+			t.Fatalf("stalled link delivered %+v (open %v)", m, ok)
 		case <-time.After(500 * time.Millisecond):
 		}
 	})
@@ -644,7 +658,7 @@ func TestProxyFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Latency, not failure: the reply still lands.
-		if reply := awaitConn(t, c, procpool.EvReply); reply.Reply.Index != 3 {
+		if reply := awaitConn(t, c, isReply); reply.Reply.Index != 3 {
 			t.Fatalf("reply index = %d", reply.Reply.Index)
 		}
 	})
@@ -670,16 +684,16 @@ func TestProxyFaults(t *testing.T) {
 		sawPartial := false
 		for {
 			select {
-			case ev := <-c.Events():
-				switch ev.Kind {
-				case procpool.EvPartial:
-					sawPartial = true
-				case procpool.EvExit:
+			case m, ok := <-c.Messages():
+				switch {
+				case !ok:
 					if !sawPartial {
 						t.Fatal("link cut before any partial crossed")
 					}
 					return
-				case procpool.EvReply:
+				case m.Partial != nil:
+					sawPartial = true
+				case m.Reply != nil:
 					t.Fatal("reply crossed a link scripted to cut after the partial")
 				}
 			case <-time.After(30 * time.Second):

@@ -33,9 +33,10 @@ type Dialer struct {
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
-func (d Dialer) handshake() time.Duration {
-	if d.Handshake > 0 {
-		return d.Handshake
+// handshakeOr resolves a Dialer's or Server's Handshake field.
+func handshakeOr(d time.Duration) time.Duration {
+	if d > 0 {
+		return d
 	}
 	return DefaultHandshake
 }
@@ -47,7 +48,7 @@ func (d Dialer) handshake() time.Duration {
 // handshake deadline fail here, before a single task is risked on the
 // link, and the connection is closed (a spawned worker is dead).
 func (d Dialer) Connect(ctx context.Context, addr string) (*Conn, error) {
-	deadline := time.Now().Add(d.handshake())
+	deadline := time.Now().Add(handshakeOr(d.Handshake))
 	dctx, cancel := context.WithDeadline(ctx, deadline)
 	defer cancel()
 	dial := d.Dial
@@ -69,11 +70,13 @@ func (d Dialer) Connect(ctx context.Context, addr string) (*Conn, error) {
 	}
 	nc.SetDeadline(time.Time{})
 	c := &Conn{
-		Hello:  *hello,
-		nc:     nc,
-		events: make(chan procpool.Event, 64),
-		done:   make(chan struct{}),
-		dead:   make(chan struct{}),
+		Hello: *hello,
+		nc:    nc,
+		// Room for a burst of beats and pings while the slot is busy
+		// journaling a partial; the reader blocks beyond it.
+		msgs: make(chan *procpool.Message, 64),
+		done: make(chan struct{}),
+		dead: make(chan struct{}),
 	}
 	go c.read()
 	return c, nil
@@ -82,20 +85,12 @@ func (d Dialer) Connect(ctx context.Context, addr string) (*Conn, error) {
 // shake performs the client half of the handshake on an
 // already-deadlined conn and returns the worker's Hello.
 func shake(nc net.Conn, fingerprint string) (*procpool.Hello, error) {
-	out, err := procpool.EncodeMessage(&procpool.Message{Hello: &procpool.Hello{
+	if err := procpool.WriteMessage(nc, &procpool.Message{Hello: &procpool.Hello{
 		Version: procpool.ProtocolVersion, PID: os.Getpid(), Fingerprint: fingerprint,
-	}})
-	if err != nil {
+	}}); err != nil {
 		return nil, err
 	}
-	if err := procpool.WriteFrame(nc, out); err != nil {
-		return nil, err
-	}
-	payload, err := procpool.ReadFrame(nc)
-	if err != nil {
-		return nil, err
-	}
-	m, err := procpool.DecodeMessage(payload)
+	m, err := procpool.ReadMessage(nc)
 	if err != nil {
 		return nil, err
 	}
@@ -111,40 +106,45 @@ func shake(nc net.Conn, fingerprint string) (*procpool.Hello, error) {
 }
 
 // Conn is one coordinator→worker session after a successful handshake,
-// over whatever the Dialer dialed: tasks in via Send, everything out
-// (including link death) via the Events stream. It does no policy —
-// reconnect, backoff and circuit-breaking live in the flow's slot.
+// over whatever the Dialer dialed: tasks in via Send, everything out via
+// the Messages stream, link death via its close and Err. It does no
+// policy — reconnect, backoff and circuit-breaking live in the flow's
+// slot.
 type Conn struct {
 	// Hello is the worker's handshake answer (PID, echoed fingerprint).
 	Hello procpool.Hello
 
 	nc net.Conn
 
-	events chan procpool.Event
-	done   chan struct{} // closed by Kill/Close: emit drops, no more delivery
-	dead   chan struct{} // closed when the reader goroutine exits
+	msgs chan *procpool.Message
+	err  error         // why the stream ended; written before msgs closes
+	done chan struct{} // closed by Kill/Close: no more delivery
+	dead chan struct{} // closed when the reader goroutine exits
 
 	wmu       sync.Mutex
 	killOnce  sync.Once
 	closeOnce sync.Once
 }
 
-// Events is the session's output stream. It is never closed; EvExit is
-// the last event delivered.
-func (c *Conn) Events() <-chan procpool.Event { return c.events }
+// Messages is the session's output stream: the worker's Ping, Beat,
+// Partial and Reply messages as decoded, in order. It is closed when the
+// link ends — the worker died, the stream broke, or the session was
+// killed — after which Err says why.
+func (c *Conn) Messages() <-chan *procpool.Message { return c.msgs }
+
+// Err is the terminal error of a session whose Messages stream has
+// closed: io.EOF for a clean close by the worker, the framing, decode or
+// transport error otherwise.
+func (c *Conn) Err() error { return c.err }
 
 // Send frames one task to the worker.
 func (c *Conn) Send(t *procpool.Task) error {
-	payload, err := procpool.EncodeMessage(&procpool.Message{Task: t})
-	if err != nil {
-		return err
-	}
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return procpool.WriteFrame(c.nc, payload)
+	return procpool.WriteMessage(c.nc, &procpool.Message{Task: t})
 }
 
-// Kill tears the link down immediately and stops event delivery. A
+// Kill tears the link down immediately and stops message delivery. A
 // spawned worker is SIGKILLed and reaped; a listening host survives and
 // serves its next coordinator.
 func (c *Conn) Kill() {
@@ -173,49 +173,26 @@ func (c *Conn) Close() {
 	})
 }
 
-// read decodes frames into events until the link breaks, then makes
+// read delivers the worker's messages until the link breaks, then makes
 // the peer's death true (closing the connection kills a spawned worker
-// that sent garbage but lives on) and delivers the terminal EvExit.
+// that sent garbage but lives on) and closes the stream.
 func (c *Conn) read() {
 	defer close(c.dead)
-	var exitErr error
+	defer close(c.msgs)
+	defer c.nc.Close()
 	for {
-		payload, err := procpool.ReadFrame(c.nc)
+		m, err := procpool.ReadMessage(c.nc)
 		if err != nil {
-			exitErr = err // io.EOF when the worker closed cleanly
-			break
+			c.err = err // io.EOF when the worker closed cleanly
+			return
 		}
-		m, err := procpool.DecodeMessage(payload)
-		if err != nil {
-			exitErr = err
-			break
+		if m.Hello != nil || m.Task != nil {
+			c.err = fmt.Errorf("netpool: unexpected frame from worker")
+			return
 		}
-		switch {
-		case m.Ping != nil:
-			c.emit(procpool.Event{Kind: procpool.EvPing})
-			continue
-		case m.Beat != nil:
-			c.emit(procpool.Event{Kind: procpool.EvBeat, Beat: m.Beat})
-			continue
-		case m.Partial != nil:
-			c.emit(procpool.Event{Kind: procpool.EvPartial, Partial: m.Partial})
-			continue
-		case m.Reply != nil:
-			c.emit(procpool.Event{Kind: procpool.EvReply, Reply: m.Reply})
-			continue
-		default:
-			exitErr = fmt.Errorf("netpool: unexpected frame from worker")
+		select {
+		case c.msgs <- m:
+		case <-c.done: // the coordinator abandoned this link
 		}
-		break
-	}
-	c.nc.Close()
-	c.emit(procpool.Event{Kind: procpool.EvExit, Err: exitErr})
-}
-
-// emit delivers ev unless the coordinator has abandoned this link.
-func (c *Conn) emit(ev procpool.Event) {
-	select {
-	case c.events <- ev:
-	case <-c.done:
 	}
 }

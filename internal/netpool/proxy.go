@@ -1,13 +1,13 @@
 package netpool
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
 
+	"cfaopc/internal/iox"
 	"cfaopc/internal/procpool"
 )
 
@@ -181,22 +181,21 @@ func (p *Proxy) pump(client, server net.Conn, script ConnScript) {
 		return frames >= script.AfterFrames
 	}
 	for {
-		header, payload, err := readRawFrame(server)
+		payload, err := iox.ReadFrame(server, procpool.MaxFrameBytes)
 		if err != nil {
 			return // worker closed or died: propagate by closing (deferred)
 		}
+		frame, _ := iox.AppendFrame(nil, payload, procpool.MaxFrameBytes) // just read under the same cap
 		if script.Fault != FaultNone && triggered() {
 			switch script.Fault {
 			case FaultCut:
 				return
 			case FaultTrunc:
-				client.Write(header)
-				client.Write(payload[:len(payload)/2])
+				client.Write(frame[:8+len(payload)/2])
 				return
 			case FaultGarble:
-				payload[len(payload)/2] ^= 0x40
-				client.Write(header)
-				client.Write(payload)
+				frame[8+len(payload)/2] ^= 0x40
+				client.Write(frame)
 				return
 			case FaultStall:
 				// Hold both connections open, forward nothing: only a
@@ -211,10 +210,7 @@ func (p *Proxy) pump(client, server net.Conn, script ConnScript) {
 				}
 			}
 		}
-		if _, err := client.Write(header); err != nil {
-			return
-		}
-		if _, err := client.Write(payload); err != nil {
+		if _, err := client.Write(frame); err != nil {
 			return
 		}
 		frames++
@@ -222,25 +218,6 @@ func (p *Proxy) pump(client, server net.Conn, script ConnScript) {
 			partials++
 		}
 	}
-}
-
-// readRawFrame reads one length-prefixed frame (8-byte header +
-// payload) without validating the CRC — the proxy forwards bytes, it
-// does not speak the protocol, except to count frame boundaries.
-func readRawFrame(r io.Reader) (header, payload []byte, err error) {
-	header = make([]byte, 8)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, nil, err
-	}
-	ln := binary.BigEndian.Uint32(header[0:4])
-	if int(ln) > procpool.MaxFrameBytes {
-		return nil, nil, fmt.Errorf("netpool: proxy saw oversized frame (%d bytes)", ln)
-	}
-	payload = make([]byte, ln)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, nil, err
-	}
-	return header, payload, nil
 }
 
 // isPartialFrame reports whether a forwarded payload is a Partial

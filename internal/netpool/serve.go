@@ -30,13 +30,6 @@ type Server struct {
 	Runner func() procpool.Runner
 }
 
-func (s *Server) handshake() time.Duration {
-	if s.Handshake > 0 {
-		return s.Handshake
-	}
-	return DefaultHandshake
-}
-
 // Serve accepts connections until the listener closes, serving each in
 // its own goroutine. It returns nil when ln was closed (the normal
 // shutdown path) and the accept error otherwise; it does not return
@@ -66,7 +59,7 @@ func (s *Server) Serve(ln net.Listener) error {
 // a clean EOF after the handshake returns nil.
 func (s *Server) ServeConn(nc net.Conn) error {
 	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(s.handshake()))
+	nc.SetDeadline(time.Now().Add(handshakeOr(s.Handshake)))
 	if err := s.accept(nc); err != nil {
 		return err
 	}
@@ -79,13 +72,9 @@ func (s *Server) ServeConn(nc net.Conn) error {
 // also the error returned) when the coordinator's version or config
 // disagrees with this worker.
 func (s *Server) accept(nc net.Conn) error {
-	payload, err := procpool.ReadFrame(nc)
+	m, err := procpool.ReadMessage(nc)
 	if err != nil {
 		return fmt.Errorf("netpool: read hello: %w", err)
-	}
-	m, err := procpool.DecodeMessage(payload)
-	if err != nil {
-		return fmt.Errorf("netpool: decode hello: %w", err)
 	}
 	if m.Hello == nil {
 		return s.reject(nc, "first frame is not a hello")
@@ -96,13 +85,9 @@ func (s *Server) accept(nc net.Conn) error {
 	if s.Pin != "" && m.Hello.Fingerprint != s.Pin {
 		return s.reject(nc, "config fingerprint mismatch: coordinator and worker were built for different runs")
 	}
-	answer, err := procpool.EncodeMessage(&procpool.Message{Hello: &procpool.Hello{
+	if err := procpool.WriteMessage(nc, &procpool.Message{Hello: &procpool.Hello{
 		Version: procpool.ProtocolVersion, PID: os.Getpid(), Fingerprint: m.Hello.Fingerprint,
-	}})
-	if err != nil {
-		return err
-	}
-	if err := procpool.WriteFrame(nc, answer); err != nil {
+	}}); err != nil {
 		return fmt.Errorf("netpool: answer hello: %w", err)
 	}
 	return nil
@@ -111,10 +96,8 @@ func (s *Server) accept(nc net.Conn) error {
 // reject sends a terminal Reject hello (best-effort) and returns the
 // reason as an error.
 func (s *Server) reject(nc net.Conn, reason string) error {
-	if payload, err := procpool.EncodeMessage(&procpool.Message{Hello: &procpool.Hello{
+	procpool.WriteMessage(nc, &procpool.Message{Hello: &procpool.Hello{
 		Version: procpool.ProtocolVersion, PID: os.Getpid(), Reject: reason,
-	}}); err == nil {
-		procpool.WriteFrame(nc, payload)
-	}
+	}})
 	return fmt.Errorf("netpool: handshake rejected: %s", reason)
 }

@@ -50,12 +50,16 @@ func Beat(ctx context.Context, iter int, loss float64) {
 // along, the resumed iterations replay the uninterrupted trajectory
 // exactly.
 type Snapshot struct {
-	Iter   int     // iterations completed when the snapshot was taken
-	Loss   float64 // loss at that iteration
-	Params []float64
-	OptT   int // Adam step counter
-	OptM   []float64
-	OptV   []float64
+	// Attempt is the caller's tag, neither set nor read by engines: the
+	// tiled flow stamps the degradation-ladder attempt a snapshot was
+	// taken in, and resumes a tile only into that same attempt.
+	Attempt int
+	Iter    int     // iterations completed when the snapshot was taken
+	Loss    float64 // loss at that iteration
+	Params  []float64
+	OptT    int // Adam step counter
+	OptM    []float64
+	OptV    []float64
 }
 
 // SnapshotSink receives periodic optimizer snapshots. The slices in

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cfaopc/internal/geom"
+	"cfaopc/internal/iox"
 	"cfaopc/internal/quarantine"
 )
 
@@ -32,24 +33,16 @@ func testTask(index int) *Task {
 
 func sendMsg(t *testing.T, w io.Writer, m *Message) {
 	t.Helper()
-	payload, err := EncodeMessage(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFrame(w, payload); err != nil {
+	if err := WriteMessage(w, m); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func readMsg(t *testing.T, r io.Reader) *Message {
 	t.Helper()
-	payload, err := ReadFrame(r)
+	m, err := ReadMessage(r)
 	if err != nil {
 		t.Fatalf("read worker frame: %v", err)
-	}
-	m, err := DecodeMessage(payload)
-	if err != nil {
-		t.Fatal(err)
 	}
 	return m
 }
@@ -130,8 +123,11 @@ func TestServeTasksCancelsAbandonedTask(t *testing.T) {
 // the worker loop — ServeTasks must return the error rather than spin.
 func TestServeTasksSurfacesStreamErrors(t *testing.T) {
 	for name, write := range map[string]func(w io.Writer){
-		"unframed":    func(w io.Writer) { w.Write([]byte("garbage, not a frame at all")) },
-		"undecodable": func(w io.Writer) { WriteFrame(w, []byte("framed but not gob")) },
+		"unframed": func(w io.Writer) { w.Write([]byte("garbage, not a frame at all")) },
+		"undecodable": func(w io.Writer) {
+			frame, _ := iox.AppendFrame(nil, []byte("framed but not gob"), MaxFrameBytes)
+			w.Write(frame)
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			coord, worker := net.Pipe()
@@ -160,7 +156,7 @@ func TestDecodeMessageRejectsMalformed(t *testing.T) {
 		"two-of":   {Ping: &Ping{}, Beat: &Beat{Index: 1}},
 		"three-of": {Hello: &Hello{}, Ping: &Ping{}, Reply: &Reply{}},
 	} {
-		payload, err := EncodeMessage(m)
+		payload, err := iox.EncodeGob(m)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

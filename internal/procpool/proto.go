@@ -1,13 +1,34 @@
+// Package procpool is the wire layer of the tile-worker session: its
+// message schema, one WriteMessage/ReadMessage pair that puts a gob
+// message in an iox frame (length-prefixed, CRC32-guarded — the frame
+// internal/checkpoint uses on disk), the worker-side task loop
+// (ServeTasks), and Spawn, which makes a subprocess's stdin/stdout one
+// more connection the session can run over. The session itself
+// (handshake, message stream) lives in internal/netpool and is the same
+// on pipes and on TCP.
+//
+// The package deliberately knows nothing about the flow: a Task payload
+// is a quarantine.Bundle (the self-contained window encoding PR 4
+// introduced for post-mortem repro, promoted here to a live wire
+// format), and the Runner that executes it is injected by the caller.
+// That keeps procpool a leaf below both internal/flow (which supervises
+// workers) and internal/procworker (which serves them), so neither
+// direction creates an import cycle.
 package procpool
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"io"
 
 	"cfaopc/internal/geom"
+	"cfaopc/internal/iox"
 	"cfaopc/internal/quarantine"
 )
+
+// MaxFrameBytes bounds one message's frame payload: a corrupt or hostile
+// length prefix must not demand an absurd allocation. It matches
+// quarantine.MaxBundleBytes since a Task frame carries a bundle.
+const MaxFrameBytes = 256 << 20
 
 // ProtocolVersion is bumped whenever the message schema or the
 // handshake order changes incompatibly; either side refuses a peer
@@ -42,9 +63,10 @@ type Hello struct {
 // optimizer itself emits no heartbeats.
 type Ping struct{}
 
-// PartialState is a resumable optimizer snapshot in wire form — the
-// fields of the flow's partial checkpoint record (flat parameters plus
-// Adam state) without importing the flow.
+// PartialState is a resumable optimizer snapshot in wire form: field for
+// field an opt.Snapshot (the flow converts between the two with a plain
+// type conversion, which stops compiling if they drift), declared here
+// so the gob type name on the wire stays PartialState.
 type PartialState struct {
 	Attempt int
 	Iter    int
@@ -133,20 +155,37 @@ type Message struct {
 	Reply   *Reply
 }
 
-// EncodeMessage gob-encodes one message for framing.
-func EncodeMessage(m *Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("procpool: encode message: %w", err)
+// WriteMessage gob-encodes m and writes it as one frame in a single
+// Write call, so messages from one serialized writer never interleave.
+func WriteMessage(w io.Writer, m *Message) error {
+	payload, err := iox.EncodeGob(m)
+	if err != nil {
+		return fmt.Errorf("procpool: encode message: %w", err)
 	}
-	return buf.Bytes(), nil
+	frame, err := iox.AppendFrame(nil, payload, MaxFrameBytes)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
 }
 
-// DecodeMessage decodes one framed payload and checks the one-of
+// ReadMessage reads one frame and decodes its message. io.EOF at a frame
+// boundary is a clean end of stream; a torn, corrupt or oversized frame
+// is the matching iox error.
+func ReadMessage(r io.Reader) (*Message, error) {
+	payload, err := iox.ReadFrame(r, MaxFrameBytes)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeMessage(payload)
+}
+
+// DecodeMessage decodes one frame payload and checks the one-of
 // invariant.
 func DecodeMessage(p []byte) (*Message, error) {
 	m := new(Message)
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(m); err != nil {
+	if err := iox.DecodeGob(p, m); err != nil {
 		return nil, fmt.Errorf("procpool: decode message: %w", err)
 	}
 	set := 0
@@ -162,28 +201,4 @@ func DecodeMessage(p []byte) (*Message, error) {
 		return nil, fmt.Errorf("procpool: message sets %d of the one-of fields", set)
 	}
 	return m, nil
-}
-
-// EventKind discriminates the coordinator-side events of a session.
-type EventKind int
-
-const (
-	EvPing EventKind = iota
-	EvBeat
-	EvPartial
-	EvReply
-	// EvExit is the terminal event: the worker died or the stream
-	// broke. Err is io.EOF for a clean close, the framing or decode
-	// error otherwise; no further events follow.
-	EvExit
-)
-
-// Event is one occurrence on a session's worker→coordinator stream.
-// Exactly the field matching Kind is set (Err only for EvExit).
-type Event struct {
-	Kind    EventKind
-	Beat    *Beat
-	Partial *Partial
-	Reply   *Reply
-	Err     error
 }

@@ -69,14 +69,10 @@ func (s frameSink) Partial(index int, p PartialState) {
 func ServeTasks(r io.Reader, w io.Writer, run Runner) error {
 	var mu sync.Mutex
 	for {
-		payload, err := ReadFrame(r)
+		m, err := ReadMessage(r)
 		if err == io.EOF {
 			return nil
 		}
-		if err != nil {
-			return err
-		}
-		m, err := DecodeMessage(payload)
 		if err != nil {
 			return err
 		}
@@ -85,17 +81,13 @@ func ServeTasks(r io.Reader, w io.Writer, run Runner) error {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		send := func(m *Message) error {
-			payload, err := EncodeMessage(m)
-			if err != nil {
-				return err
-			}
 			mu.Lock()
 			defer mu.Unlock()
-			if err := WriteFrame(w, payload); err != nil {
+			err := WriteMessage(w, m)
+			if err != nil {
 				cancel()
-				return err
 			}
-			return nil
+			return err
 		}
 		var pinger sync.WaitGroup
 		pinger.Add(1)

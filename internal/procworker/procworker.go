@@ -4,8 +4,8 @@
 // stdin/stdout or on a listener. It exists as its own package (rather
 // than living in flow) because engine construction imports the flow —
 // procpool stays a leaf, the flow stays below the engine registry, and
-// every binary that wants to be its own worker (cmd/cfaopc,
-// cmd/paperbench) just calls ServeIfWorker.
+// a binary that wants to be its own worker (cmd/cfaopc) just calls
+// ServeIfWorker.
 package procworker
 
 import (
@@ -33,10 +33,6 @@ func Runner() procpool.Runner {
 	return func(ctx context.Context, t *procpool.Task, sink procpool.Sink) procpool.Reply {
 		b := &t.Bundle
 		reply := procpool.Reply{Index: b.Tile.Index}
-		if err := b.ValidateTask(); err != nil {
-			reply.Err = err.Error()
-			return reply
-		}
 		primary, fallback, err := engine.FromMeta(b.Engines)
 		if err != nil {
 			reply.Err = "engine: " + err.Error()

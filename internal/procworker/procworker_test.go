@@ -107,7 +107,13 @@ func TestRunnerSoftErrors(t *testing.T) {
 		Tile:          quarantine.Tile{Index: 5, WindowPx: 2},
 		TargetW:       2, TargetH: 2, Target: make([]float64, 4),
 	}
+	// The raster check is flow.ServeTask's, which needs a simulator to
+	// be reached: this bundle's optics and window are sound, its target
+	// is missing.
 	noTarget, noEngine := valid, valid
+	noTarget.Optics = optics.Default()
+	noTarget.Optics.TileNM = 512
+	noTarget.Tile.WindowPx, noTarget.TargetW, noTarget.TargetH = 64, 64, 64
 	noTarget.Target = nil
 	noEngine.Engines.Primary = "bogus"
 	for want, b := range map[string]quarantine.Bundle{

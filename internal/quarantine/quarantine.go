@@ -12,8 +12,8 @@
 //   - the per-attempt error/path history as recorded live,
 //   - the injected fault script, when the failure came from a harness.
 //
-// On disk a bundle is a gob blob framed exactly like a checkpoint
-// record — magic, length, CRC32 — so bit rot is detected, plus a
+// On disk a bundle is a gob blob in an iox sealed file — magic, then one
+// length | CRC32 | payload frame — so bit rot is detected, plus a
 // human-readable JSON sidecar (raster elided) for quick triage with
 // nothing but a pager. cmd/replaytile consumes bundles; this package
 // deliberately imports no flow code so the schema stays a leaf both the
@@ -21,11 +21,8 @@
 package quarantine
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -195,24 +192,13 @@ func SaveFS(fsys iox.FS, dir string, b *Bundle) (string, error) {
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return "", fmt.Errorf("quarantine: %w", err)
 	}
-	payload, err := encodeGob(b)
+	payload, err := iox.EncodeGob(b)
 	if err != nil {
 		return "", fmt.Errorf("quarantine: encode: %w", err)
 	}
-	if len(payload) > MaxBundleBytes {
-		return "", fmt.Errorf("quarantine: bundle %d bytes exceeds limit", len(payload))
-	}
-	framed := make([]byte, 0, len(magic)+8+len(payload))
-	framed = append(framed, magic...)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	framed = append(framed, hdr[:]...)
-	framed = append(framed, payload...)
-
 	base := filepath.Join(dir, BaseName(b.Tile.Index))
 	path := base + ".qrb"
-	if err := iox.AtomicWrite(fsys, path, framed, 0o644); err != nil {
+	if err := iox.WriteSealed(fsys, path, magic, payload, MaxBundleBytes); err != nil {
 		return "", fmt.Errorf("quarantine: %w", err)
 	}
 	side, err := json.MarshalIndent(b.sidecar(), "", "  ")
@@ -225,29 +211,20 @@ func SaveFS(fsys iox.FS, dir string, b *Bundle) (string, error) {
 	return path, nil
 }
 
-// Load reads and verifies a bundle written by Save.
-func Load(path string) (*Bundle, error) {
-	data, err := os.ReadFile(path)
+// Load reads and verifies a bundle written by SaveFS from the real
+// filesystem.
+func Load(path string) (*Bundle, error) { return LoadFS(nil, path) }
+
+// LoadFS is Load through the seam SaveFS writes through (nil = the real
+// filesystem). The reader never holds more than MaxBundleBytes, whatever
+// the file's size or declared length.
+func LoadFS(fsys iox.FS, path string) (*Bundle, error) {
+	payload, err := iox.ReadSealed(fsys, path, magic, MaxBundleBytes)
 	if err != nil {
-		return nil, err
-	}
-	if len(data) < len(magic)+8 || string(data[:len(magic)]) != string(magic) {
-		return nil, fmt.Errorf("quarantine: %s is not a bundle (bad magic)", path)
-	}
-	ln := binary.BigEndian.Uint32(data[len(magic) : len(magic)+4])
-	want := binary.BigEndian.Uint32(data[len(magic)+4 : len(magic)+8])
-	if ln > MaxBundleBytes {
-		return nil, fmt.Errorf("quarantine: declared payload %d bytes exceeds limit", ln)
-	}
-	payload := data[len(magic)+8:]
-	if uint32(len(payload)) != ln {
-		return nil, fmt.Errorf("quarantine: %s torn: %d payload bytes, header declares %d", path, len(payload), ln)
-	}
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("quarantine: %s failed its CRC (bit rot or torn write)", path)
+		return nil, fmt.Errorf("quarantine: %w", err)
 	}
 	b := new(Bundle)
-	if err := decodeGob(payload, b); err != nil {
+	if err := iox.DecodeGob(payload, b); err != nil {
 		return nil, fmt.Errorf("quarantine: decode %s: %w", path, err)
 	}
 	if err := b.Validate(); err != nil {

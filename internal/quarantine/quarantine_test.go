@@ -2,15 +2,15 @@ package quarantine
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"cfaopc/internal/iox"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/optics"
 )
@@ -232,18 +232,91 @@ func TestLoadErrors(t *testing.T) {
 	b := sampleBundle()
 	b.Tile.WindowPx = 99
 	path := filepath.Join(t.TempDir(), "skew")
-	payload, err := encodeGob(b)
+	payload, err := iox.EncodeGob(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed := append([]byte(nil), magic...)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	framed = append(framed, hdr[:]...)
-	framed = append(framed, payload...)
-	os.WriteFile(path+".qrb", framed, 0o644)
+	if err := iox.WriteSealed(nil, path+".qrb", magic, payload, MaxBundleBytes); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Load(path + ".qrb"); err == nil || !strings.Contains(err.Error(), "window") {
 		t.Fatalf("invariant-violating bundle: err = %v", err)
+	}
+}
+
+// TestLoadNeverReadsPastTheCap: MaxBundleBytes bounds what a corrupt
+// bundle can make Load hold, so it must bite before the read — for a
+// file far larger than the cap and for a header declaring a length over
+// it. (The parent read the whole file, then compared lengths.) Sparse
+// files: nothing is written.
+func TestLoadNeverReadsPastTheCap(t *testing.T) {
+	good, err := os.ReadFile(mustSave(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tc := range map[string]struct {
+		head []byte
+		want string
+	}{
+		"oversized file":            {good, "after the frame"},
+		"oversized declared length": {append(append([]byte(nil), magic...), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0), "limit"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "big.qrb")
+			if err := os.WriteFile(path, tc.head, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, MaxBundleBytes+4096); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := Load(path)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Fatalf("rejecting the bundle allocated %d bytes; the cap is there so it allocates none of the file", n)
+			}
+		})
+	}
+}
+
+// mustSave writes the sample bundle and returns its .qrb path.
+func mustSave(t *testing.T) string {
+	t.Helper()
+	path, err := SaveFS(nil, t.TempDir(), sampleBundle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// seamFS is a filesystem seam that sees every Open.
+type seamFS struct {
+	iox.OSFS
+	opened []string
+}
+
+func (s *seamFS) Open(path string) (iox.File, error) {
+	s.opened = append(s.opened, path)
+	return s.OSFS.Open(path)
+}
+
+// TestLoadFSReadsThroughTheSeam: LoadFS resolves the bundle in the
+// filesystem SaveFS wrote it to, not behind its back in the os package.
+func TestLoadFSReadsThroughTheSeam(t *testing.T) {
+	seam := &seamFS{}
+	path, err := SaveFS(seam, t.TempDir(), sampleBundle())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadFS(seam, path)
+	if err != nil || b.Tile.Index != sampleBundle().Tile.Index {
+		t.Fatalf("LoadFS = %+v, %v", b, err)
+	}
+	if len(seam.opened) != 1 || seam.opened[0] != path {
+		t.Fatalf("seam saw opens %q, want exactly %q", seam.opened, path)
 	}
 }

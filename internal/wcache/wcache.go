@@ -11,9 +11,9 @@
 //
 // Storage is a two-tier affair: an in-memory LRU bounded by entry count
 // and bytes, plus an optional on-disk store (one CRC-guarded gob file
-// per key, written atomically via temp + rename, exactly the framing
-// internal/quarantine uses) so caches survive runs and can be shared
-// across processes. A corrupted, torn, or short disk entry always
+// per key: an iox sealed file, written atomically via temp + rename like
+// internal/quarantine's bundles) so caches survive runs and can be
+// shared across processes. A corrupted, torn, or short disk entry always
 // degrades to a miss — never to a wrong tile — and is deleted so the
 // next run rewrites it.
 //
@@ -25,13 +25,10 @@
 package wcache
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"path/filepath"
 	"sync"
@@ -348,53 +345,28 @@ func (c *Cache) Stats() Stats {
 	return s
 }
 
-// writeEntry frames a gob-encoded entry exactly like a quarantine
-// bundle — magic, payload length, CRC32, payload — and writes it
-// atomically and crash-durably.
+// writeEntry stores a gob-encoded entry as an iox sealed file — magic,
+// then one length | CRC32 | payload frame — atomically and
+// crash-durably.
 func writeEntry(fsys iox.FS, path string, e *Entry) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(e); err != nil {
+	payload, err := iox.EncodeGob(e)
+	if err != nil {
 		return err
 	}
-	if payload.Len() > MaxEntryBytes {
-		return fmt.Errorf("wcache: entry %d bytes exceeds limit", payload.Len())
-	}
-	framed := make([]byte, 0, len(magic)+8+payload.Len())
-	framed = append(framed, magic...)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload.Bytes()))
-	framed = append(framed, hdr[:]...)
-	framed = append(framed, payload.Bytes()...)
-	return iox.AtomicWrite(fsys, path, framed, 0o644)
+	return iox.WriteSealed(fsys, path, magic, payload, MaxEntryBytes)
 }
 
-// loadEntry reads and fully verifies a disk entry. Every failure mode —
-// bad magic, torn tail, length mismatch, CRC failure, gob rot,
-// non-finite shots — comes back as an error the caller turns into a
-// miss.
+// loadEntry reads and fully verifies a disk entry, never holding more
+// than MaxEntryBytes of it. Every failure mode — bad magic, torn tail,
+// trailing bytes, oversized length, CRC failure, gob rot, non-finite
+// shots — comes back as an error the caller turns into a miss.
 func loadEntry(fsys iox.FS, path string) (*Entry, error) {
-	data, err := fsys.ReadFile(path)
+	payload, err := iox.ReadSealed(fsys, path, magic, MaxEntryBytes)
 	if err != nil {
-		return nil, err
-	}
-	if len(data) < len(magic)+8 || string(data[:len(magic)]) != string(magic) {
-		return nil, fmt.Errorf("wcache: %s is not a cache entry (bad magic)", path)
-	}
-	ln := binary.BigEndian.Uint32(data[len(magic) : len(magic)+4])
-	want := binary.BigEndian.Uint32(data[len(magic)+4 : len(magic)+8])
-	if ln > MaxEntryBytes {
-		return nil, fmt.Errorf("wcache: declared payload %d bytes exceeds limit", ln)
-	}
-	payload := data[len(magic)+8:]
-	if uint32(len(payload)) != ln {
-		return nil, fmt.Errorf("wcache: %s torn: %d payload bytes, header declares %d", path, len(payload), ln)
-	}
-	if crc32.ChecksumIEEE(payload) != want {
-		return nil, fmt.Errorf("wcache: %s failed its CRC (bit rot or torn write)", path)
+		return nil, fmt.Errorf("wcache: %w", err)
 	}
 	e := new(Entry)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(e); err != nil {
+	if err := iox.DecodeGob(payload, e); err != nil {
 		return nil, fmt.Errorf("wcache: decode %s: %w", path, err)
 	}
 	if err := e.Validate(); err != nil {

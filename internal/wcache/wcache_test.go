@@ -1,12 +1,16 @@
 package wcache
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"cfaopc/internal/geom"
+	"cfaopc/internal/iox"
 )
 
 func testEntry(n int) *Entry {
@@ -323,5 +327,88 @@ func TestResizeShrinksAndRestores(t *testing.T) {
 	c.Resize(0, 0)
 	if me, mb := c.Limits(); me != 8 || mb != one {
 		t.Fatalf("Limits() = %d, %d after no-op Resize", me, mb)
+	}
+}
+
+// parentKey names the entry under testdata/parent: written by the commit
+// before the frame moved into internal/iox, through that commit's
+// Cache.Put.
+const parentKey = Key("a5a5f4dd3253bf53a652cd7f97f2175fbdc8bfde63d1abb46d17f1c2cb996c95")
+
+// TestParentEntryReframes: a disk entry the parent commit wrote decodes
+// to the values it was given, is a hit for today's cache, and its
+// payload re-sealed by today's writer is the parent's file byte for byte.
+func TestParentEntryReframes(t *testing.T) {
+	src := filepath.Join("testdata", "parent", string(parentKey)+".wce")
+	want, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := iox.ReadSealed(nil, src, magic, MaxEntryBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, string(parentKey)+".wce")
+	if err := iox.WriteSealed(nil, path, magic, payload, MaxEntryBytes); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("re-sealed entry differs from the parent's file (err %v)", err)
+	}
+
+	c, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := c.Get(parentKey)
+	wantEntry := &Entry{Shots: []geom.Circle{{X: 1.5, Y: 2.25, R: 3}, {X: 40.5, Y: -5.5, R: 6.5}, {X: 7, Y: 8, R: 0.5}},
+		Path: "fallback", Attempts: 3, Iters: 17, LastLoss: 1234.5678}
+	if !ok || !reflect.DeepEqual(e, wantEntry) {
+		t.Fatalf("parent entry: hit %v, %+v", ok, e)
+	}
+}
+
+// TestOversizedDiskEntryNeverLoaded: the size cap exists to bound what a
+// corrupt entry can make the loader hold, so it must bite before the
+// read, not after it — for a file far larger than the cap and for a
+// header that declares a length over it. (The parent read the whole file
+// first and compared lengths second.) Sparse files: nothing is written.
+func TestOversizedDiskEntryNeverLoaded(t *testing.T) {
+	frame, err := iox.AppendFrame(append([]byte(nil), magic...), []byte("payload"), MaxEntryBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, head := range map[string][]byte{
+		"oversized file":            frame,
+		"oversized declared length": append(append([]byte(nil), magic...), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, string(key("k"))+".wce")
+			if err := os.WriteFile(path, head, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, MaxEntryBytes+4096); err != nil {
+				t.Fatal(err)
+			}
+			c, err := New(Config{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, ok := c.Get(key("k"))
+			runtime.ReadMemStats(&after)
+			if ok {
+				t.Fatal("oversized entry served as a hit")
+			}
+			if s := c.Stats(); s.BadDisk != 1 {
+				t.Fatalf("stats %+v", s)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Fatalf("rejecting the entry allocated %d bytes; the cap is there so it allocates none of the file", n)
+			}
+		})
 	}
 }
