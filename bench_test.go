@@ -202,11 +202,10 @@ func BenchmarkFlowRun(b *testing.B) {
 		Optics:  optics.Default(),
 		KOpt:    4,
 		Workers: 1, // per-kernel parallelism off: isolate tile scaling
-		Optimize: func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+		Optimize: func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 			coCfg := core.DefaultConfig(sim.DX)
 			coCfg.Iterations = 15
-			res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 6}).Optimize(sim, target)
-			return res.Mask, res.Shots
+			return (&core.CircleOpt{Cfg: coCfg, InitIterations: 6}).Optimize(sim, target).Shots
 		},
 	}
 	// Warm the kernel cache outside the timed loops.
@@ -254,11 +253,10 @@ func BenchmarkFlowCached(b *testing.B) {
 			Optics:  optics.Default(),
 			KOpt:    4,
 			Workers: 1,
-			Optimize: func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+			Optimize: func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 				coCfg := core.DefaultConfig(sim.DX)
 				coCfg.Iterations = 15
-				res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 6}).Optimize(sim, target)
-				return res.Mask, res.Shots
+				return (&core.CircleOpt{Cfg: coCfg, InitIterations: 6}).Optimize(sim, target).Shots
 			},
 			Cache: c,
 		}

@@ -9,6 +9,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"cfaopc/internal/fracture"
+	"cfaopc/internal/geom"
 )
 
 // tools is every binary under ./cmd. The ones marked driven are run end
@@ -391,6 +395,135 @@ func TestCLIReplayTile(t *testing.T) {
 		out, err := cmd.CombinedOutput()
 		if got := cmd.ProcessState.ExitCode(); got != tc.exit || !bytes.Contains(out, []byte(tc.want)) {
 			t.Errorf("replaytile %v: exit %d (%v), want %d and %q in:\n%s", tc.args, got, err, tc.exit, tc.want, out)
+		}
+	}
+}
+
+// oneWindowRuns are the command lines whose shot CSVs the parent commit's
+// single-window branch wrote into testdata/parent (no -tile-core: one
+// window owning the whole grid).
+var oneWindowRuns = []struct {
+	name string
+	args []string
+}{
+	{"circleopt128", []string{"-case", "3", "-grid", "128", "-iters", "6"}},
+	{"circleopt192", []string{"-case", "3", "-grid", "192", "-iters", "4"}},
+	{"develset", []string{"-case", "3", "-grid", "128", "-iters", "6", "-method", "develset"}},
+	{"circlerule", []string{"-case", "3", "-grid", "128", "-method", "circlerule"}},
+	{"doseopt", []string{"-case", "3", "-grid", "128", "-iters", "6", "-method", "doseopt"}},
+}
+
+// TestCLIOneWindowParity: a run without -tile-core is a one-tile run of
+// the one run path, and writes the bytes the parent's separate
+// single-window branch wrote. Then the flags that branch refused, each
+// doing on one window what it does on sixty-four.
+func TestCLIOneWindowParity(t *testing.T) {
+	bin := buildTools(t, "cfaopc", "replaytile")
+	cfaopc, replaytile := bin("cfaopc"), bin("replaytile")
+	work := t.TempDir()
+	for _, r := range oneWindowRuns {
+		out := runCLI(t, work, cfaopc, append(r.args, "-out", r.name)...)
+		if !strings.Contains(out, "flow: 1 windows (1 occupied)") {
+			t.Errorf("%s did not run as one tile of the flow:\n%s", r.name, out)
+		}
+		want := readFile(t, "testdata", "parent", "onewindow_"+r.name+"_shots.csv")
+		if !bytes.Equal(readFile(t, work, r.name, "case3_shots.csv"), want) {
+			t.Errorf("%s: shot CSV differs from the parent's single-window run", r.name)
+		}
+	}
+
+	// -checkpoint: SIGKILL the run mid-tile once a snapshot is journaled;
+	// the same command line resumes to an uninterrupted run's bytes.
+	long := []string{"-case", "3", "-grid", "128", "-iters", "200"}
+	runCLI(t, work, cfaopc, append(long, "-out", "uninterrupted")...)
+	ckpt := append(long, "-checkpoint", "run.ckpt", "-partial-every", "2", "-out", "resumed")
+	victim := exec.Command(cfaopc, ckpt...)
+	victim.Dir = work
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if st, err := os.Stat(filepath.Join(work, "run.ckpt")); err == nil && st.Size() > 2048 {
+			break // header plus at least one partial record
+		}
+	}
+	victim.Process.Kill()
+	if err := victim.Wait(); err == nil {
+		t.Log("run finished before the kill; the resume below replays a completed tile")
+	}
+	runCLI(t, work, cfaopc, ckpt...)
+	if !bytes.Equal(readFile(t, work, "resumed", "case3_shots.csv"), readFile(t, work, "uninterrupted", "case3_shots.csv")) {
+		t.Error("-checkpoint: resumed one-window run differs from the uninterrupted one")
+	}
+
+	// -mask-out: the streamed PGM is the written shot list, rasterized.
+	runCLI(t, work, cfaopc, "-case", "3", "-grid", "128", "-method", "circlerule", "-mask-out", "mask.pgm", "-out", "masked")
+	shots, err := fracture.ReadShotsCSV(bytes.NewReader(readFile(t, work, "masked", "case3_shots.csv")), 2048.0/128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pgm := []byte("P5\n128 128\n255\n")
+	for _, v := range geom.RasterizeCircles(128, 128, shots).Data {
+		pgm = append(pgm, byte(255*v))
+	}
+	if !bytes.Equal(readFile(t, work, "mask.pgm"), pgm) {
+		t.Error("-mask-out: PGM is not the rasterized shot list")
+	}
+
+	// -quarantine-dir: a window that times out with no fallback degrades
+	// to empty, leaves a bundle, and the bundle replays.
+	out := runCLI(t, work, cfaopc, "-case", "3", "-grid", "128", "-iters", "400", "-fallback", "none",
+		"-tile-timeout", "150ms", "-tile-retries", "0", "-quarantine-dir", "q", "-out", "quarantined")
+	if !strings.Contains(out, "[quarantined: q/tile0000.qrb]") {
+		t.Fatalf("-quarantine-dir: no bundle reported:\n%s", out)
+	}
+	replay := exec.Command(replaytile, "q/tile0000.qrb")
+	replay.Dir = work
+	if msg, err := replay.CombinedOutput(); err != nil || !bytes.Contains(msg, []byte("REPRODUCED")) {
+		t.Errorf("replaytile: %v\n%s", err, msg)
+	}
+
+	// One window has no halo: -tile-halo beside it overflows the grid, and
+	// the wire format, which reads halo 0 as "default", cannot spell one
+	// window at all — both are Validate's to refuse.
+	if err := os.WriteFile(filepath.Join(work, "one.json"), []byte(`{"case":3,"grid":128,"tile_core":128}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]string{{"-case", "3", "-grid", "128", "-tile-halo", "16"}, {"-job", "one.json"}} {
+		cmd := exec.Command(cfaopc, bad...)
+		cmd.Dir = work
+		if msg, err := cmd.CombinedOutput(); err == nil || !bytes.Contains(msg, []byte("exceeds grid 128")) {
+			t.Errorf("cfaopc %v: %v\n%s", bad, err, msg)
+		}
+	}
+}
+
+// TestCLIReportDescribesTheArtifact: the metrics cfaopc prints are those
+// of the shot CSV it wrote — evalmask, given that CSV, prints the same
+// numbers. The parent printed doseopt's dose-weighted mask score (L2
+// 55,808 nm²) over a unit-dose CSV that scores 134,656 nm².
+func TestCLIReportDescribesTheArtifact(t *testing.T) {
+	bin := buildTools(t, "cfaopc", "evalmask", "genlayout")
+	work := t.TempDir()
+	runCLI(t, work, bin("genlayout"), "-out", "layouts")
+	report := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if _, metrics, ok := strings.Cut(line, ": L2 "); ok {
+				return metrics
+			}
+		}
+		t.Fatalf("no metrics line in:\n%s", out)
+		return ""
+	}
+	for _, r := range oneWindowRuns {
+		if r.name == "circleopt192" {
+			continue // 10.67 nm/px: the CSV's 0.1 nm rounding moves pixels
+		}
+		printed := report(runCLI(t, work, bin("cfaopc"), append(r.args, "-out", r.name)...))
+		scored := report(runCLI(t, work, bin("evalmask"), "-layout", "layouts/case3.glp", "-grid", "128",
+			"-shots", filepath.Join(r.name, "case3_shots.csv")))
+		if printed != scored {
+			t.Errorf("%s: cfaopc printed %q, its shot CSV scores %q", r.name, printed, scored)
 		}
 	}
 }

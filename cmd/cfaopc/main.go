@@ -1,5 +1,6 @@
 // Command cfaopc optimizes a single target layout end to end and emits the
-// circular shot list, mask renders, and the metric report.
+// circular shot list, the metric report computed from that shot list, and
+// mask renders.
 //
 // Usage:
 //
@@ -10,24 +11,27 @@
 // The flags that say what to compute are the keys of a job spec; -job
 // reads the same spec as JSON, and both take the daemon's run path
 // (JobSpec.FlowConfig, then server.Run), so all three yield the same
-// bytes. Every other flag says how and where this process runs it.
+// bytes. Every other flag says how and where this process runs it, and
+// every flag applies to every run.
 //
 // Methods: circleopt (default), or a pixel baseline plus CircleRule
 // fracturing via -method develset|neuralilt|multiilt.
 //
-// With -tile-core > 0 the layout is cut into halo-and-stitch windows and
-// optimized through the tiled full-chip flow; -tile-workers bounds the
-// windows optimized concurrently (output is identical at any count) and
-// -workers the per-kernel litho parallelism inside each simulator.
+// The layout is cut into halo-and-stitch windows of -tile-core px and
+// optimized through the full-chip flow; without -tile-core it is one
+// window owning the whole grid, a one-tile run of the same flow.
+// -tile-workers bounds the windows optimized concurrently (output is
+// identical at any count) and -workers the per-kernel litho parallelism
+// inside each simulator.
 //
-// Tiled runs are fault-tolerant: SIGINT/SIGTERM cancels promptly, a tile
+// Runs are fault-tolerant: SIGINT/SIGTERM cancels promptly, a tile
 // that panics, times out (-tile-timeout) or emits invalid output is
 // retried (-tile-retries), degraded to the -fallback method, then to an
 // empty tile; -checkpoint journals completed tiles so an interrupted run
 // resumes where it stopped with bit-identical output.
 //
-// Tiled runs are memory-bounded: windows are rasterized on demand from
-// the rect geometry, -stream skips the dense stitched mask entirely, and
+// Runs are memory-bounded: windows are rasterized on demand from the
+// rect geometry, -stream skips the dense stitched mask entirely, and
 // -mask-out streams the mask to a PGM file in row bands, so peak memory
 // scales with the window size, not the grid.
 //
@@ -38,7 +42,7 @@
 // dispatch, not the run, and output stays byte-identical to the
 // in-process flow.
 //
-// Tiled runs can skip repeated work: -window-cache mem|disk serves
+// Runs can skip repeated work: -window-cache mem|disk serves
 // content-identical windows from a dedup cache (disk adds a persistent
 // tier under -cache-dir that survives across runs), and -adaptive-tiles
 // merges sparse 2×2 blocks, skips empty ones, and splits dense windows.
@@ -61,7 +65,6 @@ import (
 
 	"cfaopc/internal/bench"
 	"cfaopc/internal/flow"
-	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
@@ -70,10 +73,6 @@ import (
 	"cfaopc/internal/server"
 	"cfaopc/internal/wcache"
 )
-
-// singleWindowFlags are the flags a single-window run (-tile-core 0)
-// reads; every other flag configures the tiled flow.
-var singleWindowFlags = map[string]bool{"case": true, "layout": true, "method": true, "grid": true, "iters": true, "tile-core": true, "workers": true, "out": true}
 
 func main() {
 	log.SetFlags(0)
@@ -87,20 +86,20 @@ func main() {
 	// What to compute. These flags are bound to the fields of a job spec,
 	// and their defaults are a normalized empty spec's, so the wire format
 	// and the command line cannot disagree about a default — except
-	// -tile-core, where the CLI's own default is one window.
+	// -tile-core, where the CLI's own default is one window over the grid.
 	var spec server.JobSpec
 	spec.Normalize()
 	spec.TileCore = 0
 	flag.IntVar(&spec.Case, "case", 0, "synthetic benchmark case (1-10)")
 	layoutPath := flag.String("layout", "", "layout file (.glp or .gds) to optimize instead of a benchmark case")
 	flag.StringVar(&spec.Method, "method", spec.Method, "circleopt | doseopt | develset | neuralilt | multiilt | greedy | circlerule")
-	flag.StringVar(&spec.Fallback, "fallback", spec.Fallback, "tiled flow: degraded-tile method (any -method value, or 'none')")
+	flag.StringVar(&spec.Fallback, "fallback", spec.Fallback, "degraded-tile method (any -method value, or 'none')")
 	flag.IntVar(&spec.GridN, "grid", spec.GridN, "simulation grid (pixels across the layout)")
-	flag.IntVar(&spec.TileCore, "tile-core", 0, "tiled flow: core px owned per window (0 = single window)")
-	flag.IntVar(&spec.TileHalo, "tile-halo", spec.TileHalo, "tiled flow: halo context px around each core")
+	flag.IntVar(&spec.TileCore, "tile-core", 0, "core px owned per window (0 = one window owning the whole grid)")
+	flag.IntVar(&spec.TileHalo, "tile-halo", spec.TileHalo, "halo context px around each core")
 	flag.IntVar(&spec.Iters, "iters", spec.Iters, "optimization iterations")
-	flag.IntVar(&spec.TileWorkers, "tile-workers", spec.TileWorkers, "tiled flow: concurrent windows (1-64); output is identical at any count")
-	flag.IntVar(&spec.PartialEvery, "partial-every", 0, "tiled flow: journal mid-tile optimizer snapshots every N iterations (0 = off; needs -checkpoint)")
+	flag.IntVar(&spec.TileWorkers, "tile-workers", spec.TileWorkers, "concurrent windows (1-64); output is identical at any count")
+	flag.IntVar(&spec.PartialEvery, "partial-every", 0, "journal mid-tile optimizer snapshots every N iterations (0 = off; needs -checkpoint)")
 	specFlags := map[string]bool{}
 	flag.VisitAll(func(f *flag.Flag) { specFlags[f.Name] = true })
 
@@ -109,22 +108,22 @@ func main() {
 		jobFile     = flag.String("job", "", "read the spec from a cfaopcd JSON job file instead of the flags above ('-' = stdin); writes mask.pgm + shots.csv under -out")
 		layoutRoot  = flag.String("layout-root", ".", "directory -job specs resolve layout refs under")
 		workers     = flag.Int("workers", 0, "per-kernel litho goroutines (0/1 serial, -1 = all cores)")
-		tileTimeout = flag.Duration("tile-timeout", 0, "tiled flow: per-tile optimizer attempt deadline (0 = none)")
-		stallTO     = flag.Duration("stall-timeout", 0, "tiled flow: kill an attempt whose optimizer heartbeats stop for this long (0 = none; must not exceed -tile-timeout)")
-		tileRetries = flag.Int("tile-retries", 1, "tiled flow: extra attempts for a failed tile before degrading (part of the checkpoint fingerprint)")
-		ckptPath    = flag.String("checkpoint", "", "tiled flow: journal completed tiles here and resume from it")
+		tileTimeout = flag.Duration("tile-timeout", 0, "per-tile optimizer attempt deadline (0 = none)")
+		stallTO     = flag.Duration("stall-timeout", 0, "kill an attempt whose optimizer heartbeats stop for this long (0 = none; must not exceed -tile-timeout)")
+		tileRetries = flag.Int("tile-retries", 1, "extra attempts for a failed tile before degrading (part of the checkpoint fingerprint)")
+		ckptPath    = flag.String("checkpoint", "", "journal completed tiles here and resume from it")
 		ckptCompact = flag.Bool("checkpoint-compact", false, "compact the -checkpoint journal (drop superseded records) and exit without optimizing; give the run's other flags unchanged")
-		quarDir     = flag.String("quarantine-dir", "", "tiled flow: write a repro bundle here for every tile that degrades to empty (replay with cmd/replaytile)")
-		procWorkers = flag.Int("proc-workers", 0, "tiled flow: run tiles in this many supervised worker subprocesses (0 = in-process; overrides -tile-workers)")
-		workerBin   = flag.String("worker-bin", "", "tiled flow: worker binary for -proc-workers (default: re-execute this binary)")
-		remoteHosts = flag.String("remote-hosts", "", "tiled flow: comma-separated tileworker -listen addresses; tiles shard across them (excludes -proc-workers)")
-		winCache    = flag.String("window-cache", "off", "tiled flow: dedup identical windows — off | mem | disk (disk adds a persistent tier under -cache-dir)")
-		cacheDir    = flag.String("cache-dir", "", "tiled flow: directory for the -window-cache disk tier (survives across runs)")
-		adaptive    = flag.Bool("adaptive-tiles", false, "tiled flow: occupancy-adaptive tiling — merge sparse 2×2 blocks, skip empty ones, split dense windows (output stays deterministic)")
-		stream      = flag.Bool("stream", false, "tiled flow: memory-bounded run — never materialize a dense full-grid raster (skips the aerial-image metrics and renders; shot list stays the output)")
-		maskOut     = flag.String("mask-out", "", "tiled flow: stream the stitched mask to this PGM file in row bands (works with or without -stream)")
+		quarDir     = flag.String("quarantine-dir", "", "write a repro bundle here for every tile that degrades to empty (replay with cmd/replaytile)")
+		procWorkers = flag.Int("proc-workers", 0, "run tiles in this many supervised worker subprocesses (0 = in-process; overrides -tile-workers)")
+		workerBin   = flag.String("worker-bin", "", "worker binary for -proc-workers (default: re-execute this binary)")
+		remoteHosts = flag.String("remote-hosts", "", "comma-separated tileworker -listen addresses; tiles shard across them (excludes -proc-workers)")
+		winCache    = flag.String("window-cache", "off", "dedup identical windows — off | mem | disk (disk adds a persistent tier under -cache-dir)")
+		cacheDir    = flag.String("cache-dir", "", "directory for the -window-cache disk tier (survives across runs)")
+		adaptive    = flag.Bool("adaptive-tiles", false, "occupancy-adaptive tiling — merge sparse 2×2 blocks, skip empty ones, split dense windows (output stays deterministic)")
+		stream      = flag.Bool("stream", false, "memory-bounded run — never materialize a dense full-grid raster (skips the aerial-image metrics and renders; shot list stays the output)")
+		maskOut     = flag.String("mask-out", "", "stream the stitched mask to this PGM file in row bands (works with or without -stream)")
 		outDir      = flag.String("out", "out", "output directory")
-		strictIO    = flag.Bool("strict-storage", false, "tiled flow: fail the run on any checkpoint or quarantine write error instead of degrading (default: degrade and report)")
+		strictIO    = flag.Bool("strict-storage", false, "fail the run on any checkpoint or quarantine write error instead of degrading (default: degrade and report)")
 	)
 	flag.Parse()
 
@@ -132,13 +131,12 @@ func main() {
 	// the fix spelled out — a full-chip run should not die hours in on a
 	// config error that was visible at launch. Ranges are checked where
 	// they are defined, by JobSpec.Validate and flow.Config.
-	single := *jobFile == "" && spec.TileCore == 0
+	haloGiven := false
 	flag.Visit(func(f *flag.Flag) {
+		haloGiven = haloGiven || f.Name == "tile-halo"
 		switch val := f.Value.String(); {
 		case *jobFile != "" && specFlags[f.Name]:
 			log.Fatalf("-job carries the whole spec; drop -%s or move it into the JSON", f.Name)
-		case single && !singleWindowFlags[f.Name]:
-			log.Fatalf("-%s needs the tiled flow; set -tile-core > 0", f.Name)
 		case specFlags[f.Name] && (val == "0" || val == "") && f.DefValue != val:
 			log.Fatalf("-%s %q: a job spec reads that as \"use the default\" (%s); omit the flag", f.Name, val, f.DefValue)
 		}
@@ -174,11 +172,16 @@ func main() {
 			// layout ref is its base name under the directory it sits in.
 			*layoutRoot, spec.Layout = filepath.Split(*layoutPath)
 		}
+		oneWindow := spec.TileCore == 0
 		spec.Normalize()
-		if single {
-			// One window, the whole grid: the tiling keys only have to
-			// pass Validate.
-			spec.TileCore, spec.TileHalo = spec.GridN, 0
+		if oneWindow {
+			// One tile owning the whole grid has nothing outside it to
+			// see, so no halo; a -tile-halo beside it makes the window
+			// exceed the grid, which Validate refuses.
+			spec.TileCore = spec.GridN
+			if !haloGiven {
+				spec.TileHalo = 0
+			}
 		}
 		if err := spec.Validate(); err != nil {
 			log.Fatal(err)
@@ -248,73 +251,42 @@ func main() {
 	}
 	dx := float64(l.TileNM) / float64(spec.GridN)
 
-	// Full-grid simulator: the optimization target in single-window mode,
-	// the evaluator of the stitched mask in tiled mode. Streamed runs
-	// never build it.
-	fullGrid := func() *litho.Simulator {
-		oc := cfg.Optics
-		oc.TileNM = float64(l.TileNM)
-		sim, err := litho.New(oc, spec.GridN)
-		if err != nil {
-			log.Fatal(err)
+	o := server.RunOpts{Checkpoint: *ckptPath, MaskPath: *maskOut, ShotsPath: shotPath}
+	if *winCache != "off" {
+		if o.Cache, err = wcache.New(wcache.Config{Dir: *cacheDir}); err != nil {
+			log.Fatalf("-window-cache: %v", err)
 		}
-		sim.KOpt, sim.Workers = spec.KOpt, *workers
-		return sim
 	}
-	var sim *litho.Simulator
-	var mask *grid.Real
-	var shots []geom.Circle
-	if single {
-		sim = fullGrid()
-		mask, shots = cfg.Optimize(sim, l.Rasterize(spec.GridN))
-		if err := server.WriteShots(nil, shotPath, shots, dx); err != nil {
-			log.Fatal(err)
-		}
-	} else {
-		// -stream drops the dense stitched mask; the shot list is the
-		// product, and -mask-out can still write the mask in bands.
-		cfg.KeepMask = !*stream
-		o := server.RunOpts{Checkpoint: *ckptPath, MaskPath: *maskOut, ShotsPath: shotPath}
-		if *winCache != "off" {
-			if o.Cache, err = wcache.New(wcache.Config{Dir: *cacheDir}); err != nil {
-				log.Fatalf("-window-cache: %v", err)
-			}
-		}
-		res := runTiled(l, cfg, o)
-		mask, shots = res.Mask, res.Shots
-	}
+	res := run(l, cfg, o)
 
-	// Streaming runs never materialize the dense mask, so the full-grid
-	// aerial-image metrics and the renders are skipped; the shot list and
-	// MRC report are the product (use -mask-out to stream the mask to disk).
-	renders := ""
-	if mask != nil {
-		if sim == nil {
-			sim = fullGrid()
-		}
-		res := sim.Simulate(mask)
-		rep := metrics.Evaluate(l, res.ZNom, res.ZMax, res.ZMin, len(shots))
-		fmt.Printf("%s / %s: L2 %.1f nm2, PVB %.1f nm2, EPE %d, shots %d\n",
-			l.Name, spec.Method, rep.L2, rep.PVB, rep.EPE, rep.Shots)
-		for name, g := range map[string]*grid.Real{
-			"target": l.Rasterize(spec.GridN), "mask": mask, "printed": res.ZNom,
-		} {
-			p := filepath.Join(*outDir, fmt.Sprintf("%s_%s.png", l.Name, name))
-			if err := bench.GridPNG(g, p); err != nil {
-				log.Fatal(err)
-			}
-		}
-		renders = " and renders under " + *outDir + "/"
-	} else {
+	// The report is computed from the shot list just written, on a
+	// full-grid simulator. -stream never builds one, nor the dense mask
+	// it would print: the shot list and its MRC status are the product
+	// (-mask-out still streams the mask to disk in bands).
+	if *stream {
 		fmt.Printf("%s / %s: shots %d (streamed: dense-mask metrics skipped)\n",
-			l.Name, spec.Method, len(shots))
+			l.Name, spec.Method, len(res.Shots))
+		metrics.WriteMRC(os.Stdout, metrics.CheckCircleMRC(res.Shots, dx, 12, 76))
+		fmt.Printf("wrote %s\n", shotPath)
+		return
 	}
-	if v := metrics.CheckCircleMRC(shots, dx, 12, 76); len(v) > 0 {
-		fmt.Printf("MRC: %d violations (first: shot %d, %s)\n", len(v), v[0].Shot, v[0].Reason)
-	} else {
-		fmt.Println("MRC: clean")
+	oc := cfg.Optics
+	oc.TileNM = float64(l.TileNM)
+	sim, err := litho.New(oc, spec.GridN)
+	if err != nil {
+		log.Fatal(err)
 	}
-	fmt.Printf("wrote %s%s\n", shotPath, renders)
+	sim.KOpt, sim.Workers = spec.KOpt, *workers
+	score := metrics.ScoreShots(os.Stdout, l.Name+" / "+spec.Method, l, sim, res.Shots, 12, 76)
+	for name, g := range map[string]*grid.Real{
+		"target": l.Rasterize(spec.GridN), "mask": score.Mask, "printed": score.Printed,
+	} {
+		p := filepath.Join(*outDir, fmt.Sprintf("%s_%s.png", l.Name, name))
+		if err := bench.GridPNG(g, p); err != nil {
+			log.Fatal(err)
+		}
+	}
+	fmt.Printf("wrote %s and renders under %s/\n", shotPath, *outDir)
 }
 
 // readSpec parses and validates a job file ("-" = stdin).
@@ -334,9 +306,9 @@ func readSpec(path string) *server.JobSpec {
 	return spec
 }
 
-// runTiled takes cfg through server.Run under the two-stage shutdown and
+// run takes cfg through server.Run under the two-stage shutdown and
 // prints the flow report. A drained run exits 3 here.
-func runTiled(l *layout.Layout, cfg flow.Config, o server.RunOpts) *flow.Result {
+func run(l *layout.Layout, cfg flow.Config, o server.RunOpts) *flow.Result {
 	// Two-stage shutdown. The first SIGINT/SIGTERM drains the tiled
 	// flow: no new tiles dispatch, in-flight tiles finish and are
 	// checkpointed, and the run exits nonzero with a drained summary. A

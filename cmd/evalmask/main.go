@@ -16,7 +16,6 @@ import (
 
 	"cfaopc/internal/fracture"
 	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/metrics"
@@ -43,18 +42,6 @@ func validateShots(shots []geom.Circle, gridN int) error {
 			return fmt.Errorf("shot %d center (%g, %g) px outside the %d px grid (wrong -grid or wrong layout?)",
 				i, s.X, s.Y, gridN)
 		}
-	}
-	return nil
-}
-
-// validateMask is the last line of defense before simulation: the
-// reconstructed mask must match the simulator grid and carry no NaN/Inf.
-func validateMask(mask *grid.Real, gridN int) error {
-	if mask.W != gridN || mask.H != gridN {
-		return fmt.Errorf("mask is %dx%d, want %dx%d", mask.W, mask.H, gridN, gridN)
-	}
-	if mask.HasNaN() {
-		return fmt.Errorf("mask contains NaN/Inf pixels")
 	}
 	return nil
 }
@@ -104,26 +91,7 @@ func main() {
 		log.Fatalf("invalid shot list %s: %v", *shotsPath, err)
 	}
 
-	mask := geom.RasterizeCircles(sim.N, sim.N, shots)
-	if err := validateMask(mask, sim.N); err != nil {
-		log.Fatalf("invalid mask from %s: %v", *shotsPath, err)
+	if len(metrics.ScoreShots(os.Stdout, l.Name, l, sim, shots, *rMin, *rMax).MRC) > 0 {
+		os.Exit(1)
 	}
-	res := sim.Simulate(mask)
-	rep := metrics.Evaluate(l, res.ZNom, res.ZMax, res.ZMin, len(shots))
-	fmt.Printf("%s: L2 %.1f nm2, PVB %.1f nm2, EPE %d, shots %d\n",
-		l.Name, rep.L2, rep.PVB, rep.EPE, rep.Shots)
-	viol := metrics.CheckCircleMRC(shots, sim.DX, *rMin, *rMax)
-	if len(viol) == 0 {
-		fmt.Println("MRC: clean")
-		return
-	}
-	fmt.Printf("MRC: %d violations\n", len(viol))
-	for i, v := range viol {
-		if i >= 10 {
-			fmt.Printf("  … %d more\n", len(viol)-10)
-			break
-		}
-		fmt.Printf("  shot %d: %s\n", v.Shot, v.Reason)
-	}
-	os.Exit(1)
 }

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"cfaopc/internal/core"
@@ -45,13 +46,11 @@ func main() {
 		HaloPx:      32,  // 256 nm optical context
 		Optics:      optics.Default(),
 		KOpt:        4,
-		TileWorkers: -1,   // one window per core; shots identical at any count
-		KeepMask:    true, // the full-chip scoring below needs the dense mask
-		Optimize: func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+		TileWorkers: -1, // one window per core; shots identical at any count
+		Optimize: func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 			coCfg := core.DefaultConfig(sim.DX)
 			coCfg.Iterations = 30
-			res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 10}).Optimize(sim, target)
-			return res.Mask, res.Shots
+			return (&core.CircleOpt{Cfg: coCfg, InitIterations: 10}).Optimize(sim, target).Shots
 		},
 	}
 	res, err := flow.Run(l, cfg)
@@ -66,22 +65,14 @@ func main() {
 			ts.RasterWall.Round(time.Microsecond))
 	}
 
-	// Score the stitched result with a full-chip simulation.
+	// Score the stitched shot list with a full-chip simulation.
 	oCfg := optics.Default()
 	oCfg.TileNM = float64(l.TileNM)
 	sim, err := litho.New(oCfg, cfg.GridN)
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := sim.Simulate(res.Mask)
-	rep := metrics.Evaluate(l, r.ZNom, r.ZMax, r.ZMin, len(res.Shots))
-	fmt.Printf("full-chip metrics: L2 %.0f nm², PVB %.0f nm², EPE %d, shots %d\n",
-		rep.L2, rep.PVB, rep.EPE, rep.Shots)
-	if v := metrics.CheckCircleMRC(res.Shots, sim.DX, 12, 76); len(v) == 0 {
-		fmt.Println("MRC radii: clean")
-	} else {
-		fmt.Printf("MRC radii: %d violations\n", len(v))
-	}
+	metrics.ScoreShots(os.Stdout, "full-chip metrics", l, sim, res.Shots, 12, 76)
 	if v := metrics.CheckCircleSpacing(res.Shots, sim.DX, 40); len(v) == 0 {
 		fmt.Println("MRC spacing: clean")
 	} else {

@@ -1,9 +1,9 @@
 // Package engine names the optimizer chain. It adapts each named method
-// to the flow.Optimizer signature so one dispatch serves the
-// single-window path, the tiled flow, and — via quarantine.EngineMeta —
-// the offline bundle replay in cmd/replaytile: a bundle records the
-// engine names and knobs, and FromMeta rebuilds the exact optimizers a
-// failed run was using, on another machine, from nothing but the bundle.
+// to the flow.Optimizer signature so one dispatch serves the flow and —
+// via quarantine.EngineMeta — the offline bundle replay in
+// cmd/replaytile: a bundle records the engine names and knobs, and
+// FromMeta rebuilds the exact optimizers a failed run was using, on
+// another machine, from nothing but the bundle.
 package engine
 
 import (
@@ -84,20 +84,18 @@ func For(method string, o Options) (flow.Optimizer, error) {
 		// No optimization at all: rule-based circle fracturing of the
 		// rasterized target. The cheapest engine here, and the default
 		// graceful-degradation fallback for the tiled flow.
-		return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-			shots := fracture.CircleRule(target, ruleFor(sim))
-			return geom.RasterizeCircles(sim.N, sim.N, shots), shots
+		return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
+			return fracture.CircleRule(target, ruleFor(sim))
 		}, nil
 	case "circleopt":
-		return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+		return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 			coCfg := core.DefaultConfig(sim.DX)
 			coCfg.Iterations = o.Iters
 			coCfg.Gamma = o.Gamma / sim.DX // knob is in the paper's 1 nm/px scale
-			res := (&core.CircleOpt{Cfg: coCfg, RuleCfg: ruleFor(sim)}).Optimize(sim, target)
-			return res.Mask, res.Shots
+			return (&core.CircleOpt{Cfg: coCfg, RuleCfg: ruleFor(sim)}).Optimize(sim, target).Shots
 		}, nil
 	case "doseopt":
-		return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+		return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 			coCfg := core.DefaultConfig(sim.DX)
 			coCfg.Iterations = o.Iters
 			coCfg.Gamma = o.Gamma / sim.DX
@@ -106,18 +104,17 @@ func For(method string, o Options) (flow.Optimizer, error) {
 			for _, ds := range res.Shots {
 				shots = append(shots, ds.Circle)
 			}
-			return res.Mask, shots
+			return shots
 		}, nil
 	case "greedy":
-		return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+		return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 			iltCfg := ilt.DefaultConfig()
 			iltCfg.Iterations = o.Iters
 			pixel := (&ilt.MultiLevel{Cfg: iltCfg}).Optimize(sim, target)
 			rule := ruleFor(sim)
-			shots := fracture.GreedyCircles(pixel, fracture.GreedyCircleConfig{
+			return fracture.GreedyCircles(pixel, fracture.GreedyCircleConfig{
 				RMin: rule.RMin, RMax: rule.RMax, CoverThreshold: rule.CoverThreshold,
 			})
-			return geom.RasterizeCircles(sim.N, sim.N, shots), shots
 		}, nil
 	case "develset", "neuralilt", "multiilt":
 		mk := func() ilt.Engine {
@@ -132,10 +129,8 @@ func For(method string, o Options) (flow.Optimizer, error) {
 				return &ilt.MultiLevel{Cfg: iltCfg}
 			}
 		}
-		return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-			pixel := mk().Optimize(sim, target)
-			shots := fracture.CircleRule(pixel, ruleFor(sim))
-			return geom.RasterizeCircles(sim.N, sim.N, shots), shots
+		return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
+			return fracture.CircleRule(mk().Optimize(sim, target), ruleFor(sim))
 		}, nil
 	default:
 		return nil, fmt.Errorf("unknown method %q (have %s)", method, strings.Join(Names(), " | "))

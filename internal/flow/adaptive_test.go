@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cfaopc/internal/checkpoint"
+	"cfaopc/internal/geom"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/quarantine"
 	"cfaopc/internal/wcache"
@@ -159,8 +160,8 @@ func TestAdaptiveRunDeterminismAndStreaming(t *testing.T) {
 	if ref.Merged == 0 || ref.Split == 0 || ref.Skipped == 0 {
 		t.Fatalf("run summary merged=%d split=%d skipped=%d", ref.Merged, ref.Split, ref.Skipped)
 	}
-	if ref.Mask.SqDiff(refColl.Mask) != 0 {
-		t.Fatal("adaptive streamed bands differ from the dense mask")
+	if geom.RasterizeCircles(refColl.Mask.W, refColl.Mask.H, ref.Shots).SqDiff(refColl.Mask) != 0 {
+		t.Fatal("adaptive streamed bands differ from the rasterized shot list")
 	}
 	for _, st := range ref.TileStats {
 		if st.Core == 0 || st.Window == 0 {

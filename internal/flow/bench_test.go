@@ -11,7 +11,7 @@ import (
 // benchFlowConfig sizes a 1024² chip in 8×8 tiles of 128-px cores with a
 // cheap deterministic rule optimizer, so the benchmark measures the
 // flow's own memory behavior, not CircleOpt's.
-func benchFlowConfig(l *layout.Layout, gridN int, keepMask bool) Config {
+func benchFlowConfig(l *layout.Layout, gridN int) Config {
 	return Config{
 		GridN:    gridN,
 		CorePx:   128,
@@ -19,17 +19,17 @@ func benchFlowConfig(l *layout.Layout, gridN int, keepMask bool) Config {
 		Optics:   optics.Default(),
 		KOpt:     2,
 		Optimize: fixedRuleOptimizer(float64(l.TileNM) / float64(gridN)),
-		KeepMask: keepMask,
 	}
 }
 
-// runFlowBenchmark reports allocations plus the flow's own peak-resident
-// estimate per tile, the figure that must scale with the window size (and
-// not GridN²) on the streaming path.
-func runFlowBenchmark(b *testing.B, keepMask bool) {
+// BenchmarkFlowRunStreaming is the flow's own cost per 64-tile run: shot
+// list only, no dense grid anywhere. It reports allocations plus the
+// flow's peak-resident estimate per tile, the figure that must scale
+// with the window size and not GridN².
+func BenchmarkFlowRunStreaming(b *testing.B) {
 	const gridN = 1024
 	l := layout.GenerateRandom(7, layout.RandomConfig{Features: 16, MarginNM: 128})
-	cfg := benchFlowConfig(l, gridN, keepMask)
+	cfg := benchFlowConfig(l, gridN)
 	// Warm the kernel cache outside the timed region.
 	if _, err := Run(l, cfg); err != nil {
 		b.Fatal(err)
@@ -49,15 +49,6 @@ func runFlowBenchmark(b *testing.B, keepMask bool) {
 	b.ReportMetric(float64(peak)/float64(tiles), "peak-bytes/tile")
 	b.ReportMetric(float64(peak), "peak-bytes")
 }
-
-// BenchmarkFlowRunStreaming is the memory-bounded path: shot list only,
-// no dense grid anywhere. Compare its peak-bytes metric against
-// BenchmarkFlowRunFullMask — the gap is the GridN² term streaming drops.
-func BenchmarkFlowRunStreaming(b *testing.B) { runFlowBenchmark(b, false) }
-
-// BenchmarkFlowRunFullMask opts back into the dense stitched mask, the
-// pre-streaming behavior.
-func BenchmarkFlowRunFullMask(b *testing.B) { runFlowBenchmark(b, true) }
 
 // BenchmarkFlowTransport times the same four-tile run per way of
 // reaching a tile worker: in this process, on a spawned subprocess, on

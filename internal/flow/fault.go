@@ -57,7 +57,7 @@ type FaultPlan map[int][]Fault
 // driven by the tile identity the flow publishes on sim.Ctx. Invocations
 // outside a flow (no TileInfo on the context) pass through untouched.
 func InjectFaults(opt Optimizer, plan FaultPlan) Optimizer {
-	return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+	return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 		info, ok := TileInfoFrom(sim.Ctx)
 		if !ok {
 			return opt(sim, target)
@@ -73,26 +73,23 @@ func InjectFaults(opt Optimizer, plan FaultPlan) Optimizer {
 		if f.Stall {
 			// Wedge silently until killed: no heartbeats, no return.
 			<-sim.Ctx.Done()
-			return grid.NewReal(target.W, target.H), nil
+			return nil
 		}
 		if f.Sleep > 0 {
 			if !sleepCtx(sim.Ctx, f.Sleep, f.BeatEvery) {
 				// Deadline or cancellation during the injected sleep:
-				// return garbage; the flow discards it on ctx.Err().
-				return grid.NewReal(target.W, target.H), nil
+				// the flow discards whatever returns on ctx.Err().
+				return nil
 			}
 		}
 		if f.Panic {
 			panic(fmt.Sprintf("injected fault: tile %d attempt %d", info.Index, info.Attempt))
 		}
 		if f.NaN {
-			mask := grid.NewReal(target.W, target.H)
-			mask.Data[0] = math.NaN()
-			return mask, []geom.Circle{{X: math.NaN(), Y: 1, R: 1}}
+			return []geom.Circle{{X: math.NaN(), Y: 1, R: 1}}
 		}
 		if f.BadRadius {
-			mask := grid.NewReal(target.W, target.H)
-			return mask, []geom.Circle{{X: 1, Y: 1, R: 1e9}}
+			return []geom.Circle{{X: 1, Y: 1, R: 1e9}}
 		}
 		return opt(sim, target)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,6 +145,9 @@ func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string
 		}
 		if kind == "stall" && !st.Stalled {
 			t.Fatalf("tile %d not marked stalled: %+v", i, st)
+		}
+		if kind == "nan" && !strings.Contains(st.Failure, "shot 0 not finite") {
+			t.Fatalf("tile %d did not fail on its non-finite shot: %+v", i, st)
 		}
 	}
 	if kind == "stall" && res.Stalled != len(faulted) {

@@ -9,11 +9,10 @@
 // The flow is memory-bounded end to end: window targets are rasterized
 // on demand from a row-bucketed span index over the rect geometry
 // (layout.WindowIndex), never from a dense full-grid raster, and the
-// stitched mask is opt-in — Config.KeepMask materializes the dense
-// GridN² grid, Config.MaskWriter streams it as row bands instead, and
-// with neither set the shot list is the only output. Peak flow memory
-// scales with the window size and worker count, not GridN²
-// (Result.PeakBytes makes that observable).
+// shot list is the output — Config.MaskWriter streams the stitched mask
+// as row bands, and a caller that wants the dense GridN² grid rasterizes
+// Result.Shots itself. Peak flow memory scales with the window size and
+// worker count, not GridN² (Result.PeakBytes makes that observable).
 //
 // Windows are independent, so Run distributes them over a bounded pool of
 // tile workers (Config.TileWorkers), each owning a private
@@ -98,8 +97,8 @@ import (
 	"cfaopc/internal/wcache"
 )
 
-// Optimizer produces a mask and shot list for one window target.
-type Optimizer func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle)
+// Optimizer produces the shot list for one window target.
+type Optimizer func(sim *litho.Simulator, target *grid.Real) []geom.Circle
 
 // ErrStalled marks an optimizer attempt killed by the stall watchdog:
 // no heartbeat arrived within Config.StallTimeout, so the attempt was
@@ -206,15 +205,10 @@ type Config struct {
 	// flow itself never interprets it.
 	Engines quarantine.EngineMeta
 
-	// KeepMask materializes Result.Mask, a dense GridN² re-rasterization
-	// of the stitched shot list. The shot list is the primary output; on
-	// real full-chip grids the dense mask is the memory ceiling, so it is
-	// opt-in. Leave it false and set MaskWriter to stream the mask in
-	// O(GridN·CorePx) bands instead.
-	KeepMask bool
 	// MaskWriter, when non-nil, receives the stitched mask as ordered
 	// horizontal bands (one per tile row) whose concatenation is
-	// byte-identical to the KeepMask dense mask. With RMaxPx set, bands
+	// byte-identical to geom.RasterizeCircles(GridN, GridN, Result.Shots)
+	// at O(GridN·CorePx) memory instead of GridN². With RMaxPx set, bands
 	// stream out as their contributing tile rows complete; without a
 	// radius bound they are all emitted when the last tile finishes.
 	MaskWriter MaskWriter
@@ -417,10 +411,6 @@ type AttemptOutcome = procpool.Outcome
 
 // Result is the stitched output.
 type Result struct {
-	// Mask is the full-grid mask re-rasterized from the shots — nil
-	// unless Config.KeepMask asked for it (streamed runs never hold a
-	// dense full-grid mask).
-	Mask      *grid.Real
 	Shots     []geom.Circle // full-grid shot list
 	Tiles     int           // number of windows optimized
 	TileStats []TileStat    // per-window records in row-major order
@@ -462,10 +452,10 @@ type Result struct {
 
 	// PeakBytes estimates the peak bytes of flow-owned buffers held
 	// resident during the run: the layout span index, one window target
-	// per tile worker, the in-flight mask band (when streaming), the
-	// dense mask (when kept) and the stitched shot list. Optimizer- and
-	// simulator-internal allocations are not counted; the estimate's job
-	// is to make the O(window²) vs O(GridN²) scaling observable.
+	// per tile worker, the in-flight mask band (when streaming) and the
+	// stitched shot list. Optimizer- and simulator-internal allocations
+	// are not counted; the estimate's job is to make the O(window²) vs
+	// O(GridN²) scaling observable.
 	PeakBytes int64
 
 	// CheckpointDegraded marks a run whose checkpoint journal suffered a
@@ -600,17 +590,9 @@ func (env *runEnv) reportErr(err error) {
 }
 
 // validateTile rejects optimizer output that would poison the stitched
-// result: NaN/Inf masks, non-finite shots, radii outside [RMinPx, RMaxPx]
-// and centers outside the window. Coordinates here are window-local.
-func validateTile(mask *grid.Real, shots []geom.Circle, cfg Config, window int) error {
-	if mask != nil {
-		if mask.W != window || mask.H != window {
-			return fmt.Errorf("mask %dx%d, window %d", mask.W, mask.H, window)
-		}
-		if mask.HasNaN() {
-			return fmt.Errorf("mask has NaN/Inf pixels")
-		}
-	}
+// result: non-finite shots, radii outside [RMinPx, RMaxPx] and centers
+// outside the window. Coordinates here are window-local.
+func validateTile(shots []geom.Circle, cfg Config, window int) error {
 	const eps = 1e-9
 	for i, s := range shots {
 		if !finite(s.X) || !finite(s.Y) || !finite(s.R) {
@@ -762,7 +744,7 @@ func runGuarded(tctx context.Context, sim *litho.Simulator, optimize Optimizer,
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	mask, shots := optimize(sim, target)
+	shots = optimize(sim, target)
 	if cerr := tctx.Err(); cerr != nil {
 		// Canceled, timed out, or stall-killed mid-attempt: the output is
 		// untrusted. The cancellation cause distinguishes the watchdog
@@ -772,7 +754,7 @@ func runGuarded(tctx context.Context, sim *litho.Simulator, optimize Optimizer,
 		}
 		return nil, cerr
 	}
-	if verr := validateTile(mask, shots, cfg, window); verr != nil {
+	if verr := validateTile(shots, cfg, window); verr != nil {
 		return nil, fmt.Errorf("invalid output: %w", verr)
 	}
 	return shots, nil
@@ -1217,9 +1199,6 @@ feed:
 		// construction.
 		return res, ErrDrained
 	}
-	if cfg.KeepMask {
-		res.Mask = geom.RasterizeCircles(cfg.GridN, cfg.GridN, res.Shots)
-	}
 	return res, nil
 }
 
@@ -1332,18 +1311,14 @@ func (env *runEnv) reduce(plan *tilePlan, outs []tileOut, workers int) *Result {
 }
 
 // estimatePeakBytes adds up the flow-owned buffers documented on
-// Result.PeakBytes. Per-worker window targets dominate on the streaming
-// path; KeepMask reintroduces the GridN² term the streaming path exists
-// to avoid.
+// Result.PeakBytes. Per-worker window targets dominate: no term scales
+// with GridN².
 func estimatePeakBytes(cfg Config, window, workers int, indexBytes int64, shots int) int64 {
 	const f64 = 8
 	peak := indexBytes
 	peak += int64(workers) * int64(window) * int64(window) * f64
 	if cfg.MaskWriter != nil {
 		peak += int64(cfg.GridN) * int64(cfg.CorePx) * f64 // one band in flight
-	}
-	if cfg.KeepMask {
-		peak += int64(cfg.GridN) * int64(cfg.GridN) * f64
 	}
 	peak += int64(shots) * 24 // geom.Circle{X, Y, R}
 	return peak

@@ -14,11 +14,10 @@ import (
 
 // circleOptimizer adapts core.CircleOpt to the flow Optimizer signature.
 func circleOptimizer(iters int) Optimizer {
-	return func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+	return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 		cfg := core.DefaultConfig(sim.DX)
 		cfg.Iterations = iters
-		res := (&core.CircleOpt{Cfg: cfg, InitIterations: 5}).Optimize(sim, target)
-		return res.Mask, res.Shots
+		return (&core.CircleOpt{Cfg: cfg, InitIterations: 5}).Optimize(sim, target).Shots
 	}
 }
 
@@ -44,7 +43,6 @@ func testConfig() Config {
 		Optics:   o,
 		KOpt:     4,
 		Optimize: circleOptimizer(8),
-		KeepMask: true, // most tests inspect the dense stitched mask
 	}
 }
 
@@ -114,7 +112,7 @@ func TestRunStitchesTiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	print := fullSim.Simulate(res.Mask)
+	print := fullSim.Simulate(geom.RasterizeCircles(cfg.GridN, cfg.GridN, res.Shots))
 	covered := 0
 	total := 0
 	for i := range target.Data {
@@ -198,7 +196,7 @@ func TestRunUnevenCore(t *testing.T) {
 }
 
 // TestDeterministicAcrossTileWorkers is the concurrency contract: any
-// tile-worker count produces byte-identical shot lists and masks.
+// tile-worker count produces byte-identical shot lists.
 func TestDeterministicAcrossTileWorkers(t *testing.T) {
 	l := layout.GenerateRandom(42, layout.RandomConfig{TileNM: 1024, Features: 6, MarginNM: 128})
 	cfg := testConfig()
@@ -230,9 +228,6 @@ func TestDeterministicAcrossTileWorkers(t *testing.T) {
 			if par.Shots[i] != serial.Shots[i] {
 				t.Fatalf("tile-workers=%d: shot %d differs: %+v vs %+v", tw, i, par.Shots[i], serial.Shots[i])
 			}
-		}
-		if serial.Mask.SqDiff(par.Mask) != 0 {
-			t.Fatalf("tile-workers=%d: stitched mask differs from serial", tw)
 		}
 		if len(par.TileStats) != len(serial.TileStats) {
 			t.Fatalf("tile-workers=%d: %d stats vs %d", tw, len(par.TileStats), len(serial.TileStats))

@@ -275,7 +275,7 @@ func TestPartialResumeAndCompaction(t *testing.T) {
 	cfg := mkCfg()
 	cfg.CheckpointPath = ckpt
 	inner := cfg.Optimize
-	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
+	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 		if info, ok := TileInfoFrom(sim.Ctx); ok && info.Index == 3 {
 			beats := 0
 			fwd := opt.ProgressFrom(sim.Ctx)
@@ -322,9 +322,6 @@ func TestPartialResumeAndCompaction(t *testing.T) {
 			if got.Shots[i] != ref.Shots[i] {
 				t.Fatalf("shot %d differs: %+v vs %+v", i, got.Shots[i], ref.Shots[i])
 			}
-		}
-		if got.Mask.SqDiff(ref.Mask) != 0 {
-			t.Fatal("masks differ")
 		}
 		if got.TileStats[3].LastLoss != ref.TileStats[3].LastLoss {
 			t.Fatalf("final loss diverged: %g vs %g", got.TileStats[3].LastLoss, ref.TileStats[3].LastLoss)

@@ -29,7 +29,7 @@ type MaskWriter interface {
 // MaskCollector is a MaskWriter that reassembles the streamed bands into
 // a dense full-grid mask — the bridge for callers that want the banded
 // pipeline and a final dense grid, and the reference the equivalence
-// tests compare against Result.Mask.
+// tests compare against the rasterized Result.Shots.
 type MaskCollector struct {
 	Mask *grid.Real
 }

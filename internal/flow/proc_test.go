@@ -410,9 +410,6 @@ func testDrain(t *testing.T, proc bool) {
 	if res.Completed != 1 {
 		t.Fatalf("drained run completed %d tiles, want 1", res.Completed)
 	}
-	if res.Mask != nil {
-		t.Fatal("drained run produced a stitched mask")
-	}
 	if st := res.TileStats[0]; st.Path != PathPrimary {
 		t.Fatalf("in-flight tile stat after drain: %+v", st)
 	}

@@ -25,7 +25,6 @@ func storageConfig() Config {
 	cfg.HaloPx = 16
 	cfg.KOpt = 3
 	cfg.Optimize = ruleFallback()
-	cfg.KeepMask = false
 	cfg.TileWorkers = 1 // deterministic journal op order for the recorder
 	return cfg
 }

@@ -17,9 +17,8 @@ import (
 // scale. Because it ignores the simulator, the reference path below can
 // invoke it without building one.
 func fixedRuleOptimizer(dx float64) Optimizer {
-	return func(_ *litho.Simulator, target *grid.Real) (*grid.Real, []geom.Circle) {
-		shots := fracture.CircleRule(target, fracture.DefaultCircleRuleConfig(dx))
-		return geom.RasterizeCircles(target.W, target.H, shots), shots
+	return func(_ *litho.Simulator, target *grid.Real) []geom.Circle {
+		return fracture.CircleRule(target, fracture.DefaultCircleRuleConfig(dx))
 	}
 }
 
@@ -67,8 +66,7 @@ func referenceFullGridRun(l *layout.Layout, cfg Config) ([]geom.Circle, *grid.Re
 			if !occupied {
 				continue
 			}
-			_, ws := cfg.Optimize(nil, target)
-			shots = append(shots, ownedShots(ws, ox, oy, cx, cy, cfg.CorePx)...)
+			shots = append(shots, ownedShots(cfg.Optimize(nil, target), ox, oy, cx, cy, cfg.CorePx)...)
 		}
 	}
 	return shots, geom.RasterizeCircles(cfg.GridN, cfg.GridN, shots)
@@ -77,8 +75,8 @@ func referenceFullGridRun(l *layout.Layout, cfg Config) ([]geom.Circle, *grid.Re
 // TestStreamingEquivalenceFullGrid is the acceptance property of the
 // streaming refactor: over randomized layouts, even and uneven tilings,
 // bounded and unbounded shot radii, and TileWorkers ∈ {1, 8}, the
-// streamed flow's shots, dense mask and band-assembled mask are all
-// byte-identical to the full-grid reference. Run it under -race: band
+// streamed flow's shots and band-assembled mask are byte-identical to
+// the full-grid reference. Run it under -race: band
 // emission happens concurrently with tile workers.
 func TestStreamingEquivalenceFullGrid(t *testing.T) {
 	cases := []struct {
@@ -111,7 +109,6 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 					TileWorkers: workers,
 					Optimize:    fixedRuleOptimizer(dx),
 					RMaxPx:      tc.rMaxPx,
-					KeepMask:    true,
 					MaskWriter:  w,
 				}
 			}
@@ -133,9 +130,6 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 						t.Fatalf("workers=%d: shot %d = %+v, reference %+v", workers, i, res.Shots[i], wantShots[i])
 					}
 				}
-				if res.Mask.SqDiff(wantMask) != 0 {
-					t.Fatalf("workers=%d: dense mask differs from full-grid reference", workers)
-				}
 				if coll.Mask.SqDiff(wantMask) != 0 {
 					t.Fatalf("workers=%d: band-assembled mask differs from full-grid reference", workers)
 				}
@@ -147,9 +141,9 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 	}
 }
 
-// TestStreamingDropsDenseMask pins the memory contract: without
-// KeepMask the result holds no dense grid, and the peak estimate scales
-// with the window, not the chip.
+// TestStreamingDropsDenseMask pins the memory contract: the flow holds
+// no dense grid, so the peak estimate scales with the window, not the
+// chip.
 func TestStreamingDropsDenseMask(t *testing.T) {
 	l := layout.GenerateRandom(5, layout.RandomConfig{Features: 6, MarginNM: 128})
 	const gridN = 512
@@ -165,9 +159,6 @@ func TestStreamingDropsDenseMask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mask != nil {
-		t.Fatal("streamed run materialized a dense mask")
-	}
 	if len(res.Shots) == 0 {
 		t.Fatal("no shots")
 	}
@@ -179,17 +170,6 @@ func TestStreamingDropsDenseMask(t *testing.T) {
 		if ts.Occupied && ts.RasterWall < 0 {
 			t.Fatalf("tile %d negative raster wall", ts.Index)
 		}
-	}
-	cfg.KeepMask = true
-	kept, err := Run(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kept.Mask == nil {
-		t.Fatal("KeepMask run did not materialize the mask")
-	}
-	if kept.PeakBytes <= res.PeakBytes+denseBytes-1 {
-		t.Fatalf("KeepMask peak %d does not carry the dense-grid term over streamed peak %d", kept.PeakBytes, res.PeakBytes)
 	}
 }
 

@@ -9,10 +9,12 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
+	"cfaopc/internal/litho"
 )
 
 // EPE measurement conventions (ICCAD-2013 style).
@@ -162,5 +164,52 @@ func Evaluate(l *layout.Layout, zNom, zMax, zMin *grid.Real, shots int) Report {
 		PVB:   PVB(zMax, zMin, dx),
 		EPE:   EPEViolations(l, zNom, EPESpacingNM, EPEConstraintNM),
 		Shots: shots,
+	}
+}
+
+// Score is a shot list scored end to end.
+type Score struct {
+	Report
+	Mask    *grid.Real     // the shots rasterized on the simulator's grid
+	Printed *grid.Real     // that mask's print at the nominal corner
+	MRC     []MRCViolation // radii outside [rMinNM, rMaxNM]
+}
+
+// ScoreShots is the one scorer of a shot list: it rasterizes the shots on
+// sim's grid, prints that mask at the three process corners, evaluates
+// the prints against l, checks every radius, and writes
+// "<label>: L2 … PVB … EPE … shots …" plus the MRC summary to w. Every
+// tool that reports on a shot list reports through it, so a report
+// always describes the list it names — not some other mask the
+// optimizer held while producing it.
+func ScoreShots(w io.Writer, label string, l *layout.Layout, sim *litho.Simulator,
+	shots []geom.Circle, rMinNM, rMaxNM float64) Score {
+	mask := geom.RasterizeCircles(sim.N, sim.N, shots)
+	res := sim.Simulate(mask)
+	s := Score{
+		Report:  Evaluate(l, res.ZNom, res.ZMax, res.ZMin, len(shots)),
+		Mask:    mask,
+		Printed: res.ZNom,
+		MRC:     CheckCircleMRC(shots, sim.DX, rMinNM, rMaxNM),
+	}
+	fmt.Fprintf(w, "%s: L2 %.1f nm2, PVB %.1f nm2, EPE %d, shots %d\n", label, s.L2, s.PVB, s.EPE, s.Shots)
+	WriteMRC(w, s.MRC)
+	return s
+}
+
+// WriteMRC prints the mask-rule summary: "MRC: clean", or the violation
+// count and the first ten violations.
+func WriteMRC(w io.Writer, viol []MRCViolation) {
+	if len(viol) == 0 {
+		fmt.Fprintln(w, "MRC: clean")
+		return
+	}
+	fmt.Fprintf(w, "MRC: %d violations\n", len(viol))
+	for i, v := range viol {
+		if i >= 10 {
+			fmt.Fprintf(w, "  … %d more\n", len(viol)-10)
+			break
+		}
+		fmt.Fprintf(w, "  shot %d: %s\n", v.Shot, v.Reason)
 	}
 }

@@ -1,12 +1,16 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
+	"cfaopc/internal/litho"
+	"cfaopc/internal/optics"
 )
 
 func TestL2CountsDifferingPixels(t *testing.T) {
@@ -130,5 +134,43 @@ func TestEvaluateAggregates(t *testing.T) {
 	dx := float64(l.TileNM) / 256.0
 	if math.Abs(r2.PVB-L2(zMax, zMin, dx)) > 1e-9 {
 		t.Fatal("Evaluate PVB inconsistent with direct computation")
+	}
+}
+
+// TestScoreShots: the scorer is the spelled-out pipeline — rasterize,
+// print, Evaluate, CheckCircleMRC — and its two printed lines carry those
+// values, with the violation list capped at ten.
+func TestScoreShots(t *testing.T) {
+	l := cduLayout()
+	oc := optics.Default()
+	oc.TileNM = float64(l.TileNM)
+	sim, err := litho.New(oc, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shots := []geom.Circle{{X: 16, Y: 30, R: 4}, {X: 42, Y: 30, R: 5}}
+	for i := 0; i < 12; i++ {
+		shots = append(shots, geom.Circle{X: 30, Y: 58, R: 0.5}) // 4 nm: below rMin
+	}
+	var out strings.Builder
+	s := ScoreShots(&out, "cdu", l, sim, shots, 12, 76)
+
+	mask := geom.RasterizeCircles(64, 64, shots)
+	res := sim.Simulate(mask)
+	if want := Evaluate(l, res.ZNom, res.ZMax, res.ZMin, len(shots)); s.Report != want {
+		t.Fatalf("report %+v, want %+v", s.Report, want)
+	}
+	if s.Mask.SqDiff(mask) != 0 || s.Printed.SqDiff(res.ZNom) != 0 || len(s.MRC) != 12 {
+		t.Fatalf("mask, print or %d violations differ from the pipeline's", len(s.MRC))
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	head := fmt.Sprintf("cdu: L2 %.1f nm2, PVB %.1f nm2, EPE %d, shots 14", s.L2, s.PVB, s.EPE)
+	if len(lines) != 13 || lines[0] != head || lines[1] != "MRC: 12 violations" || lines[12] != "  … 2 more" {
+		t.Fatalf("printed:\n%s", out.String())
+	}
+
+	out.Reset()
+	if s := ScoreShots(&out, "cdu", l, sim, shots[:2], 12, 76); len(s.MRC) != 0 || !strings.HasSuffix(out.String(), "\nMRC: clean\n") {
+		t.Fatalf("legal radii reported as:\n%s", out.String())
 	}
 }

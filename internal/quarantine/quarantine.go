@@ -75,8 +75,7 @@ type Fault struct {
 	// Panic aborts the attempt with a panic, exercising the isolation
 	// recover path.
 	Panic bool
-	// NaN returns a NaN-poisoned mask and shot list, exercising output
-	// validation.
+	// NaN returns a NaN-poisoned shot list, exercising output validation.
 	NaN bool
 	// BadRadius returns one shot with a radius far outside any sane
 	// [RMin, RMax] bound, exercising the radius check.

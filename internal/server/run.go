@@ -55,7 +55,7 @@ type RunOpts struct {
 // and the engine metadata that stands in for it, optics, tiling, the
 // validation bounds, retries — plus the spec's scheduling knobs. What a
 // caller may still set on the result is how and where this process runs
-// it (transport, timeouts, quarantine, KeepMask), on the fields
+// it (transport, timeouts, quarantine), on the fields
 // flow.Config already owns; Run fills in the RunOpts plumbing.
 func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 	fallback := s.Fallback
@@ -89,7 +89,6 @@ func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 		RMinPx:       6 / dx,
 		RMaxPx:       152 / dx,
 		PartialEvery: s.PartialEvery,
-		KeepMask:     false, // the service product is shots + streamed bands
 	}, nil
 }
 
