@@ -3,16 +3,21 @@ package cfaopc_test
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"cfaopc/internal/checkpoint"
+	"cfaopc/internal/flow"
 	"cfaopc/internal/fracture"
 	"cfaopc/internal/geom"
+	"cfaopc/internal/server"
 )
 
 // tools is every binary under ./cmd. The ones marked driven are run end
@@ -525,5 +530,87 @@ func TestCLIReportDescribesTheArtifact(t *testing.T) {
 		if printed != scored {
 			t.Errorf("%s: cfaopc printed %q, its shot CSV scores %q", r.name, printed, scored)
 		}
+	}
+}
+
+// TestCLIParentTiledBytes holds the tiled flow to files the parent commit
+// wrote while it still had a second, occupancy-adaptive plan: the uniform
+// plan's shot CSVs reproduce byte for byte at any tile-worker count and on
+// worker subprocesses, and a journal the adaptive plan wrote is refused at
+// its header — its tile indices name windows this build never draws.
+func TestCLIParentTiledBytes(t *testing.T) {
+	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	work := t.TempDir()
+	for _, r := range []struct {
+		fixture, csv string
+		args         []string
+	}{
+		{"tiled_case4_256_shots.csv", "case4_shots.csv",
+			[]string{"-case", "4", "-grid", "256", "-tile-core", "64", "-tile-halo", "32", "-iters", "6"}},
+		{"tiled_case1_512_circlerule_shots.csv", "case1_shots.csv",
+			[]string{"-case", "1", "-grid", "512", "-tile-core", "128", "-tile-halo", "32", "-method", "circlerule"}},
+	} {
+		want := readFile(t, "testdata", "parent", r.fixture)
+		for _, pool := range [][]string{{"-tile-workers", "1"}, {"-tile-workers", "2"}, {"-proc-workers", "2"}} {
+			out := runCLI(t, work, cfaopc, append(append(r.args, "-stream", "-out", "tiled"), pool...)...)
+			if strings.Contains(out, "workers: ") {
+				t.Fatalf("%v run degraded off its workers:\n%s", pool, out)
+			}
+			if !bytes.Equal(readFile(t, work, "tiled", r.csv), want) {
+				t.Errorf("%s with %v: shot CSV differs from the parent's", r.fixture, pool)
+			}
+		}
+	}
+
+	// The journal came from the parent's `cfaopc -case 4 -grid 256
+	// -tile-core 64 -tile-halo 32 -iters 2 -checkpoint` with its adaptive
+	// plan switched on.
+	journal := filepath.Join(work, "adaptive.ckpt")
+	if err := os.WriteFile(journal, readFile(t, "testdata", "parent", "adaptive.ckpt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resume := exec.Command(cfaopc, "-case", "4", "-grid", "256", "-tile-core", "64", "-tile-halo", "32",
+		"-iters", "2", "-stream", "-checkpoint", "adaptive.ckpt", "-out", "resumed")
+	resume.Dir = work
+	if out, err := resume.CombinedOutput(); err == nil || !bytes.Contains(out, []byte("journal header does not match")) {
+		t.Errorf("cfaopc over the parent's adaptive journal: %v\n%s", err, out)
+	}
+	spec := server.JobSpec{Case: 4, GridN: 256, TileCore: 64, TileHalo: 32, Iters: 2}
+	spec.Normalize()
+	l, err := spec.ResolveLayout("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.FlowConfig(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CheckpointPath = journal
+	if _, err := flow.Run(l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
+		t.Errorf("flow.Run over the parent's adaptive journal: %v, want ErrHeaderMismatch", err)
+	}
+}
+
+// TestCLIPaperPitchTiledRun is the tiled flow at the paper's own pitch,
+// 1 nm/px over the 2048 nm tile: sixteen-by-sixteen 192 nm windows run
+// clean, and a window narrower than λ/NA = 143 nm is refused in one line
+// before any tile starts.
+func TestCLIPaperPitchTiledRun(t *testing.T) {
+	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	work := t.TempDir()
+	pitch := []string{"-case", "10", "-grid", "2048", "-tile-halo", "32", "-method", "circlerule", "-stream"}
+	out := runCLI(t, work, cfaopc, append(pitch, "-tile-core", "128")...)
+	m := regexp.MustCompile(`circlerule: shots (\d+)`).FindStringSubmatch(out)
+	if !strings.Contains(out, "flow: 256 windows (16 occupied)") || !strings.Contains(out, "MRC: clean") || m == nil || m[1] == "0" {
+		t.Errorf("paper-pitch run: want 256 windows, 16 occupied, shots > 0 and a clean MRC:\n%s", out)
+	}
+	runCLI(t, work, cfaopc, append(pitch, "-tile-core", "80")...) // 144 nm: just above the floor
+
+	refused := exec.Command(cfaopc, append(pitch, "-tile-core", "64")...)
+	refused.Dir = work
+	msg, err := refused.CombinedOutput()
+	if err == nil || !bytes.Contains(msg, []byte("is 128 nm at 1 nm/px, below the λ/NA = 143.0 nm floor")) ||
+		bytes.Count(bytes.TrimSpace(msg), []byte("\n")) != 0 {
+		t.Errorf("128 nm window: %v, want a one-line refusal naming the window and the floor:\n%s", err, msg)
 	}
 }

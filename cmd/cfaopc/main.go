@@ -44,9 +44,8 @@
 //
 // Runs can skip repeated work: -window-cache mem|disk serves
 // content-identical windows from a dedup cache (disk adds a persistent
-// tier under -cache-dir that survives across runs), and -adaptive-tiles
-// merges sparse 2×2 blocks, skips empty ones, and splits dense windows.
-// Both change wall time only — the shot list stays byte-identical.
+// tier under -cache-dir that survives across runs). It changes wall time
+// only — the shot list stays byte-identical.
 package main
 
 import (
@@ -63,7 +62,6 @@ import (
 	"syscall"
 	"time"
 
-	"cfaopc/internal/bench"
 	"cfaopc/internal/flow"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
@@ -119,7 +117,6 @@ func main() {
 		remoteHosts = flag.String("remote-hosts", "", "comma-separated tileworker -listen addresses; tiles shard across them (excludes -proc-workers)")
 		winCache    = flag.String("window-cache", "off", "dedup identical windows — off | mem | disk (disk adds a persistent tier under -cache-dir)")
 		cacheDir    = flag.String("cache-dir", "", "directory for the -window-cache disk tier (survives across runs)")
-		adaptive    = flag.Bool("adaptive-tiles", false, "occupancy-adaptive tiling — merge sparse 2×2 blocks, skip empty ones, split dense windows (output stays deterministic)")
 		stream      = flag.Bool("stream", false, "memory-bounded run — never materialize a dense full-grid raster (skips the aerial-image metrics and renders; shot list stays the output)")
 		maskOut     = flag.String("mask-out", "", "stream the stitched mask to this PGM file in row bands (works with or without -stream)")
 		outDir      = flag.String("out", "out", "output directory")
@@ -201,7 +198,7 @@ func main() {
 	// so a journal is compacted under the fingerprint it was written under.
 	cfg.Workers = *workers
 	cfg.TileRetries, cfg.TileTimeout, cfg.StallTimeout = *tileRetries, *tileTimeout, *stallTO
-	cfg.QuarantineDir, cfg.StrictStorage, cfg.AdaptiveTiles = *quarDir, *strictIO, *adaptive
+	cfg.QuarantineDir, cfg.StrictStorage = *quarDir, *strictIO
 	if *procWorkers > 0 {
 		bin := *workerBin
 		if bin == "" {
@@ -282,7 +279,7 @@ func main() {
 		"target": l.Rasterize(spec.GridN), "mask": score.Mask, "printed": score.Printed,
 	} {
 		p := filepath.Join(*outDir, fmt.Sprintf("%s_%s.png", l.Name, name))
-		if err := bench.GridPNG(g, p); err != nil {
+		if err := grid.GridPNG(g, p); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -364,10 +361,6 @@ func run(l *layout.Layout, cfg flow.Config, o server.RunOpts) *flow.Result {
 	}
 	fmt.Printf("flow: %d windows (%d occupied), %s, peak flow memory ≈ %.1f MB\n",
 		res.Tiles, occupied, pool, float64(res.PeakBytes)/(1<<20))
-	if cfg.AdaptiveTiles {
-		fmt.Printf("adaptive: %d sparse blocks merged, %d dense windows split, %d empty tiles skipped\n",
-			res.Merged, res.Split, res.Skipped)
-	}
 	if o.Cache != nil {
 		st := o.Cache.Stats()
 		fmt.Printf("cache: %d hits translated into place (%d from disk), %d misses, %d entries ≈ %.1f MB\n",

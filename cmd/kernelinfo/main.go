@@ -17,7 +17,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"cfaopc/internal/bench"
 	"cfaopc/internal/fft"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/optics"
@@ -98,7 +97,7 @@ func main() {
 			}
 		}
 		path := filepath.Join(*pngDir, fmt.Sprintf("kernel_%02d.png", i))
-		if err := bench.GridPNG(img, path); err != nil {
+		if err := grid.GridPNG(img, path); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -13,7 +13,7 @@ func TestGridPNGWritesFile(t *testing.T) {
 	g.Set(3, 3, 2.0)
 	g.Set(4, 4, -1.0)
 	path := filepath.Join(t.TempDir(), "x.png")
-	if err := GridPNG(g, path); err != nil {
+	if err := grid.GridPNG(g, path); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(path)
@@ -25,14 +25,14 @@ func TestGridPNGWritesFile(t *testing.T) {
 func TestGridPNGZeroGrid(t *testing.T) {
 	// All-zero grids must not divide by zero.
 	path := filepath.Join(t.TempDir(), "zero.png")
-	if err := GridPNG(grid.NewReal(4, 4), path); err != nil {
+	if err := grid.GridPNG(grid.NewReal(4, 4), path); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestGridPNGBadPath(t *testing.T) {
 	g := grid.NewReal(4, 4)
-	if err := GridPNG(g, filepath.Join(t.TempDir(), "missing", "x.png")); err == nil {
+	if err := grid.GridPNG(g, filepath.Join(t.TempDir(), "missing", "x.png")); err == nil {
 		t.Fatal("expected error for unwritable path")
 	}
 }

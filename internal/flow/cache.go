@@ -19,7 +19,7 @@ import (
 // directions: serving one from a twin would skip its scripted failure,
 // and storing one would leak a fault-shaped result to clean twins.
 func (env *runEnv) cacheEligible(j tileJob) bool {
-	return env.cfg.Cache != nil && !j.skip && len(env.rawFaults[j.index]) == 0
+	return env.cfg.Cache != nil && len(env.rawFaults[j.index]) == 0
 }
 
 // windowKey builds tile j's canonical cache key over the rasterized
@@ -28,14 +28,14 @@ func (env *runEnv) cacheEligible(j tileJob) bool {
 // identical windows collide across layouts and across runs.
 func (env *runEnv) windowKey(j tileJob, target *grid.Real) wcache.Key {
 	ox, oy := j.origin(env.cfg.HaloPx)
-	ls := env.ix.WindowSpans(ox, oy, j.window, j.window)
+	ls := env.ix.WindowSpans(ox, oy, target.W, target.H)
 	spans := make([]wcache.Span, len(ls))
 	for i, s := range ls {
 		spans[i] = wcache.Span(s)
 	}
 	return wcache.WindowKey(env.keyPrefix, wcache.WindowDesc{
 		W: target.W, H: target.H, Raster: target.Data, Spans: spans,
-		CoreX: env.cfg.HaloPx, CoreY: env.cfg.HaloPx, CoreW: j.core, CoreH: j.core,
+		CoreX: env.cfg.HaloPx, CoreY: env.cfg.HaloPx, CoreW: env.cfg.CorePx, CoreH: env.cfg.CorePx,
 	})
 }
 
@@ -65,7 +65,7 @@ func (env *runEnv) tryCache(j tileJob, target *grid.Real, out *tileOut) bool {
 	}
 	env.cacheHits.Add(1)
 	ox, oy := j.origin(env.cfg.HaloPx)
-	out.shots = ownedShots(e.Shots, ox, oy, j.cx, j.cy, j.core)
+	out.shots = ownedShots(e.Shots, ox, oy, j.cx, j.cy, env.cfg.CorePx)
 	out.stat.CacheHit = true
 	out.stat.Path = e.Path
 	out.stat.Attempts = e.Attempts
@@ -79,8 +79,8 @@ func (env *runEnv) tryCache(j tileJob, target *grid.Real, out *tileOut) bool {
 // window-local shot list (pre-ownership-filter, so twins with any core
 // placement can re-filter) plus the attempt record. Only real results
 // go in — PathEmpty is never cached, so a degraded tile can't infect a
-// twin — and only tiles whose key was computed by tryCache (faulted and
-// skip tiles never got one).
+// twin — and only tiles whose key was computed by tryCache (faulted
+// tiles never got one).
 func (env *runEnv) storeCache(j tileJob, out *tileOut) {
 	if env.cfg.Cache == nil || out.stat.CacheKey == "" || out.stat.CacheHit {
 		return

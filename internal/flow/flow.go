@@ -61,7 +61,7 @@
 // Every tile takes one pipeline — rasterize, cache lookup, execute,
 // cache store (runTile) — and RunContext reads validate → plan → replay
 // → execute → reduce. Where a tile executes is the only thing that
-// varies: on the lane's own simulators, or (Config.ProcWorkers,
+// varies: on the lane's own simulator, or (Config.ProcWorkers,
 // Config.RemoteHosts) on a tile worker in another process or on another
 // machine. Both kinds of worker speak one session protocol
 // (internal/netpool over internal/procpool frames) and are supervised by
@@ -121,7 +121,8 @@ type Config struct {
 	// HaloPx is the optical context margin added on every side of a core;
 	// it should exceed the optical interaction range (~λ/NA ≈ 143 nm).
 	HaloPx int
-	// Optics is the imaging condition; TileNM is overridden per window.
+	// Optics is the imaging condition; TileNM is overridden with the
+	// window's physical edge.
 	Optics optics.Config
 	// KOpt truncates kernels during per-window optimization.
 	KOpt int
@@ -279,16 +280,6 @@ type Config struct {
 	// a tile that degraded to empty is never served to a twin.
 	Cache *wcache.Cache
 
-	// AdaptiveTiles plans the tiling from layout occupancy instead of a
-	// uniform CorePx grid: sparse 2×2 blocks merge into one large tile,
-	// dense cells split into four small ones, and provably-empty regions
-	// are skipped without rasterizing. The plan is deterministic (from
-	// layout.WindowIndex occupancy) and sorted row-major, so determinism,
-	// checkpointing, and band streaming all hold exactly as in uniform
-	// mode; the flag is part of the checkpoint fingerprint, so a journal
-	// can't silently cross tiling modes.
-	AdaptiveTiles bool
-
 	// Drain, when non-nil and closed mid-run, stops dispatching new
 	// tiles: in-flight tiles finish and are journaled, the checkpoint is
 	// synced, and RunContext returns its partial Result with ErrDrained.
@@ -355,7 +346,7 @@ const (
 type TileStat struct {
 	Index    int           // row-major window index (plan order)
 	CX, CY   int           // core origin in full-grid pixels
-	Core     int           // core edge in px (adaptive tiles differ from Config.CorePx)
+	Core     int           // core edge in px (Config.CorePx)
 	Window   int           // window edge in px (core + 2·halo)
 	Occupied bool          // window held target geometry and was optimized
 	Shots    int           // core-owned shots kept from this window
@@ -399,8 +390,7 @@ type TileStat struct {
 	// shots instead of optimizing; its Path/Attempts/Iters/LastLoss are
 	// inherited from the twin's record. CacheKey is the canonical
 	// content hash computed for every cache-eligible tile (hit or miss);
-	// "" when the cache was off or the tile was excluded (fault script,
-	// skip tile).
+	// "" when the cache was off or the tile was excluded (fault script).
 	CacheHit bool
 	CacheKey string
 }
@@ -441,14 +431,6 @@ type Result struct {
 	CacheHits   int
 	CacheMisses int
 	CacheBytes  int64
-
-	// Merged / Split / Skipped describe the adaptive plan: 2×2 blocks
-	// fused into one tile, cells fractured into four, and tiles proven
-	// empty by the occupancy scan (never rasterized). All zero in
-	// uniform mode.
-	Merged  int
-	Split   int
-	Skipped int
 
 	// PeakBytes estimates the peak bytes of flow-owned buffers held
 	// resident during the run: the layout span index, one window target
@@ -509,21 +491,34 @@ func ownedShots(shots []geom.Circle, ox, oy, cx, cy, corePx int) []geom.Circle {
 	return kept
 }
 
-// tileJob identifies one window by its plan index, core origin, and —
-// since tiling went adaptive — its own core/window edges. skip marks a
-// tile the occupancy scan proved empty: no rasterization, no optimizer,
-// no shots.
+// tileJob identifies one window by its plan index and core origin; every
+// window has a Config.CorePx core and a Config.window() edge.
 type tileJob struct {
 	index  int
 	cx, cy int
-	core   int // core edge in px
-	window int // window edge in px (core + 2·halo)
-	skip   bool
 }
 
 // origin is the window's top-left corner in full-grid pixels: the core
 // origin pulled back by the halo.
 func (j tileJob) origin(halo int) (ox, oy int) { return j.cx - halo, j.cy - halo }
+
+// stat is the identity a tile's record starts from.
+func (j tileJob) stat(cfg Config) TileStat {
+	return TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: cfg.CorePx, Window: cfg.window()}
+}
+
+// planTiles cuts the grid into CorePx cells in row-major order — the
+// reduce order, and the order checkpoint journal keys and streamed bands
+// are indexed by.
+func planTiles(cfg Config) []tileJob {
+	var jobs []tileJob
+	for cy := 0; cy < cfg.GridN; cy += cfg.CorePx {
+		for cx := 0; cx < cfg.GridN; cx += cfg.CorePx {
+			jobs = append(jobs, tileJob{index: len(jobs), cx: cx, cy: cy})
+		}
+	}
+	return jobs
+}
 
 // tileOut is one window's contribution before the ordered reduce. raw
 // holds the full window-local shot list (pre-ownership-filter) so a
@@ -541,9 +536,9 @@ type tileOut struct {
 // channel for asynchronous failures (journal appends, bundle saves).
 // ServeTask builds a minimal env with no layout, index or journal.
 type runEnv struct {
-	cfg       Config                         // effective config: Faults already wrapped in
-	rawFaults FaultPlan                      // the unwrapped plan, recorded into bundles
-	opticsFor func(window int) optics.Config // per-window-size imaging condition
+	cfg       Config        // effective config: Faults already wrapped in
+	rawFaults FaultPlan     // the unwrapped plan, recorded into bundles
+	optics    optics.Config // the window's imaging condition
 	lay       *layout.Layout
 	fp        []byte
 	keyPrefix string // config fingerprint: the dedup cache key prefix
@@ -837,7 +832,7 @@ func capString(s string, n int) string {
 
 // executor is the one step of a tile that depends on where tiles run:
 // given the rasterized window it fills out with the degradation
-// ladder's result — on this goroutine's own simulators, or through a
+// ladder's result — on this goroutine's own simulator, or through a
 // worker slot that falls back to the local ladder when its breaker
 // opens. A canceled context leaves out.stat.Path empty.
 type executor func(ctx context.Context, j tileJob, target *grid.Real, out *tileOut)
@@ -851,17 +846,13 @@ type executor func(ctx context.Context, j tileJob, target *grid.Real, out *tileO
 // turns that into ctx.Err() for the whole run.
 func (env *runEnv) runTile(ctx context.Context, exec executor, j tileJob) (out tileOut) {
 	start := time.Now()
-	out = tileOut{stat: TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}}
+	out = tileOut{stat: j.stat(env.cfg)}
 	// out is the named result: a deferred write to a local would land
 	// after the return value was already copied out.
 	defer func() { out.stat.Wall = time.Since(start) }()
-	if j.skip {
-		// The occupancy scan proved this window empty at plan time; it
-		// contributes exactly what an unoccupied tile always has.
-		return out
-	}
 	ox, oy := j.origin(env.cfg.HaloPx)
-	target, occupied := env.ix.Window(ox, oy, j.window, j.window)
+	window := env.cfg.window()
+	target, occupied := env.ix.Window(ox, oy, window, window)
 	out.stat.Occupied = occupied
 	out.stat.RasterWall = time.Since(start)
 	if !occupied {
@@ -895,7 +886,7 @@ func (env *runEnv) fold(j tileJob, target *grid.Real, shots []geom.Circle, path 
 	case PathPrimary, PathFallback:
 		out.raw = shots
 		ox, oy := j.origin(env.cfg.HaloPx)
-		out.shots = ownedShots(shots, ox, oy, j.cx, j.cy, j.core)
+		out.shots = ownedShots(shots, ox, oy, j.cx, j.cy, env.cfg.CorePx)
 		out.stat.Shots = len(out.shots)
 	case PathEmpty:
 		env.saveQuarantine(j, target, outcomes, &out.stat)
@@ -943,11 +934,11 @@ func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptO
 		StallTimeout:  cfg.StallTimeout,
 		RMinPx:        cfg.RMinPx,
 		RMaxPx:        cfg.RMaxPx,
-		Optics:        env.opticsFor(j.window),
+		Optics:        env.optics,
 		Engines:       cfg.Engines,
 		Tile: quarantine.Tile{
 			Index: j.index, CX: j.cx, CY: j.cy,
-			OriginX: ox, OriginY: oy, WindowPx: j.window,
+			OriginX: ox, OriginY: oy, WindowPx: cfg.window(),
 		},
 		TargetW: target.W,
 		TargetH: target.H,
@@ -957,7 +948,7 @@ func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptO
 	if env.lay != nil {
 		b.LayoutName = env.lay.Name
 		b.TileNM = env.lay.TileNM
-		b.Rects = overlapRects(env.lay, cfg.GridN, ox, oy, j.window)
+		b.Rects = overlapRects(env.lay, cfg.GridN, ox, oy, cfg.window())
 	}
 	for _, o := range outcomes {
 		b.Attempts = append(b.Attempts, quarantine.Attempt{
@@ -1001,8 +992,8 @@ const numericsVersion = 3
 
 // configFingerprint hashes every config knob that can change a window's
 // optimized output — tiling geometry, validation policy, optics, engine
-// metadata, adaptive-plan knobs, the physical pixel pitch, and the
-// numerics version — but no layout geometry. It serves two masters: it
+// metadata, the physical pixel pitch, and the numerics version — but no
+// layout geometry. It serves two masters: it
 // is the window dedup cache's key prefix (layout-free, so identical
 // windows collide across layouts and runs), and it is folded into the
 // per-(layout, tiling) checkpoint fingerprint below. It cannot cover the
@@ -1015,11 +1006,6 @@ func configFingerprint(cfg Config, dxNM float64) string {
 	fmt.Fprintf(h, "optics=%+v\n", cfg.Optics)
 	fmt.Fprintf(h, "engines=%+v\n", cfg.Engines)
 	fmt.Fprintf(h, "numerics=%d\n", numericsVersion)
-	// The adaptive knobs are deliberately absent: a window's result
-	// depends on its content and geometry (both in the window key), not
-	// on how the plan chose to draw it, so uniform and adaptive runs
-	// share cache entries. The journal fingerprint below does cover
-	// them — tile indices mean different windows across plans.
 	return fmt.Sprintf("cfaopc-cfg-v2 %016x", h.Sum64())
 }
 
@@ -1053,11 +1039,15 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("flow: RemoteHosts and ProcWorkers are mutually exclusive transports")
 	case (len(cfg.RemoteHosts) > 0 || cfg.ProcWorkers > 0) && cfg.Engines.Primary == "":
 		return fmt.Errorf("flow: ProcWorkers and RemoteHosts require Engines metadata (the worker rebuilds the optimizer chain from it)")
-	case cfg.CorePx+2*cfg.HaloPx > cfg.GridN:
-		return fmt.Errorf("flow: window %d exceeds grid %d", cfg.CorePx+2*cfg.HaloPx, cfg.GridN)
+	case cfg.window() > cfg.GridN:
+		return fmt.Errorf("flow: window %d exceeds grid %d", cfg.window(), cfg.GridN)
 	}
 	return nil
 }
+
+// window is the edge of every window in px: the core plus a halo on each
+// side.
+func (cfg Config) window() int { return cfg.CorePx + 2*cfg.HaloPx }
 
 // RunContext is Run under a context: cancellation (SIGINT, deadline)
 // stops the worker pool and the in-flight simulations promptly and
@@ -1069,24 +1059,18 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		return nil, err
 	}
 	dx := float64(l.TileNM) / float64(cfg.GridN)
-	baseOptics := cfg.Optics
 	env := &runEnv{
 		cfg:       cfg.withInjectedFaults(),
 		rawFaults: cfg.Faults,
-		// Optics are shift-invariant, so one kernel set serves every
-		// window of a given physical size; with adaptive tiling there
-		// are a handful of sizes, each binding its own (cached) set.
-		opticsFor: func(w int) optics.Config {
-			o := baseOptics
-			o.TileNM = float64(w) * dx
-			return o
-		},
+		optics:    cfg.Optics,
 		lay:       l,
 		fp:        fingerprint(l, cfg),
 		keyPrefix: configFingerprint(cfg, dx),
 		errCh:     make(chan error, 1),
 		events:    cfg.Events,
 	}
+	// Optics are shift-invariant, so one kernel set serves every window.
+	env.optics.TileNM = float64(cfg.window()) * dx
 	if env.events != nil {
 		// Heartbeats reach the sink through the same hook a worker
 		// supervisor uses, so in-process attempts and forwarded worker
@@ -1098,30 +1082,29 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	}
 
 	// Plan. No full-grid raster is ever allocated: workers rasterize
-	// each window on demand from the row-bucketed span index, which
-	// also feeds the occupancy scan the adaptive plan reads.
+	// each window on demand from the row-bucketed span index.
 	env.ix = layout.NewWindowIndex(l, cfg.GridN)
-	plan := planTiles(cfg, env.ix)
-	outs := make([]tileOut, len(plan.jobs))
+	plan := planTiles(cfg)
+	outs := make([]tileOut, len(plan))
 	// Prefill identity so a drained run's stats stay truthful for tiles
 	// that were never dispatched.
-	for _, j := range plan.jobs {
-		outs[j.index].stat = TileStat{Index: j.index, CX: j.cx, CY: j.cy, Core: j.core, Window: j.window}
+	for _, j := range plan {
+		outs[j.index].stat = j.stat(cfg)
 	}
 	var asm *bandAssembler
 	if cfg.MaskWriter != nil {
-		asm = newBandAssembler(cfg.GridN, cfg.CorePx, plan.perRow, cfg.RMaxPx, cfg.MaskWriter)
+		asm = newBandAssembler(cfg.GridN, cfg.CorePx, cfg.RMaxPx, cfg.MaskWriter)
 	}
 
 	// Replay the checkpoint journal, if any.
-	jobs, resumed, err := env.replay(&plan, outs, asm)
+	jobs, resumed, err := env.replay(plan, outs, asm)
 	if err != nil {
 		return nil, err
 	}
 	defer env.journal.close()
 
 	// Execute: one goroutine per lane draws tiles off jobCh.
-	lanes, err := env.lanes(cfg.connector(len(jobs)), &plan, len(jobs))
+	lanes, err := env.lanes(cfg.connector(len(jobs)), len(jobs))
 	if err != nil {
 		return nil, err
 	}
@@ -1136,8 +1119,7 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		env.emitTile(j.index, out.stat)
 		if ctx.Err() == nil {
 			if asm != nil {
-				r0, r1 := plan.rowSpan(j)
-				asm.tileDone(r0, r1, out.shots)
+				asm.tileDone(j.cy/cfg.CorePx, out.shots)
 			}
 			env.journal.tile(out)
 		}
@@ -1190,7 +1172,7 @@ feed:
 			return nil, fmt.Errorf("flow: mask writer: %w", err)
 		}
 	}
-	res := env.reduce(&plan, outs, len(lanes))
+	res := env.reduce(outs, len(lanes))
 	res.Resumed = resumed
 	res.Completed = int(completed.Load())
 	if drained {
@@ -1210,35 +1192,21 @@ type lane struct {
 }
 
 // lanes builds the run's worker lanes. Simulators are built serially up
-// front so a kernel error surfaces before any goroutine starts: one set
-// (a simulator per window size in the plan) per in-process lane, or —
-// worker processes build their own — a single shared set that every
-// slot's open breaker falls back to, one tile at a time. Skip tiles
-// never bind a simulator, so an all-empty adaptive plan builds none.
-func (env *runEnv) lanes(conn *connector, plan *tilePlan, jobs int) ([]lane, error) {
+// front so a kernel error surfaces before any goroutine starts: one per
+// in-process lane, or — worker processes build their own — a single
+// shared one that every slot's open breaker falls back to, one tile at
+// a time.
+func (env *runEnv) lanes(conn *connector, jobs int) ([]lane, error) {
 	cfg := env.cfg
-	newSimSet := func() (map[int]*litho.Simulator, error) {
-		set := make(map[int]*litho.Simulator, len(plan.sizes))
-		for _, w := range plan.sizes {
-			sim, err := litho.New(env.opticsFor(w), w)
-			if err != nil {
-				// Adaptive plans derive extra window sizes; name the size so a
-				// threshold-induced kernel failure is actionable.
-				return nil, fmt.Errorf("flow: %dpx window simulator: %w", w, err)
-			}
-			sim.KOpt = cfg.KOpt
-			sim.Workers = cfg.Workers
-			set[w] = sim
-		}
-		return set, nil
-	}
 	local := func() (executor, error) {
-		sims, err := newSimSet()
+		sim, err := litho.New(env.optics, cfg.window())
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("flow: %dpx window simulator: %w", cfg.window(), err)
 		}
+		sim.KOpt = cfg.KOpt
+		sim.Workers = cfg.Workers
 		return func(ctx context.Context, j tileJob, target *grid.Real, out *tileOut) {
-			env.ladder(ctx, sims[j.window], j, target, out)
+			env.ladder(ctx, sim, j, target, out)
 		}, nil
 	}
 	if conn == nil {
@@ -1272,7 +1240,7 @@ func (env *runEnv) lanes(conn *connector, plan *tilePlan, jobs int) ([]lane, err
 
 // reduce stitches the per-tile outputs in row-major tile order,
 // regardless of completion order, and totals the run's counters.
-func (env *runEnv) reduce(plan *tilePlan, outs []tileOut, workers int) *Result {
+func (env *runEnv) reduce(outs []tileOut, workers int) *Result {
 	cfg := env.cfg
 	res := &Result{Tiles: len(outs), TileStats: make([]TileStat, 0, len(outs))}
 	for i := range outs {
@@ -1303,8 +1271,7 @@ func (env *runEnv) reduce(plan *tilePlan, outs []tileOut, workers int) *Result {
 	if cfg.Cache != nil {
 		res.CacheBytes = cfg.Cache.Stats().Bytes
 	}
-	res.Merged, res.Split, res.Skipped = plan.merged, plan.split, plan.skipped
-	res.PeakBytes = estimatePeakBytes(cfg, plan.maxWindow, workers, env.ix.Bytes(), len(res.Shots))
+	res.PeakBytes = estimatePeakBytes(cfg, workers, env.ix.Bytes(), len(res.Shots))
 	res.CheckpointDegraded, res.CheckpointErr = env.journal.degraded()
 	res.QuarantineDropped = int(env.quarDropped.Load())
 	return res
@@ -1313,10 +1280,10 @@ func (env *runEnv) reduce(plan *tilePlan, outs []tileOut, workers int) *Result {
 // estimatePeakBytes adds up the flow-owned buffers documented on
 // Result.PeakBytes. Per-worker window targets dominate: no term scales
 // with GridN².
-func estimatePeakBytes(cfg Config, window, workers int, indexBytes int64, shots int) int64 {
+func estimatePeakBytes(cfg Config, workers int, indexBytes int64, shots int) int64 {
 	const f64 = 8
 	peak := indexBytes
-	peak += int64(workers) * int64(window) * int64(window) * f64
+	peak += int64(workers) * int64(cfg.window()) * int64(cfg.window()) * f64
 	if cfg.MaskWriter != nil {
 		peak += int64(cfg.GridN) * int64(cfg.CorePx) * f64 // one band in flight
 	}

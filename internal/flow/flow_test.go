@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"reflect"
 	"testing"
 
 	"cfaopc/internal/core"
@@ -397,25 +398,40 @@ func TestTileStatWall(t *testing.T) {
 		t.Fatalf("%d of %d tiles occupied; the test needs both kinds", occupied, len(res.TileStats))
 	}
 
-	cfg = adaptiveConfig()
+	cfg = cacheConfig()
 	cfg.Cache = mustCache(t, wcache.Config{})
-	for _, l := range []*layout.Layout{arrayLayout(), adaptiveLayout()} {
-		res, err = Run(l, cfg)
-		if err != nil {
-			t.Fatal(err)
+	res, err = Run(arrayLayout(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range res.TileStats {
+		if st.Wall < st.RasterWall || st.RasterWall < 0 {
+			t.Errorf("array tile %d (hit=%v): Wall %v, RasterWall %v", st.Index, st.CacheHit, st.Wall, st.RasterWall)
 		}
-		for _, st := range res.TileStats {
-			if st.Wall < st.RasterWall || st.RasterWall < 0 {
-				t.Errorf("%s tile %d (hit=%v): Wall %v, RasterWall %v", l.Name, st.Index, st.CacheHit, st.Wall, st.RasterWall)
-			}
-			if st.CacheHit && st.Wall <= 0 {
-				t.Errorf("%s cached tile %d: Wall %v, want positive", l.Name, st.Index, st.Wall)
-			}
+		if st.CacheHit && st.Wall <= 0 {
+			t.Errorf("array cached tile %d: Wall %v, want positive", st.Index, st.Wall)
 		}
-		if l.Name == "adaptive" && res.Skipped == 0 {
-			t.Fatal("the adaptive run skipped no tile")
-		} else if l.Name != "adaptive" && res.CacheHits == 0 {
-			t.Fatal("the array run served no tile from the cache")
-		}
+	}
+	if res.CacheHits == 0 {
+		t.Fatal("the array run served no tile from the cache")
+	}
+}
+
+// TestPlanTilesUniform pins the plan to the row-major CorePx grid —
+// indices and origins — and the identity every tile's stat starts from.
+func TestPlanTilesUniform(t *testing.T) {
+	cfg := testConfig() // 256 grid, 128 core, 32 halo → 2×2
+	want := []tileJob{
+		{index: 0, cx: 0, cy: 0},
+		{index: 1, cx: 128, cy: 0},
+		{index: 2, cx: 0, cy: 128},
+		{index: 3, cx: 128, cy: 128},
+	}
+	got := planTiles(cfg)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("plan = %+v, want %+v", got, want)
+	}
+	if st := got[3].stat(cfg); st != (TileStat{Index: 3, CX: 128, CY: 128, Core: 128, Window: 192}) {
+		t.Fatalf("tile 3 stat = %+v", st)
 	}
 }

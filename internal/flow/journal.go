@@ -79,15 +79,16 @@ func decodeRecord(p []byte) (journalRecord, error) {
 // one (layout, tiling) pair: the config fingerprint plus the layout
 // identity and geometry. Resuming with a different optimizer chain
 // remains the caller's responsibility, like any cache key. v3 added
-// per-tile cache/adaptive stats and the config-fingerprint split; v4
+// per-tile cache stats and the config-fingerprint split; v4
 // added remote-host provenance to TileStat — each bump makes older
 // journals fail the header check instead of decoding garbage.
 func fingerprint(l *layout.Layout, cfg Config) []byte {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "cfg=%s\n", configFingerprint(cfg, float64(l.TileNM)/float64(cfg.GridN)))
-	// merge/split were Config knobs no binary ever set; the literal zeros
-	// keep every journal header written so far matching.
-	fmt.Fprintf(h, "adaptive=%v merge=0 split=0\n", cfg.AdaptiveTiles)
+	// The plan was once selectable (occupancy-adaptive tiling, with merge
+	// and split thresholds); the literal keeps every journal a uniform
+	// run wrote matching, and fails an adaptive run's at the header.
+	fmt.Fprint(h, "adaptive=false merge=0 split=0\n")
 	fmt.Fprintf(h, "layout=%s tile=%d\n", l.Name, l.TileNM)
 	for _, r := range l.Rects {
 		fmt.Fprintf(h, "%d,%d,%d,%d\n", r.X, r.Y, r.W, r.H)
@@ -141,10 +142,10 @@ func decodeJournal(payloads [][]byte, nTiles int) ([]tileRecord, map[int]procpoo
 // (and count toward band completion exactly like recomputed ones, so
 // streamed bands work across resume), and the freshest partial snapshot
 // of each unfinished tile is kept to warm-start its recomputation.
-func (env *runEnv) replay(plan *tilePlan, outs []tileOut, asm *bandAssembler) (jobs []tileJob, resumed int, err error) {
+func (env *runEnv) replay(plan []tileJob, outs []tileOut, asm *bandAssembler) (jobs []tileJob, resumed int, err error) {
 	cfg := env.cfg
 	if cfg.CheckpointPath == "" {
-		return plan.jobs, 0, nil
+		return plan, 0, nil
 	}
 	j, payloads, err := checkpoint.OpenFS(cfg.FS, cfg.CheckpointPath, env.fp)
 	if err != nil {
@@ -165,12 +166,11 @@ func (env *runEnv) replay(plan *tilePlan, outs []tileOut, asm *bandAssembler) (j
 		outs[rec.Stat.Index] = tileOut{shots: rec.Shots, stat: rec.Stat}
 		env.emitTile(rec.Stat.Index, rec.Stat)
 	}
-	for _, j := range plan.jobs {
+	for _, j := range plan {
 		if !outs[j.index].stat.Resumed {
 			jobs = append(jobs, j)
 		} else if asm != nil {
-			r0, r1 := plan.rowSpan(j)
-			asm.tileDone(r0, r1, outs[j.index].shots)
+			asm.tileDone(j.cy/cfg.CorePx, outs[j.index].shots)
 		}
 	}
 	return jobs, len(tiles), nil

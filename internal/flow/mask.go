@@ -65,14 +65,13 @@ type bandAssembler struct {
 	err      error           // first writer error, surfaced by finish
 }
 
-// newBandAssembler sizes the assembler for a band grid of uniform
-// corePx-high rows; perRow[r] counts the planned tiles whose core
-// intersects band row r (a merged adaptive tile counts toward every row
-// it spans). When rMaxPx > 0 a shot can reach at most a bounded number
-// of band rows, so bands stream as soon as their neighborhood of rows
-// completes; otherwise emission waits for finish.
-func newBandAssembler(gridN, corePx int, perRow []int, rMaxPx float64, w MaskWriter) *bandAssembler {
-	rows := len(perRow)
+// newBandAssembler sizes the assembler for the square plan's band grid:
+// as many corePx-high rows as tiles per row. When rMaxPx > 0 a shot can
+// reach at most a bounded number of band rows, so bands stream as soon
+// as their neighborhood of rows completes; otherwise emission waits for
+// finish.
+func newBandAssembler(gridN, corePx int, rMaxPx float64, w MaskWriter) *bandAssembler {
+	rows := (gridN + corePx - 1) / corePx
 	a := &bandAssembler{
 		gridN:     gridN,
 		corePx:    corePx,
@@ -80,7 +79,10 @@ func newBandAssembler(gridN, corePx int, perRow []int, rMaxPx float64, w MaskWri
 		reachRows: -1,
 		w:         w,
 		rowShots:  make([][]geom.Circle, rows),
-		rowLeft:   append([]int(nil), perRow...),
+		rowLeft:   make([]int, rows),
+	}
+	for r := range a.rowLeft {
+		a.rowLeft[r] = rows
 	}
 	if rMaxPx > 0 {
 		// A shot of radius R centered in band row r' can only touch rows
@@ -91,11 +93,11 @@ func newBandAssembler(gridN, corePx int, perRow []int, rMaxPx float64, w MaskWri
 	return a
 }
 
-// tileDone records one completed tile's owned shots and emits every band
-// whose contributing rows are now all complete. The tile's core spans
-// band rows [r0, r1]; its shots are bucketed by center row (band
-// rasterization is a union, so within-row order is irrelevant).
-func (a *bandAssembler) tileDone(r0, r1 int, shots []geom.Circle) {
+// tileDone records one completed tile of band row r and its owned shots,
+// and emits every band whose contributing rows are now all complete.
+// Shots are bucketed by center row (band rasterization is a union, so
+// within-row order is irrelevant).
+func (a *bandAssembler) tileDone(r int, shots []geom.Circle) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.err != nil {
@@ -111,9 +113,7 @@ func (a *bandAssembler) tileDone(r0, r1 int, shots []geom.Circle) {
 		}
 		a.rowShots[row] = append(a.rowShots[row], s)
 	}
-	for r := r0; r <= r1; r++ {
-		a.rowLeft[r]--
-	}
+	a.rowLeft[r]--
 	a.advance(false)
 }
 

@@ -34,7 +34,7 @@ func configFingerprintV1(cfg Config, dxNM float64) string {
 func fingerprintV1(l *layout.Layout, cfg Config) []byte {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "cfg=%s\n", configFingerprintV1(cfg, float64(l.TileNM)/float64(cfg.GridN)))
-	fmt.Fprintf(h, "adaptive=%v merge=0 split=0\n", cfg.AdaptiveTiles)
+	fmt.Fprint(h, "adaptive=false merge=0 split=0\n")
 	fmt.Fprintf(h, "layout=%s tile=%d\n", l.Name, l.TileNM)
 	for _, r := range l.Rects {
 		fmt.Fprintf(h, "%d,%d,%d,%d\n", r.X, r.Y, r.W, r.H)
@@ -76,8 +76,8 @@ func TestNumericsVersionStaleCacheEntryIsMiss(t *testing.T) {
 	// both prefixes the way runTile does.
 	dx := float64(l.TileNM) / float64(cfg.GridN)
 	env := &runEnv{cfg: cfg, ix: layout.NewWindowIndex(l, cfg.GridN)}
-	j := planTiles(cfg, env.ix).jobs[0]
-	target, _ := env.ix.Window(j.cx-cfg.HaloPx, j.cy-cfg.HaloPx, j.window, j.window)
+	j := planTiles(cfg)[0]
+	target, _ := env.ix.Window(j.cx-cfg.HaloPx, j.cy-cfg.HaloPx, cfg.window(), cfg.window())
 	env.keyPrefix = configFingerprintV1(cfg, dx)
 	staleKey := env.windowKey(j, target)
 	env.keyPrefix = configFingerprint(cfg, dx)

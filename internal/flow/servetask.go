@@ -72,7 +72,7 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 		env.partials = map[int]procpool.PartialState{index: *t.Resume}
 	}
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: b.Target}
-	j := tileJob{index: index, cx: b.Tile.CX, cy: b.Tile.CY, core: cfg.CorePx, window: target.W}
+	j := tileJob{index: index, cx: b.Tile.CX, cy: b.Tile.CY}
 	reply.Shots, reply.Path, reply.Outcomes = env.attemptSequence(ctx, sim, j, target)
 	if reply.Path == "" {
 		// Only a canceled context abandons a ladder: a replay

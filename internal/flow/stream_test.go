@@ -194,7 +194,7 @@ func TestMaskWriterErrorSurfaces(t *testing.T) {
 // top-to-bottom exactly once, and with a radius bound the early bands
 // must be emitted before the bottom rows complete.
 func TestBandAssemblerOrderAndReach(t *testing.T) {
-	const gridN, corePx, rows, cols = 96, 24, 4, 4
+	const gridN, corePx, rows = 96, 24, 4
 	shotFor := func(row, col int) geom.Circle {
 		return geom.Circle{X: float64(col*corePx + 10), Y: float64(row*corePx + 10), R: 6}
 	}
@@ -208,11 +208,7 @@ func TestBandAssemblerOrderAndReach(t *testing.T) {
 		got = append(got, band{y0, g.Clone()})
 		return nil
 	})
-	perRow := make([]int, rows)
-	for r := range perRow {
-		perRow[r] = cols
-	}
-	a := newBandAssembler(gridN, corePx, perRow, 6, rec)
+	a := newBandAssembler(gridN, corePx, 6, rec)
 	// Rows 0-2 complete (out of order) in the first 12 completions; row 3
 	// stays outstanding. Reach is int(6/24)+2 = 2 tile rows, so band 0
 	// (needing rows 0..2) must stream out before row 3 finishes.
@@ -223,12 +219,12 @@ func TestBandAssemblerOrderAndReach(t *testing.T) {
 	for i, o := range order {
 		s := shotFor(o.row, o.col)
 		all = append(all, s)
-		a.tileDone(o.row, o.row, []geom.Circle{s})
+		a.tileDone(o.row, []geom.Circle{s})
 		if i == 11 && len(got) == 0 {
 			t.Fatal("no band emitted although rows 0-2 completed under a radius bound")
 		}
 	}
-	a.tileDone(3, 3, []geom.Circle{shotFor(3, 3)})
+	a.tileDone(3, []geom.Circle{shotFor(3, 3)})
 	all = append(all, shotFor(3, 3))
 	if err := a.finish(); err != nil {
 		t.Fatal(err)

@@ -61,19 +61,21 @@ func TestROIDefaultApplied(t *testing.T) {
 	}
 }
 
+// TestMosaicLBFGSOptimizer is the exhibit that keeps opt/lbfgs.go: at
+// equal iterations on the same tile, the quasi-Newton Mosaic prints no
+// worse than the Adam one (EXPERIMENTS.md has the four-case table: 5-20×
+// lower L2 at 2-2.4× the wall).
 func TestMosaicLBFGSOptimizer(t *testing.T) {
 	sim, target := testSetup(t)
 	cfg := quickCfg()
-	cfg.Optimizer = "lbfgs"
 	cfg.Iterations = 10
+	adam := printL2(sim, (&Mosaic{Cfg: cfg}).Optimize(sim, target), target)
+	cfg.Optimizer = "lbfgs"
 	mask := (&Mosaic{Cfg: cfg}).Optimize(sim, target)
 	if mask.Sum() == 0 {
 		t.Fatal("L-BFGS Mosaic produced an empty mask")
 	}
-	// It must beat the empty mask decisively on print fidelity.
-	base := printL2(sim, target, target)
-	got := printL2(sim, mask, target)
-	if got > 2*base {
-		t.Fatalf("L-BFGS mask L2 %v vs identity-mask %v", got, base)
+	if got := printL2(sim, mask, target); got > adam {
+		t.Fatalf("L-BFGS print L2 %v px² is worse than Adam's %v at equal iterations", got, adam)
 	}
 }

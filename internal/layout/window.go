@@ -149,9 +149,9 @@ func (ix *WindowIndex) Bytes() int64 {
 // origin (x0, y0) would contain, without allocating the raster. For a
 // validated layout (non-overlapping rects) the count is exact: the
 // center-sample convention maps disjoint rects to disjoint pixel spans,
-// so summing clipped span areas never double-counts. The occupancy scan
-// is what the adaptive tiling plan is computed from, so it must agree
-// with Window: occupancy zero if and only if Window reports unoccupied.
+// so summing clipped span areas never double-counts. It agrees with
+// Window — occupancy zero if and only if Window reports unoccupied — and
+// is what the benchmark's probes pick their densest window by.
 func (ix *WindowIndex) Occupancy(x0, y0, w, h int) int {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("layout: invalid window %dx%d", w, h))

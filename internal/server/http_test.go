@@ -168,6 +168,47 @@ func TestHTTPSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitRefusesSubWavelengthWindow: a window legal in pixels but
+// narrower than λ/NA at the layout's pitch is a 400 carrying the reason,
+// before anything is journaled — it used to be accepted and fail only
+// when dispatched, inside the kernel build.
+func TestHTTPSubmitRefusesSubWavelengthWindow(t *testing.T) {
+	m, ts := newTestService(t, testLayoutRoot(t), 1, 2, false)
+	logPath := filepath.Join(m.dataDir, "jobs.log")
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"case":10,"grid":2048,"tile_core":64,"tile_halo":32}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr apiError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || apiErr.Reason != "bad_spec" ||
+		!strings.Contains(apiErr.Error, "128 nm") || !strings.Contains(apiErr.Error, "λ/NA = 143.0 nm") {
+		t.Fatalf("status %d, error %+v; want a 400 bad_spec naming the 128 nm window and the λ/NA floor", resp.StatusCode, apiErr)
+	}
+	after, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) || len(m.List()) != 0 {
+		t.Fatalf("the refused spec left a trace: jobs.log %d → %d bytes, %d jobs listed", len(before), len(after), len(m.List()))
+	}
+	if _, err := os.Stat(m.jobDir("job-0001")); !os.IsNotExist(err) {
+		t.Fatalf("the refused spec created a job directory: %v", err)
+	}
+	// One pixel-pitch step above the floor is admitted.
+	if _, resp := postJob(t, ts.URL, `{"case":10,"grid":2048,"tile_core":80,"tile_halo":32,"method":"circlerule"}`); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("144 nm window: status %d, want 201", resp.StatusCode)
+	}
+}
+
 func TestHTTPQueueFull(t *testing.T) {
 	root := testLayoutRoot(t)
 	// Executor never started: nothing drains, so the cap must hold.

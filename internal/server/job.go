@@ -486,6 +486,11 @@ func (m *Manager) Submit(spec *JobSpec) (JobStatus, error) {
 	if err != nil {
 		return JobStatus{}, fmt.Errorf("spec: layout: %w", err)
 	}
+	// The checks that need the layout's pitch run now, so the client gets
+	// the reason as a 400 and nothing unrunnable is journaled.
+	if _, err := spec.FlowConfig(l); err != nil {
+		return JobStatus{}, err
+	}
 	cost := EstimateCost(spec, len(l.Rects))
 	m.mu.Lock()
 	defer m.mu.Unlock()

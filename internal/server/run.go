@@ -57,6 +57,11 @@ type RunOpts struct {
 // caller may still set on the result is how and where this process runs
 // it (transport, timeouts, quarantine), on the fields
 // flow.Config already owns; Run fills in the RunOpts plumbing.
+//
+// It is also the first place the pixel pitch is known, so the physical
+// window floor is checked here: a window narrower than λ/NA holds no
+// frequency bin inside the pupil, and the kernel build would fail on it
+// at dispatch.
 func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 	fallback := s.Fallback
 	if fallback == "none" {
@@ -71,11 +76,17 @@ func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 		return cfg, err
 	}
 	dx := float64(l.TileNM) / float64(s.GridN)
+	o := optics.Default()
+	window := s.TileCore + 2*s.TileHalo
+	if nm, floor := float64(window)*dx, o.Wavelength/o.NA; nm < floor {
+		return cfg, fmt.Errorf("spec: window %d px (core %d + 2x halo %d) is %.4g nm at %.4g nm/px, below the λ/NA = %.1f nm floor the optics can image; raise tile_core or tile_halo",
+			window, s.TileCore, s.TileHalo, nm, dx, floor)
+	}
 	return flow.Config{
 		GridN:       s.GridN,
 		CorePx:      s.TileCore,
 		HaloPx:      s.TileHalo,
-		Optics:      optics.Default(),
+		Optics:      o,
 		KOpt:        s.KOpt,
 		TileWorkers: s.TileWorkers,
 		Optimize:    optimize,

@@ -132,6 +132,37 @@ func TestRunSpecRejectsUnknownEngines(t *testing.T) {
 	}
 }
 
+// TestFlowConfigPhysicalWindowFloor: Validate can only bound the window
+// in pixels; FlowConfig knows the pitch and refuses a window the optics
+// cannot image (λ/NA = 142.96 nm), naming both — and a window one step
+// above the floor runs.
+func TestFlowConfigPhysicalWindowFloor(t *testing.T) {
+	for _, tc := range []struct {
+		spec    string
+		wantErr string
+	}{
+		{`{"case":10,"grid":2048,"tile_core":64,"tile_halo":32,"method":"circlerule"}`, "is 128 nm at 1 nm/px, below the λ/NA = 143.0 nm floor"},
+		{`{"case":10,"grid":1024,"tile_core":16,"tile_halo":16,"method":"circlerule"}`, "is 96 nm at 2 nm/px, below the λ/NA = 143.0 nm floor"},
+		{`{"case":10,"grid":2048,"tile_core":80,"tile_halo":32,"method":"circlerule"}`, ""},
+	} {
+		spec, err := parseSpecString(t, tc.spec)
+		if err != nil {
+			t.Fatalf("%s: ParseSpec: %v (the pixel bounds admit it)", tc.spec, err)
+		}
+		l, err := spec.ResolveLayout("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunSpec(context.Background(), l, spec, RunOpts{})
+		switch {
+		case tc.wantErr == "" && (err != nil || len(res.Shots) == 0):
+			t.Errorf("%s: err %v, want a run with shots", tc.spec, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: err %v, want one containing %q", tc.spec, err, tc.wantErr)
+		}
+	}
+}
+
 func TestRunSpecCanceledContextAborts(t *testing.T) {
 	root := testLayoutRoot(t)
 	spec, err := parseSpecString(t, fastSpecJSON)

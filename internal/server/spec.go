@@ -63,7 +63,8 @@ type JobSpec struct {
 // minWindow is the smallest window edge the service admits. The litho
 // simulator rejects tiny grids outright, and windows near that floor
 // spend all their area on halo; 48 px keeps every admitted job inside
-// the regime the flow is tested in.
+// the regime the flow is tested in. The physical floor — a window of at
+// least λ/NA nm — needs the layout's pitch and is FlowConfig's to check.
 const minWindow = 48
 
 // maxGrid bounds the simulation grid a single job may request; it caps
