@@ -461,7 +461,7 @@ func TestCLIOneWindowParity(t *testing.T) {
 		t.Error("-checkpoint: resumed one-window run differs from the uninterrupted one")
 	}
 
-	// -mask-out: the streamed PGM is the written shot list, rasterized.
+	// -mask-out: the PGM is the written shot list, rasterized.
 	runCLI(t, work, cfaopc, "-case", "3", "-grid", "128", "-method", "circlerule", "-mask-out", "mask.pgm", "-out", "masked")
 	shots, err := fracture.ReadShotsCSV(bytes.NewReader(readFile(t, work, "masked", "case3_shots.csv")), 2048.0/128)
 	if err != nil {
@@ -538,9 +538,14 @@ func TestCLIReportDescribesTheArtifact(t *testing.T) {
 // plan's shot CSVs reproduce byte for byte at any tile-worker count and on
 // worker subprocesses, and a journal the adaptive plan wrote is refused at
 // its header — its tile indices name windows this build never draws.
+// The -mask-out PGMs are the ones its flow streamed band by band as tile
+// rows finished; written after the run from the shot list they are the
+// same bytes, also when resumed from a journal cut mid-record, as a kill
+// leaves it.
 func TestCLIParentTiledBytes(t *testing.T) {
 	cfaopc := buildTools(t, "cfaopc")("cfaopc")
 	work := t.TempDir()
+	pools := [][]string{{"-tile-workers", "1"}, {"-tile-workers", "2"}, {"-proc-workers", "2"}}
 	for _, r := range []struct {
 		fixture, csv string
 		args         []string
@@ -551,7 +556,7 @@ func TestCLIParentTiledBytes(t *testing.T) {
 			[]string{"-case", "1", "-grid", "512", "-tile-core", "128", "-tile-halo", "32", "-method", "circlerule"}},
 	} {
 		want := readFile(t, "testdata", "parent", r.fixture)
-		for _, pool := range [][]string{{"-tile-workers", "1"}, {"-tile-workers", "2"}, {"-proc-workers", "2"}} {
+		for _, pool := range pools {
 			out := runCLI(t, work, cfaopc, append(append(r.args, "-stream", "-out", "tiled"), pool...)...)
 			if strings.Contains(out, "workers: ") {
 				t.Fatalf("%v run degraded off its workers:\n%s", pool, out)
@@ -559,6 +564,41 @@ func TestCLIParentTiledBytes(t *testing.T) {
 			if !bytes.Equal(readFile(t, work, "tiled", r.csv), want) {
 				t.Errorf("%s with %v: shot CSV differs from the parent's", r.fixture, pool)
 			}
+		}
+	}
+
+	for _, r := range []struct {
+		fixture string
+		args    []string
+	}{
+		{"mask_case4_256.pgm", []string{"-case", "4", "-grid", "256", "-tile-core", "64", "-tile-halo", "32", "-method", "circlerule", "-stream"}},
+		{"mask_case1_256_uneven.pgm", []string{"-case", "1", "-grid", "256", "-tile-core", "100", "-tile-halo", "32", "-method", "circlerule", "-stream"}},
+		{"mask_case7_onewindow.pgm", []string{"-case", "7", "-grid", "256", "-method", "circlerule"}},
+	} {
+		want := readFile(t, "testdata", "parent", r.fixture)
+		args := append(r.args, "-mask-out", "m.pgm", "-out", "masked")
+		for _, pool := range pools {
+			runCLI(t, work, cfaopc, append(args, pool...)...)
+			if !bytes.Equal(readFile(t, work, "m.pgm"), want) {
+				t.Errorf("%s with %v: mask differs from the parent's", r.fixture, pool)
+			}
+		}
+		ckpt := filepath.Join(work, r.fixture+".ckpt")
+		args = append(args, "-checkpoint", ckpt)
+		runCLI(t, work, cfaopc, args...)
+		whole := readFile(t, ckpt)
+		if err := os.WriteFile(ckpt, whole[:len(whole)/2], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(work, "m.pgm")); err != nil {
+			t.Fatal(err)
+		}
+		out := runCLI(t, work, cfaopc, args...)
+		if n, tiles := strings.Count(out, "[resumed]"), strings.Count(out, "\n  tile "); tiles > 1 && (n == 0 || n == tiles) {
+			t.Errorf("%s: the cut journal resumed %d of %d tiles; want some, not all:\n%s", r.fixture, n, tiles, out)
+		}
+		if !bytes.Equal(readFile(t, work, "m.pgm"), want) {
+			t.Errorf("%s resumed from a cut journal: mask differs from the parent's", r.fixture)
 		}
 	}
 
@@ -612,5 +652,47 @@ func TestCLIPaperPitchTiledRun(t *testing.T) {
 	if err == nil || !bytes.Contains(msg, []byte("is 128 nm at 1 nm/px, below the λ/NA = 143.0 nm floor")) ||
 		bytes.Count(bytes.TrimSpace(msg), []byte("\n")) != 0 {
 		t.Errorf("128 nm window: %v, want a one-line refusal naming the window and the floor:\n%s", err, msg)
+	}
+}
+
+// TestCLIUnfinishedRunKeepsMask: -mask-out is written once, after the
+// last tile. A run drained by SIGINT exits 3 and leaves the complete
+// mask an earlier run put at that path byte for byte — the parent
+// truncated it at launch and left a 15-byte header promising 512 rows —
+// and a path whose directory cannot take the file is still refused at
+// launch, not after the last tile.
+func TestCLIUnfinishedRunKeepsMask(t *testing.T) {
+	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	work := t.TempDir()
+	runCLI(t, work, cfaopc, "-case", "4", "-grid", "128", "-method", "circlerule", "-stream", "-mask-out", "keep.pgm")
+	kept := readFile(t, work, "keep.pgm")
+
+	var out bytes.Buffer
+	victim := exec.Command(cfaopc, "-case", "4", "-grid", "512", "-tile-core", "64", "-tile-halo", "32",
+		"-tile-workers", "1", "-stream", "-checkpoint", "run.ckpt", "-mask-out", "keep.pgm")
+	victim.Dir, victim.Stdout, victim.Stderr = work, &out, &out
+	if err := victim.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The journal exists once the flow is running, after the signal
+	// handler is installed.
+	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if _, err := os.Stat(filepath.Join(work, "run.ckpt")); err == nil {
+			break
+		}
+	}
+	victim.Process.Signal(os.Interrupt)
+	var exit *exec.ExitError
+	if err := victim.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 3 || !strings.Contains(out.String(), "drained: ") {
+		t.Fatalf("SIGINT mid-run: %v, want exit 3 and a drained summary:\n%s", err, out.String())
+	}
+	if !bytes.Equal(readFile(t, work, "keep.pgm"), kept) {
+		t.Error("the drained run touched the mask an earlier run left at -mask-out")
+	}
+
+	refused := exec.Command(cfaopc, "-case", "4", "-grid", "128", "-method", "circlerule", "-stream", "-mask-out", "nodir/m.pgm")
+	refused.Dir = work
+	if msg, err := refused.CombinedOutput(); err == nil || !bytes.Contains(msg, []byte("-mask-out is not writable")) || bytes.Contains(msg, []byte("tile")) {
+		t.Errorf("unwritable -mask-out: %v, want a refusal before the first tile:\n%s", err, msg)
 	}
 }

@@ -32,8 +32,9 @@
 //
 // Runs are memory-bounded: windows are rasterized on demand from the
 // rect geometry, -stream skips the dense stitched mask entirely, and
-// -mask-out streams the mask to a PGM file in row bands, so peak memory
-// scales with the window size, not the grid.
+// -mask-out rasterizes the finished shot list to a PGM file one row
+// band at a time, so peak memory scales with the window size, not the
+// grid.
 //
 // With -proc-workers N tiles run in supervised worker subprocesses (the
 // binary re-executes itself as its own worker, or -worker-bin names
@@ -118,7 +119,7 @@ func main() {
 		winCache    = flag.String("window-cache", "off", "dedup identical windows — off | mem | disk (disk adds a persistent tier under -cache-dir)")
 		cacheDir    = flag.String("cache-dir", "", "directory for the -window-cache disk tier (survives across runs)")
 		stream      = flag.Bool("stream", false, "memory-bounded run — never materialize a dense full-grid raster (skips the aerial-image metrics and renders; shot list stays the output)")
-		maskOut     = flag.String("mask-out", "", "stream the stitched mask to this PGM file in row bands (works with or without -stream)")
+		maskOut     = flag.String("mask-out", "", "after the run, write the mask the shot list prints to this PGM file, one row band at a time (works with or without -stream)")
 		outDir      = flag.String("out", "out", "output directory")
 		strictIO    = flag.Bool("strict-storage", false, "fail the run on any checkpoint or quarantine write error instead of degrading (default: degrade and report)")
 	)
@@ -153,11 +154,9 @@ func main() {
 		if err := os.MkdirAll(*quarDir, 0o755); err != nil {
 			log.Fatalf("-quarantine-dir: %v", err)
 		}
-		probe := filepath.Join(*quarDir, ".cfaopc-probe")
-		if err := os.WriteFile(probe, nil, 0o644); err != nil {
+		if err := probeWritable(*quarDir); err != nil {
 			log.Fatalf("-quarantine-dir is not writable: %v", err)
 		}
-		os.Remove(probe)
 	}
 
 	// Either source goes through the wire format's Normalize and Validate.
@@ -246,6 +245,13 @@ func main() {
 		}
 		*stream = true
 	}
+	if *maskOut != "" {
+		// The mask is written after the last tile; refuse a path that
+		// cannot take it now, not then.
+		if err := probeWritable(filepath.Dir(*maskOut)); err != nil {
+			log.Fatalf("-mask-out is not writable: %v", err)
+		}
+	}
 	dx := float64(l.TileNM) / float64(spec.GridN)
 
 	o := server.RunOpts{Checkpoint: *ckptPath, MaskPath: *maskOut, ShotsPath: shotPath}
@@ -259,7 +265,7 @@ func main() {
 	// The report is computed from the shot list just written, on a
 	// full-grid simulator. -stream never builds one, nor the dense mask
 	// it would print: the shot list and its MRC status are the product
-	// (-mask-out still streams the mask to disk in bands).
+	// (-mask-out still writes the mask to disk, one band at a time).
 	if *stream {
 		fmt.Printf("%s / %s: shots %d (streamed: dense-mask metrics skipped)\n",
 			l.Name, spec.Method, len(res.Shots))
@@ -284,6 +290,17 @@ func main() {
 		}
 	}
 	fmt.Printf("wrote %s and renders under %s/\n", shotPath, *outDir)
+}
+
+// probeWritable creates and removes an empty file in dir, so a path the
+// run writes only at its end (or only on a fault) is refused at launch.
+func probeWritable(dir string) error {
+	probe := filepath.Join(dir, ".cfaopc-probe")
+	if err := os.WriteFile(probe, nil, 0o644); err != nil {
+		return err
+	}
+	os.Remove(probe)
+	return nil
 }
 
 // readSpec parses and validates a job file ("-" = stdin).
@@ -331,7 +348,7 @@ func run(l *layout.Layout, cfg flow.Config, o server.RunOpts) *flow.Result {
 	if errors.Is(err, flow.ErrDrained) {
 		// Graceful shutdown: everything that finished is journaled;
 		// no stitched output is written (the shot list is incomplete
-		// by construction, and a partial band file would be torn).
+		// by construction, so there is no mask to rasterize from it).
 		fmt.Printf("drained: %d of %d tiles completed and checkpointed; no stitched output written\n",
 			res.Completed, res.Tiles)
 		printLinkSummary(res)
@@ -344,7 +361,7 @@ func run(l *layout.Layout, cfg flow.Config, o server.RunOpts) *flow.Result {
 		log.Fatal(err)
 	}
 	if o.MaskPath != "" {
-		fmt.Printf("streamed mask bands to %s\n", o.MaskPath)
+		fmt.Printf("wrote mask %s\n", o.MaskPath)
 	}
 	occupied := 0
 	for _, ts := range res.TileStats {

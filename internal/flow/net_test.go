@@ -191,8 +191,8 @@ func TestNetValidation(t *testing.T) {
 // by their supervisor, so the coordinator's reconnect recovers), the
 // third a partitioned address that circuit-breaks its slot into the
 // local ladder. The run completes, the degradations are recorded, and
-// shots, stats and streamed bands are byte-identical to the serial
-// in-process reference. A second leg interrupts the run mid-tile
+// shots and stats are byte-identical to the serial in-process
+// reference. A second leg interrupts the run mid-tile
 // (drain + checkpoint) and resumes it, again byte-identically.
 func TestNetAcceptance(t *testing.T) {
 	l := quadLayout()
@@ -202,19 +202,17 @@ func TestNetAcceptance(t *testing.T) {
 		1: {{Kill: 1}}, // killed on the first dispatch, clean on reconnect
 		2: {{Kill: 1}}, // same, on another tile
 	}
-	mk := func(w MaskWriter) Config {
+	mk := func() Config {
 		cfg := netConfig(t, hostA.addr, hostB.addr, deadAddr(t))
 		// Generous limit and backoff: a killed host needs time to be
 		// restarted before its slot's reconnect budget runs out.
 		cfg.LinkCrashLimit = 6
 		cfg.LinkBackoff = 25 * time.Millisecond
 		cfg.Faults = plan
-		cfg.MaskWriter = w
 		return cfg
 	}
 
-	refColl := NewMaskCollector(testConfig().GridN)
-	ref, err := Run(l, serialRef(mk(refColl)))
+	ref, err := Run(l, serialRef(mk()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,8 +220,7 @@ func TestNetAcceptance(t *testing.T) {
 		t.Fatalf("serial reference recorded remote activity: %+v", ref)
 	}
 
-	netColl := NewMaskCollector(testConfig().GridN)
-	res, err := Run(l, mk(netColl))
+	res, err := Run(l, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +238,6 @@ func TestNetAcceptance(t *testing.T) {
 		t.Errorf("LinkCrashes = %d, want >= LinkCrashLimit", res.LinkCrashes)
 	}
 	sameResult(t, res, ref)
-	if netColl.Mask.SqDiff(refColl.Mask) != 0 {
-		t.Fatal("remote run's streamed bands differ from the serial reference's")
-	}
 
 	// Interrupt + resume: every tile is slow enough that the drain fires
 	// while the first wave is in flight (tile 4 never dispatches), the
@@ -252,14 +246,13 @@ func TestNetAcceptance(t *testing.T) {
 	slow := Fault{Sleep: 200 * time.Millisecond}
 	plan2 := FaultPlan{0: {slow}, 1: {slow}, 2: {slow}, 3: {slow}}
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	mk2 := func(w MaskWriter) Config {
-		cfg := mk(w)
+	mk2 := func() Config {
+		cfg := mk()
 		cfg.Faults = plan2
 		cfg.CheckpointPath = ckpt
 		return cfg
 	}
-	ref2Coll := NewMaskCollector(testConfig().GridN)
-	ref2cfg := serialRef(mk2(ref2Coll))
+	ref2cfg := serialRef(mk2())
 	ref2cfg.CheckpointPath = ""
 	ref2, err := Run(l, ref2cfg)
 	if err != nil {
@@ -271,7 +264,7 @@ func TestNetAcceptance(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 		close(drain)
 	}()
-	cfg := mk2(NewMaskCollector(testConfig().GridN))
+	cfg := mk2()
 	cfg.Drain = drain
 	dres, err := RunContext(context.Background(), l, cfg)
 	if !errors.Is(err, ErrDrained) {
@@ -281,8 +274,7 @@ func TestNetAcceptance(t *testing.T) {
 		t.Fatalf("drained run completed %d of %d tiles; the drain landed outside the run", dres.Completed, dres.Tiles)
 	}
 
-	resColl := NewMaskCollector(testConfig().GridN)
-	res2, err := Run(l, mk2(resColl))
+	res2, err := Run(l, mk2())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,9 +282,6 @@ func TestNetAcceptance(t *testing.T) {
 		t.Fatalf("resumed %d tiles, want the %d the drained run checkpointed", res2.Resumed, dres.Completed)
 	}
 	sameResult(t, res2, ref2)
-	if resColl.Mask.SqDiff(ref2Coll.Mask) != 0 {
-		t.Fatal("resumed run's streamed bands differ from the reference's")
-	}
 }
 
 // TestNetMatrix is the CI net-matrix entry point: the fault kind and

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"fmt"
 	"testing"
 
 	"cfaopc/internal/fracture"
@@ -55,7 +54,7 @@ func extractWindow(full *grid.Real, ox, oy, window int) (*grid.Real, bool) {
 // the entire chip, extract every halo window out of the dense grid,
 // optimize, and keep core-owned shots in row-major order. It is the
 // oracle the streaming path must match byte for byte.
-func referenceFullGridRun(l *layout.Layout, cfg Config) ([]geom.Circle, *grid.Real) {
+func referenceFullGridRun(l *layout.Layout, cfg Config) []geom.Circle {
 	full := l.Rasterize(cfg.GridN)
 	window := cfg.CorePx + 2*cfg.HaloPx
 	var shots []geom.Circle
@@ -69,15 +68,14 @@ func referenceFullGridRun(l *layout.Layout, cfg Config) ([]geom.Circle, *grid.Re
 			shots = append(shots, ownedShots(cfg.Optimize(nil, target), ox, oy, cx, cy, cfg.CorePx)...)
 		}
 	}
-	return shots, geom.RasterizeCircles(cfg.GridN, cfg.GridN, shots)
+	return shots
 }
 
 // TestStreamingEquivalenceFullGrid is the acceptance property of the
 // streaming refactor: over randomized layouts, even and uneven tilings,
 // bounded and unbounded shot radii, and TileWorkers ∈ {1, 8}, the
-// streamed flow's shots and band-assembled mask are byte-identical to
-// the full-grid reference. Run it under -race: band
-// emission happens concurrently with tile workers.
+// streamed flow's shots are byte-identical to the full-grid reference
+// (and a mask is a pure function of them).
 func TestStreamingEquivalenceFullGrid(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -85,7 +83,7 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 		gridN  int
 		corePx int
 		haloPx int
-		rMaxPx float64 // > 0 streams bands mid-run; 0 defers to finish
+		rMaxPx float64
 	}{
 		{name: "even 2x2", seed: 1, gridN: 128, corePx: 64, haloPx: 8, rMaxPx: 0},
 		{name: "uneven 3x3 bounded", seed: 2, gridN: 256, corePx: 96, haloPx: 16, rMaxPx: 40},
@@ -99,7 +97,7 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 				TileNM: 2048, Features: 7, MarginNM: 128,
 			})
 			dx := float64(l.TileNM) / float64(tc.gridN)
-			mk := func(workers int, w MaskWriter) Config {
+			mk := func(workers int) Config {
 				return Config{
 					GridN:       tc.gridN,
 					CorePx:      tc.corePx,
@@ -109,16 +107,14 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 					TileWorkers: workers,
 					Optimize:    fixedRuleOptimizer(dx),
 					RMaxPx:      tc.rMaxPx,
-					MaskWriter:  w,
 				}
 			}
-			wantShots, wantMask := referenceFullGridRun(l, mk(1, nil))
+			wantShots := referenceFullGridRun(l, mk(1))
 			if len(wantShots) == 0 {
 				t.Fatal("reference run produced no shots")
 			}
 			for _, workers := range []int{1, 8} {
-				coll := NewMaskCollector(tc.gridN)
-				res, err := Run(l, mk(workers, coll))
+				res, err := Run(l, mk(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,9 +125,6 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 					if res.Shots[i] != wantShots[i] {
 						t.Fatalf("workers=%d: shot %d = %+v, reference %+v", workers, i, res.Shots[i], wantShots[i])
 					}
-				}
-				if coll.Mask.SqDiff(wantMask) != 0 {
-					t.Fatalf("workers=%d: band-assembled mask differs from full-grid reference", workers)
 				}
 				if res.PeakBytes <= 0 {
 					t.Fatalf("workers=%d: PeakBytes = %d", workers, res.PeakBytes)
@@ -170,98 +163,5 @@ func TestStreamingDropsDenseMask(t *testing.T) {
 		if ts.Occupied && ts.RasterWall < 0 {
 			t.Fatalf("tile %d negative raster wall", ts.Index)
 		}
-	}
-}
-
-// failingWriter rejects every band, to prove writer errors surface as
-// run errors instead of vanishing in a worker goroutine.
-type failingWriter struct{}
-
-func (failingWriter) WriteBand(int, *grid.Real) error { return fmt.Errorf("disk full") }
-
-func TestMaskWriterErrorSurfaces(t *testing.T) {
-	l := bigLayout()
-	cfg := testConfig()
-	cfg.Optimize = fixedRuleOptimizer(float64(l.TileNM) / float64(cfg.GridN))
-	cfg.MaskWriter = failingWriter{}
-	if _, err := Run(l, cfg); err == nil {
-		t.Fatal("writer error did not fail the run")
-	}
-}
-
-// TestBandAssemblerOrderAndReach drives the assembler directly:
-// completions arrive in adversarial order, bands must come out
-// top-to-bottom exactly once, and with a radius bound the early bands
-// must be emitted before the bottom rows complete.
-func TestBandAssemblerOrderAndReach(t *testing.T) {
-	const gridN, corePx, rows = 96, 24, 4
-	shotFor := func(row, col int) geom.Circle {
-		return geom.Circle{X: float64(col*corePx + 10), Y: float64(row*corePx + 10), R: 6}
-	}
-	var all []geom.Circle
-	type band struct {
-		y0   int
-		grid *grid.Real
-	}
-	var got []band
-	rec := writerFunc(func(y0 int, g *grid.Real) error {
-		got = append(got, band{y0, g.Clone()})
-		return nil
-	})
-	a := newBandAssembler(gridN, corePx, 6, rec)
-	// Rows 0-2 complete (out of order) in the first 12 completions; row 3
-	// stays outstanding. Reach is int(6/24)+2 = 2 tile rows, so band 0
-	// (needing rows 0..2) must stream out before row 3 finishes.
-	order := []struct{ row, col int }{
-		{2, 2}, {0, 0}, {1, 3}, {0, 1}, {2, 0}, {0, 2}, {1, 0}, {2, 1},
-		{0, 3}, {1, 1}, {2, 3}, {1, 2}, {3, 0}, {3, 1}, {3, 2},
-	}
-	for i, o := range order {
-		s := shotFor(o.row, o.col)
-		all = append(all, s)
-		a.tileDone(o.row, []geom.Circle{s})
-		if i == 11 && len(got) == 0 {
-			t.Fatal("no band emitted although rows 0-2 completed under a radius bound")
-		}
-	}
-	a.tileDone(3, []geom.Circle{shotFor(3, 3)})
-	all = append(all, shotFor(3, 3))
-	if err := a.finish(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != rows {
-		t.Fatalf("%d bands, want %d", len(got), rows)
-	}
-	want := geom.RasterizeCircles(gridN, gridN, all)
-	for i, b := range got {
-		if b.y0 != i*corePx {
-			t.Fatalf("band %d at y0=%d, want %d", i, b.y0, i*corePx)
-		}
-		for y := 0; y < b.grid.H; y++ {
-			for x := 0; x < gridN; x++ {
-				if b.grid.At(x, y) != want.At(x, b.y0+y) {
-					t.Fatalf("band %d pixel (%d, %d) differs from dense rasterization", i, x, y)
-				}
-			}
-		}
-	}
-}
-
-// writerFunc adapts a function to MaskWriter.
-type writerFunc func(int, *grid.Real) error
-
-func (f writerFunc) WriteBand(y0 int, g *grid.Real) error { return f(y0, g) }
-
-// TestMaskCollectorBounds rejects bands that fall outside the mask.
-func TestMaskCollectorBounds(t *testing.T) {
-	c := NewMaskCollector(32)
-	if err := c.WriteBand(0, grid.NewReal(32, 8)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteBand(28, grid.NewReal(32, 8)); err == nil {
-		t.Fatal("overhanging band accepted")
-	}
-	if err := c.WriteBand(8, grid.NewReal(16, 8)); err == nil {
-		t.Fatal("narrow band accepted")
 	}
 }

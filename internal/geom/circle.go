@@ -17,50 +17,19 @@ type Circle struct{ X, Y, R float64 }
 // operation of the paper.
 func RasterizeCircles(w, h int, cs []Circle) *grid.Real {
 	m := grid.NewReal(w, h)
-	for _, c := range cs {
-		r := c.R
-		if r <= 0 {
-			continue
-		}
-		x0 := int(c.X - r - 1)
-		x1 := int(c.X + r + 1)
-		y0 := int(c.Y - r - 1)
-		y1 := int(c.Y + r + 1)
-		if x0 < 0 {
-			x0 = 0
-		}
-		if y0 < 0 {
-			y0 = 0
-		}
-		if x1 >= w {
-			x1 = w - 1
-		}
-		if y1 >= h {
-			y1 = h - 1
-		}
-		r2 := r * r
-		for y := y0; y <= y1; y++ {
-			dy := float64(y) - c.Y
-			for x := x0; x <= x1; x++ {
-				dx := float64(x) - c.X
-				if dx*dx+dy*dy <= r2 {
-					m.Data[y*w+x] = 1
-				}
-			}
-		}
-	}
+	RasterizeCirclesBand(m, 0, cs)
 	return m
 }
 
-// RasterizeCirclesBand paints the union of circles onto an h-row band of
-// a w-column grid whose top row is global row y0: band pixel (x, y-y0)
-// is set when grid pixel (x, y) lies within R of a circle center. The
-// per-pixel predicate is identical to RasterizeCircles, so the vertical
-// concatenation of bands reproduces the full-grid mask byte for byte —
-// the memory-bounded form the streaming flow emits. Circles whose
-// bounding box misses the band are skipped.
-func RasterizeCirclesBand(w, h, y0 int, cs []Circle) *grid.Real {
-	m := grid.NewReal(w, h)
+// RasterizeCirclesBand adds the union of circles to band, the rows
+// [y0, y0+band.H) of a band.W-column grid: band pixel (x, y-y0) is set
+// when grid pixel (x, y) lies within R of a circle center. Pixels already
+// set stay set, so a caller that reuses one band for successive row
+// ranges clears it in between; painted band after band, top to bottom,
+// the rows are RasterizeCircles' byte for byte at one band of memory.
+// Circles whose bounding box misses the band are skipped.
+func RasterizeCirclesBand(band *grid.Real, y0 int, cs []Circle) {
+	w, h := band.W, band.H
 	for _, c := range cs {
 		r := c.R
 		if r <= 0 {
@@ -85,7 +54,7 @@ func RasterizeCirclesBand(w, h, y0 int, cs []Circle) *grid.Real {
 		r2 := r * r
 		for y := by0; y <= by1; y++ {
 			dy := float64(y) - c.Y
-			row := m.Data[(y-y0)*w:]
+			row := band.Data[(y-y0)*w:]
 			for x := bx0; x <= bx1; x++ {
 				dx := float64(x) - c.X
 				if dx*dx+dy*dy <= r2 {
@@ -94,7 +63,6 @@ func RasterizeCirclesBand(w, h, y0 int, cs []Circle) *grid.Real {
 			}
 		}
 	}
-	return m
 }
 
 // subSamples are the 2×2 sub-pixel sample positions of CoverRate.

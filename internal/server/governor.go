@@ -26,9 +26,9 @@ type Cost struct {
 	// (kernel spectra, FFT scratch, adjoint fields).
 	PeakBytes int64 `json:"peak_bytes"`
 	// FlowBytes mirrors the flow's own Result.PeakBytes accounting
-	// (span index + per-worker window targets + in-flight mask band +
-	// stitched shot list); it is the calibratable half of the estimate
-	// — BENCH_flow.json records estimate-vs-actual ratios.
+	// (span index + per-worker window targets + stitched shot list)
+	// plus WriteMask's one band; it is the calibratable half of the
+	// estimate — BENCH_flow.json records estimate-vs-actual ratios.
 	FlowBytes int64 `json:"flow_bytes"`
 	// Tiles is the uniform-plan window count.
 	Tiles int `json:"tiles"`
@@ -48,9 +48,10 @@ const estShotsPerTile = 192
 // layout's rectangle count (the only layout-dependent input — Submit
 // already resolves the layout to fail fast, so it is free).
 //
-// The flow half mirrors flow.Result.PeakBytes term by term:
-// span-index bytes, one window target per tile worker, one mask band
-// in flight, and the stitched shot list. The simulator half prices
+// The flow half mirrors flow.Result.PeakBytes term by term —
+// span-index bytes, one window target per tile worker, the stitched
+// shot list — and adds the one band WriteMask rasterizes at a time
+// once the flow has returned. The simulator half prices
 // what the flow deliberately does not count — per-worker kernel and
 // FFT working sets of roughly (KOpt+4) complex window grids — because
 // the daemon's heap carries both.
@@ -73,9 +74,9 @@ func EstimateCost(spec *JobSpec, rects int) Cost {
 	indexBytes := int64(rects)*48 + int64((spec.GridN+31)/32)*24
 
 	flow := indexBytes
-	flow += int64(workers) * win2 * f64                    // window targets
-	flow += int64(spec.GridN) * int64(spec.TileCore) * f64 // one mask band
-	flow += int64(tiles) * estShotsPerTile * 24            // shot list
+	flow += int64(workers) * win2 * f64            // window targets
+	flow += int64(spec.GridN) * maskBandRows * f64 // WriteMask's band
+	flow += int64(tiles) * estShotsPerTile * 24    // shot list
 
 	sim := int64(workers) * int64(spec.KOpt+4) * win2 * c128
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strconv"
 	"time"
 )
@@ -61,7 +60,7 @@ func writeAPIError(w http.ResponseWriter, code int, reason string, err error, re
 //	GET  /jobs/{id}         job snapshot          -> 200 JobStatus
 //	POST /jobs/{id}/cancel  cancel queued/running -> 200 JobStatus
 //	GET  /jobs/{id}/events  SSE progress stream (Last-Event-ID or ?last= resumes)
-//	GET  /jobs/{id}/mask    the mask PGM, streamed in row bands as they land
+//	GET  /jobs/{id}/mask    the mask PGM (409 until done)
 //	GET  /jobs/{id}/shots   the shot-list CSV (409 until done)
 //	GET  /healthz           liveness + queue, governor, and storage sections
 func NewHandler(m *Manager) http.Handler {
@@ -116,21 +115,10 @@ func NewHandler(m *Manager) http.Handler {
 		serveEvents(m, w, r)
 	})
 	mux.HandleFunc("GET /jobs/{id}/mask", func(w http.ResponseWriter, r *http.Request) {
-		serveMask(m, w, r)
+		serveArtifact(m, w, r, "image/x-portable-graymap", m.MaskPath)
 	})
 	mux.HandleFunc("GET /jobs/{id}/shots", func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		st, err := m.Status(id)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		if st.State != JobDone {
-			http.Error(w, fmt.Sprintf("job %s is %s; shots exist once it is done", id, st.State), http.StatusConflict)
-			return
-		}
-		w.Header().Set("Content-Type", "text/csv")
-		http.ServeFile(w, r, m.ShotsPath(id))
+		serveArtifact(m, w, r, "text/csv", m.ShotsPath)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// "ok" is liveness; "storage" is the degradation snapshot; "queue"
@@ -246,100 +234,22 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveMask streams the job's mask PGM. A finished job's file is
-// served whole; a queued or running job is followed live — bytes go
-// out as band events report rows durably flushed, so the client sees
-// each row band once, in order, while the optimization is still
-// running. A job that fails or is canceled ends the stream early with
-// fewer rows than the header promises, which is how a PGM reader
-// detects the truncation.
-func serveMask(m *Manager, w http.ResponseWriter, r *http.Request) {
+// serveArtifact serves one of a job's output files. Both are written
+// and fsynced after the run and before the job is recorded done, so a
+// done job's file is whole and any other state has none to serve.
+func serveArtifact(m *Manager, w http.ResponseWriter, r *http.Request, contentType string, path func(id string) string) {
 	id := r.PathValue("id")
 	st, err := m.Status(id)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	if st.State == JobFailed || st.State == JobCanceled || st.State == JobDeadline {
-		http.Error(w, fmt.Sprintf("job %s is %s; no complete mask", id, st.State), http.StatusConflict)
+	if st.State != JobDone {
+		http.Error(w, fmt.Sprintf("job %s is %s; its artifacts exist once it is done", id, st.State), http.StatusConflict)
 		return
 	}
-	if st.State == JobDone {
-		w.Header().Set("Content-Type", "image/x-portable-graymap")
-		http.ServeFile(w, r, m.MaskPath(id))
-		return
-	}
-
-	// Follow mode. Only rows announced by band events observed on this
-	// subscription are served: bands are flushed to disk before they
-	// are announced and arrive strictly top-to-bottom, so "last
-	// announced row" is exactly "bytes safe to read". Starting from the
-	// live tail (not history) keeps a restarted job's stale band
-	// announcements from a previous daemon life out of the accounting.
-	sub, err := m.Subscribe(id, max(0, st.LastSeq), sseBufCap)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	defer m.Unsubscribe(id, sub)
-
-	w.Header().Set("Content-Type", "image/x-portable-graymap")
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-
-	headerLen := int64(len(pgmHeader(st.Grid)))
-	rowBytes := int64(st.Grid)
-	var f *os.File
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	var served, limit int64
-	done := false
-	for {
-		shut := sub.isShut() // before the drain, as in serveEvents
-		evs, _ := sub.drain()
-		for _, ev := range evs {
-			switch {
-			case ev.Kind == "band":
-				limit = headerLen + int64(ev.Row+ev.Rows)*rowBytes
-			case ev.Kind == "state" && JobState(ev.State).terminal():
-				done = true
-				if ev.State == string(JobDone) {
-					limit = headerLen + rowBytes*int64(st.Grid)
-				}
-			}
-		}
-		if limit > served {
-			if f == nil {
-				if f, err = os.Open(m.MaskPath(id)); err != nil {
-					return // the run died before creating the file
-				}
-			}
-			if _, err := io.CopyN(w, f, limit-served); err != nil {
-				return
-			}
-			served = limit
-			if err := rc.Flush(); err != nil {
-				return
-			}
-		}
-		if done || shut {
-			// shut without a terminal event means the stream died with
-			// the event journal; the rows served so far are all the rows
-			// this follower will ever be told are safe.
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-sub.wait():
-		case <-time.After(time.Second):
-			// Belt-and-braces wake-up so a stream never hangs on a
-			// missed doorbell.
-		}
-	}
+	w.Header().Set("Content-Type", contentType)
+	http.ServeFile(w, r, path(id))
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

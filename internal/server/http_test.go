@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"cfaopc/internal/flow"
 	"cfaopc/internal/layout"
 )
 
@@ -290,7 +291,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if last.Kind != "state" || last.State != "done" {
 		t.Fatalf("last event %+v, want state=done", last)
 	}
-	var tiles, beats, bandRows int
+	var tiles, beats, states int
 	sawRunning := false
 	for i, ev := range evs {
 		if ev.Seq != int64(i+1) {
@@ -298,6 +299,7 @@ func TestHTTPJobLifecycle(t *testing.T) {
 		}
 		switch ev.Kind {
 		case "state":
+			states++
 			if ev.State == "running" {
 				sawRunning = true
 			}
@@ -305,8 +307,6 @@ func TestHTTPJobLifecycle(t *testing.T) {
 			tiles++
 		case "beat":
 			beats++
-		case "band":
-			bandRows += ev.Rows
 		}
 	}
 	if !sawRunning {
@@ -318,8 +318,10 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	if beats == 0 {
 		t.Fatal("no heartbeat events from the optimizer")
 	}
-	if bandRows != 128 {
-		t.Fatalf("band events covered %d rows, want 128", bandRows)
+	// The mask is an after-the-run artifact: nothing announces it, so
+	// states, tiles and beats account for every seq.
+	if states+tiles+beats != len(evs) {
+		t.Fatalf("%d states + %d tiles + %d beats of %d events: the stream carries another kind", states, tiles, beats, len(evs))
 	}
 
 	// Reconnect mid-history: replay must start exactly after the seq
@@ -380,26 +382,44 @@ func httpGetBytes(t *testing.T, url string, wantCode int) []byte {
 	return b
 }
 
-// TestHTTPMaskFollowStream attaches to the mask endpoint while the job
-// is still queued and checks the followed bytes equal the finished
-// file: row bands go out live, but only after they are durable.
-func TestHTTPMaskFollowStream(t *testing.T) {
+// TestHTTPMaskConflictUntilDone: the mask, like the shot list, is
+// written after the run, so both endpoints answer 409 with the state
+// while the job is queued or running and the file's bytes once done.
+func TestHTTPMaskConflictUntilDone(t *testing.T) {
 	root := testLayoutRoot(t)
-	m, ts := newTestService(t, root, 1, 4, true)
+	m, ts := newTestService(t, root, 1, 4, false)
+	started, release := make(chan struct{}), make(chan struct{})
+	m.runSpec = func(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*flow.Result, error) {
+		close(started)
+		<-release
+		return RunSpec(ctx, l, spec, o)
+	}
 	st, resp := postJob(t, ts.URL, fastSpecJSON)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: %s", resp.Status)
 	}
-	followed := httpGetBytes(t, ts.URL+"/jobs/"+st.ID+"/mask", http.StatusOK)
+	conflict := func(state string) {
+		t.Helper()
+		for _, artifact := range []string{"/mask", "/shots"} {
+			body := httpGetBytes(t, ts.URL+"/jobs/"+st.ID+artifact, http.StatusConflict)
+			if !strings.Contains(string(body), "is "+state) {
+				t.Fatalf("%s while %s: 409 body %q does not name the state", artifact, state, body)
+			}
+		}
+	}
+	conflict("queued")
+	m.Start()
+	<-started
+	conflict("running")
+	close(release)
 	waitState(t, ts.URL, st.ID, JobDone)
 	direct, err := os.ReadFile(m.MaskPath(st.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(followed, direct) {
-		t.Fatalf("followed mask (%d bytes) != final file (%d bytes)", len(followed), len(direct))
+	if served := httpGetBytes(t, ts.URL+"/jobs/"+st.ID+"/mask", http.StatusOK); !bytes.Equal(served, direct) {
+		t.Fatalf("served mask (%d bytes) != the file (%d bytes)", len(served), len(direct))
 	}
-	// Shots of an unfinished job are a 409; this one is done.
 	httpGetBytes(t, ts.URL+"/jobs/"+st.ID+"/shots", http.StatusOK)
 }
 
@@ -501,4 +521,71 @@ func compareFiles(t *testing.T, a, b string) {
 	if !bytes.Equal(ab, bb) {
 		t.Fatalf("%s (%d bytes) differs from %s (%d bytes)", a, len(ab), b, len(bb))
 	}
+}
+
+// TestParentDaemonJobReplays holds the daemon to a finished job
+// directory the parent commit's binary wrote, when the flow still
+// streamed mask bands and journaled a band event per tile row: opened on
+// that directory, a Manager replays all 75 events byte for byte (the 8
+// band records with their row/rows included) and serves the same mask;
+// the same spec submitted afresh writes the same mask.pgm and shots.csv
+// from a 67-event stream that carries no band.
+func TestParentDaemonJobReplays(t *testing.T) {
+	const fixture = "../../testdata/parent/daemon_job"
+	const old = "jobs/job-0000"
+	dataDir := filepath.Join(t.TempDir(), "data")
+	if err := os.MkdirAll(filepath.Join(dataDir, old), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"jobs.log", old + "/events.log", old + "/mask.pgm", old + "/shots.csv"} {
+		b, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dataDir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := NewManager(ManagerConfig{DataDir: dataDir, QueueCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Start()
+	ts := httptest.NewServer(NewHandler(m))
+	defer func() {
+		ts.Close()
+		m.Stop()
+	}()
+
+	wantSSE, err := os.ReadFile(filepath.Join(fixture, "events.sse"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSSE := httpGetBytes(t, ts.URL+"/jobs/job-0000/events", http.StatusOK)
+	if !bytes.Equal(gotSSE, wantSSE) || bytes.Count(gotSSE, []byte(`"kind":"band"`)) != 8 {
+		t.Fatalf("replayed event stream (%d bytes) differs from the one the parent daemon served (%d bytes)", len(gotSSE), len(wantSSE))
+	}
+	wantMask, err := os.ReadFile(filepath.Join(fixture, old, "mask.pgm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := httpGetBytes(t, ts.URL+"/jobs/job-0000/mask", http.StatusOK); !bytes.Equal(got, wantMask) {
+		t.Fatal("served mask differs from the parent's file")
+	}
+
+	st, resp := postJob(t, ts.URL, `{"case":4,"method":"circlerule","grid":512,"tile_core":64,"tile_halo":16}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	evs := streamEvents(t, ts.URL, st.ID, 0)
+	for _, ev := range evs {
+		if ev.Kind != "state" && ev.Kind != "tile" {
+			t.Fatalf("fresh job published a %q event: %+v", ev.Kind, ev)
+		}
+	}
+	if len(evs) != 67 {
+		t.Fatalf("fresh job published %d events, want 67 (3 states + 64 tiles)", len(evs))
+	}
+	compareFiles(t, m.MaskPath(st.ID), filepath.Join(fixture, old, "mask.pgm"))
+	compareFiles(t, m.ShotsPath(st.ID), filepath.Join(fixture, old, "shots.csv"))
 }

@@ -16,7 +16,7 @@ import (
 // authoritative history and new events continue after its tail.
 type JobEvent struct {
 	Seq  int64  `json:"seq"`
-	Kind string `json:"kind"` // state | beat | tile | band | governor
+	Kind string `json:"kind"` // state | beat | tile | governor
 
 	// kind=state: queued|running|done|failed|canceled|deadline_exceeded.
 	// kind=governor: the degradation-ladder level just entered
@@ -36,8 +36,11 @@ type JobEvent struct {
 	CacheHit bool    `json:"cache_hit,omitempty"` // kind=tile: served from the window cache
 	Path     string  `json:"path,omitempty"`      // kind=tile: primary|fallback|empty
 
-	Row  int `json:"row,omitempty"`  // kind=band: first mask row of the band
-	Rows int `json:"rows,omitempty"` // kind=band: rows in the band
+	// Decode-only: nothing publishes kind=band, but event journals
+	// written when mask bands were announced carry it, and these fields
+	// are what lets them replay byte for byte.
+	Row  int `json:"row,omitempty"`
+	Rows int `json:"rows,omitempty"`
 }
 
 // eventJournalHeader fingerprints a job's event journal so a data

@@ -140,7 +140,7 @@ type ManagerConfig struct {
 	// restarts). 0 disables the TTL.
 	QueueTTL time.Duration
 	// WedgeTimeout is the job-level watchdog: a running job that
-	// publishes no event (state, beat, tile, band) for this long is
+	// publishes no event (state, beat, tile) for this long is
 	// killed as wedged. Distinct from the flow's per-tile stall
 	// detector, which only sees iterations inside one engine call —
 	// this one catches jobs that stop emitting anything at all.
@@ -771,9 +771,6 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 					Path: string(ev.Stat.Path),
 				})
 			}
-		},
-		OnBand: func(row, rows int) {
-			pub(JobEvent{Kind: "band", Row: row, Rows: rows})
 		},
 	}
 	res, err := m.runSpec(ctx, l, spec, opts)

@@ -17,32 +17,28 @@ import (
 )
 
 // RunOpts carries the per-invocation plumbing around a job spec: where
-// to persist, where to stream, what to observe. The zero value runs
-// the spec with no checkpoint, no mask file, and no observers.
+// to persist, what to observe. The zero value runs the spec with no
+// checkpoint, no mask file, and no observers.
 type RunOpts struct {
 	// Checkpoint journals completed tiles so an interrupted run
 	// resumes byte-identically ("" = no journal).
 	Checkpoint string
-	// MaskPath streams the stitched mask there as a binary PGM in row
-	// bands ("" = no mask file). On a resumed run the file is
-	// rewritten from row zero; bands re-emit deterministically, so the
-	// final bytes match an uninterrupted run.
+	// MaskPath writes the stitched mask there as a binary PGM after
+	// the flow completes ("" = no mask file). A run that does not
+	// finish leaves whatever was at the path untouched.
 	MaskPath string
 	// ShotsPath writes the beam-ordered shot list as CSV after the
-	// flow completes ("" = no shot file).
+	// flow completes, before the mask ("" = no shot file).
 	ShotsPath string
 	// Events observes the flow's heartbeats and tile completions; it
 	// must never block (see flow.EventSink).
 	Events flow.EventSink
-	// OnBand is called after each mask band is durably flushed to
-	// MaskPath, with the band's first row and row count.
-	OnBand func(row, rows int)
 	// Drain, when closed, stops dispatching new tiles; in-flight tiles
 	// finish and checkpoint, and the run returns flow.ErrDrained.
 	Drain <-chan struct{}
 	// FS is the filesystem seam every artifact write goes through —
-	// the flow checkpoint, quarantine bundles, the streamed mask PGM,
-	// and the shot CSV. nil means the real filesystem.
+	// the flow checkpoint, quarantine bundles, the shot CSV and the
+	// mask PGM. nil means the real filesystem.
 	FS iox.FS
 	// Cache is a shared window dedup cache for the run (nil = off).
 	// Caching changes wall time only, never bytes, so daemon/CLI
@@ -116,38 +112,27 @@ func RunSpec(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*
 	return Run(ctx, l, cfg, o)
 }
 
-// Run executes cfg over l and writes the artifacts o names: the mask
-// PGM streamed in bands while the flow runs, the beam-ordered shot CSV
-// after it, both fsynced before Run returns. The plumbing fields of
-// cfg that RunOpts also names (CheckpointPath, FS, Cache, Events,
-// Drain, MaskWriter) are Run's to set — whatever cfg held is replaced.
+// Run executes cfg over l and, once the flow has returned every tile,
+// writes the artifacts o names: the beam-ordered shot CSV first (the
+// product), then the mask PGM rasterized from the same shots, both
+// fsynced before Run returns. The plumbing fields of cfg that RunOpts
+// also names (CheckpointPath, FS, Cache, Events, Drain) are Run's to
+// set — whatever cfg held is replaced.
 func Run(ctx context.Context, l *layout.Layout, cfg flow.Config, o RunOpts) (*flow.Result, error) {
 	cfg.CheckpointPath, cfg.FS, cfg.Cache = o.Checkpoint, o.FS, o.Cache
-	cfg.Events, cfg.Drain, cfg.MaskWriter = o.Events, o.Drain, nil
-	var bands *bandFile
-	if o.MaskPath != "" {
-		var err error
-		if bands, err = newBandFile(o.FS, o.MaskPath, cfg.GridN, o.OnBand); err != nil {
-			return nil, err
-		}
-		cfg.MaskWriter = bands
-	}
-
+	cfg.Events, cfg.Drain = o.Events, o.Drain
 	res, err := flow.RunContext(ctx, l, cfg)
 	if err != nil {
-		if bands != nil {
-			bands.abort()
-		}
 		return res, err
-	}
-	if bands != nil {
-		if err := bands.Close(); err != nil {
-			return res, err
-		}
 	}
 	if o.ShotsPath != "" {
 		dx := float64(l.TileNM) / float64(cfg.GridN)
 		if err := WriteShots(o.FS, o.ShotsPath, res.Shots, dx); err != nil {
+			return res, err
+		}
+	}
+	if o.MaskPath != "" {
+		if err := WriteMask(o.FS, o.MaskPath, cfg.GridN, res.Shots); err != nil {
 			return res, err
 		}
 	}
@@ -179,87 +164,47 @@ func WriteShots(fsys iox.FS, path string, shots []geom.Circle, dx float64) error
 	return f.Close()
 }
 
-// pgmHeader is the binary PGM (P5) preamble of an n×n mask; a follower
-// serving the file needs its length to map rows to byte offsets.
-func pgmHeader(n int) string { return fmt.Sprintf("P5\n%d %d\n255\n", n, n) }
+// maskBandRows is how many rows WriteMask rasterizes at a time: its
+// working memory is one n × maskBandRows float64 band whatever n is.
+const maskBandRows = 64
 
-// bandFile streams the stitched mask to disk as a binary PGM (P5), one
-// flow band at a time, flushing each band before reporting it so a
-// follower reading the file never sees a partially written band it was
-// told about. Bands arrive top-to-bottom; Close verifies every row
-// landed.
-type bandFile struct {
-	f      iox.File
-	w      *bufio.Writer
-	n      int
-	next   int // next expected global row
-	buf    []byte
-	onBand func(row, rows int)
-}
-
-func newBandFile(fsys iox.FS, path string, n int, onBand func(row, rows int)) (*bandFile, error) {
+// WriteMask writes the n×n mask shots print as a binary PGM (P5),
+// fsynced — the bytes of geom.RasterizeCircles(n, n, shots) thresholded
+// at one half, rasterized into one reused row band so no n² grid is
+// ever held.
+func WriteMask(fsys iox.FS, path string, n int, shots []geom.Circle) error {
 	f, err := iox.OrOS(fsys).Create(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	w := bufio.NewWriter(f)
-	if _, err := w.WriteString(pgmHeader(n)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &bandFile{f: f, w: w, n: n, buf: make([]byte, n), onBand: onBand}, nil
-}
-
-func (p *bandFile) WriteBand(y0 int, band *grid.Real) error {
-	if y0 != p.next || band.W != p.n {
-		return fmt.Errorf("pgm: band at row %d (width %d), expected row %d width %d", y0, band.W, p.next, p.n)
-	}
-	for y := 0; y < band.H; y++ {
-		for x := 0; x < p.n; x++ {
-			if band.Data[y*p.n+x] > 0.5 {
-				p.buf[x] = 255
-			} else {
-				p.buf[x] = 0
+	bw := bufio.NewWriter(f)
+	_, err = fmt.Fprintf(bw, "P5\n%d %d\n255\n", n, n)
+	buf := make([]float64, n*min(maskBandRows, n))
+	row := make([]byte, n)
+	for y0 := 0; y0 < n && err == nil; y0 += maskBandRows {
+		h := min(maskBandRows, n-y0)
+		band := grid.Real{W: n, H: h, Data: buf[:n*h]}
+		clear(band.Data)
+		geom.RasterizeCirclesBand(&band, y0, shots)
+		for y := 0; y < h && err == nil; y++ {
+			for x, v := range band.Data[y*n : (y+1)*n] {
+				row[x] = 0
+				if v > 0.5 {
+					row[x] = 255
+				}
 			}
-		}
-		if _, err := p.w.Write(p.buf); err != nil {
-			return err
+			_, err = bw.Write(row)
 		}
 	}
-	if err := p.w.Flush(); err != nil {
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
 		return err
 	}
-	p.next += band.H
-	if p.onBand != nil {
-		p.onBand(y0, band.H)
-	}
-	return nil
+	return f.Close()
 }
-
-func (p *bandFile) Close() error {
-	if p.next != p.n {
-		p.f.Close()
-		return fmt.Errorf("pgm: only %d of %d rows streamed", p.next, p.n)
-	}
-	if err := p.w.Flush(); err != nil {
-		p.f.Close()
-		return err
-	}
-	// Per-band flushes make rows visible to followers; this final fsync
-	// makes the finished mask crash-durable before the job is recorded
-	// done.
-	if err := p.f.Sync(); err != nil {
-		p.f.Close()
-		return err
-	}
-	return p.f.Close()
-}
-
-// abort releases the file handle after a failed run without enforcing
-// the all-rows-landed contract; the partial file is left for the
-// resumed run to rewrite from row zero.
-func (p *bandFile) abort() { p.f.Close() }

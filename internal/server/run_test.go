@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -11,67 +13,11 @@ import (
 	"time"
 
 	"cfaopc/internal/checkpoint"
+	"cfaopc/internal/flow"
 	"cfaopc/internal/fracture"
 	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
 	"cfaopc/internal/iox"
 )
-
-// --- bandFile contract ---
-
-func TestBandFileRejectsOutOfOrderBand(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "m.pgm")
-	bf, err := newBandFile(nil, p, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bf.abort()
-	if err := bf.WriteBand(4, grid.NewReal(8, 2)); err == nil {
-		t.Fatal("accepted a band starting past the next expected row")
-	}
-	if err := bf.WriteBand(0, grid.NewReal(4, 2)); err == nil {
-		t.Fatal("accepted a band narrower than the grid")
-	}
-}
-
-func TestBandFileCloseRequiresAllRows(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "m.pgm")
-	bf, err := newBandFile(nil, p, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.WriteBand(0, grid.NewReal(8, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.Close(); err == nil || !strings.Contains(err.Error(), "2 of 8 rows") {
-		t.Fatalf("Close with missing rows: %v", err)
-	}
-}
-
-func TestBandFileAbortLeavesPartialFile(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "m.pgm")
-	bf, err := newBandFile(nil, p, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bf.WriteBand(0, grid.NewReal(4, 1)); err != nil {
-		t.Fatal(err)
-	}
-	bf.abort()
-	b, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len("P5\n4 4\n255\n") + 4; len(b) != want {
-		t.Fatalf("partial file is %d bytes, want %d (header + one flushed band)", len(b), want)
-	}
-}
-
-func TestNewBandFileBadPath(t *testing.T) {
-	if _, err := newBandFile(nil, filepath.Join(t.TempDir(), "no", "such", "dir", "m.pgm"), 8, nil); err == nil {
-		t.Fatal("created a band file under a nonexistent directory")
-	}
-}
 
 // --- WriteShots contract ---
 
@@ -105,6 +51,132 @@ func TestWriteShotsDurableOrError(t *testing.T) {
 		if err := WriteShots(fsys, path, shots, 2); err == nil {
 			t.Errorf("%s fault: WriteShots reported success", name)
 		}
+	}
+}
+
+// --- WriteMask contract ---
+
+// maskBytes is the file WriteMask promises, built from the definition
+// with no rasterizer: header, then a 255 for every pixel within R of a
+// shot's centre.
+func maskBytes(n int, shots []geom.Circle) []byte {
+	b := []byte(fmt.Sprintf("P5\n%d %d\n255\n", n, n))
+	for y := 0; y < n; y++ {
+		for x := 0; x < n; x++ {
+			px := byte(0)
+			for _, c := range shots {
+				dx, dy := float64(x)-c.X, float64(y)-c.Y
+				if c.R > 0 && dx*dx+dy*dy <= c.R*c.R {
+					px = 255
+				}
+			}
+			b = append(b, px)
+		}
+	}
+	return b
+}
+
+// The mask is a view of the shot list and WriteMask is its one writer:
+// whatever the band height cuts through, the file is the union of the
+// shots and the dense raster's bytes, and every way those bytes can fail to reach the platter is an
+// error (the TestWriteShotsDurableOrError shape).
+func TestWriteMaskEqualsFullRaster(t *testing.T) {
+	dir := t.TempDir()
+	for name, tc := range map[string]struct {
+		n     int
+		shots []geom.Circle
+	}{
+		"last band short":       {100, []geom.Circle{{X: 30, Y: 20, R: 9}, {X: 70, Y: 80, R: 12}, {X: 50, Y: 64, R: 3}}},
+		"smaller than a band":   {40, []geom.Circle{{X: 20, Y: 20, R: 7.5}}},
+		"circle in three bands": {200, []geom.Circle{{X: 100, Y: 100, R: 50}, {X: 10, Y: 190, R: 4}}},
+		"clipped by every edge": {96, []geom.Circle{{X: 2, Y: 48, R: 8}, {X: 94, Y: 48, R: 8}, {X: 48, Y: 1, R: 8}, {X: 48, Y: 95, R: 8}, {X: -3, Y: -3, R: 10}}},
+		"no shots":              {70, nil},
+	} {
+		path := filepath.Join(dir, "m.pgm")
+		if err := WriteMask(nil, path, tc.n, tc.shots); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := maskBytes(tc.n, tc.shots)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d-px mask is not the union of its shots", name, tc.n)
+		}
+		for i, v := range geom.RasterizeCircles(tc.n, tc.n, tc.shots).Data {
+			if (v > 0.5) != (want[len(want)-tc.n*tc.n+i] == 255) {
+				t.Fatalf("%s: dense raster differs from the mask file at pixel %d", name, i)
+			}
+		}
+	}
+
+	shots := []geom.Circle{{X: 64, Y: 64, R: 30}}
+	for name, tc := range map[string]struct {
+		n    int
+		fsys iox.FS
+	}{
+		"create": {128, nil},
+		"write":  {128, iox.NewFaultFS(nil, iox.Plan{WriteBudget: 5000})}, // 16 KiB of rows spill bufio mid-loop
+		"flush":  {16, iox.NewFaultFS(nil, iox.Plan{WriteBudget: 8})},     // 267 bytes sit in bufio until Flush
+		"fsync":  {128, iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 1})},
+	} {
+		path := filepath.Join(dir, name+".pgm")
+		if name == "create" {
+			path = filepath.Join(dir, "no", "such", "dir", "m.pgm")
+		}
+		if err := WriteMask(tc.fsys, path, tc.n, shots); err == nil {
+			t.Errorf("%s fault: WriteMask reported success", name)
+		}
+	}
+}
+
+// A mask write fault fails the run, and by then the shot list — written
+// first — is already whole on disk.
+func TestRunReportsMaskFaultAfterDurableShots(t *testing.T) {
+	spec, err := parseSpecString(t, fastSpecJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Method = "circlerule"
+	l, err := spec.ResolveLayout(testLayoutRoot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	want := RunOpts{MaskPath: filepath.Join(dir, "want.pgm"), ShotsPath: filepath.Join(dir, "want.csv")}
+	if _, err := RunSpec(context.Background(), l, spec, want); err != nil {
+		t.Fatal(err)
+	}
+	o := RunOpts{
+		MaskPath:  filepath.Join(dir, "mask.pgm"),
+		ShotsPath: filepath.Join(dir, "shots.csv"),
+		FS:        iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 1, PathSubstr: "mask.pgm"}),
+	}
+	if _, err := RunSpec(context.Background(), l, spec, o); err == nil {
+		t.Fatal("Run reported success although the mask fsync failed")
+	}
+	compareFiles(t, o.ShotsPath, want.ShotsPath)
+}
+
+func BenchmarkWriteMask(b *testing.B) {
+	for _, n := range []int{1024, 2048} {
+		// One shot per 64-px cell, the density of a CircleRule run.
+		var shots []geom.Circle
+		for y := 32; y < n; y += 64 {
+			for x := 32; x < n; x += 64 {
+				shots = append(shots, geom.Circle{X: float64(x), Y: float64(y), R: 19})
+			}
+		}
+		path := filepath.Join(b.TempDir(), "m.pgm")
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := WriteMask(nil, path, n, shots); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -163,6 +235,10 @@ func TestFlowConfigPhysicalWindowFloor(t *testing.T) {
 	}
 }
 
+// TestRunSpecCanceledContextAborts: the mask is written once, after
+// success. A run that is canceled or drained returns an error and leaves
+// the mask path exactly as it found it — a complete mask from an earlier
+// run stays byte for byte, and no file appears where there was none.
 func TestRunSpecCanceledContextAborts(t *testing.T) {
 	root := testLayoutRoot(t)
 	spec, err := parseSpecString(t, fastSpecJSON)
@@ -173,15 +249,38 @@ func TestRunSpecCanceledContextAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	maskPath := filepath.Join(t.TempDir(), "mask.pgm")
-	if _, err := RunSpec(ctx, l, spec, RunOpts{MaskPath: maskPath}); err == nil {
-		t.Fatal("RunSpec succeeded with a pre-canceled context")
-	}
-	// abort() released the handle but kept the partial file for a resume.
-	if _, err := os.Stat(maskPath); err != nil {
-		t.Fatalf("aborted run removed the mask file: %v", err)
+	drained := make(chan struct{})
+	close(drained)
+	earlier := []byte("P5\n1 1\n255\n\xff")
+	for name, tc := range map[string]struct {
+		ctx   context.Context
+		drain <-chan struct{}
+		want  error
+	}{
+		"canceled": {canceled, nil, context.Canceled},
+		"drained":  {context.Background(), drained, flow.ErrDrained},
+	} {
+		dir := t.TempDir()
+		kept, absent := filepath.Join(dir, "kept.pgm"), filepath.Join(dir, "absent.pgm")
+		if err := os.WriteFile(kept, earlier, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, maskPath := range []string{kept, absent} {
+			o := RunOpts{MaskPath: maskPath, ShotsPath: filepath.Join(dir, "shots.csv"), Drain: tc.drain}
+			if _, err := RunSpec(tc.ctx, l, spec, o); !errors.Is(err, tc.want) {
+				t.Fatalf("%s run: err %v, want %v", name, err, tc.want)
+			}
+		}
+		if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, earlier) {
+			t.Errorf("%s run touched the mask an earlier run left: %q, %v", name, got, err)
+		}
+		for _, p := range []string{absent, filepath.Join(dir, "shots.csv")} {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("%s run left %s behind (stat err %v)", name, filepath.Base(p), err)
+			}
+		}
 	}
 }
 
