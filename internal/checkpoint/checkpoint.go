@@ -247,21 +247,28 @@ func (j *Journal) Append(payload []byte) error {
 	return err
 }
 
-// Sync flushes appended records to stable storage. A sync error poisons
-// the journal — the failed fsync is never retried on this fd, because
-// the kernel may have dropped the dirty pages it reported on and a
-// later success would be a false durability claim.
+// Sync flushes to stable storage every Append that returned before it
+// was called — nothing that runs beside it; a group committer counts its
+// batch first — with the fsync outside the journal lock, so Append, Size
+// and Err never wait on the disk. A sync error poisons the journal: the
+// failed fsync is never retried on this fd, because the kernel may have
+// dropped the dirty pages and a later success would be a false claim.
 func (j *Journal) Sync() error {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.poisoned != nil {
-		return fmt.Errorf("%w: %v", ErrPoisoned, j.poisoned)
+	f, poisoned := j.f, j.poisoned
+	j.mu.Unlock()
+	if poisoned != nil {
+		return fmt.Errorf("%w: %v", ErrPoisoned, poisoned)
 	}
-	if err := j.f.Sync(); err != nil {
-		j.poisoned = err
-		return err
+	err := f.Sync()
+	if err != nil {
+		j.mu.Lock()
+		if j.poisoned == nil {
+			j.poisoned = err
+		}
+		j.mu.Unlock()
 	}
-	return nil
+	return err
 }
 
 // Size returns the journal's byte size through the last attempted

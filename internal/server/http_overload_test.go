@@ -254,7 +254,10 @@ func TestSSEStalledClientDropped(t *testing.T) {
 	m.mu.Lock()
 	h := m.jobs[st.ID].hub
 	m.mu.Unlock()
-	if n := h.subscriberCount(); n != 0 {
+	h.mu.Lock()
+	n := len(h.subs)
+	h.mu.Unlock()
+	if n != 0 {
 		t.Fatalf("%d subscribers still pinned after the stalled client was dropped", n)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"cfaopc/internal/checkpoint"
@@ -50,19 +51,32 @@ func eventJournalHeader(jobID string, spec *JobSpec) []byte {
 }
 
 // hub fans one job's event stream out to any number of SSE
-// subscribers. Publishing journals the event first — durably — then
-// appends it to the in-memory history and offers it to every
-// subscriber without blocking: a slow consumer loses its oldest
-// buffered events, never the flow's time. Because an event is on disk
-// before any client can see it, every Seq a client has observed is
-// replayable after a crash, which is what makes Last-Event-ID
-// reconnects exact.
+// subscribers through a group commit (DESIGN §8). An event gets its seq
+// and its journal Append under the hub lock — journal order is seq order
+// — and joins pending; one committer at a time issues a single Sync for
+// what was appended before it started, then moves exactly that batch
+// into history and offers it to every subscriber, never blocking: a slow
+// consumer loses its oldest buffered events, not the flow's time. No
+// event is visible before the Sync covering it returns, so every Seq a
+// client saw replays after a crash and Last-Event-ID reconnects are
+// exact; what a crash may lose — appended, unsynced — no client ever saw.
 type hub struct {
-	mu      sync.Mutex
-	journal *checkpoint.Journal // nil once closed
-	history []JobEvent          // full stream; history[i].Seq == i+1
-	subs    map[*subscriber]struct{}
-	closed  bool // no further events will ever be published
+	mu       sync.Mutex
+	journal  *checkpoint.Journal // nil once closed: no further events will be published
+	history  []JobEvent          // durable and visible; history[i].Seq == i+1
+	pending  []JobEvent          // appended, not yet covered by a Sync
+	syncing  bool                // a committer is inside Sync
+	bg       bool                // post's committer goroutine is alive
+	released sync.Cond           // L = &mu; rung after every Sync and when bg ends
+	err      error               // a journal failure: sticky, drops everything pending unseen
+	subs     map[*subscriber]struct{}
+}
+
+// newHub wraps an already durable history; a nil journal is a closed hub.
+func newHub(journal *checkpoint.Journal, history []JobEvent) *hub {
+	h := &hub{journal: journal, history: history, subs: map[*subscriber]struct{}{}}
+	h.released.L = &h.mu
+	return h
 }
 
 // newHubFS opens (or reopens) the job's event journal and rebuilds the
@@ -73,20 +87,12 @@ func newHubFS(fsys iox.FS, path, jobID string, spec *JobSpec) (*hub, error) {
 	if err != nil {
 		return nil, fmt.Errorf("event journal: %w", err)
 	}
-	h := &hub{journal: journal, subs: map[*subscriber]struct{}{}}
-	for i, p := range payloads {
-		var ev JobEvent
-		if err := json.Unmarshal(p, &ev); err != nil {
-			journal.Close()
-			return nil, fmt.Errorf("event journal record %d: %w", i, err)
-		}
-		if ev.Seq != int64(len(h.history))+1 {
-			journal.Close()
-			return nil, fmt.Errorf("event journal record %d: seq %d, want %d", i, ev.Seq, len(h.history)+1)
-		}
-		h.history = append(h.history, ev)
+	history, err := decodeEvents(payloads)
+	if err != nil {
+		journal.Close()
+		return nil, err
 	}
-	return h, nil
+	return newHub(journal, history), nil
 }
 
 // readHistoryFS replays a finished job's event journal without taking
@@ -97,55 +103,123 @@ func readHistoryFS(fsys iox.FS, path, jobID string, spec *JobSpec) ([]JobEvent, 
 	if err != nil {
 		return nil, err
 	}
+	return decodeEvents(payloads)
+}
+
+// decodeEvents unmarshals journal records, which carry seqs 1..n.
+func decodeEvents(payloads [][]byte) ([]JobEvent, error) {
 	evs := make([]JobEvent, 0, len(payloads))
 	for i, p := range payloads {
 		var ev JobEvent
 		if err := json.Unmarshal(p, &ev); err != nil {
 			return nil, fmt.Errorf("event journal record %d: %w", i, err)
 		}
+		if ev.Seq != int64(i)+1 {
+			return nil, fmt.Errorf("event journal record %d: seq %d, want %d", i, ev.Seq, i+1)
+		}
 		evs = append(evs, ev)
 	}
 	return evs, nil
 }
 
-// publish assigns the next seq, makes the event durable, and only then
-// fans it out. Durability before visibility is absolute: if the append
-// or the fsync fails, the event never reaches the history or any
-// subscriber and publish returns the error — so every Seq a client has
-// ever observed is on disk and replays exactly after a crash. A failed
-// journal stays failed (checkpoint poisoning), so the caller must
-// treat a publish error as the end of this job's event stream. On a
-// closed hub (shutdown racing a late event) the journal write is
-// skipped but the in-memory stream stays coherent.
+// publish (state and governor events) returns once ev's batch is durable
+// and released. If the append or the covering fsync fails, the event
+// reaches no subscriber and the hub stays failed: the error ends this
+// job's stream. A closed hub (shutdown racing a late event) only skips
+// the journal.
 func (h *hub) publish(ev JobEvent) (JobEvent, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ev.Seq = int64(len(h.history)) + 1
+	ev, err := h.appendLocked(ev)
+	if err == nil && !h.commitLocked(ev.Seq) {
+		err = h.err
+	}
+	return ev, err
+}
+
+// post (the bridge's tile and beat events, and running) returns once the
+// append lands — a tile lane never waits on an fsync; one goroutine,
+// gone when nothing is pending, commits behind it.
+func (h *hub) post(ev JobEvent) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	_, err := h.appendLocked(ev)
+	if len(h.pending) > 0 && !h.bg {
+		h.bg = true
+		go func() {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			h.commitLocked(math.MaxInt64)
+			h.bg = false
+			h.released.Broadcast()
+		}()
+	}
+	return err
+}
+
+// appendLocked assigns the next seq and appends the record.
+func (h *hub) appendLocked(ev JobEvent) (JobEvent, error) {
+	if h.err != nil {
+		return ev, h.err
+	}
+	ev.Seq = int64(len(h.history)+len(h.pending)) + 1
 	payload, err := json.Marshal(ev)
 	if err != nil {
 		panic("server: marshal JobEvent failed: " + err.Error())
 	}
-	if h.journal != nil {
-		if err := h.journal.Append(payload); err != nil {
-			return JobEvent{}, fmt.Errorf("event journal: %w", err)
-		}
-		if err := h.journal.Sync(); err != nil {
-			return JobEvent{}, fmt.Errorf("event journal: %w", err)
-		}
+	if h.journal == nil {
+		h.release([]JobEvent{ev})
+	} else if err := h.journal.Append(payload); err != nil {
+		h.err = fmt.Errorf("event journal: %w", err)
+	} else {
+		h.pending = append(h.pending, ev)
 	}
-	h.history = append(h.history, ev)
-	for sub := range h.subs {
-		sub.offer(ev)
-	}
-	return ev, nil
+	return ev, h.err
 }
 
-// subscriberCount reports the live subscriber count — the SSE layer's
-// stalled-client drop test asserts it returns to zero.
-func (h *hub) subscriberCount() int {
+// commitLocked reports whether seq until got released; it gives up only
+// when nothing is pending. Whoever finds no Sync in flight runs the next
+// one itself (a waiter handing off to a goroutine would wait milliseconds
+// for it to get a P), counting its batch first: Journal.Sync covers what
+// was appended before the call, nothing after.
+func (h *hub) commitLocked(until int64) bool {
+	for int64(len(h.history)) < until && len(h.pending) > 0 {
+		if h.syncing {
+			h.released.Wait()
+			continue
+		}
+		h.syncing = true
+		n, journal := len(h.pending), h.journal
+		h.mu.Unlock()
+		err := journal.Sync()
+		h.mu.Lock()
+		h.syncing = false
+		if err != nil {
+			h.err, h.pending = fmt.Errorf("event journal: %w", err), nil
+		} else {
+			h.release(h.pending[:n])
+			h.pending = h.pending[n:]
+		}
+		h.released.Broadcast()
+	}
+	return int64(len(h.history)) >= until
+}
+
+// release makes a durable batch visible. Callers hold h.mu.
+func (h *hub) release(batch []JobEvent) {
+	h.history = append(h.history, batch...)
+	for sub := range h.subs {
+		for _, ev := range batch {
+			sub.offer(ev)
+		}
+	}
+}
+
+// failure returns the hub's sticky journal error, nil while healthy.
+func (h *hub) failure() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.subs)
+	return h.err
 }
 
 // journalSize reports the event journal's on-disk byte size (0 once
@@ -186,7 +260,7 @@ func (h *hub) subscribe(sinceSeq int64, capacity int) *subscriber {
 		sub.buf = append(sub.buf, h.history[sinceSeq:]...)
 		sub.notify <- struct{}{}
 	}
-	if h.closed {
+	if h.journal == nil {
 		// The stream already ended; tell the consumer so it drains the
 		// replay and stops waiting instead of hanging on a dead doorbell.
 		sub.shut()
@@ -211,11 +285,15 @@ func (h *hub) unsubscribe(sub *subscriber) {
 func (h *hub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	// Drain: nothing stays pending and no committer outlives the handle.
+	h.commitLocked(math.MaxInt64)
+	for h.bg {
+		h.released.Wait()
+	}
 	if h.journal != nil {
 		h.journal.Close()
 		h.journal = nil
 	}
-	h.closed = true
 	for sub := range h.subs {
 		sub.shut()
 	}

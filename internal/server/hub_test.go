@@ -171,10 +171,12 @@ func TestHubReadHistoryMatchesHub(t *testing.T) {
 	}
 }
 
-// TestHubConcurrentPublishSubscribe races publishers against a
-// mid-stream subscriber and checks every consumer still observes a
-// gap-free, duplicate-free suffix of the stream. Run under -race this
-// is also the locking proof.
+// TestHubConcurrentPublishSubscribe races four publishers — two that
+// wait for their batch, two that post like the flow bridge — against two
+// subscribers that keep dropping the connection and reconnecting with
+// the last seq they saw, and checks each still observes the whole
+// stream, gap-free and duplicate-free. Run under -race this is also the
+// locking proof.
 func TestHubConcurrentPublishSubscribe(t *testing.T) {
 	h, _, _ := testHub(t)
 	const publishers, perPublisher = 4, 50
@@ -186,34 +188,41 @@ func TestHubConcurrentPublishSubscribe(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < perPublisher; i++ {
-				h.publish(JobEvent{Kind: "beat", Tile: p})
+				if p%2 == 0 {
+					h.publish(JobEvent{Kind: "beat", Tile: p})
+				} else {
+					h.post(JobEvent{Kind: "beat", Tile: p})
+				}
 			}
 		}(p)
 	}
-	// Subscribe mid-storm with a buffer big enough to never drop.
-	sub := h.subscribe(0, total+1)
-	defer h.unsubscribe(sub)
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last int64
+			for last < int64(total) {
+				// A buffer big enough to never drop; each connection reads
+				// one doorbell's worth, then reconnects with Last-Event-ID.
+				sub := h.subscribe(last, total+1)
+				<-sub.wait()
+				evs, dropped := sub.drain()
+				h.unsubscribe(sub)
+				if dropped != 0 {
+					t.Errorf("dropped %d with an oversized buffer", dropped)
+					return
+				}
+				for _, ev := range evs {
+					if ev.Seq != last+1 {
+						t.Errorf("seq gap or duplicate: %d then %d", last, ev.Seq)
+						return
+					}
+					last = ev.Seq
+				}
+			}
+		}()
+	}
 	wg.Wait()
-
-	var seen []int64
-	evs, dropped := sub.drain()
-	if dropped != 0 {
-		t.Fatalf("dropped %d with an oversized buffer", dropped)
-	}
-	for _, ev := range evs {
-		seen = append(seen, ev.Seq)
-	}
-	if len(seen) == 0 {
-		t.Fatal("saw no events")
-	}
-	for i := 1; i < len(seen); i++ {
-		if seen[i] != seen[i-1]+1 {
-			t.Fatalf("seq gap or duplicate: %d then %d", seen[i-1], seen[i])
-		}
-	}
-	if seen[len(seen)-1] != int64(total) {
-		t.Fatalf("last seq %d, want %d", seen[len(seen)-1], total)
-	}
 	if h.lastSeq() != int64(total) {
 		t.Fatalf("hub lastSeq %d, want %d", h.lastSeq(), total)
 	}

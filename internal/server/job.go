@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -370,7 +371,7 @@ func (m *Manager) recover(payloads [][]byte) error {
 				})
 				m.synthEvents++
 			}
-			j.hub = &hub{history: evs, subs: map[*subscriber]struct{}{}, closed: true}
+			j.hub = newHub(nil, evs)
 		} else {
 			// The job was queued or mid-run when the daemon died: reopen
 			// its event journal so seq numbering continues, tell the
@@ -382,15 +383,15 @@ func (m *Manager) recover(payloads [][]byte) error {
 			}
 			j.hub = h
 			j.state = JobQueued
-			if err := m.appendRecord(jobRecord{ID: id, State: JobQueued, Time: m.now()}); err != nil {
-				h.close()
-				return fmt.Errorf("server: requeue %s: %w", id, err)
+			err = m.appendRecord(jobRecord{ID: id, State: JobQueued, Time: m.now()})
+			if err == nil {
+				_, err = h.publish(JobEvent{Kind: "state", State: string(JobQueued)})
 			}
-			if _, err := h.publish(JobEvent{Kind: "state", State: string(JobQueued)}); err != nil {
-				h.close()
-				return fmt.Errorf("server: requeue %s: %w", id, err)
+			if err == nil {
+				err = m.sched.enqueue(id, rec.Spec.Tenant, rec.Spec.Priority)
 			}
-			if err := m.sched.enqueue(id, rec.Spec.Tenant, rec.Spec.Priority); err != nil {
+			if err != nil {
+				h.close()
 				return fmt.Errorf("server: requeue %s: %w", id, err)
 			}
 			// Re-anchor deadlines at the first record's time and
@@ -673,14 +674,14 @@ func (m *Manager) runJob(id string) {
 	// A job whose state transitions cannot be journaled must not run:
 	// fail it cleanly before any work starts. finishLocked's own writes
 	// are best-effort against the same (likely poisoned) journals.
-	if err := m.appendRecord(jobRecord{ID: id, State: JobRunning, Time: now}); err != nil {
-		j.stopRun = nil
-		stop(nil)
-		m.finishLocked(j, JobFailed, "job journal: "+err.Error(), 0)
-		m.mu.Unlock()
-		return
+	err := m.appendRecord(jobRecord{ID: id, State: JobRunning, Time: now})
+	if err != nil {
+		err = fmt.Errorf("job journal: %w", err)
+	} else {
+		// May ride the first tile's batch: the record above is synced.
+		err = j.hub.post(JobEvent{Kind: "state", State: string(JobRunning)})
 	}
-	if _, err := j.hub.publish(JobEvent{Kind: "state", State: string(JobRunning)}); err != nil {
+	if err != nil {
 		j.stopRun = nil
 		stop(nil)
 		m.finishLocked(j, JobFailed, err.Error(), 0)
@@ -728,10 +729,10 @@ func deadlineMsg(j *job, dl time.Time) string {
 }
 
 // execute runs the spec with the daemon's plumbing: per-job paths and
-// a flow event bridge into the hub. A publish failure anywhere in the
-// bridge means the event journal is dead (poisoned — every later
-// publish would fail too), so the run is canceled immediately and the
-// journal error, not the resulting context cancellation, is returned.
+// a flow event bridge into the hub. The bridge posts, and a post error
+// means the event journal is dead (the hub is poisoned — every later
+// publish fails too), so the run is canceled immediately and the hub's
+// error, not the resulting context cancellation, is returned.
 func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*flow.Result, error) {
 	id := j.id
 	l, err := spec.ResolveLayout(m.layoutRoot)
@@ -740,18 +741,14 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var evMu sync.Mutex
-	var evErr error
 	pub := func(ev JobEvent) {
 		j.lastEv.Store(m.now().UnixNano()) // feeds the wedge watchdog
-		if _, err := h.publish(ev); err != nil {
-			evMu.Lock()
-			if evErr == nil {
-				evErr = err
-				cancel()
-			}
-			evMu.Unlock()
+		if h.post(ev) != nil {
+			cancel()
 		}
+		// Yield, or CPU-bound lanes keep every P while a committer back
+		// from its fsync waits to release (first tile seen 5 → 7 ms).
+		runtime.Gosched()
 	}
 	dir := m.jobDir(id)
 	opts := RunOpts{
@@ -774,11 +771,8 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 		},
 	}
 	res, err := m.runSpec(ctx, l, spec, opts)
-	evMu.Lock()
-	ferr := evErr
-	evMu.Unlock()
-	if ferr != nil {
-		return res, ferr
+	if herr := h.failure(); herr != nil {
+		return res, herr
 	}
 	return res, err
 }
@@ -957,16 +951,6 @@ func (m *Manager) GovernorHealth() GovernorHealth { return m.gov.health() }
 // QueueHealth reports the scheduler's /healthz section.
 func (m *Manager) QueueHealth() QueueHealth { return m.sched.health() }
 
-// EstimateFor prices a spec exactly as Submit would, resolving the
-// layout for its rect count. Exposed for calibration exhibits.
-func (m *Manager) EstimateFor(spec *JobSpec) (Cost, error) {
-	l, err := spec.ResolveLayout(m.layoutRoot)
-	if err != nil {
-		return Cost{}, err
-	}
-	return EstimateCost(spec, len(l.Rects)), nil
-}
-
 // appendRecord journals one job-state transition durably, returning
 // the append or fsync error; either poisons jobs.log (see
 // internal/checkpoint), so after one failure every later call fails
@@ -980,13 +964,12 @@ func (m *Manager) appendRecord(rec jobRecord) error {
 	if m.journal == nil {
 		return nil
 	}
-	if err := m.journal.Append(payload); err != nil {
-		m.recordErrs.Add(1)
-		return err
+	err = m.journal.Append(payload)
+	if err == nil {
+		err = m.journal.Sync()
 	}
-	if err := m.journal.Sync(); err != nil {
+	if err != nil {
 		m.recordErrs.Add(1)
-		return err
 	}
-	return nil
+	return err
 }

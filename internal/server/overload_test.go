@@ -72,10 +72,11 @@ func overloadBurst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost, err := m.EstimateFor(spec)
+		l, err := spec.ResolveLayout(m.layoutRoot) // priced exactly as Submit prices it
 		if err != nil {
 			t.Fatal(err)
 		}
+		cost := EstimateCost(spec, len(l.Rects))
 		fits := committed+cost.PeakBytes <= overloadBudget
 		if fits {
 			committed += cost.PeakBytes

@@ -399,7 +399,13 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Stop()
-	ops := rec.Ops()
+	// Where the committer's events.log syncs fall is timing: how many
+	// events each one covered differs run to run, and with it the op
+	// count and every index after the first batch. Materialize replays a
+	// sync as a no-op — no crash state depends on one — so re-space them
+	// one per event record, the most a run can issue, and the prefix-NNN /
+	// torn-NNN names below are the same in every run.
+	ops := respaceEventSyncs(rec.Ops())
 	if len(ops) < 15 {
 		t.Fatalf("recorder captured only %d ops; the daemon is not going through the seam", len(ops))
 	}
@@ -473,6 +479,39 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 			verify(t, dir, n%runEvery == 0)
 		})
 	}
+	// Group commit's own exposure: the crash kept every write to the other
+	// files but lost the events.log tail no Sync had covered — events no
+	// client saw. Which syncs had run by then is timing, so take the worst
+	// case the protocol allows: between submit and the terminal event
+	// nothing waits for a batch, so everything after the queued event (the
+	// journal's third write) may be gone, at every prefix but the last.
+	t.Run("unsynced-tail-lost", func(t *testing.T) {
+		events := filepath.Join("data", "jobs", st.ID, "events.log")
+		var queuedEnd int64
+		writes, states := 0, 0
+		for n := 1; n < len(ops); n++ {
+			if op := ops[n-1]; op.Path == events && op.Kind == iox.OpWrite {
+				if writes++; writes == 3 {
+					queuedEnd = op.Off + int64(len(op.Data))
+				}
+			}
+			if writes <= 3 || n%stride != 0 {
+				continue
+			}
+			dir := t.TempDir()
+			if err := iox.Materialize(dir, ops, n); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(filepath.Join(dir, events), queuedEnd); err != nil {
+				t.Fatal(err)
+			}
+			verify(t, dir, states%16 == 0)
+			states++
+		}
+		if states == 0 {
+			t.Fatal("no crash state had an event past the queued one")
+		}
+	})
 	// Torn variants: the crash hit mid-write, leaving half the payload.
 	for _, n := range iox.WriteBoundaries(ops) {
 		if ops[n-1].Kind != iox.OpWrite || len(ops[n-1].Data) < 2 {
@@ -490,4 +529,24 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 			verify(t, dir, false)
 		})
 	}
+}
+
+// respaceEventSyncs returns ops with every events.log sync removed and
+// one inserted after each event record (each events.log write but the
+// journal's magic and header).
+func respaceEventSyncs(ops []iox.Op) (out []iox.Op) {
+	writes := 0
+	for _, op := range ops {
+		isEvents := strings.HasSuffix(op.Path, "events.log")
+		if isEvents && op.Kind == iox.OpSync {
+			continue
+		}
+		out = append(out, op)
+		if isEvents && op.Kind == iox.OpWrite {
+			if writes++; writes > 2 {
+				out = append(out, iox.Op{Kind: iox.OpSync, Path: op.Path})
+			}
+		}
+	}
+	return out
 }
