@@ -97,7 +97,9 @@ import (
 	"cfaopc/internal/wcache"
 )
 
-// Optimizer produces the shot list for one window target.
+// Optimizer produces the shot list for one window target. The raster is
+// the calling lane's and is repainted for its next tile: an optimizer
+// that wants the pixels after it returns copies them.
 type Optimizer func(sim *litho.Simulator, target *grid.Real) []geom.Circle
 
 // ErrStalled marks an optimizer attempt killed by the stall watchdog:
@@ -830,19 +832,21 @@ type executor func(ctx context.Context, j tileJob, target *grid.Real, out *tileO
 // runTile takes one window through raster → cache lookup → execute →
 // cache store, the same pipeline in every dispatch mode. The window
 // target is rasterized on demand from the layout's span index — the
-// streaming path; no full-grid raster exists anywhere. A tile degrades
-// through retry → fallback → empty instead of failing the run; when ctx
-// is canceled it is abandoned (stat.Path stays empty) and RunContext
-// turns that into ctx.Err() for the whole run.
-func (env *runEnv) runTile(ctx context.Context, exec executor, j tileJob) (out tileOut) {
+// streaming path; no full-grid raster exists anywhere — into target, the
+// calling lane's one window raster: it holds this tile's pixels until
+// the lane's next runTile, so whatever wants them longer (a bundle, a
+// task on the wire) copies them. A tile degrades through retry →
+// fallback → empty instead of failing the run; when ctx is canceled it
+// is abandoned (stat.Path stays empty) and RunContext turns that into
+// ctx.Err() for the whole run.
+func (env *runEnv) runTile(ctx context.Context, exec executor, target *grid.Real, j tileJob) (out tileOut) {
 	start := time.Now()
 	out = tileOut{stat: j.stat(env.cfg)}
 	// out is the named result: a deferred write to a local would land
 	// after the return value was already copied out.
 	defer func() { out.stat.Wall = time.Since(start) }()
 	ox, oy := j.origin(env.cfg.HaloPx)
-	window := env.cfg.window()
-	target, occupied := env.ix.Window(ox, oy, window, window)
+	occupied := env.ix.WindowInto(target, ox, oy)
 	out.stat.Occupied = occupied
 	out.stat.RasterWall = time.Since(start)
 	if !occupied {
@@ -1114,11 +1118,12 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 		go func(ln lane) {
 			defer wg.Done()
 			defer ln.stop()
+			target := grid.NewReal(cfg.window(), cfg.window()) // the lane's, repainted per tile
 			for j := range jobCh {
 				if ctx.Err() != nil {
 					continue // drain without work so the feeder never blocks
 				}
-				complete(j, env.runTile(ctx, ln.exec, j))
+				complete(j, env.runTile(ctx, ln.exec, target, j))
 			}
 		}(ln)
 	}

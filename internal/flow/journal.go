@@ -26,6 +26,7 @@ import (
 // Under Config.StrictStorage the failure goes to fail and the run dies.
 type tileJournal struct {
 	j      *checkpoint.Journal
+	enc    iox.GobEncoder[journalRecord] // records stay self-describing; the run pays for the type descriptors once
 	strict bool
 	fail   func(error) // fails the run; called under strict only
 }
@@ -61,8 +62,6 @@ type journalRecord struct {
 	Tile    *tileRecord
 	Partial *partialRecord
 }
-
-func encodeRecord(rec journalRecord) ([]byte, error) { return iox.EncodeGob(rec) }
 
 func decodeRecord(p []byte) (journalRecord, error) {
 	var rec journalRecord
@@ -183,7 +182,7 @@ func (t *tileJournal) append(rec journalRecord) {
 	if !t.healthy() {
 		return
 	}
-	buf, err := encodeRecord(rec)
+	buf, err := t.enc.Encode(rec)
 	if err == nil {
 		err = t.j.Append(buf)
 	}

@@ -46,7 +46,8 @@ func BenchmarkSelectRadius(b *testing.B) {
 	m := grid.NewReal(96, 96)
 	m.Fill(1)
 	f := fracturer{cfg: cfg, ladder: geom.LadderFor(cfg.RMin, cfg.RMax)}
-	f.crop(geom.Components(m, true), 1)
+	f.labels.Relabel(m, true)
+	f.crop(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -106,14 +107,17 @@ func TestCircleRuleCostTracksRegionNotWindow(t *testing.T) {
 	}
 }
 
-// CircleRule allocates per call, not per region, radius step or repair
-// circle: the label grid, the shot list and one set of crop buffers sized
-// by the largest region. The window-sized grids of the straightforward
-// version made this count run into the thousands.
+// CircleRule allocates the shot list it returns and nothing else once a
+// pooled fracturer has seen a window this size: the label grid, the crop
+// buffers and the work lists come back from the pool. (Outside the race
+// job: under -race sync.Pool drops a share of what is Put.)
 func TestCircleRuleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race")
+	}
 	m, cfg := suiteWindow(t, 192)
-	CircleRule(m, cfg) // build the ladder
-	const ceiling = 120
+	CircleRule(m, cfg) // build the ladder, grow a fracturer
+	const ceiling = 4
 	if a := testing.AllocsPerRun(5, func() { CircleRule(m, cfg) }); a > ceiling {
 		t.Fatalf("CircleRule allocates %v times per 192-px window, ceiling %d", a, ceiling)
 	} else {

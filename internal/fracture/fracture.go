@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"sync"
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
@@ -104,27 +105,38 @@ func (c CircleRuleConfig) validate() {
 // the cost follows the shapes, not the window they sit in.
 func CircleRule(mask *grid.Real, cfg CircleRuleConfig) []geom.Circle {
 	cfg.validate()
-	labels := geom.Components(mask, true)
-	if labels.N == 0 {
-		return nil
-	}
-	f := fracturer{cfg: cfg, ladder: geom.LadderFor(cfg.RMin, cfg.RMax)}
-	for id := 1; id <= labels.N; id++ {
-		f.crop(labels, id)
+	f := fracturers.Get().(*fracturer)
+	f.cfg, f.ladder, f.shots = cfg, geom.LadderFor(cfg.RMin, cfg.RMax), f.shots[:0]
+	f.labels.Relabel(mask, true)
+	for id := 1; id <= f.labels.N; id++ {
+		f.crop(id)
 		first := len(f.shots)
 		if f.walkSkeleton() && !cfg.DisableRepair {
 			f.repairCoverage(first)
 		}
 	}
-	return f.shots
+	// Callers keep the list (cache entries, journal records); the
+	// fracturer's own goes back to the pool with it.
+	shots := append([]geom.Circle(nil), f.shots...)
+	fracturers.Put(f)
+	return shots
 }
 
-// fracturer is the state of one CircleRule call: the shot list so far,
-// the current region cropped out of the window, and buffers that are
-// reused from region to region.
+// fracturers holds idle fracturers, so a caller that fractures window
+// after window — a tile lane — allocates only the list it is handed. A
+// fracturer keeps buffers sized by the largest window and region it has
+// seen until the collector empties the pool; one that panics mid-call is
+// not put back.
+var fracturers = sync.Pool{New: func() any { return new(fracturer) }}
+
+// fracturer is the state of one CircleRule call: the labelling of the
+// window, the shot list so far, the current region cropped out of the
+// window, and buffers that are reused from region to region and, through
+// the pool, from call to call.
 type fracturer struct {
 	cfg    CircleRuleConfig
 	ladder *geom.CoverLadder
+	labels geom.Labels
 	shots  []geom.Circle
 
 	// The crop: the region's bounding box plus a one-pixel background
@@ -145,7 +157,8 @@ type fracturer struct {
 type walkItem struct{ idx, cnt int32 }
 
 // crop copies component id of the labelling into the region raster.
-func (f *fracturer) crop(labels *geom.Labels, id int) {
+func (f *fracturer) crop(id int) {
+	labels := &f.labels
 	b := labels.Bounds[id]
 	f.w, f.h, f.ox, f.oy = b.W+2, b.H+2, b.X-1, b.Y-1
 	x0, y0 := max(0, -f.ox), max(0, -f.oy)

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 )
 
 // ErrTornFrame marks a frame cut short: the stream ended inside the
@@ -123,6 +124,51 @@ func EncodeGob(v any) ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
+}
+
+// GobEncoder is EncodeGob for many values of one type T: each payload is
+// the bytes EncodeGob returns for that value, without describing T's
+// types again per value. A gob stream's first Encode emits the type
+// descriptors and then the value message, every later Encode the value
+// message alone, and the descriptors depend on T only — so the first
+// payload less its value message is a prefix that makes any later value
+// message the self-describing payload a fresh encoder would have written.
+// That needs T free of interface-typed fields: a concrete type first met
+// inside one is described where it is met, once per stream. The zero
+// value is ready; it is safe for concurrent use.
+type GobEncoder[T any] struct {
+	mu     sync.Mutex
+	buf    bytes.Buffer
+	enc    *gob.Encoder // nil until warmed, and again after an error
+	prefix []byte       // T's descriptors, as enc sent them once
+}
+
+// Encode returns v's payload. An encoder that fails is discarded, so no
+// later payload can depend on what a failed Encode left in the stream.
+func (g *GobEncoder[T]) Encode(v T) ([]byte, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.buf.Reset()
+	if g.enc == nil {
+		// Warm up: the stream's first message is the whole payload, its
+		// second is v's value message alone; what precedes it in the
+		// first is the prefix.
+		enc := gob.NewEncoder(&g.buf)
+		if err := enc.Encode(v); err != nil {
+			return nil, err
+		}
+		full := bytes.Clone(g.buf.Bytes())
+		g.buf.Reset()
+		if err := enc.Encode(v); err == nil && bytes.HasSuffix(full, g.buf.Bytes()) {
+			g.enc, g.prefix = enc, bytes.Clone(full[:len(full)-g.buf.Len()])
+		}
+		return full, nil
+	}
+	if err := g.enc.Encode(v); err != nil {
+		g.enc = nil
+		return nil, err
+	}
+	return append(append(make([]byte, 0, len(g.prefix)+g.buf.Len()), g.prefix...), g.buf.Bytes()...), nil
 }
 
 // DecodeGob decodes an EncodeGob payload into v.

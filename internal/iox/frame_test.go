@@ -314,3 +314,102 @@ func TestGobRoundTrip(t *testing.T) {
 		t.Fatal("a func encoded")
 	}
 }
+
+// moody fails to encode when told to, from the middle of a record.
+type moody struct{ Fail bool }
+
+func (m moody) GobEncode() ([]byte, error) {
+	if m.Fail {
+		return nil, errors.New("moody: not now")
+	}
+	return []byte{1}, nil
+}
+
+func (m *moody) GobDecode([]byte) error { return nil }
+
+type warmRec struct {
+	N     int
+	Inner *struct {
+		S string
+		F []float64
+	}
+	Mood moody
+	Tail []int32
+}
+
+// Every payload of a GobEncoder is the payload a fresh encoder writes for
+// the same value — first call, warmed calls, zero values, nil and set
+// pointers — and decodes on its own. After an Encode fails the next
+// payload is whole again: same bytes as fresh, decodable alone.
+func TestGobEncoderMatchesFreshEncoder(t *testing.T) {
+	var g GobEncoder[warmRec]
+	check := func(v warmRec) {
+		t.Helper()
+		got, err := g.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := EncodeGob(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%+v: warmed encoder wrote %d bytes, fresh %d, or they differ", v, len(got), len(want))
+		}
+		var back warmRec
+		if err := DecodeGob(got, &back); err != nil || back.N != v.N || len(back.Tail) != len(v.Tail) || (back.Inner == nil) != (v.Inner == nil) {
+			t.Fatalf("%+v decoded alone as %+v, %v", v, back, err)
+		}
+	}
+	vals := []warmRec{{}, {N: 1}, {Tail: []int32{1, 2, 3}}, {N: -5, Tail: make([]int32, 300)}, {}}
+	for i := range vals[:3] {
+		vals[i+1].Inner = &struct {
+			S string
+			F []float64
+		}{S: "x", F: make([]float64, i)}
+	}
+	for round := 0; round < 3; round++ {
+		for _, v := range vals {
+			check(v)
+		}
+		if _, err := g.Encode(warmRec{N: 9, Mood: moody{Fail: true}}); err == nil {
+			t.Fatal("a failing field encoded")
+		}
+		if g.enc != nil {
+			t.Fatal("the encoder survived its error")
+		}
+	}
+	// A failure on the very first call leaves nothing behind either.
+	var h GobEncoder[warmRec]
+	if _, err := h.Encode(warmRec{Mood: moody{Fail: true}}); err == nil || h.enc != nil {
+		t.Fatalf("first-call failure: err = %v, encoder kept = %v", err, h.enc != nil)
+	}
+	g = GobEncoder[warmRec]{}
+	check(vals[1])
+}
+
+// Payloads from many goroutines through one GobEncoder are each the
+// fresh encoder's bytes. Run under -race.
+func TestGobEncoderConcurrent(t *testing.T) {
+	var g GobEncoder[warmRec]
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		go func(w int) {
+			for i := 0; i < 50; i++ {
+				v := warmRec{N: w*1000 + i, Tail: make([]int32, i)}
+				got, err := g.Encode(v)
+				want, _ := EncodeGob(v)
+				if err != nil || !bytes.Equal(got, want) {
+					errs <- errors.New("warmed payload differs from fresh")
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < 8; w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}

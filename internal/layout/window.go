@@ -1,8 +1,9 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cfaopc/internal/grid"
 )
@@ -19,22 +20,10 @@ type pxSpan struct{ X0, X1, Y0, Y1 int }
 func (l *Layout) span(r Rect, n int) (pxSpan, bool) {
 	dx := float64(l.TileNM) / float64(n)
 	s := pxSpan{
-		X0: int(ceilDiv(float64(r.X), dx)),
-		X1: int(ceilDiv(float64(r.X+r.W), dx)),
-		Y0: int(ceilDiv(float64(r.Y), dx)),
-		Y1: int(ceilDiv(float64(r.Y+r.H), dx)),
-	}
-	if s.X0 < 0 {
-		s.X0 = 0
-	}
-	if s.Y0 < 0 {
-		s.Y0 = 0
-	}
-	if s.X1 > n {
-		s.X1 = n
-	}
-	if s.Y1 > n {
-		s.Y1 = n
+		X0: max(int(ceilDiv(float64(r.X), dx)), 0),
+		X1: min(int(ceilDiv(float64(r.X+r.W), dx)), n),
+		Y0: max(int(ceilDiv(float64(r.Y), dx)), 0),
+		Y1: min(int(ceilDiv(float64(r.Y+r.H), dx)), n),
 	}
 	return s, s.X0 < s.X1 && s.Y0 < s.Y1
 }
@@ -44,20 +33,8 @@ func (l *Layout) span(r Rect, n int) (pxSpan, bool) {
 // whether any pixel was painted. Painting is idempotent (pixels go to 1),
 // so overlapping spans compose safely.
 func fillSpan(m *grid.Real, s pxSpan, x0, y0 int) bool {
-	cx0, cx1 := s.X0-x0, s.X1-x0
-	cy0, cy1 := s.Y0-y0, s.Y1-y0
-	if cx0 < 0 {
-		cx0 = 0
-	}
-	if cy0 < 0 {
-		cy0 = 0
-	}
-	if cx1 > m.W {
-		cx1 = m.W
-	}
-	if cy1 > m.H {
-		cy1 = m.H
-	}
+	cx0, cx1 := max(s.X0-x0, 0), min(s.X1-x0, m.W)
+	cy0, cy1 := max(s.Y0-y0, 0), min(s.Y1-y0, m.H)
 	if cx0 >= cx1 || cy0 >= cy1 {
 		return false
 	}
@@ -156,13 +133,7 @@ func (ix *WindowIndex) Occupancy(x0, y0, w, h int) int {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("layout: invalid window %dx%d", w, h))
 	}
-	gy0, gy1 := y0, y0+h
-	if gy0 < 0 {
-		gy0 = 0
-	}
-	if gy1 > ix.n {
-		gy1 = ix.n
-	}
+	gy0, gy1 := max(y0, 0), min(y0+h, ix.n)
 	if gy0 >= gy1 {
 		return 0
 	}
@@ -172,24 +143,8 @@ func (ix *WindowIndex) Occupancy(x0, y0, w, h int) int {
 		for _, s := range ix.bands[b] {
 			// Clip rows to the bucket (spans repeat across buckets),
 			// then to the window, then columns to the window ∩ grid.
-			if s.Y0 < lo {
-				s.Y0 = lo
-			}
-			if s.Y1 > hi {
-				s.Y1 = hi
-			}
-			if s.Y0 < y0 {
-				s.Y0 = y0
-			}
-			if s.Y1 > y0+h {
-				s.Y1 = y0 + h
-			}
-			if s.X0 < x0 {
-				s.X0 = x0
-			}
-			if s.X1 > x0+w {
-				s.X1 = x0 + w
-			}
+			s.Y0, s.Y1 = max(s.Y0, lo, y0), min(s.Y1, hi, y0+h)
+			s.X0, s.X1 = max(s.X0, x0), min(s.X1, x0+w)
 			if s.X0 < s.X1 && s.Y0 < s.Y1 {
 				total += (s.X1 - s.X0) * (s.Y1 - s.Y0)
 			}
@@ -215,60 +170,28 @@ func (ix *WindowIndex) WindowSpans(x0, y0, w, h int) []Span {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("layout: invalid window %dx%d", w, h))
 	}
-	gy0, gy1 := y0, y0+h
-	if gy0 < 0 {
-		gy0 = 0
-	}
-	if gy1 > ix.n {
-		gy1 = ix.n
-	}
+	gy0, gy1 := max(y0, 0), min(y0+h, ix.n)
 	if gy0 >= gy1 {
 		return nil
 	}
-	seen := make(map[Span]struct{})
 	var out []Span
 	for b := gy0 / ix.bandRows; b <= (gy1-1)/ix.bandRows; b++ {
 		for _, s := range ix.bands[b] {
 			// Clip the FULL span (not the bucket-clipped one) to the
 			// window so the same rect yields the same Span from every
-			// bucket that lists it; the dedup map collapses repeats.
-			c := Span{X0: s.X0 - x0, X1: s.X1 - x0, Y0: s.Y0 - y0, Y1: s.Y1 - y0}
-			if c.X0 < 0 {
-				c.X0 = 0
+			// bucket that lists it; equal spans end up adjacent in the
+			// sort and collapse there.
+			c := Span{X0: max(s.X0-x0, 0), X1: min(s.X1-x0, w), Y0: max(s.Y0-y0, 0), Y1: min(s.Y1-y0, h)}
+			if c.X0 < c.X1 && c.Y0 < c.Y1 {
+				out = append(out, c)
 			}
-			if c.Y0 < 0 {
-				c.Y0 = 0
-			}
-			if c.X1 > w {
-				c.X1 = w
-			}
-			if c.Y1 > h {
-				c.Y1 = h
-			}
-			if c.X0 >= c.X1 || c.Y0 >= c.Y1 {
-				continue
-			}
-			if _, dup := seen[c]; dup {
-				continue
-			}
-			seen[c] = struct{}{}
-			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Y0 != b.Y0 {
-			return a.Y0 < b.Y0
-		}
-		if a.X0 != b.X0 {
-			return a.X0 < b.X0
-		}
-		if a.Y1 != b.Y1 {
-			return a.Y1 < b.Y1
-		}
-		return a.X1 < b.X1
+	slices.SortFunc(out, func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Y0, b.Y0), cmp.Compare(a.X0, b.X0),
+			cmp.Compare(a.Y1, b.Y1), cmp.Compare(a.X1, b.X1))
 	})
-	return out
+	return slices.Compact(out)
 }
 
 // Window rasterizes the w×h window at origin (x0, y0) using the span
@@ -279,32 +202,29 @@ func (ix *WindowIndex) Window(x0, y0, w, h int) (*grid.Real, bool) {
 		panic(fmt.Sprintf("layout: invalid window %dx%d", w, h))
 	}
 	m := grid.NewReal(w, h)
-	occupied := false
-	gy0, gy1 := y0, y0+h
-	if gy0 < 0 {
-		gy0 = 0
-	}
-	if gy1 > ix.n {
-		gy1 = ix.n
-	}
+	return m, ix.WindowInto(m, x0, y0)
+}
+
+// WindowInto is Window into a raster the caller owns: whatever dst held
+// is cleared, then the dst.W×dst.H window at origin (x0, y0) is painted.
+// A caller that walks window after window reuses one raster for all.
+func (ix *WindowIndex) WindowInto(dst *grid.Real, x0, y0 int) bool {
+	clear(dst.Data)
+	gy0, gy1 := max(y0, 0), min(y0+dst.H, ix.n)
 	if gy0 >= gy1 {
-		return m, false
+		return false
 	}
+	occupied := false
 	for b := gy0 / ix.bandRows; b <= (gy1-1)/ix.bandRows; b++ {
 		lo, hi := b*ix.bandRows, (b+1)*ix.bandRows
 		for _, s := range ix.bands[b] {
 			// Clip the span's rows to this bucket so a span listed in
 			// several buckets paints each of its pixels exactly once.
-			if s.Y0 < lo {
-				s.Y0 = lo
-			}
-			if s.Y1 > hi {
-				s.Y1 = hi
-			}
-			if fillSpan(m, s, x0, y0) {
+			s.Y0, s.Y1 = max(s.Y0, lo), min(s.Y1, hi)
+			if fillSpan(dst, s, x0, y0) {
 				occupied = true
 			}
 		}
 	}
-	return m, occupied
+	return occupied
 }

@@ -2,6 +2,7 @@ package layout
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cfaopc/internal/grid"
@@ -51,6 +52,38 @@ func checkWindow(t *testing.T, l *Layout, ix *WindowIndex, full *grid.Real, n, x
 	}
 	if indexed.SqDiff(wantGrid) != 0 {
 		t.Fatalf("WindowIndex.Window(%d, %d, %d, %d) differs from full-raster extraction", x0, y0, w, h)
+	}
+	dirty := grid.NewReal(w, h)
+	dirty.Fill(7)
+	if occ := ix.WindowInto(dirty, x0, y0); occ != wantOcc || !slices.Equal(dirty.Data, wantGrid.Data) {
+		t.Fatalf("WindowIndex.WindowInto(%d, %d) on a dirty %dx%d raster: occupied = %v, want %v and the fresh window's pixels", x0, y0, w, h, occ, wantOcc)
+	}
+}
+
+// One raster carried from window to window — what a tile lane does — holds
+// after every WindowInto exactly what a fresh Window holds: negative
+// origins, overhang past the far edges, and an unoccupied window, which
+// must come back all zeros and false whatever the window before it drew.
+func TestWindowIntoReusesOneRaster(t *testing.T) {
+	l := GenerateRandom(3, RandomConfig{Features: 24, MarginNM: 64})
+	const n, w = 256, 96
+	ix := NewWindowIndex(l, n)
+	buf := grid.NewReal(w, w)
+	unoccupied := 0
+	for _, o := range [][2]int{{-40, -40}, {80, 80}, {-w, 10}, {200, 200}, {n, n}, {120, -30}, {30, 5 * n}, {60, 60}} {
+		want, wantOcc := ix.Window(o[0], o[1], w, w)
+		if occ := ix.WindowInto(buf, o[0], o[1]); occ != wantOcc || !slices.Equal(buf.Data, want.Data) {
+			t.Fatalf("window at %v: occupied = %v, want %v and a fresh window's pixels", o, occ, wantOcc)
+		}
+		if !wantOcc {
+			unoccupied++
+			if buf.Sum() != 0 {
+				t.Fatalf("unoccupied window at %v holds %v foreground", o, buf.Sum())
+			}
+		}
+	}
+	if unoccupied < 3 {
+		t.Fatalf("only %d unoccupied windows in the walk", unoccupied)
 	}
 }
 

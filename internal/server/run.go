@@ -171,33 +171,27 @@ const maskBandRows = 64
 // WriteMask writes the n×n mask shots print as a binary PGM (P5),
 // fsynced — the bytes of geom.RasterizeCircles(n, n, shots) thresholded
 // at one half, rasterized into one reused row band so no n² grid is
-// ever held.
+// ever held, and written one band per write call.
 func WriteMask(fsys iox.FS, path string, n int, shots []geom.Circle) error {
 	f, err := iox.OrOS(fsys).Create(path)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriter(f)
-	_, err = fmt.Fprintf(bw, "P5\n%d %d\n255\n", n, n)
+	_, err = fmt.Fprintf(f, "P5\n%d %d\n255\n", n, n)
 	buf := make([]float64, n*min(maskBandRows, n))
-	row := make([]byte, n)
+	pix := make([]byte, len(buf))
 	for y0 := 0; y0 < n && err == nil; y0 += maskBandRows {
 		h := min(maskBandRows, n-y0)
 		band := grid.Real{W: n, H: h, Data: buf[:n*h]}
 		clear(band.Data)
 		geom.RasterizeCirclesBand(&band, y0, shots)
-		for y := 0; y < h && err == nil; y++ {
-			for x, v := range band.Data[y*n : (y+1)*n] {
-				row[x] = 0
-				if v > 0.5 {
-					row[x] = 255
-				}
+		for i, v := range band.Data {
+			pix[i] = 0
+			if v > 0.5 {
+				pix[i] = 255
 			}
-			_, err = bw.Write(row)
 		}
-	}
-	if err == nil {
-		err = bw.Flush()
+		_, err = f.Write(pix[:n*h])
 	}
 	if err == nil {
 		err = f.Sync()

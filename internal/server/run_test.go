@@ -91,6 +91,7 @@ func TestWriteMaskEqualsFullRaster(t *testing.T) {
 		"circle in three bands": {200, []geom.Circle{{X: 100, Y: 100, R: 50}, {X: 10, Y: 190, R: 4}}},
 		"clipped by every edge": {96, []geom.Circle{{X: 2, Y: 48, R: 8}, {X: 94, Y: 48, R: 8}, {X: 48, Y: 1, R: 8}, {X: 48, Y: 95, R: 8}, {X: -3, Y: -3, R: 10}}},
 		"no shots":              {70, nil},
+		"eight bands":           {512, []geom.Circle{{X: 256, Y: 256, R: 200}, {X: 40, Y: 470, R: 38}, {X: 500, Y: 63.5, R: 6}, {X: 130, Y: 128, R: 0.6}}},
 	} {
 		path := filepath.Join(dir, "m.pgm")
 		if err := WriteMask(nil, path, tc.n, tc.shots); err != nil {
@@ -117,8 +118,8 @@ func TestWriteMaskEqualsFullRaster(t *testing.T) {
 		fsys iox.FS
 	}{
 		"create": {128, nil},
-		"write":  {128, iox.NewFaultFS(nil, iox.Plan{WriteBudget: 5000})}, // 16 KiB of rows spill bufio mid-loop
-		"flush":  {16, iox.NewFaultFS(nil, iox.Plan{WriteBudget: 8})},     // 267 bytes sit in bufio until Flush
+		"band":   {128, iox.NewFaultFS(nil, iox.Plan{WriteBudget: 10000})}, // the header and one 8 KiB band fit, the second band does not
+		"header": {16, iox.NewFaultFS(nil, iox.Plan{WriteBudget: 8})},      // not even the 13-byte header fits
 		"fsync":  {128, iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 1})},
 	} {
 		path := filepath.Join(dir, name+".pgm")

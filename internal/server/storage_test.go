@@ -405,7 +405,12 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 	// sync as a no-op — no crash state depends on one — so re-space them
 	// one per event record, the most a run can issue, and the prefix-NNN /
 	// torn-NNN names below are the same in every run.
-	ops := respaceEventSyncs(rec.Ops())
+	// The mask goes out one 64-row band per write; a crash can tear a
+	// write that size at any page. Cut its byte stream every 4 KB — more
+	// crash states than the daemon's own write boundaries, and the op list
+	// a 4 KB-buffered writer issued, which WriteMask was when the
+	// prefix-NNN / torn-NNN names were first counted.
+	ops := rechunkWrites(respaceEventSyncs(rec.Ops()), "mask.pgm", 4096)
 	if len(ops) < 15 {
 		t.Fatalf("recorder captured only %d ops; the daemon is not going through the seam", len(ops))
 	}
@@ -548,5 +553,43 @@ func respaceEventSyncs(ops []iox.Op) (out []iox.Op) {
 			}
 		}
 	}
+	return out
+}
+
+// rechunkWrites returns ops with the writes to the file called name
+// re-cut as a writer with a chunk-byte buffer would have issued them:
+// full chunks as the stream fills them, the remainder before the file's
+// next other operation.
+func rechunkWrites(ops []iox.Op, name string, chunk int) (out []iox.Op) {
+	var pend iox.Op
+	flush := func() {
+		if len(pend.Data) > 0 {
+			out = append(out, pend)
+			pend = iox.Op{}
+		}
+	}
+	for _, op := range ops {
+		if filepath.Base(op.Path) != name {
+			out = append(out, op)
+			continue
+		}
+		if op.Kind != iox.OpWrite {
+			flush()
+			out = append(out, op)
+			continue
+		}
+		for off, data := op.Off, op.Data; len(data) > 0; {
+			if len(pend.Data) == 0 {
+				pend = iox.Op{Kind: iox.OpWrite, Path: op.Path, Off: off}
+			}
+			n := min(chunk-len(pend.Data), len(data))
+			pend.Data = append(pend.Data, data[:n]...)
+			off, data = off+int64(n), data[n:]
+			if len(pend.Data) == chunk {
+				flush()
+			}
+		}
+	}
+	flush()
 	return out
 }
