@@ -173,21 +173,6 @@ func BenchmarkExtensionDose(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionCompaction measures union-preserving shot compaction
-// across every method's shot lists.
-func BenchmarkExtensionCompaction(b *testing.B) {
-	r := sharedRunner(b)
-	for i := 0; i < b.N; i++ {
-		t := r.ExtensionCompaction()
-		if len(t.Rows) != 4 {
-			b.Fatalf("rows = %d", len(t.Rows))
-		}
-		if i == 0 {
-			b.Log("\n" + t.Format())
-		}
-	}
-}
-
 // BenchmarkFlowRun measures the tiled full-chip flow at increasing
 // tile-worker counts on a 2×2-core random layout with work in every
 // quadrant. The stitched output is bit-identical at every count, so the

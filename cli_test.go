@@ -86,6 +86,14 @@ func TestCLIToolsBuildAndUsage(t *testing.T) {
 			t.Errorf("%s -h: %v\n%s", tool.name, err, out)
 		}
 	}
+	// A case outside the suite is refused in one line, not a panic.
+	for _, id := range []string{"0", "11"} {
+		cmd := exec.Command(bin("shotscale"), "-case", id)
+		out, _ := cmd.CombinedOutput()
+		if cmd.ProcessState.ExitCode() != 1 || !bytes.Equal(out, []byte("shotscale: -case "+id+": the suite is cases 1..10\n")) {
+			t.Errorf("shotscale -case %s: exit %d\n%s", id, cmd.ProcessState.ExitCode(), out)
+		}
+	}
 }
 
 // TestEveryInternalPackageIsShipped fails, naming the orphan, when an
@@ -333,37 +341,32 @@ func TestCLIFlagsEqualJobSpec(t *testing.T) {
 	}
 }
 
-// TestCLICheckpointCompact is the maintenance loop README documents: a
-// checkpointed tiled run, -checkpoint-compact with the same flags, and a
-// re-run that resumes every tile from the compacted journal to the same
-// shot bytes. The compaction takes its fingerprint from the same
-// flow.Config the run does, so it cannot reject a journal cfaopc wrote.
-func TestCLICheckpointCompact(t *testing.T) {
+// TestCLIParentPartialJournalResumes holds resume to a journal the parent
+// commit's cfaopc wrote under its since-removed -partial-every 5 and was
+// SIGKILLed over: four finished tiles, each behind the mid-tile optimizer
+// snapshots of its own run, and six live snapshots of tile 4. This build
+// opens it, resumes the finished tiles, skips every snapshot, recomputes
+// tile 4 and the rest from scratch and lands on the shot list the
+// parent's uninterrupted run wrote — in-process at either lane count and
+// on worker subprocesses.
+func TestCLIParentPartialJournalResumes(t *testing.T) {
 	cfaopc := buildTools(t, "cfaopc")("cfaopc")
 	work := t.TempDir()
-	job := []string{"-case", "4", "-grid", "128", "-method", "circlerule",
-		"-tile-core", "64", "-tile-halo", "16", "-stream", "-checkpoint", "run.ckpt"}
-
-	runCLI(t, work, cfaopc, append(job, "-out", "first")...)
-	out := runCLI(t, work, cfaopc, append(job, "-checkpoint-compact")...)
-	if !strings.Contains(out, "compacted run.ckpt: kept 4 records, dropped 0") {
-		t.Fatalf("compaction report unexpected:\n%s", out)
-	}
-	out = runCLI(t, work, cfaopc, append(job, "-out", "second")...)
-	tiles := 0
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "  tile ") {
-			tiles++
-			if !strings.Contains(line, "[resumed]") {
-				t.Errorf("tile recomputed after compaction: %s", line)
-			}
+	journal, want := readFile(t, "testdata", "parent", "partial.ckpt"), readFile(t, "testdata", "parent", "partial_case7_shots.csv")
+	for _, pool := range [][]string{{"-tile-workers", "1"}, {"-tile-workers", "2"}, {"-proc-workers", "2"}} {
+		if err := os.WriteFile(filepath.Join(work, "partial.ckpt"), journal, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if tiles != 4 {
-		t.Fatalf("resumed run reported %d tiles, want 4:\n%s", tiles, out)
-	}
-	if !bytes.Equal(readFile(t, work, "first", "case4_shots.csv"), readFile(t, work, "second", "case4_shots.csv")) {
-		t.Error("shot list resumed from the compacted journal differs from the original run")
+		out := runCLI(t, work, cfaopc, append([]string{"-case", "7", "-grid", "512", "-tile-core", "128", "-tile-halo", "32",
+			"-method", "circleopt", "-stream", "-checkpoint", "partial.ckpt", "-out", "resumed"}, pool...)...)
+		// Tile 3 is the fourth finished tile: unoccupied, so it has no line.
+		if n, tiles := strings.Count(out, "[resumed]"), strings.Count(out, "\n  tile "); n != 3 || tiles != 11 ||
+			!strings.Contains(out, " 4 resumed from checkpoint") || strings.Contains(out, "workers: ") {
+			t.Errorf("%v: %d of %d tile lines resumed, want 3 of 11 and 4 in the summary:\n%s", pool, n, tiles, out)
+		}
+		if !bytes.Equal(readFile(t, work, "resumed", "case7_shots.csv"), want) {
+			t.Errorf("%v: shot CSV resumed from the parent's journal differs from the parent's uninterrupted run", pool)
+		}
 	}
 }
 
@@ -437,19 +440,20 @@ func TestCLIOneWindowParity(t *testing.T) {
 		}
 	}
 
-	// -checkpoint: SIGKILL the run mid-tile once a snapshot is journaled;
-	// the same command line resumes to an uninterrupted run's bytes.
+	// -checkpoint: SIGKILL the run once its journal is open, its one tile
+	// in flight; the same command line recomputes the tile and lands on an
+	// uninterrupted run's bytes.
 	long := []string{"-case", "3", "-grid", "128", "-iters", "200"}
 	runCLI(t, work, cfaopc, append(long, "-out", "uninterrupted")...)
-	ckpt := append(long, "-checkpoint", "run.ckpt", "-partial-every", "2", "-out", "resumed")
+	ckpt := append(long, "-checkpoint", "run.ckpt", "-out", "resumed")
 	victim := exec.Command(cfaopc, ckpt...)
 	victim.Dir = work
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
 	for deadline := time.Now().Add(time.Minute); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if st, err := os.Stat(filepath.Join(work, "run.ckpt")); err == nil && st.Size() > 2048 {
-			break // header plus at least one partial record
+		if st, err := os.Stat(filepath.Join(work, "run.ckpt")); err == nil && st.Size() > 0 {
+			break // the header: replay is done, the tile is next
 		}
 	}
 	victim.Process.Kill()

@@ -98,7 +98,6 @@ func main() {
 	flag.IntVar(&spec.TileHalo, "tile-halo", spec.TileHalo, "halo context px around each core")
 	flag.IntVar(&spec.Iters, "iters", spec.Iters, "optimization iterations")
 	flag.IntVar(&spec.TileWorkers, "tile-workers", spec.TileWorkers, "concurrent windows (1-64); output is identical at any count")
-	flag.IntVar(&spec.PartialEvery, "partial-every", 0, "journal mid-tile optimizer snapshots every N iterations (0 = off; needs -checkpoint)")
 	specFlags := map[string]bool{}
 	flag.VisitAll(func(f *flag.Flag) { specFlags[f.Name] = true })
 
@@ -111,7 +110,6 @@ func main() {
 		stallTO     = flag.Duration("stall-timeout", 0, "kill an attempt whose optimizer heartbeats stop for this long (0 = none; must not exceed -tile-timeout)")
 		tileRetries = flag.Int("tile-retries", 1, "extra attempts for a failed tile before degrading (part of the checkpoint fingerprint)")
 		ckptPath    = flag.String("checkpoint", "", "journal completed tiles here and resume from it")
-		ckptCompact = flag.Bool("checkpoint-compact", false, "compact the -checkpoint journal (drop superseded records) and exit without optimizing; give the run's other flags unchanged")
 		quarDir     = flag.String("quarantine-dir", "", "write a repro bundle here for every tile that degrades to empty (replay with cmd/replaytile)")
 		procWorkers = flag.Int("proc-workers", 0, "run tiles in this many supervised worker subprocesses (0 = in-process; overrides -tile-workers)")
 		workerBin   = flag.String("worker-bin", "", "worker binary for -proc-workers (default: re-execute this binary)")
@@ -140,8 +138,6 @@ func main() {
 		}
 	})
 	switch {
-	case spec.PartialEvery > 0 && *ckptPath == "":
-		log.Fatal("-partial-every journals mid-tile snapshots and needs -checkpoint <path>")
 	case *workerBin != "" && *procWorkers <= 0:
 		log.Fatal("-worker-bin only applies with -proc-workers > 0")
 	case *winCache != "off" && *winCache != "mem" && *winCache != "disk":
@@ -192,9 +188,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The run-local flags land on the flow.Config fields that already own
-	// them. -checkpoint-compact below and the run itself read this one cfg,
-	// so a journal is compacted under the fingerprint it was written under.
+	// The run-local flags land on the flow.Config fields that own them.
 	cfg.Workers = *workers
 	cfg.TileRetries, cfg.TileTimeout, cfg.StallTimeout = *tileRetries, *tileTimeout, *stallTO
 	cfg.QuarantineDir, cfg.StrictStorage = *quarDir, *strictIO
@@ -217,19 +211,6 @@ func main() {
 		if len(cfg.RemoteHosts) == 0 {
 			log.Fatal("-remote-hosts: no addresses after splitting on commas")
 		}
-	}
-
-	if *ckptCompact {
-		// Maintenance mode: rewrite the journal dropping superseded
-		// records (duplicate tiles, stale partial snapshots), then exit.
-		cfg.CheckpointPath = *ckptPath
-		stats, err := flow.CompactCheckpoint(l, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("compacted %s: kept %d records, dropped %d, %d -> %d bytes\n",
-			*ckptPath, stats.Kept, stats.Dropped, stats.BytesBefore, stats.BytesAfter)
-		return
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {

@@ -44,7 +44,7 @@ func main() {
 		f6       = flag.Bool("fig6", false, "run Figure 6 (PNG renders)")
 		f7       = flag.Bool("fig7", false, "run Figure 7")
 		abl      = flag.Bool("ablations", false, "run the design-choice ablations (STE, coverage repair, alpha, K_opt)")
-		ext      = flag.Bool("extensions", false, "run the extension experiments (DoseOpt, greedy set cover, compaction)")
+		ext      = flag.Bool("extensions", false, "run the extension experiments (DoseOpt, greedy set cover)")
 	)
 	flag.Parse()
 
@@ -123,7 +123,6 @@ func main() {
 	if *ext { // extensions only on request
 		fmt.Println(r.ExtensionDose().Format())
 		fmt.Println(r.ExtensionGreedy().Format())
-		fmt.Println(r.ExtensionCompaction().Format())
 	}
 	if *abl { // ablations only on request: they re-run CircleOpt repeatedly
 		fmt.Println(r.AblationSTE().Format())

@@ -37,7 +37,11 @@ func main() {
 		iters  = flag.Int("iters", 40, "ILT iterations per resolution")
 	)
 	flag.Parse()
-	l := layout.GenerateSuite()[*caseID-1]
+	suite := layout.GenerateSuite()
+	if *caseID < 1 || *caseID > len(suite) {
+		log.Fatalf("-case %d: the suite is cases 1..%d", *caseID, len(suite))
+	}
+	l := suite[*caseID-1]
 
 	fmt.Printf("%s (%d nm²): DevelSet mask fractured at each resolution\n", l.Name, l.Area())
 	fmt.Printf("%8s %8s %12s %12s %10s %8s\n", "grid", "nm/px", "rect shots", "circ shots", "reduction", "time")

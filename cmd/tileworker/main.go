@@ -1,7 +1,7 @@
 // Command tileworker is the standalone tile-worker binary: the worker
 // side of the one session protocol the tiled flow's two dispatch modes
 // share (coordinator-first Hello with protocol version and config
-// fingerprint, then CRC-guarded task/beat/partial/reply frames). By
+// fingerprint, then CRC-guarded task/beat/reply frames). By
 // default it serves a single session on stdin/stdout — what a
 // coordinator's -proc-workers -worker-bin spawns; with -listen it
 // serves one session per accepted TCP connection

@@ -8,22 +8,26 @@ import (
 	"testing"
 )
 
-// archive is experiments_512.txt parsed into its exhibits: table rows by
-// first column, Figure 7 series by name.
+// archive is a paperbench log parsed into its exhibits: table rows by
+// first column, Figure 7 series by name. A table or figure is keyed by its
+// number, an extension or ablation (extensions_512.txt) by its whole
+// title line.
 type archive struct {
 	tables map[string]map[string][]float64 // "Table 1" → row label → numeric cells
 	series map[string]map[string][]float64 // "Figure 7a" → series → y values in m order
 }
 
 var (
-	exhibitRe = regexp.MustCompile(`^(Table \d|Figure \d[a-c]?):`)
+	exhibitRe = regexp.MustCompile(`^(?:(Table \d|Figure \d[a-c]?):|((?:Extension|Ablation): .+?)\s*$)`)
 	columnsRe = regexp.MustCompile(`\s{2,}`)
 	pointRe   = regexp.MustCompile(`\(\s*[\d.]+,\s*([\d.]+)\)`)
 )
 
-func readArchive(t *testing.T) *archive {
+func readArchive(t *testing.T) *archive { return readArchiveFile(t, "experiments_512.txt") }
+
+func readArchiveFile(t *testing.T, name string) *archive {
 	t.Helper()
-	data, err := os.ReadFile("experiments_512.txt")
+	data, err := os.ReadFile(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +35,7 @@ func readArchive(t *testing.T) *archive {
 	exhibit := ""
 	for _, line := range strings.Split(string(data), "\n") {
 		if m := exhibitRe.FindStringSubmatch(line); m != nil {
-			exhibit = m[1]
+			exhibit = m[1] + m[2]
 			a.tables[exhibit] = map[string][]float64{}
 			a.series[exhibit] = map[string][]float64{}
 			continue
@@ -50,7 +54,7 @@ func readArchive(t *testing.T) *archive {
 		cells := columnsRe.Split(strings.TrimSpace(line), -1)
 		var nums []float64
 		for _, c := range cells[1:] {
-			if v, err := strconv.ParseFloat(strings.TrimSuffix(c, "x"), 64); err == nil {
+			if v, err := strconv.ParseFloat(strings.TrimRight(c, "x%"), 64); err == nil {
 				nums = append(nums, v)
 			}
 		}
@@ -161,5 +165,62 @@ func TestArchivedExperimentsKeepThePapersOrderings(t *testing.T) {
 				t.Errorf("%s: CircleOpt %.1f is not below CircleRule %.1f at point %d", fig, co[i], cr[i], i)
 			}
 		}
+	}
+}
+
+// TestArchivedExtensionsSayWhatExperimentsMdSays does the same for
+// extensions_512.txt, the `paperbench -ablations -extensions` log
+// EXPERIMENTS.md quotes for everything beyond the paper: the two archives
+// came from one tree, so the rows they share are equal, and each verdict
+// that document draws — shot compaction removed for saving next to
+// nothing, DoseOpt and GreedyCircles each a trade and not a win — is the
+// archived numbers' verdict.
+func TestArchivedExtensionsSayWhatExperimentsMdSays(t *testing.T) {
+	paper, a := readArchive(t), readArchiveFile(t, "extensions_512.txt")
+	const l2, pvb, epe, shot = 0, 1, 2, 3
+	const doseT = "Extension: dose-modulated circular writing (DoseOpt) vs CircleOpt"
+	const greedyT = "Extension: greedy set-cover fracturing vs CircleRule (MultiILT masks)"
+	const compactT = "Extension: union-preserving shot compaction"
+
+	co, cr := a.row(t, doseT, "CircleOpt", 4), a.row(t, greedyT, "CircleRule", 4)
+	for i := range co {
+		if want := paper.row(t, "Table 3", "CircleOpt", 4)[i]; co[i] != want {
+			t.Errorf("CircleOpt cell %d: %.1f in extensions_512.txt, %.1f in experiments_512.txt", i, co[i], want)
+		}
+		if want := paper.row(t, "Table 1", "MultiILT+CircleRule", 4)[i]; cr[i] != want {
+			t.Errorf("MultiILT+CircleRule cell %d: %.1f in extensions_512.txt, %.1f in experiments_512.txt", i, cr[i], want)
+		}
+	}
+
+	// Removed: compaction takes under 2% off any shot list and under 0.5%
+	// off CircleOpt's.
+	for _, src := range []string{"DevelSet+CircleRule", "NeuralILT+CircleRule", "MultiILT+CircleRule", "CircleOpt"} {
+		r := a.row(t, compactT, src, 3)
+		if saved := r[2]; saved >= 2 || src == "CircleOpt" && saved >= 0.5 || r[1] > r[0] {
+			t.Errorf("compaction on %s: %.1f → %.1f shots (%.1f%%); EXPERIMENTS.md removed it for saving less", src, r[0], r[1], saved)
+		}
+	}
+
+	// Left standing, each a trade: DoseOpt buys L2 with shots and EPE;
+	// greedy set cover buys shots, L2 and EPE at CircleRule's PVB.
+	do, gr := a.row(t, doseT, "DoseOpt", 4), a.row(t, greedyT, "GreedyCircles", 4)
+	if !(do[l2] < 0.85*co[l2] && do[shot] > co[shot] && do[epe] > 2*co[epe]) {
+		t.Errorf("DoseOpt %v against CircleOpt %v is no longer lower L2 for more shots and twice the EPE", do, co)
+	}
+	if d := gr[pvb]/cr[pvb] - 1; !(gr[shot] < 0.9*cr[shot] && gr[l2] < 0.9*cr[l2] && gr[epe] < cr[epe] && d < 0.02 && d > -0.02) {
+		t.Errorf("GreedyCircles %v against CircleRule %v is no longer fewer shots and lower L2 and EPE at equal PVB", gr, cr)
+	}
+
+	// The ablations: coverage repair costs shots and buys L2 and EPE;
+	// more optimization kernels buy L2 with shots.
+	with := a.row(t, "Ablation: CircleRule coverage repair (on MultiILT masks)", "CircleRule (with repair)", 4)
+	bare := a.row(t, "Ablation: CircleRule coverage repair (on MultiILT masks)", "CircleRule (skeleton only)", 4)
+	if !(with[shot] > bare[shot] && with[l2] < bare[l2] && with[epe] < bare[epe]) {
+		t.Errorf("coverage repair %v against skeleton only %v", with, bare)
+	}
+	const kT = "Ablation: SOCS kernels used during optimization"
+	k2, k5, k9 := a.row(t, kT, "2", 4), a.row(t, kT, "5", 4), a.row(t, kT, "9", 4)
+	if !(k2[l2] > k5[l2] && k5[l2] > k9[l2] && k2[shot] < k5[shot] && k5[shot] < k9[shot]) {
+		t.Errorf("K_opt ablation: L2 %v/%v/%v, shots %v/%v/%v", k2[l2], k5[l2], k9[l2], k2[shot], k5[shot], k9[shot])
 	}
 }

@@ -1,16 +1,14 @@
 package bench
 
 import (
-	"fmt"
-
 	"cfaopc/internal/core"
 	"cfaopc/internal/fracture"
 	"cfaopc/internal/geom"
 )
 
 // The extension experiments exercise the features this library adds beyond
-// the paper: dose-modulated circular writing, greedy set-cover fracturing,
-// and union-preserving shot compaction.
+// the paper: dose-modulated circular writing and greedy set-cover
+// fracturing.
 
 // ExtensionDose compares CircleOpt's binary-activation shots against
 // DoseOpt's dose-modulated shots on the selected cases.
@@ -64,41 +62,5 @@ func (r *Runner) ExtensionGreedy() *Table {
 	t.Rows = append(t.Rows,
 		append([]string{"CircleRule"}, rule.row()...),
 		append([]string{"GreedyCircles"}, greedy.row()...))
-	return t
-}
-
-// ExtensionCompaction measures union-preserving shot compaction on every
-// method's shot list: removed shots are free write time since the printed
-// mask is bit-identical.
-func (r *Runner) ExtensionCompaction() *Table {
-	t := &Table{
-		Title:  "Extension: union-preserving shot compaction",
-		Header: []string{"Shot source", "#Shot", "compacted", "saved"},
-	}
-	addRow := func(name string, totalBefore, totalAfter int) {
-		n := float64(len(r.Suite))
-		saved := "0%"
-		if totalBefore > 0 {
-			saved = fmt.Sprintf("%.1f%%", 100*float64(totalBefore-totalAfter)/float64(totalBefore))
-		}
-		t.Rows = append(t.Rows, []string{name,
-			f1(float64(totalBefore) / n), f1(float64(totalAfter) / n), saved})
-	}
-	for _, name := range Baselines {
-		before, after := 0, 0
-		for ci := range r.Suite {
-			_, shots := r.RunCircleRule(name, ci, r.Opt.SampleDistNM)
-			before += len(shots)
-			after += len(fracture.CompactShots(r.Sim.N, r.Sim.N, shots))
-		}
-		addRow(name+"+CircleRule", before, after)
-	}
-	before, after := 0, 0
-	for ci := range r.Suite {
-		_, res := r.RunCircleOpt(ci, r.Opt.SampleDistNM, r.Opt.Gamma)
-		before += len(res.Shots)
-		after += len(fracture.CompactShots(r.Sim.N, r.Sim.N, res.Shots))
-	}
-	addRow("CircleOpt", before, after)
 	return t
 }

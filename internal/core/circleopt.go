@@ -331,23 +331,7 @@ func (e *CircleOpt) OptimizeFromShots(sim *litho.Simulator, target *grid.Real, s
 	pack()
 	adam := opt.NewAdam(4*n, e.Cfg.LR)
 
-	// Warm resume: a flow checkpoint may carry a mid-tile snapshot of
-	// this exact parameter vector plus the Adam moments. Restoring both
-	// makes the remaining iterations replay the uninterrupted trajectory
-	// bit-for-bit (seeds are deterministic, so the vector shape matches
-	// unless the config changed — in which case the snapshot is ignored).
-	startIt := 0
-	if snap, ok := opt.ResumeFrom(sim.Ctx); ok &&
-		len(snap.Params) == 4*n && len(snap.OptM) == 4*n && len(snap.OptV) == 4*n &&
-		snap.Iter > 0 && snap.Iter <= e.Cfg.Iterations {
-		copy(flat, snap.Params)
-		unpack()
-		adam.SetState(snap.OptT, snap.OptM, snap.OptV)
-		startIt = snap.Iter
-	}
-	sink, every := opt.SnapshotsFrom(sim.Ctx)
-
-	for it := startIt; it < e.Cfg.Iterations; it++ {
+	for it := 0; it < e.Cfg.Iterations; it++ {
 		dense := Render(p, e.Cfg, sim.N, sim.N, !e.Cfg.DisableSTE)
 		lg := sim.LossGrad(dense.M, target, e.Cfg.WL2, e.Cfg.WPVB)
 		g := Backward(p, e.Cfg, dense, lg.GradM)
@@ -366,16 +350,7 @@ func (e *CircleOpt) OptimizeFromShots(sim *litho.Simulator, target *grid.Real, s
 		copy(gradFlat[3*n:4*n], g.Q)
 		adam.Step(flat, gradFlat)
 		unpack()
-		loss := lg.Loss + e.Cfg.Gamma*sparsity
-		opt.Beat(sim.Ctx, it, loss)
-		if sink != nil && (it+1)%every == 0 && it+1 < e.Cfg.Iterations {
-			t, m, v := adam.State()
-			sink(opt.Snapshot{
-				Iter: it + 1, Loss: loss,
-				Params: append([]float64(nil), flat...),
-				OptT:   t, OptM: m, OptV: v,
-			})
-		}
+		opt.Beat(sim.Ctx, it, lg.Loss+e.Cfg.Gamma*sparsity)
 	}
 
 	res.Shots = p.ActiveShots(e.Cfg, sim.N, sim.N)

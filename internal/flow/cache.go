@@ -46,18 +46,13 @@ func (env *runEnv) windowKey(j tileJob, target *grid.Real) wcache.Key {
 // twin's attempt record (path, attempts, iters, loss) so run-level
 // counters stay self-consistent. On a miss (or an eligibility bypass)
 // the computed key is left on the stat so the eventual result can be
-// stored. A tile with a pending partial-resume snapshot is never served
-// from cache — its contract is to replay the journaled trajectory.
+// stored.
 func (env *runEnv) tryCache(j tileJob, target *grid.Real, out *tileOut) bool {
 	if !env.cacheEligible(j) {
 		return false
 	}
 	key := env.windowKey(j, target)
 	out.stat.CacheKey = string(key)
-	if _, resuming := env.partials[j.index]; resuming {
-		env.cacheMisses.Add(1)
-		return false
-	}
 	e, ok := env.cfg.Cache.Get(key)
 	if !ok {
 		env.cacheMisses.Add(1)

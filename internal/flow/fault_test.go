@@ -16,6 +16,7 @@ import (
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
+	"cfaopc/internal/opt"
 )
 
 // ruleFallback is the graceful-degradation engine used by the fault
@@ -304,8 +305,11 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 		t.Fatalf("reference PeakBytes = %d", ref.PeakBytes)
 	}
 
-	// Interrupted run: cancel the moment tile 2 starts optimizing, so
-	// tiles 0 and 1 are journaled and tiles 2, 3 are not.
+	// Interrupted run: die inside tile 2 — two stage-2 iterations into a
+	// CircleOpt tile (its beats are 5 of stage 1, then stage 2's), at
+	// once under the beatless rule engine — so tiles 0 and 1 are
+	// journaled and tiles 2, 3 are not. A finished tile is the unit of
+	// resume: the half-done one is recomputed from scratch.
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -314,6 +318,14 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 	inner := cfg.Optimize
 	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 		if info, ok := TileInfoFrom(sim.Ctx); ok && info.Index == 2 {
+			beats, fwd := 0, opt.ProgressFrom(sim.Ctx)
+			sim.Ctx = opt.WithProgress(sim.Ctx, func(iter int, loss float64, at time.Time) {
+				fwd(iter, loss, at)
+				if beats++; beats == 7 {
+					cancel()
+				}
+			})
+			inner(sim, target)
 			cancel()
 			<-sim.Ctx.Done()
 			return nil

@@ -60,7 +60,36 @@ func TestFaultMatrix(t *testing.T) {
 	}
 }
 
+// faultDeadline sizes the sleep and stall cells' timers, which the test
+// otherwise spends asleep: 100 healthy attempts, a healthy attempt being
+// the slowest tile of a fault-free serial run of the same job timed right
+// here, and never under 100 ms (400 ms under the race detector) so a
+// scheduling hiccup on a loaded box is not a timeout. The healthy retry
+// each cell ends on — a rule tile, well under a millisecond — must fit
+// inside it.
+func faultDeadline(t *testing.T) time.Duration {
+	t.Helper()
+	cfg := faultConfig()
+	cfg.Optimize = ruleFallback()
+	res, err := Run(quadLayout(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := 100 * time.Millisecond
+	if raceEnabled {
+		d = 400 * time.Millisecond
+	}
+	for _, st := range res.TileStats {
+		d = max(d, 100*st.Wall)
+	}
+	return d
+}
+
 func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string) {
+	var deadline time.Duration
+	if kind == "sleep" || kind == "stall" {
+		deadline = faultDeadline(t)
+	}
 	mkCfg := func() Config {
 		cfg := faultConfig()
 		cfg.Optimize = ruleFallback() // the fault paths, not the engine, are under test
@@ -73,7 +102,7 @@ func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string
 			// The wall deadline must comfortably fit the healthy retry
 			// attempt even under -race on a loaded box.
 			f = Fault{Sleep: time.Minute}
-			cfg.TileTimeout = 2 * time.Second
+			cfg.TileTimeout = 2 * deadline
 		case "panic":
 			f = Fault{Panic: true}
 		case "nan":
@@ -87,7 +116,7 @@ func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string
 			// rule engine, so its whole attempt must finish within the
 			// stall window even under -race.
 			f = Fault{Stall: true}
-			cfg.StallTimeout = time.Second
+			cfg.StallTimeout = deadline
 		default:
 			t.Fatalf("unknown fault kind %q", kind)
 		}

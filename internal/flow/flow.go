@@ -45,12 +45,9 @@
 //     tile is journaled through internal/checkpoint; a rerun replays the
 //     journal, skips finished tiles, and still reduces in row-major
 //     order, so a resumed run's shot list is bit-identical to an
-//     uninterrupted one. Config.PartialEvery additionally journals
-//     iteration-level snapshots inside long CircleOpt tiles, so a killed
-//     run restarts a half-finished tile from its last recorded circle
-//     parameters — and, because the Adam state rides along, replays the
-//     uninterrupted trajectory exactly. CompactCheckpoint rewrites a
-//     journal with superseded records dropped.
+//     uninterrupted one. A finished tile is the unit of resume: a tile
+//     in flight when the run died is recomputed from scratch, to the
+//     same bytes.
 //   - Forensics. A tile that exhausts every engine degrades to empty but
 //     no longer silently: with Config.QuarantineDir set, the flow writes
 //     a self-contained repro bundle (window target, owning rects, config
@@ -170,13 +167,6 @@ type Config struct {
 	// The journal is bound to the (layout, tiling) fingerprint: reusing a
 	// path across different runs is an error, not silent corruption.
 	CheckpointPath string
-	// PartialEvery, when > 0 and checkpointing is on, additionally
-	// journals a snapshot of snapshot-capable optimizers (CircleOpt's
-	// circle parameters plus Adam state) every that many iterations, so
-	// a killed run resumes a half-finished tile mid-optimization instead
-	// of from scratch. Superseded snapshots are dropped by
-	// CompactCheckpoint.
-	PartialEvery int
 	// QuarantineDir, when non-empty, receives a self-contained repro
 	// bundle (internal/quarantine) for every tile that degrades to
 	// empty. A bundle write failure loses that tile's forensics but
@@ -246,7 +236,7 @@ type Config struct {
 	// (tests route through in-memory pipes here). Nil dials plain TCP.
 	RemoteDial func(ctx context.Context, addr string) (net.Conn, error)
 	// LinkSilence kills a session that delivers no frame (ping,
-	// heartbeat, snapshot, reply — or handshake answer) for this long
+	// heartbeat, reply — or handshake answer) for this long
 	// while one is due: the cross-process analogue of StallTimeout,
 	// catching a wedged process, a dead link and a stalled remote alike.
 	// Zero means 10s; it should comfortably exceed the worker's ~100ms
@@ -268,10 +258,9 @@ type Config struct {
 	// changes wall time only — shots and checkpoint journals are
 	// byte-identical with the cache on or off, because the
 	// key covers every input the (deterministic) optimizer sees. Tiles
-	// with an injected fault script bypass the cache in both directions,
-	// as do tiles resuming from a partial checkpoint snapshot (they must
-	// replay their journaled trajectory). Only real results are stored;
-	// a tile that degraded to empty is never served to a twin.
+	// with an injected fault script bypass the cache in both directions.
+	// Only real results are stored; a tile that degraded to empty is
+	// never served to a twin.
 	Cache *wcache.Cache
 
 	// Drain, when non-nil and closed mid-run, stops dispatching new
@@ -524,8 +513,8 @@ type tileOut struct {
 
 // runEnv is the per-run state shared by every tile worker: the resolved
 // config (faults injected), the layout and its span index, the open
-// journal and the partial snapshots replayed from it, plus an error
-// channel for asynchronous failures (journal appends, bundle saves).
+// journal, plus an error channel for asynchronous failures (journal
+// appends, bundle saves).
 // ServeTask builds a minimal env with no layout, index or journal.
 type runEnv struct {
 	cfg       Config        // effective config: Faults already wrapped in
@@ -536,7 +525,6 @@ type runEnv struct {
 	keyPrefix string // config fingerprint: the dedup cache key prefix
 	ix        *layout.WindowIndex
 	journal   *tileJournal // nil without a checkpoint
-	partials  map[int]procpool.PartialState
 	errCh     chan error
 
 	quarDropped atomic.Int64 // bundles lost to storage faults
@@ -544,10 +532,6 @@ type runEnv struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
-	// partialSink receives mid-attempt optimizer snapshots (journal
-	// append in a tiled run, a wire frame in a worker); nil disables
-	// snapshotting regardless of PartialEvery.
-	partialSink func(index int, s procpool.PartialState)
 	// onBeat, when non-nil, observes every optimizer heartbeat in
 	// addition to the per-attempt stall watchdog — a worker forwards
 	// them to its supervisor as liveness frames.
@@ -686,21 +670,6 @@ func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimi
 		}
 	}
 	tctx = opt.WithProgress(tctx, beat)
-	if env.partialSink != nil && cfg.PartialEvery > 0 {
-		tctx = opt.WithSnapshots(tctx, func(s opt.Snapshot) {
-			// A canceled attempt's parameters are garbage-contaminated
-			// (the simulator aborts mid-kernel); journaling them would
-			// poison the resume. Only live snapshots go to disk.
-			if tctx.Err() != nil {
-				return
-			}
-			s.Attempt = attempt
-			env.partialSink(j.index, procpool.PartialState(s))
-		}, cfg.PartialEvery)
-	}
-	if p, ok := env.partials[j.index]; ok && p.Attempt == attempt {
-		tctx = opt.WithResume(tctx, opt.Snapshot(p))
-	}
 	if cfg.StallTimeout > 0 {
 		stop := make(chan struct{})
 		defer close(stop)
@@ -1020,8 +989,8 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("flow: no optimizer")
 	case cfg.TileRetries < 0:
 		return fmt.Errorf("flow: negative retries %d", cfg.TileRetries)
-	case cfg.StallTimeout < 0 || cfg.PartialEvery < 0:
-		return fmt.Errorf("flow: negative stall timeout %s / partial interval %d", cfg.StallTimeout, cfg.PartialEvery)
+	case cfg.StallTimeout < 0:
+		return fmt.Errorf("flow: negative stall timeout %s", cfg.StallTimeout)
 	case cfg.StallTimeout > 0 && cfg.TileTimeout > 0 && cfg.StallTimeout > cfg.TileTimeout:
 		return fmt.Errorf("flow: stall timeout %s exceeds tile timeout %s (the wall deadline would always fire first)",
 			cfg.StallTimeout, cfg.TileTimeout)

@@ -2,17 +2,13 @@ package flow
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
-	"cfaopc/internal/opt"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
 )
@@ -82,9 +78,9 @@ func TestStallConfigValidation(t *testing.T) {
 	}
 	cfg = testConfig()
 	cfg.Optimize = ruleFallback()
-	cfg.PartialEvery = -1
+	cfg.StallTimeout = -time.Second
 	if _, err := Run(bigLayout(), cfg); err == nil {
-		t.Fatal("negative PartialEvery accepted")
+		t.Fatal("negative StallTimeout accepted")
 	}
 }
 
@@ -238,115 +234,4 @@ func TestQuarantineWriteFailureDegrades(t *testing.T) {
 	if _, err := Run(bigLayout(), strict); err == nil || !strings.Contains(err.Error(), "quarantine") {
 		t.Fatalf("err = %v, want quarantine write failure under StrictStorage", err)
 	}
-}
-
-// TestPartialResumeAndCompaction is the mid-tile checkpoint acceptance
-// test: a run killed inside a long CircleOpt tile resumes from its last
-// journaled snapshot (skipping the already-done iterations) and still
-// produces bit-identical shots; compacting the journal first changes
-// nothing but the journal's size.
-func TestPartialResumeAndCompaction(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs full CircleOpt runs: partial records only exist there")
-	}
-	l := quadLayout()
-	mkCfg := func() Config {
-		cfg := testConfig() // real CircleOpt tiles: partials only exist there
-		cfg.TileWorkers = 1 // serial: the kill point below is deterministic
-		cfg.PartialEvery = 2
-		return cfg
-	}
-
-	// Reference: uninterrupted run (no checkpoint).
-	refCfg := mkCfg()
-	refCfg.PartialEvery = 0
-	ref, err := Run(l, refCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted run: cancel mid-optimization of tile 3 — after its
-	// iteration-4 snapshot hit the journal, before the tile completes.
-	// The progress wrapper sees Mosaic's 5 init beats then CircleOpt's
-	// stage-2 beats; call 10 is stage-2 iteration 4.
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := mkCfg()
-	cfg.CheckpointPath = ckpt
-	inner := cfg.Optimize
-	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
-		if info, ok := TileInfoFrom(sim.Ctx); ok && info.Index == 3 {
-			beats := 0
-			fwd := opt.ProgressFrom(sim.Ctx)
-			sim.Ctx = opt.WithProgress(sim.Ctx, func(iter int, loss float64, at time.Time) {
-				if fwd != nil {
-					fwd(iter, loss, at)
-				}
-				beats++
-				if beats == 10 {
-					cancel()
-				}
-			})
-		}
-		return inner(sim, target)
-	}
-	if _, err := RunContext(ctx, l, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted run err = %v, want context.Canceled", err)
-	}
-
-	resume := func(t *testing.T, path string) *Result {
-		t.Helper()
-		cfg := mkCfg()
-		cfg.CheckpointPath = path
-		res, err := Run(l, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Resumed != 3 {
-			t.Fatalf("resumed %d completed tiles, want 3", res.Resumed)
-		}
-		// The partial snapshot must have skipped stage-2 iterations:
-		// fewer heartbeats than the uninterrupted tile recorded.
-		if got, want := res.TileStats[3].Iters, ref.TileStats[3].Iters; got >= want || got == 0 {
-			t.Fatalf("resumed tile heartbeats = %d, want within (0, %d): partial not applied", got, want)
-		}
-		return res
-	}
-	samePayload := func(t *testing.T, got *Result) {
-		t.Helper()
-		if len(got.Shots) != len(ref.Shots) {
-			t.Fatalf("%d shots vs %d", len(got.Shots), len(ref.Shots))
-		}
-		for i := range got.Shots {
-			if got.Shots[i] != ref.Shots[i] {
-				t.Fatalf("shot %d differs: %+v vs %+v", i, got.Shots[i], ref.Shots[i])
-			}
-		}
-		if got.TileStats[3].LastLoss != ref.TileStats[3].LastLoss {
-			t.Fatalf("final loss diverged: %g vs %g", got.TileStats[3].LastLoss, ref.TileStats[3].LastLoss)
-		}
-	}
-
-	// Resume from the raw journal (completed tiles + partial snapshots).
-	rawCopy := filepath.Join(t.TempDir(), "raw.ckpt")
-	data, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(rawCopy, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	samePayload(t, resume(t, rawCopy))
-
-	// Compact, then resume: byte-identical payload, smaller journal.
-	before, _ := os.Stat(ckpt)
-	stats, err := CompactCheckpoint(l, func() Config { c := mkCfg(); c.CheckpointPath = ckpt; return c }())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Dropped == 0 || stats.BytesAfter >= before.Size() {
-		t.Fatalf("compaction dropped nothing: %+v (was %d bytes)", stats, before.Size())
-	}
-	samePayload(t, resume(t, ckpt))
 }

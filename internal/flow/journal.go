@@ -8,15 +8,13 @@ import (
 	"cfaopc/internal/geom"
 	"cfaopc/internal/iox"
 	"cfaopc/internal/layout"
-	"cfaopc/internal/procpool"
 )
 
 // tileJournal is the run's checkpoint journal and the only code that
-// knows its record format: the header fingerprint, the two record types
-// and their gob codec, replay, the tile and partial appends, what a
-// storage failure does to the run, the drain barrier and the compaction
-// key. A nil *tileJournal is a run without a checkpoint: every method is
-// a no-op on it.
+// knows its record format: the header fingerprint, the record's gob
+// codec, replay, the tile append, what a storage failure does to the run
+// and the drain barrier. A nil *tileJournal is a run without a
+// checkpoint: every method is a no-op on it.
 //
 // It keeps no health flag of its own. checkpoint.Journal poisons itself
 // on the first failed append or fsync and never retries on that fd, so
@@ -37,14 +35,13 @@ type tileRecord struct {
 	Stat  TileStat
 }
 
-// partialRecord journals iteration-level progress inside a long
-// snapshot-capable tile (CircleOpt): the flat circle parameters plus
-// the Adam state after Iter stage-2 iterations of the given attempt.
-// On resume the tile warm-starts from here and — because the optimizer
-// state rides along — replays the uninterrupted trajectory exactly.
-// In memory and on the wire the same snapshot is a
-// procpool.PartialState; the two copies between them are partial and
-// decodeJournal below.
+// partialRecord is decode-only: nothing writes one. Journals written
+// while the flow snapshotted CircleOpt tiles mid-optimization hold them
+// between their tile records, and replay skips them: a finished tile is
+// the unit of resume, and a tile the old run left half-done is
+// recomputed from scratch to the same shots. The fields stay because
+// they are part of journalRecord's gob descriptor, which prefixes every
+// tile record: dropping them would change the bytes one is written as.
 type partialRecord struct {
 	Index   int
 	Attempt int
@@ -57,7 +54,7 @@ type partialRecord struct {
 }
 
 // journalRecord frames one checkpoint payload: exactly one of Tile or
-// Partial is set.
+// Partial is set, and Tile is the only one written.
 type journalRecord struct {
 	Tile    *tileRecord
 	Partial *partialRecord
@@ -95,51 +92,36 @@ func fingerprint(l *layout.Layout, cfg Config) []byte {
 	return []byte(fmt.Sprintf("cfaopc-flow-v4 %016x", h.Sum64()))
 }
 
-// decodeJournal folds journal payloads, last record wins: the completed
-// tiles in order of first appearance, and the freshest snapshot of every
-// tile that has none.
-func decodeJournal(payloads [][]byte, nTiles int) ([]tileRecord, map[int]procpool.PartialState, error) {
+// decodeJournal folds journal payloads into the completed tiles, in
+// order of first appearance; a tile journaled twice keeps its last
+// record.
+func decodeJournal(payloads [][]byte, nTiles int) ([]tileRecord, error) {
 	var tiles []tileRecord
 	at := make(map[int]int, len(payloads)) // tile index → position in tiles
-	partials := make(map[int]procpool.PartialState)
 	for _, p := range payloads {
 		rec, err := decodeRecord(p)
 		if err != nil {
-			return nil, nil, fmt.Errorf("flow: corrupt checkpoint record: %w", err)
+			return nil, fmt.Errorf("flow: corrupt checkpoint record: %w", err)
 		}
-		switch {
-		case rec.Tile != nil:
-			idx := rec.Tile.Stat.Index
-			if idx < 0 || idx >= nTiles {
-				return nil, nil, fmt.Errorf("flow: checkpoint tile %d out of range [0, %d)", idx, nTiles)
-			}
-			if i, seen := at[idx]; seen {
-				tiles[i] = *rec.Tile
-			} else {
-				at[idx] = len(tiles)
-				tiles = append(tiles, *rec.Tile)
-			}
-		case rec.Partial != nil:
-			p := rec.Partial
-			if p.Index < 0 || p.Index >= nTiles {
-				return nil, nil, fmt.Errorf("flow: checkpoint partial for tile %d out of range [0, %d)", p.Index, nTiles)
-			}
-			partials[p.Index] = procpool.PartialState{
-				Attempt: p.Attempt, Iter: p.Iter, Loss: p.Loss,
-				Params: p.Params, OptT: p.OptT, OptM: p.OptM, OptV: p.OptV,
-			}
+		if rec.Tile == nil {
+			continue
+		}
+		idx := rec.Tile.Stat.Index
+		if idx < 0 || idx >= nTiles {
+			return nil, fmt.Errorf("flow: checkpoint tile %d out of range [0, %d)", idx, nTiles)
+		}
+		if i, seen := at[idx]; seen {
+			tiles[i] = *rec.Tile
+		} else {
+			at[idx] = len(tiles)
+			tiles = append(tiles, *rec.Tile)
 		}
 	}
-	for idx := range at {
-		delete(partials, idx)
-	}
-	return tiles, partials, nil
+	return tiles, nil
 }
 
 // replay opens the checkpoint journal (if configured) and folds its
-// records into outs: completed tiles drop out of the returned job list,
-// and the freshest partial snapshot of each unfinished tile is kept to
-// warm-start its recomputation.
+// records into outs: completed tiles drop out of the returned job list.
 func (env *runEnv) replay(plan []tileJob, outs []tileOut) (jobs []tileJob, resumed int, err error) {
 	cfg := env.cfg
 	if cfg.CheckpointPath == "" {
@@ -149,13 +131,12 @@ func (env *runEnv) replay(plan []tileJob, outs []tileOut) (jobs []tileJob, resum
 	if err != nil {
 		return nil, 0, fmt.Errorf("flow: %w", err)
 	}
-	tiles, partials, err := decodeJournal(payloads, len(outs))
+	tiles, err := decodeJournal(payloads, len(outs))
 	if err != nil {
 		j.Close()
 		return nil, 0, err
 	}
 	env.journal = &tileJournal{j: j, strict: cfg.StrictStorage, fail: env.reportErr}
-	env.partials, env.partialSink = partials, env.journal.partial
 	for _, rec := range tiles {
 		// Replayed tiles complete (again) right here, before any worker
 		// starts — subscribers see the full tile picture on a resumed
@@ -175,33 +156,19 @@ func (env *runEnv) replay(plan []tileJob, outs []tileOut) (jobs []tileJob, resum
 // healthy reports whether appends should still be attempted.
 func (t *tileJournal) healthy() bool { return t != nil && t.j.Err() == nil }
 
-// append journals one record. Append is concurrency-safe, so snapshot
-// records from parallel tiles interleave freely with completed-tile
-// records.
-func (t *tileJournal) append(rec journalRecord) {
+// tile journals one completed tile. Append is concurrency-safe, so
+// records from parallel lanes interleave freely.
+func (t *tileJournal) tile(out tileOut) {
 	if !t.healthy() {
 		return
 	}
-	buf, err := t.enc.Encode(rec)
+	buf, err := t.enc.Encode(journalRecord{Tile: &tileRecord{Shots: out.shots, Stat: out.stat}})
 	if err == nil {
 		err = t.j.Append(buf)
 	}
 	if err != nil && t.strict {
 		t.fail(fmt.Errorf("checkpoint append: %w", err))
 	}
-}
-
-// tile journals one completed tile.
-func (t *tileJournal) tile(out tileOut) {
-	t.append(journalRecord{Tile: &tileRecord{Shots: out.shots, Stat: out.stat}})
-}
-
-// partial journals one mid-tile snapshot.
-func (t *tileJournal) partial(index int, s procpool.PartialState) {
-	t.append(journalRecord{Partial: &partialRecord{
-		Index: index, Attempt: s.Attempt, Iter: s.Iter, Loss: s.Loss,
-		Params: s.Params, OptT: s.OptT, OptM: s.OptM, OptV: s.OptV,
-	}})
 }
 
 // sync is the drain barrier: everything appended so far is durable when
@@ -232,27 +199,4 @@ func (t *tileJournal) close() {
 	if t != nil {
 		t.j.Close()
 	}
-}
-
-// CompactCheckpoint rewrites cfg.CheckpointPath dropping superseded
-// records: duplicate completed-tile records and every partial-progress
-// snapshot that a later snapshot or the tile's completion made
-// redundant. Replay semantics are last-record-wins for both kinds, so a
-// resume from the compacted journal is byte-identical to a resume from
-// the original — the journal is just smaller, which is what matters
-// after a many-restart run over a huge chip.
-func CompactCheckpoint(l *layout.Layout, cfg Config) (checkpoint.CompactStats, error) {
-	if cfg.CheckpointPath == "" {
-		return checkpoint.CompactStats{}, fmt.Errorf("flow: no checkpoint path to compact")
-	}
-	return checkpoint.CompactFS(cfg.FS, cfg.CheckpointPath, fingerprint(l, cfg), func(p []byte) (string, error) {
-		rec, err := decodeRecord(p)
-		if err != nil {
-			return "", fmt.Errorf("flow: corrupt checkpoint record: %w", err)
-		}
-		if rec.Tile != nil {
-			return fmt.Sprintf("tile-%d", rec.Tile.Stat.Index), nil
-		}
-		return fmt.Sprintf("tile-%d", rec.Partial.Index), nil
-	})
 }

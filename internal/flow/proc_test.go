@@ -7,11 +7,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"cfaopc/internal/checkpoint"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/netpool"
@@ -200,6 +201,47 @@ func TestProcAcceptance(t *testing.T) {
 		}
 	}
 	sameResult(t, res, ref)
+
+	// A worker SIGKILLed in the middle of a CircleOpt tile — from
+	// outside, on the seventh heartbeat tile 0 forwards — costs that one
+	// dispatch: the respawned worker recomputes the tile from scratch,
+	// every heartbeat again, to the serial bytes.
+	if testing.Short() {
+		return // CircleOpt tiles are slow under the race detector
+	}
+	mk2 := func() Config {
+		cfg := procConfig(t)
+		cfg.Optimize = circleOptimizer(8)
+		cfg.Fallback = nil
+		cfg.Engines = quarantine.EngineMeta{Primary: "circle", Iters: 8}
+		return cfg
+	}
+	ref2, err := Run(bigLayout(), serialRef(mk2()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mk2()
+	var worker atomic.Pointer[exec.Cmd]
+	spawn := cfg.WorkerCmd
+	cfg.WorkerCmd = func() *exec.Cmd {
+		cmd := spawn()
+		worker.Store(cmd)
+		return cmd
+	}
+	var beats atomic.Int32
+	cfg.Events = func(ev Event) {
+		if ev.Kind == EventBeat && ev.Tile == 0 && beats.Add(1) == 7 {
+			worker.Load().Process.Kill()
+		}
+	}
+	res2, err := Run(bigLayout(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res2.TileStats[0]; res2.LinkCrashes != 1 || !st.Proc || st.ProcCrashes != 1 {
+		t.Fatalf("LinkCrashes = %d, tile 0 stat %+v; want exactly the one kill", res2.LinkCrashes, st)
+	}
+	sameResult(t, res2, ref2)
 }
 
 // TestCrashMatrix is the CI crash-matrix entry point: the fault kind
@@ -425,22 +467,15 @@ func testDrain(t *testing.T, proc bool) {
 	sameResult(t, res2, ref)
 }
 
-// recSink records the beat/partial stream a ServeTask emits.
-type recSink struct {
-	beats    int
-	partials []procpool.PartialState
-}
+// recSink counts the beats a ServeTask emits.
+type recSink struct{ beats int }
 
 func (s *recSink) Beat(index, iter int, loss float64) { s.beats++ }
-func (s *recSink) Partial(index int, p procpool.PartialState) {
-	s.partials = append(s.partials, p)
-}
 
 // TestServeTaskHooks drives the worker-side entry point in-process: a
 // hand-built task (the same shape buildTask wires) must stream beats
-// and snapshots through the sink, and re-serving the task warm-started
-// from a mid-run snapshot must replay to identical shots — the
-// property crash-redispatch determinism rests on.
+// through the sink, and serving it again must land on identical shots —
+// the property crash-redispatch determinism rests on.
 func TestServeTaskHooks(t *testing.T) {
 	l := bigLayout()
 	base := testConfig()
@@ -477,7 +512,6 @@ func TestServeTaskHooks(t *testing.T) {
 				TargetH: window,
 				Target:  append([]float64(nil), target.Data...),
 			},
-			PartialEvery: 2,
 		}
 	}
 
@@ -492,27 +526,11 @@ func TestServeTaskHooks(t *testing.T) {
 	if sink.beats == 0 {
 		t.Fatal("no heartbeats streamed")
 	}
-	if len(sink.partials) == 0 {
-		t.Fatal("no partial snapshots streamed despite PartialEvery")
-	}
 
-	// Warm-start from a mid-run snapshot: the remaining trajectory must
-	// be the recorded one, so the final shots are identical.
-	resume := sink.partials[0]
-	task := mkTask()
-	task.Resume = &resume
-	reply2 := ServeTask(context.Background(), sim, task, circleOptimizer(8), nil, &recSink{})
-	if reply2.Err != "" {
-		t.Fatalf("resumed reply error: %s", reply2.Err)
-	}
-	if len(reply2.Shots) != len(reply.Shots) {
-		t.Fatalf("resumed reply has %d shots, cold run %d", len(reply2.Shots), len(reply.Shots))
-	}
-	for i := range reply.Shots {
-		if reply.Shots[i] != reply2.Shots[i] {
-			t.Fatalf("shot %d diverged after snapshot resume: %+v vs %+v",
-				i, reply.Shots[i], reply2.Shots[i])
-		}
+	// A redispatch is the same task served again, from scratch.
+	reply2 := ServeTask(context.Background(), sim, mkTask(), circleOptimizer(8), nil, &recSink{})
+	if reply2.Err != "" || !reflect.DeepEqual(reply2.Shots, reply.Shots) {
+		t.Fatalf("second serving: err %q, %d shots vs %d", reply2.Err, len(reply2.Shots), len(reply.Shots))
 	}
 
 	// A task-grade bundle failing validation is a soft error, not a panic.
@@ -520,135 +538,6 @@ func TestServeTaskHooks(t *testing.T) {
 	bad.Bundle.Target = nil
 	if r := ServeTask(context.Background(), sim, bad, circleOptimizer(8), nil, nil); r.Err == "" {
 		t.Fatal("invalid task accepted")
-	}
-}
-
-// TestProcPartialResume exercises partial snapshots across the process
-// boundary in both directions: a journaled snapshot warm-starts the
-// worker's first dispatch (resume after a mid-optimization interrupt),
-// and the worker's own Partial frames are journaled by the supervisor
-// during the run. Output must match the cold serial reference — the
-// exact-trajectory property redispatch determinism rests on.
-func TestProcPartialResume(t *testing.T) {
-	if testing.Short() {
-		t.Skip("needs full CircleOpt runs: partial records only exist there")
-	}
-	l := bigLayout()
-	mkCfg := func() Config {
-		cfg := procConfig(t)
-		cfg.Optimize = circleOptimizer(8)
-		cfg.Fallback = nil
-		cfg.Engines = quarantine.EngineMeta{Primary: "circle", Iters: 8}
-		cfg.PartialEvery = 2
-		return cfg
-	}
-	ref, err := Run(l, serialRef(mkCfg()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Capture a genuine mid-optimization snapshot of tile 0 by serving
-	// its window in-process with a recording sink.
-	base := testConfig()
-	window := base.CorePx + 2*base.HaloPx
-	oCfg := base.Optics
-	oCfg.TileNM = float64(window) * float64(l.TileNM) / float64(base.GridN)
-	ix := layout.NewWindowIndex(l, base.GridN)
-	target, _ := ix.Window(-base.HaloPx, -base.HaloPx, window, window)
-	sim, err := litho.New(oCfg, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.KOpt = base.KOpt
-	sink := &recSink{}
-	reply := ServeTask(context.Background(), sim, &procpool.Task{
-		Bundle: quarantine.Bundle{
-			FormatVersion: quarantine.FormatVersion,
-			GridN:         base.GridN, CorePx: base.CorePx, HaloPx: base.HaloPx, KOpt: base.KOpt,
-			Optics:  oCfg,
-			Engines: quarantine.EngineMeta{Primary: "circle", Iters: 8},
-			Tile: quarantine.Tile{
-				Index: 0, CX: 0, CY: 0,
-				OriginX: -base.HaloPx, OriginY: -base.HaloPx, WindowPx: window,
-			},
-			TargetW: window, TargetH: window,
-			Target: append([]float64(nil), target.Data...),
-		},
-		PartialEvery: 2,
-	}, circleOptimizer(8), nil, sink)
-	if reply.Err != "" || len(sink.partials) == 0 {
-		t.Fatalf("snapshot capture failed: err %q, %d partials", reply.Err, len(sink.partials))
-	}
-	snap := sink.partials[0]
-
-	// Journal that snapshot as the interrupted run would have, then
-	// resume in proc mode: tile 0's first dispatch warm-starts from it.
-	cfg := mkCfg()
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-	j, _, err := checkpoint.Open(cfg.CheckpointPath, fingerprint(l, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := encodeRecord(journalRecord{Partial: &partialRecord{
-		Index: 0, Attempt: snap.Attempt, Iter: snap.Iter, Loss: snap.Loss,
-		Params: snap.Params, OptT: snap.OptT, OptM: snap.OptM, OptV: snap.OptV,
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := Run(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LinkCrashes != 0 || res.LinkBroken != 0 {
-		t.Fatalf("healthy resume recorded crashes: %+v", res)
-	}
-	for _, st := range res.TileStats {
-		if st.Occupied && !st.Proc {
-			t.Fatalf("tile %d not served by a worker", st.Index)
-		}
-	}
-	// The warm-started tile skipped the iterations the snapshot already
-	// held, so its heartbeat count is legitimately lower; everything
-	// else — shots, mask, loss — must be byte-identical.
-	if res.TileStats[0].Iters >= ref.TileStats[0].Iters {
-		t.Fatalf("tile 0 iters %d not reduced by warm start (reference %d)",
-			res.TileStats[0].Iters, ref.TileStats[0].Iters)
-	}
-	res.TileStats[0].Iters = ref.TileStats[0].Iters
-	sameResult(t, res, ref)
-
-	// The workers' own Partial frames must have been journaled: the
-	// finished journal holds tile records plus streamed snapshots.
-	j2, payloads, err := checkpoint.Open(cfg.CheckpointPath, fingerprint(l, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	tiles, partials := 0, 0
-	for _, p := range payloads {
-		rec, err := decodeRecord(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Tile != nil {
-			tiles++
-		} else {
-			partials++
-		}
-	}
-	if tiles != 4 {
-		t.Fatalf("journal holds %d tile records, want 4", tiles)
-	}
-	if partials <= 1 {
-		t.Fatalf("journal holds %d partial records; worker snapshots were not journaled", partials)
 	}
 }
 
@@ -671,73 +560,5 @@ func TestLinkKnobDefaults(t *testing.T) {
 	}
 	if _, ok := TileInfoFrom(context.Background()); ok {
 		t.Error("TileInfoFrom invented info on a bare context")
-	}
-}
-
-// TestCompactKeepsTrailingPartial is the regression the issue calls
-// out: a journal whose last records are partial snapshots for a tile
-// that never completed must keep exactly the freshest snapshot through
-// compaction, so a resume after compacting warm-starts identically.
-func TestCompactKeepsTrailingPartial(t *testing.T) {
-	l := bigLayout()
-	cfg := testConfig()
-	cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-
-	j, _, err := checkpoint.Open(cfg.CheckpointPath, fingerprint(l, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendRec := func(rec journalRecord) {
-		t.Helper()
-		buf, err := encodeRecord(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Append(buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	appendRec(journalRecord{Tile: &tileRecord{Stat: TileStat{Index: 0, Occupied: true, Path: PathPrimary}}})
-	appendRec(journalRecord{Partial: &partialRecord{Index: 1, Iter: 10, Loss: 3, Params: []float64{1, 2, 3}}})
-	appendRec(journalRecord{Partial: &partialRecord{Index: 1, Iter: 20, Loss: 2, Params: []float64{4, 5, 6}}})
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	stats, err := CompactCheckpoint(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Kept != 2 || stats.Dropped != 1 {
-		t.Fatalf("compact stats = %+v, want 2 kept / 1 dropped", stats)
-	}
-
-	j2, payloads, err := checkpoint.Open(cfg.CheckpointPath, fingerprint(l, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if len(payloads) != 2 {
-		t.Fatalf("%d records after compaction, want 2", len(payloads))
-	}
-	rec0, err := decodeRecord(payloads[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec0.Tile == nil || rec0.Tile.Stat.Index != 0 {
-		t.Fatalf("first surviving record = %+v, want tile 0", rec0)
-	}
-	rec1, err := decodeRecord(payloads[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec1.Partial == nil || rec1.Partial.Index != 1 || rec1.Partial.Iter != 20 {
-		t.Fatalf("second surviving record = %+v, want tile 1's freshest partial", rec1)
-	}
-
-	// Compacting without a checkpoint path is a caller error.
-	cfg.CheckpointPath = ""
-	if _, err := CompactCheckpoint(l, cfg); err == nil {
-		t.Fatal("compaction without a checkpoint path accepted")
 	}
 }

@@ -28,7 +28,6 @@ func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
 		RMinPx:       b.RMinPx,
 		RMaxPx:       b.RMaxPx,
 		Engines:      b.Engines,
-		PartialEvery: t.PartialEvery,
 	}
 	if len(b.Faults) > 0 {
 		cfg.Faults = FaultPlan{b.Tile.Index: b.Faults}
@@ -39,8 +38,8 @@ func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
 // ServeTask walks one window's exact degradation ladder (primary →
 // retries → fallback → empty) from nothing but its task: the window
 // Config comes from the task's bundle (taskConfig; a recorded fault
-// script re-injects the same deterministic failures), heartbeats and
-// snapshots stream to sink, and the window-local result — no
+// script re-injects the same deterministic failures), heartbeats
+// stream to sink, and the window-local result — no
 // core-ownership filter, no checkpoint or quarantine side effects; those
 // are the supervisor's — is packaged as the reply frame. It is what a
 // tile worker runs per task and what offline bundle replay
@@ -60,16 +59,10 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 	}
 	cfg := taskConfig(t, primary, fallback)
 	// A window needs no layout, span index or journal: just the resolved
-	// config and where its liveness and resume state travel.
+	// config and where its liveness travels.
 	env := &runEnv{cfg: cfg.withInjectedFaults(), dispatch: t.Dispatch}
 	if sink != nil {
 		env.onBeat = sink.Beat
-		if t.PartialEvery > 0 {
-			env.partialSink = sink.Partial
-		}
-	}
-	if t.Resume != nil {
-		env.partials = map[int]procpool.PartialState{index: *t.Resume}
 	}
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: b.Target}
 	j := tileJob{index: index, cx: b.Tile.CX, cy: b.Tile.CY}

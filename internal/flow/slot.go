@@ -56,8 +56,9 @@ func (cfg Config) connector(jobs int) *connector {
 // slot is one supervised worker lane: it owns at most one session at a
 // time. The slot — not the process or the connection — is the unit of
 // scheduling: a tile stays pinned to its slot across worker crashes,
-// respawns and reconnects (warm-started from its last partial), so the
-// journal, keyed by tile index, stays the only authority on tile state;
+// respawns and reconnects (each redispatch recomputes it from scratch,
+// to the same bytes), so the journal, keyed by tile index, stays the
+// only authority on tile state;
 // and when the slot's breaker opens it degrades to the in-process
 // ladder, so the run always completes no matter how hostile the worker
 // binary or the network is.
@@ -72,13 +73,6 @@ type slot struct {
 	local   executor // the in-process ladder, behind the open breaker
 
 	link *netpool.Conn
-
-	// resume is the freshest snapshot observed for the in-flight tile
-	// (from the journal at first dispatch, then from Partial frames), so
-	// a redispatch warm-starts instead of recomputing — and, because the
-	// optimizer state rides along, replays the exact same trajectory,
-	// even when the replacement worker is a different host.
-	resume *procpool.PartialState
 }
 
 func (env *runEnv) newSlot(id int, host string, conn *connector, local executor) *slot {
@@ -112,12 +106,6 @@ func (env *runEnv) newSlot(id int, host string, conn *connector, local executor)
 // ladder. Every failed dispatch is counted on the tile and the run.
 func (s *slot) execute(ctx context.Context, j tileJob, target *grid.Real, out *tileOut) {
 	env := s.env
-	// Seed the resume state from the journal replay (if the tile was
-	// half-finished when the previous run died).
-	s.resume = nil
-	if p, ok := env.partials[j.index]; ok {
-		s.resume = &p
-	}
 	dispatch := 0
 	for ctx.Err() == nil && s.breaker.Allow() {
 		reply, ok := s.dispatch(ctx, j, target, dispatch)
@@ -168,7 +156,7 @@ func (s *slot) dispatch(ctx context.Context, j tileJob, target *grid.Real, dispa
 		}
 		s.link = link
 	}
-	if err := s.link.Send(s.env.buildTask(j, target, dispatchN, s.resume)); err != nil {
+	if err := s.link.Send(s.env.buildTask(j, target, dispatchN)); err != nil {
 		s.kill()
 		return nil, false
 	}
@@ -179,27 +167,18 @@ func (s *slot) dispatch(ctx context.Context, j tileJob, target *grid.Real, dispa
 // bundle schema doubles as the wire protocol — the payload is exactly
 // what a repro bundle holds, minus the attempt history a not-yet-run
 // tile does not have — plus the redispatch counter (which process-fatal
-// fault scripts key on) and the freshest snapshot to warm-start from.
-func (env *runEnv) buildTask(j tileJob, target *grid.Real, dispatch int, resume *procpool.PartialState) *procpool.Task {
-	cfg := env.cfg
-	t := &procpool.Task{
+// fault scripts key on).
+func (env *runEnv) buildTask(j tileJob, target *grid.Real, dispatch int) *procpool.Task {
+	return &procpool.Task{
 		Bundle:   *env.buildBundle(j, target, nil),
 		Dispatch: dispatch,
-		Workers:  cfg.Workers,
-		Resume:   resume,
+		Workers:  env.cfg.Workers,
 	}
-	if env.journal != nil {
-		t.PartialEvery = cfg.PartialEvery
-	}
-	return t
 }
 
 // await consumes session messages until a reply for j arrives, the link
 // dies, or it goes silent past the slot's silence bound. Any message —
-// ping, beat, partial — counts as liveness; Partial snapshots are
-// additionally journaled and retained for redispatch, exactly like an
-// in-process snapshot, so a host that dies mid-tile hands its progress
-// to the replacement.
+// ping or beat — counts as liveness.
 func (s *slot) await(ctx context.Context, j tileJob) (*procpool.Reply, bool) {
 	env := s.env
 	timer := time.NewTimer(s.silence)
@@ -226,14 +205,6 @@ func (s *slot) await(ctx context.Context, j tileJob) (*procpool.Reply, bool) {
 			}
 			timer.Reset(s.silence)
 			switch {
-			case m.Partial != nil:
-				if m.Partial.Index == j.index {
-					st := m.Partial.State
-					s.resume = &st
-					if env.cfg.PartialEvery > 0 {
-						env.journal.partial(j.index, st)
-					}
-				}
 			case m.Beat != nil:
 				// Forwarded optimizer heartbeat: liveness (the timer reset
 				// above), and — when someone subscribed — progress, so the

@@ -63,6 +63,39 @@ func TestParentJournalDecodes(t *testing.T) {
 	if shots != 15 {
 		t.Errorf("journal holds %d shots, want 15", shots)
 	}
+
+	// The journal of a parent run SIGKILLed under -partial-every 5 (the
+	// repository's testdata/parent/partial.ckpt: case 7, grid 512, core
+	// 128, CircleOpt): tiles 0-3 finished, each behind its 11 mid-tile
+	// snapshots, and 6 live snapshots of tile 4. Every record decodes;
+	// replay keeps the tiles and skips the snapshots.
+	payloads, err = checkpoint.ReadFS(nil, filepath.Join("..", "..", "testdata", "parent", "partial.ckpt"),
+		[]byte("cfaopc-flow-v4 6d453c470cfec9ad"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshots := 0
+	for _, p := range payloads {
+		rec, err := decodeRecord(p)
+		if err != nil {
+			t.Fatalf("record: %v", err)
+		}
+		if rec.Partial != nil {
+			snapshots++
+		}
+	}
+	tiles, err := decodeJournal(payloads, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(payloads) != 43 || snapshots != 39 || len(tiles) != 4 {
+		t.Fatalf("%d records, %d snapshots, %d tiles replayed; want 43, 39, 4", len(payloads), snapshots, len(tiles))
+	}
+	for i, rec := range tiles {
+		if rec.Stat.Index != i || rec.Stat.Path != PathPrimary && rec.Stat.Occupied {
+			t.Errorf("replayed tile %d: %+v", i, rec.Stat)
+		}
+	}
 }
 
 func TestParentBundleDecodesAndReproduces(t *testing.T) {
@@ -121,7 +154,7 @@ func TestParentFramesDecode(t *testing.T) {
 		{Sleep: 5 * time.Millisecond, BeatEvery: time.Millisecond, Stall: true},
 		{Panic: true, NaN: true, BadRadius: true, Kill: 2},
 	}
-	if task == nil || task.Dispatch != 2 || task.Workers != 1 || task.PartialEvery != 3 ||
+	if task == nil || task.Dispatch != 2 || task.Workers != 1 ||
 		!reflect.DeepEqual(task.Bundle.Faults, script) {
 		t.Fatalf("task frame: %+v", task)
 	}

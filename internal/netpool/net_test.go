@@ -29,14 +29,11 @@ func TestMain(m *testing.M) {
 }
 
 // echoRunner is the fake task executor behind every test server: one
-// beat, optionally one partial, then a reply echoing the tile index.
+// beat, then a reply echoing the tile index.
 func echoRunner() procpool.Runner {
 	return func(_ context.Context, t *procpool.Task, sink procpool.Sink) procpool.Reply {
 		index := t.Bundle.Tile.Index
 		sink.Beat(index, 1, 0.25)
-		if t.PartialEvery > 0 {
-			sink.Partial(index, procpool.PartialState{Iter: 1, Params: []float64{1, 2}})
-		}
 		return procpool.Reply{Index: index, Path: "primary"}
 	}
 }
@@ -71,10 +68,9 @@ func startServer(t *testing.T, srv *Server) string {
 
 // Message kinds awaitConn can wait for.
 var (
-	isPing    = func(m *procpool.Message) bool { return m.Ping != nil }
-	isBeat    = func(m *procpool.Message) bool { return m.Beat != nil }
-	isPartial = func(m *procpool.Message) bool { return m.Partial != nil }
-	isReply   = func(m *procpool.Message) bool { return m.Reply != nil }
+	isPing  = func(m *procpool.Message) bool { return m.Ping != nil }
+	isBeat  = func(m *procpool.Message) bool { return m.Beat != nil }
+	isReply = func(m *procpool.Message) bool { return m.Reply != nil }
 )
 
 // awaitConn returns the session's next message of the wanted kind.
@@ -466,24 +462,6 @@ func TestSpawnedWorkerIsReaped(t *testing.T) {
 	}
 }
 
-func TestPartialFramesForwarded(t *testing.T) {
-	addr := startServer(t, &Server{Runner: echoRunner})
-	c, err := Dialer{}.Connect(context.Background(), addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Kill()
-	want := task(5)
-	want.PartialEvery = 1
-	if err := c.Send(want); err != nil {
-		t.Fatal(err)
-	}
-	if p := awaitConn(t, c, isPartial); p.Partial.Index != 5 || len(p.Partial.State.Params) != 2 {
-		t.Fatalf("partial = %+v", p.Partial)
-	}
-	awaitConn(t, c, isReply)
-}
-
 func TestServerHandshakeDeadline(t *testing.T) {
 	// A peer that connects and says nothing (port scanner, wedged
 	// coordinator) is cut loose within the handshake deadline instead
@@ -662,11 +640,12 @@ func TestProxyFaults(t *testing.T) {
 			t.Fatalf("reply index = %d", reply.Reply.Index)
 		}
 	})
-	t.Run("after-partials", func(t *testing.T) {
-		// The mid-tile trigger: forward until one Partial snapshot has
-		// crossed, then cut — the deterministic "host died after the
-		// journal saw progress" scenario the flow tests build on.
-		p, err := NewProxy(addr, ConnScript{Fault: FaultCut, AfterPartials: 1})
+	t.Run("cut-mid-tile", func(t *testing.T) {
+		// A beat is a frame: past the handshake answer (frame 0) the
+		// count lands inside the tile, so the link dies after progress
+		// crossed and before the reply — the "host died mid-tile"
+		// scenario the flow tests build on.
+		p, err := NewProxy(addr, ConnScript{Fault: FaultCut, AfterFrames: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -676,25 +655,23 @@ func TestProxyFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Kill()
-		want := task(4)
-		want.PartialEvery = 1
-		if err := c.Send(want); err != nil {
+		if err := c.Send(task(4)); err != nil {
 			t.Fatal(err)
 		}
-		sawPartial := false
+		crossed := 0
 		for {
 			select {
 			case m, ok := <-c.Messages():
 				switch {
 				case !ok:
-					if !sawPartial {
-						t.Fatal("link cut before any partial crossed")
+					if crossed != 1 {
+						t.Fatalf("%d frames crossed before the cut, want the one beat", crossed)
 					}
 					return
-				case m.Partial != nil:
-					sawPartial = true
 				case m.Reply != nil:
-					t.Fatal("reply crossed a link scripted to cut after the partial")
+					t.Fatal("reply crossed a link scripted to cut mid-tile")
+				default:
+					crossed++
 				}
 			case <-time.After(30 * time.Second):
 				t.Fatal("timed out waiting for the scripted cut")

@@ -72,8 +72,8 @@ func (d Dialer) Connect(ctx context.Context, addr string) (*Conn, error) {
 	c := &Conn{
 		Hello: *hello,
 		nc:    nc,
-		// Room for a burst of beats and pings while the slot is busy
-		// journaling a partial; the reader blocks beyond it.
+		// Room for a burst of beats and pings while the slot is busy;
+		// the reader blocks beyond it.
 		msgs: make(chan *procpool.Message, 64),
 		done: make(chan struct{}),
 		dead: make(chan struct{}),
@@ -126,8 +126,8 @@ type Conn struct {
 	closeOnce sync.Once
 }
 
-// Messages is the session's output stream: the worker's Ping, Beat,
-// Partial and Reply messages as decoded, in order. It is closed when the
+// Messages is the session's output stream: the worker's Ping, Beat and
+// Reply messages as decoded, in order. It is closed when the
 // link ends — the worker died, the stream broke, or the session was
 // killed — after which Err says why.
 func (c *Conn) Messages() <-chan *procpool.Message { return c.msgs }

@@ -40,16 +40,13 @@ const (
 )
 
 // ConnScript is the fault schedule for one proxied connection. Faults
-// fire on the worker→coordinator stream (the direction carrying
-// replies, beats, and partials) once the trigger is reached: after
-// AfterFrames forwarded frames, or — when AfterPartials > 0 — after
-// that many Partial frames have been forwarded (the deterministic way
-// to cut a link "mid-tile, after the journal saw a snapshot").
+// fire on the worker→coordinator stream (the direction carrying replies
+// and beats) once AfterFrames frames have been forwarded; a beat is a
+// frame, so a count past the handshake cuts a link mid-tile.
 type ConnScript struct {
-	Fault         FaultKind
-	AfterFrames   int
-	AfterPartials int
-	Delay         time.Duration // FaultDelay's per-frame pause
+	Fault       FaultKind
+	AfterFrames int
+	Delay       time.Duration // FaultDelay's per-frame pause
 }
 
 // Proxy is a deterministic network fault injector: a TCP forwarder in
@@ -173,20 +170,13 @@ func (p *Proxy) forward(client net.Conn, script ConnScript) {
 // pump forwards worker→coordinator frames, firing the script's fault at
 // its trigger.
 func (p *Proxy) pump(client, server net.Conn, script ConnScript) {
-	frames, partials := 0, 0
-	triggered := func() bool {
-		if script.AfterPartials > 0 {
-			return partials >= script.AfterPartials
-		}
-		return frames >= script.AfterFrames
-	}
-	for {
+	for frames := 0; ; frames++ {
 		payload, err := iox.ReadFrame(server, procpool.MaxFrameBytes)
 		if err != nil {
 			return // worker closed or died: propagate by closing (deferred)
 		}
 		frame, _ := iox.AppendFrame(nil, payload, procpool.MaxFrameBytes) // just read under the same cap
-		if script.Fault != FaultNone && triggered() {
+		if script.Fault != FaultNone && frames >= script.AfterFrames {
 			switch script.Fault {
 			case FaultCut:
 				return
@@ -213,16 +203,5 @@ func (p *Proxy) pump(client, server net.Conn, script ConnScript) {
 		if _, err := client.Write(frame); err != nil {
 			return
 		}
-		frames++
-		if isPartialFrame(payload) {
-			partials++
-		}
 	}
-}
-
-// isPartialFrame reports whether a forwarded payload is a Partial
-// snapshot frame — the AfterPartials trigger's counter.
-func isPartialFrame(payload []byte) bool {
-	m, err := procpool.DecodeMessage(payload)
-	return err == nil && m.Partial != nil
 }

@@ -69,26 +69,6 @@ func (a *Adam) Step(params, grads []float64) {
 	}
 }
 
-// State exports the optimizer's internal state — the step counter and
-// copies of the first and second moment vectors — so a mid-run snapshot
-// can be journaled and later restored with SetState. Restoring both the
-// parameters and this state makes the remaining iterations replay the
-// uninterrupted trajectory bit-for-bit.
-func (a *Adam) State() (t int, m, v []float64) {
-	return a.t, append([]float64(nil), a.m...), append([]float64(nil), a.v...)
-}
-
-// SetState restores a snapshot taken with State. The moment vectors
-// must match the optimizer's parameter count.
-func (a *Adam) SetState(t int, m, v []float64) {
-	if len(m) != len(a.m) || len(v) != len(a.v) {
-		panic("opt: Adam state size mismatch")
-	}
-	a.t = t
-	copy(a.m, m)
-	copy(a.v, v)
-}
-
 // SGD is plain gradient descent with optional momentum, used by the
 // level-set engine where Adam's per-parameter scaling distorts the front
 // velocity.

@@ -31,86 +31,3 @@ func TestBeatDelivery(t *testing.T) {
 		t.Fatalf("heartbeat stamp %v not monotonic-recent", gotAt)
 	}
 }
-
-func TestSnapshotPlumbing(t *testing.T) {
-	if sink, every := SnapshotsFrom(context.Background()); sink != nil || every != 0 {
-		t.Fatal("bare context carries a snapshot request")
-	}
-	var got []Snapshot
-	ctx := WithSnapshots(context.Background(), func(s Snapshot) { got = append(got, s) }, 5)
-	sink, every := SnapshotsFrom(ctx)
-	if sink == nil || every != 5 {
-		t.Fatalf("sink=%v every=%d", sink, every)
-	}
-	sink(Snapshot{Iter: 5, Loss: 1})
-	if len(got) != 1 || got[0].Iter != 5 {
-		t.Fatalf("delivered %+v", got)
-	}
-	// every <= 0 disables, even with a sink attached.
-	if s, e := SnapshotsFrom(WithSnapshots(context.Background(), sink, 0)); s != nil || e != 0 {
-		t.Fatal("every=0 did not disable snapshots")
-	}
-	if _, ok := ResumeFrom(context.Background()); ok {
-		t.Fatal("bare context carries a resume snapshot")
-	}
-	rctx := WithResume(context.Background(), Snapshot{Iter: 9, Params: []float64{1, 2}})
-	s, ok := ResumeFrom(rctx)
-	if !ok || s.Iter != 9 || len(s.Params) != 2 {
-		t.Fatalf("resume snapshot %+v ok=%v", s, ok)
-	}
-}
-
-// TestAdamStateRoundTrip proves the bit-replay contract snapshots rely
-// on: stepping a fresh Adam k times then restoring (params, state) into
-// another instance reproduces the remaining steps exactly.
-func TestAdamStateRoundTrip(t *testing.T) {
-	grad := func(p []float64) []float64 {
-		g := make([]float64, len(p))
-		for i, v := range p {
-			g[i] = 2*v - float64(i) // minimize Σ (v - i/2)²-ish
-		}
-		return g
-	}
-	const n, total, cut = 4, 20, 7
-	ref := make([]float64, n)
-	for i := range ref {
-		ref[i] = float64(i) + 1
-	}
-	a := NewAdam(n, 0.05)
-	for it := 0; it < total; it++ {
-		a.Step(ref, grad(ref))
-	}
-
-	// Interrupted run: cut steps, snapshot, restore into a fresh Adam.
-	p := make([]float64, n)
-	for i := range p {
-		p[i] = float64(i) + 1
-	}
-	b := NewAdam(n, 0.05)
-	for it := 0; it < cut; it++ {
-		b.Step(p, grad(p))
-	}
-	st, m, v := b.State()
-	if st != cut {
-		t.Fatalf("state t = %d, want %d", st, cut)
-	}
-	c := NewAdam(n, 0.05)
-	c.SetState(st, m, v)
-	for it := cut; it < total; it++ {
-		c.Step(p, grad(p))
-	}
-	for i := range ref {
-		if p[i] != ref[i] {
-			t.Fatalf("param %d: resumed %v != uninterrupted %v", i, p[i], ref[i])
-		}
-	}
-}
-
-func TestAdamSetStateMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("size mismatch accepted")
-		}
-	}()
-	NewAdam(3, 0.1).SetState(1, []float64{0}, []float64{0})
-}

@@ -15,11 +15,9 @@ import (
 	"cfaopc/internal/quarantine"
 )
 
-// stubRunner echoes a primary-path reply after emitting one beat and
-// one partial.
+// stubRunner echoes a primary-path reply after emitting one beat.
 func stubRunner(_ context.Context, t *Task, sink Sink) Reply {
 	sink.Beat(t.Bundle.Tile.Index, 1, 0.5)
-	sink.Partial(t.Bundle.Tile.Index, PartialState{Iter: 1, Params: []float64{1, 2}})
 	return Reply{
 		Index: t.Bundle.Tile.Index,
 		Shots: []geom.Circle{{X: 1, Y: 2, R: 3}},
@@ -49,8 +47,7 @@ func readMsg(t *testing.T, r io.Reader) *Message {
 
 // TestServeTasks drives the worker loop over in-memory pipes: stray
 // non-task frames are skipped (a future supervisor may send them),
-// beats and partials are forwarded before the reply, one reply per
-// task, EOF = nil.
+// beats are forwarded before the reply, one reply per task, EOF = nil.
 func TestServeTasks(t *testing.T) {
 	coord, worker := net.Pipe()
 	served := make(chan error, 1)
@@ -59,21 +56,19 @@ func TestServeTasks(t *testing.T) {
 	sendMsg(t, coord, &Message{Ping: &Ping{}}) // not a task: skipped
 	for _, index := range []int{3, 9} {
 		sendMsg(t, coord, &Message{Task: testTask(index)})
-		var sawBeat, sawPartial bool
+		sawBeat := false
 		for done := false; !done; {
 			m := readMsg(t, coord)
 			switch {
 			case m.Ping != nil: // liveness while in flight; cadence untested
 			case m.Beat != nil:
 				sawBeat = true
-			case m.Partial != nil:
-				sawPartial = true
 			case m.Reply != nil:
 				if m.Reply.Index != index || m.Reply.Path != "primary" {
 					t.Fatalf("reply = %+v", m.Reply)
 				}
-				if !sawBeat || !sawPartial {
-					t.Fatalf("reply before forwarded stream (beat %v partial %v)", sawBeat, sawPartial)
+				if !sawBeat {
+					t.Fatal("reply before the forwarded beat")
 				}
 				done = true
 			default:

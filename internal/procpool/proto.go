@@ -63,20 +63,6 @@ type Hello struct {
 // optimizer itself emits no heartbeats.
 type Ping struct{}
 
-// PartialState is a resumable optimizer snapshot in wire form: field for
-// field an opt.Snapshot (the flow converts between the two with a plain
-// type conversion, which stops compiling if they drift), declared here
-// so the gob type name on the wire stays PartialState.
-type PartialState struct {
-	Attempt int
-	Iter    int
-	Loss    float64
-	Params  []float64
-	OptT    int
-	OptM    []float64
-	OptV    []float64
-}
-
 // Task asks a worker to run one window through the full degradation
 // ladder. The window itself — target raster, optics, tiling knobs,
 // engine metadata, injected-fault script — travels as a
@@ -94,12 +80,6 @@ type Task struct {
 	Dispatch int
 	// Workers is the per-kernel litho parallelism inside the worker.
 	Workers int
-	// PartialEvery > 0 asks the worker to stream optimizer snapshots
-	// back as Partial frames every that many iterations.
-	PartialEvery int
-	// Resume, when non-nil, warm-starts the tile from a journaled
-	// partial snapshot (checkpoint resume across the process boundary).
-	Resume *PartialState
 }
 
 // Beat is one optimizer heartbeat forwarded across the process
@@ -109,13 +89,6 @@ type Beat struct {
 	Index int
 	Iter  int
 	Loss  float64
-}
-
-// Partial is a mid-tile optimizer snapshot forwarded to the supervisor
-// for journaling.
-type Partial struct {
-	Index int
-	State PartialState
 }
 
 // Outcome records one optimizer invocation (flow.AttemptOutcome is
@@ -147,12 +120,11 @@ type Reply struct {
 // Message is the one-of envelope every frame carries; exactly one field
 // is non-nil.
 type Message struct {
-	Hello   *Hello
-	Ping    *Ping
-	Task    *Task
-	Beat    *Beat
-	Partial *Partial
-	Reply   *Reply
+	Hello *Hello
+	Ping  *Ping
+	Task  *Task
+	Beat  *Beat
+	Reply *Reply
 }
 
 // WriteMessage gob-encodes m and writes it as one frame in a single
@@ -191,7 +163,7 @@ func DecodeMessage(p []byte) (*Message, error) {
 	set := 0
 	for _, field := range []bool{
 		m.Hello != nil, m.Ping != nil, m.Task != nil,
-		m.Beat != nil, m.Partial != nil, m.Reply != nil,
+		m.Beat != nil, m.Reply != nil,
 	} {
 		if field {
 			set++

@@ -33,11 +33,10 @@ func SelfKill() {
 // runs while it is waiting on a reply.
 const pingEvery = 100 * time.Millisecond
 
-// Sink receives the liveness and snapshot stream a running task emits;
-// ServeTasks forwards each call as one frame to the supervisor.
+// Sink receives the liveness stream a running task emits; ServeTasks
+// forwards each call as one frame to the supervisor.
 type Sink interface {
 	Beat(index, iter int, loss float64)
-	Partial(index int, s PartialState)
 }
 
 // Runner executes one task and returns its reply. The flow side
@@ -45,18 +44,14 @@ type Sink interface {
 // imported so procpool stays a leaf package.
 type Runner func(ctx context.Context, t *Task, sink Sink) Reply
 
-// frameSink forwards Beat/Partial calls as frames through a shared
-// serialized writer.
+// frameSink forwards Beat calls as frames through a shared serialized
+// writer.
 type frameSink struct {
 	send func(*Message) error
 }
 
 func (s frameSink) Beat(index, iter int, loss float64) {
 	s.send(&Message{Beat: &Beat{Index: index, Iter: iter, Loss: loss}})
-}
-
-func (s frameSink) Partial(index int, p PartialState) {
-	s.send(&Message{Partial: &Partial{Index: index, State: p}})
 }
 
 // ServeTasks is the worker task loop of a session whose handshake has

@@ -523,15 +523,11 @@ func compareFiles(t *testing.T, a, b string) {
 	}
 }
 
-// TestParentDaemonJobReplays holds the daemon to a finished job
-// directory the parent commit's binary wrote, when the flow still
-// streamed mask bands and journaled a band event per tile row: opened on
-// that directory, a Manager replays all 75 events byte for byte (the 8
-// band records with their row/rows included) and serves the same mask;
-// the same spec submitted afresh writes the same mask.pgm and shots.csv
-// from a 67-event stream that carries no band.
-func TestParentDaemonJobReplays(t *testing.T) {
-	const fixture = "../../testdata/parent/daemon_job"
+// openParentDaemon copies a data directory the parent commit's cfaopcd
+// wrote (jobs.log plus job-0000's event journal and artifacts) into a
+// scratch directory and starts a Manager and its handler on it.
+func openParentDaemon(t *testing.T, fixture string) (*Manager, string) {
+	t.Helper()
 	const old = "jobs/job-0000"
 	dataDir := filepath.Join(t.TempDir(), "data")
 	if err := os.MkdirAll(filepath.Join(dataDir, old), 0o755); err != nil {
@@ -552,16 +548,35 @@ func TestParentDaemonJobReplays(t *testing.T) {
 	}
 	m.Start()
 	ts := httptest.NewServer(NewHandler(m))
-	defer func() {
+	t.Cleanup(func() {
 		ts.Close()
 		m.Stop()
-	}()
+	})
+	return m, ts.URL
+}
+
+// TestParentDaemonJobReplays holds the daemon to finished job
+// directories parent commits' binaries wrote. The first is from when the
+// flow still streamed mask bands and journaled a band event per tile
+// row: opened on that directory, a Manager replays all 75 events byte
+// for byte (the 8 band records with their row/rows included) and serves
+// the same mask; the same spec submitted afresh writes the same mask.pgm
+// and shots.csv from a 67-event stream that carries no band. The second
+// is a CircleOpt job whose spec set partial_every, from when the flow
+// journaled mid-tile snapshots at that interval: the key is still part
+// of the spec's canonical bytes, so the event journal's header matches
+// and the job replays as done; submitted afresh, the key is ignored and
+// the shots are the same.
+func TestParentDaemonJobReplays(t *testing.T) {
+	const fixture = "../../testdata/parent/daemon_job"
+	const old = "jobs/job-0000"
+	m, base := openParentDaemon(t, fixture)
 
 	wantSSE, err := os.ReadFile(filepath.Join(fixture, "events.sse"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSSE := httpGetBytes(t, ts.URL+"/jobs/job-0000/events", http.StatusOK)
+	gotSSE := httpGetBytes(t, base+"/jobs/job-0000/events", http.StatusOK)
 	if !bytes.Equal(gotSSE, wantSSE) || bytes.Count(gotSSE, []byte(`"kind":"band"`)) != 8 {
 		t.Fatalf("replayed event stream (%d bytes) differs from the one the parent daemon served (%d bytes)", len(gotSSE), len(wantSSE))
 	}
@@ -569,15 +584,15 @@ func TestParentDaemonJobReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := httpGetBytes(t, ts.URL+"/jobs/job-0000/mask", http.StatusOK); !bytes.Equal(got, wantMask) {
+	if got := httpGetBytes(t, base+"/jobs/job-0000/mask", http.StatusOK); !bytes.Equal(got, wantMask) {
 		t.Fatal("served mask differs from the parent's file")
 	}
 
-	st, resp := postJob(t, ts.URL, `{"case":4,"method":"circlerule","grid":512,"tile_core":64,"tile_halo":16}`)
+	st, resp := postJob(t, base, `{"case":4,"method":"circlerule","grid":512,"tile_core":64,"tile_halo":16}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: %s", resp.Status)
 	}
-	evs := streamEvents(t, ts.URL, st.ID, 0)
+	evs := streamEvents(t, base, st.ID, 0)
 	for _, ev := range evs {
 		if ev.Kind != "state" && ev.Kind != "tile" {
 			t.Fatalf("fresh job published a %q event: %+v", ev.Kind, ev)
@@ -588,4 +603,32 @@ func TestParentDaemonJobReplays(t *testing.T) {
 	}
 	compareFiles(t, m.MaskPath(st.ID), filepath.Join(fixture, old, "mask.pgm"))
 	compareFiles(t, m.ShotsPath(st.ID), filepath.Join(fixture, old, "shots.csv"))
+
+	const partial = "../../testdata/parent/daemon_partial_job"
+	m, base = openParentDaemon(t, partial)
+	if st := getStatus(t, base, "job-0000"); st.State != JobDone {
+		t.Fatalf("parent's partial_every job reopened as %s (err %q), want done", st.State, st.Error)
+	}
+	if wantSSE, err = os.ReadFile(filepath.Join(partial, "events.sse")); err != nil {
+		t.Fatal(err)
+	}
+	if got := httpGetBytes(t, base+"/jobs/job-0000/events", http.StatusOK); !bytes.Equal(got, wantSSE) {
+		t.Fatalf("replayed event stream (%d bytes) differs from the one the parent daemon served (%d bytes)", len(got), len(wantSSE))
+	}
+	for route, file := range map[string]string{"mask": "mask.pgm", "shots": "shots.csv"} {
+		want, err := os.ReadFile(filepath.Join(partial, old, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := httpGetBytes(t, base+"/jobs/job-0000/"+route, http.StatusOK); !bytes.Equal(got, want) {
+			t.Fatalf("served %s differs from the parent's file", file)
+		}
+	}
+	st, resp = postJob(t, base, `{"case":4,"grid":256,"tile_core":64,"partial_every":5,"iters":6}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	waitState(t, base, st.ID, JobDone)
+	compareFiles(t, m.ShotsPath(st.ID), filepath.Join(partial, old, "shots.csv"))
+	compareFiles(t, m.MaskPath(st.ID), filepath.Join(partial, old, "mask.pgm"))
 }

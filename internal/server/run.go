@@ -93,9 +93,8 @@ func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 		// scaled to window-grid pixels with a tolerance band so
 		// borderline-legal shots degrade via MRC reporting, not tile
 		// retries.
-		RMinPx:       6 / dx,
-		RMaxPx:       152 / dx,
-		PartialEvery: s.PartialEvery,
+		RMinPx: 6 / dx,
+		RMaxPx: 152 / dx,
 	}, nil
 }
 

@@ -52,12 +52,18 @@ type JobSpec struct {
 	// -job CLI ignores it: deadlines are a service contract.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 
-	Iters        int     `json:"iters,omitempty"`         // optimizer iterations (default 60)
-	Gamma        float64 `json:"gamma,omitempty"`         // CircleOpt sparsity weight (default 3)
-	SampleNM     float64 `json:"sample_nm,omitempty"`     // circle sample distance (default 32)
-	KOpt         int     `json:"kopt,omitempty"`          // optimization kernels (default 5)
-	TileWorkers  int     `json:"tile_workers,omitempty"`  // concurrent windows (default 1)
-	PartialEvery int     `json:"partial_every,omitempty"` // mid-tile snapshot interval (default 0)
+	Iters       int     `json:"iters,omitempty"`        // optimizer iterations (default 60)
+	Gamma       float64 `json:"gamma,omitempty"`        // CircleOpt sparsity weight (default 3)
+	SampleNM    float64 `json:"sample_nm,omitempty"`    // circle sample distance (default 32)
+	KOpt        int     `json:"kopt,omitempty"`         // optimization kernels (default 5)
+	TileWorkers int     `json:"tile_workers,omitempty"` // concurrent windows (default 1)
+
+	// PartialEvery is accepted, range-checked and ignored: it set the
+	// interval of the mid-tile optimizer snapshots the flow no longer
+	// takes. It stays a key so a spec that names it still parses and its
+	// Canonical bytes — the header of every event journal a daemon wrote
+	// for such a job — stay what they were.
+	PartialEvery int `json:"partial_every,omitempty"`
 }
 
 // minWindow is the smallest window edge the service admits. The litho
