@@ -15,11 +15,20 @@
 // chirp-z convolution, evaluated on a Stockham plan of the smallest
 // 5-smooth length ≥ 2n−1.
 //
-// A transform needs O(n) scratch. Plans are immutable after NewPlan apart
-// from a sync.Pool of scratch buffers, so one plan may be shared by any
-// number of goroutines; a transform takes one buffer for its duration and
-// allocates nothing once the pool is warm. The package-level helpers find
-// their plan in a build-once table that is read without locking.
+// A plan transforms one sequence or several interleaved ones: with nb
+// sequences stored element-major (x[k·nb+b] is element k of sequence b)
+// every stage runs unchanged with its stride multiplied by nb, and each
+// sequence sees exactly the operations of a transform of its own. The 2-D
+// column pass uses that on blocks of blockCols adjacent columns, which are
+// rows of the grid copied as they lie: no transpose, and inner loops at
+// least blockCols long.
+//
+// A transform needs O(n) scratch per sequence. Plans are immutable after
+// NewPlan apart from a sync.Pool of scratch buffers, so one plan may be
+// shared by any number of goroutines; a transform takes one buffer for
+// its duration and allocates nothing once the pool is warm. The
+// package-level helpers find their plan in a build-once table that is
+// read without locking.
 //
 // Transforms use the engineering convention: Forward applies
 // X[k] = Σ x[n]·exp(-2πi·kn/N) with no scaling, Inverse applies the
@@ -33,9 +42,11 @@ import (
 	"sync/atomic"
 )
 
-// colBlock is how many adjacent columns the 2-D column pass gathers at
-// once: four complex128 values are one 64-byte cache line of a row.
-const colBlock = 4
+// blockCols is how many adjacent columns the 2-D column pass transforms
+// at once, interleaved. A constant chosen by measurement (DESIGN §6 has
+// the table): litho.LossGrad reads the same at 8, 16 and 32 and slower
+// at 4; 16 keeps a 192-row block and its ping-pong buffer under 100 KB.
+const blockCols = 16
 
 // Plan holds the precomputed tables for transforms of one fixed length.
 // It is safe for concurrent use.
@@ -50,8 +61,8 @@ type Plan struct {
 	filter []complex128 // spectrum of conj(chirp) wrapped to conv.n, times 1/conv.n
 	conv   *Plan
 
-	scratch int       // complex128 values one 1-D transform needs
-	work    sync.Pool // *[]complex128 of length colBlock*n+scratch
+	scratch int       // complex128 values the transform of one sequence needs
+	work    sync.Pool // *[]complex128 of length blockCols*(n+scratch)
 }
 
 // stage is one Stockham pass: it splits m·radix-point sub-transforms,
@@ -95,7 +106,7 @@ func NewPlan(n int) *Plan {
 			p.filter[m-k] = complex(cos, -sin)
 		}
 	}
-	p.conv.transform(p.filter, make([]complex128, m))
+	p.conv.transform(p.filter, make([]complex128, m), 1)
 	inv := 1 / float64(m)
 	for i, v := range p.filter {
 		p.filter[i] = scale(v, inv)
@@ -145,13 +156,14 @@ func makeStages(n int, radices []int) []stage {
 func (p *Plan) Len() int { return p.n }
 
 // getWork takes a scratch buffer from the plan's pool; the caller returns
-// it with p.work.Put. The first colBlock*n values are the 2-D column
-// buffer, the rest is what transform needs.
+// it with p.work.Put. It holds a block of blockCols interleaved sequences
+// and the scratch transform needs for them; a 1-D transform uses the
+// front of it as scratch.
 func (p *Plan) getWork() *[]complex128 {
 	if w, _ := p.work.Get().(*[]complex128); w != nil {
 		return w
 	}
-	w := make([]complex128, colBlock*p.n+p.scratch)
+	w := make([]complex128, blockCols*(p.n+p.scratch))
 	return &w
 }
 
@@ -166,7 +178,7 @@ func (p *Plan) check(x []complex128) {
 func (p *Plan) Forward(x []complex128) {
 	p.check(x)
 	w := p.getWork()
-	p.transform(x, (*w)[colBlock*p.n:])
+	p.transform(x, *w, 1)
 	p.work.Put(w)
 }
 
@@ -174,14 +186,14 @@ func (p *Plan) Forward(x []complex128) {
 func (p *Plan) Inverse(x []complex128) {
 	p.check(x)
 	w := p.getWork()
-	p.inverse(x, (*w)[colBlock*p.n:])
+	p.inverse(x, *w)
 	p.work.Put(w)
 }
 
 // inverse is transform followed by the index reversal and 1/n that turn a
 // forward DFT into the inverse one: x̌[k] = X[(−k) mod n]/n.
 func (p *Plan) inverse(x, scratch []complex128) {
-	p.transform(x, scratch)
+	p.transform(x, scratch, 1)
 	inv := 1 / float64(p.n)
 	x[0] = scale(x[0], inv)
 	for i, j := 1, p.n-1; i <= j; i, j = i+1, j-1 {
@@ -189,19 +201,24 @@ func (p *Plan) inverse(x, scratch []complex128) {
 	}
 }
 
-// transform computes the unscaled forward DFT of x in place. scratch must
-// hold p.scratch values and not overlap x.
-func (p *Plan) transform(x, scratch []complex128) {
+// transform computes, in place, the unscaled forward DFT of each of the nb
+// sequences interleaved in x: element k of sequence b is x[k*nb+b].
+// scratch must hold nb*p.scratch values and not overlap x.
+func (p *Plan) transform(x, scratch []complex128, nb int) {
 	if p.conv != nil {
-		p.bluestein(x, scratch)
+		p.bluestein(x, scratch, nb)
 		return
 	}
 	// Stages ping-pong between x and scratch; the last one reads and
 	// writes the same index set, so it may run in place and always
-	// targets x.
-	scratch = scratch[:p.n]
+	// targets x. Interleaving multiplies every stride by nb: q then spans
+	// (the 1-D q) × (sequence), and the first-stage s == 1 form is the
+	// 1-D transform's alone.
+	scratch = scratch[:nb*p.n]
 	last := len(p.stages) - 1
 	for i := range p.stages {
+		st := p.stages[i]
+		st.s *= nb
 		src, dst := x, scratch
 		if i%2 == 1 {
 			src, dst = scratch, x
@@ -209,25 +226,30 @@ func (p *Plan) transform(x, scratch []complex128) {
 		if i == last {
 			dst = x
 		}
-		p.stages[i].run(src, dst)
+		st.run(src, dst)
 	}
 }
 
-func (p *Plan) bluestein(x, scratch []complex128) {
+func (p *Plan) bluestein(x, scratch []complex128, nb int) {
 	n, m := p.n, p.conv.n
-	a, inner := scratch[:m], scratch[m:2*m]
-	for k, v := range x {
-		a[k] = v * p.chirp[k]
+	a, inner := scratch[:nb*m], scratch[nb*m:2*nb*m]
+	for k, c := range p.chirp {
+		for b, v := range x[k*nb:][:nb] {
+			a[k*nb+b] = v * c
+		}
 	}
-	clear(a[n:])
-	p.conv.transform(a, inner)
+	clear(a[n*nb:])
+	p.conv.transform(a, inner, nb)
 	for i, f := range p.filter {
-		a[i] *= f
+		for b := range a[i*nb:][:nb] {
+			a[i*nb+b] *= f
+		}
 	}
-	p.conv.transform(a, inner)
-	x[0] = a[0] * p.chirp[0]
-	for k := 1; k < n; k++ {
-		x[k] = a[m-k] * p.chirp[k]
+	p.conv.transform(a, inner, nb)
+	for k, c := range p.chirp {
+		for b, v := range a[(m-k)%m*nb:][:nb] {
+			x[k*nb+b] = v * c
+		}
 	}
 }
 

@@ -45,24 +45,24 @@ func band(n, half int) [2]span {
 
 // transform2D runs the row pass over the given rows and then the column
 // pass over the given columns; rows outside the given ones count as zero
-// and are never read. Rows are transformed in place; columns are gathered
-// colBlock at a time into the plan's work buffer, transformed there, and
-// scattered back, with the inverse's index reversal and 1/H folded into
-// the scatter.
+// and are never read. Rows are transformed in place. Columns go blockCols
+// at a time: the block's rows are copied as they lie into the plan's work
+// buffer (absent rows cleared there), transformed as interleaved
+// sequences, and copied back, with the inverse's index reversal and 1/H
+// folded into the copy.
 func transform2D(g *grid.Complex, inverse bool, rows, cols [2]span) {
 	w, h := g.W, g.H
 	allRows := rows[0].hi-rows[0].lo == h
 
 	rowPlan := cachedPlan(w)
 	rw := rowPlan.getWork()
-	scratch := (*rw)[colBlock*w:]
 	for _, r := range rows {
 		for y := r.lo; y < r.hi; y++ {
 			row := g.Data[y*w : (y+1)*w]
 			if inverse {
-				rowPlan.inverse(row, scratch)
+				rowPlan.inverse(row, *rw)
 			} else {
-				rowPlan.transform(row, scratch)
+				rowPlan.transform(row, *rw, 1)
 			}
 		}
 	}
@@ -70,38 +70,33 @@ func transform2D(g *grid.Complex, inverse bool, rows, cols [2]span) {
 
 	colPlan := cachedPlan(h)
 	cw := colPlan.getWork()
-	buf, scratch := (*cw)[:colBlock*h], (*cw)[colBlock*h:]
+	scratch := (*cw)[blockCols*h:]
 	inv := 1 / float64(h)
 	for _, c := range cols {
-		for x := c.lo; x < c.hi; x += colBlock {
-			nb := min(colBlock, c.hi-x)
+		for x := c.lo; x < c.hi; x += blockCols {
+			nb := min(blockCols, c.hi-x)
+			buf := (*cw)[:nb*h]
 			if !allRows {
-				clear(buf[:nb*h])
+				clear(buf[rows[0].hi*nb : rows[1].lo*nb])
 			}
 			for _, r := range rows {
 				for y := r.lo; y < r.hi; y++ {
-					for b, v := range g.Data[y*w+x : y*w+x+nb] {
-						buf[b*h+y] = v
-					}
+					copy(buf[y*nb:], g.Data[y*w+x:][:nb])
 				}
 			}
-			for b := 0; b < nb; b++ {
-				colPlan.transform(buf[b*h:(b+1)*h], scratch)
-			}
+			colPlan.transform(buf, scratch, nb)
 			for y := 0; y < h; y++ {
-				out := g.Data[y*w+x : y*w+x+nb]
+				out := g.Data[y*w+x:][:nb]
 				if !inverse {
-					for b := range out {
-						out[b] = buf[b*h+y]
-					}
+					copy(out, buf[y*nb:])
 					continue
 				}
 				src := y
 				if y > 0 {
 					src = h - y
 				}
-				for b := range out {
-					out[b] = scale(buf[b*h+src], inv)
+				for b, v := range buf[src*nb:][:nb] {
+					out[b] = scale(v, inv)
 				}
 			}
 		}

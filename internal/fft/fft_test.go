@@ -226,8 +226,8 @@ func randomGrid(w, h int, seed int64) *grid.Complex {
 	return g
 }
 
-// Sizes are non-square, mix both plan kinds, and leave ragged column
-// blocks (widths that are not multiples of colBlock).
+// Sizes are non-square, mix both plan kinds, and are all narrower than
+// one column block (colpass_ref_test.go has the wide and ragged ones).
 var sizes2D = [][2]int{{4, 3}, {6, 5}, {10, 7}, {13, 12}, {16, 8}}
 
 func TestForward2DMatchesNaive(t *testing.T) {

@@ -10,25 +10,35 @@ import (
 var flowSizes = []int{96, 128, 192, 256}
 
 // After warm-up no transform allocates: scratch comes from the plan's
-// pool and the plan table is read without locking or boxing.
+// pool and the plan table is read without locking or boxing. Square flow
+// windows at a band no caller has, a non-square grid (two plans, two
+// pools), and the (N, band) pairs LossGrad runs.
 func TestTransformsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
+	cases := [][3]int{{96, 30, 10}}
 	for _, n := range flowSizes {
-		x := randomSignal(n, 1)
-		g := randomGrid(n, n, 2)
+		cases = append(cases, [3]int{n, n, n / 9})
+	}
+	for _, nb := range lossGradBands {
+		cases = append(cases, [3]int{nb[0], nb[0], nb[1]})
+	}
+	for _, c := range cases {
+		w, h, half := c[0], c[1], c[2]
+		x := randomSignal(w, 1)
+		g := randomGrid(w, h, 2)
 		for name, f := range map[string]func(){
 			"Forward":       func() { Forward(x) },
 			"Inverse":       func() { Inverse(x) },
 			"Forward2D":     func() { Forward2D(g) },
 			"Inverse2D":     func() { Inverse2D(g) },
-			"Forward2DBand": func() { Forward2DBand(g, n/9) },
-			"Inverse2DBand": func() { Inverse2DBand(g, n/9) },
+			"Forward2DBand": func() { Forward2DBand(g, half) },
+			"Inverse2DBand": func() { Inverse2DBand(g, half) },
 		} {
 			f() // warm the plan table and the pool
 			if a := testing.AllocsPerRun(20, f); a != 0 {
-				t.Errorf("%s at %d: %v allocs per run, want 0", name, n, a)
+				t.Errorf("%s at %dx%d band %d: %v allocs per run, want 0", name, w, h, half, a)
 			}
 		}
 	}
@@ -84,7 +94,8 @@ func BenchmarkFFT1D(b *testing.B) {
 }
 
 func BenchmarkFFT2D(b *testing.B) {
-	for _, n := range append(flowSizes, 512) {
+	// 1024 and 2048 are the one-window grids of cfaopc and paperbench.
+	for _, n := range append(flowSizes, 512, 1024, 2048) {
 		g := randomGrid(n, n, 1)
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -106,5 +117,26 @@ func BenchmarkFFT2D(b *testing.B) {
 				}
 			}
 		})
+	}
+	// The bands LossGrad runs, each direction timed alone; the other one
+	// still runs, off the clock, to keep the data's magnitude.
+	for _, nb := range lossGradBands {
+		n, half := nb[0], nb[1]
+		g := randomGrid(n, n, 1)
+		for _, dir := range []string{"fwd", "inv"} {
+			timed, untimed := Forward2DBand, Inverse2DBand
+			if dir == "inv" {
+				timed, untimed = untimed, timed
+			}
+			b.Run(fmt.Sprintf("%d/%d/%s", n, half, dir), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					timed(g, half)
+					b.StopTimer()
+					untimed(g, half)
+					b.StartTimer()
+				}
+			})
+		}
 	}
 }

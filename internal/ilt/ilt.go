@@ -140,10 +140,15 @@ func latentInit(target *grid.Real, backgroundBias float64) *grid.Real {
 // maskFromLatent maps the latent field through σ(θ_m·p).
 func maskFromLatent(p *grid.Real, steepness float64) *grid.Real {
 	m := grid.NewReal(p.W, p.H)
-	for i, v := range p.Data {
+	maskInto(m, p.Data, steepness)
+	return m
+}
+
+// maskInto is maskFromLatent into a mask the caller owns.
+func maskInto(m *grid.Real, latent []float64, steepness float64) {
+	for i, v := range latent {
 		m.Data[i] = litho.Sigmoid(steepness * v)
 	}
-	return m
 }
 
 // Mosaic is the sigmoid-relaxed pixel ILT of MOSAIC (Gao et al., DAC'14):
@@ -161,11 +166,14 @@ func (e *Mosaic) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Real {
 	p := latentInit(target, e.Cfg.BackgroundBias)
 	roi := e.Cfg.roiFor(sim, target)
 
+	// One mask and one gradient serve every evaluation: Adam consumes the
+	// gradient before the next call, and LBFGS.Step copies the one it
+	// keeps (and drops its line-search trials') before it evaluates again.
+	m := grid.NewReal(p.W, p.H)
+	g := make([]float64, len(p.Data))
 	lossGrad := func(latent []float64) (float64, []float64) {
-		lp := &grid.Real{W: p.W, H: p.H, Data: latent}
-		m := maskFromLatent(lp, e.Cfg.MaskSteepness)
+		maskInto(m, latent, e.Cfg.MaskSteepness)
 		res := sim.LossGrad(m, target, e.Cfg.WL2, e.Cfg.WPVB)
-		g := make([]float64, len(latent))
 		for i := range g {
 			mi := m.Data[i]
 			g[i] = res.GradM.Data[i] * e.Cfg.MaskSteepness * mi * (1 - mi)

@@ -63,11 +63,11 @@ func TestLossGradDoesNotAllocate(t *testing.T) {
 // the same 1536 nm window sampled twice as finely has four times the
 // pixels and the same kernels, fields and simulation grid, so only the
 // four pixel-grid transforms and the resist loop grow. With every kernel
-// in play (KOpt 0, 24 per corner) the ratio is about 1.6; with the
-// per-kernel work back on the pixel grid it is 3.9. (At the benchmark's
-// four kernels the pixel-grid half of the call weighs more: 2.6–2.8
-// against 3.9.) Minima of alternated runs, as in the fft and CircleRule
-// guards.
+// in play (KOpt 0, 24 per corner) the ratio reads 1.60–1.66; with the
+// per-kernel work back on the pixel grid it is 3.9; the bound of 2.2
+// sits between. (At the benchmark's four kernels the pixel-grid half of
+// the call weighs more: 2.8–3.0 against 3.9.) Minima of alternated runs,
+// as in the fft and CircleRule guards.
 func TestLossGradCostTracksBandNotPixels(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing guard")
@@ -92,7 +92,7 @@ func TestLossGradCostTracksBandNotPixels(t *testing.T) {
 	}
 	ratio := float64(tb) / float64(ta)
 	t.Logf("LossGrad, 24 kernels: %v at 192 px, %v at 384 px, ratio %.2f (pixel ratio 4)", ta, tb, ratio)
-	if ratio >= 2.6 {
+	if ratio >= 2.2 {
 		t.Fatalf("four times the pixels cost %.2f× as much; the cost follows the pixel grid again", ratio)
 	}
 }
