@@ -158,21 +158,6 @@ func BenchmarkAblationCoverageRepair(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionDose compares the dose-modulated DoseOpt extension
-// against CircleOpt (the future-work experiment described in DESIGN.md).
-func BenchmarkExtensionDose(b *testing.B) {
-	r := sharedRunner(b)
-	for i := 0; i < b.N; i++ {
-		t := r.ExtensionDose()
-		if len(t.Rows) != 2 {
-			b.Fatalf("rows = %d", len(t.Rows))
-		}
-		if i == 0 {
-			b.Log("\n" + t.Format())
-		}
-	}
-}
-
 // BenchmarkFlowRun measures the tiled full-chip flow at increasing
 // tile-worker counts on a 2×2-core random layout with work in every
 // quadrant. The stitched output is bit-identical at every count, so the
@@ -181,12 +166,11 @@ func BenchmarkExtensionDose(b *testing.B) {
 func BenchmarkFlowRun(b *testing.B) {
 	l := layout.GenerateRandom(7, layout.RandomConfig{Features: 8})
 	cfg := flow.Config{
-		GridN:   256, // 8 nm/px over the 2048 nm chip
-		CorePx:  128, // 2×2 cores
-		HaloPx:  32,
-		Optics:  optics.Default(),
-		KOpt:    4,
-		Workers: 1, // per-kernel parallelism off: isolate tile scaling
+		GridN:  256, // 8 nm/px over the 2048 nm chip
+		CorePx: 128, // 2×2 cores
+		HaloPx: 32,
+		Optics: optics.Default(),
+		KOpt:   4,
 		Optimize: func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 			coCfg := core.DefaultConfig(sim.DX)
 			coCfg.Iterations = 15
@@ -232,12 +216,11 @@ func BenchmarkFlowCached(b *testing.B) {
 	l := layout.GenerateArray(8, 8, layout.ArrayConfig{})
 	mkCfg := func(c *wcache.Cache) flow.Config {
 		return flow.Config{
-			GridN:   512,
-			CorePx:  64, // one core per array cell
-			HaloPx:  16, // stays inside the motif margin: windows dedup
-			Optics:  optics.Default(),
-			KOpt:    4,
-			Workers: 1,
+			GridN:  512,
+			CorePx: 64, // one core per array cell
+			HaloPx: 16, // stays inside the motif margin: windows dedup
+			Optics: optics.Default(),
+			KOpt:   4,
 			Optimize: func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 				coCfg := core.DefaultConfig(sim.DX)
 				coCfg.Iterations = 15

@@ -418,7 +418,6 @@ var oneWindowRuns = []struct {
 	{"circleopt192", []string{"-case", "3", "-grid", "192", "-iters", "4"}},
 	{"develset", []string{"-case", "3", "-grid", "128", "-iters", "6", "-method", "develset"}},
 	{"circlerule", []string{"-case", "3", "-grid", "128", "-method", "circlerule"}},
-	{"doseopt", []string{"-case", "3", "-grid", "128", "-iters", "6", "-method", "doseopt"}},
 }
 
 // TestCLIOneWindowParity: a run without -tile-core is a one-tile run of
@@ -494,23 +493,32 @@ func TestCLIOneWindowParity(t *testing.T) {
 
 	// One window has no halo: -tile-halo beside it overflows the grid, and
 	// the wire format, which reads halo 0 as "default", cannot spell one
-	// window at all — both are Validate's to refuse.
+	// window at all — both are Validate's to refuse. So is doseopt, a
+	// method removed after measurement: the refusal names the six that
+	// remain.
 	if err := os.WriteFile(filepath.Join(work, "one.json"), []byte(`{"case":3,"grid":128,"tile_core":128}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range [][]string{{"-case", "3", "-grid", "128", "-tile-halo", "16"}, {"-job", "one.json"}} {
-		cmd := exec.Command(cfaopc, bad...)
+	for _, bad := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-case", "3", "-grid", "128", "-tile-halo", "16"}, "exceeds grid 128"},
+		{[]string{"-job", "one.json"}, "exceeds grid 128"},
+		{[]string{"-case", "3", "-grid", "128", "-iters", "6", "-method", "doseopt"},
+			`unknown method "doseopt" (have circlerule | circleopt | greedy | develset | neuralilt | multiilt)`},
+	} {
+		cmd := exec.Command(cfaopc, bad.args...)
 		cmd.Dir = work
-		if msg, err := cmd.CombinedOutput(); err == nil || !bytes.Contains(msg, []byte("exceeds grid 128")) {
-			t.Errorf("cfaopc %v: %v\n%s", bad, err, msg)
+		if msg, err := cmd.CombinedOutput(); err == nil || !bytes.Contains(msg, []byte(bad.want)) {
+			t.Errorf("cfaopc %v: %v, want %q in\n%s", bad.args, err, bad.want, msg)
 		}
 	}
 }
 
 // TestCLIReportDescribesTheArtifact: the metrics cfaopc prints are those
 // of the shot CSV it wrote — evalmask, given that CSV, prints the same
-// numbers. The parent printed doseopt's dose-weighted mask score (L2
-// 55,808 nm²) over a unit-dose CSV that scores 134,656 nm².
+// numbers.
 func TestCLIReportDescribesTheArtifact(t *testing.T) {
 	bin := buildTools(t, "cfaopc", "evalmask", "genlayout")
 	work := t.TempDir()

@@ -21,8 +21,7 @@
 // optimized through the full-chip flow; without -tile-core it is one
 // window owning the whole grid, a one-tile run of the same flow.
 // -tile-workers bounds the windows optimized concurrently (output is
-// identical at any count) and -workers the per-kernel litho parallelism
-// inside each simulator.
+// identical at any count); windows are the only unit of parallelism.
 //
 // Runs are fault-tolerant: SIGINT/SIGTERM cancels promptly, a tile
 // that panics, times out (-tile-timeout) or emits invalid output is
@@ -91,7 +90,7 @@ func main() {
 	spec.TileCore = 0
 	flag.IntVar(&spec.Case, "case", 0, "synthetic benchmark case (1-10)")
 	layoutPath := flag.String("layout", "", "layout file (.glp or .gds) to optimize instead of a benchmark case")
-	flag.StringVar(&spec.Method, "method", spec.Method, "circleopt | doseopt | develset | neuralilt | multiilt | greedy | circlerule")
+	flag.StringVar(&spec.Method, "method", spec.Method, "circleopt | develset | neuralilt | multiilt | greedy | circlerule")
 	flag.StringVar(&spec.Fallback, "fallback", spec.Fallback, "degraded-tile method (any -method value, or 'none')")
 	flag.IntVar(&spec.GridN, "grid", spec.GridN, "simulation grid (pixels across the layout)")
 	flag.IntVar(&spec.TileCore, "tile-core", 0, "core px owned per window (0 = one window owning the whole grid)")
@@ -105,7 +104,6 @@ func main() {
 	var (
 		jobFile     = flag.String("job", "", "read the spec from a cfaopcd JSON job file instead of the flags above ('-' = stdin); writes mask.pgm + shots.csv under -out")
 		layoutRoot  = flag.String("layout-root", ".", "directory -job specs resolve layout refs under")
-		workers     = flag.Int("workers", 0, "per-kernel litho goroutines (0/1 serial, -1 = all cores)")
 		tileTimeout = flag.Duration("tile-timeout", 0, "per-tile optimizer attempt deadline (0 = none)")
 		stallTO     = flag.Duration("stall-timeout", 0, "kill an attempt whose optimizer heartbeats stop for this long (0 = none; must not exceed -tile-timeout)")
 		tileRetries = flag.Int("tile-retries", 1, "extra attempts for a failed tile before degrading (part of the checkpoint fingerprint)")
@@ -189,7 +187,6 @@ func main() {
 	}
 
 	// The run-local flags land on the flow.Config fields that own them.
-	cfg.Workers = *workers
 	cfg.TileRetries, cfg.TileTimeout, cfg.StallTimeout = *tileRetries, *tileTimeout, *stallTO
 	cfg.QuarantineDir, cfg.StrictStorage = *quarDir, *strictIO
 	if *procWorkers > 0 {
@@ -260,7 +257,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sim.KOpt, sim.Workers = spec.KOpt, *workers
+	sim.KOpt = spec.KOpt
 	score := metrics.ScoreShots(os.Stdout, l.Name+" / "+spec.Method, l, sim, res.Shots, 12, 76)
 	for name, g := range map[string]*grid.Real{
 		"target": l.Rasterize(spec.GridN), "mask": score.Mask, "printed": score.Printed,

@@ -34,7 +34,6 @@ func main() {
 		coIter   = flag.Int("circleopt-iters", 60, "CircleOpt stage-2 iterations")
 		initIter = flag.Int("init-iters", 24, "CircleOpt stage-1 MOSAIC iterations")
 		kOpt     = flag.Int("kopt", 5, "kernels used during optimization")
-		workers  = flag.Int("workers", -1, "litho worker goroutines (-1 = all cores, 1 = serial)")
 		outDir   = flag.String("out", "figures", "output directory for Figure 6 PNGs")
 		jsonDir  = flag.String("json", "", "also write each exhibit as JSON into this directory")
 		t1       = flag.Bool("table1", false, "run Table 1")
@@ -44,7 +43,7 @@ func main() {
 		f6       = flag.Bool("fig6", false, "run Figure 6 (PNG renders)")
 		f7       = flag.Bool("fig7", false, "run Figure 7")
 		abl      = flag.Bool("ablations", false, "run the design-choice ablations (STE, coverage repair, alpha, K_opt)")
-		ext      = flag.Bool("extensions", false, "run the extension experiments (DoseOpt, greedy set cover)")
+		ext      = flag.Bool("extensions", false, "run the extension experiment (greedy set cover)")
 	)
 	flag.Parse()
 
@@ -56,7 +55,6 @@ func main() {
 	o.CircleOptIters = *coIter
 	o.InitIters = *initIter
 	o.KOpt = *kOpt
-	o.Workers = *workers
 	if *cases != "" {
 		for _, tok := range strings.Split(*cases, ",") {
 			id, err := strconv.Atoi(strings.TrimSpace(tok))
@@ -121,7 +119,6 @@ func main() {
 		emit("figure7c", epe)
 	}
 	if *ext { // extensions only on request
-		fmt.Println(r.ExtensionDose().Format())
 		fmt.Println(r.ExtensionGreedy().Format())
 	}
 	if *abl { // ablations only on request: they re-run CircleOpt repeatedly

@@ -35,7 +35,6 @@ func main() {
 
 	var (
 		fixed    = flag.String("fixed", "", "replace the primary engine with this method and test the fix")
-		workers  = flag.Int("workers", 0, "per-kernel litho goroutines (0/1 serial, -1 = all cores)")
 		noFaults = flag.Bool("no-faults", false, "skip re-injecting the bundle's recorded fault script")
 	)
 	flag.Parse()
@@ -55,7 +54,7 @@ func main() {
 		b.Engines.Primary, orNone(b.Engines.Fallback), len(b.Attempts))
 
 	start := time.Now()
-	rep, err := replay.Run(ctx, b, replay.Options{Fixed: *fixed, Workers: *workers, NoFaults: *noFaults})
+	rep, err := replay.Run(ctx, b, replay.Options{Fixed: *fixed, NoFaults: *noFaults})
 	if err != nil {
 		log.Fatal(err)
 	}

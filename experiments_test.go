@@ -173,8 +173,9 @@ func TestArchivedExperimentsKeepThePapersOrderings(t *testing.T) {
 // EXPERIMENTS.md quotes for everything beyond the paper: the two archives
 // came from one tree, so the rows they share are equal, and each verdict
 // that document draws — shot compaction removed for saving next to
-// nothing, DoseOpt and GreedyCircles each a trade and not a win — is the
-// archived numbers' verdict.
+// nothing, DoseOpt (since removed: no output carries a dose) and
+// GreedyCircles each a trade and not a win — is the archived numbers'
+// verdict.
 func TestArchivedExtensionsSayWhatExperimentsMdSays(t *testing.T) {
 	paper, a := readArchive(t), readArchiveFile(t, "extensions_512.txt")
 	const l2, pvb, epe, shot = 0, 1, 2, 3
@@ -201,7 +202,8 @@ func TestArchivedExtensionsSayWhatExperimentsMdSays(t *testing.T) {
 		}
 	}
 
-	// Left standing, each a trade: DoseOpt buys L2 with shots and EPE;
+	// Each a trade: DoseOpt bought L2 with shots and EPE, on a
+	// dose-weighted mask no output of this system can describe (removed);
 	// greedy set cover buys shots, L2 and EPE at CircleRule's PVB.
 	do, gr := a.row(t, doseT, "DoseOpt", 4), a.row(t, greedyT, "GreedyCircles", 4)
 	if !(do[l2] < 0.85*co[l2] && do[shot] > co[shot] && do[epe] > 2*co[epe]) {

@@ -32,7 +32,6 @@ type Options struct {
 	SampleDistNM   float64 // CircleRule/CircleOpt sample distance m
 	Gamma          float64 // CircleOpt sparsity weight
 	RectBlockNM    float64 // Manhattanization grid for VSB shot counting
-	Workers        int     // litho parallelism (0/1 serial, <0 = all cores)
 }
 
 // DefaultOptions returns the settings used for the recorded experiments:
@@ -74,7 +73,6 @@ func NewRunner(o Options) (*Runner, error) {
 		return nil, err
 	}
 	sim.KOpt = o.KOpt
-	sim.Workers = o.Workers
 	all := layout.GenerateSuite()
 	var suite []*layout.Layout
 	if len(o.Cases) == 0 {

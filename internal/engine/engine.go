@@ -35,7 +35,7 @@ func Defaults() Options { return Options{Iters: 60, Gamma: 3, SampleNM: 32} }
 
 // Names lists the accepted method names.
 func Names() []string {
-	return []string{"circlerule", "circleopt", "doseopt", "greedy", "develset", "neuralilt", "multiilt"}
+	return []string{"circlerule", "circleopt", "greedy", "develset", "neuralilt", "multiilt"}
 }
 
 // Meta records a primary/fallback pair and its knobs for embedding in
@@ -93,18 +93,6 @@ func For(method string, o Options) (flow.Optimizer, error) {
 			coCfg.Iterations = o.Iters
 			coCfg.Gamma = o.Gamma / sim.DX // knob is in the paper's 1 nm/px scale
 			return (&core.CircleOpt{Cfg: coCfg, RuleCfg: ruleFor(sim)}).Optimize(sim, target).Shots
-		}, nil
-	case "doseopt":
-		return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
-			coCfg := core.DefaultConfig(sim.DX)
-			coCfg.Iterations = o.Iters
-			coCfg.Gamma = o.Gamma / sim.DX
-			res := (&core.DoseOpt{Cfg: coCfg, RuleCfg: ruleFor(sim)}).Optimize(sim, target)
-			shots := make([]geom.Circle, 0, len(res.Shots))
-			for _, ds := range res.Shots {
-				shots = append(shots, ds.Circle)
-			}
-			return shots
 		}, nil
 	case "greedy":
 		return func(sim *litho.Simulator, target *grid.Real) []geom.Circle {

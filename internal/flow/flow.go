@@ -20,8 +20,8 @@
 // cache, so per-worker simulator construction is cheap. Per-tile results
 // are collected into a slice indexed by row-major tile order and reduced
 // in that order, so the stitched shot list is bit-identical at any
-// worker count — the same determinism contract litho.Simulator.Workers
-// documents for per-kernel parallelism.
+// worker count. Tiles are the only unit of parallelism: inside a window
+// the simulator runs its kernels one after another.
 //
 // A full-chip run is also long and partially hostile territory — one
 // degenerate window must never cost the other 9,999 — so the flow carries
@@ -125,8 +125,6 @@ type Config struct {
 	Optics optics.Config
 	// KOpt truncates kernels during per-window optimization.
 	KOpt int
-	// Workers sets the per-window litho parallelism (see litho.Simulator).
-	Workers int
 	// TileWorkers bounds the windows optimized concurrently. Zero or one
 	// runs serially; negative uses GOMAXPROCS. Each worker owns a private
 	// simulator and results are reduced in row-major tile order, so the
@@ -202,10 +200,10 @@ type Config struct {
 	// process, to tile workers speaking one session protocol
 	// (internal/netpool) reached two ways. Both are supervised the same:
 	// a slot detects crash, EOF, link drop and silence, respawns or
-	// reconnects with exponential backoff and jitter, and after
-	// LinkCrashLimit consecutive failures its circuit breaker degrades
-	// its tiles to the in-process ladder, so the run always completes —
-	// even with zero reachable workers. The determinism contract extends
+	// reconnects with exponential backoff and jitter, and after three
+	// consecutive failures its circuit breaker degrades its tiles to the
+	// in-process ladder, so the run always completes — even with zero
+	// reachable workers. The determinism contract extends
 	// across the boundary: results reduce in row-major tile order and
 	// resume state is journal-keyed, so shots and checkpoints are
 	// byte-identical to the serial in-process run for
@@ -235,20 +233,11 @@ type Config struct {
 	// RemoteDial overrides the transport used to reach RemoteHosts
 	// (tests route through in-memory pipes here). Nil dials plain TCP.
 	RemoteDial func(ctx context.Context, addr string) (net.Conn, error)
-	// LinkSilence kills a session that delivers no frame (ping,
-	// heartbeat, reply — or handshake answer) for this long
-	// while one is due: the cross-process analogue of StallTimeout,
-	// catching a wedged process, a dead link and a stalled remote alike.
-	// Zero means 10s; it should comfortably exceed the worker's ~100ms
-	// ping cadence.
-	LinkSilence time.Duration
-	// LinkBackoff is the base delay before a respawn or reconnect; it
-	// doubles per consecutive failure (capped at 2s) with jitter so a
-	// crash-looping fleet does not retry in lockstep. Zero means 50ms.
-	LinkBackoff time.Duration
-	// LinkCrashLimit is how many consecutive failed dispatches open a
-	// slot's circuit breaker. Zero means 3.
-	LinkCrashLimit int
+	// linkSilence, linkBackoff and linkCrashLimit shorten the slot
+	// supervision constants (slot.go) for this package's tests; zero,
+	// which is all a caller outside it can have, means the constant.
+	linkSilence, linkBackoff time.Duration
+	linkCrashLimit           int
 
 	// Cache, when non-nil, is the window dedup cache: each eligible tile
 	// is keyed by a canonical content hash (window target raster, owning
@@ -278,29 +267,6 @@ type Config struct {
 	// result, and the run does not wait on the sink. See EventSink for
 	// the concurrency contract the callback must honor.
 	Events EventSink
-}
-
-// linkSilence / linkBackoff / linkCrashLimit resolve the supervision
-// defaults documented on Config.
-func (cfg Config) linkSilence() time.Duration {
-	if cfg.LinkSilence > 0 {
-		return cfg.LinkSilence
-	}
-	return 10 * time.Second
-}
-
-func (cfg Config) linkBackoff() time.Duration {
-	if cfg.LinkBackoff > 0 {
-		return cfg.LinkBackoff
-	}
-	return 50 * time.Millisecond
-}
-
-func (cfg Config) linkCrashLimit() int {
-	if cfg.LinkCrashLimit > 0 {
-		return cfg.LinkCrashLimit
-	}
-	return 3
 }
 
 // withInjectedFaults resolves Config.Faults into wrapped optimizers.
@@ -1154,7 +1120,6 @@ func (env *runEnv) lanes(conn *connector, jobs int) ([]lane, error) {
 			return nil, fmt.Errorf("flow: %dpx window simulator: %w", cfg.window(), err)
 		}
 		sim.KOpt = cfg.KOpt
-		sim.Workers = cfg.Workers
 		return func(ctx context.Context, j tileJob, target *grid.Real, out *tileOut) {
 			env.ladder(ctx, sim, j, target, out)
 		}, nil

@@ -167,7 +167,7 @@ func netConfig(t testing.TB, hosts ...string) Config {
 	cfg.Fallback = ruleFallback()
 	cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 	cfg.RemoteHosts = hosts
-	cfg.LinkBackoff = 10 * time.Millisecond
+	cfg.linkBackoff = 10 * time.Millisecond
 	return cfg
 }
 
@@ -206,8 +206,8 @@ func TestNetAcceptance(t *testing.T) {
 		cfg := netConfig(t, hostA.addr, hostB.addr, deadAddr(t))
 		// Generous limit and backoff: a killed host needs time to be
 		// restarted before its slot's reconnect budget runs out.
-		cfg.LinkCrashLimit = 6
-		cfg.LinkBackoff = 25 * time.Millisecond
+		cfg.linkCrashLimit = 6
+		cfg.linkBackoff = 25 * time.Millisecond
 		cfg.Faults = plan
 		return cfg
 	}
@@ -227,7 +227,7 @@ func TestNetAcceptance(t *testing.T) {
 	if res.Completed != 4 {
 		t.Fatalf("Completed = %d, want 4", res.Completed)
 	}
-	// The partitioned slot alone burns LinkCrashLimit dials before its
+	// The partitioned slot alone burns linkCrashLimit dials before its
 	// breaker opens; the scripted kills add more when their tiles land on
 	// a live host. Exact counts depend on which slot drew which tile, so
 	// the assertions are floors.
@@ -235,7 +235,7 @@ func TestNetAcceptance(t *testing.T) {
 		t.Errorf("LinkBroken = %d, want >= 1 (partitioned slot)", res.LinkBroken)
 	}
 	if res.LinkCrashes < 6 {
-		t.Errorf("LinkCrashes = %d, want >= LinkCrashLimit", res.LinkCrashes)
+		t.Errorf("LinkCrashes = %d, want >= linkCrashLimit", res.LinkCrashes)
 	}
 	sameResult(t, res, ref)
 
@@ -373,9 +373,9 @@ func TestNetMatrix(t *testing.T) {
 					hosts = append(hosts, p.Addr())
 				}
 				cfg := netConfig(t, hosts...)
-				cfg.LinkCrashLimit = 3
+				cfg.linkCrashLimit = 3
 				if kind == "stall" {
-					cfg.LinkSilence = 250 * time.Millisecond
+					cfg.linkSilence = 250 * time.Millisecond
 				}
 				res, err := Run(l, cfg)
 				if err != nil {
@@ -410,7 +410,7 @@ func TestNetMatrix(t *testing.T) {
 func TestNetZeroHostsDegradesLocal(t *testing.T) {
 	l := bigLayout()
 	cfg := netConfig(t, deadAddr(t), deadAddr(t))
-	cfg.LinkCrashLimit = 2
+	cfg.linkCrashLimit = 2
 	res, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +438,7 @@ func TestNetZeroHostsDegradesLocal(t *testing.T) {
 func TestOldWorkerRefusedByVersion(t *testing.T) {
 	l := bigLayout()
 	cfg := netConfig(t, "old-worker")
-	cfg.LinkCrashLimit = 2
+	cfg.linkCrashLimit = 2
 	cfg.RemoteDial = func(context.Context, string) (net.Conn, error) {
 		coord, worker := net.Pipe()
 		go io.Copy(io.Discard, worker) // non-task frames are skipped

@@ -142,7 +142,7 @@ func TestNumericsVersionSkewedWorkerRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := netConfig(t, ln.Addr().String())
-	cfg.LinkCrashLimit = 2
+	cfg.linkCrashLimit = 2
 	dx := float64(l.TileNM) / float64(cfg.GridN)
 	srv := &netpool.Server{Pin: configFingerprintV1(cfg, dx), Runner: testRunner}
 	served := make(chan error, 1)

@@ -102,7 +102,7 @@ func procConfig(t testing.TB) Config {
 	cfg.Engines = quarantine.EngineMeta{Primary: "rule", Fallback: "rule"}
 	cfg.ProcWorkers = 1
 	cfg.WorkerCmd = testWorkerCmd(t)
-	cfg.LinkBackoff = 5 * time.Millisecond
+	cfg.linkBackoff = 5 * time.Millisecond
 	return cfg
 }
 
@@ -152,7 +152,7 @@ func TestProcAcceptance(t *testing.T) {
 	mk := func() Config {
 		cfg := procConfig(t)
 		cfg.ProcWorkers = 4
-		cfg.LinkCrashLimit = 3
+		cfg.linkCrashLimit = 3
 		cfg.Faults = plan
 		return cfg
 	}
@@ -170,7 +170,7 @@ func TestProcAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tiles 1 and 2: one failed dispatch each. Tile 3: exactly
-	// LinkCrashLimit failures, then the breaker. The counts are exact
+	// linkCrashLimit failures, then the breaker. The counts are exact
 	// because a slot handles one tile at a time and the consecutive
 	// counter resets on every success.
 	if res.LinkCrashes != 5 {
@@ -285,7 +285,7 @@ func TestCrashMatrix(t *testing.T) {
 				mk := func() Config {
 					cfg := procConfig(t)
 					cfg.ProcWorkers = workers
-					cfg.LinkCrashLimit = crashLimit
+					cfg.linkCrashLimit = crashLimit
 					cfg.Faults = plan
 					return cfg
 				}
@@ -315,7 +315,7 @@ func TestWorkerSoftErrorBreaksToFallback(t *testing.T) {
 	l := bigLayout() // two occupied tiles of four
 	cfg := procConfig(t)
 	cfg.Engines.Primary = "bogus" // the worker-side registry rejects it
-	cfg.LinkCrashLimit = 2
+	cfg.linkCrashLimit = 2
 	res, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestWorkerSoftErrorBreaksToFallback(t *testing.T) {
 func TestWorkerSpawnFailureBreaks(t *testing.T) {
 	l := bigLayout()
 	cfg := procConfig(t)
-	cfg.LinkCrashLimit = 2
+	cfg.linkCrashLimit = 2
 	missing := filepath.Join(t.TempDir(), "no-such-worker")
 	cfg.WorkerCmd = func() *exec.Cmd { return exec.Command(missing) }
 	res, err := Run(l, cfg)
@@ -360,13 +360,13 @@ func TestWorkerSpawnFailureBreaks(t *testing.T) {
 
 // TestNonWorkerBinarySilenceBreaks: a binary that starts but never
 // answers the coordinator's Hello is killed at the handshake deadline
-// (bounded by LinkSilence) and counted as a failed dispatch, so a misconfigured -worker-bin degrades
+// (bounded by linkSilence) and counted as a failed dispatch, so a misconfigured -worker-bin degrades
 // instead of wedging the run.
 func TestNonWorkerBinarySilenceBreaks(t *testing.T) {
 	l := bigLayout()
 	cfg := procConfig(t)
-	cfg.LinkCrashLimit = 2
-	cfg.LinkSilence = 150 * time.Millisecond
+	cfg.linkCrashLimit = 2
+	cfg.linkSilence = 150 * time.Millisecond
 	cfg.WorkerCmd = func() *exec.Cmd { return exec.Command("sleep", "60") }
 	res, err := Run(l, cfg)
 	if err != nil {
@@ -541,21 +541,18 @@ func TestServeTaskHooks(t *testing.T) {
 	}
 }
 
-// TestLinkKnobDefaults pins the worker-supervision defaults and their
-// overrides.
+// TestLinkKnobDefaults pins the worker-supervision constants every shipped
+// run gets, and that this package's tests can shorten them.
 func TestLinkKnobDefaults(t *testing.T) {
-	var zero Config
-	if got := zero.linkCrashLimit(); got != 3 {
-		t.Errorf("default crash limit = %d", got)
+	knobs := func(cfg Config) (int, time.Duration, time.Duration) {
+		s := (&runEnv{cfg: cfg}).newSlot(0, "", &connector{}, nil)
+		return s.breaker.Limit, s.silence, s.backoff.Base
 	}
-	if got := zero.linkSilence(); got != 10*time.Second {
-		t.Errorf("default silence = %s", got)
+	if limit, silence, backoff := knobs(Config{}); limit != 3 || silence != 10*time.Second || backoff != 50*time.Millisecond {
+		t.Errorf("defaults: crash limit %d, silence %s, backoff %s", limit, silence, backoff)
 	}
-	if got := zero.linkBackoff(); got != 50*time.Millisecond {
-		t.Errorf("default backoff = %s", got)
-	}
-	set := Config{LinkCrashLimit: 7, LinkSilence: time.Second, LinkBackoff: time.Millisecond}
-	if set.linkCrashLimit() != 7 || set.linkSilence() != time.Second || set.linkBackoff() != time.Millisecond {
+	set := Config{linkCrashLimit: 7, linkSilence: time.Second, linkBackoff: time.Millisecond}
+	if limit, silence, backoff := knobs(set); limit != 7 || silence != time.Second || backoff != time.Millisecond {
 		t.Error("overrides not honored")
 	}
 	if _, ok := TileInfoFrom(context.Background()); ok {

@@ -19,7 +19,6 @@ func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
 		CorePx:       b.CorePx,
 		HaloPx:       b.HaloPx,
 		KOpt:         b.KOpt,
-		Workers:      t.Workers,
 		Optimize:     primary,
 		Fallback:     fallback,
 		TileRetries:  b.TileRetries,
@@ -81,7 +80,6 @@ type simKey struct {
 	optics   string
 	windowPx int
 	kOpt     int
-	workers  int
 }
 
 // SimCache builds and reuses the window simulator across tasks served
@@ -100,7 +98,6 @@ func (c *SimCache) For(t *procpool.Task) (*litho.Simulator, error) {
 		optics:   fmt.Sprintf("%+v", b.Optics),
 		windowPx: b.Tile.WindowPx,
 		kOpt:     b.KOpt,
-		workers:  t.Workers,
 	}
 	if c.sim != nil && c.key == key {
 		return c.sim, nil
@@ -110,7 +107,6 @@ func (c *SimCache) For(t *procpool.Task) (*litho.Simulator, error) {
 		return nil, err
 	}
 	sim.KOpt = b.KOpt
-	sim.Workers = t.Workers
 	c.sim, c.key = sim, key
 	return sim, nil
 }

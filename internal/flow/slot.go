@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"net"
@@ -12,6 +13,19 @@ import (
 )
 
 const (
+	// linkSilence kills a session that delivers no frame — ping,
+	// heartbeat, reply or handshake answer — for this long while one is
+	// due: the cross-process analogue of StallTimeout, catching a wedged
+	// process, a dead link and a stalled remote alike. It comfortably
+	// exceeds the worker's ~100ms ping cadence.
+	linkSilence = 10 * time.Second
+	// linkBackoff is the base delay before a respawn or reconnect; it
+	// doubles per consecutive failure with jitter, so a crash-looping
+	// fleet does not retry in lockstep.
+	linkBackoff = 50 * time.Millisecond
+	// linkCrashLimit is how many consecutive failed dispatches open a
+	// slot's circuit breaker.
+	linkCrashLimit = 3
 	// maxLinkBackoff caps the exponential respawn/reconnect delay so a
 	// long crash loop stays responsive enough to reach the circuit
 	// breaker quickly.
@@ -77,7 +91,7 @@ type slot struct {
 
 func (env *runEnv) newSlot(id int, host string, conn *connector, local executor) *slot {
 	cfg := env.cfg
-	silence := cfg.linkSilence()
+	silence := cmp.Or(cfg.linkSilence, linkSilence)
 	return &slot{
 		env:  env,
 		host: host,
@@ -93,10 +107,10 @@ func (env *runEnv) newSlot(id int, host string, conn *connector, local executor)
 		},
 		silence: silence,
 		backoff: netpool.Backoff{
-			Base: cfg.linkBackoff(), Max: maxLinkBackoff,
+			Base: cmp.Or(cfg.linkBackoff, linkBackoff), Max: maxLinkBackoff,
 			Rng: rand.New(rand.NewSource(int64(id) + 1)), // per-slot seed: deterministic tests
 		},
-		breaker: netpool.Breaker{Limit: cfg.linkCrashLimit(), Cooldown: conn.cooldown},
+		breaker: netpool.Breaker{Limit: cmp.Or(cfg.linkCrashLimit, linkCrashLimit), Cooldown: conn.cooldown},
 		local:   local,
 	}
 }
@@ -172,7 +186,6 @@ func (env *runEnv) buildTask(j tileJob, target *grid.Real, dispatch int) *procpo
 	return &procpool.Task{
 		Bundle:   *env.buildBundle(j, target, nil),
 		Dispatch: dispatch,
-		Workers:  env.cfg.Workers,
 	}
 }
 

@@ -154,7 +154,7 @@ func TestParentFramesDecode(t *testing.T) {
 		{Sleep: 5 * time.Millisecond, BeatEvery: time.Millisecond, Stall: true},
 		{Panic: true, NaN: true, BadRadius: true, Kill: 2},
 	}
-	if task == nil || task.Dispatch != 2 || task.Workers != 1 ||
+	if task == nil || task.Dispatch != 2 ||
 		!reflect.DeepEqual(task.Bundle.Faults, script) {
 		t.Fatalf("task frame: %+v", task)
 	}

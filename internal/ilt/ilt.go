@@ -311,7 +311,6 @@ func (e *MultiLevel) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Rea
 	if sim.N%2 == 0 {
 		if coarseSim, err := litho.New(sim.Cfg, sim.N/2); err == nil {
 			coarseSim.KOpt = sim.KOpt
-			coarseSim.Workers = sim.Workers
 			coarseSim.Ctx = sim.Ctx // cancellation and heartbeats span both stages
 			ct := grid.DownsampleBox(target, 2).Binarize(0.5)
 			croi := e.Cfg.roiFor(coarseSim, ct)

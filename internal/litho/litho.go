@@ -16,8 +16,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"cfaopc/internal/fft"
 	"cfaopc/internal/grid"
@@ -37,8 +35,9 @@ const (
 )
 
 // Simulator binds a kernel pair (focus + defocus) to a pixel grid. It owns
-// the buffers its passes run in, so one Simulator serves one goroutine at
-// a time; the tiled flow builds one per lane.
+// the buffers its passes run in and runs its kernels one after another, so
+// one Simulator serves one goroutine at a time; the tiled flow builds one
+// per lane, and lanes are the only parallelism.
 type Simulator struct {
 	Cfg     optics.Config // the imaging condition the kernels derive from
 	N       int           // grid pixels per side
@@ -48,13 +47,8 @@ type Simulator struct {
 	// KOpt is the number of kernels used inside optimization loops; the
 	// full set is always used by Simulate for evaluation. Zero means all.
 	KOpt int
-	// Workers bounds the goroutines used for per-kernel convolutions.
-	// Zero or one runs serially; negative uses GOMAXPROCS. Results are
-	// bit-identical regardless of parallelism: per-kernel fields are
-	// computed into private buffers and reduced in kernel order.
-	Workers int
-	// Ctx, when non-nil, is checked cooperatively between per-kernel
-	// convolution batches. Once it is canceled, Aerial, AerialBackward,
+	// Ctx, when non-nil, is checked cooperatively before every kernel
+	// convolution. Once it is canceled, Aerial, AerialBackward,
 	// Simulate and LossGrad stop early and return incomplete images; any
 	// caller that sets Ctx must check Ctx.Err() after a pass and
 	// discard the output when it is non-nil. This is how the tiled
@@ -106,22 +100,9 @@ type arena struct {
 	packM  *grid.Complex      // M-grid: the same pair on the simulation grid
 	inten  [2][]float64       // M-grid Σ wₖ|fieldₖ|², one per corner
 	fields [2][]*grid.Complex // M-grid coherent fields LossGrad saves for its adjoint, per corner
-	bufs   []*grid.Complex    // M-grid, one per worker
+	buf    *grid.Complex      // M-grid: the kernel in flight, when its field is not saved
 	gradM  *grid.Real
 	res    DiffResult
-
-	// The batch in flight. slots[j] runs kernel job.start+j and signals
-	// wg; the closures are built once, so starting a goroutine on one
-	// allocates nothing.
-	job struct {
-		set      *optics.KernelSet
-		fields   []*grid.Complex // forward: where field k goes (nil: bufs); adjoint: the saved fields
-		corner   int             // adjoint: 0 reads the real part of packM, 1 the imaginary
-		backward bool
-		start    int
-	}
-	wg    sync.WaitGroup
-	slots []func()
 }
 
 // arenaFor returns the simulator's arena, (re)building it when the grid or
@@ -141,6 +122,7 @@ func (s *Simulator) arenaFor(set *optics.KernelSet) *arena {
 		up:    float64(n*n) / float64(m*m),
 		specN: grid.NewComplex(n, n),
 		packM: grid.NewComplex(m, m),
+		buf:   grid.NewComplex(m, m),
 		inten: [2][]float64{make([]float64, m*m), make([]float64, m*m)},
 		gradM: grid.NewReal(n, n),
 	}
@@ -165,15 +147,6 @@ func (a *arena) saved(corner, k int) []*grid.Complex {
 // later check in the same pass returns true as well.
 func (s *Simulator) canceled() bool {
 	return s.Ctx != nil && s.Ctx.Err() != nil
-}
-
-// workerCount resolves the effective parallelism.
-func (s *Simulator) workerCount(jobs int) int {
-	w := s.Workers
-	if w < 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return max(1, min(w, jobs))
 }
 
 // New computes (or fetches cached) kernel sets for cfg and binds them to
@@ -266,9 +239,10 @@ func (a *arena) applyKernel(dst *grid.Complex, k *optics.Kernel) {
 }
 
 // adjointKernel leaves FFT((dL/dI) ⊙ field) in tmp on the columns of the
-// kernel's band, the only bins gather reads. dL/dI is one part of packM.
-func (a *arena) adjointKernel(tmp *grid.Complex, k *optics.Kernel, field *grid.Complex) {
-	if a.job.corner == 0 {
+// kernel's band, the only bins gather reads. dL/dI is one part of packM:
+// corner 0's is the real part, corner 1's the imaginary.
+func (a *arena) adjointKernel(tmp *grid.Complex, k *optics.Kernel, field *grid.Complex, corner int) {
+	if corner == 0 {
 		for i, g := range a.packM.Data {
 			tmp.Data[i] = complex(real(g)*real(field.Data[i]), real(g)*imag(field.Data[i]))
 		}
@@ -280,45 +254,13 @@ func (a *arena) adjointKernel(tmp *grid.Complex, k *optics.Kernel, field *grid.C
 	fft.Forward2DBand(tmp, k.Half)
 }
 
-// work runs slot j of the batch in flight.
-func (a *arena) work(j int) {
-	ki := a.job.start + j
-	k := &a.job.set.Kernels[ki]
-	if a.job.backward {
-		a.adjointKernel(a.bufs[j], k, a.job.fields[ki])
-	} else {
-		a.applyKernel(a.forwardField(ki, j), k)
-	}
-}
-
-// forwardField is where the forward pass leaves kernel ki's field: its
-// saved slot, or slot j's recycled buffer when fields are not kept.
-func (a *arena) forwardField(ki, j int) *grid.Complex {
-	if a.job.fields != nil {
-		return a.job.fields[ki]
-	}
-	return a.bufs[j]
-}
-
-// reduce folds slot j's result into the pass's accumulator. It runs
-// serially, in kernel order, so sums are identical at any worker count.
-func (a *arena) reduce(j int) {
-	ki := a.job.start + j
-	k := &a.job.set.Kernels[ki]
-	if !a.job.backward {
-		acc, w := a.inten[a.job.corner], k.Weight
-		for i, v := range a.forwardField(ki, j).Data {
-			re, im := real(v), imag(v)
-			acc[i] += w * (re*re + im*im)
-		}
-		return
-	}
-	// dL/dM = Σ_k 2λ_k·Re[A_kᴴ(g ⊙ c_k)] for real g, where A_kᴴ =
-	// F⁻¹·conj(Ĥ_k)·F is the adjoint of the kernel convolution — hence
-	// the unconjugated field in adjointKernel and the conjugated kernel
-	// here. Only the support bins of the spectrum are touched.
+// gather folds kernel k's adjoint, left in tmp by adjointKernel, into the
+// gradient's spectrum: dL/dM = Σ_k 2λ_k·Re[A_kᴴ(g ⊙ c_k)] for real g, where
+// A_kᴴ = F⁻¹·conj(Ĥ_k)·F is the adjoint of the kernel convolution — hence
+// the unconjugated field in adjointKernel and the conjugated kernel here.
+// Only the support bins of the spectrum are touched.
+func (a *arena) gather(tmp *grid.Complex, k *optics.Kernel) {
 	n, m := a.n, a.m
-	tmp := a.bufs[j]
 	side := 2*k.Half + 1
 	w := complex(k.Weight, 0)
 	for by := -k.Half; by <= k.Half; by++ {
@@ -333,45 +275,29 @@ func (a *arena) reduce(j int) {
 	}
 }
 
-// run executes the first kc kernels of the job described in a.job in
-// batches of one kernel per worker: the transforms of a batch run
-// concurrently into private buffers, then reduce folds them in kernel
-// order. A canceled context abandons the pass between batches.
-func (s *Simulator) run(a *arena, kc int) {
-	workers := s.workerCount(kc)
-	for len(a.bufs) < workers {
-		j := len(a.bufs)
-		a.bufs = append(a.bufs, grid.NewComplex(a.m, a.m))
-		a.slots = append(a.slots, func() { defer a.wg.Done(); a.work(j) })
-	}
-	for start := 0; start < kc; start += workers {
+// forward accumulates Σ_k λ_k|field_k|² of the loaded mask on the
+// simulation grid for one corner, over the first kc kernels of set, in
+// kernel order. Field k is left in fields[k] when fields is non-nil. A
+// canceled context abandons the pass before its next kernel.
+func (s *Simulator) forward(a *arena, corner int, set *optics.KernelSet, kc int, fields []*grid.Complex) {
+	acc := a.inten[corner]
+	clear(acc)
+	for ki := 0; ki < kc; ki++ {
 		if s.canceled() {
 			break // abandoned pass: the accumulator stays incomplete
 		}
-		a.job.start = start
-		batch := min(workers, kc-start)
-		if workers == 1 {
-			a.work(0)
-		} else {
-			a.wg.Add(batch)
-			for j := 0; j < batch; j++ {
-				go a.slots[j]()
-			}
-			a.wg.Wait()
+		k := &set.Kernels[ki]
+		field := a.buf
+		if fields != nil {
+			field = fields[ki]
 		}
-		for j := 0; j < batch; j++ {
-			a.reduce(j)
+		a.applyKernel(field, k)
+		w := k.Weight
+		for i, v := range field.Data {
+			re, im := real(v), imag(v)
+			acc[i] += w * (re*re + im*im)
 		}
 	}
-}
-
-// forward accumulates Σ_k λ_k|field_k|² of the loaded mask on the
-// simulation grid for one corner, over the first kc kernels of set. Field
-// k is left in fields[k] when fields is non-nil.
-func (s *Simulator) forward(a *arena, corner int, set *optics.KernelSet, kc int, fields []*grid.Complex) {
-	clear(a.inten[corner])
-	a.job.set, a.job.fields, a.job.corner, a.job.backward = set, fields, corner, false
-	s.run(a, kc)
 }
 
 // raise turns the two corners' simulation-grid intensities into packN =
@@ -404,8 +330,14 @@ func (s *Simulator) backward(a *arena, sets [2]*optics.KernelSet, kc [2]int, fie
 		clear(a.specN.Data[wrap(by, a.n)*a.n:][:a.n])
 	}
 	for corner, set := range sets {
-		a.job.set, a.job.fields, a.job.corner, a.job.backward = set, fields[corner], corner, true
-		s.run(a, kc[corner])
+		for ki := 0; ki < kc[corner]; ki++ {
+			if s.canceled() {
+				break // abandoned pass: the gradient stays incomplete
+			}
+			k := &set.Kernels[ki]
+			a.adjointKernel(a.buf, k, fields[corner][ki], corner)
+			a.gather(a.buf, k)
+		}
 	}
 	fft.Inverse2DBand(a.specN, a.half)
 	for i, v := range a.specN.Data {

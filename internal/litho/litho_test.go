@@ -308,6 +308,25 @@ func TestAerialMatchesFullTransformReference(t *testing.T) {
 	}
 }
 
+// Aerial leaves the field of every kernel it ran in fields[k] — the
+// fields AerialBackward reads — and none past the truncated count.
+func TestAerialFieldsSaved(t *testing.T) {
+	s := testSim(t, 32)
+	s.KOpt = 3
+	m := grid.NewReal(32, 32)
+	m.Set(16, 16, 1)
+	for _, optimizing := range []bool{false, true} {
+		fields := make([]*grid.Complex, len(s.Focus.Kernels))
+		s.Aerial(m, s.Focus, optimizing, fields)
+		kc := s.kcount(s.Focus, optimizing)
+		for i, f := range fields {
+			if (f != nil) != (i < kc) {
+				t.Fatalf("optimizing=%v: field %d saved = %v with %d kernels run", optimizing, i, f != nil, kc)
+			}
+		}
+	}
+}
+
 func TestLossGradPerfectMaskHasLowLoss(t *testing.T) {
 	s := testSim(t, 32)
 	target := grid.NewReal(32, 32)

@@ -41,20 +41,17 @@ func windowSim(t testing.TB, n int, tileNM float64) (*Simulator, *grid.Real, *gr
 }
 
 // Once the arena exists a LossGrad allocates nothing: no grid, no result
-// struct, no closure for the per-kernel goroutines.
+// struct.
 func TestLossGradDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	for _, w := range benchWindows {
-		for _, workers := range []int{1, 2} {
-			s, mask, target := windowSim(t, w.n, w.tileNM)
-			s.Workers = workers
-			f := func() { s.LossGrad(mask, target, 1, 1) }
-			f() // build the arena, the plans and their pools
-			if a := testing.AllocsPerRun(10, f); a != 0 {
-				t.Errorf("LossGrad at %d px, %d workers: %v allocs per run, want 0", w.n, workers, a)
-			}
+		s, mask, target := windowSim(t, w.n, w.tileNM)
+		f := func() { s.LossGrad(mask, target, 1, 1) }
+		f() // build the arena, the plans and their pools
+		if a := testing.AllocsPerRun(10, f); a != 0 {
+			t.Errorf("LossGrad at %d px: %v allocs per run, want 0", w.n, a)
 		}
 	}
 }

@@ -78,8 +78,6 @@ type Task struct {
 	// fault scripts (flow.Fault.Kill) stop firing after the scripted
 	// number of kills.
 	Dispatch int
-	// Workers is the per-kernel litho parallelism inside the worker.
-	Workers int
 }
 
 // Beat is one optimizer heartbeat forwarded across the process

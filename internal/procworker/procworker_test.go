@@ -1,10 +1,12 @@
 package procworker
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -125,5 +127,39 @@ func TestRunnerSoftErrors(t *testing.T) {
 		if reply.Index != 5 || !strings.Contains(reply.Err, want) {
 			t.Errorf("reply = %+v, want a %q error for tile 5", reply, want)
 		}
+	}
+}
+
+// TestParentWorkersTaskServesTheSameReply: the parent commit's Task
+// carried Workers, the goroutines-per-kernel count removed after
+// measurement. A frame it wrote with Workers: 2 (a CircleOpt tile of case
+// 4, beside the other parent-written frames under internal/flow) decodes
+// here — gob drops the field — and this worker serves the Reply the
+// parent's worker served: every shot, iteration count and loss, to the
+// bit. (The frames themselves differ: each opens with gob's description of
+// the whole Message, Task's field list included.)
+func TestParentWorkersTaskServesTheSameReply(t *testing.T) {
+	read := func(name string) *procpool.Message {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join("..", "flow", "testdata", "parent", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "task_workers2.frame" && !bytes.Contains(raw, []byte("Workers")) {
+			t.Fatal("the fixture's Task descriptor has no Workers field")
+		}
+		m, err := procpool.ReadMessage(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return m
+	}
+	task, want := read("task_workers2.frame").Task, read("reply_workers2.frame").Reply
+	if task == nil || want == nil || len(want.Shots) == 0 {
+		t.Fatalf("fixtures: task %+v, reply %+v", task, want)
+	}
+	if got := Runner()(context.Background(), task, nil); !reflect.DeepEqual(got, *want) {
+		t.Errorf("served %d shots, outcomes %+v; the parent's worker served %d shots, outcomes %+v",
+			len(got.Shots), got.Outcomes, len(want.Shots), want.Outcomes)
 	}
 }

@@ -36,8 +36,6 @@ type Options struct {
 	// this named method (same knobs), answering "does the fix hold on
 	// the captured failure?" instead of "does the failure reproduce?".
 	Fixed string
-	// Workers sets per-kernel litho parallelism for the replay simulator.
-	Workers int
 	// NoFaults skips re-injecting the bundle's recorded fault script —
 	// useful to check whether the tile fails on its own or only under
 	// the harness.
@@ -78,7 +76,7 @@ func Run(ctx context.Context, b *quarantine.Bundle, o Options) (*Report, error) 
 	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	task := procpool.Task{Bundle: *b, Workers: o.Workers}
+	task := procpool.Task{Bundle: *b}
 	if o.Fixed != "" {
 		task.Bundle.Engines.Primary = o.Fixed
 	}

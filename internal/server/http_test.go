@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -524,23 +525,28 @@ func compareFiles(t *testing.T, a, b string) {
 }
 
 // openParentDaemon copies a data directory the parent commit's cfaopcd
-// wrote (jobs.log plus job-0000's event journal and artifacts) into a
-// scratch directory and starts a Manager and its handler on it.
+// wrote (jobs.log plus each job's event journal, checkpoint and
+// artifacts) into a scratch directory and starts a Manager and its
+// handler on it.
 func openParentDaemon(t *testing.T, fixture string) (*Manager, string) {
 	t.Helper()
-	const old = "jobs/job-0000"
 	dataDir := filepath.Join(t.TempDir(), "data")
-	if err := os.MkdirAll(filepath.Join(dataDir, old), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"jobs.log", old + "/events.log", old + "/mask.pgm", old + "/shots.csv"} {
-		b, err := os.ReadFile(filepath.Join(fixture, name))
+	err := filepath.WalkDir(fixture, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if err := os.WriteFile(filepath.Join(dataDir, name), b, 0o644); err != nil {
-			t.Fatal(err)
+		rel, _ := filepath.Rel(fixture, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dataDir, rel), 0o755)
 		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dataDir, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	m, err := NewManager(ManagerConfig{DataDir: dataDir, QueueCap: 4})
 	if err != nil {
@@ -567,6 +573,39 @@ func openParentDaemon(t *testing.T, fixture string) (*Manager, string) {
 // of the spec's canonical bytes, so the event journal's header matches
 // and the job replays as done; submitted afresh, the key is ignored and
 // the shots are the same.
+// TestParentQueuedDoseoptJobFails: doseopt was a method until it was
+// removed after measurement. A new submission naming it is a 400 before
+// anything is journaled, and the refusal lists the methods that remain.
+// A daemon the parent's cfaopcd left behind — SIGKILLed with job-0000
+// (CircleOpt) running and job-0001 (doseopt) queued behind it — reopens
+// with both requeued: the CircleOpt job runs to done, the doseopt job ends
+// failed on the same sentence, and nothing panics.
+func TestParentQueuedDoseoptJobFails(t *testing.T) {
+	const have = `unknown method "doseopt" (have circlerule | circleopt | greedy | develset | neuralilt | multiilt)`
+	m, base := openParentDaemon(t, "../../testdata/parent/daemon_queued_doseopt")
+	if n := len(m.List()); n != 2 {
+		t.Fatalf("recovered %d jobs, want 2", n)
+	}
+	if st := waitState(t, base, "job-0000", JobDone); st.Shots == 0 {
+		t.Errorf("job-0000 finished with no shots: %+v", st)
+	}
+	if st := waitState(t, base, "job-0001", JobFailed); !strings.Contains(st.Error, have) {
+		t.Errorf("job-0001 failed with %q, want %q", st.Error, have)
+	}
+
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(`{"case":1,"method":"doseopt"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if apiErr := decodeAPIError(t, resp, http.StatusBadRequest, "bad_spec"); !strings.Contains(apiErr.Error, have) {
+		t.Errorf("refusal %q, want %q", apiErr.Error, have)
+	}
+	if n := len(m.List()); n != 2 {
+		t.Errorf("a refused spec was journaled: %d jobs", n)
+	}
+}
+
 func TestParentDaemonJobReplays(t *testing.T) {
 	const fixture = "../../testdata/parent/daemon_job"
 	const old = "jobs/job-0000"

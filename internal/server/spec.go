@@ -170,7 +170,7 @@ func (s *JobSpec) Validate() error {
 		return fmt.Errorf("spec: priority %d outside -100..100", s.Priority)
 	}
 	if !knownMethod(s.Method) {
-		return fmt.Errorf("spec: unknown method %q", s.Method)
+		return fmt.Errorf("spec: unknown method %q (have %s)", s.Method, strings.Join(engine.Names(), " | "))
 	}
 	if s.Fallback != "none" && !knownMethod(s.Fallback) {
 		return fmt.Errorf("spec: unknown fallback %q", s.Fallback)
