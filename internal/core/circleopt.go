@@ -122,9 +122,13 @@ func (c Config) validate() {
 // backward pass routes gradients through.
 type Dense struct {
 	M      *grid.Real
-	argmax []int32 // 1-based winning circle per pixel; 0 = background
+	argmax []int32   // 1-based winning circle per pixel; 0 = background
+	sig    []float64 // the winning circle's σ per pixel, where argmax ≠ 0
 	// quantized parameter values used in the forward pass
 	qx, qy, qr []float64
+	// x0, x1 bound the columns the circles with q > 0 can paint, [x0, x1):
+	// the only columns Backward reads dL/dM on.
+	x0, x1 int
 }
 
 // Render executes the differentiable circle-to-pixel transform. With
@@ -133,13 +137,25 @@ type Dense struct {
 // finite-difference checks of the window gradients.
 func Render(p *Params, cfg Config, w, h int, quantize bool) *Dense {
 	cfg.validate()
-	d := &Dense{
-		M:      grid.NewReal(w, h),
-		argmax: make([]int32, w*h),
-		qx:     make([]float64, p.Len()),
-		qy:     make([]float64, p.Len()),
-		qr:     make([]float64, p.Len()),
+	d := &Dense{}
+	d.render(p, cfg, w, h, quantize)
+	return d
+}
+
+// render is Render into d, whose buffers are reused when their sizes fit.
+// Only pixels a circle can win are evaluated: a circle with q ≤ 0 paints
+// q·σ ≤ 0, which never beats the background, and a pixel already at
+// M ≥ q cannot be won by q·σ ≤ q. The σ of each win is kept for Backward.
+func (d *Dense) render(p *Params, cfg Config, w, h int, quantize bool) {
+	if d.M == nil || d.M.W != w || d.M.H != h {
+		d.M, d.argmax, d.sig = grid.NewReal(w, h), make([]int32, w*h), make([]float64, w*h)
 	}
+	clear(d.M.Data)
+	clear(d.argmax)
+	if n := p.Len(); len(d.qx) != n {
+		d.qx, d.qy, d.qr = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
+	d.x0, d.x1 = w, 0
 	for i := 0; i < p.Len(); i++ {
 		if quantize {
 			d.qx[i] = opt.STERound(p.X[i], 0, float64(w-1))
@@ -151,6 +167,9 @@ func Render(p *Params, cfg Config, w, h int, quantize bool) *Dense {
 			d.qr[i] = p.R[i]
 		}
 		cx, cy, cr, q := d.qx[i], d.qy[i], d.qr[i], p.Q[i]
+		if q <= 0 {
+			continue
+		}
 		ext := cr + float64(cfg.Margin)
 		x0, x1 := int(cx-ext), int(cx+ext)+1
 		y0, y1 := int(cy-ext), int(cy+ext)+1
@@ -166,21 +185,26 @@ func Render(p *Params, cfg Config, w, h int, quantize bool) *Dense {
 		if y1 >= h {
 			y1 = h - 1
 		}
+		d.x0, d.x1 = min(d.x0, x0), max(d.x1, x1+1)
 		for y := y0; y <= y1; y++ {
 			dy := float64(y) - cy
 			for x := x0; x <= x1; x++ {
+				idx := y*w + x
+				if q <= d.M.Data[idx] {
+					continue
+				}
 				dx := float64(x) - cx
 				dist := math.Sqrt(dx*dx + dy*dy)
-				v := q * litho.Sigmoid(cfg.Alpha*(cr-dist))
-				idx := y*w + x
-				if v > d.M.Data[idx] {
+				f := litho.Sigmoid(cfg.Alpha * (cr - dist))
+				if v := q * f; v > d.M.Data[idx] {
 					d.M.Data[idx] = v
 					d.argmax[idx] = int32(i + 1)
+					d.sig[idx] = f
 				}
 			}
 		}
 	}
-	return d
+	d.x0 = min(d.x0, d.x1) // no box, or only boxes clipped away: empty
 }
 
 // Grads holds ∂L/∂(x, y, r, q) for every circle.
@@ -193,13 +217,16 @@ type Grads struct {
 // straight-through estimators contribute their indicator factors
 // (Equation (9)) on the raw parameter values.
 func Backward(p *Params, cfg Config, d *Dense, dLdM *grid.Real) *Grads {
+	n := p.Len()
+	g := &Grads{X: make([]float64, n), Y: make([]float64, n), R: make([]float64, n), Q: make([]float64, n)}
+	g.backward(p, cfg, d, dLdM)
+	return g
+}
+
+// backward is Backward adding into g, whose slices hold p.Len() zeros. Each
+// pixel's window value f is the σ render kept for it.
+func (g *Grads) backward(p *Params, cfg Config, d *Dense, dLdM *grid.Real) {
 	w := d.M.W
-	g := &Grads{
-		X: make([]float64, p.Len()),
-		Y: make([]float64, p.Len()),
-		R: make([]float64, p.Len()),
-		Q: make([]float64, p.Len()),
-	}
 	for idx, am := range d.argmax {
 		if am == 0 {
 			continue
@@ -213,7 +240,7 @@ func Backward(p *Params, cfg Config, d *Dense, dLdM *grid.Real) *Grads {
 		dx := x - d.qx[i]
 		dy := y - d.qy[i]
 		dist := math.Sqrt(dx*dx + dy*dy)
-		f := litho.Sigmoid(cfg.Alpha * (d.qr[i] - dist))
+		f := d.sig[idx]
 		hfn := f * (1 - f)
 		q := p.Q[i]
 
@@ -228,7 +255,6 @@ func Backward(p *Params, cfg Config, d *Dense, dLdM *grid.Real) *Grads {
 			g.Y[i] += common * dy * opt.STEGrad(p.Y[i], 0, float64(d.M.H-1))
 		}
 	}
-	return g
 }
 
 // Result summarizes one CircleOpt run.
@@ -330,11 +356,18 @@ func (e *CircleOpt) OptimizeFromShots(sim *litho.Simulator, target *grid.Real, s
 	}
 	pack()
 	adam := opt.NewAdam(4*n, e.Cfg.LR)
+	res.LossHistory = make([]float64, 0, e.Cfg.Iterations)
 
+	// One dense mask serves the whole run, the gradients accumulate in
+	// gradFlat itself, and the simulator inverts the gradient only on the
+	// columns Backward reads.
+	dense := &Dense{}
+	g := &Grads{X: gradFlat[0:n], Y: gradFlat[n : 2*n], R: gradFlat[2*n : 3*n], Q: gradFlat[3*n : 4*n]}
 	for it := 0; it < e.Cfg.Iterations; it++ {
-		dense := Render(p, e.Cfg, sim.N, sim.N, !e.Cfg.DisableSTE)
-		lg := sim.LossGrad(dense.M, target, e.Cfg.WL2, e.Cfg.WPVB)
-		g := Backward(p, e.Cfg, dense, lg.GradM)
+		dense.render(p, e.Cfg, sim.N, sim.N, !e.Cfg.DisableSTE)
+		lg := sim.LossGradCols(dense.M, target, e.Cfg.WL2, e.Cfg.WPVB, dense.x0, dense.x1)
+		clear(gradFlat)
+		g.backward(p, e.Cfg, dense, lg.GradM)
 
 		// Sparsity regularizer L_s = Σ|q_i| (Eq. 17).
 		sparsity := 0.0
@@ -343,11 +376,6 @@ func (e *CircleOpt) OptimizeFromShots(sim *litho.Simulator, target *grid.Real, s
 			g.Q[i] += e.Cfg.Gamma * sign(p.Q[i])
 		}
 		res.LossHistory = append(res.LossHistory, lg.Loss+e.Cfg.Gamma*sparsity)
-
-		copy(gradFlat[0:n], g.X)
-		copy(gradFlat[n:2*n], g.Y)
-		copy(gradFlat[2*n:3*n], g.R)
-		copy(gradFlat[3*n:4*n], g.Q)
 		adam.Step(flat, gradFlat)
 		unpack()
 		opt.Beat(sim.Ctx, it, lg.Loss+e.Cfg.Gamma*sparsity)

@@ -29,6 +29,15 @@ func Forward2DBand(g *grid.Complex, half int) {
 	transform2D(g, false, full(g.H), band(g.W, half))
 }
 
+// ColumnPass runs only the column half of a 2-D transform: the forward DFT
+// (the inverse, with its 1/H, when inverse is set) of each column in
+// [x0, x1), reading only the rows of the band |fy| ≤ rowHalf (every row
+// when rowHalf < 0). Columns transform independently, so after the same
+// row pass each is == to what the 2-D transforms above leave in it.
+func ColumnPass(g *grid.Complex, inverse bool, rowHalf, x0, x1 int) {
+	columnPass(g, inverse, band(g.H, rowHalf), [2]span{{x0, x1}})
+}
+
 // span is a half-open index range.
 type span struct{ lo, hi int }
 
@@ -45,15 +54,9 @@ func band(n, half int) [2]span {
 
 // transform2D runs the row pass over the given rows and then the column
 // pass over the given columns; rows outside the given ones count as zero
-// and are never read. Rows are transformed in place. Columns go blockCols
-// at a time: the block's rows are copied as they lie into the plan's work
-// buffer (absent rows cleared there), transformed as interleaved
-// sequences, and copied back, with the inverse's index reversal and 1/H
-// folded into the copy.
+// and are never read. Rows are transformed in place.
 func transform2D(g *grid.Complex, inverse bool, rows, cols [2]span) {
-	w, h := g.W, g.H
-	allRows := rows[0].hi-rows[0].lo == h
-
+	w := g.W
 	rowPlan := cachedPlan(w)
 	rw := rowPlan.getWork()
 	for _, r := range rows {
@@ -67,7 +70,17 @@ func transform2D(g *grid.Complex, inverse bool, rows, cols [2]span) {
 		}
 	}
 	rowPlan.work.Put(rw)
+	columnPass(g, inverse, rows, cols)
+}
 
+// columnPass transforms the given columns, reading only the given rows.
+// Columns go blockCols at a time: the block's rows are copied as they lie
+// into the plan's work buffer (absent rows cleared there), transformed as
+// interleaved sequences, and copied back, with the inverse's index
+// reversal and 1/H folded into the copy.
+func columnPass(g *grid.Complex, inverse bool, rows, cols [2]span) {
+	w, h := g.W, g.H
+	allRows := rows[0].hi-rows[0].lo == h
 	colPlan := cachedPlan(h)
 	cw := colPlan.getWork()
 	scratch := (*cw)[blockCols*h:]

@@ -312,3 +312,58 @@ func TestBandMatchesFull(t *testing.T) {
 		}
 	}
 }
+
+// A row pass by the 1-D transforms and then ColumnPass over some columns
+// gives those columns == to the 2-D band transforms' and leaves the other
+// columns alone: the forward over the band's two column spans (litho's
+// loadMask), the inverse over any span of a band-row spectrum (the
+// gradient's last inverse), including an empty span, a single column and
+// spans that cut a column block, on 5-smooth and Bluestein lengths.
+func TestColumnPassMatchesBandTransforms(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{33, 64, 96, 97, 128, 192} {
+		for _, half := range []int{0, 3, n / 9, n / 4} {
+			src := randomGrid(n, n, int64(n*100+half))
+
+			want := src.Clone()
+			Forward2DBand(want, half)
+			got := src.Clone()
+			for y := 0; y < n; y++ {
+				Forward(got.Data[y*n : (y+1)*n])
+			}
+			ColumnPass(got, false, -1, 0, half+1)
+			ColumnPass(got, false, -1, n-half, n)
+			for y := 0; y < n; y++ {
+				for x := 0; x < n; x++ {
+					if bandOf(x, n, half) && got.At(x, y) != want.At(x, y) {
+						t.Fatalf("forward n=%d half=%d: (%d,%d) = %v, Forward2DBand %v", n, half, x, y, got.At(x, y), want.At(x, y))
+					}
+				}
+			}
+
+			want = src.Clone()
+			Inverse2DBand(want, half)
+			x0 := rng.Intn(n)
+			for _, span := range [][2]int{{0, n}, {0, 0}, {x0, x0 + 1}, {x0, x0 + rng.Intn(n-x0+1)}, {n / 3, n - 5}} {
+				got := src.Clone()
+				for y := 0; y < n; y++ {
+					if bandOf(y, n, half) {
+						Inverse(got.Data[y*n : (y+1)*n])
+					}
+				}
+				rowPassed := got.Clone()
+				ColumnPass(got, true, half, span[0], span[1])
+				for i := range got.Data {
+					x := i % n
+					w := want.Data[i]
+					if x < span[0] || x >= span[1] {
+						w = rowPassed.Data[i]
+					}
+					if got.Data[i] != w {
+						t.Fatalf("inverse n=%d half=%d span %v: element %d = %v, want %v", n, half, span, i, got.Data[i], w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -140,15 +140,10 @@ func latentInit(target *grid.Real, backgroundBias float64) *grid.Real {
 // maskFromLatent maps the latent field through σ(θ_m·p).
 func maskFromLatent(p *grid.Real, steepness float64) *grid.Real {
 	m := grid.NewReal(p.W, p.H)
-	maskInto(m, p.Data, steepness)
-	return m
-}
-
-// maskInto is maskFromLatent into a mask the caller owns.
-func maskInto(m *grid.Real, latent []float64, steepness float64) {
-	for i, v := range latent {
+	for i, v := range p.Data {
 		m.Data[i] = litho.Sigmoid(steepness * v)
 	}
+	return m
 }
 
 // Mosaic is the sigmoid-relaxed pixel ILT of MOSAIC (Gao et al., DAC'14):
@@ -165,45 +160,76 @@ func (e *Mosaic) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Real {
 	e.Cfg.validate()
 	p := latentInit(target, e.Cfg.BackgroundBias)
 	roi := e.Cfg.roiFor(sim, target)
+	e.Cfg.descend(sim, target, p, roi, e.Cfg.Iterations, e.Cfg.Optimizer == "lbfgs")
+	return e.Cfg.finalMask(p, roi)
+}
+
+// descend runs iters steps of Adam (L-BFGS when lbfgs is set) on the
+// latent field p, in place, against sim's loss for target. Its parameters
+// are the pixels the ROI gate leaves open — every pixel when roi is nil —
+// and nothing else is touched after the mask is painted once: a gated
+// pixel's gradient is x·0, which moves it by lr·0/(0+ε) = 0 under Adam and
+// adds only exact zeros to L-BFGS's dot products, so its latent and mask
+// value never change. Each step repaints σ(θ_m·p), forms the gradient and
+// steps the optimizer on the open pixels alone, and the simulator inverts
+// the gradient only on their columns.
+func (c Config) descend(sim *litho.Simulator, target, p, roi *grid.Real, iters int, lbfgs bool) {
+	var open []int
+	var x []float64
+	x0, x1 := p.W, 0
+	for i, v := range p.Data {
+		if roi == nil || roi.Data[i] != 0 {
+			open, x = append(open, i), append(x, v)
+			x0, x1 = min(x0, i%p.W), max(x1, i%p.W+1)
+		}
+	}
+	x0 = min(x0, x1) // nothing open: the empty span [0, 0)
 
 	// One mask and one gradient serve every evaluation: Adam consumes the
 	// gradient before the next call, and LBFGS.Step copies the one it
 	// keeps (and drops its line-search trials') before it evaluates again.
-	m := grid.NewReal(p.W, p.H)
-	g := make([]float64, len(p.Data))
+	m := maskFromLatent(p, c.MaskSteepness)
+	g := make([]float64, len(open))
 	lossGrad := func(latent []float64) (float64, []float64) {
-		maskInto(m, latent, e.Cfg.MaskSteepness)
-		res := sim.LossGrad(m, target, e.Cfg.WL2, e.Cfg.WPVB)
-		for i := range g {
+		for j, i := range open {
+			m.Data[i] = litho.Sigmoid(c.MaskSteepness * latent[j])
+		}
+		res := sim.LossGradCols(m, target, c.WL2, c.WPVB, x0, x1)
+		for j, i := range open {
 			mi := m.Data[i]
-			g[i] = res.GradM.Data[i] * e.Cfg.MaskSteepness * mi * (1 - mi)
-			if roi != nil {
-				g[i] *= roi.Data[i]
-			}
+			g[j] = res.GradM.Data[i] * c.MaskSteepness * mi * (1 - mi)
 		}
 		return res.Loss, g
 	}
 
-	if e.Cfg.Optimizer == "lbfgs" {
+	if lbfgs {
 		l := opt.NewLBFGS()
-		l.InitialStep = e.Cfg.LearningRate
-		for it := 0; it < e.Cfg.Iterations; it++ {
-			loss := l.Step(p.Data, lossGrad)
+		l.InitialStep = c.LearningRate
+		for it := 0; it < iters; it++ {
+			loss := l.Step(x, lossGrad)
 			opt.Beat(sim.Ctx, it, loss)
 		}
 	} else {
-		adam := opt.NewAdam(len(p.Data), e.Cfg.LearningRate)
-		for it := 0; it < e.Cfg.Iterations; it++ {
-			loss, g := lossGrad(p.Data)
-			adam.Step(p.Data, g)
+		adam := opt.NewAdam(len(x), c.LearningRate)
+		for it := 0; it < iters; it++ {
+			loss, g := lossGrad(x)
+			adam.Step(x, g)
 			opt.Beat(sim.Ctx, it, loss)
 		}
 	}
-	final := maskFromLatent(p, e.Cfg.MaskSteepness)
+	for j, i := range open {
+		p.Data[i] = x[j]
+	}
+}
+
+// finalMask is the cleaned binary mask of the latent field p, closed
+// outside the ROI gate.
+func (c Config) finalMask(p, roi *grid.Real) *grid.Real {
+	final := maskFromLatent(p, c.MaskSteepness)
 	if roi != nil {
 		final.Mul(roi)
 	}
-	return CleanMask(final, e.Cfg.MinFeaturePx)
+	return CleanMask(final, c.MinFeaturePx)
 }
 
 // CycleILT is the NeuralILT stand-in: identical machinery to Mosaic but
@@ -252,8 +278,17 @@ func (e *LevelSet) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Real 
 	sgd := opt.NewSGD(len(phi.Data), e.Cfg.LearningRate*10, 0.5)
 	gradPhi := make([]float64, len(phi.Data))
 	steep := e.Cfg.MaskSteepness / 2 // band half-width ≈ 2 px
+	m, bin := grid.NewReal(phi.W, phi.H), grid.NewReal(phi.W, phi.H)
+	inside := func() *grid.Real {
+		for i, v := range phi.Data {
+			bin.Data[i] = 0
+			if v < 0 {
+				bin.Data[i] = 1
+			}
+		}
+		return bin
+	}
 	for it := 0; it < e.Cfg.Iterations; it++ {
-		m := grid.NewReal(phi.W, phi.H)
 		for i, v := range phi.Data {
 			m.Data[i] = litho.Sigmoid(-steep * v)
 		}
@@ -265,22 +300,10 @@ func (e *LevelSet) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Real 
 		sgd.Step(phi.Data, gradPhi)
 		opt.Beat(sim.Ctx, it, res.Loss)
 		if (it+1)%reinit == 0 {
-			bin := grid.NewReal(phi.W, phi.H)
-			for i, v := range phi.Data {
-				if v < 0 {
-					bin.Data[i] = 1
-				}
-			}
-			phi = geom.SignedDistance(bin)
+			phi = geom.SignedDistance(inside())
 		}
 	}
-	bin := grid.NewReal(phi.W, phi.H)
-	for i, v := range phi.Data {
-		if v < 0 {
-			bin.Data[i] = 1
-		}
-	}
-	return CleanMask(bin, e.Cfg.MinFeaturePx)
+	return CleanMask(inside(), e.Cfg.MinFeaturePx)
 }
 
 // MultiLevel is the MultiILT stand-in: the mask is first optimized on a
@@ -313,46 +336,13 @@ func (e *MultiLevel) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Rea
 			coarseSim.KOpt = sim.KOpt
 			coarseSim.Ctx = sim.Ctx // cancellation and heartbeats span both stages
 			ct := grid.DownsampleBox(target, 2).Binarize(0.5)
-			croi := e.Cfg.roiFor(coarseSim, ct)
 			cp := latentInit(ct, e.Cfg.BackgroundBias)
-			adam := opt.NewAdam(len(cp.Data), e.Cfg.LearningRate)
-			gradP := make([]float64, len(cp.Data))
-			for it := 0; it < coarseIters; it++ {
-				m := maskFromLatent(cp, e.Cfg.MaskSteepness)
-				res := coarseSim.LossGrad(m, ct, e.Cfg.WL2, e.Cfg.WPVB)
-				for i := range gradP {
-					mi := m.Data[i]
-					gradP[i] = res.GradM.Data[i] * e.Cfg.MaskSteepness * mi * (1 - mi)
-					if croi != nil {
-						gradP[i] *= croi.Data[i]
-					}
-				}
-				adam.Step(cp.Data, gradP)
-				opt.Beat(sim.Ctx, it, res.Loss)
-			}
+			e.Cfg.descend(coarseSim, ct, cp, e.Cfg.roiFor(coarseSim, ct), coarseIters, false)
 			p = grid.UpsampleBilinear(cp, 2)
 		}
 	}
 
 	roi := e.Cfg.roiFor(sim, target)
-	adam := opt.NewAdam(len(p.Data), e.Cfg.LearningRate)
-	gradP := make([]float64, len(p.Data))
-	for it := 0; it < e.Cfg.Iterations; it++ {
-		m := maskFromLatent(p, e.Cfg.MaskSteepness)
-		res := sim.LossGrad(m, target, e.Cfg.WL2, e.Cfg.WPVB)
-		for i := range gradP {
-			mi := m.Data[i]
-			gradP[i] = res.GradM.Data[i] * e.Cfg.MaskSteepness * mi * (1 - mi)
-			if roi != nil {
-				gradP[i] *= roi.Data[i]
-			}
-		}
-		adam.Step(p.Data, gradP)
-		opt.Beat(sim.Ctx, it, res.Loss)
-	}
-	final := maskFromLatent(p, e.Cfg.MaskSteepness)
-	if roi != nil {
-		final.Mul(roi)
-	}
-	return CleanMask(final, e.Cfg.MinFeaturePx)
+	e.Cfg.descend(sim, target, p, roi, e.Cfg.Iterations, false)
+	return e.Cfg.finalMask(p, roi)
 }

@@ -96,6 +96,8 @@ type arena struct {
 	down, up float64
 
 	specN  *grid.Complex      // N-grid: the mask's spectrum going in, the gradient's coming out
+	mask   []float64          // N-grid: the last mask loaded, nil before the first
+	rowT   []complex128       // n rows × the band's 2·half+1 columns: each mask row's transform there
 	packN  *grid.Complex      // N-grid: both corners' images as (re, im), then both dL/dI; packM itself when m == n
 	packM  *grid.Complex      // M-grid: the same pair on the simulation grid
 	inten  [2][]float64       // M-grid Σ wₖ|fieldₖ|², one per corner
@@ -205,15 +207,48 @@ func moveBand(dst, src *grid.Complex, band int) {
 }
 
 // loadMask leaves the mask's spectrum, scaled for the simulation grid, on
-// the band |f| ≤ half of specN: the only bins a kernel reads.
+// the band |f| ≤ half of specN: the only bins a kernel reads. A row's
+// transform depends on that row alone, so the arena keeps the last mask
+// and each row's transform on the band's columns, transforms again only
+// the rows whose bits changed, and runs the band's column pass: every bin
+// is == to Forward2DBand's of the whole mask.
 func (a *arena) loadMask(mask *grid.Real) {
-	if mask.W != a.n || mask.H != a.n {
-		panic(fmt.Sprintf("litho: mask %dx%d does not match grid %d", mask.W, mask.H, a.n))
+	n, h := a.n, a.half
+	if mask.W != n || mask.H != n {
+		panic(fmt.Sprintf("litho: mask %dx%d does not match grid %d", mask.W, mask.H, n))
 	}
-	for i, v := range mask.Data {
-		a.specN.Data[i] = complex(a.down*v, 0)
+	fresh := a.mask == nil
+	if fresh {
+		a.mask, a.rowT = make([]float64, n*n), make([]complex128, n*(2*h+1))
 	}
-	fft.Forward2DBand(a.specN, a.half)
+	for y := 0; y < n; y++ {
+		src, last := mask.Data[y*n:][:n], a.mask[y*n:][:n]
+		row, t := a.specN.Data[y*n:][:n], a.rowT[y*(2*h+1):][:2*h+1]
+		if fresh || !sameBits(src, last) {
+			for x, v := range src {
+				row[x] = complex(a.down*v, 0)
+			}
+			fft.Forward(row)
+			copy(t, row[:h+1])
+			copy(t[h+1:], row[n-h:])
+			copy(last, src) // only once its transform is kept
+		}
+		copy(row, t[:h+1])
+		copy(row[n-h:], t[h+1:])
+	}
+	fft.ColumnPass(a.specN, false, -1, 0, h+1)
+	fft.ColumnPass(a.specN, false, -1, n-h, n)
+}
+
+// sameBits reports whether a and b hold the same bits: a -0 where there
+// was a +0 is a change.
+func sameBits(a, b []float64) bool {
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // applyKernel fills dst with Ĥ_k ⊙ (mask spectrum) on the kernel's support
@@ -319,8 +354,10 @@ func (a *arena) raise() {
 // backward is the adjoint of forward followed by raise, for the pair of
 // gradients packN = dL/dI₀ + i·dL/dI₁: the transpose of zero-padding is
 // cropping (lower), and each kernel's adjoint then runs on the simulation
-// grid against the saved fields. It leaves dL/dmask in gradM.
-func (s *Simulator) backward(a *arena, sets [2]*optics.KernelSet, kc [2]int, fields [2][]*grid.Complex) {
+// grid against the saved fields. It leaves dL/dmask in gradM on the
+// columns [x0, x1), the only ones the last inverse's column pass
+// transforms, and zero on the others.
+func (s *Simulator) backward(a *arena, sets [2]*optics.KernelSet, kc [2]int, fields [2][]*grid.Complex, x0, x1 int) {
 	if a.m != a.n {
 		fft.Forward2DBand(a.packN, 2*a.half)
 		moveBand(a.packM, a.packN, 2*a.half)
@@ -339,9 +376,18 @@ func (s *Simulator) backward(a *arena, sets [2]*optics.KernelSet, kc [2]int, fie
 			a.gather(a.buf, k)
 		}
 	}
-	fft.Inverse2DBand(a.specN, a.half)
-	for i, v := range a.specN.Data {
-		a.gradM.Data[i] = 2 * real(v)
+	// Inverse2DBand with its column pass cut to [x0, x1).
+	for by := -a.half; by <= a.half; by++ {
+		fft.Inverse(a.specN.Data[wrap(by, a.n)*a.n:][:a.n])
+	}
+	fft.ColumnPass(a.specN, true, a.half, x0, x1)
+	for y := 0; y < a.n; y++ {
+		src, dst := a.specN.Data[y*a.n:][:a.n], a.gradM.Data[y*a.n:][:a.n]
+		clear(dst[:x0])
+		for x := x0; x < x1; x++ {
+			dst[x] = 2 * real(src[x])
+		}
+		clear(dst[x1:])
 	}
 }
 
@@ -380,7 +426,7 @@ func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optim
 		a.packN.Data[i] = complex(g, 0)
 	}
 	kc := s.kcount(set, optimizing)
-	s.backward(a, [2]*optics.KernelSet{set, set}, [2]int{kc, 0}, [2][]*grid.Complex{fields, nil})
+	s.backward(a, [2]*optics.KernelSet{set, set}, [2]int{kc, 0}, [2][]*grid.Complex{fields, nil}, 0, s.N)
 	return a.gradM.Clone()
 }
 
@@ -467,6 +513,17 @@ type DiffResult struct {
 // as one complex image — nominal in the real part, defocus in the
 // imaginary — and once its buffers exist a call allocates nothing.
 func (s *Simulator) LossGrad(mask, target *grid.Real, wL2, wPVB float64) *DiffResult {
+	return s.LossGradCols(mask, target, wL2, wPVB, 0, s.N)
+}
+
+// LossGradCols is LossGrad for a caller that reads the gradient only on
+// the mask columns [x0, x1): the gradient's last inverse transforms those
+// columns alone, which each come out == to LossGrad's, and GradM is zero
+// on every other column. The loss is LossGrad's.
+func (s *Simulator) LossGradCols(mask, target *grid.Real, wL2, wPVB float64, x0, x1 int) *DiffResult {
+	if x0 < 0 || x1 > s.N || x0 > x1 {
+		panic(fmt.Sprintf("litho: gradient columns [%d, %d) outside grid %d", x0, x1, s.N))
+	}
 	a := s.arenaFor(s.Focus)
 	a.loadMask(mask)
 	sets := [2]*optics.KernelSet{s.Focus, s.Defocus}
@@ -511,6 +568,6 @@ func (s *Simulator) LossGrad(mask, target *grid.Real, wL2, wPVB float64) *DiffRe
 	res := &a.res
 	*res = DiffResult{L2: l2, PVB: pvb, Loss: wL2*l2 + wPVB*pvb, GradM: a.gradM}
 
-	s.backward(a, sets, kc, fields)
+	s.backward(a, sets, kc, fields, x0, x1)
 	return res
 }

@@ -1,6 +1,7 @@
 package litho
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -365,4 +366,121 @@ func TestKOptTruncation(t *testing.T) {
 	if full.SqDiff(evalImg) != 0 {
 		t.Fatal("evaluation path affected by KOpt")
 	}
+}
+
+// sameGrid asserts got == want element by element.
+func sameGrid(t *testing.T, what string, got, want *grid.Real) {
+	t.Helper()
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("%s: element %d = %v, want %v", what, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// sameResult asserts two LossGrad results are ==: losses and gradient.
+func sameResult(t *testing.T, what string, got, want *DiffResult) {
+	t.Helper()
+	if got.Loss != want.Loss || got.L2 != want.L2 || got.PVB != want.PVB {
+		t.Fatalf("%s: loss %v (L2 %v, PVB %v), want %v (%v, %v)", what, got.Loss, got.L2, got.PVB, want.Loss, want.L2, want.PVB)
+	}
+	sameGrid(t, what+" gradient", got.GradM, want.GradM)
+}
+
+// LossGradCols gives LossGrad's loss and, on the columns asked for, its
+// gradient, ==; every other column of the gradient is zero. Spans: the
+// whole grid, none, one column, the target's columns, a span cutting a
+// column block, with and without the defocus corner.
+func TestLossGradColsMatchesFull(t *testing.T) {
+	for _, w := range benchWindows {
+		n := w.n
+		for _, wPVB := range []float64{1, 0} {
+			s, mask, target := windowSim(t, n, w.tileNM)
+			full, _, _ := windowSim(t, n, w.tileNM)
+			want := full.LossGrad(mask, target, 1, wPVB)
+			for _, span := range [][2]int{{0, n}, {0, 0}, {n / 2, n/2 + 1}, {5 * n / 16, 11 * n / 16}, {17, n - 3}} {
+				got := s.LossGradCols(mask, target, 1, wPVB, span[0], span[1])
+				what := fmt.Sprintf("%d px, wPVB %g, columns %v", n, wPVB, span)
+				if got.Loss != want.Loss || got.L2 != want.L2 || got.PVB != want.PVB {
+					t.Fatalf("%s: loss %v, LossGrad's %v", what, got.Loss, want.Loss)
+				}
+				for i, g := range got.GradM.Data {
+					x, ref := i%n, want.GradM.Data[i]
+					if x < span[0] || x >= span[1] {
+						ref = 0
+					}
+					if g != ref {
+						t.Fatalf("%s: gradient %d = %v, want %v", what, i, g, ref)
+					}
+				}
+			}
+		}
+	}
+	s, mask, target := windowSim(t, 96, 384)
+	for _, span := range [][2]int{{-1, 4}, {0, 97}, {9, 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("columns %v: no panic", span)
+				}
+			}()
+			s.LossGradCols(mask, target, 1, 1, span[0], span[1])
+		}()
+	}
+}
+
+// A simulator that saw mask A and then gets mask B, which differs from A
+// in some rows — one of them only in the sign of a zero — computes what a
+// fresh simulator computes from B, bit for bit: the spectrum loadMask
+// leaves is Forward2DBand's of the whole mask, and LossGrad, Simulate and
+// Aerial all agree with a fresh simulator's, whichever of them ran last
+// and after the arena is rebuilt for another simulation grid.
+func TestLoadMaskReusesUnchangedRows(t *testing.T) {
+	const n = 96
+	s, a, target := windowSim(t, n, 384)
+	b := a.Clone()
+	for y := 40; y < 52; y += 3 {
+		for x := 10; x < 60; x++ {
+			b.Data[y*n+x] = 0.25
+		}
+	}
+	b.Data[5*n+7] = math.Copysign(0, -1)
+	fresh := func(simGrid int) *Simulator {
+		f, _, _ := windowSim(t, n, 384)
+		f.simGrid = simGrid
+		return f
+	}
+
+	s.LossGrad(a, target, 1, 1)
+	sameResult(t, "LossGrad A then B", keep(s.LossGrad(b, target, 1, 1)), fresh(0).LossGrad(b, target, 1, 1))
+
+	ar := s.arenaFor(s.Focus)
+	ar.loadMask(a)
+	ar.loadMask(b)
+	want := grid.NewComplex(n, n)
+	for i, v := range b.Data {
+		want.Data[i] = complex(ar.down*v, 0)
+	}
+	fft.Forward2DBand(want, ar.half)
+	for by := -ar.half; by <= ar.half; by++ {
+		for bx := -ar.half; bx <= ar.half; bx++ {
+			i := wrap(by, n)*n + wrap(bx, n)
+			if ar.specN.Data[i] != want.Data[i] {
+				t.Fatalf("spectrum bin (%d,%d) = %v, Forward2DBand's %v", bx, by, ar.specN.Data[i], want.Data[i])
+			}
+		}
+	}
+
+	s.LossGrad(a, target, 1, 1)
+	got, ref := s.Simulate(b), fresh(0).Simulate(b)
+	sameGrid(t, "Simulate after LossGrad, nominal", got.INom, ref.INom)
+	sameGrid(t, "Simulate after LossGrad, defocus", got.IDef, ref.IDef)
+	s.Simulate(a)
+	sameGrid(t, "Aerial after Simulate", s.Aerial(b, s.Focus, true, nil), fresh(0).Aerial(b, s.Focus, true, nil))
+	sameResult(t, "LossGrad after Aerial", keep(s.LossGrad(a, target, 1, 1)), fresh(0).LossGrad(a, target, 1, 1))
+
+	s.simGrid = n
+	sameResult(t, "LossGrad on a rebuilt arena", keep(s.LossGrad(b, target, 1, 1)), fresh(n).LossGrad(b, target, 1, 1))
+	s.simGrid = 0
+	sameResult(t, "LossGrad on the arena rebuilt back", keep(s.LossGrad(a, target, 1, 1)), fresh(0).LossGrad(a, target, 1, 1))
 }

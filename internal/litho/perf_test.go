@@ -40,6 +40,28 @@ func windowSim(t testing.TB, n int, tileNM float64) (*Simulator, *grid.Real, *gr
 	return s, mask, target
 }
 
+// alternate returns a copy of mask that differs from it in every row a
+// pixel's box [x0, x1) × [y0, y1) covers. Timing LossGrad on two such
+// masks in turn keeps loadMask transforming those rows, as an optimizer
+// step that moved them would: on one mask it would transform none.
+func alternate(mask *grid.Real, x0, x1, y0, y1 int) *grid.Real {
+	m := mask.Clone()
+	for y := y0; y < y1; y++ {
+		for x := x0; x < x1; x++ {
+			m.Data[y*m.W+x] = 0.5 * (m.Data[y*m.W+x] + 0.3)
+		}
+	}
+	return m
+}
+
+// roiBox is the box of pixels within the Mosaic engine's default 120 nm
+// of windowSim's feature: the rows a Mosaic step changes and the columns
+// whose gradient it reads.
+func roiBox(s *Simulator) (x0, x1, y0, y1 int) {
+	n, m := s.N, int(120/s.DX)
+	return max(0, 5*n/16-m), min(n, 11*n/16+m), max(0, 3*n/8-m), min(n, 5*n/8+m)
+}
+
 // Once the arena exists a LossGrad allocates nothing: no grid, no result
 // struct.
 func TestLossGradDoesNotAllocate(t *testing.T) {
@@ -64,7 +86,8 @@ func TestLossGradDoesNotAllocate(t *testing.T) {
 // per-kernel work back on the pixel grid it is 3.9; the bound of 2.2
 // sits between. (At the benchmark's four kernels the pixel-grid half of
 // the call weighs more: 2.8–3.0 against 3.9.) Minima of alternated runs,
-// as in the fft and CircleRule guards.
+// as in the fft and CircleRule guards. Each side alternates two masks that
+// differ in every row, so every call transforms every mask row.
 func TestLossGradCostTracksBandNotPixels(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing guard")
@@ -75,12 +98,15 @@ func TestLossGradCostTracksBandNotPixels(t *testing.T) {
 	if coarse.arenaFor(coarse.Focus).m != fine.arenaFor(fine.Focus).m {
 		t.Fatal("the simulation grid depends on the pixel pitch")
 	}
-	a := func() { coarse.LossGrad(cm, ct, 1, 1) }
-	b := func() { fine.LossGrad(fm, ft, 1, 1) }
+	cms := [2]*grid.Real{cm, alternate(cm, 0, 1, 0, 192)}
+	fms := [2]*grid.Real{fm, alternate(fm, 0, 1, 0, 384)}
+	i := 0
+	a := func() { coarse.LossGrad(cms[i%2], ct, 1, 1) }
+	b := func() { fine.LossGrad(fms[i%2], ft, 1, 1) }
 	a()
 	b()
 	ta, tb := time.Duration(1<<62), time.Duration(1<<62)
-	for i := 0; i < 15; i++ {
+	for i = 0; i < 15; i++ {
 		t0 := time.Now()
 		a()
 		t1 := time.Now()
@@ -94,15 +120,30 @@ func TestLossGradCostTracksBandNotPixels(t *testing.T) {
 	}
 }
 
+// BenchmarkLossGrad/<n> alternates two masks that differ in every row:
+// the whole call, every mask row transformed. <n>/mosaic is what a Mosaic
+// step pays: only the rows of the ROI change, and the gradient is read on
+// the ROI's columns.
 func BenchmarkLossGrad(b *testing.B) {
 	for _, w := range benchWindows {
+		s, mask, target := windowSim(b, w.n, w.tileNM)
+		x0, x1, y0, y1 := roiBox(s)
 		b.Run(fmt.Sprint(w.n), func(b *testing.B) {
-			s, mask, target := windowSim(b, w.n, w.tileNM)
+			masks := [2]*grid.Real{mask, alternate(mask, 0, 1, 0, w.n)}
 			s.LossGrad(mask, target, 1, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.LossGrad(mask, target, 1, 1)
+				s.LossGrad(masks[i%2], target, 1, 1)
+			}
+		})
+		b.Run(fmt.Sprintf("%d/mosaic", w.n), func(b *testing.B) {
+			masks := [2]*grid.Real{mask, alternate(mask, x0, x1, y0, y1)}
+			s.LossGrad(mask, target, 1, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.LossGradCols(masks[i%2], target, 1, 1, x0, x1)
 			}
 		})
 	}
