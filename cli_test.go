@@ -341,17 +341,29 @@ func TestCLIFlagsEqualJobSpec(t *testing.T) {
 	}
 }
 
-// TestCLIParentPartialJournalResumes holds resume to a journal the parent
-// commit's cfaopc wrote under its since-removed -partial-every 5 and was
-// SIGKILLed over: four finished tiles, each behind the mid-tile optimizer
-// snapshots of its own run, and six live snapshots of tile 4. This build
-// opens it, resumes the finished tiles, skips every snapshot, recomputes
-// tile 4 and the rest from scratch and lands on the shot list the
-// parent's uninterrupted run wrote — in-process at either lane count and
-// on worker subprocesses.
+// TestCLIParentPartialJournalResumes holds resume to a journal cut after
+// its fourth finished tile, as a kill leaves it: partial.ckpt, recorded at
+// numerics v4 by `-case 7 -grid 512 -tile-core 128 -tile-halo 32 -method
+// circleopt -tile-workers 1 -checkpoint` (header and the first four tile
+// records of the whole run's journal). This build resumes the finished
+// tiles, recomputes the rest and lands on the shot list the parent's
+// uninterrupted run wrote — in-process at either lane count and on worker
+// subprocesses. The journal the parent's cfaopc wrote under numerics v3,
+// its since-removed -partial-every 5 and a SIGKILL (partial_v3.ckpt:
+// the same four tiles behind mid-tile snapshots) is refused at its header,
+// as a user-supplied journal of other arithmetic always is.
 func TestCLIParentPartialJournalResumes(t *testing.T) {
 	cfaopc := buildTools(t, "cfaopc")("cfaopc")
 	work := t.TempDir()
+	if err := os.WriteFile(filepath.Join(work, "v3.ckpt"), readFile(t, "testdata", "parent", "partial_v3.ckpt"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refuse := exec.Command(cfaopc, "-case", "7", "-grid", "512", "-tile-core", "128", "-tile-halo", "32",
+		"-method", "circleopt", "-stream", "-checkpoint", "v3.ckpt", "-out", "refused")
+	refuse.Dir = work
+	if out, err := refuse.CombinedOutput(); err == nil || !bytes.Contains(out, []byte("journal header does not match")) {
+		t.Errorf("cfaopc over the parent's v3 journal: %v\n%s", err, out)
+	}
 	journal, want := readFile(t, "testdata", "parent", "partial.ckpt"), readFile(t, "testdata", "parent", "partial_case7_shots.csv")
 	for _, pool := range [][]string{{"-tile-workers", "1"}, {"-tile-workers", "2"}, {"-proc-workers", "2"}} {
 		if err := os.WriteFile(filepath.Join(work, "partial.ckpt"), journal, 0o644); err != nil {

@@ -62,8 +62,12 @@ func BenchmarkCircleOptStage2(b *testing.B) {
 // stepBytes runs an optimizer of iters steps on sim and returns what a warm
 // step allocates: the bytes between the heartbeats of its second and last
 // steps, over the steps between them. The collector is off meanwhile, so
-// it cannot empty the pools the transforms draw their scratch from.
+// it cannot empty the pools the transforms draw their scratch from, and
+// there is one P, as testing.AllocsPerRun has: MemStats is process-wide,
+// and with two a runtime goroutine's bytes, or a pool miss after the run
+// moved Ps, read as the step's.
 func stepBytes(sim *litho.Simulator, iters int, run func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var second, last runtime.MemStats
 	sim.Ctx = opt.WithProgress(context.Background(), func(it int, _ float64, _ time.Time) {
 		switch it {

@@ -917,7 +917,8 @@ func overlapRects(l *layout.Layout, gridN, ox, oy, window int) []layout.Rect {
 //	1: radix-2 and Bluestein FFT, full 2-D transforms
 //	2: mixed-radix Stockham FFT, band-pruned transforms in litho
 //	3: reduced-grid SOCS, corner-packed transforms, QL kernel build
-const numericsVersion = 3
+//	4: table-driven exp behind every sigmoid in litho
+const numericsVersion = 4
 
 // configFingerprint hashes every config knob that can change a window's
 // optimized output — tiling geometry, validation policy, optics, engine

@@ -117,6 +117,8 @@ func TestRuleTileAllocs(t *testing.T) {
 		tiles = res.Tiles
 	}
 	run() // kernels, ladder, pooled fracturers
+	// One P, as testing.AllocsPerRun has: MemStats is process-wide.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {

@@ -49,7 +49,7 @@ func fingerprintV1(l *layout.Layout, cfg Config) []byte {
 func TestConfigFingerprintPin(t *testing.T) {
 	cfg := cacheConfig()
 	got := configFingerprint(cfg, 4)
-	const want = "cfaopc-cfg-v2 bfd7287f76af0cb8"
+	const want = "cfaopc-cfg-v2 bfc62a7f76a09ceb"
 	if got != want {
 		t.Fatalf("config fingerprint = %q, want %q\n"+
 			"If this is intentional (numericsVersion bump, new knob), update the pin: persisted caches and journals are invalid.", got, want)

@@ -65,11 +65,11 @@ func TestParentJournalDecodes(t *testing.T) {
 	}
 
 	// The journal of a parent run SIGKILLed under -partial-every 5 (the
-	// repository's testdata/parent/partial.ckpt: case 7, grid 512, core
-	// 128, CircleOpt): tiles 0-3 finished, each behind its 11 mid-tile
-	// snapshots, and 6 live snapshots of tile 4. Every record decodes;
-	// replay keeps the tiles and skips the snapshots.
-	payloads, err = checkpoint.ReadFS(nil, filepath.Join("..", "..", "testdata", "parent", "partial.ckpt"),
+	// repository's testdata/parent/partial_v3.ckpt: case 7, grid 512, core
+	// 128, CircleOpt, numerics v3): tiles 0-3 finished, each behind its 11
+	// mid-tile snapshots, and 6 live snapshots of tile 4. Every record
+	// decodes; replay keeps the tiles and skips the snapshots.
+	payloads, err = checkpoint.ReadFS(nil, filepath.Join("..", "..", "testdata", "parent", "partial_v3.ckpt"),
 		[]byte("cfaopc-flow-v4 6d453c470cfec9ad"))
 	if err != nil {
 		t.Fatal(err)

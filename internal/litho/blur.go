@@ -35,7 +35,7 @@ func BlurMask(m *grid.Real, sigmaPx float64) *grid.Real {
 				fx = float64(kx - n)
 			}
 			fx /= float64(n)
-			g := math.Exp(-2 * math.Pi * math.Pi * sigmaPx * sigmaPx * (fx*fx + fy*fy))
+			g := expNeg(-2 * math.Pi * math.Pi * sigmaPx * sigmaPx * (fx*fx + fy*fy))
 			c.Data[ky*n+kx] *= complex(g, 0)
 		}
 	}

@@ -433,7 +433,7 @@ func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optim
 // Sigmoid is the logistic function used by both resist and mask
 // binarization models.
 func Sigmoid(x float64) float64 {
-	return logistic(x, math.Exp(-math.Abs(x)))
+	return logistic(x, expNeg(-math.Abs(x)))
 }
 
 // logistic is Sigmoid(x) given e = exp(−|x|), which never overflows.
@@ -544,20 +544,19 @@ func (s *Simulator) LossGradCols(mask, target *grid.Real, wL2, wPVB float64, x0,
 	l2, pvb := 0.0, 0.0
 	pack := a.packN.Data
 	for i, t := range target.Data[:len(pack)] {
-		// The exponentials first, back to back: the divisions that follow
-		// then overlap instead of each waiting on its own call.
 		xNom := ResistSteepness * (real(pack[i]) - Threshold)
-		eNom := math.Exp(-math.Abs(xNom))
 		if wPVB == 0 {
-			zNom := logistic(xNom, eNom)
+			zNom := Sigmoid(xNom)
 			d := zNom - t
 			l2 += d * d
 			pack[i] = complex(wL2*2*d*ResistSteepness*zNom*(1-zNom), 0)
 			continue
 		}
+		// The three exponentials in one call, their chains interleaved; the
+		// divisions that follow then overlap too.
 		xMax := ResistSteepness * (dMax2*imag(pack[i]) - Threshold)
 		xMin := ResistSteepness * (dMin2*imag(pack[i]) - Threshold)
-		eMax, eMin := math.Exp(-math.Abs(xMax)), math.Exp(-math.Abs(xMin))
+		eNom, eMax, eMin := exp3(-math.Abs(xNom), -math.Abs(xMax), -math.Abs(xMin))
 		zNom, zMax, zMin := logistic(xNom, eNom), logistic(xMax, eMax), logistic(xMin, eMin)
 		d, dmax, dmin := zNom-t, zMax-t, zMin-t
 		l2 += d * d

@@ -82,10 +82,12 @@ func TestLossGradDoesNotAllocate(t *testing.T) {
 // the same 1536 nm window sampled twice as finely has four times the
 // pixels and the same kernels, fields and simulation grid, so only the
 // four pixel-grid transforms and the resist loop grow. With every kernel
-// in play (KOpt 0, 24 per corner) the ratio reads 1.60–1.66; with the
-// per-kernel work back on the pixel grid it is 3.9; the bound of 2.2
-// sits between. (At the benchmark's four kernels the pixel-grid half of
-// the call weighs more: 2.8–3.0 against 3.9.) Minima of alternated runs,
+// in play (KOpt 0, 24 per corner) the ratio reads 1.62–1.74 (1.74–1.79
+// with numerics v3's resist loop, five runs each, alternated on one
+// host); with the per-kernel work back on the pixel grid it is 4.5–4.9;
+// the bound of 2.2 sits between. (At the benchmark's four kernels the
+// pixel-grid half of the call weighs more: 2.8–3.0, and 3.0–3.1 under
+// v3.) Minima of alternated runs,
 // as in the fft and CircleRule guards. Each side alternates two masks that
 // differ in every row, so every call transforms every mask row.
 func TestLossGradCostTracksBandNotPixels(t *testing.T) {

@@ -136,8 +136,10 @@ func TestRunnerSoftErrors(t *testing.T) {
 // 4, beside the other parent-written frames under internal/flow) decodes
 // here — gob drops the field — and this worker serves the Reply the
 // parent's worker served: every shot, iteration count and loss, to the
-// bit. (The frames themselves differ: each opens with gob's description of
-// the whole Message, Task's field list included.)
+// bit. The reply frame was re-recorded at numerics v4, whose exp moved
+// the last loss by 2 ulp and nothing else. (The frames themselves differ:
+// each opens with gob's description of the whole Message, Task's field
+// list included.)
 func TestParentWorkersTaskServesTheSameReply(t *testing.T) {
 	read := func(name string) *procpool.Message {
 		t.Helper()

@@ -16,7 +16,9 @@ import (
 	"testing"
 	"time"
 
+	"cfaopc/internal/checkpoint"
 	"cfaopc/internal/flow"
+	"cfaopc/internal/iox"
 	"cfaopc/internal/layout"
 )
 
@@ -506,6 +508,76 @@ func TestManagerRestartResumesQueued(t *testing.T) {
 		}
 		compareFiles(t, m2.MaskPath(id), filepath.Join(dir, "mask.pgm"))
 		compareFiles(t, m2.ShotsPath(id), filepath.Join(dir, "shots.csv"))
+	}
+}
+
+// TestForeignCheckpointJobRestarts: a job whose flow.ckpt this build
+// cannot resume — its header hashes another config, as every journal's
+// does across a numerics bump — is a daemon upgraded under an in-flight
+// job. The journal goes aside as flow.ckpt.stale, byte for byte, and the
+// job runs again from tile 0 to done with the shots a fresh run writes.
+// When that rename fails, the job fails, as on any storage error.
+func TestForeignCheckpointJobRestarts(t *testing.T) {
+	root := testLayoutRoot(t)
+	spec, err := ParseSpec(strings.NewReader(fastSpecJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := filepath.Join(t.TempDir(), "shots.csv")
+	l, err := spec.ResolveLayout(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSpec(context.Background(), l, spec, RunOpts{ShotsPath: fresh}); err != nil {
+		t.Fatal(err)
+	}
+	for _, renameFails := range []bool{false, true} {
+		var fsys iox.FS
+		if renameFails {
+			fsys = iox.NewFaultFS(nil, iox.Plan{FailRenameAt: 1, PathSubstr: "flow.ckpt"})
+		}
+		m, err := NewManager(ManagerConfig{DataDir: filepath.Join(t.TempDir(), "data"), LayoutRoot: root, QueueCap: 4, FS: fsys})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Stop()
+		st, err := m.Submit(spec) // not started: the job waits in the queue
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(m.jobDir(st.ID), "flow.ckpt")
+		j, _, err := checkpoint.Open(ckpt, []byte("cfaopc-flow-v4 0000000000000000"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append([]byte("a tile of other arithmetic")); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		foreign, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		if renameFails {
+			if st := waitJobState(t, m, st.ID, JobFailed); !strings.Contains(st.Error, "rename") {
+				t.Errorf("failed with %q, want the rename's error", st.Error)
+			}
+			compareBytes(t, ckpt, foreign)
+			continue
+		}
+		waitJobState(t, m, st.ID, JobDone)
+		compareFiles(t, m.ShotsPath(st.ID), fresh)
+		compareBytes(t, ckpt+".stale", foreign)
+	}
+}
+
+func compareBytes(t *testing.T, path string, want []byte) {
+	t.Helper()
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("%s: %d bytes (%v), want the %d the foreign journal held", path, len(got), err, len(want))
 	}
 }
 

@@ -771,6 +771,14 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 		},
 	}
 	res, err := m.runSpec(ctx, l, spec, opts)
+	if errors.Is(err, checkpoint.ErrHeaderMismatch) {
+		// The spec in jobs.log is the job; flow.ckpt only derives from it. A
+		// journal this build cannot resume — written under another numerics
+		// version, say — goes aside, and the job runs again from tile 0.
+		if err = m.fsys.Rename(opts.Checkpoint, opts.Checkpoint+".stale"); err == nil {
+			res, err = m.runSpec(ctx, l, spec, opts)
+		}
+	}
 	if herr := h.failure(); herr != nil {
 		return res, herr
 	}
