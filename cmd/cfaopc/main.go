@@ -117,7 +117,6 @@ func main() {
 		stream      = flag.Bool("stream", false, "memory-bounded run — never materialize a dense full-grid raster (skips the aerial-image metrics and renders; shot list stays the output)")
 		maskOut     = flag.String("mask-out", "", "after the run, write the mask the shot list prints to this PGM file, one row band at a time (works with or without -stream)")
 		outDir      = flag.String("out", "out", "output directory")
-		strictIO    = flag.Bool("strict-storage", false, "fail the run on any checkpoint or quarantine write error instead of degrading (default: degrade and report)")
 	)
 	flag.Parse()
 
@@ -188,7 +187,7 @@ func main() {
 
 	// The run-local flags land on the flow.Config fields that own them.
 	cfg.TileRetries, cfg.TileTimeout, cfg.StallTimeout = *tileRetries, *tileTimeout, *stallTO
-	cfg.QuarantineDir, cfg.StrictStorage = *quarDir, *strictIO
+	cfg.QuarantineDir = *quarDir
 	if *procWorkers > 0 {
 		bin := *workerBin
 		if bin == "" {
@@ -410,11 +409,11 @@ func run(l *layout.Layout, cfg flow.Config, o server.RunOpts) *flow.Result {
 	}
 	printLinkSummary(res)
 	if res.CheckpointDegraded {
-		fmt.Printf("storage: checkpoint journal failed mid-run (%s) — results are correct but this run cannot be resumed (-strict-storage to fail fast)\n",
+		fmt.Printf("storage: checkpoint journal failed mid-run (%s) — results are correct but this run cannot be resumed\n",
 			res.CheckpointErr)
 	}
 	if res.QuarantineDropped > 0 {
-		fmt.Printf("storage: %d quarantine bundle(s) lost to write errors — forensics dropped, tiles unaffected (-strict-storage to fail fast)\n",
+		fmt.Printf("storage: %d quarantine bundle(s) lost to write errors — forensics dropped, tiles unaffected\n",
 			res.QuarantineDropped)
 	}
 	return res

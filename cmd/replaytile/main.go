@@ -6,7 +6,6 @@
 //
 //	replaytile bundle.qrb               # does the failure reproduce?
 //	replaytile -fixed circlerule b.qrb  # does a candidate engine fix it?
-//	replaytile -no-faults b.qrb         # does it fail without the injected script?
 //
 // Exit status: 0 when the failure reproduced (or, with -fixed, when the
 // fix made the tile succeed); 2 when it did not; 1 on error. The
@@ -33,10 +32,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("replaytile: ")
 
-	var (
-		fixed    = flag.String("fixed", "", "replace the primary engine with this method and test the fix")
-		noFaults = flag.Bool("no-faults", false, "skip re-injecting the bundle's recorded fault script")
-	)
+	fixed := flag.String("fixed", "", "replace the primary engine with this method and test the fix")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("usage: replaytile [flags] bundle.qrb")
@@ -54,7 +50,7 @@ func main() {
 		b.Engines.Primary, orNone(b.Engines.Fallback), len(b.Attempts))
 
 	start := time.Now()
-	rep, err := replay.Run(ctx, b, replay.Options{Fixed: *fixed, NoFaults: *noFaults})
+	rep, err := replay.Run(ctx, b, replay.Options{Fixed: *fixed})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"syscall"
 	"testing"
 
-	"cfaopc/internal/iox"
+	"cfaopc/internal/testkit/faultfs"
 )
 
 // TestAppendErrorPoisons: once a write fails, the journal refuses all
@@ -26,7 +26,7 @@ func TestAppendErrorPoisons(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		full += int64(8 + len(rec(i)))
 	}
-	ff := iox.NewFaultFS(nil, iox.Plan{WriteBudget: full + 5})
+	ff := faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: full + 5})
 
 	j, prior, err := OpenFS(ff, path, header)
 	if err != nil {
@@ -86,7 +86,7 @@ func TestSyncErrorPoisons(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.ckpt")
 	header := []byte("hdr-v1")
-	ff := iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 1})
+	ff := faultfs.NewFaultFS(nil, faultfs.Plan{FailSyncAt: 1})
 
 	j, _, err := OpenFS(ff, path, header)
 	if err != nil {
@@ -151,14 +151,14 @@ func TestStorageFaultMatrix(t *testing.T) {
 	if kind == "" {
 		t.Skip("IOFAULT not set; run via the storage-fault matrix")
 	}
-	plan, err := iox.PlanForKind(kind)
+	plan, err := faultfs.PlanForKind(kind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "j.ckpt")
 	header := []byte("matrix-hdr")
-	ff := iox.NewFaultFS(nil, plan)
+	ff := faultfs.NewFaultFS(nil, plan)
 
 	j, _, err := OpenFS(ff, path, header)
 	if err != nil {

@@ -1,5 +1,5 @@
 // Window dedup cache integration: the glue between the tiled flow and
-// internal/wcache. The flow computes each eligible tile's canonical
+// internal/wcache. The flow computes each occupied tile's canonical
 // content key (config fingerprint + window raster + window-local owning
 // spans + core geometry), answers hits by translating the cached
 // window-local shots into place, and stores every freshly computed
@@ -13,14 +13,6 @@ import (
 	"cfaopc/internal/grid"
 	"cfaopc/internal/wcache"
 )
-
-// cacheEligible reports whether tile j may interact with the cache at
-// all. Tiles carrying an injected fault script are excluded in both
-// directions: serving one from a twin would skip its scripted failure,
-// and storing one would leak a fault-shaped result to clean twins.
-func (env *runEnv) cacheEligible(j tileJob) bool {
-	return env.cfg.Cache != nil && len(env.rawFaults[j.index]) == 0
-}
 
 // windowKey builds tile j's canonical cache key over the rasterized
 // target. The prefix is the run's config fingerprint — the same
@@ -44,11 +36,10 @@ func (env *runEnv) windowKey(j tileJob, target *grid.Real) wcache.Key {
 // translated to full-grid coordinates and ownership-filtered exactly
 // like a fresh optimization's would be, and the stat inherits the
 // twin's attempt record (path, attempts, iters, loss) so run-level
-// counters stay self-consistent. On a miss (or an eligibility bypass)
-// the computed key is left on the stat so the eventual result can be
-// stored.
+// counters stay self-consistent. On a miss the computed key is left on
+// the stat so the eventual result can be stored.
 func (env *runEnv) tryCache(j tileJob, target *grid.Real, out *tileOut) bool {
-	if !env.cacheEligible(j) {
+	if env.cfg.Cache == nil {
 		return false
 	}
 	key := env.windowKey(j, target)
@@ -74,10 +65,9 @@ func (env *runEnv) tryCache(j tileJob, target *grid.Real, out *tileOut) bool {
 // window-local shot list (pre-ownership-filter, so twins with any core
 // placement can re-filter) plus the attempt record. Only real results
 // go in — PathEmpty is never cached, so a degraded tile can't infect a
-// twin — and only tiles whose key was computed by tryCache (faulted
-// tiles never got one).
-func (env *runEnv) storeCache(j tileJob, out *tileOut) {
-	if env.cfg.Cache == nil || out.stat.CacheKey == "" || out.stat.CacheHit {
+// twin.
+func (env *runEnv) storeCache(out *tileOut) {
+	if out.stat.CacheKey == "" || out.stat.CacheHit {
 		return
 	}
 	if out.stat.Path != PathPrimary && out.stat.Path != PathFallback {

@@ -23,9 +23,10 @@ import (
 // attempt 0 and recovers on the retry; the run must finish on the
 // primary path for all tiles, and two identical runs must produce
 // identical shot lists regardless of worker count. With a cache mode
-// set, only tiles 0 and 2 are faulted (and must bypass the cache in
-// both directions), both runs share one cache, and the rerun must
-// serve the clean tiles from it — still byte-identically.
+// set, only tiles 0 and 2 are faulted, both runs share one cache, and
+// the cold run must compute and store every tile — the faulted ones
+// from their healthy retry — so the rerun serves all four from it,
+// still byte-identically.
 func TestFaultMatrix(t *testing.T) {
 	kinds := []string{"sleep", "panic", "nan", "badradius", "stall"}
 	if k := os.Getenv("FLOW_FAULT_KIND"); k != "" && k != "all" {
@@ -90,12 +91,33 @@ func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string
 	if kind == "sleep" || kind == "stall" {
 		deadline = faultDeadline(t)
 	}
+	// Cached variants fault only tiles 0 and 2. Neither has a twin, so
+	// the cold run computes both (through the fault and its retry) and
+	// stores them; the clean tiles 1 and 3 are twins, so tile 3 may be
+	// served from tile 1's entry. Both runs share one cache, so the rerun
+	// serves every tile, faulted ones included. Disk mode exercises the
+	// gob tier.
+	faulted := map[int]bool{0: true, 1: true, 2: true, 3: true}
+	var cache *wcache.Cache
+	if cacheMode != "off" {
+		faulted = map[int]bool{0: true, 2: true}
+		wc := wcache.Config{}
+		if cacheMode == "disk" {
+			wc.Dir = t.TempDir()
+		}
+		var err error
+		if cache, err = wcache.New(wc); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	mkCfg := func() Config {
 		cfg := faultConfig()
 		cfg.Optimize = ruleFallback() // the fault paths, not the engine, are under test
 		cfg.Fallback = ruleFallback()
 		cfg.TileWorkers = workers
 		cfg.TileRetries = 1
+		cfg.Cache = cache
 		var f Fault
 		switch kind {
 		case "sleep":
@@ -120,36 +142,16 @@ func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string
 		default:
 			t.Fatalf("unknown fault kind %q", kind)
 		}
-		cfg.Faults = FaultPlan{0: {f}, 1: {f}, 2: {f}, 3: {f}}
-		return cfg
-	}
-
-	// Cached variants fault only tiles 0 and 2 — faulted tiles must
-	// bypass the cache in both directions, the clean tiles 1 and 3 are
-	// stored on the first run, and both runs share one cache so the
-	// rerun serves them as hits. Disk mode exercises the gob tier.
-	faulted := map[int]bool{0: true, 1: true, 2: true, 3: true}
-	var cache *wcache.Cache
-	if cacheMode != "off" {
-		faulted = map[int]bool{0: true, 2: true}
-		wc := wcache.Config{}
-		if cacheMode == "disk" {
-			wc.Dir = t.TempDir()
+		plan := FaultPlan{}
+		for i := range faulted {
+			plan[i] = []Fault{f}
 		}
-		var err error
-		if cache, err = wcache.New(wc); err != nil {
-			t.Fatal(err)
-		}
+		return withFaults(cfg, plan)
 	}
 
 	run := func() *Result {
 		t.Helper()
-		cfg := mkCfg()
-		if cache != nil {
-			cfg.Cache = cache
-			cfg.Faults = FaultPlan{0: cfg.Faults[0], 2: cfg.Faults[2]}
-		}
-		res, err := Run(quadLayout(), cfg)
+		res, err := Run(quadLayout(), mkCfg())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,17 +162,17 @@ func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string
 		t.Fatalf("summary: %+v", res)
 	}
 	for i, st := range res.TileStats {
+		if (cache != nil) != (st.CacheKey != "") {
+			t.Fatalf("tile %d cache key %q with cache %s", i, st.CacheKey, cacheMode)
+		}
 		if !faulted[i] {
-			if st.Attempts != 1 || st.Path != PathPrimary || st.CacheKey == "" {
+			if st.Attempts != 1 || st.Path != PathPrimary {
 				t.Fatalf("clean tile %d stat: %+v", i, st)
 			}
 			continue
 		}
-		if st.Attempts != 2 || st.Path != PathPrimary || st.Failure == "" {
+		if st.Attempts != 2 || st.Path != PathPrimary || st.Failure == "" || st.CacheHit {
 			t.Fatalf("tile %d stat: %+v", i, st)
-		}
-		if st.CacheKey != "" || st.CacheHit {
-			t.Fatalf("faulted tile %d touched the cache: %+v", i, st)
 		}
 		if kind == "stall" && !st.Stalled {
 			t.Fatalf("tile %d not marked stalled: %+v", i, st)
@@ -191,16 +193,24 @@ func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string
 	if cache != nil {
 		// Tiles 1 and 3 are window-identical twins, so the serial cold
 		// run serves tile 3 from tile 1's entry while tiles 0 and 2
-		// fault right next to it. Parallel cold runs may compute both
-		// twins concurrently before either is stored.
-		if res.CacheHits+res.CacheMisses != 2 || res.CacheMisses < 1 {
-			t.Fatalf("cold cached run hits=%d misses=%d, want 2 lookups with ≥1 miss", res.CacheHits, res.CacheMisses)
+		// fault, retry and are stored right next to it. Parallel cold
+		// runs may compute both twins concurrently before either is
+		// stored.
+		if res.CacheHits+res.CacheMisses != 4 || res.CacheMisses < 3 {
+			t.Fatalf("cold cached run hits=%d misses=%d, want 4 lookups with ≥3 misses", res.CacheHits, res.CacheMisses)
 		}
 		if workers == 1 && res.CacheHits != 1 {
 			t.Fatalf("serial cold run hits=%d, want the twin tile served", res.CacheHits)
 		}
-		if res2.CacheHits != 2 || res2.CacheMisses != 0 {
-			t.Fatalf("warm cached run hits=%d misses=%d, want 2/0", res2.CacheHits, res2.CacheMisses)
+		if res2.CacheHits != 4 || res2.CacheMisses != 0 {
+			t.Fatalf("warm cached run hits=%d misses=%d, want 4/0", res2.CacheHits, res2.CacheMisses)
+		}
+		// A faulted tile served warm inherits the attempt record of the
+		// run that stored it: the retry, not the fault.
+		for i := range faulted {
+			if st := res2.TileStats[i]; !st.CacheHit || st.Attempts != 2 || st.Path != PathPrimary {
+				t.Fatalf("warm faulted tile %d stat: %+v", i, st)
+			}
 		}
 	}
 	if len(res2.Shots) != len(res.Shots) {

@@ -51,9 +51,8 @@
 //   - Forensics. A tile that exhausts every engine degrades to empty but
 //     no longer silently: with Config.QuarantineDir set, the flow writes
 //     a self-contained repro bundle (window target, owning rects, config
-//     fingerprint, per-attempt history, injected-fault script) through
-//     internal/quarantine; cmd/replaytile replays bundles offline via
-//     ServeTask.
+//     fingerprint, per-attempt history) through internal/quarantine;
+//     cmd/replaytile replays bundles offline via ServeTask.
 //
 // Every tile takes one pipeline — rasterize, cache lookup, execute,
 // cache store (runTile) — and RunContext reads validate → plan → replay
@@ -169,7 +168,7 @@ type Config struct {
 	// bundle (internal/quarantine) for every tile that degrades to
 	// empty. A bundle write failure loses that tile's forensics but
 	// never the tile or the run: the drop is counted in
-	// Result.QuarantineDropped (StrictStorage restores fail-fast).
+	// Result.QuarantineDropped.
 	QuarantineDir string
 
 	// FS is the filesystem seam for the run's persistence side effects —
@@ -178,18 +177,6 @@ type Config struct {
 	// dedup cache carries its own seam (wcache.Config.FS), since the
 	// cache object usually outlives one run.
 	FS iox.FS
-	// StrictStorage restores the pre-degradation policy: a checkpoint
-	// append/sync failure or a quarantine bundle write failure fails the
-	// run instead of degrading it. Default false — an OPC run that has
-	// burned hours of compute finishes correct-but-unresumable rather
-	// than dying because the disk filled.
-	StrictStorage bool
-	// Faults, when non-nil, wraps Optimize and Fallback with
-	// deterministic fault injection (see InjectFaults) AND records each
-	// quarantined tile's script into its bundle, so replays re-inject
-	// the same failures. Tests that wrap optimizers with InjectFaults
-	// directly still work but leave bundles without a script.
-	Faults FaultPlan
 	// Engines describes how to rebuild Optimize/Fallback offline (method
 	// names + knobs). It is copied verbatim into quarantine bundles so
 	// cmd/replaytile can reconstruct the exact attempt sequence; the
@@ -246,10 +233,9 @@ type Config struct {
 	// window-local shots into place instead of re-optimizing. The cache
 	// changes wall time only — shots and checkpoint journals are
 	// byte-identical with the cache on or off, because the
-	// key covers every input the (deterministic) optimizer sees. Tiles
-	// with an injected fault script bypass the cache in both directions.
-	// Only real results are stored; a tile that degraded to empty is
-	// never served to a twin.
+	// key covers every input the (deterministic) optimizer sees. Only
+	// real results are stored; a tile that degraded to empty is never
+	// served to a twin.
 	Cache *wcache.Cache
 
 	// Drain, when non-nil and closed mid-run, stops dispatching new
@@ -267,21 +253,6 @@ type Config struct {
 	// result, and the run does not wait on the sink. See EventSink for
 	// the concurrency contract the callback must honor.
 	Events EventSink
-}
-
-// withInjectedFaults resolves Config.Faults into wrapped optimizers.
-// Both the primary and the fallback see the same plan; attempt indices
-// are global per tile (fallback = TileRetries+1), so one script drives
-// the whole degradation trajectory.
-func (cfg Config) withInjectedFaults() Config {
-	if cfg.Faults == nil {
-		return cfg
-	}
-	cfg.Optimize = InjectFaults(cfg.Optimize, cfg.Faults)
-	if cfg.Fallback != nil {
-		cfg.Fallback = InjectFaults(cfg.Fallback, cfg.Faults)
-	}
-	return cfg
 }
 
 // Outcome paths recorded in TileStat.Path.
@@ -338,8 +309,8 @@ type TileStat struct {
 	// CacheHit marks a tile answered by translating a cached twin's
 	// shots instead of optimizing; its Path/Attempts/Iters/LastLoss are
 	// inherited from the twin's record. CacheKey is the canonical
-	// content hash computed for every cache-eligible tile (hit or miss);
-	// "" when the cache was off or the tile was excluded (fault script).
+	// content hash computed for every occupied tile (hit or miss); ""
+	// when the cache was off.
 	CacheHit bool
 	CacheKey string
 }
@@ -392,8 +363,7 @@ type Result struct {
 	// write or sync failure after opening: the run's outputs are still
 	// complete and correct, but tiles finished after the failure were
 	// not journaled, so a crash would re-optimize them. CheckpointErr
-	// holds the first storage error. Both zero under StrictStorage
-	// (the run fails instead) and on healthy storage.
+	// holds the first storage error. Both zero on healthy storage.
 	CheckpointDegraded bool
 	CheckpointErr      string
 	// QuarantineDropped counts empty tiles whose repro bundle could not
@@ -477,21 +447,17 @@ type tileOut struct {
 	stat  TileStat
 }
 
-// runEnv is the per-run state shared by every tile worker: the resolved
-// config (faults injected), the layout and its span index, the open
-// journal, plus an error channel for asynchronous failures (journal
-// appends, bundle saves).
-// ServeTask builds a minimal env with no layout, index or journal.
+// runEnv is the per-run state shared by every tile worker: the config,
+// the layout and its span index, and the open journal. ServeTask builds
+// a minimal env with no layout, index or journal.
 type runEnv struct {
-	cfg       Config        // effective config: Faults already wrapped in
-	rawFaults FaultPlan     // the unwrapped plan, recorded into bundles
+	cfg       Config
 	optics    optics.Config // the window's imaging condition
 	lay       *layout.Layout
 	fp        []byte
 	keyPrefix string // config fingerprint: the dedup cache key prefix
 	ix        *layout.WindowIndex
 	journal   *tileJournal // nil without a checkpoint
-	errCh     chan error
 
 	quarDropped atomic.Int64 // bundles lost to storage faults
 
@@ -513,17 +479,6 @@ type runEnv struct {
 	// Failed dispatches and breaker openings across every worker slot.
 	linkCrashes atomic.Int64
 	linkBroken  atomic.Int64
-}
-
-// reportErr surfaces the first asynchronous failure; later ones drop.
-func (env *runEnv) reportErr(err error) {
-	if env.errCh == nil {
-		return
-	}
-	select {
-	case env.errCh <- err:
-	default:
-	}
 }
 
 // validateTile rejects optimizer output that would poison the stitched
@@ -610,7 +565,7 @@ func watchdog(tctx context.Context, cancel context.CancelCauseFunc, hb *beatStat
 // invalid output becomes an error, the per-attempt wall deadline and
 // the heartbeat stall watchdog are enforced through the simulator's
 // cooperative context, and the tile's identity is published on that
-// context for fault-injection harnesses. The returned outcome records
+// context for optimizer wrappers (TileInfo). The returned outcome records
 // the attempt for stats, bundles and replay comparison.
 func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimize Optimizer,
 	target *grid.Real, j tileJob, attempt int, engine string) ([]geom.Circle, AttemptOutcome) {
@@ -791,7 +746,7 @@ func (env *runEnv) runTile(ctx context.Context, exec executor, target *grid.Real
 		return out
 	}
 	exec(ctx, j, target, &out)
-	env.storeCache(j, &out)
+	env.storeCache(&out)
 	return out
 }
 
@@ -835,12 +790,8 @@ func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []Attem
 	if err != nil {
 		// Losing the bundle loses forensics, never the tile: the empty
 		// result is already folded in, so the run continues and the drop
-		// is counted (StrictStorage restores the old fail-fast policy).
-		if cfg.StrictStorage {
-			env.reportErr(fmt.Errorf("quarantine: %w", err))
-		} else {
-			env.quarDropped.Add(1)
-		}
+		// is counted.
+		env.quarDropped.Add(1)
 		return
 	}
 	st.Bundle = bpath
@@ -872,7 +823,6 @@ func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptO
 		TargetW: target.W,
 		TargetH: target.H,
 		Target:  append([]float64(nil), target.Data...),
-		Faults:  env.rawFaults[j.index],
 	}
 	if env.lay != nil {
 		b.LayoutName = env.lay.Name
@@ -990,13 +940,11 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	}
 	dx := float64(l.TileNM) / float64(cfg.GridN)
 	env := &runEnv{
-		cfg:       cfg.withInjectedFaults(),
-		rawFaults: cfg.Faults,
+		cfg:       cfg,
 		optics:    cfg.Optics,
 		lay:       l,
 		fp:        fingerprint(l, cfg),
 		keyPrefix: configFingerprint(cfg, dx),
-		errCh:     make(chan error, 1),
 		events:    cfg.Events,
 	}
 	// Optics are shift-invariant, so one kernel set serves every window.
@@ -1080,15 +1028,8 @@ feed:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	select {
-	case err := <-env.errCh:
-		return nil, fmt.Errorf("flow: %w", err)
-	default:
-	}
 	if drained {
-		if err := env.journal.sync(); err != nil {
-			return nil, fmt.Errorf("flow: %w", err)
-		}
+		env.journal.sync()
 	}
 	res := env.reduce(outs, len(lanes))
 	res.Resumed = resumed

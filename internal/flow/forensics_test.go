@@ -26,11 +26,11 @@ func TestStallWatchdogKillsWedgedSparesSlow(t *testing.T) {
 	// 10× margin between beat period and stall deadline: under -race on
 	// a loaded single-CPU box a beat can easily slip a whole period.
 	cfg.StallTimeout = 500 * time.Millisecond
-	cfg.Faults = FaultPlan{
+	cfg = withFaults(cfg, FaultPlan{
 		// bigLayout occupies tiles 0 and 3 of the 2×2 tiling.
 		0: {{Stall: true}},                                                     // wedged: no heartbeats, ever
 		3: {{Sleep: 900 * time.Millisecond, BeatEvery: 50 * time.Millisecond}}, // slow but alive
-	}
+	})
 	start := time.Now()
 	res, err := Run(bigLayout(), cfg)
 	if err != nil {
@@ -110,20 +110,21 @@ func TestJoinFailures(t *testing.T) {
 
 // TestQuarantineBundleRoundTrip is the forensics acceptance test: a tile
 // that exhausts every engine writes a self-contained bundle, and
-// ServeTask on nothing but that bundle reproduces the recorded
-// attempt sequence exactly.
+// ServeTask on nothing but that bundle and the same optimizers
+// reproduces the recorded attempt sequence exactly.
 func TestQuarantineBundleRoundTrip(t *testing.T) {
 	qdir := filepath.Join(t.TempDir(), "quarantine")
 	l := quadLayout()
+	plan := FaultPlan{
+		3: {{NaN: true}, {Panic: true}, {BadRadius: true}}, // exhausts primary ×2 + fallback
+	}
+	faulted := InjectFaults(ruleFallback(), plan)
 	cfg := faultConfig()
-	cfg.Optimize = ruleFallback()
-	cfg.Fallback = ruleFallback()
+	cfg.Optimize = faulted
+	cfg.Fallback = faulted
 	cfg.TileRetries = 1
 	cfg.QuarantineDir = qdir
 	cfg.Engines = quarantine.EngineMeta{Primary: "circlerule", Fallback: "circlerule", Iters: 8, Gamma: 3, SampleNM: 32}
-	cfg.Faults = FaultPlan{
-		3: {{NaN: true}, {Panic: true}, {BadRadius: true}}, // exhausts primary ×2 + fallback
-	}
 	cfg.RMinPx = 1
 	cfg.RMaxPx = 40
 
@@ -157,9 +158,6 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 	if len(b.Attempts) != 3 || b.Attempts[2].Engine != "fallback" {
 		t.Fatalf("bundle attempts: %+v", b.Attempts)
 	}
-	if len(b.Faults) != 3 || !b.Faults[1].Panic {
-		t.Fatalf("bundle fault script: %+v", b.Faults)
-	}
 	if b.Engines.Primary != "circlerule" {
 		t.Fatalf("bundle engines: %+v", b.Engines)
 	}
@@ -183,7 +181,7 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sim.KOpt = b.KOpt
-	reply := ServeTask(context.Background(), sim, &procpool.Task{Bundle: *b}, ruleFallback(), ruleFallback(), nil)
+	reply := ServeTask(context.Background(), sim, &procpool.Task{Bundle: *b}, faulted, faulted, nil)
 	routcomes := reply.Outcomes
 	if reply.Err != "" || reply.Path != PathEmpty || len(routcomes) != len(b.Attempts) {
 		t.Fatalf("replay: %+v", reply)
@@ -201,24 +199,19 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 
 // TestQuarantineWriteFailureDegrades: a quarantine directory that cannot
 // be created loses that tile's forensics — counted in
-// Result.QuarantineDropped — but never the tile or the run. StrictStorage
-// restores the old fail-fast policy for callers that prefer it.
+// Result.QuarantineDropped — but never the tile or the run.
 func TestQuarantineWriteFailureDegrades(t *testing.T) {
-	mkCfg := func() Config {
-		blocker := filepath.Join(t.TempDir(), "not-a-dir")
-		if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		cfg := faultConfig()
-		cfg.Optimize = ruleFallback()
-		cfg.Fallback = nil
-		cfg.TileRetries = 0
-		cfg.QuarantineDir = filepath.Join(blocker, "sub") // MkdirAll must fail
-		cfg.Faults = FaultPlan{0: {{Panic: true}}}
-		return cfg
+	blocker := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	cfg := faultConfig()
+	cfg.Optimize = InjectFaults(ruleFallback(), FaultPlan{0: {{Panic: true}}})
+	cfg.Fallback = nil
+	cfg.TileRetries = 0
+	cfg.QuarantineDir = filepath.Join(blocker, "sub") // MkdirAll must fail
 
-	res, err := Run(bigLayout(), mkCfg())
+	res, err := Run(bigLayout(), cfg)
 	if err != nil {
 		t.Fatalf("quarantine write failure must not fail the run: %v", err)
 	}
@@ -227,11 +220,5 @@ func TestQuarantineWriteFailureDegrades(t *testing.T) {
 	}
 	if res.TileStats[0].Bundle != "" {
 		t.Fatalf("dropped bundle must not be recorded as saved: %q", res.TileStats[0].Bundle)
-	}
-
-	strict := mkCfg()
-	strict.StrictStorage = true
-	if _, err := Run(bigLayout(), strict); err == nil || !strings.Contains(err.Error(), "quarantine") {
-		t.Fatalf("err = %v, want quarantine write failure under StrictStorage", err)
 	}
 }

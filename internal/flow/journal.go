@@ -12,8 +12,7 @@ import (
 
 // tileJournal is the run's checkpoint journal and the only code that
 // knows its record format: the header fingerprint, the record's gob
-// codec, replay, the tile append, what a storage failure does to the run
-// and the drain barrier. A nil *tileJournal is a run without a
+// codec, replay, the tile append and the drain barrier. A nil *tileJournal is a run without a
 // checkpoint: every method is a no-op on it.
 //
 // It keeps no health flag of its own. checkpoint.Journal poisons itself
@@ -21,12 +20,9 @@ import (
 // Journal.Err() — the first storage error — is the one record of a
 // degraded journal: later appends skip, the run finishes correct but
 // un-resumable, and Result.CheckpointDegraded/CheckpointErr report it.
-// Under Config.StrictStorage the failure goes to fail and the run dies.
 type tileJournal struct {
-	j      *checkpoint.Journal
-	enc    iox.GobEncoder[journalRecord] // records stay self-describing; the run pays for the type descriptors once
-	strict bool
-	fail   func(error) // fails the run; called under strict only
+	j   *checkpoint.Journal
+	enc iox.GobEncoder[journalRecord] // records stay self-describing; the run pays for the type descriptors once
 }
 
 // tileRecord is the gob payload journaled per completed tile.
@@ -136,7 +132,7 @@ func (env *runEnv) replay(plan []tileJob, outs []tileOut) (jobs []tileJob, resum
 		j.Close()
 		return nil, 0, err
 	}
-	env.journal = &tileJournal{j: j, strict: cfg.StrictStorage, fail: env.reportErr}
+	env.journal = &tileJournal{j: j}
 	for _, rec := range tiles {
 		// Replayed tiles complete (again) right here, before any worker
 		// starts — subscribers see the full tile picture on a resumed
@@ -162,27 +158,19 @@ func (t *tileJournal) tile(out tileOut) {
 	if !t.healthy() {
 		return
 	}
-	buf, err := t.enc.Encode(journalRecord{Tile: &tileRecord{Shots: out.shots, Stat: out.stat}})
-	if err == nil {
-		err = t.j.Append(buf)
-	}
-	if err != nil && t.strict {
-		t.fail(fmt.Errorf("checkpoint append: %w", err))
+	if buf, err := t.enc.Encode(journalRecord{Tile: &tileRecord{Shots: out.shots, Stat: out.stat}}); err == nil {
+		_ = t.j.Append(buf) // a failure poisons the journal; degraded reports it
 	}
 }
 
-// sync is the drain barrier: everything appended so far is durable when
-// it returns nil, so a resume picks up exactly where the drain stopped
-// dispatch. A sync failure degrades the run like any other checkpoint
-// fault, and is returned only under StrictStorage.
-func (t *tileJournal) sync() error {
-	if !t.healthy() {
-		return nil
+// sync is the drain barrier: everything appended so far is durable once
+// it returns on a healthy journal, so a resume picks up exactly where the
+// drain stopped dispatch. A sync failure degrades the run like any other
+// checkpoint fault.
+func (t *tileJournal) sync() {
+	if t.healthy() {
+		_ = t.j.Sync() // as in tile: the poisoned journal is the report
 	}
-	if err := t.j.Sync(); err != nil && t.strict {
-		return err
-	}
-	return nil
 }
 
 // degraded reports the first storage error, if one stopped journaling.

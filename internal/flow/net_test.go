@@ -19,11 +19,12 @@ import (
 	"cfaopc/internal/netpool"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
+	"cfaopc/internal/testkit/chaosnet"
 )
 
 // netListenEnv carries the listen address into a re-exec'd TCP host.
-// The worker env var is set alongside it, so flow.Fault.Kill scripts
-// (which key on procpool.InWorker) can SIGKILL a whole host mid-tile.
+// The worker env var is set alongside it, so Fault.Kill scripts (which
+// key on procpool.InWorker) can SIGKILL a whole host mid-tile.
 const netListenEnv = "CFAOPC_TEST_NET_HOST"
 
 // runNetHost is the child-side TCP host: listen, announce the bound
@@ -51,15 +52,16 @@ type testHost struct {
 	t       testing.TB
 	addr    string
 	respawn bool
+	env     []string // added to every spawn's environment
 
 	mu   sync.Mutex
 	cmd  *exec.Cmd
 	stop bool
 }
 
-func startHost(t testing.TB, respawn bool) *testHost {
+func startHost(t testing.TB, respawn bool, env ...string) *testHost {
 	t.Helper()
-	h := &testHost{t: t, respawn: respawn}
+	h := &testHost{t: t, respawn: respawn, env: env}
 	addr, err := h.spawn("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -81,6 +83,7 @@ func (h *testHost) spawn(addr string) (string, error) {
 	}
 	cmd := exec.Command(self)
 	cmd.Env = append(os.Environ(), procpool.WorkerEnv+"=1", netListenEnv+"="+addr)
+	cmd.Env = append(cmd.Env, h.env...)
 	cmd.Stderr = os.Stderr
 	out, err := cmd.StdoutPipe()
 	if err != nil {
@@ -196,23 +199,25 @@ func TestNetValidation(t *testing.T) {
 // (drain + checkpoint) and resumes it, again byte-identically.
 func TestNetAcceptance(t *testing.T) {
 	l := quadLayout()
-	hostA := startHost(t, true)
-	hostB := startHost(t, true)
 	plan := FaultPlan{
 		1: {{Kill: 1}}, // killed on the first dispatch, clean on reconnect
 		2: {{Kill: 1}}, // same, on another tile
 	}
-	mk := func() Config {
+	// The hosts read the plan file per task, so the second leg below
+	// rewrites it instead of respawning them.
+	env, planFile := workerFaultPlan(t, plan)
+	hostA := startHost(t, true, env)
+	hostB := startHost(t, true, env)
+	mk := func(plan FaultPlan) Config {
 		cfg := netConfig(t, hostA.addr, hostB.addr, deadAddr(t))
 		// Generous limit and backoff: a killed host needs time to be
 		// restarted before its slot's reconnect budget runs out.
 		cfg.linkCrashLimit = 6
 		cfg.linkBackoff = 25 * time.Millisecond
-		cfg.Faults = plan
-		return cfg
+		return withFaults(cfg, plan)
 	}
 
-	ref, err := Run(l, serialRef(mk()))
+	ref, err := Run(l, serialRef(mk(plan)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +225,7 @@ func TestNetAcceptance(t *testing.T) {
 		t.Fatalf("serial reference recorded remote activity: %+v", ref)
 	}
 
-	res, err := Run(l, mk())
+	res, err := Run(l, mk(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +250,10 @@ func TestNetAcceptance(t *testing.T) {
 	// byte-identical output.
 	slow := Fault{Sleep: 200 * time.Millisecond}
 	plan2 := FaultPlan{0: {slow}, 1: {slow}, 2: {slow}, 3: {slow}}
+	writeFaultPlan(t, planFile, plan2)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	mk2 := func() Config {
-		cfg := mk()
-		cfg.Faults = plan2
+		cfg := mk(plan2)
 		cfg.CheckpointPath = ckpt
 		return cfg
 	}
@@ -290,7 +295,8 @@ func TestNetAcceptance(t *testing.T) {
 	if testing.Short() {
 		return // CircleOpt tiles are slow under the race detector
 	}
-	p, err := netpool.NewProxy(hostA.addr, netpool.ConnScript{Fault: netpool.FaultCut, AfterFrames: 6})
+	writeFaultPlan(t, planFile, nil)
+	p, err := chaosnet.NewProxy(hostA.addr, chaosnet.ConnScript{Fault: chaosnet.FaultCut, AfterFrames: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,18 +360,18 @@ func TestNetMatrix(t *testing.T) {
 						continue
 					}
 					h := startHost(t, false)
-					var script netpool.ConnScript
+					var script chaosnet.ConnScript
 					switch kind {
 					case "drop":
-						script = netpool.ConnScript{Fault: netpool.FaultCut, AfterFrames: 2}
+						script = chaosnet.ConnScript{Fault: chaosnet.FaultCut, AfterFrames: 2}
 					case "garble":
-						script = netpool.ConnScript{Fault: netpool.FaultGarble, AfterFrames: 2}
+						script = chaosnet.ConnScript{Fault: chaosnet.FaultGarble, AfterFrames: 2}
 					case "stall":
-						script = netpool.ConnScript{Fault: netpool.FaultStall, AfterFrames: 2}
+						script = chaosnet.ConnScript{Fault: chaosnet.FaultStall, AfterFrames: 2}
 					default:
 						t.Fatalf("unknown fault kind %q", kind)
 					}
-					p, err := netpool.NewProxy(h.addr, script)
+					p, err := chaosnet.NewProxy(h.addr, script)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -41,7 +41,8 @@ func TestMain(m *testing.M) {
 
 // testRunner is the worker-side task executor the re-exec branches
 // serve (stdin/stdout and TCP alike): the proc tests' miniature of the engine
-// registry, with a per-session simulator cache.
+// registry, with a per-session simulator cache, and the fault plan the
+// spawning test handed over (faultPlanEnv) wrapped around both engines.
 func testRunner() procpool.Runner {
 	var cache SimCache
 	return func(ctx context.Context, task *procpool.Task, sink procpool.Sink) procpool.Reply {
@@ -53,12 +54,18 @@ func testRunner() procpool.Runner {
 			return reply
 		}
 		fallback, _ := testEngine(b.Engines.Fallback, b.Engines.Iters)
+		plan, err := readWorkerFaultPlan()
+		if err != nil {
+			reply.Err = "fault plan: " + err.Error()
+			return reply
+		}
+		chain := withFaults(Config{Optimize: primary, Fallback: fallback}, plan)
 		sim, err := cache.For(task)
 		if err != nil {
 			reply.Err = err.Error()
 			return reply
 		}
-		return ServeTask(ctx, sim, task, primary, fallback, sink)
+		return ServeTask(ctx, sim, task, chain.Optimize, chain.Fallback, sink)
 	}
 }
 
@@ -78,8 +85,9 @@ func testEngine(name string, iters int) (Optimizer, bool) {
 	return nil, false
 }
 
-// testWorkerCmd re-executes this test binary as the worker subprocess.
-func testWorkerCmd(t testing.TB) func() *exec.Cmd {
+// testWorkerCmd re-executes this test binary as the worker subprocess,
+// with env added to its environment.
+func testWorkerCmd(t testing.TB, env ...string) func() *exec.Cmd {
 	t.Helper()
 	self, err := os.Executable()
 	if err != nil {
@@ -87,9 +95,19 @@ func testWorkerCmd(t testing.TB) func() *exec.Cmd {
 	}
 	return func() *exec.Cmd {
 		cmd := exec.Command(self)
+		cmd.Env = append(os.Environ(), env...)
 		cmd.Stderr = os.Stderr
 		return cmd
 	}
+}
+
+// faultedProc runs plan in cfg's worker subprocesses and, through
+// withFaults, in this process.
+func faultedProc(t testing.TB, cfg Config, plan FaultPlan) Config {
+	t.Helper()
+	env, _ := workerFaultPlan(t, plan)
+	cfg.WorkerCmd = testWorkerCmd(t, env)
+	return withFaults(cfg, plan)
 }
 
 // procConfig is the shared proc-mode config: cheap deterministic rule
@@ -108,8 +126,8 @@ func procConfig(t testing.TB) Config {
 
 // serialRef strips proc and remote mode off a config, yielding the
 // in-process serial run every proc/net test compares against
-// (Fault.Kill is a no-op in-process, so the same fault plan drives
-// both runs).
+// (Fault.Kill is a no-op in-process, so the optimizers withFaults
+// wrapped drive both runs with one plan).
 func serialRef(cfg Config) Config {
 	cfg.ProcWorkers = 0
 	cfg.WorkerCmd = nil
@@ -153,8 +171,7 @@ func TestProcAcceptance(t *testing.T) {
 		cfg := procConfig(t)
 		cfg.ProcWorkers = 4
 		cfg.linkCrashLimit = 3
-		cfg.Faults = plan
-		return cfg
+		return faultedProc(t, cfg, plan)
 	}
 
 	ref, err := Run(l, serialRef(mk()))
@@ -286,8 +303,7 @@ func TestCrashMatrix(t *testing.T) {
 					cfg := procConfig(t)
 					cfg.ProcWorkers = workers
 					cfg.linkCrashLimit = crashLimit
-					cfg.Faults = plan
-					return cfg
+					return faultedProc(t, cfg, plan)
 				}
 				ref, err := Run(l, serialRef(mk()))
 				if err != nil {
@@ -412,9 +428,9 @@ func testDrain(t *testing.T, proc bool) {
 			cfg.ProcWorkers = 0
 			cfg.WorkerCmd = nil
 			cfg.TileWorkers = 1
+			return withFaults(cfg, plan)
 		}
-		cfg.Faults = plan
-		return cfg
+		return faultedProc(t, cfg, plan)
 	}
 
 	ref, err := Run(l, serialRef(mk()))

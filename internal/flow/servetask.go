@@ -14,7 +14,7 @@ import (
 // with the caller-resolved optimizer chain plugged in.
 func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
 	b := &t.Bundle
-	cfg := Config{
+	return Config{
 		GridN:        b.GridN,
 		CorePx:       b.CorePx,
 		HaloPx:       b.HaloPx,
@@ -28,17 +28,12 @@ func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
 		RMaxPx:       b.RMaxPx,
 		Engines:      b.Engines,
 	}
-	if len(b.Faults) > 0 {
-		cfg.Faults = FaultPlan{b.Tile.Index: b.Faults}
-	}
-	return cfg
 }
 
 // ServeTask walks one window's exact degradation ladder (primary →
 // retries → fallback → empty) from nothing but its task: the window
-// Config comes from the task's bundle (taskConfig; a recorded fault
-// script re-injects the same deterministic failures), heartbeats
-// stream to sink, and the window-local result — no
+// Config comes from the task's bundle (taskConfig), heartbeats stream
+// to sink, and the window-local result — no
 // core-ownership filter, no checkpoint or quarantine side effects; those
 // are the supervisor's — is packaged as the reply frame. It is what a
 // tile worker runs per task and what offline bundle replay
@@ -56,10 +51,9 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 		reply.Err = err.Error()
 		return reply
 	}
-	cfg := taskConfig(t, primary, fallback)
 	// A window needs no layout, span index or journal: just the resolved
 	// config and where its liveness travels.
-	env := &runEnv{cfg: cfg.withInjectedFaults(), dispatch: t.Dispatch}
+	env := &runEnv{cfg: taskConfig(t, primary, fallback), dispatch: t.Dispatch}
 	if sink != nil {
 		env.onBeat = sink.Beat
 	}

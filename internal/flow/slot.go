@@ -180,8 +180,8 @@ func (s *slot) dispatch(ctx context.Context, j tileJob, target *grid.Real, dispa
 // buildTask encodes one window as a procpool task. The quarantine
 // bundle schema doubles as the wire protocol — the payload is exactly
 // what a repro bundle holds, minus the attempt history a not-yet-run
-// tile does not have — plus the redispatch counter (which process-fatal
-// fault scripts key on).
+// tile does not have — plus the redispatch counter (published on
+// TileInfo).
 func (env *runEnv) buildTask(j tileJob, target *grid.Real, dispatch int) *procpool.Task {
 	return &procpool.Task{
 		Bundle:   *env.buildBundle(j, target, nil),

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"cfaopc/internal/checkpoint"
-	"cfaopc/internal/iox"
+	"cfaopc/internal/testkit/faultfs"
 	"cfaopc/internal/wcache"
 )
 
@@ -31,8 +31,7 @@ func storageConfig() Config {
 
 // TestCheckpointAppendFailureDegrades: mid-run ENOSPC on the checkpoint
 // journal degrades the run to un-resumable-but-correct — identical
-// shots, CheckpointDegraded set — instead of failing it. StrictStorage
-// restores fail-fast.
+// shots, CheckpointDegraded set — instead of failing it.
 func TestCheckpointAppendFailureDegrades(t *testing.T) {
 	l := quadLayout()
 	ref, err := Run(l, storageConfig())
@@ -44,7 +43,7 @@ func TestCheckpointAppendFailureDegrades(t *testing.T) {
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "flow.ckpt")
 	// Admit the journal birth (magic + header ≈ tens of bytes) and the
 	// first tile record, then run dry.
-	cfg.FS = iox.NewFaultFS(nil, iox.Plan{WriteBudget: 600})
+	cfg.FS = faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: 600})
 	res, err := Run(l, cfg)
 	if err != nil {
 		t.Fatalf("checkpoint ENOSPC must degrade, not fail: %v", err)
@@ -63,14 +62,6 @@ func TestCheckpointAppendFailureDegrades(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res2.Shots, ref.Shots) {
 		t.Fatal("resume after degraded run diverged")
-	}
-
-	strict := storageConfig()
-	strict.CheckpointPath = filepath.Join(t.TempDir(), "flow.ckpt")
-	strict.FS = iox.NewFaultFS(nil, iox.Plan{WriteBudget: 600})
-	strict.StrictStorage = true
-	if _, err := Run(l, strict); err == nil || !strings.Contains(err.Error(), "checkpoint") {
-		t.Fatalf("StrictStorage: err = %v, want checkpoint failure", err)
 	}
 }
 
@@ -94,7 +85,7 @@ func TestStorageDegradeNeverFailsRun(t *testing.T) {
 
 	for _, kind := range []string{"enospc", "eio-sync"} {
 		t.Run("wcache-"+kind, func(t *testing.T) {
-			plan, err := iox.PlanForKind(kind)
+			plan, err := faultfs.PlanForKind(kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +95,7 @@ func TestStorageDegradeNeverFailsRun(t *testing.T) {
 			}
 			dir := filepath.Join(t.TempDir(), "cache")
 			plan.PathSubstr = dir
-			ff := iox.NewFaultFS(nil, plan)
+			ff := faultfs.NewFaultFS(nil, plan)
 			cache, err := wcache.New(wcache.Config{Dir: dir, FS: ff})
 			if err != nil {
 				t.Fatal(err)
@@ -124,7 +115,7 @@ func TestStorageDegradeNeverFailsRun(t *testing.T) {
 			}
 		})
 		t.Run("quarantine-"+kind, func(t *testing.T) {
-			plan, err := iox.PlanForKind(kind)
+			plan, err := faultfs.PlanForKind(kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,8 +129,8 @@ func TestStorageDegradeNeverFailsRun(t *testing.T) {
 			cfg.Optimize = ruleFallback()
 			cfg.Fallback = nil
 			cfg.QuarantineDir = qdir
-			cfg.Faults = FaultPlan{0: {{Panic: true}}}
-			cfg.FS = iox.NewFaultFS(nil, plan)
+			cfg = withFaults(cfg, FaultPlan{0: {{Panic: true}}})
+			cfg.FS = faultfs.NewFaultFS(nil, plan)
 			res, err := Run(l, cfg)
 			if err != nil {
 				t.Fatalf("quarantine %s fault failed the run: %v", kind, err)
@@ -175,7 +166,7 @@ func TestCrashConsistency(t *testing.T) {
 	}
 
 	root := t.TempDir()
-	rec := iox.NewRecorder(nil, root)
+	rec := faultfs.NewRecorder(nil, root)
 	cfg := storageConfig()
 	cfg.FS = rec
 	cfg.CheckpointPath = filepath.Join(root, "flow.ckpt")
@@ -223,21 +214,21 @@ func TestCrashConsistency(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("prefix-%02d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			if err := iox.Materialize(dir, ops, n); err != nil {
+			if err := faultfs.Materialize(dir, ops, n); err != nil {
 				t.Fatal(err)
 			}
 			resumeFrom(t, dir)
 		})
 	}
 	// Torn variants: the crash hit mid-write, leaving half the payload.
-	for _, n := range iox.WriteBoundaries(ops) {
-		if ops[n-1].Kind != iox.OpWrite || len(ops[n-1].Data) < 2 {
+	for _, n := range faultfs.WriteBoundaries(ops) {
+		if ops[n-1].Kind != faultfs.OpWrite || len(ops[n-1].Data) < 2 {
 			continue
 		}
 		n := n
 		t.Run(fmt.Sprintf("torn-%02d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			if err := iox.MaterializeTorn(dir, ops, n, len(ops[n-1].Data)/2); err != nil {
+			if err := faultfs.MaterializeTorn(dir, ops, n, len(ops[n-1].Data)/2); err != nil {
 				t.Fatal(err)
 			}
 			resumeFrom(t, dir)
@@ -246,7 +237,7 @@ func TestCrashConsistency(t *testing.T) {
 
 	// Sanity: the final materialized journal byte-equals the live one.
 	finalDir := t.TempDir()
-	if err := iox.Materialize(finalDir, ops, len(ops)); err != nil {
+	if err := faultfs.Materialize(finalDir, ops, len(ops)); err != nil {
 		t.Fatal(err)
 	}
 	live, err := os.ReadFile(cfg.CheckpointPath)

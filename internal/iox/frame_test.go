@@ -119,8 +119,11 @@ func TestFrameOversizeRejected(t *testing.T) {
 	}
 }
 
-// allocated reports the bytes f allocates.
+// allocated reports the bytes f allocates. MemStats is process-wide, so
+// it runs f at one P, as testing.AllocsPerRun does: with two, another
+// goroutine's bytes read as f's.
 func allocated(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()

@@ -8,17 +8,13 @@
 // against disks that fill up, controllers that return EIO, and machines
 // that lose power mid-rename — and every durability claim the system
 // makes ("byte-identical resume", "any seq a client saw replays
-// exactly") is only as good as its behavior at those boundaries. With
-// one seam, three implementations cover the whole test space:
-//
-//   - OSFS: the real filesystem (the zero-cost default everywhere).
-//   - FaultFS: deterministic injected faults — ENOSPC after a byte
-//     budget, EIO on the K-th fsync, torn short writes, failed renames —
-//     so each layer's degradation policy is testable without root or a
-//     loopback filesystem.
-//   - Recorder: an op log of every mutation, from which Materialize
-//     reconstructs the on-disk state at any write boundary — the
-//     "crash at every prefix" simulator behind TestCrashConsistency.
+// exactly") is only as good as its behavior at those boundaries. OSFS,
+// the real filesystem, is the one implementation the product ships (the
+// zero-cost default everywhere). The tests put internal/testkit/faultfs
+// behind the same seam: a fault injector for deterministic ENOSPC, EIO,
+// torn writes and failed renames, and a recorder that logs every
+// mutation so the disk a crash at any write boundary leaves can be
+// rebuilt.
 //
 // AtomicWrite is the shared temp+fsync+rename+parent-fsync helper: a
 // rename is only crash-durable once the parent directory's entry is

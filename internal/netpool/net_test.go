@@ -15,6 +15,7 @@ import (
 	"cfaopc/internal/iox"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
+	"cfaopc/internal/testkit/chaosnet"
 )
 
 // TestMain doubles as the spawned worker of the handshake table's
@@ -223,7 +224,7 @@ var connectors = []struct {
 		return dialTCP(listenBehaviour(t, b))
 	}},
 	{"proxy", func(t *testing.T, b string) dialFunc {
-		p, err := NewProxy(listenBehaviour(t, b))
+		p, err := chaosnet.NewProxy(listenBehaviour(t, b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,7 +525,7 @@ func TestProxyFaults(t *testing.T) {
 	// Each case dials the worker through a freshly scripted proxy and
 	// asserts the coordinator-visible failure shape.
 	t.Run("refuse", func(t *testing.T) {
-		p, err := NewProxy(addr, ConnScript{Fault: FaultRefuse})
+		p, err := chaosnet.NewProxy(addr, chaosnet.ConnScript{Fault: chaosnet.FaultRefuse})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +546,7 @@ func TestProxyFaults(t *testing.T) {
 	t.Run("cut", func(t *testing.T) {
 		// Frame 1 server→client is the handshake answer; cutting after
 		// it means the link dies on the first in-flight task.
-		p, err := NewProxy(addr, ConnScript{Fault: FaultCut, AfterFrames: 1})
+		p, err := chaosnet.NewProxy(addr, chaosnet.ConnScript{Fault: chaosnet.FaultCut, AfterFrames: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,7 +564,7 @@ func TestProxyFaults(t *testing.T) {
 		}
 	})
 	t.Run("trunc", func(t *testing.T) {
-		p, err := NewProxy(addr, ConnScript{Fault: FaultTrunc, AfterFrames: 1})
+		p, err := chaosnet.NewProxy(addr, chaosnet.ConnScript{Fault: chaosnet.FaultTrunc, AfterFrames: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +582,7 @@ func TestProxyFaults(t *testing.T) {
 		}
 	})
 	t.Run("garble", func(t *testing.T) {
-		p, err := NewProxy(addr, ConnScript{Fault: FaultGarble, AfterFrames: 1})
+		p, err := chaosnet.NewProxy(addr, chaosnet.ConnScript{Fault: chaosnet.FaultGarble, AfterFrames: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -599,7 +600,7 @@ func TestProxyFaults(t *testing.T) {
 		}
 	})
 	t.Run("stall", func(t *testing.T) {
-		p, err := NewProxy(addr, ConnScript{Fault: FaultStall, AfterFrames: 1})
+		p, err := chaosnet.NewProxy(addr, chaosnet.ConnScript{Fault: chaosnet.FaultStall, AfterFrames: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,7 +623,7 @@ func TestProxyFaults(t *testing.T) {
 		}
 	})
 	t.Run("delay", func(t *testing.T) {
-		p, err := NewProxy(addr, ConnScript{Fault: FaultDelay, AfterFrames: 1, Delay: 50 * time.Millisecond})
+		p, err := chaosnet.NewProxy(addr, chaosnet.ConnScript{Fault: chaosnet.FaultDelay, AfterFrames: 1, Delay: 50 * time.Millisecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -645,7 +646,7 @@ func TestProxyFaults(t *testing.T) {
 		// count lands inside the tile, so the link dies after progress
 		// crossed and before the reply — the "host died mid-tile"
 		// scenario the flow tests build on.
-		p, err := NewProxy(addr, ConnScript{Fault: FaultCut, AfterFrames: 2})
+		p, err := chaosnet.NewProxy(addr, chaosnet.ConnScript{Fault: chaosnet.FaultCut, AfterFrames: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

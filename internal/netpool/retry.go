@@ -1,9 +1,9 @@
 // Package netpool is the tile-worker session: a Dialer/Conn pair on the
 // coordinator side, a Server on the worker side (handshake, then
-// procpool.ServeTasks), the retry policy the flow's supervisor slot
-// uses (exponential Backoff, circuit Breaker), and a deterministic
-// chaos Proxy — the network analog of flow.InjectFaults — for
-// exercising every link failure mode on a scripted schedule.
+// procpool.ServeTasks), and the retry policy the flow's supervisor slot
+// uses (exponential Backoff, circuit Breaker). Its tests exercise every
+// link failure mode on a scripted schedule through the chaos Proxy in
+// internal/testkit/chaosnet.
 //
 // The session runs over any net.Conn: a TCP socket, or the stdin/stdout
 // of a subprocess the Dialer's Dial spawned (procpool.Spawn). It adds

@@ -65,7 +65,7 @@ type Ping struct{}
 
 // Task asks a worker to run one window through the full degradation
 // ladder. The window itself — target raster, optics, tiling knobs,
-// engine metadata, injected-fault script — travels as a
+// engine metadata — travels as a
 // quarantine.Bundle: the repro-bundle encoding already proves a tile is
 // fully serializable, so it doubles as the live wire format (the
 // bundle's Attempts history is empty in a task; ValidateTask checks a
@@ -74,9 +74,8 @@ type Task struct {
 	Bundle quarantine.Bundle
 	// Dispatch counts how many times this tile has been handed to a
 	// worker (0 on the first dispatch, +1 per crash-redispatch). It is
-	// published on the attempt context so deterministic process-fatal
-	// fault scripts (flow.Fault.Kill) stop firing after the scripted
-	// number of kills.
+	// published on the attempt context (flow.TileInfo), so a wrapper that
+	// kills its worker mid-tile can stop after a scripted number of kills.
 	Dispatch int
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"syscall"
 	"time"
 )
 
@@ -17,16 +16,6 @@ const WorkerEnv = "CFAOPC_TILE_WORKER"
 
 // InWorker reports whether this process was spawned as a tile worker.
 func InWorker() bool { return os.Getenv(WorkerEnv) == "1" }
-
-// SelfKill terminates the current process with SIGKILL — no deferred
-// cleanup, no reply frame, exactly what an OOM kill or a runtime fatal
-// looks like from the supervisor's side. The deterministic fault
-// harness (flow.Fault.Kill) uses it to script worker death mid-tile.
-// It never returns.
-func SelfKill() {
-	syscall.Kill(os.Getpid(), syscall.SIGKILL)
-	select {} // SIGKILL cannot be handled; this is unreachable
-}
 
 // pingEvery is the worker's liveness cadence while a task is in
 // flight. Idle workers stay silent — the supervisor's watchdog only

@@ -9,8 +9,7 @@
 //   - the flow configuration fingerprint and every tiling/validation
 //     knob that shaped the attempts,
 //   - engine metadata sufficient to rebuild the exact optimizer chain,
-//   - the per-attempt error/path history as recorded live,
-//   - the injected fault script, when the failure came from a harness.
+//   - the per-attempt error/path history as recorded live.
 //
 // On disk a bundle is a gob blob in an iox sealed file — magic, then one
 // length | CRC32 | payload frame — so bit rot is detected, plus a
@@ -63,42 +62,6 @@ type Attempt struct {
 	Stalled  bool // killed by the stall watchdog, not the wall deadline
 }
 
-// Fault is one injected failure mode for a single optimizer attempt
-// (flow.Fault is this type). It lives here, below the flow, because a
-// recorded script travels in every bundle so replays and tile workers
-// re-inject the same deterministic failures. Fields compose: Stall and
-// Sleep run first, then Panic, then NaN.
-type Fault struct {
-	// Sleep blocks before anything else, respecting the attempt's
-	// context so per-tile timeouts and run cancellation stay prompt.
-	Sleep time.Duration
-	// Panic aborts the attempt with a panic, exercising the isolation
-	// recover path.
-	Panic bool
-	// NaN returns a NaN-poisoned shot list, exercising output validation.
-	NaN bool
-	// BadRadius returns one shot with a radius far outside any sane
-	// [RMin, RMax] bound, exercising the radius check.
-	BadRadius bool
-	// Stall blocks until the attempt's context is canceled without ever
-	// emitting a heartbeat — a wedged optimizer, the failure mode the
-	// stall watchdog (flow.Config.StallTimeout) exists to kill early.
-	Stall bool
-	// BeatEvery, when > 0, emits synthetic optimizer heartbeats at that
-	// interval while the injected Sleep runs — the signature of a tile
-	// that is slow but alive, which the stall watchdog must spare.
-	BeatEvery time.Duration
-	// Kill, when > 0, SIGKILLs the whole process — mid-tile, no reply,
-	// no cleanup — while the tile's dispatch counter is below Kill, but
-	// only inside a tile-worker subprocess (procpool.InWorker). Kill: 1
-	// scripts one crash followed by a clean redispatch; a huge Kill
-	// scripts a crash loop that must trip the supervisor's circuit
-	// breaker. In-process runs ignore it entirely, which is what lets
-	// one fault plan drive a proc run and its serial reference to
-	// byte-identical output.
-	Kill int
-}
-
 // Tile identifies the quarantined window.
 type Tile struct {
 	Index    int // row-major window index
@@ -139,10 +102,6 @@ type Bundle struct {
 	// Rects are the layout rectangles (full-grid nm coordinates) whose
 	// span overlaps the window — enough geometry to re-derive Target.
 	Rects []layout.Rect
-
-	// Faults is the injected fault script for this tile, when the
-	// failure came from a deterministic harness run; empty otherwise.
-	Faults []Fault
 
 	Attempts []Attempt
 }

@@ -1,13 +1,12 @@
 // Package replay re-runs a quarantine bundle offline. A bundle is a
 // complete description of one failed tile — target raster, optics,
-// tiling knobs, engine metadata, injected-fault script, recorded
-// attempt history — and it is also the encoding a live tile travels to
-// a worker in. So Run serves the bundle as a task to the very executor
-// a tile worker runs (procworker.Runner: engine.FromMeta rebuilds the
-// optimizer chain, flow.ServeTask maps bundle → flow.Config, re-injects
-// the recorded faults and walks the primary → retries → fallback
-// ladder), then compares what happened against what the live run
-// recorded. One mapping means a bundle field can never be honoured by
+// tiling knobs, engine metadata, recorded attempt history — and it is
+// also the encoding a live tile travels to a worker in. So Run serves
+// the bundle as a task to the very executor a tile worker runs
+// (procworker.Runner: engine.FromMeta rebuilds the optimizer chain,
+// flow.ServeTask maps bundle → flow.Config and walks the primary →
+// retries → fallback ladder), then compares what happened against what
+// the live run recorded. One mapping means a bundle field can never be honoured by
 // workers and ignored by replay. That
 // comparison is the point: "reproduced" means the failure is
 // deterministic and debuggable from the bundle alone; a divergence
@@ -36,10 +35,6 @@ type Options struct {
 	// this named method (same knobs), answering "does the fix hold on
 	// the captured failure?" instead of "does the failure reproduce?".
 	Fixed string
-	// NoFaults skips re-injecting the bundle's recorded fault script —
-	// useful to check whether the tile fails on its own or only under
-	// the harness.
-	NoFaults bool
 }
 
 // AttemptDiff pairs one recorded attempt with its replayed counterpart.
@@ -62,7 +57,7 @@ type Report struct {
 
 	// Reproduced: the replay degraded to empty through the same
 	// attempt-by-attempt failure sequence the live run recorded. Only
-	// meaningful without Fixed/NoFaults.
+	// meaningful without Fixed.
 	Reproduced bool
 	// PathMatch: the replay ended on the recorded outcome path (always
 	// "empty" for a quarantined tile).
@@ -79,9 +74,6 @@ func Run(ctx context.Context, b *quarantine.Bundle, o Options) (*Report, error) 
 	task := procpool.Task{Bundle: *b}
 	if o.Fixed != "" {
 		task.Bundle.Engines.Primary = o.Fixed
-	}
-	if o.NoFaults {
-		task.Bundle.Faults = nil
 	}
 	reply := procworker.Runner()(ctx, &task, nil)
 	if reply.Err != "" {

@@ -3,7 +3,9 @@ package replay
 import (
 	"context"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"cfaopc/internal/engine"
 	"cfaopc/internal/flow"
@@ -14,56 +16,65 @@ import (
 	"cfaopc/internal/quarantine"
 )
 
-// quarantinedBundle runs a small tiled flow with an always-failing tile
-// and returns the bundle the flow wrote for it. Lives here (not in
-// package flow) because the full loop — flow writes, engine rebuilds,
-// replay re-runs — crosses an import cycle flow's own tests cannot.
+// tileDeadline is the TileTimeout of the run quarantinedBundle records:
+// far too short for its CircleOpt primary, and long enough for a
+// CircleRule tile even under the race detector.
+const tileDeadline = 10 * time.Millisecond
+
+var (
+	bundleMu sync.Mutex
+	bundle   *quarantine.Bundle
+)
+
+// quarantinedBundle runs a small tiled flow whose one occupied tile fails
+// for real — a CircleOpt primary given a hundred iterations and a
+// tileDeadline it cannot meet, twice retried, no fallback — and returns
+// the bundle the flow wrote for it. The run happens once per test binary;
+// each caller gets its own copy of the bundle. Lives here (not in package
+// flow) because the full loop — flow writes, engine rebuilds, replay
+// re-runs — crosses an import cycle flow's own tests cannot.
 func quarantinedBundle(t *testing.T) *quarantine.Bundle {
 	t.Helper()
-	l := &layout.Layout{
-		Name:   "quad",
-		TileNM: 1024,
-		Rects: []layout.Rect{
-			{X: 150, Y: 160, W: 80, H: 220},
-			{X: 660, Y: 150, W: 80, H: 220},
-			{X: 150, Y: 650, W: 220, H: 80},
-			{X: 660, Y: 660, W: 80, H: 220},
-		},
+	bundleMu.Lock()
+	defer bundleMu.Unlock()
+	if bundle == nil {
+		l := &layout.Layout{
+			Name:   "corner",
+			TileNM: 1024,
+			Rects:  []layout.Rect{{X: 660, Y: 660, W: 80, H: 220}}, // tile 3 of the 2×2 tiling
+		}
+		opts := engine.Options{Iters: 100, Gamma: 3, SampleNM: 32}
+		primary, err := engine.For("circleopt", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := flow.Config{
+			GridN:         128,
+			CorePx:        64,
+			HaloPx:        16,
+			Optics:        optics.Default(),
+			KOpt:          4,
+			Optimize:      primary,
+			TileRetries:   2,
+			TileTimeout:   tileDeadline,
+			RMinPx:        1,
+			RMaxPx:        40,
+			QuarantineDir: filepath.Join(t.TempDir(), "quarantine"),
+			Engines:       engine.Meta("circleopt", "", opts),
+		}
+		res, err := flow.Run(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Quarantined != 1 || res.TileStats[3].Bundle == "" {
+			t.Fatalf("expected tile 3 quarantined: %+v", res.TileStats[3])
+		}
+		if bundle, err = quarantine.Load(res.TileStats[3].Bundle); err != nil {
+			t.Fatal(err)
+		}
 	}
-	opts := engine.Options{Iters: 8, Gamma: 3, SampleNM: 32}
-	primary, err := engine.For("circlerule", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := flow.Config{
-		GridN:         256,
-		CorePx:        128,
-		HaloPx:        32,
-		Optics:        optics.Default(),
-		KOpt:          4,
-		Optimize:      primary,
-		Fallback:      primary,
-		TileRetries:   1,
-		RMinPx:        1,
-		RMaxPx:        40,
-		QuarantineDir: filepath.Join(t.TempDir(), "quarantine"),
-		Engines:       engine.Meta("circlerule", "circlerule", opts),
-		Faults: flow.FaultPlan{
-			3: {{Panic: true}, {Panic: true}, {Panic: true}}, // primary ×2 + fallback
-		},
-	}
-	res, err := flow.Run(l, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Quarantined != 1 || res.TileStats[3].Bundle == "" {
-		t.Fatalf("expected tile 3 quarantined: %+v", res.TileStats[3])
-	}
-	b, err := quarantine.Load(res.TileStats[3].Bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	b := *bundle
+	return &b
 }
 
 func TestReplayReproduces(t *testing.T) {
@@ -91,32 +102,19 @@ func TestReplayReproduces(t *testing.T) {
 	}
 }
 
-// Without the fault script, the captured tile is healthy — the replay
-// must report "not reproduced" rather than inventing a failure.
-func TestReplayNoFaultsSucceeds(t *testing.T) {
-	b := quarantinedBundle(t)
-	rep, err := Run(context.Background(), b, Options{NoFaults: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reproduced || rep.PathMatch {
-		t.Fatalf("fault-free replay still failed on path %q", rep.Path)
-	}
-	if rep.Path != flow.PathPrimary || len(rep.Shots) == 0 {
-		t.Fatalf("fault-free replay: path %q, %d shots", rep.Path, len(rep.Shots))
-	}
-}
-
-// The fix-verification loop: swapping in a candidate primary (with the
-// faults disabled, modelling a repaired engine) must report Fixed.
+// The fix-verification loop: swapping in a candidate primary that meets
+// the captured deadline must report Fixed.
 func TestReplayFixedEngine(t *testing.T) {
 	b := quarantinedBundle(t)
-	rep, err := Run(context.Background(), b, Options{Fixed: "circlerule", NoFaults: true})
+	rep, err := Run(context.Background(), b, Options{Fixed: "circlerule"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Fixed || rep.Reproduced {
 		t.Fatalf("report: fixed=%v reproduced=%v path=%q", rep.Fixed, rep.Reproduced, rep.Path)
+	}
+	if b.TileTimeout != tileDeadline || len(rep.Shots) == 0 {
+		t.Fatalf("fixed replay under a %s deadline: %d shots", b.TileTimeout, len(rep.Shots))
 	}
 }
 

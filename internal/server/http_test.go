@@ -20,6 +20,7 @@ import (
 	"cfaopc/internal/flow"
 	"cfaopc/internal/iox"
 	"cfaopc/internal/layout"
+	"cfaopc/internal/testkit/faultfs"
 )
 
 // testLayoutRoot writes the small two-rect layout the API tests
@@ -534,7 +535,7 @@ func TestForeignCheckpointJobRestarts(t *testing.T) {
 	for _, renameFails := range []bool{false, true} {
 		var fsys iox.FS
 		if renameFails {
-			fsys = iox.NewFaultFS(nil, iox.Plan{FailRenameAt: 1, PathSubstr: "flow.ckpt"})
+			fsys = faultfs.NewFaultFS(nil, faultfs.Plan{FailRenameAt: 1, PathSubstr: "flow.ckpt"})
 		}
 		m, err := NewManager(ManagerConfig{DataDir: filepath.Join(t.TempDir(), "data"), LayoutRoot: root, QueueCap: 4, FS: fsys})
 		if err != nil {

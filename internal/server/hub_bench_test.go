@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"cfaopc/internal/iox"
+	"cfaopc/internal/testkit/faultfs"
 )
 
 // bridgePost is what Manager.execute's event bridge does per flow event.
@@ -29,7 +29,7 @@ func BenchmarkHubPublish(b *testing.B) {
 	for _, mode := range []string{"wait", "bridge"} {
 		b.Run(mode, func(b *testing.B) {
 			dir := b.TempDir()
-			rec := iox.NewRecorder(nil, dir)
+			rec := faultfs.NewRecorder(nil, dir)
 			h, err := newHubFS(rec, filepath.Join(dir, "events.log"), "job-0001", spec)
 			if err != nil {
 				b.Fatal(err)
@@ -52,7 +52,7 @@ func BenchmarkHubPublish(b *testing.B) {
 			}
 			fsyncs := 0
 			for _, op := range rec.Ops() {
-				if op.Kind == iox.OpSync {
+				if op.Kind == faultfs.OpSync {
 					fsyncs++
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cfaopc/internal/iox"
+	"cfaopc/internal/testkit/faultfs"
 )
 
 // gateFS parks every file Sync while gated: the call announces itself on
@@ -316,7 +317,7 @@ func TestEventJournalSyncFailureFailsJob(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "data")
 	// Sync 1 on events.log is submit's queued event; 2 is the first batch
 	// of the run (the running event and whatever rode with it).
-	ff := iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 2, PathSubstr: "events.log"})
+	ff := faultfs.NewFaultFS(nil, faultfs.Plan{FailSyncAt: 2, PathSubstr: "events.log"})
 	m := storageManager(t, dataDir, lroot, ff)
 	st, err := m.Submit(spec)
 	if err != nil {

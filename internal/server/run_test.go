@@ -17,6 +17,7 @@ import (
 	"cfaopc/internal/fracture"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/iox"
+	"cfaopc/internal/testkit/faultfs"
 )
 
 // --- WriteShots contract ---
@@ -41,8 +42,8 @@ func TestWriteShotsDurableOrError(t *testing.T) {
 	}
 	for name, fsys := range map[string]iox.FS{
 		"create": nil,
-		"enospc": iox.NewFaultFS(nil, iox.Plan{WriteBudget: 8}),
-		"fsync":  iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 1}),
+		"enospc": faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: 8}),
+		"fsync":  faultfs.NewFaultFS(nil, faultfs.Plan{FailSyncAt: 1}),
 	} {
 		path := filepath.Join(dir, name+".csv")
 		if name == "create" {
@@ -118,9 +119,9 @@ func TestWriteMaskEqualsFullRaster(t *testing.T) {
 		fsys iox.FS
 	}{
 		"create": {128, nil},
-		"band":   {128, iox.NewFaultFS(nil, iox.Plan{WriteBudget: 10000})}, // the header and one 8 KiB band fit, the second band does not
-		"header": {16, iox.NewFaultFS(nil, iox.Plan{WriteBudget: 8})},      // not even the 13-byte header fits
-		"fsync":  {128, iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 1})},
+		"band":   {128, faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: 10000})}, // the header and one 8 KiB band fit, the second band does not
+		"header": {16, faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: 8})},      // not even the 13-byte header fits
+		"fsync":  {128, faultfs.NewFaultFS(nil, faultfs.Plan{FailSyncAt: 1})},
 	} {
 		path := filepath.Join(dir, name+".pgm")
 		if name == "create" {
@@ -152,7 +153,7 @@ func TestRunReportsMaskFaultAfterDurableShots(t *testing.T) {
 	o := RunOpts{
 		MaskPath:  filepath.Join(dir, "mask.pgm"),
 		ShotsPath: filepath.Join(dir, "shots.csv"),
-		FS:        iox.NewFaultFS(nil, iox.Plan{FailSyncAt: 1, PathSubstr: "mask.pgm"}),
+		FS:        faultfs.NewFaultFS(nil, faultfs.Plan{FailSyncAt: 1, PathSubstr: "mask.pgm"}),
 	}
 	if _, err := RunSpec(context.Background(), l, spec, o); err == nil {
 		t.Fatal("Run reported success although the mask fsync failed")

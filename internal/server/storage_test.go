@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cfaopc/internal/iox"
+	"cfaopc/internal/testkit/faultfs"
 )
 
 // storageSpecJSON is the daemon job the storage harnesses run:
@@ -129,7 +130,7 @@ func TestJobsLogENOSPCFailsCleanly(t *testing.T) {
 
 	t.Run("submit-rejected", func(t *testing.T) {
 		dataDir := filepath.Join(t.TempDir(), "data")
-		ff := iox.NewFaultFS(nil, iox.Plan{WriteBudget: hdrSize + 4, PathSubstr: "jobs.log"})
+		ff := faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: hdrSize + 4, PathSubstr: "jobs.log"})
 		m := storageManager(t, dataDir, lroot, ff)
 		if _, err := m.Submit(spec); err == nil {
 			t.Fatal("submit succeeded with an unjournalable queued record")
@@ -160,7 +161,7 @@ func TestJobsLogENOSPCFailsCleanly(t *testing.T) {
 
 	t.Run("running-record-fails-job", func(t *testing.T) {
 		dataDir := filepath.Join(t.TempDir(), "data")
-		ff := iox.NewFaultFS(nil, iox.Plan{WriteBudget: afterQueued + 4, PathSubstr: "jobs.log"})
+		ff := faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: afterQueued + 4, PathSubstr: "jobs.log"})
 		m := storageManager(t, dataDir, lroot, ff)
 		st, err := m.Submit(spec)
 		if err != nil {
@@ -227,7 +228,7 @@ func TestEventJournalENOSPCFailsJobCleanly(t *testing.T) {
 	budget := fi.Size() / 2 // lands mid-run, past queued+running, before done
 
 	dataDir := filepath.Join(t.TempDir(), "data")
-	ff := iox.NewFaultFS(nil, iox.Plan{WriteBudget: budget, PathSubstr: "events.log"})
+	ff := faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: budget, PathSubstr: "events.log"})
 	m := storageManager(t, dataDir, lroot, ff)
 	st, err := m.Submit(spec)
 	if err != nil {
@@ -313,7 +314,7 @@ func TestStorageFaultMatrix(t *testing.T) {
 	if kind == "" {
 		t.Skip("IOFAULT not set; run via the storage-fault matrix")
 	}
-	plan, err := iox.PlanForKind(kind)
+	plan, err := faultfs.PlanForKind(kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +324,7 @@ func TestStorageFaultMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	dataDir := filepath.Join(t.TempDir(), "data")
-	ff := iox.NewFaultFS(nil, plan)
+	ff := faultfs.NewFaultFS(nil, plan)
 	m, err := NewManager(ManagerConfig{DataDir: dataDir, LayoutRoot: lroot, FS: ff, Now: fixedNow})
 	if err != nil {
 		t.Logf("%s: manager construction cleanly refused: %v", kind, err)
@@ -379,7 +380,7 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 	}
 
 	root := t.TempDir()
-	rec := iox.NewRecorder(nil, root)
+	rec := faultfs.NewRecorder(nil, root)
 	m := storageManager(t, filepath.Join(root, "data"), lroot, rec)
 	st, err := m.Submit(spec)
 	if err != nil {
@@ -478,7 +479,7 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("prefix-%03d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			if err := iox.Materialize(dir, ops, n); err != nil {
+			if err := faultfs.Materialize(dir, ops, n); err != nil {
 				t.Fatal(err)
 			}
 			verify(t, dir, n%runEvery == 0)
@@ -495,7 +496,7 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 		var queuedEnd int64
 		writes, states := 0, 0
 		for n := 1; n < len(ops); n++ {
-			if op := ops[n-1]; op.Path == events && op.Kind == iox.OpWrite {
+			if op := ops[n-1]; op.Path == events && op.Kind == faultfs.OpWrite {
 				if writes++; writes == 3 {
 					queuedEnd = op.Off + int64(len(op.Data))
 				}
@@ -504,7 +505,7 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 				continue
 			}
 			dir := t.TempDir()
-			if err := iox.Materialize(dir, ops, n); err != nil {
+			if err := faultfs.Materialize(dir, ops, n); err != nil {
 				t.Fatal(err)
 			}
 			if err := os.Truncate(filepath.Join(dir, events), queuedEnd); err != nil {
@@ -518,8 +519,8 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 		}
 	})
 	// Torn variants: the crash hit mid-write, leaving half the payload.
-	for _, n := range iox.WriteBoundaries(ops) {
-		if ops[n-1].Kind != iox.OpWrite || len(ops[n-1].Data) < 2 {
+	for _, n := range faultfs.WriteBoundaries(ops) {
+		if ops[n-1].Kind != faultfs.OpWrite || len(ops[n-1].Data) < 2 {
 			continue
 		}
 		if n%stride != 0 {
@@ -528,7 +529,7 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("torn-%03d", n), func(t *testing.T) {
 			dir := t.TempDir()
-			if err := iox.MaterializeTorn(dir, ops, n, len(ops[n-1].Data)/2); err != nil {
+			if err := faultfs.MaterializeTorn(dir, ops, n, len(ops[n-1].Data)/2); err != nil {
 				t.Fatal(err)
 			}
 			verify(t, dir, false)
@@ -539,17 +540,17 @@ func TestCrashConsistencyDaemon(t *testing.T) {
 // respaceEventSyncs returns ops with every events.log sync removed and
 // one inserted after each event record (each events.log write but the
 // journal's magic and header).
-func respaceEventSyncs(ops []iox.Op) (out []iox.Op) {
+func respaceEventSyncs(ops []faultfs.Op) (out []faultfs.Op) {
 	writes := 0
 	for _, op := range ops {
 		isEvents := strings.HasSuffix(op.Path, "events.log")
-		if isEvents && op.Kind == iox.OpSync {
+		if isEvents && op.Kind == faultfs.OpSync {
 			continue
 		}
 		out = append(out, op)
-		if isEvents && op.Kind == iox.OpWrite {
+		if isEvents && op.Kind == faultfs.OpWrite {
 			if writes++; writes > 2 {
-				out = append(out, iox.Op{Kind: iox.OpSync, Path: op.Path})
+				out = append(out, faultfs.Op{Kind: faultfs.OpSync, Path: op.Path})
 			}
 		}
 	}
@@ -560,12 +561,12 @@ func respaceEventSyncs(ops []iox.Op) (out []iox.Op) {
 // re-cut as a writer with a chunk-byte buffer would have issued them:
 // full chunks as the stream fills them, the remainder before the file's
 // next other operation.
-func rechunkWrites(ops []iox.Op, name string, chunk int) (out []iox.Op) {
-	var pend iox.Op
+func rechunkWrites(ops []faultfs.Op, name string, chunk int) (out []faultfs.Op) {
+	var pend faultfs.Op
 	flush := func() {
 		if len(pend.Data) > 0 {
 			out = append(out, pend)
-			pend = iox.Op{}
+			pend = faultfs.Op{}
 		}
 	}
 	for _, op := range ops {
@@ -573,14 +574,14 @@ func rechunkWrites(ops []iox.Op, name string, chunk int) (out []iox.Op) {
 			out = append(out, op)
 			continue
 		}
-		if op.Kind != iox.OpWrite {
+		if op.Kind != faultfs.OpWrite {
 			flush()
 			out = append(out, op)
 			continue
 		}
 		for off, data := op.Off, op.Data; len(data) > 0; {
 			if len(pend.Data) == 0 {
-				pend = iox.Op{Kind: iox.OpWrite, Path: op.Path, Off: off}
+				pend = faultfs.Op{Kind: faultfs.OpWrite, Path: op.Path, Off: off}
 			}
 			n := min(chunk-len(pend.Data), len(data))
 			pend.Data = append(pend.Data, data[:n]...)

@@ -1,4 +1,9 @@
-package netpool
+// Package chaosnet is the network fault injector the worker-session
+// tests run coordinators and hosts through; only _test.go files import
+// it. It reads and writes the session's frames (internal/iox,
+// internal/procpool) but imports no session code, so internal/netpool's
+// own tests can use it.
+package chaosnet
 
 import (
 	"fmt"
@@ -12,7 +17,7 @@ import (
 )
 
 // FaultKind enumerates the link failures the chaos Proxy injects — the
-// network analog of flow.InjectFaults' per-attempt fault script.
+// network analog of the flow tests' per-attempt fault scripts.
 type FaultKind int
 
 const (
@@ -73,7 +78,7 @@ type Proxy struct {
 func NewProxy(target string, scripts ...ConnScript) (*Proxy, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, fmt.Errorf("netpool: proxy listen: %w", err)
+		return nil, fmt.Errorf("chaosnet: proxy listen: %w", err)
 	}
 	p := &Proxy{ln: ln, target: target, scripts: scripts, closed: make(chan struct{})}
 	p.wg.Add(1)

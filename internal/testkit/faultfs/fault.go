@@ -1,4 +1,14 @@
-package iox
+// Package faultfs holds the two test implementations of the iox.FS
+// storage seam; only _test.go files import it.
+//
+//   - FaultFS: deterministic injected faults — ENOSPC after a byte
+//     budget, EIO on the K-th fsync, torn short writes, failed renames —
+//     so each persistence layer's degradation policy is testable without
+//     root or a loopback filesystem.
+//   - Recorder: an op log of every mutation, from which Materialize
+//     reconstructs the on-disk state at any write boundary — the "crash
+//     at every prefix" simulator behind the TestCrashConsistency tests.
+package faultfs
 
 import (
 	"fmt"
@@ -6,6 +16,8 @@ import (
 	"strings"
 	"sync"
 	"syscall"
+
+	"cfaopc/internal/iox"
 )
 
 // Plan scripts deterministic storage faults. Counters are global across
@@ -50,7 +62,7 @@ func PlanForKind(kind string) (Plan, error) {
 	case "rename":
 		return Plan{FailRenameAt: 1}, nil
 	default:
-		return Plan{}, fmt.Errorf("iox: unknown fault kind %q (want enospc|eio-sync|torn|rename)", kind)
+		return Plan{}, fmt.Errorf("faultfs: unknown fault kind %q (want enospc|eio-sync|torn|rename)", kind)
 	}
 }
 
@@ -66,7 +78,7 @@ type FaultStats struct {
 // FaultFS wraps an FS with the Plan's deterministic faults. Safe for
 // concurrent use; the counters are globally ordered under one lock.
 type FaultFS struct {
-	inner FS
+	inner iox.FS
 	plan  Plan
 
 	mu    sync.Mutex
@@ -74,8 +86,8 @@ type FaultFS struct {
 }
 
 // NewFaultFS wraps inner (nil = the real filesystem) with plan.
-func NewFaultFS(inner FS, plan Plan) *FaultFS {
-	return &FaultFS{inner: OrOS(inner), plan: plan}
+func NewFaultFS(inner iox.FS, plan Plan) *FaultFS {
+	return &FaultFS{inner: iox.OrOS(inner), plan: plan}
 }
 
 // Stats snapshots the fault counters.
@@ -159,7 +171,7 @@ func (f *FaultFS) admitRename(path string) error {
 	return nil
 }
 
-func (f *FaultFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
+func (f *FaultFS) OpenFile(path string, flag int, perm os.FileMode) (iox.File, error) {
 	inner, err := f.inner.OpenFile(path, flag, perm)
 	if err != nil {
 		return nil, err
@@ -167,9 +179,9 @@ func (f *FaultFS) OpenFile(path string, flag int, perm os.FileMode) (File, error
 	return &faultFile{File: inner, fs: f, path: path}, nil
 }
 
-func (f *FaultFS) Open(path string) (File, error) { return f.inner.Open(path) }
+func (f *FaultFS) Open(path string) (iox.File, error) { return f.inner.Open(path) }
 
-func (f *FaultFS) Create(path string) (File, error) {
+func (f *FaultFS) Create(path string) (iox.File, error) {
 	inner, err := f.inner.Create(path)
 	if err != nil {
 		return nil, err
@@ -204,7 +216,7 @@ func (f *FaultFS) SyncDir(dir string) error {
 
 // faultFile interposes the plan on one handle's writes and syncs.
 type faultFile struct {
-	File
+	iox.File
 	fs   *FaultFS
 	path string
 }

@@ -1,4 +1,4 @@
-package iox
+package faultfs
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"cfaopc/internal/iox"
 )
 
 // OpKind discriminates recorded filesystem mutations.
@@ -66,7 +68,7 @@ type Op struct {
 // unrelated temp files); Materialize therefore only reconstructs the
 // persistence tree under root.
 type Recorder struct {
-	inner FS
+	inner iox.FS
 	root  string
 
 	mu  sync.Mutex
@@ -75,8 +77,8 @@ type Recorder struct {
 
 // NewRecorder records mutations under root (which must exist) on top of
 // inner (nil = the real filesystem).
-func NewRecorder(inner FS, root string) *Recorder {
-	return &Recorder{inner: OrOS(inner), root: filepath.Clean(root)}
+func NewRecorder(inner iox.FS, root string) *Recorder {
+	return &Recorder{inner: iox.OrOS(inner), root: filepath.Clean(root)}
 }
 
 // Ops snapshots the op log.
@@ -102,7 +104,7 @@ func (r *Recorder) record(op Op) {
 	r.mu.Unlock()
 }
 
-func (r *Recorder) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
+func (r *Recorder) OpenFile(path string, flag int, perm os.FileMode) (iox.File, error) {
 	inner, err := r.inner.OpenFile(path, flag, perm)
 	if err != nil {
 		return nil, err
@@ -129,9 +131,9 @@ func (r *Recorder) OpenFile(path string, flag int, perm os.FileMode) (File, erro
 	return f, nil
 }
 
-func (r *Recorder) Open(path string) (File, error) { return r.inner.Open(path) }
+func (r *Recorder) Open(path string) (iox.File, error) { return r.inner.Open(path) }
 
-func (r *Recorder) Create(path string) (File, error) {
+func (r *Recorder) Create(path string) (iox.File, error) {
 	return r.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 }
 
@@ -192,7 +194,7 @@ func (r *Recorder) SyncDir(dir string) error {
 // its file offset (journals seek once after replay-truncate, then
 // append; sequential writers never seek).
 type recordFile struct {
-	File
+	iox.File
 	rec *Recorder
 	rel string
 	pos int64
@@ -252,14 +254,14 @@ func Materialize(dir string, ops []Op, n int) error {
 // tolerate).
 func MaterializeTorn(dir string, ops []Op, n int, keep int) error {
 	if n < 1 || n > len(ops) || ops[n-1].Kind != OpWrite {
-		return fmt.Errorf("iox: op %d is not a write", n)
+		return fmt.Errorf("faultfs: op %d is not a write", n)
 	}
 	return materialize(dir, ops, n, keep)
 }
 
 func materialize(dir string, ops []Op, n int, tornKeep int) error {
 	if n < 0 || n > len(ops) {
-		return fmt.Errorf("iox: prefix %d outside op log of %d", n, len(ops))
+		return fmt.Errorf("faultfs: prefix %d outside op log of %d", n, len(ops))
 	}
 	for i := 0; i < n; i++ {
 		op := ops[i]
@@ -317,7 +319,7 @@ func materialize(dir string, ops []Op, n int, tornKeep int) error {
 				return err
 			}
 		default:
-			return fmt.Errorf("iox: unknown op kind %v", op.Kind)
+			return fmt.Errorf("faultfs: unknown op kind %v", op.Kind)
 		}
 	}
 	return nil

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"cfaopc/internal/geom"
-	"cfaopc/internal/iox"
+	"cfaopc/internal/testkit/faultfs"
 )
 
 func faultEntry(n int) *Entry {
@@ -24,7 +24,7 @@ func faultEntry(n int) *Entry {
 func TestPutNeverFailsUnderDiskFaults(t *testing.T) {
 	for _, kind := range []string{"enospc", "eio-sync", "torn", "rename"} {
 		t.Run(kind, func(t *testing.T) {
-			plan, err := iox.PlanForKind(kind)
+			plan, err := faultfs.PlanForKind(kind)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -37,7 +37,7 @@ func TestPutNeverFailsUnderDiskFaults(t *testing.T) {
 				plan.TornWriteAt = 1
 			}
 			dir := t.TempDir()
-			ff := iox.NewFaultFS(nil, plan)
+			ff := faultfs.NewFaultFS(nil, plan)
 			c, err := New(Config{Dir: dir, FS: ff})
 			if err != nil {
 				t.Fatal(err)
@@ -112,12 +112,12 @@ func TestStorageFaultMatrix(t *testing.T) {
 	if kind == "" {
 		t.Skip("IOFAULT not set; run via the storage-fault matrix")
 	}
-	plan, err := iox.PlanForKind(kind)
+	plan, err := faultfs.PlanForKind(kind)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	ff := iox.NewFaultFS(nil, plan)
+	ff := faultfs.NewFaultFS(nil, plan)
 	c, err := New(Config{Dir: dir, FS: ff})
 	if err != nil {
 		t.Fatal(err)
