@@ -34,9 +34,7 @@ var tools = []struct {
 	{"genlayout", true},
 	{"kernelinfo", false},
 	{"paperbench", false},
-	{"pwplot", false},
 	{"replaytile", true},
-	{"shotscale", false},
 	{"tileworker", true},
 }
 
@@ -115,10 +113,10 @@ func TestCLIToolsBuildAndUsage(t *testing.T) {
 	}
 	// A case outside the suite is refused in one line, not a panic.
 	for _, id := range []string{"0", "11"} {
-		cmd := exec.Command(bin("shotscale"), "-case", id)
+		cmd := exec.Command(bin("paperbench"), "-cases", id)
 		out, _ := cmd.CombinedOutput()
-		if cmd.ProcessState.ExitCode() != 1 || !bytes.Equal(out, []byte("shotscale: -case "+id+": the suite is cases 1..10\n")) {
-			t.Errorf("shotscale -case %s: exit %d\n%s", id, cmd.ProcessState.ExitCode(), out)
+		if cmd.ProcessState.ExitCode() != 1 || !bytes.Equal(out, []byte("paperbench: case "+id+": the suite is cases 1..10\n")) {
+			t.Errorf("paperbench -cases %s: exit %d\n%s", id, cmd.ProcessState.ExitCode(), out)
 		}
 	}
 }

@@ -4,9 +4,11 @@
 // Usage:
 //
 //	paperbench [flags] [-table1] [-table2] [-table3] [-fig1] [-fig6] [-fig7]
+//	paperbench [flags] -pw | -scaling | -ablations | -extensions
 //
-// With no selection flags, everything runs. Tables and figure series print
-// to stdout; Figure 6 writes PNG triptychs under -out.
+// With no selection flags, every table and figure runs; the studies of
+// the second line run only on request. Tables and figure series print to
+// stdout; Figure 6 writes PNG triptychs under -out.
 package main
 
 import (
@@ -44,10 +46,12 @@ func main() {
 		f7       = flag.Bool("fig7", false, "run Figure 7")
 		abl      = flag.Bool("ablations", false, "run the design-choice ablations (STE, coverage repair, alpha, K_opt)")
 		ext      = flag.Bool("extensions", false, "run the extension experiment (greedy set cover)")
+		pw       = flag.Bool("pw", false, "run the dose-defocus process window and depth of focus, target and CircleOpt mask")
+		scaling  = flag.Bool("scaling", false, "run the rect-vs-circle shot scaling of the DevelSet mask at grids 256, 512, 1024")
 	)
 	flag.Parse()
 
-	all := !*t1 && !*t2 && !*t3 && !*f1 && !*f6 && !*f7 && !*abl && !*ext
+	all := !*t1 && !*t2 && !*t3 && !*f1 && !*f6 && !*f7 && !*abl && !*ext && !*pw && !*scaling
 
 	o := bench.DefaultOptions()
 	o.GridN = *gridN
@@ -126,6 +130,28 @@ func main() {
 		fmt.Println(r.AblationCoverageRepair().Format())
 		fmt.Println(r.AblationAlpha([]float64{2, 4, 8, 16}).Format())
 		fmt.Println(r.AblationKernels([]int{2, 5, 9}).Format())
+	}
+	if *pw {
+		var pws []*bench.PWExhibit
+		for ci := range r.Suite {
+			exhibits, err := r.ProcessWindow(ci)
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, e := range exhibits {
+				fmt.Println(e.Format())
+			}
+			pws = append(pws, exhibits...)
+		}
+		emit("process_window", pws)
+	}
+	if *scaling {
+		t, err := r.Scaling(bench.ScalingGrids)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Println(t.Format())
+		emit("scaling", t)
 	}
 	if all || *f6 {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"cfaopc/internal/core"
 	"cfaopc/internal/fracture"
-	"cfaopc/internal/geom"
 	"cfaopc/internal/metrics"
 )
 
@@ -14,30 +13,15 @@ import (
 // estimator, the coverage-repair extension to Algorithm 1, the circular
 // window steepness α, and the kernel truncation used inside optimization.
 
-// runCircleOptVariant executes CircleOpt with a config mutator on every
-// selected case and returns the averaged report.
+// runCircleOptVariant executes CircleOpt with a config mutator (nil for
+// none) on every selected case and returns the averaged report.
 func (r *Runner) runCircleOptVariant(mutate func(*core.Config)) metrics.Report {
 	acc := &avg{}
 	for ci := range r.Suite {
-		cfg := core.DefaultConfig(r.Sim.DX)
-		cfg.Iterations = r.Opt.CircleOptIters
-		cfg.Gamma = r.Opt.Gamma / r.Sim.DX
-		mutate(&cfg)
-		e := &core.CircleOpt{
-			Cfg:            cfg,
-			InitIterations: r.Opt.InitIters,
-			RuleCfg:        r.ruleConfig(r.Opt.SampleDistNM),
-		}
-		res := e.Optimize(r.Sim, r.Targets[ci])
+		res := r.circleOpt(r.Opt.SampleDistNM, r.Opt.Gamma, mutate).Optimize(r.Sim, r.Targets[ci])
 		acc.add(r.EvaluateMask(ci, res.Mask, len(res.Shots)))
 	}
-	n := float64(acc.n)
-	return metrics.Report{
-		L2:    acc.l2 / n,
-		PVB:   acc.pvb / n,
-		EPE:   int(acc.epe/n + 0.5),
-		Shots: int(acc.shots/n + 0.5),
-	}
+	return acc.report()
 }
 
 func reportRow(name string, rep metrics.Report) []string {
@@ -53,7 +37,7 @@ func (r *Runner) AblationSTE() *Table {
 		Title:  "Ablation: straight-through estimator in CircleOpt",
 		Header: []string{"Variant", "L2", "PVB", "EPE", "#Shot"},
 	}
-	with := r.runCircleOptVariant(func(c *core.Config) {})
+	with := r.runCircleOptVariant(nil)
 	without := r.runCircleOptVariant(func(c *core.Config) { c.DisableSTE = true })
 	t.Rows = append(t.Rows,
 		reportRow("CircleOpt (STE)", with),
@@ -89,16 +73,11 @@ func (r *Runner) AblationCoverageRepair() *Table {
 	run := func(disable bool) metrics.Report {
 		acc := &avg{}
 		for ci := range r.Suite {
-			mask := r.PixelMask("MultiILT", ci)
 			cfg := r.ruleConfig(r.Opt.SampleDistNM)
 			cfg.DisableRepair = disable
-			shots := fracture.CircleRule(mask, cfg)
-			rec := geom.RasterizeCircles(r.Sim.N, r.Sim.N, shots)
-			acc.add(r.EvaluateMask(ci, rec, len(shots)))
+			acc.add(r.scoreShots(ci, fracture.CircleRule(r.PixelMask("MultiILT", ci), cfg)))
 		}
-		n := float64(acc.n)
-		return metrics.Report{L2: acc.l2 / n, PVB: acc.pvb / n,
-			EPE: int(acc.epe/n + 0.5), Shots: int(acc.shots/n + 0.5)}
+		return acc.report()
 	}
 	t.Rows = append(t.Rows,
 		reportRow("CircleRule (with repair)", run(false)),
@@ -118,7 +97,7 @@ func (r *Runner) AblationKernels(ks []int) *Table {
 	defer func() { r.Sim.KOpt = orig }()
 	for _, k := range ks {
 		r.Sim.KOpt = k
-		rep := r.runCircleOptVariant(func(c *core.Config) {})
+		rep := r.runCircleOptVariant(nil)
 		t.Rows = append(t.Rows, reportRow(fmt.Sprintf("%d", k), rep))
 	}
 	return t

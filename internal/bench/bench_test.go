@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"cfaopc/internal/litho"
 )
 
 // lightRunner runs one small case with few iterations; the point of these
@@ -123,6 +128,73 @@ func TestFigure1Table(t *testing.T) {
 	}
 	if !strings.Contains(f1.Format(), "Reduction") {
 		t.Error("Figure1 missing header")
+	}
+}
+
+// TestScalingIsFigure1PerGrid: each grid's row of the scaling exhibit is
+// Figure 1's DevelSet row of a runner built at that grid.
+func TestScalingIsFigure1PerGrid(t *testing.T) {
+	r := lightRunner(t)
+	grids := []int{128, 256}
+	tab, err := r.Scaling(grids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Rows) != len(grids) {
+		t.Fatalf("scaling has %d rows, want %d", len(tab.Rows), len(grids))
+	}
+	for i, n := range grids {
+		o := r.Opt
+		o.GridN = n
+		g, err := NewRunner(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fig := g.Figure1().Rows[0] // DevelSet; one case, so the average is its count
+		row := tab.Rows[i]
+		for col, want := range map[int]string{3: fig[1], 4: fig[2]} {
+			got, _ := strconv.ParseFloat(row[col], 64)
+			if w, _ := strconv.ParseFloat(want, 64); row[1] != fmt.Sprint(n) || got != w {
+				t.Errorf("grid %d: scaling row %v, Figure 1 DevelSet row %v", n, row, fig)
+			}
+		}
+	}
+}
+
+// TestProcessWindowOnMemoizedCircleOpt: the exhibit sweeps the 8 × 5
+// dose–defocus matrix on the target and on the very CircleOpt mask Table 2
+// scores, not a CircleOpt of its own.
+func TestProcessWindowOnMemoizedCircleOpt(t *testing.T) {
+	r := lightRunner(t)
+	_, co := r.RunCircleOpt(0, r.Opt.SampleDistNM, r.Opt.Gamma)
+	pws, err := r.ProcessWindow(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pws) != 2 || !strings.Contains(pws[0].Title, "target") ||
+		!strings.Contains(pws[1].Title, fmt.Sprintf("CircleOpt (%d shots)", len(co.Shots))) {
+		t.Fatalf("exhibits: %q, want the target and the %d-shot CircleOpt mask", []string{pws[0].Title, pws[1].Title}, len(co.Shots))
+	}
+	got := pws[1]
+	if len(got.Points) != len(PWDefocusNM)*len(PWDoses) {
+		t.Fatalf("%d points, want %d", len(got.Points), len(PWDefocusNM)*len(PWDoses))
+	}
+	for i, p := range got.Points {
+		if p.DefocusNM != PWDefocusNM[i/len(PWDoses)] || p.Dose != PWDoses[i%len(PWDoses)] {
+			t.Fatalf("point %d is %+v, out of defocus-major order", i, p)
+		}
+	}
+	want, err := litho.ProcessWindow(r.Sim.Cfg, r.Sim.N, co.Mask, litho.PWConfig{
+		DefocusNM: PWDefocusNM, Doses: PWDoses, Gauge: got.Gauge, Tolerance: 0.10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Points, want) {
+		t.Errorf("the exhibit's matrix is not the memoized mask's")
+	}
+	text := got.Format()
+	if n := strings.Count(text, "\n"); n != 3+len(PWDefocusNM)+2 || !strings.Contains(text, "60% dose latitude") {
+		t.Errorf("format (%d lines):\n%s", n, text)
 	}
 }
 

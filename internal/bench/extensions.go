@@ -1,9 +1,6 @@
 package bench
 
-import (
-	"cfaopc/internal/fracture"
-	"cfaopc/internal/geom"
-)
+import "cfaopc/internal/fracture"
 
 // ExtensionGreedy compares Algorithm 1 against greedy set-cover
 // fracturing — what this library adds beyond the paper — on the strongest
@@ -14,17 +11,12 @@ func (r *Runner) ExtensionGreedy() *Table {
 		Header: []string{"Fracturer", "L2", "PVB", "EPE", "#Shot"},
 	}
 	rule, greedy := &avg{}, &avg{}
+	rc := r.ruleConfig(r.Opt.SampleDistNM)
+	gc := fracture.GreedyCircleConfig{RMin: rc.RMin, RMax: rc.RMax, CoverThreshold: rc.CoverThreshold}
 	for ci := range r.Suite {
-		mask := r.PixelMask("MultiILT", ci)
 		rep, _ := r.RunCircleRule("MultiILT", ci, r.Opt.SampleDistNM)
 		rule.add(rep)
-
-		rc := r.ruleConfig(r.Opt.SampleDistNM)
-		shots := fracture.GreedyCircles(mask, fracture.GreedyCircleConfig{
-			RMin: rc.RMin, RMax: rc.RMax, CoverThreshold: rc.CoverThreshold,
-		})
-		rec := geom.RasterizeCircles(r.Sim.N, r.Sim.N, shots)
-		greedy.add(r.EvaluateMask(ci, rec, len(shots)))
+		greedy.add(r.scoreShots(ci, fracture.GreedyCircles(r.PixelMask("MultiILT", ci), gc)))
 	}
 	t.Rows = append(t.Rows,
 		append([]string{"CircleRule"}, rule.row()...),

@@ -80,7 +80,7 @@ func NewRunner(o Options) (*Runner, error) {
 	} else {
 		for _, id := range o.Cases {
 			if id < 1 || id > len(all) {
-				return nil, fmt.Errorf("bench: case %d out of range", id)
+				return nil, fmt.Errorf("case %d: the suite is cases 1..%d", id, len(all))
 			}
 			suite = append(suite, all[id-1])
 		}
@@ -156,32 +156,42 @@ func (r *Runner) RunRect(name string, ci int) metrics.Report {
 	return r.EvaluateMask(ci, mask, len(rects))
 }
 
+// scoreShots rasterizes a circle shot list and scores it against case ci:
+// the step after every fracturer.
+func (r *Runner) scoreShots(ci int, shots []geom.Circle) metrics.Report {
+	return r.EvaluateMask(ci, geom.RasterizeCircles(r.Sim.N, r.Sim.N, shots), len(shots))
+}
+
 // RunCircleRule fractures a baseline's mask with Algorithm 1 at sample
 // distance mNM and evaluates the reconstructed circular mask.
 func (r *Runner) RunCircleRule(name string, ci int, mNM float64) (metrics.Report, []geom.Circle) {
-	mask := r.PixelMask(name, ci)
-	shots := fracture.CircleRule(mask, r.ruleConfig(mNM))
-	rec := geom.RasterizeCircles(r.Sim.N, r.Sim.N, shots)
-	return r.EvaluateMask(ci, rec, len(shots)), shots
+	shots := fracture.CircleRule(r.PixelMask(name, ci), r.ruleConfig(mNM))
+	return r.scoreShots(ci, shots), shots
 }
 
-// RunCircleOpt executes the optimization-based method on case ci with
-// sample distance mNM and sparsity weight gamma (in the paper's 1 nm/px
-// scale; rescaled by 1/dx internally), memoized.
-func (r *Runner) RunCircleOpt(ci int, mNM, gamma float64) (metrics.Report, *core.Result) {
-	key := fmt.Sprintf("%d/%g/%g", ci, mNM, gamma)
-	if res, ok := r.circleOptCache[key]; ok {
-		return r.EvaluateMask(ci, res.Mask, len(res.Shots)), res
-	}
+// circleOpt is the harness's one CircleOpt: stage 2 at the runner's
+// iteration count with sparsity weight gamma (in the paper's 1 nm/px
+// scale; rescaled by 1/dx), stage 1 at its init count, seeded by CircleRule
+// at sample distance mNM. mutate, when non-nil, edits the config last (the
+// ablations' variants).
+func (r *Runner) circleOpt(mNM, gamma float64, mutate func(*core.Config)) *core.CircleOpt {
 	cfg := core.DefaultConfig(r.Sim.DX)
 	cfg.Iterations = r.Opt.CircleOptIters
 	cfg.Gamma = gamma / r.Sim.DX
-	e := &core.CircleOpt{
-		Cfg:            cfg,
-		InitIterations: r.Opt.InitIters,
-		RuleCfg:        r.ruleConfig(mNM),
+	if mutate != nil {
+		mutate(&cfg)
 	}
-	res := e.Optimize(r.Sim, r.Targets[ci])
-	r.circleOptCache[key] = res
+	return &core.CircleOpt{Cfg: cfg, InitIterations: r.Opt.InitIters, RuleCfg: r.ruleConfig(mNM)}
+}
+
+// RunCircleOpt executes the optimization-based method on case ci with
+// sample distance mNM and sparsity weight gamma, memoized.
+func (r *Runner) RunCircleOpt(ci int, mNM, gamma float64) (metrics.Report, *core.Result) {
+	key := fmt.Sprintf("%d/%g/%g", ci, mNM, gamma)
+	res, ok := r.circleOptCache[key]
+	if !ok {
+		res = r.circleOpt(mNM, gamma, nil).Optimize(r.Sim, r.Targets[ci])
+		r.circleOptCache[key] = res
+	}
 	return r.EvaluateMask(ci, res.Mask, len(res.Shots)), res
 }

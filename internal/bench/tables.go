@@ -72,6 +72,13 @@ func (a *avg) row() []string {
 	return []string{f1(a.l2 / n), f1(a.pvb / n), f1(a.epe / n), f1(a.shots / n)}
 }
 
+// report is the mean as a metrics.Report, EPE and shots rounded to the
+// nearest count.
+func (a *avg) report() metrics.Report {
+	n := float64(a.n)
+	return metrics.Report{L2: a.l2 / n, PVB: a.pvb / n, EPE: int(a.epe/n + 0.5), Shots: int(a.shots/n + 0.5)}
+}
+
 // Table1 reproduces the paper's Table 1: each SOTA pixel engine evaluated
 // raw (VSB rectangle shots) and with CircleRule fracturing; averages over
 // the selected cases.

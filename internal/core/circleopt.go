@@ -296,6 +296,9 @@ func (e *CircleOpt) Optimize(sim *litho.Simulator, target *grid.Real) *Result {
 	mosaicCfg.WL2 = e.Cfg.WL2
 	mosaicCfg.WPVB = e.Cfg.WPVB
 	rough := (&ilt.Mosaic{Cfg: mosaicCfg}).Optimize(sim, target)
+	if sim.Canceled() {
+		return e.OptimizeFromShots(sim, target, nil) // stage 1 was cut short: seed nothing
+	}
 
 	// Sparse circular reparameterization (Section 4.2) via Algorithm 1.
 	ruleCfg := e.RuleCfg
@@ -363,7 +366,7 @@ func (e *CircleOpt) OptimizeFromShots(sim *litho.Simulator, target *grid.Real, s
 	// columns Backward reads.
 	dense := &Dense{}
 	g := &Grads{X: gradFlat[0:n], Y: gradFlat[n : 2*n], R: gradFlat[2*n : 3*n], Q: gradFlat[3*n : 4*n]}
-	for it := 0; it < e.Cfg.Iterations; it++ {
+	for it := 0; it < e.Cfg.Iterations && !sim.Canceled(); it++ {
 		dense.render(p, e.Cfg, sim.N, sim.N, !e.Cfg.DisableSTE)
 		lg := sim.LossGradCols(dense.M, target, e.Cfg.WL2, e.Cfg.WPVB, dense.x0, dense.x1)
 		clear(gradFlat)

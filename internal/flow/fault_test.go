@@ -158,6 +158,73 @@ func TestTileTimeoutRetries(t *testing.T) {
 	}
 }
 
+// TestTimedOutAttemptStopsComputing: an attempt past its TileTimeout
+// returns at the next iteration boundary instead of running its remaining
+// iterations on canceled passes. One occupied 96-px window, a
+// 100-iteration CircleOpt primary, a 10 ms deadline, two retries and no
+// fallback: the tile's wall stays within three deadlines plus two
+// iterations each. The iteration is measured here, on the same tile run
+// without a deadline, as the longest gap between its heartbeats — the
+// longest step an attempt can be inside when its deadline passes — so the
+// bound scales under -race and under a loaded host.
+func TestTimedOutAttemptStopsComputing(t *testing.T) {
+	l := &layout.Layout{Name: "one", TileNM: 1024, Rects: []layout.Rect{{X: 80, Y: 70, W: 72, H: 100}}}
+	var iter time.Duration
+	free := testConfig()
+	free.CorePx, free.HaloPx = 64, 16
+	timed := free
+	timed.TileTimeout = 10 * time.Millisecond
+	timed.TileRetries = 2
+	timed.Optimize = circleOptimizer(100)
+	free.Optimize = func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
+		last, fwd := time.Now(), opt.ProgressFrom(sim.Ctx)
+		sim.Ctx = opt.WithProgress(sim.Ctx, func(it int, loss float64, at time.Time) {
+			iter, last = max(iter, at.Sub(last)), at
+			fwd(it, loss, at)
+		})
+		return timed.Optimize(sim, target)
+	}
+	occupied := func(cfg Config) TileStat {
+		t.Helper()
+		res, err := Run(l, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var hit []TileStat
+		for _, st := range res.TileStats {
+			if st.Occupied {
+				hit = append(hit, st)
+			}
+		}
+		if len(hit) != 1 || hit[0].Window != 96 {
+			t.Fatalf("want one occupied 96-px window, got %+v", hit)
+		}
+		return hit[0]
+	}
+
+	// Host noise only ever adds time, and comes in bursts: each round
+	// measures the iteration right before the timed-out run it bounds, and
+	// one round within its bound passes. Without the iteration-boundary
+	// checks every round takes several times its bound.
+	for round := 0; round < 3; round++ {
+		iter = 0
+		ref := occupied(free)
+		if ref.Wall < 3*timed.TileTimeout {
+			t.Skipf("the whole run (%s) barely outlasts the deadline", ref.Wall)
+		}
+		st := occupied(timed)
+		if st.Path != PathEmpty || st.Attempts != 3 || !strings.Contains(st.Failure, "deadline") {
+			t.Fatalf("tile stat: %+v", st)
+		}
+		bound := 3 * (timed.TileTimeout + 2*iter)
+		t.Logf("no deadline: %s for %d iterations, the longest %s; three timed-out attempts: %s (bound %s)", ref.Wall, ref.Iters, iter, st.Wall, bound)
+		if st.Wall <= bound {
+			return
+		}
+	}
+	t.Error("three timed-out attempts outlasted three deadlines plus two iterations each in every round")
+}
+
 // TestPanicRetryNaNFallbackEmpty walks all three degradation stages in
 // one run: tile 0 panics once then succeeds, tile 1 emits NaNs until the
 // fallback saves it, tile 3 fails every engine and degrades to empty —

@@ -217,14 +217,14 @@ type Config struct {
 	// on stdin/stdout — cmd/tileworker, or any binary calling
 	// procworker.ServeIfWorker.
 	WorkerCmd func() *exec.Cmd
-	// RemoteDial overrides the transport used to reach RemoteHosts
-	// (tests route through in-memory pipes here). Nil dials plain TCP.
-	RemoteDial func(ctx context.Context, addr string) (net.Conn, error)
 	// linkSilence, linkBackoff and linkCrashLimit shorten the slot
 	// supervision constants (slot.go) for this package's tests; zero,
 	// which is all a caller outside it can have, means the constant.
 	linkSilence, linkBackoff time.Duration
 	linkCrashLimit           int
+	// remoteDial replaces the TCP dial to RemoteHosts for this package's
+	// tests (in-memory pipes); nil, as outside it, dials plain TCP.
+	remoteDial func(ctx context.Context, addr string) (net.Conn, error)
 
 	// Cache, when non-nil, is the window dedup cache: each eligible tile
 	// is keyed by a canonical content hash (window target raster, owning

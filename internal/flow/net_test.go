@@ -445,7 +445,7 @@ func TestOldWorkerRefusedByVersion(t *testing.T) {
 	l := bigLayout()
 	cfg := netConfig(t, "old-worker")
 	cfg.linkCrashLimit = 2
-	cfg.RemoteDial = func(context.Context, string) (net.Conn, error) {
+	cfg.remoteDial = func(context.Context, string) (net.Conn, error) {
 		coord, worker := net.Pipe()
 		go io.Copy(io.Discard, worker) // non-task frames are skipped
 		go func() {

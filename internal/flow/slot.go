@@ -62,7 +62,7 @@ func (cfg Config) connector(jobs int) *connector {
 		// One slot per host — slots are pinned to their host, so none
 		// are dropped even when there are fewer jobs than hosts (the
 		// extra slots simply draw nothing).
-		return &connector{hosts: cfg.RemoteHosts, dial: cfg.RemoteDial, cooldown: linkCooldown}
+		return &connector{hosts: cfg.RemoteHosts, dial: cfg.remoteDial, cooldown: linkCooldown}
 	}
 	return nil
 }

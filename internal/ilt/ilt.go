@@ -172,7 +172,8 @@ func (e *Mosaic) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Real {
 // adds only exact zeros to L-BFGS's dot products, so its latent and mask
 // value never change. Each step repaints σ(θ_m·p), forms the gradient and
 // steps the optimizer on the open pixels alone, and the simulator inverts
-// the gradient only on their columns.
+// the gradient only on their columns. Like every optimizer loop, it stops
+// at the first iteration boundary after sim's context is done.
 func (c Config) descend(sim *litho.Simulator, target, p, roi *grid.Real, iters int, lbfgs bool) {
 	var open []int
 	var x []float64
@@ -205,13 +206,13 @@ func (c Config) descend(sim *litho.Simulator, target, p, roi *grid.Real, iters i
 	if lbfgs {
 		l := opt.NewLBFGS()
 		l.InitialStep = c.LearningRate
-		for it := 0; it < iters; it++ {
+		for it := 0; it < iters && !sim.Canceled(); it++ {
 			loss := l.Step(x, lossGrad)
 			opt.Beat(sim.Ctx, it, loss)
 		}
 	} else {
 		adam := opt.NewAdam(len(x), c.LearningRate)
-		for it := 0; it < iters; it++ {
+		for it := 0; it < iters && !sim.Canceled(); it++ {
 			loss, g := lossGrad(x)
 			adam.Step(x, g)
 			opt.Beat(sim.Ctx, it, loss)
@@ -288,7 +289,7 @@ func (e *LevelSet) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Real 
 		}
 		return bin
 	}
-	for it := 0; it < e.Cfg.Iterations; it++ {
+	for it := 0; it < e.Cfg.Iterations && !sim.Canceled(); it++ {
 		for i, v := range phi.Data {
 			m.Data[i] = litho.Sigmoid(-steep * v)
 		}

@@ -144,10 +144,11 @@ func (a *arena) saved(corner, k int) []*grid.Complex {
 	return a.fields[corner][:k]
 }
 
-// canceled reports whether the simulator's context (if any) is done.
+// Canceled reports whether the simulator's context (if any) is done.
 // context.Context errors are sticky, so once this returns true every
-// later check in the same pass returns true as well.
-func (s *Simulator) canceled() bool {
+// later check returns true as well: the optimizer loops test it at each
+// iteration boundary and stop, since every pass after it is incomplete.
+func (s *Simulator) Canceled() bool {
 	return s.Ctx != nil && s.Ctx.Err() != nil
 }
 
@@ -318,7 +319,7 @@ func (s *Simulator) forward(a *arena, corner int, set *optics.KernelSet, kc int,
 	acc := a.inten[corner]
 	clear(acc)
 	for ki := 0; ki < kc; ki++ {
-		if s.canceled() {
+		if s.Canceled() {
 			break // abandoned pass: the accumulator stays incomplete
 		}
 		k := &set.Kernels[ki]
@@ -368,7 +369,7 @@ func (s *Simulator) backward(a *arena, sets [2]*optics.KernelSet, kc [2]int, fie
 	}
 	for corner, set := range sets {
 		for ki := 0; ki < kc[corner]; ki++ {
-			if s.canceled() {
+			if s.Canceled() {
 				break // abandoned pass: the gradient stays incomplete
 			}
 			k := &set.Kernels[ki]
