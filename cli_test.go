@@ -3,15 +3,18 @@ package cfaopc_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -29,7 +32,7 @@ var tools = []struct {
 	driven bool
 }{
 	{"cfaopc", true},
-	{"cfaopcd", false},
+	{"cfaopcd", true},
 	{"evalmask", true},
 	{"genlayout", true},
 	{"kernelinfo", false},
@@ -707,7 +710,7 @@ func TestCLIPaperPitchTiledRun(t *testing.T) {
 }
 
 // TestCLIUnfinishedRunKeepsMask: -mask-out is written once, after the
-// last tile. A run drained by SIGINT exits 3 and leaves the complete
+// last tile. A run interrupted by SIGINT exits 3 and leaves the complete
 // mask an earlier run put at that path byte for byte — the parent
 // truncated it at launch and left a 15-byte header promising 512 rows —
 // and a path whose directory cannot take the file is still refused at
@@ -734,11 +737,11 @@ func TestCLIUnfinishedRunKeepsMask(t *testing.T) {
 	}
 	victim.Process.Signal(os.Interrupt)
 	var exit *exec.ExitError
-	if err := victim.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 3 || !strings.Contains(out.String(), "drained: ") {
-		t.Fatalf("SIGINT mid-run: %v, want exit 3 and a drained summary:\n%s", err, out.String())
+	if err := victim.Wait(); !errors.As(err, &exit) || exit.ExitCode() != 3 || !strings.Contains(out.String(), "interrupted: ") {
+		t.Fatalf("SIGINT mid-run: %v, want exit 3 and an interrupted summary:\n%s", err, out.String())
 	}
 	if !bytes.Equal(readFile(t, work, "keep.pgm"), kept) {
-		t.Error("the drained run touched the mask an earlier run left at -mask-out")
+		t.Error("the interrupted run touched the mask an earlier run left at -mask-out")
 	}
 
 	refused := exec.Command(cfaopc, "-case", "4", "-grid", "128", "-method", "circlerule", "-stream", "-mask-out", "nodir/m.pgm")
@@ -746,4 +749,121 @@ func TestCLIUnfinishedRunKeepsMask(t *testing.T) {
 	if msg, err := refused.CombinedOutput(); err == nil || !bytes.Contains(msg, []byte("-mask-out is not writable")) || bytes.Contains(msg, []byte("tile")) {
 		t.Errorf("unwritable -mask-out: %v, want a refusal before the first tile:\n%s", err, msg)
 	}
+}
+
+// TestCLIDaemonStopResumes drives cfaopcd end to end: a tiled job is
+// posted over HTTP, SIGTERM lands after its first tile, and the daemon
+// exits 0 with its shutdown line. Restarted on the same -data, it
+// resumes the job from its checkpoint — the event stream carries
+// resumed tiles — to the shot list cfaopc -job writes for the same spec.
+func TestCLIDaemonStopResumes(t *testing.T) {
+	bin := buildTools(t, "cfaopc", "cfaopcd")
+	work := t.TempDir()
+	spec := `{"case":4,"grid":512,"method":"circleopt","tile_core":64,"tile_halo":32,"iters":24}`
+	if err := os.WriteFile(filepath.Join(work, "job.json"), []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runCLI(t, work, bin("cfaopc"), "-job", "job.json", "-out", "ref")
+	data := filepath.Join(work, "data")
+
+	// start launches cfaopcd on a free port and returns it with its base
+	// URL once <data>/addr names the bound address.
+	start := func() (*exec.Cmd, *bytes.Buffer, string) {
+		t.Helper()
+		addr := filepath.Join(data, "addr")
+		os.Remove(addr)
+		var out bytes.Buffer
+		d := exec.Command(bin("cfaopcd"), "-listen", "127.0.0.1:0", "-data", data)
+		d.Stdout, d.Stderr = &out, &out
+		if err := d.Start(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() {
+			if d.ProcessState == nil {
+				d.Process.Kill()
+				d.Wait()
+			}
+		})
+		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			if b, err := os.ReadFile(addr); err == nil && bytes.HasSuffix(b, []byte("\n")) {
+				return d, &out, "http://" + strings.TrimSpace(string(b))
+			}
+		}
+		d.Process.Kill()
+		d.Wait()
+		t.Fatalf("cfaopcd never wrote %s:\n%s", addr, out.String())
+		return nil, nil, ""
+	}
+	// events reads the job's SSE stream from its first event until stop
+	// accepts one or the stream ends.
+	events := func(base, id string, stop func(server.JobEvent) bool) []server.JobEvent {
+		t.Helper()
+		resp, err := http.Get(base + "/jobs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var evs []server.JobEvent
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			payload, ok := strings.CutPrefix(sc.Text(), "data: ")
+			if !ok {
+				continue
+			}
+			var ev server.JobEvent
+			if err := json.Unmarshal([]byte(payload), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if evs = append(evs, ev); stop(ev) {
+				break
+			}
+		}
+		return evs
+	}
+	sigterm := func(d *exec.Cmd, out *bytes.Buffer) {
+		t.Helper()
+		d.Process.Signal(syscall.SIGTERM)
+		if err := d.Wait(); err != nil || !strings.Contains(out.String(), "signal: shutting down") {
+			t.Fatalf("SIGTERM: %v, want exit 0 and the shutdown line:\n%s", err, out.String())
+		}
+	}
+
+	d, out, base := start()
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st server.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /jobs: %s, %v", resp.Status, err)
+	}
+	events(base, st.ID, func(ev server.JobEvent) bool { return ev.Kind == "tile" })
+	sigterm(d, out)
+
+	d, out, base = start()
+	evs := events(base, st.ID, func(server.JobEvent) bool { return false })
+	resumed := 0
+	for _, ev := range evs {
+		if ev.Kind == "tile" && ev.Resumed {
+			resumed++
+		}
+	}
+	if last := evs[len(evs)-1]; last.Kind != "state" || last.State != string(server.JobDone) || resumed == 0 {
+		t.Fatalf("restarted job ended with %+v after %d resumed tiles; want done with at least one", last, resumed)
+	}
+	resp, err = http.Get(base + "/jobs/" + st.ID + "/shots")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shots, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET shots: %s, %v", resp.Status, err)
+	}
+	if !bytes.Equal(shots, readFile(t, work, "ref", "shots.csv")) {
+		t.Error("the resumed daemon job's shots.csv differs from cfaopc -job's")
+	}
+	sigterm(d, out)
 }

@@ -23,11 +23,12 @@
 // -tile-workers bounds the windows optimized concurrently (output is
 // identical at any count); windows are the only unit of parallelism.
 //
-// Runs are fault-tolerant: SIGINT/SIGTERM cancels promptly, a tile
-// that panics, times out (-tile-timeout) or emits invalid output is
-// retried (-tile-retries), degraded to the -fallback method, then to an
-// empty tile; -checkpoint journals completed tiles so an interrupted run
-// resumes where it stopped with bit-identical output.
+// Runs are fault-tolerant: SIGINT/SIGTERM cancels promptly and exits 3
+// (a second signal kills), a tile that panics, times out (-tile-timeout)
+// or emits invalid output is retried (-tile-retries), degraded to the
+// -fallback method, then to an empty tile; -checkpoint journals
+// completed tiles, and fsyncs them when the run is interrupted, so an
+// interrupted run resumes where it stopped with bit-identical output.
 //
 // Runs are memory-bounded: windows are rasterized on demand from the
 // rect geometry, -stream skips the dense stitched mask entirely, and
@@ -50,7 +51,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -297,38 +297,19 @@ func readSpec(path string) *server.JobSpec {
 	return spec
 }
 
-// run takes cfg through server.Run under the two-stage shutdown and
-// prints the flow report. A drained run exits 3 here.
+// run takes cfg through server.Run and prints the flow report. The
+// first SIGINT or SIGTERM cancels the run: in-flight tiles stop within
+// one kernel convolution, the tiles finished before it are journaled
+// and fsynced, and the run exits 3 here. Once the run is canceled the
+// default handlers are back, so a second signal kills the process.
 func run(l *layout.Layout, cfg flow.Config, o server.RunOpts) *flow.Result {
-	// Two-stage shutdown. The first SIGINT/SIGTERM drains the tiled
-	// flow: no new tiles dispatch, in-flight tiles finish and are
-	// checkpointed, and the run exits nonzero with a drained summary. A
-	// second signal cancels hard — in-flight tiles stop within one
-	// kernel convolution. A third falls through to the default handler.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	drainCh := make(chan struct{})
-	sigCh := make(chan os.Signal, 2) // both stages' signals, even if they arrive back to back
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigCh
-		log.Print("signal: draining — in-flight tiles finish and checkpoint; signal again to cancel hard")
-		close(drainCh)
-		<-sigCh
-		log.Print("signal: hard cancel")
-		cancel()
-		signal.Reset(os.Interrupt, syscall.SIGTERM)
-	}()
-	o.Drain = drainCh
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	context.AfterFunc(ctx, stop)
 
 	res, err := server.Run(ctx, l, cfg, o)
-	if errors.Is(err, flow.ErrDrained) {
-		// Graceful shutdown: everything that finished is journaled;
-		// no stitched output is written (the shot list is incomplete
-		// by construction, so there is no mask to rasterize from it).
-		fmt.Printf("drained: %d of %d tiles completed and checkpointed; no stitched output written\n",
-			res.Completed, res.Tiles)
-		printLinkSummary(res)
+	if err != nil && ctx.Err() != nil {
+		fmt.Println("interrupted: run canceled by signal; no stitched output written")
 		if o.Checkpoint != "" {
 			fmt.Printf("resume: re-run with the same flags and -checkpoint %s\n", o.Checkpoint)
 		}

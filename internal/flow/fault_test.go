@@ -341,6 +341,17 @@ func sameResult(t *testing.T, got, want *Result) {
 	}
 }
 
+// everyTileDone fails unless every occupied tile of a finished run
+// records the rung that produced it.
+func everyTileDone(t *testing.T, res *Result) {
+	t.Helper()
+	for _, st := range res.TileStats {
+		if st.Occupied && st.Path == "" {
+			t.Fatalf("occupied tile %d has no outcome path: %+v", st.Index, st)
+		}
+	}
+}
+
 // TestFaultDeterminismAndResume is the acceptance contract: a run that
 // suffers deterministic faults, is canceled mid-chip, checkpoints, and
 // resumes (through a torn journal tail) produces byte-identical output

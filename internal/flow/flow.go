@@ -103,12 +103,6 @@ type Optimizer func(sim *litho.Simulator, target *grid.Real) []geom.Circle
 // wedged, not slow.
 var ErrStalled = errors.New("optimizer stalled")
 
-// ErrDrained marks a run stopped by Config.Drain: no new tiles were
-// dispatched after the drain signal, in-flight tiles finished and were
-// checkpointed, and RunContext returned the partial Result alongside
-// this error — the only error RunContext pairs with a non-nil Result.
-var ErrDrained = errors.New("flow: run drained before completion")
-
 // Config controls the tiling.
 type Config struct {
 	// GridN is the pixel count across the full layout.
@@ -238,13 +232,6 @@ type Config struct {
 	// served to a twin.
 	Cache *wcache.Cache
 
-	// Drain, when non-nil and closed mid-run, stops dispatching new
-	// tiles: in-flight tiles finish and are journaled, the checkpoint is
-	// synced, and RunContext returns its partial Result with ErrDrained.
-	// This is the graceful half of two-stage shutdown; hard cancellation
-	// stays on the context.
-	Drain <-chan struct{}
-
 	// Events, when non-nil, receives the run's live progress stream:
 	// one EventBeat per optimizer heartbeat (forwarded across the
 	// process and network boundaries in proc/remote mode) and exactly
@@ -332,9 +319,6 @@ type Result struct {
 	Stalled     int // tiles where the stall watchdog killed an attempt
 	Quarantined int // tiles that wrote a quarantine repro bundle
 
-	// Completed counts tiles accounted for (computed or replayed); it
-	// equals Tiles except on a drained run.
-	Completed int
 	// LinkCrashes totals failed worker dispatches across the run (spawn
 	// and connect failures, refused handshakes, worker deaths, link
 	// drops, silence kills, worker-reported task errors); LinkBroken
@@ -931,9 +915,10 @@ func (cfg Config) window() int { return cfg.CorePx + 2*cfg.HaloPx }
 
 // RunContext is Run under a context: cancellation (SIGINT, deadline)
 // stops the worker pool and the in-flight simulations promptly and
-// returns ctx.Err(). Completed tiles are still journaled when
-// checkpointing is enabled, so a canceled run resumes where it stopped.
-// It reads validate → plan → replay → execute → reduce.
+// returns a nil Result with ctx.Err(). Tiles finished before the cancel
+// are journaled and fsynced before it returns, so a canceled run resumes
+// where it stopped even after a crash. It reads validate → plan →
+// replay → execute → reduce.
 func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -964,11 +949,6 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	env.ix = layout.NewWindowIndex(l, cfg.GridN)
 	plan := planTiles(cfg)
 	outs := make([]tileOut, len(plan))
-	// Prefill identity so a drained run's stats stay truthful for tiles
-	// that were never dispatched.
-	for _, j := range plan {
-		outs[j.index].stat = j.stat(cfg)
-	}
 
 	// Replay the checkpoint journal, if any.
 	jobs, resumed, err := env.replay(plan, outs)
@@ -985,11 +965,8 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	// complete folds one finished tile into the shared run state. It is
 	// the single sink every lane feeds, so checkpointing behaves
 	// identically in every dispatch mode.
-	var completed atomic.Int64
-	completed.Store(int64(resumed))
 	complete := func(j tileJob, out tileOut) {
 		outs[j.index] = out
-		completed.Add(1)
 		env.emitTile(j.index, out.stat)
 		if ctx.Err() == nil {
 			env.journal.tile(out)
@@ -1011,34 +988,22 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 			}
 		}(ln)
 	}
-	drained := false
 feed:
 	for _, j := range jobs {
 		select {
 		case jobCh <- j:
 		case <-ctx.Done():
 			break feed
-		case <-cfg.Drain: // nil channel: never fires
-			drained = true
-			break feed
 		}
 	}
 	close(jobCh)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if drained {
 		env.journal.sync()
+		return nil, err
 	}
 	res := env.reduce(outs, len(lanes))
 	res.Resumed = resumed
-	res.Completed = int(completed.Load())
-	if drained {
-		// Graceful shutdown: hand back the partial result for reporting —
-		// the shot list is incomplete by construction.
-		return res, ErrDrained
-	}
 	return res, nil
 }
 

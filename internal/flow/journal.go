@@ -12,8 +12,9 @@ import (
 
 // tileJournal is the run's checkpoint journal and the only code that
 // knows its record format: the header fingerprint, the record's gob
-// codec, replay, the tile append and the drain barrier. A nil *tileJournal is a run without a
-// checkpoint: every method is a no-op on it.
+// codec, replay, the tile append and the cancel barrier. A nil
+// *tileJournal is a run without a checkpoint: every method is a no-op on
+// it.
 //
 // It keeps no health flag of its own. checkpoint.Journal poisons itself
 // on the first failed append or fsync and never retries on that fd, so
@@ -163,13 +164,13 @@ func (t *tileJournal) tile(out tileOut) {
 	}
 }
 
-// sync is the drain barrier: everything appended so far is durable once
-// it returns on a healthy journal, so a resume picks up exactly where the
-// drain stopped dispatch. A sync failure degrades the run like any other
-// checkpoint fault.
+// sync is the cancel barrier, called once the lanes of a canceled run
+// have stopped: every tile appended so far is durable once it returns on
+// a healthy journal, so a resume after a crash picks up exactly where the
+// cancel stopped the run. A finished run does not call it.
 func (t *tileJournal) sync() {
 	if t.healthy() {
-		_ = t.j.Sync() // as in tile: the poisoned journal is the report
+		_ = t.j.Sync() // a canceled run has no Result to report it in; a resume replays what reached the disk
 	}
 }
 

@@ -195,8 +195,8 @@ func TestNetValidation(t *testing.T) {
 // third a partitioned address that circuit-breaks its slot into the
 // local ladder. The run completes, the degradations are recorded, and
 // shots and stats are byte-identical to the serial in-process
-// reference. A second leg interrupts the run mid-tile
-// (drain + checkpoint) and resumes it, again byte-identically.
+// reference. A second leg cancels the run mid-tile (checkpointed) and
+// resumes it, again byte-identically.
 func TestNetAcceptance(t *testing.T) {
 	l := quadLayout()
 	plan := FaultPlan{
@@ -229,9 +229,7 @@ func TestNetAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != 4 {
-		t.Fatalf("Completed = %d, want 4", res.Completed)
-	}
+	everyTileDone(t, res)
 	// The partitioned slot alone burns linkCrashLimit dials before its
 	// breaker opens; the scripted kills add more when their tiles land on
 	// a live host. Exact counts depend on which slot drew which tile, so
@@ -244,49 +242,37 @@ func TestNetAcceptance(t *testing.T) {
 	}
 	sameResult(t, res, ref)
 
-	// Interrupt + resume: every tile is slow enough that the drain fires
-	// while the first wave is in flight (tile 4 never dispatches), the
-	// journal holds what finished, and the resumed run replays to
-	// byte-identical output.
-	slow := Fault{Sleep: 200 * time.Millisecond}
-	plan2 := FaultPlan{0: {slow}, 1: {slow}, 2: {slow}, 3: {slow}}
+	// Interrupt + resume: tile 3 is dispatched only once a lane has
+	// finished (and journaled) an earlier tile, and it heartbeats until
+	// the run is canceled on its first beat. The resumed run replays
+	// what finished to byte-identical output.
+	plan2 := FaultPlan{3: {{Sleep: 10 * time.Second, BeatEvery: 10 * time.Millisecond}}}
 	writeFaultPlan(t, planFile, plan2)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	mk2 := func() Config {
-		cfg := mk(plan2)
-		cfg.CheckpointPath = ckpt
-		return cfg
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := mk(plan2)
+	cfg.CheckpointPath = ckpt
+	cfg.Events = func(ev Event) {
+		if ev.Kind == EventBeat && ev.Tile == 3 {
+			cancel()
+		}
 	}
-	ref2cfg := serialRef(mk2())
-	ref2cfg.CheckpointPath = ""
-	ref2, err := Run(l, ref2cfg)
+	if cres, err := RunContext(ctx, l, cfg); cres != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: result %v, err %v; want no result and context.Canceled", cres, err)
+	}
+
+	writeFaultPlan(t, planFile, nil)
+	cfg = mk(nil)
+	cfg.CheckpointPath = ckpt
+	res2, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	drain := make(chan struct{})
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		close(drain)
-	}()
-	cfg := mk2()
-	cfg.Drain = drain
-	dres, err := RunContext(context.Background(), l, cfg)
-	if !errors.Is(err, ErrDrained) {
-		t.Fatalf("drained run err = %v, want ErrDrained", err)
+	if res2.Resumed <= 0 || res2.Resumed >= res2.Tiles {
+		t.Fatalf("resumed %d of %d tiles; the cancel landed outside the run", res2.Resumed, res2.Tiles)
 	}
-	if dres == nil || dres.Completed == 0 || dres.Completed == dres.Tiles {
-		t.Fatalf("drained run completed %d of %d tiles; the drain landed outside the run", dres.Completed, dres.Tiles)
-	}
-
-	res2, err := Run(l, mk2())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Resumed != dres.Completed {
-		t.Fatalf("resumed %d tiles, want the %d the drained run checkpointed", res2.Resumed, dres.Completed)
-	}
-	sameResult(t, res2, ref2)
+	sameResult(t, res2, ref)
 
 	// A link cut in the middle of a CircleOpt tile: beats are frames, so
 	// the cut lands after the handshake answer and five heartbeats of
@@ -387,9 +373,7 @@ func TestNetMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if res.Completed != res.Tiles {
-					t.Fatalf("completed %d of %d tiles", res.Completed, res.Tiles)
-				}
+				everyTileDone(t, res)
 				if kind == "partition" {
 					if res.LinkBroken < 1 {
 						t.Errorf("LinkBroken = %d, want >= 1", res.LinkBroken)
@@ -421,9 +405,7 @@ func TestNetZeroHostsDegradesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed != res.Tiles {
-		t.Fatalf("completed %d of %d tiles", res.Completed, res.Tiles)
-	}
+	everyTileDone(t, res)
 	for _, st := range res.TileStats {
 		if st.Host != "" || st.Proc {
 			t.Errorf("tile %d claims remote/proc provenance: %+v", st.Index, st)

@@ -196,9 +196,7 @@ func TestProcAcceptance(t *testing.T) {
 	if res.LinkBroken != 1 {
 		t.Fatalf("LinkBroken = %d, want 1", res.LinkBroken)
 	}
-	if res.Completed != 4 {
-		t.Fatalf("Completed = %d, want 4", res.Completed)
-	}
+	everyTileDone(t, res)
 	for idx, want := range map[int]struct {
 		proc    bool
 		crashes int
@@ -398,31 +396,24 @@ func TestNonWorkerBinarySilenceBreaks(t *testing.T) {
 	sameResult(t, res, ref)
 }
 
-// TestDrainInProcess: the graceful-drain channel stops dispatch after
-// the in-flight tile, the run returns ErrDrained with a truthful
-// partial result, and a resume completes it byte-identically.
-func TestDrainInProcess(t *testing.T) {
-	testDrain(t, false)
+// TestCancelResumeInProcess: a run canceled mid-chip returns no Result,
+// the tile that finished before the cancel is in the journal, and a
+// resume completes the run byte-identically.
+func TestCancelResumeInProcess(t *testing.T) {
+	testCancelResume(t, false)
 }
 
-// TestProcDrainResume is the same drain contract in proc mode, with a
-// worker crash thrown in before the drain point: crash, respawn,
-// drain, checkpoint, resume — stitched output still byte-identical to
-// the uninterrupted serial reference.
-func TestProcDrainResume(t *testing.T) {
-	testDrain(t, true)
+// TestProcCancelResume is the same cancel contract in proc mode, with a
+// worker crash thrown in before the interrupt: crash, respawn, cancel,
+// checkpoint, resume — stitched output still byte-identical to the
+// uninterrupted serial reference.
+func TestProcCancelResume(t *testing.T) {
+	testCancelResume(t, true)
 }
 
-func testDrain(t *testing.T, proc bool) {
+func testCancelResume(t *testing.T, proc bool) {
 	l := quadLayout()
-	// Tile 0 is slow enough that the drain fires while it is in flight;
-	// in proc mode it additionally loses its first worker mid-tile.
-	script := Fault{Sleep: 500 * time.Millisecond}
-	if proc {
-		script.Kill = 1
-	}
-	plan := FaultPlan{0: {script}}
-	mk := func() Config {
+	mk := func(plan FaultPlan) Config {
 		cfg := procConfig(t)
 		if !proc {
 			cfg.ProcWorkers = 0
@@ -432,55 +423,45 @@ func testDrain(t *testing.T, proc bool) {
 		}
 		return faultedProc(t, cfg, plan)
 	}
-
-	ref, err := Run(l, serialRef(mk()))
+	// On the one lane, tile 0 finishes (in proc mode after losing its
+	// first worker mid-tile) and is journaled before tile 1 starts; tile
+	// 1 heartbeats until the run is canceled on its first beat.
+	crash := FaultPlan{}
+	if proc {
+		crash[0] = []Fault{{Kill: 1}}
+	}
+	ref, err := Run(l, serialRef(mk(crash)))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Drained run: with one worker and an unbuffered job channel, the
-	// feeder is still holding tile 1 when the drain closes, so exactly
-	// the in-flight tile completes.
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-	drain := make(chan struct{})
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		close(drain)
-	}()
-	cfg := mk()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := mk(FaultPlan{0: crash[0], 1: {{Sleep: 10 * time.Second, BeatEvery: 10 * time.Millisecond}}})
 	cfg.CheckpointPath = ckpt
-	cfg.Drain = drain
-	res, err := RunContext(context.Background(), l, cfg)
-	if !errors.Is(err, ErrDrained) {
-		t.Fatalf("drained run err = %v, want ErrDrained", err)
+	cfg.Events = func(ev Event) {
+		if ev.Kind == EventBeat && ev.Tile == 1 {
+			cancel()
+		}
 	}
-	if res == nil {
-		t.Fatal("drained run returned no result")
-	}
-	if res.Completed != 1 {
-		t.Fatalf("drained run completed %d tiles, want 1", res.Completed)
-	}
-	if st := res.TileStats[0]; st.Path != PathPrimary {
-		t.Fatalf("in-flight tile stat after drain: %+v", st)
-	}
-	if st := res.TileStats[1]; st.Path != "" || st.Attempts != 0 {
-		t.Fatalf("undispatched tile has activity: %+v", st)
-	}
-	if proc && res.LinkCrashes != 1 {
-		t.Fatalf("drained run LinkCrashes = %d, want 1", res.LinkCrashes)
+	if res, err := RunContext(ctx, l, cfg); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run: result %v, err %v; want no result and context.Canceled", res, err)
 	}
 
-	// Resume: tile 0 replays from the journal, the rest compute.
-	cfg = mk()
+	cfg = mk(crash)
 	cfg.CheckpointPath = ckpt
-	res2, err := Run(l, cfg)
+	res, err := Run(l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Resumed != 1 {
-		t.Fatalf("resumed %d tiles, want 1", res2.Resumed)
+	if res.Resumed <= 0 || res.Resumed >= res.Tiles {
+		t.Fatalf("resumed %d of %d tiles; the cancel landed outside the run", res.Resumed, res.Tiles)
 	}
-	sameResult(t, res2, ref)
+	if proc && res.TileStats[0].ProcCrashes != 1 {
+		t.Fatalf("journaled tile 0 records %d worker crashes, want the 1 before the interrupt", res.TileStats[0].ProcCrashes)
+	}
+	sameResult(t, res, ref)
 }
 
 // recSink counts the beats a ServeTask emits.

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cfaopc/internal/checkpoint"
 	"cfaopc/internal/testkit/faultfs"
@@ -152,6 +154,57 @@ func minBudget(a, b int64) int64 {
 	return a
 }
 
+// TestCanceledRunSyncsJournal: a canceled run fsyncs its checkpoint
+// journal after the last tile it appended, so what finished before the
+// cancel survives a crash, not only the page cache. A run that finishes
+// issues no fsync on the journal at all.
+func TestCanceledRunSyncsJournal(t *testing.T) {
+	l := quadLayout()
+	for _, canceled := range []bool{false, true} {
+		root := t.TempDir()
+		rec := faultfs.NewRecorder(nil, root)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg := storageConfig()
+		cfg.FS = rec
+		cfg.CheckpointPath = filepath.Join(root, "flow.ckpt")
+		if canceled {
+			// Tile 0 finishes and is journaled on the one lane; tile 1
+			// heartbeats until the run is canceled on its first beat.
+			cfg = withFaults(cfg, FaultPlan{1: {{Sleep: 10 * time.Second, BeatEvery: 10 * time.Millisecond}}})
+			cfg.Events = func(ev Event) {
+				if ev.Kind == EventBeat && ev.Tile == 1 {
+					cancel()
+				}
+			}
+		}
+		_, err := RunContext(ctx, l, cfg)
+		if canceled != errors.Is(err, context.Canceled) || !canceled && err != nil {
+			t.Fatalf("canceled=%v: run err %v", canceled, err)
+		}
+		lastWrite, lastSync, writes := -1, -1, 0
+		for i, op := range rec.Ops() {
+			if op.Path != "flow.ckpt" {
+				continue
+			}
+			switch op.Kind {
+			case faultfs.OpWrite:
+				lastWrite, writes = i, writes+1
+			case faultfs.OpSync:
+				lastSync = i
+			}
+		}
+		switch {
+		case writes < 3: // magic, header, at least one tile record
+			t.Fatalf("canceled=%v: %d journal writes, want a tile record after the header", canceled, writes)
+		case canceled && lastSync < lastWrite:
+			t.Errorf("canceled run: no fsync after the journal's last append (op %d, last sync %d)", lastWrite, lastSync)
+		case !canceled && lastSync >= 0:
+			t.Errorf("finished run fsynced its journal (op %d)", lastSync)
+		}
+	}
+}
+
 // TestCrashConsistency is the flow half of the tentpole harness: record
 // every filesystem mutation of a checkpointed run, then for EVERY
 // write-op prefix (plus a torn variant of each journal write)
@@ -201,9 +254,7 @@ func TestCrashConsistency(t *testing.T) {
 		if !reflect.DeepEqual(res.Shots, ref.Shots) {
 			t.Fatal("recovered run's shots diverged from reference")
 		}
-		if res.Resumed+res.Completed < res.Tiles {
-			t.Fatalf("recovered run incomplete: %+v", res)
-		}
+		everyTileDone(t, res)
 	}
 
 	stride := 1

@@ -98,7 +98,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.Status(r.PathValue("id"))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			writeAPIError(w, http.StatusNotFound, "not_found", err, 0)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
@@ -106,7 +106,7 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("POST /jobs/{id}/cancel", func(w http.ResponseWriter, r *http.Request) {
 		st, err := m.Cancel(r.PathValue("id"))
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
+			writeAPIError(w, http.StatusNotFound, "not_found", err, 0)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
@@ -154,7 +154,7 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	}
 	sub, err := m.Subscribe(id, since, sseBufCap)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		writeAPIError(w, http.StatusNotFound, "not_found", err, 0)
 		return
 	}
 	defer m.Unsubscribe(id, sub)
@@ -241,11 +241,11 @@ func serveArtifact(m *Manager, w http.ResponseWriter, r *http.Request, contentTy
 	id := r.PathValue("id")
 	st, err := m.Status(id)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		writeAPIError(w, http.StatusNotFound, "not_found", err, 0)
 		return
 	}
 	if st.State != JobDone {
-		http.Error(w, fmt.Sprintf("job %s is %s; its artifacts exist once it is done", id, st.State), http.StatusConflict)
+		writeAPIError(w, http.StatusConflict, "not_ready", fmt.Errorf("job %s is %s; its artifacts exist once it is done", id, st.State), 0)
 		return
 	}
 	w.Header().Set("Content-Type", contentType)

@@ -427,6 +427,48 @@ func TestHTTPMaskConflictUntilDone(t *testing.T) {
 	httpGetBytes(t, ts.URL+"/jobs/"+st.ID+"/shots", http.StatusOK)
 }
 
+// TestHTTPErrorsAreAPIErrors: every error the job routes answer is the
+// apiError JSON body with a machine-readable reason — an unknown ID on
+// each route, and the artifacts of a job that is not done yet.
+func TestHTTPErrorsAreAPIErrors(t *testing.T) {
+	root := testLayoutRoot(t)
+	_, ts := newTestService(t, root, 1, 4, false)
+	queued, resp := postJob(t, ts.URL, fastSpecJSON)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+	for _, tc := range []struct {
+		method, path string
+		code         int
+		reason       string
+	}{
+		{"GET", "/jobs/nope", http.StatusNotFound, "not_found"},
+		{"POST", "/jobs/nope/cancel", http.StatusNotFound, "not_found"},
+		{"GET", "/jobs/nope/events", http.StatusNotFound, "not_found"},
+		{"GET", "/jobs/nope/mask", http.StatusNotFound, "not_found"},
+		{"GET", "/jobs/nope/shots", http.StatusNotFound, "not_found"},
+		{"GET", "/jobs/" + queued.ID + "/mask", http.StatusConflict, "not_ready"},
+		{"GET", "/jobs/" + queued.ID + "/shots", http.StatusConflict, "not_ready"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body apiError
+		decodeErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || resp.Header.Get("Content-Type") != "application/json" ||
+			decodeErr != nil || body.Reason != tc.reason || body.Error == "" {
+			t.Errorf("%s %s: %d %q, body %+v (%v); want %d application/json with reason %q",
+				tc.method, tc.path, resp.StatusCode, resp.Header.Get("Content-Type"), body, decodeErr, tc.code, tc.reason)
+		}
+	}
+}
+
 func waitState(t *testing.T, base, id string, want JobState) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)

@@ -33,9 +33,6 @@ type RunOpts struct {
 	// Events observes the flow's heartbeats and tile completions; it
 	// must never block (see flow.EventSink).
 	Events flow.EventSink
-	// Drain, when closed, stops dispatching new tiles; in-flight tiles
-	// finish and checkpoint, and the run returns flow.ErrDrained.
-	Drain <-chan struct{}
 	// FS is the filesystem seam every artifact write goes through —
 	// the flow checkpoint, quarantine bundles, the shot CSV and the
 	// mask PGM. nil means the real filesystem.
@@ -114,25 +111,25 @@ func RunSpec(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*
 // Run executes cfg over l and, once the flow has returned every tile,
 // writes the artifacts o names: the beam-ordered shot CSV first (the
 // product), then the mask PGM rasterized from the same shots, both
-// fsynced before Run returns. The plumbing fields of cfg that RunOpts
-// also names (CheckpointPath, FS, Cache, Events, Drain) are Run's to
-// set — whatever cfg held is replaced.
+// fsynced before Run returns. It returns a Result only with a nil
+// error. The plumbing fields of cfg that RunOpts also names
+// (CheckpointPath, FS, Cache, Events) are Run's to set — whatever cfg
+// held is replaced.
 func Run(ctx context.Context, l *layout.Layout, cfg flow.Config, o RunOpts) (*flow.Result, error) {
-	cfg.CheckpointPath, cfg.FS, cfg.Cache = o.Checkpoint, o.FS, o.Cache
-	cfg.Events, cfg.Drain = o.Events, o.Drain
+	cfg.CheckpointPath, cfg.FS, cfg.Cache, cfg.Events = o.Checkpoint, o.FS, o.Cache, o.Events
 	res, err := flow.RunContext(ctx, l, cfg)
 	if err != nil {
-		return res, err
+		return nil, err
 	}
 	if o.ShotsPath != "" {
 		dx := float64(l.TileNM) / float64(cfg.GridN)
 		if err := WriteShots(o.FS, o.ShotsPath, res.Shots, dx); err != nil {
-			return res, err
+			return nil, err
 		}
 	}
 	if o.MaskPath != "" {
 		if err := WriteMask(o.FS, o.MaskPath, cfg.GridN, res.Shots); err != nil {
-			return res, err
+			return nil, err
 		}
 	}
 	return res, nil

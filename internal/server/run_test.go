@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cfaopc/internal/checkpoint"
-	"cfaopc/internal/flow"
 	"cfaopc/internal/fracture"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/iox"
@@ -238,9 +237,9 @@ func TestFlowConfigPhysicalWindowFloor(t *testing.T) {
 }
 
 // TestRunSpecCanceledContextAborts: the mask is written once, after
-// success. A run that is canceled or drained returns an error and leaves
-// the mask path exactly as it found it — a complete mask from an earlier
-// run stays byte for byte, and no file appears where there was none.
+// success. A canceled run returns no Result and an error, and leaves the
+// mask path exactly as it found it — a complete mask from an earlier run
+// stays byte for byte, and no file appears where there was none.
 func TestRunSpecCanceledContextAborts(t *testing.T) {
 	root := testLayoutRoot(t)
 	spec, err := parseSpecString(t, fastSpecJSON)
@@ -253,35 +252,24 @@ func TestRunSpecCanceledContextAborts(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	drained := make(chan struct{})
-	close(drained)
 	earlier := []byte("P5\n1 1\n255\n\xff")
-	for name, tc := range map[string]struct {
-		ctx   context.Context
-		drain <-chan struct{}
-		want  error
-	}{
-		"canceled": {canceled, nil, context.Canceled},
-		"drained":  {context.Background(), drained, flow.ErrDrained},
-	} {
-		dir := t.TempDir()
-		kept, absent := filepath.Join(dir, "kept.pgm"), filepath.Join(dir, "absent.pgm")
-		if err := os.WriteFile(kept, earlier, 0o644); err != nil {
-			t.Fatal(err)
+	dir := t.TempDir()
+	kept, absent := filepath.Join(dir, "kept.pgm"), filepath.Join(dir, "absent.pgm")
+	if err := os.WriteFile(kept, earlier, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, maskPath := range []string{kept, absent} {
+		o := RunOpts{MaskPath: maskPath, ShotsPath: filepath.Join(dir, "shots.csv")}
+		if res, err := RunSpec(canceled, l, spec, o); res != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("canceled run: result %v, err %v; want no result and %v", res, err, context.Canceled)
 		}
-		for _, maskPath := range []string{kept, absent} {
-			o := RunOpts{MaskPath: maskPath, ShotsPath: filepath.Join(dir, "shots.csv"), Drain: tc.drain}
-			if _, err := RunSpec(tc.ctx, l, spec, o); !errors.Is(err, tc.want) {
-				t.Fatalf("%s run: err %v, want %v", name, err, tc.want)
-			}
-		}
-		if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, earlier) {
-			t.Errorf("%s run touched the mask an earlier run left: %q, %v", name, got, err)
-		}
-		for _, p := range []string{absent, filepath.Join(dir, "shots.csv")} {
-			if _, err := os.Stat(p); !os.IsNotExist(err) {
-				t.Errorf("%s run left %s behind (stat err %v)", name, filepath.Base(p), err)
-			}
+	}
+	if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, earlier) {
+		t.Errorf("canceled run touched the mask an earlier run left: %q, %v", got, err)
+	}
+	for _, p := range []string{absent, filepath.Join(dir, "shots.csv")} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("canceled run left %s behind (stat err %v)", filepath.Base(p), err)
 		}
 	}
 }
@@ -473,11 +461,13 @@ func TestManagerCancelRunningJob(t *testing.T) {
 
 // TestManagerStopMidRunRequeues pins the shutdown contract: a job
 // interrupted by Stop gets no terminal record, so the next manager
-// finds it queued again.
+// finds it queued again, and every tile its flow.ckpt holds was fsynced
+// before Stop returned.
 func TestManagerStopMidRunRequeues(t *testing.T) {
 	root := testLayoutRoot(t)
 	dataDir := filepath.Join(t.TempDir(), "data")
-	m1, err := NewManager(ManagerConfig{DataDir: dataDir, LayoutRoot: root})
+	rec := faultfs.NewRecorder(nil, filepath.Dir(dataDir))
+	m1, err := NewManager(ManagerConfig{DataDir: dataDir, LayoutRoot: root, FS: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,6 +482,20 @@ func TestManagerStopMidRunRequeues(t *testing.T) {
 	m1.Start()
 	waitTile(t, m1, st.ID)
 	m1.Stop()
+	ckpt := filepath.Join("data", "jobs", st.ID, "flow.ckpt")
+	lastWrite, lastSync := -1, -1
+	for i, op := range rec.Ops() {
+		switch {
+		case op.Path != ckpt:
+		case op.Kind == faultfs.OpWrite:
+			lastWrite = i
+		case op.Kind == faultfs.OpSync:
+			lastSync = i
+		}
+	}
+	if lastWrite < 0 || lastSync < lastWrite {
+		t.Fatalf("flow.ckpt: last append at op %d, last fsync at op %d; want every record fsynced by Stop", lastWrite, lastSync)
+	}
 
 	m2, err := NewManager(ManagerConfig{DataDir: dataDir, LayoutRoot: root})
 	if err != nil {
