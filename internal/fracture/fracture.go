@@ -283,15 +283,29 @@ func (f *fracturer) repairCoverage(first int) {
 				f.depth[y*dw+x] = float64(u) * geom.Unreached
 			}
 		}
-		f.edt.Squared(f.depth, dw, dh)
+		// The column half bounds every depth from above, so the row half
+		// runs only on rows whose bound beats the best depth so far and
+		// could host an RMin circle: a skipped row holds neither a strict
+		// new maximum nor a legal circle, and the pixel chosen — the
+		// first strict maximum in row-major order — and the stop are the
+		// full transform's.
+		f.edt.Columns(f.depth, dw, dh)
 		best, bx, by := 0.0, -1, -1
 		for y := 0; y < dh; y++ {
-			for x, u := range uncovered[(y0+y)*f.w+x0:][:dw] {
-				v := f.depth[y*dw+x]
-				if v >= geom.Unreached/2 {
-					v = math.Inf(1) // a window that is all uncovered
+			row := f.depth[y*dw : (y+1)*dw]
+			bound := 0.0
+			for _, v := range row {
+				if v > bound {
+					bound = v
 				}
-				if u != 0 && v > best {
+			}
+			if bound = depthOf(bound); bound <= best || math.Sqrt(bound) < f.cfg.RMin {
+				continue
+			}
+			f.edt.Row(row)
+			for x, v := range row {
+				// Covered and outside pixels are the seeds, at depth 0.
+				if v := depthOf(v); v > best {
 					best, bx, by = v, x0+x, y0+y
 				}
 			}
@@ -303,6 +317,15 @@ func (f *fracturer) repairCoverage(first int) {
 		f.shots = append(f.shots, c)
 		f.erase(uncovered, c)
 	}
+}
+
+// depthOf maps a squared depth of geom.Unreached/2 and above — a window
+// that is all uncovered — to +Inf.
+func depthOf(v float64) float64 {
+	if v >= geom.Unreached/2 {
+		return math.Inf(1)
+	}
+	return v
 }
 
 // boundsIn returns the bounding box of the nonzero pixels of pix inside
@@ -329,18 +352,10 @@ func (f *fracturer) boundsIn(pix []uint8, box geom.Rect) geom.Rect {
 // erase clears the pixels of one circle (window coordinates) from a crop
 // raster, with the pixel predicate of geom.RasterizeCircles.
 func (f *fracturer) erase(pix []uint8, c geom.Circle) {
-	cx, cy := c.X-float64(f.ox), c.Y-float64(f.oy)
-	r2 := c.R * c.R
-	x0, x1 := max(int(cx-c.R-1), 0), min(int(cx+c.R+1), f.w-1)
-	y0, y1 := max(int(cy-c.R-1), 0), min(int(cy+c.R+1), f.h-1)
-	for y := y0; y <= y1; y++ {
-		dy := float64(y) - cy
-		row := pix[y*f.w:]
-		for x := x0; x <= x1; x++ {
-			dx := float64(x) - cx
-			if dx*dx+dy*dy <= r2 {
-				row[x] = 0
-			}
-		}
+	c.X, c.Y = c.X-float64(f.ox), c.Y-float64(f.oy)
+	lo, hi := c.Rows(0, f.h)
+	for y := lo; y < hi; y++ {
+		x0, x1 := c.Span(y, f.w)
+		clear(pix[y*f.w+x0 : y*f.w+x1])
 	}
 }

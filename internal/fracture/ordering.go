@@ -6,18 +6,6 @@ import (
 	"cfaopc/internal/geom"
 )
 
-// TravelLength returns the total beam travel of a shot sequence: the sum
-// of center-to-center distances in writing order (pixels). Stage settling
-// between flashes is a real component of mask write time, so shot lists
-// should be ordered before hand-off to the writer.
-func TravelLength(shots []geom.Circle) float64 {
-	total := 0.0
-	for i := 1; i < len(shots); i++ {
-		total += math.Hypot(shots[i].X-shots[i-1].X, shots[i].Y-shots[i-1].Y)
-	}
-	return total
-}
-
 // OrderShots returns the shots reordered to reduce beam travel: a
 // nearest-neighbour construction from the first shot, followed by a
 // bounded 2-opt improvement pass (classic open-path TSP heuristics; exact

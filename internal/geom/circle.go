@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -13,56 +14,60 @@ type Circle struct{ X, Y, R float64 }
 
 // RasterizeCircles paints the union of circles onto a fresh w×h binary
 // grid: a pixel belongs to the mask when its coordinate lies within R of a
-// circle center — the "recover a full mask by unioning all circles"
-// operation of the paper.
+// circle center (Circle.Span) — the "recover a full mask by unioning all
+// circles" operation of the paper.
 func RasterizeCircles(w, h int, cs []Circle) *grid.Real {
 	m := grid.NewReal(w, h)
-	RasterizeCirclesBand(m, 0, cs)
-	return m
-}
-
-// RasterizeCirclesBand adds the union of circles to band, the rows
-// [y0, y0+band.H) of a band.W-column grid: band pixel (x, y-y0) is set
-// when grid pixel (x, y) lies within R of a circle center. Pixels already
-// set stay set, so a caller that reuses one band for successive row
-// ranges clears it in between; painted band after band, top to bottom,
-// the rows are RasterizeCircles' byte for byte at one band of memory.
-// Circles whose bounding box misses the band are skipped.
-func RasterizeCirclesBand(band *grid.Real, y0 int, cs []Circle) {
-	w, h := band.W, band.H
 	for _, c := range cs {
-		r := c.R
-		if r <= 0 {
-			continue
-		}
-		bx0 := int(c.X - r - 1)
-		bx1 := int(c.X + r + 1)
-		by0 := int(c.Y - r - 1)
-		by1 := int(c.Y + r + 1)
-		if bx0 < 0 {
-			bx0 = 0
-		}
-		if bx1 >= w {
-			bx1 = w - 1
-		}
-		if by0 < y0 {
-			by0 = y0
-		}
-		if by1 >= y0+h {
-			by1 = y0 + h - 1
-		}
-		r2 := r * r
-		for y := by0; y <= by1; y++ {
-			dy := float64(y) - c.Y
-			row := band.Data[(y-y0)*w:]
-			for x := bx0; x <= bx1; x++ {
-				dx := float64(x) - c.X
-				if dx*dx+dy*dy <= r2 {
-					row[x] = 1
-				}
+		lo, hi := c.Rows(0, h)
+		for y := lo; y < hi; y++ {
+			x0, x1 := c.Span(y, w)
+			for x := x0; x < x1; x++ {
+				m.Data[y*w+x] = 1
 			}
 		}
 	}
+	return m
+}
+
+// Rows returns the rows [lo, hi) of [y0, y1) that the circle's bounding
+// box touches; every row outside them has an empty Span.
+func (c Circle) Rows(y0, y1 int) (lo, hi int) {
+	return max(int(c.Y-c.R-1), y0), min(int(c.Y+c.R+1)+1, y1)
+}
+
+// Span returns the pixels [x0, x1) of row y, clipped to [0, w), that lie
+// within R of the centre — dx*dx+dy*dy <= R*R, the one disk predicate of
+// every raster in the module — and x0 == x1 when there are none, as for
+// every R <= 0. The square root puts each end within rounding of the
+// circle's edge, so at most one pixel off; the predicate itself settles
+// the ends, and a span is the per-pixel test's bit for bit.
+func (c Circle) Span(y, w int) (x0, x1 int) {
+	dy := float64(y) - c.Y
+	r2, dy2 := c.R*c.R, dy*dy
+	if c.R <= 0 || dy2 > r2 {
+		return 0, 0
+	}
+	in := func(x int) bool {
+		dx := float64(x) - c.X
+		return dx*dx+dy2 <= r2
+	}
+	s := math.Sqrt(r2 - dy2)
+	lo, hi := int(math.Ceil(c.X-s)), int(math.Floor(c.X+s))
+	if in(lo - 1) {
+		lo--
+	} else if !in(lo) {
+		lo++
+	}
+	if in(hi + 1) {
+		hi++
+	} else if !in(hi) {
+		hi--
+	}
+	if x0, x1 = max(lo, 0), min(hi+1, w); x0 >= x1 {
+		return 0, 0
+	}
+	return x0, x1
 }
 
 // subSamples are the 2×2 sub-pixel sample positions of CoverRate.

@@ -207,3 +207,76 @@ func TestLadderForIsBounded(t *testing.T) {
 		t.Fatal("ladder for the same bounds differs after eviction")
 	}
 }
+
+// requireSpan fails unless Span and Rows agree with the per-pixel disk
+// predicate on row y of a w-column grid: the span is exactly the pixels
+// of [0, w) within R of the centre, an empty one is (0, 0), and a row
+// outside Rows holds no such pixel.
+func requireSpan(t *testing.T, c Circle, y, w int) {
+	t.Helper()
+	x0, x1 := c.Span(y, w)
+	if x0 > x1 || x0 < 0 || x1 > w || (x0 == x1 && x0 != 0) {
+		t.Fatalf("%+v row %d of %d: span [%d, %d) is not a clipped interval", c, y, w, x0, x1)
+	}
+	lo, hi := c.Rows(y, y+1)
+	for x := 0; x < w; x++ {
+		dx, dy := float64(x)-c.X, float64(y)-c.Y
+		want := c.R > 0 && dx*dx+dy*dy <= c.R*c.R
+		if got := x0 <= x && x < x1; got != want {
+			t.Fatalf("%+v row %d of %d: pixel %d in span [%d, %d) is %v, predicate %v", c, y, w, x, x0, x1, got, want)
+		}
+		if want && lo >= hi {
+			t.Fatalf("%+v: row %d holds pixel %d but lies outside Rows", c, y, x)
+		}
+	}
+}
+
+// Span is the disk predicate of every raster, settled at both ends: for
+// integer, half-integer and arbitrary centres and radii, radii that pass
+// through a pixel centre give or take one ulp (where the square root
+// alone misplaces an end), radii at or below zero, and circles hanging
+// past every edge of the grid.
+func TestCircleSpanMatchesPredicate(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	coord := func(lim int) float64 {
+		v := float64(rng.Intn(lim+40) - 20)
+		switch rng.Intn(3) {
+		case 1:
+			v += 0.5
+		case 2:
+			v += rng.Float64()
+		}
+		return v
+	}
+	for trial := 0; trial < 4000; trial++ {
+		w := rng.Intn(60) + 1
+		c := Circle{X: coord(w), Y: coord(40), R: coord(20) / 2}
+		switch trial % 4 {
+		case 1: // through pixel (px, py)
+			dx, dy := float64(rng.Intn(w+10)-5)-c.X, float64(rng.Intn(50)-5)-c.Y
+			c.R = math.Sqrt(dx*dx + dy*dy)
+			c.R = math.Nextafter(c.R, c.R+float64(rng.Intn(3)-1))
+		case 2:
+			c.R = -rng.Float64() * float64(trial%3) // zero and negative radii
+		}
+		for y := int(c.Y - math.Abs(c.R) - 3); y <= int(c.Y+math.Abs(c.R)+3); y++ {
+			requireSpan(t, c, y, w)
+		}
+	}
+}
+
+func FuzzCircleSpan(f *testing.F) {
+	f.Add(10.0, 10.0, 4.0, uint8(32), int16(8))
+	f.Add(10.5, 3.5, 2.5, uint8(12), int16(1))
+	f.Add(-3.0, 7.0, 5.0, uint8(9), int16(7))
+	f.Add(30.25, 0.0, 0.0, uint8(31), int16(0))
+	f.Add(1.0, 1.0, 1e-300, uint8(3), int16(1))
+	f.Fuzz(func(t *testing.T, x, y, r float64, w uint8, row int16) {
+		for _, v := range []float64{x, y, r} {
+			if math.IsNaN(v) || math.Abs(v) > 1e4 {
+				t.Skip("centres and radii are finite pixel coordinates")
+			}
+		}
+		requireSpan(t, Circle{X: x, Y: y, R: r}, int(row), int(w)+1)
+	})
+}

@@ -14,9 +14,10 @@ import (
 const Unreached = 1e20
 
 // DistanceTransform returns the exact Euclidean distance from every pixel
-// to the nearest foreground pixel of m, using the Felzenszwalb–Huttenlocher
-// lower-envelope-of-parabolas algorithm (O(n) per row/column). Foreground
-// pixels map to 0; if m has no foreground at all, every pixel maps to +Inf.
+// to the nearest foreground pixel of m: two sweeps per column, then the
+// Felzenszwalb–Huttenlocher lower envelope of parabolas per row (O(n) per
+// row and column). Foreground pixels map to 0; if m has no foreground at
+// all, every pixel maps to +Inf.
 func DistanceTransform(m *grid.Real) *grid.Real {
 	d := grid.NewReal(m.W, m.H)
 	for i, v := range m.Data {
@@ -39,37 +40,71 @@ func DistanceTransform(m *grid.Real) *grid.Real {
 // EDT holds the scratch of the squared distance transform, so a caller
 // that runs many transforms allocates only while the buffers grow.
 type EDT struct {
-	v      []int     // parabola locations
-	z      []float64 // envelope boundaries
-	f, out []float64 // one row or column in, out
+	v []int     // parabola locations; the column sweeps' nearest seed
+	z []float64 // envelope boundaries
+	f []float64 // the row Row reads
+}
+
+func (e *EDT) grow(n int) {
+	if len(e.f) < n {
+		e.v = make([]int, n)
+		e.z = make([]float64, n+1)
+		e.f = make([]float64, n)
+	}
 }
 
 // Squared replaces d — a dense w×h field holding 0 at seed pixels and
 // Unreached everywhere else — with the exact squared Euclidean distance
-// to the nearest seed: one lower-envelope pass down every column, then
-// one along every row.
+// to the nearest seed: Columns, then Row on every row. A field holding
+// any other value is outside its contract.
 func (e *EDT) Squared(d []float64, w, h int) {
-	if n := max(w, h); len(e.f) < n {
-		e.v = make([]int, n)
-		e.z = make([]float64, n+1)
-		e.f = make([]float64, n)
-		e.out = make([]float64, n)
+	e.Columns(d, w, h)
+	for y := 0; y < h; y++ {
+		e.Row(d[y*w : (y+1)*w])
 	}
-	f, out := e.f, e.out
-	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			f[y] = d[y*w+x]
-		}
-		e.pass(f[:h], out[:h])
-		for y := 0; y < h; y++ {
-			d[y*w+x] = out[y]
-		}
-	}
+}
+
+// Columns is the column half of Squared: it replaces every pixel of the
+// 0/Unreached field d with the squared distance to the nearest seed in
+// its own column, or Unreached when the column has none. With only 0 and
+// Unreached to choose from, the lower envelope of a column's parabolas is
+// the nearest seed above or below, so one sweep down and one up find it.
+// The result bounds the 2-D squared distance from above, which Row then
+// settles.
+func (e *EDT) Columns(d []float64, w, h int) {
+	e.grow(w)
+	near := e.v[:w] // one past the row of the nearest seed so far, 0 for none
+	clear(near)
 	for y := 0; y < h; y++ {
 		row := d[y*w : (y+1)*w]
-		copy(f, row)
-		e.pass(f[:w], row)
+		for x, v := range row {
+			if v == 0 {
+				near[x] = y + 1
+			} else if s := near[x]; s > 0 {
+				row[x] = float64((y + 1 - s) * (y + 1 - s))
+			}
+		}
 	}
+	clear(near)
+	for y := h - 1; y >= 0; y-- {
+		row := d[y*w : (y+1)*w]
+		for x, v := range row {
+			if v == 0 {
+				near[x] = y + 1
+			} else if s := near[x]; s > 0 {
+				row[x] = min(v, float64((s-y-1)*(s-y-1)))
+			}
+		}
+	}
+}
+
+// Row is the row half of Squared on one row of a field Columns has
+// transformed: the lower envelope of the row's parabolas, in place.
+func (e *EDT) Row(row []float64) {
+	e.grow(len(row))
+	f := e.f[:len(row)]
+	copy(f, row)
+	e.pass(f, row)
 }
 
 // SignedDistance returns the signed Euclidean distance field of a binary

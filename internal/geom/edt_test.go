@@ -196,3 +196,54 @@ func TestEDTScratchReuse(t *testing.T) {
 		}
 	}
 }
+
+// The column sweeps leave a seedless column at Unreached and the row pass
+// must still reach it from its neighbours; a field with no seed at all
+// stays at Unreached/2 and above. Squared is held to bruteDistance on
+// fields with seedless columns, seedless rows, all seeds and no seed.
+func TestSquaredMatchesBruteOnSparseFields(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	var e EDT
+	for trial := 0; trial < 40; trial++ {
+		w, h := rng.Intn(30)+1, rng.Intn(30)+1
+		m := grid.NewReal(w, h)
+		switch trial % 4 {
+		case 0: // seeds in a few columns only
+			for k := rng.Intn(3); k >= 0; k-- {
+				x := rng.Intn(w)
+				for y := 0; y < h; y++ {
+					if rng.Intn(4) == 0 {
+						m.Set(x, y, 1)
+					}
+				}
+			}
+		case 1: // seeds in a few rows only
+			for k := rng.Intn(3); k >= 0; k-- {
+				y := rng.Intn(h)
+				for x := 0; x < w; x++ {
+					if rng.Intn(4) == 0 {
+						m.Set(x, y, 1)
+					}
+				}
+			}
+		case 2:
+			m.Fill(1)
+		}
+		d := make([]float64, w*h)
+		for i, v := range m.Data {
+			if v <= 0.5 {
+				d[i] = Unreached
+			}
+		}
+		e.Squared(d, w, h)
+		for i, want := range bruteDistance(m).Data {
+			got := math.Sqrt(d[i])
+			if d[i] >= Unreached/2 {
+				got = math.Inf(1)
+			}
+			if got != want {
+				t.Fatalf("trial %d (%d×%d) pixel %d: distance %v, want %v", trial, w, h, i, got, want)
+			}
+		}
+	}
+}

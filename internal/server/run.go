@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 
@@ -9,7 +10,6 @@ import (
 	"cfaopc/internal/flow"
 	"cfaopc/internal/fracture"
 	"cfaopc/internal/geom"
-	"cfaopc/internal/grid"
 	"cfaopc/internal/iox"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/optics"
@@ -161,33 +161,33 @@ func WriteShots(fsys iox.FS, path string, shots []geom.Circle, dx float64) error
 }
 
 // maskBandRows is how many rows WriteMask rasterizes at a time: its
-// working memory is one n × maskBandRows float64 band whatever n is.
+// working memory is one n × maskBandRows byte band whatever n is.
 const maskBandRows = 64
 
 // WriteMask writes the n×n mask shots print as a binary PGM (P5),
-// fsynced — the bytes of geom.RasterizeCircles(n, n, shots) thresholded
-// at one half, rasterized into one reused row band so no n² grid is
-// ever held, and written one band per write call.
+// fsynced — 255 where geom.RasterizeCircles(n, n, shots) is set, 0
+// elsewhere, painted span by span (geom.Circle.Span) into one reused
+// byte band so no n² grid is ever held, and written one band per write
+// call.
 func WriteMask(fsys iox.FS, path string, n int, shots []geom.Circle) error {
 	f, err := iox.OrOS(fsys).Create(path)
 	if err != nil {
 		return err
 	}
 	_, err = fmt.Fprintf(f, "P5\n%d %d\n255\n", n, n)
-	buf := make([]float64, n*min(maskBandRows, n))
-	pix := make([]byte, len(buf))
+	band := make([]byte, n*min(maskBandRows, n))
+	set := bytes.Repeat([]byte{255}, n)
 	for y0 := 0; y0 < n && err == nil; y0 += maskBandRows {
-		h := min(maskBandRows, n-y0)
-		band := grid.Real{W: n, H: h, Data: buf[:n*h]}
-		clear(band.Data)
-		geom.RasterizeCirclesBand(&band, y0, shots)
-		for i, v := range band.Data {
-			pix[i] = 0
-			if v > 0.5 {
-				pix[i] = 255
+		y1 := min(y0+maskBandRows, n)
+		clear(band)
+		for _, c := range shots {
+			lo, hi := c.Rows(y0, y1)
+			for y := lo; y < hi; y++ {
+				x0, x1 := c.Span(y, n)
+				copy(band[(y-y0)*n+x0:], set[x0:x1])
 			}
 		}
-		_, err = f.Write(pix[:n*h])
+		_, err = f.Write(band[:(y1-y0)*n])
 	}
 	if err == nil {
 		err = f.Sync()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -128,6 +129,46 @@ func TestWriteMaskEqualsFullRaster(t *testing.T) {
 		}
 		if err := WriteMask(tc.fsys, path, tc.n, shots); err == nil {
 			t.Errorf("%s fault: WriteMask reported success", name)
+		}
+	}
+}
+
+// WriteMask paints spans into a byte band; RasterizeCircles tests every
+// pixel of every circle's box. Over 200 seeded shot sets — integer,
+// half-integer and arbitrary centres and radii, shots hanging past the
+// edges, radii at or below zero — the file is the dense raster's bytes.
+func TestWriteMaskEqualsRasterizeCirclesOnRandomShots(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	path := filepath.Join(t.TempDir(), "m.pgm")
+	coord := func(n int) float64 {
+		v := float64(rng.Intn(n+40) - 20)
+		switch rng.Intn(3) {
+		case 1:
+			v += 0.5
+		case 2:
+			v += rng.Float64()
+		}
+		return v
+	}
+	for set := 0; set < 200; set++ {
+		n := rng.Intn(200) + 1
+		shots := make([]geom.Circle, rng.Intn(12))
+		for i := range shots {
+			shots[i] = geom.Circle{X: coord(n), Y: coord(n), R: coord(60)/2 - 5}
+		}
+		if err := WriteMask(nil, path, n, shots); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []byte(fmt.Sprintf("P5\n%d %d\n255\n", n, n))
+		for _, v := range geom.RasterizeCircles(n, n, shots).Data {
+			want = append(want, byte(255*v))
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("set %d: %d-px mask of %d shots differs from RasterizeCircles", set, n, len(shots))
 		}
 	}
 }
