@@ -143,8 +143,9 @@ func startFresh(f iox.File, header []byte) (*Journal, [][]byte, error) {
 
 // replay reads magic, the header record and every tile record, stopping
 // at the first torn (truncated) record. It verifies the header against
-// the caller's (ErrHeaderMismatch, naming path) and returns the tile
-// payloads in file order and the offset just past the last valid record.
+// the caller's (ErrHeaderMismatch, naming path) — or, when want is nil,
+// returns it as the first payload — and returns the tile payloads in
+// file order and the offset just past the last valid record.
 // A record that is fully present but fails its CRC while more records
 // follow is mid-file corruption and is returned as an error.
 func replay(f iox.File, want []byte, path string) (payloads [][]byte, validOff int64, err error) {
@@ -182,14 +183,12 @@ func replay(f iox.File, want []byte, path string) (payloads [][]byte, validOff i
 			}
 			return nil, 0, rerr
 		}
-		if first {
-			if !bytes.Equal(payload, want) {
-				return nil, 0, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
-			}
-			first = false
-		} else {
+		if !first || want == nil {
 			payloads = append(payloads, payload)
+		} else if !bytes.Equal(payload, want) {
+			return nil, 0, fmt.Errorf("%w (path %s)", ErrHeaderMismatch, path)
 		}
+		first = false
 		off += n
 	}
 	if first {

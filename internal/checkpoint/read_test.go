@@ -100,3 +100,40 @@ func TestReadMissingFile(t *testing.T) {
 		t.Fatal("missing file read as success")
 	}
 }
+
+// TestReadStoredReturnsTheHeader: ReadStoredFS hands back whatever header
+// the journal holds beside its payloads, nil for a journal torn inside its
+// header (a birth crash), and still refuses mid-file rot.
+func TestReadStoredReturnsTheHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	j, _ := open(t, path, []byte("whose-journal"))
+	j.Append([]byte("a"))
+	j.Append([]byte("bb"))
+	j.Close()
+	hdr, recs, err := ReadStoredFS(nil, path)
+	if err != nil || string(hdr) != "whose-journal" || len(recs) != 2 || string(recs[1]) != "bb" {
+		t.Fatalf("header %q, %d records, err %v", hdr, len(recs), err)
+	}
+
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(magic)+9] ^= 0xff // inside the header record, records follow
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadStoredFS(nil, path); err == nil {
+		t.Fatal("mid-file rot read as a journal")
+	}
+
+	born := filepath.Join(t.TempDir(), "born.ckpt")
+	j, _ = open(t, born, []byte("whose-journal"))
+	j.Close()
+	if err := os.Truncate(born, int64(len(magic))+5); err != nil {
+		t.Fatal(err)
+	}
+	if hdr, recs, err := ReadStoredFS(nil, born); hdr != nil || recs != nil || err != nil {
+		t.Fatalf("torn header read as %q, %d records, err %v", hdr, len(recs), err)
+	}
+}

@@ -1,7 +1,7 @@
 // Package iox is the storage seam under every persistence layer:
 // checkpoint journals, wcache disk entries, quarantine bundles, the
-// daemon's jobs.log and per-job event journals, and the streamed mask /
-// shot artifact writers all perform their filesystem mutations through
+// daemon's per-job event journals, and the streamed mask / shot
+// artifact writers all perform their filesystem mutations through
 // the FS interface instead of calling the os package directly.
 //
 // The point is fault realism. Production mask-writer OPC runs for hours

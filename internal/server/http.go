@@ -123,8 +123,8 @@ func NewHandler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		// "ok" is liveness; "storage" is the degradation snapshot; "queue"
 		// is the backlog's size and shape; "governor" is the admission
-		// budget and ladder position. A daemon with a dead jobs.log still
-		// answers — it just rejects new submissions — and these sections
+		// budget and ladder position. A daemon whose disk fails still
+		// answers — submissions it cannot journal are rejected — and these sections
 		// are how an operator tells overload, storage failure, and
 		// plain busyness apart.
 		writeJSON(w, http.StatusOK, map[string]any{

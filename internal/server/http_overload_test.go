@@ -149,7 +149,7 @@ func TestHTTPHealthzSections(t *testing.T) {
 	if h.Governor.Budget != 128<<20 || h.Governor.Committed <= 0 || h.Governor.Level != "normal" {
 		t.Fatalf("governor section = %+v", h.Governor)
 	}
-	if h.Storage.JobsLogBytes <= 0 {
+	if h.Storage.EventLogBytes <= 0 {
 		t.Fatalf("storage section = %+v (PR9 section must survive)", h.Storage)
 	}
 }

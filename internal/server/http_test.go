@@ -179,8 +179,8 @@ func TestHTTPSubmitValidation(t *testing.T) {
 // when dispatched, inside the kernel build.
 func TestHTTPSubmitRefusesSubWavelengthWindow(t *testing.T) {
 	m, ts := newTestService(t, testLayoutRoot(t), 1, 2, false)
-	logPath := filepath.Join(m.dataDir, "jobs.log")
-	before, err := os.ReadFile(logPath)
+	jobsDir := filepath.Join(m.dataDir, "jobs")
+	before, err := os.ReadDir(jobsDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,12 +198,12 @@ func TestHTTPSubmitRefusesSubWavelengthWindow(t *testing.T) {
 		!strings.Contains(apiErr.Error, "128 nm") || !strings.Contains(apiErr.Error, "λ/NA = 143.0 nm") {
 		t.Fatalf("status %d, error %+v; want a 400 bad_spec naming the 128 nm window and the λ/NA floor", resp.StatusCode, apiErr)
 	}
-	after, err := os.ReadFile(logPath)
+	after, err := os.ReadDir(jobsDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) || len(m.List()) != 0 {
-		t.Fatalf("the refused spec left a trace: jobs.log %d → %d bytes, %d jobs listed", len(before), len(after), len(m.List()))
+	if len(after) != len(before) || len(m.List()) != 0 {
+		t.Fatalf("the refused spec left a trace: %d → %d job directories, %d jobs listed", len(before), len(after), len(m.List()))
 	}
 	if _, err := os.Stat(m.jobDir("job-0001")); !os.IsNotExist(err) {
 		t.Fatalf("the refused spec created a job directory: %v", err)
@@ -641,7 +641,7 @@ func compareFiles(t *testing.T, a, b string) {
 
 // openParentDaemon copies a data directory the parent commit's cfaopcd
 // wrote (jobs.log plus each job's event journal, checkpoint and
-// artifacts) into a scratch directory and starts a Manager and its
+// artifacts; this daemon reads that jobs.log and never writes one) into a scratch directory and starts a Manager and its
 // handler on it.
 func openParentDaemon(t *testing.T, fixture string) (*Manager, string) {
 	t.Helper()

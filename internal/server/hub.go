@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -25,6 +26,10 @@ type JobEvent struct {
 	// transition so subscribers see pressure changes in-band.
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"` // kind=state, failed only
+	// Admitted is the job's admission time in unix nanoseconds, on its
+	// seq-1 (queued) event only: the anchor its deadline and queue TTL
+	// are measured from, in every daemon life.
+	Admitted int64 `json:"admitted,omitempty"`
 
 	From string `json:"from,omitempty"` // kind=governor: level just left
 	Heap int64  `json:"heap,omitempty"` // kind=governor: heap bytes that triggered it
@@ -48,6 +53,24 @@ type JobEvent struct {
 // directory can never pair one job's history with another's spec.
 func eventJournalHeader(jobID string, spec *JobSpec) []byte {
 	return []byte("cfaopcd-events-v1\n" + jobID + "\n" + string(spec.Canonical()))
+}
+
+// readJournal reads job id's event journal without taking the append
+// handle: the spec its header binds — which must be job id's header —
+// and its events. A journal that never got its header reads as empty.
+func readJournal(fsys iox.FS, path, id string) (*JobSpec, []JobEvent, error) {
+	hdr, payloads, err := checkpoint.ReadStoredFS(fsys, path)
+	if err != nil || hdr == nil {
+		return nil, nil, err
+	}
+	_, rest, _ := bytes.Cut(hdr, []byte("\n"))
+	_, canon, _ := bytes.Cut(rest, []byte("\n"))
+	var spec JobSpec
+	if json.Unmarshal(canon, &spec) != nil || !bytes.Equal(hdr, eventJournalHeader(id, &spec)) {
+		return nil, nil, fmt.Errorf("event journal: %w: not job %s's", checkpoint.ErrHeaderMismatch, id)
+	}
+	evs, err := decodeEvents(payloads)
+	return &spec, evs, err
 }
 
 // hub fans one job's event stream out to any number of SSE
@@ -93,17 +116,6 @@ func newHubFS(fsys iox.FS, path, jobID string, spec *JobSpec) (*hub, error) {
 		return nil, err
 	}
 	return newHub(journal, history), nil
-}
-
-// readHistoryFS replays a finished job's event journal without taking
-// the append handle — the restart path for jobs that need no new
-// events.
-func readHistoryFS(fsys iox.FS, path, jobID string, spec *JobSpec) ([]JobEvent, error) {
-	payloads, err := checkpoint.ReadFS(fsys, path, eventJournalHeader(jobID, spec))
-	if err != nil {
-		return nil, err
-	}
-	return decodeEvents(payloads)
 }
 
 // decodeEvents unmarshals journal records, which carry seqs 1..n.

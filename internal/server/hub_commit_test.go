@@ -306,8 +306,9 @@ func TestHubCloseDrains(t *testing.T) {
 // TestEventJournalSyncFailureFailsJob drives the same failure through
 // the daemon: the fsync covering a mid-run batch fails, the next bridged
 // event finds the hub poisoned and cancels the run, and the job ends
-// failed with the journal's error — not the cancellation it caused. A
-// healthy restart replays seq-exact and ends the stream.
+// failed with the journal's error — not the cancellation it caused. The
+// failure could not be journaled either, so a healthy restart replays
+// seq-exact, requeues the job and resumes it to done.
 func TestEventJournalSyncFailureFailsJob(t *testing.T) {
 	lroot := testLayoutRoot(t)
 	spec, err := parseSpecString(t, storageSpecJSON)
@@ -336,7 +337,12 @@ func TestEventJournalSyncFailureFailsJob(t *testing.T) {
 	m2 := storageManager(t, dataDir, lroot, nil)
 	defer m2.Stop()
 	evs := replaySeqs(t, m2, st.ID)
-	if last := evs[len(evs)-1]; last.Kind != "state" || last.State != string(JobFailed) {
-		t.Fatalf("recovered stream ends with %+v", last)
+	if last := evs[len(evs)-1]; last.Kind != "state" || last.State != string(JobQueued) {
+		t.Fatalf("recovered stream ends with %+v, want the requeue", last)
 	}
+	m2.Start()
+	if fin := waitTerminal(t, m2, st.ID); fin.State != JobDone {
+		t.Fatalf("requeued job ended %s (%q), want done", fin.State, fin.Error)
+	}
+	replaySeqs(t, m2, st.ID)
 }

@@ -4,7 +4,20 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"cfaopc/internal/checkpoint"
+	"cfaopc/internal/iox"
 )
+
+// readHistoryFS replays a job's event journal without taking the append
+// handle.
+func readHistoryFS(fsys iox.FS, path, jobID string, spec *JobSpec) ([]JobEvent, error) {
+	payloads, err := checkpoint.ReadFS(fsys, path, eventJournalHeader(jobID, spec))
+	if err != nil {
+		return nil, err
+	}
+	return decodeEvents(payloads)
+}
 
 func testHub(t *testing.T) (*hub, string, *JobSpec) {
 	t.Helper()

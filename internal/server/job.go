@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,13 +49,14 @@ var (
 	errShedCause     = errors.New("job shed under memory pressure")
 )
 
-// jobsJournalHeader fingerprints the daemon's job-state journal.
+// jobsJournalHeader fingerprints jobs.log, the job-state journal older
+// daemons wrote beside the event journals. It is decode-only: read from
+// their data directories, never created or written.
 var jobsJournalHeader = []byte("cfaopcd-jobs-v1")
 
-// jobRecord is one job-state journal entry. Recovery merges records
-// last-wins per ID: the first record carries the spec, later ones move
-// the state machine. A job whose newest record is non-terminal was
-// alive when the daemon died and is requeued on restart.
+// jobRecord is one jobs.log entry. Records merge last-wins per ID: the
+// first carried the spec and the admission time, later ones moved the
+// state machine.
 type jobRecord struct {
 	ID    string    `json:"id"`
 	State JobState  `json:"state"`
@@ -97,7 +98,7 @@ type job struct {
 	stopRun  context.CancelCauseFunc
 	cost     Cost
 	// deadlineAt is the job's absolute deadline (zero = none),
-	// anchored at the first journaled record's timestamp so it
+	// anchored at the admission time its seq-1 event carries so it
 	// survives restarts; ttlAt bounds the queue wait the same way.
 	deadlineAt time.Time
 	ttlAt      time.Time
@@ -119,9 +120,9 @@ func (j *job) dispatchDeadline() time.Time {
 	return d
 }
 
-// ManagerConfig configures a Manager. DataDir is required; it holds
-// jobs.log plus one directory per job (event journal, flow checkpoint,
-// mask, shots).
+// ManagerConfig configures a Manager. DataDir is required; it holds one
+// directory per job under jobs/ (event journal, flow checkpoint, mask,
+// shots). The event journal is the job's one durable record.
 type ManagerConfig struct {
 	DataDir    string
 	LayoutRoot string // root for spec layout refs (default ".")
@@ -129,7 +130,7 @@ type ManagerConfig struct {
 	QueueCap   int    // max queued jobs (default 64)
 	Now        func() time.Time
 	// FS is the filesystem seam every daemon write goes through —
-	// jobs.log, per-job event journals, flow checkpoints, mask and shot
+	// per-job event journals, flow checkpoints, mask and shot
 	// artifacts. nil means the real filesystem; tests inject fault or
 	// recording filesystems here.
 	FS iox.FS
@@ -162,7 +163,9 @@ type ManagerConfig struct {
 }
 
 // Manager owns the job table, the scheduler, and the executor pool. It
-// recovers existing state from DataDir at construction: terminal jobs
+// recovers existing state from DataDir at construction, one job
+// directory at a time: each events.log header names the job and holds
+// its spec, and its newest state event holds its state. Terminal jobs
 // reload their event history read-only, and every queued or running
 // job is requeued in ID order, resuming from its flow checkpoint.
 type Manager struct {
@@ -176,7 +179,6 @@ type Manager struct {
 	order      []string // creation order, for List
 	nextID     int
 	sched      *scheduler
-	journal    *checkpoint.Journal // jobs.log
 	ctx        context.Context
 	cancel     context.CancelFunc
 	wg         sync.WaitGroup
@@ -196,9 +198,8 @@ type Manager struct {
 	runSpec func(ctx context.Context, l *layout.Layout, spec *JobSpec, opts RunOpts) (*flow.Result, error)
 
 	// Storage degradation counters, surfaced by StorageHealth.
-	recordErrs  atomic.Int64 // failed jobs.log appends/syncs
 	eventErrs   atomic.Int64 // terminal events lost to a dead event journal
-	synthEvents int64        // terminal events synthesized during recovery
+	synthEvents int64        // terminal events recovery took from an older daemon's jobs.log
 }
 
 // StorageHealth is the daemon's storage-degradation snapshot, served
@@ -207,18 +208,13 @@ type Manager struct {
 // journal failed and the affected jobs ended (or will end) cleanly
 // without it.
 type StorageHealth struct {
-	// JobsLogBytes is jobs.log's size; JobsLogErr is the poisoning
-	// error if an append or fsync on it ever failed (the journal is
-	// never retried on the same fd — see internal/checkpoint).
-	JobsLogBytes int64  `json:"jobs_log_bytes"`
-	JobsLogErr   string `json:"jobs_log_err,omitempty"`
 	// EventLogBytes sums the open per-job event journals.
 	EventLogBytes int64 `json:"event_log_bytes"`
-	// RecordErrs counts failed job-state journal writes; EventErrs
-	// counts terminal events that could not be journaled (their jobs'
-	// streams ended without one); SynthEvents counts terminal events
-	// recovery synthesized for jobs whose journal lost theirs.
-	RecordErrs  int64 `json:"record_errs,omitempty"`
+	// EventErrs counts terminal events that could not be journaled
+	// (their jobs' streams ended without one, and the next daemon
+	// requeues them); SynthEvents counts terminal events recovery
+	// synthesized from the jobs.log of an older daemon whose event
+	// journal lost them.
 	EventErrs   int64 `json:"event_errs,omitempty"`
 	SynthEvents int64 `json:"synth_events,omitempty"`
 }
@@ -227,17 +223,7 @@ type StorageHealth struct {
 func (m *Manager) StorageHealth() StorageHealth {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sh := StorageHealth{
-		RecordErrs:  m.recordErrs.Load(),
-		EventErrs:   m.eventErrs.Load(),
-		SynthEvents: m.synthEvents,
-	}
-	if m.journal != nil {
-		sh.JobsLogBytes = m.journal.Size()
-		if err := m.journal.Err(); err != nil {
-			sh.JobsLogErr = err.Error()
-		}
-	}
+	sh := StorageHealth{EventErrs: m.eventErrs.Load(), SynthEvents: m.synthEvents}
 	for _, j := range m.jobs {
 		sh.EventLogBytes += j.hub.journalSize()
 	}
@@ -248,7 +234,7 @@ func (m *Manager) StorageHealth() StorageHealth {
 var ErrNoJob = errors.New("server: no such job")
 
 // NewManager opens (or creates) the data directory and rebuilds the
-// job table from the job-state journal.
+// job table from the job directories in it.
 func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("server: ManagerConfig.DataDir is required")
@@ -275,10 +261,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if err := fsys.MkdirAll(filepath.Join(cfg.DataDir, "jobs"), 0o755); err != nil {
 		return nil, err
 	}
-	journal, payloads, err := checkpoint.OpenFS(fsys, filepath.Join(cfg.DataDir, "jobs.log"), jobsJournalHeader)
-	if err != nil {
-		return nil, fmt.Errorf("server: job journal: %w", err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		dataDir:      cfg.DataDir,
@@ -288,7 +270,6 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 		fsys:         fsys,
 		jobs:         map[string]*job{},
 		sched:        newScheduler(cfg.QueueCap),
-		journal:      journal,
 		ctx:          ctx,
 		cancel:       cancel,
 		gov:          newGovernor(cfg.Governor),
@@ -305,111 +286,136 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	if m.cache != nil {
 		m.cacheEntries0, m.cacheBytes0 = m.cache.Limits()
 	}
-	if err := m.recover(payloads); err != nil {
-		journal.Close()
+	if err := m.recover(); err != nil {
 		cancel()
 		return nil, err
 	}
 	return m, nil
 }
 
-// recover merges the journal records last-wins, reloads event history,
-// and requeues every non-terminal job in ID order.
-func (m *Manager) recover(payloads [][]byte) error {
-	merged := map[string]*jobRecord{}
-	// firstAt keeps each job's first-record timestamp: the admission
-	// anchor deadlines and queue TTLs are measured from. Requeue
-	// records never move it, so a crash-restart loop cannot extend a
-	// job's deadline.
-	firstAt := map[string]time.Time{}
-	var ids []string
-	for i, p := range payloads {
-		var rec jobRecord
-		if err := json.Unmarshal(p, &rec); err != nil {
-			return fmt.Errorf("server: job journal record %d: %w", i, err)
-		}
-		if prev, ok := merged[rec.ID]; ok {
-			if rec.Spec == nil {
-				rec.Spec = prev.Spec
-			}
-			merged[rec.ID] = &rec
-		} else {
-			merged[rec.ID] = &rec
-			firstAt[rec.ID] = rec.Time
-			ids = append(ids, rec.ID)
-		}
+// recover rebuilds the job table from jobs/ in ID order. A job's spec
+// is its events.log header, its state, error and shots are its newest
+// state event, and its admission time rides its seq-1 event. A directory
+// with no durable queued event is a submit the crash cut short: skipped,
+// its ID still used up. Every queued or running job is requeued.
+func (m *Manager) recover() error {
+	legacy, err := m.readJobsLog()
+	if err != nil {
+		return err
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		rec := merged[id]
-		if rec.Spec == nil {
-			return fmt.Errorf("server: job %s has state records but no spec", id)
-		}
+	dirs, err := os.ReadDir(filepath.Join(m.dataDir, "jobs"))
+	if err != nil {
+		return err
+	}
+	for _, d := range dirs {
+		id := d.Name()
 		var n int
-		if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n >= m.nextID {
-			m.nextID = n + 1
+		if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil || !d.IsDir() {
+			continue
 		}
-		j := &job{id: id, spec: rec.Spec, state: rec.State, errMsg: rec.Error, shots: rec.Shots}
-		if rec.State.terminal() {
-			// Finished jobs need no new events: load the history without
-			// taking the journal's append handle.
-			evs, err := readHistoryFS(m.fsys, m.eventPath(id), id, rec.Spec)
-			if err != nil {
-				return fmt.Errorf("server: job %s: %w", id, err)
+		m.nextID = max(m.nextID, n+1)
+		spec, evs, err := readJournal(m.fsys, m.eventPath(id), id)
+		if iox.IsNotExist(err) || err == nil && len(evs) == 0 {
+			continue
+		}
+		if err != nil {
+			return fmt.Errorf("server: job %s: %w", id, err)
+		}
+		j := &job{id: id, spec: spec}
+		for i := len(evs) - 1; i >= 0; i-- {
+			if ev := evs[i]; ev.Kind == "state" {
+				j.state, j.errMsg, j.shots = JobState(ev.State), ev.Error, ev.Shots
+				break
 			}
-			if n := len(evs); n == 0 || evs[n-1].Kind != "state" || !JobState(evs[n-1].State).terminal() {
-				// A crash (or a dead event journal) between the terminal
-				// jobRecord and its event left the stream unfinished, which
-				// would wedge SSE consumers waiting for the end. Synthesize
-				// the terminal event from the authoritative jobRecord. The
-				// synthesis is deterministic — same record, same history
-				// length, same seq — so every future recovery produces the
-				// identical event and Last-Event-ID replays stay exact.
-				evs = append(evs, JobEvent{
-					Seq: int64(n) + 1, Kind: "state",
-					State: string(rec.State), Error: rec.Error, Shots: rec.Shots,
-				})
-				m.synthEvents++
-			}
+		}
+		rec := legacy[id]
+		if rec != nil && rec.State.terminal() && !j.state.terminal() {
+			// An older daemon journaled the terminal record and lost the
+			// event (a crash, or a dead event journal, between the two).
+			// Synthesize it from the record, deterministically — same
+			// record, same history length, same seq — so every recovery
+			// produces the identical event and Last-Event-ID replays stay
+			// exact.
+			j.state, j.errMsg, j.shots = rec.State, rec.Error, rec.Shots
+			evs = append(evs, JobEvent{
+				Seq: int64(len(evs)) + 1, Kind: "state",
+				State: string(rec.State), Error: rec.Error, Shots: rec.Shots,
+			})
+			m.synthEvents++
+		}
+		if j.state.terminal() {
+			// Finished jobs need no new events: no append handle.
 			j.hub = newHub(nil, evs)
 		} else {
 			// The job was queued or mid-run when the daemon died: reopen
 			// its event journal so seq numbering continues, tell the
 			// stream it is queued again, and requeue it. The flow
 			// checkpoint makes the re-run byte-identical.
-			h, err := newHubFS(m.fsys, m.eventPath(id), id, rec.Spec)
+			h, err := newHubFS(m.fsys, m.eventPath(id), id, spec)
 			if err != nil {
 				return fmt.Errorf("server: job %s: %w", id, err)
 			}
 			j.hub = h
 			j.state = JobQueued
-			err = m.appendRecord(jobRecord{ID: id, State: JobQueued, Time: m.now()})
+			_, err = h.publish(JobEvent{Kind: "state", State: string(JobQueued)})
 			if err == nil {
-				_, err = h.publish(JobEvent{Kind: "state", State: string(JobQueued)})
-			}
-			if err == nil {
-				err = m.sched.enqueue(id, rec.Spec.Tenant, rec.Spec.Priority)
+				err = m.sched.enqueue(id, spec.Tenant, spec.Priority)
 			}
 			if err != nil {
 				h.close()
 				return fmt.Errorf("server: requeue %s: %w", id, err)
 			}
-			// Re-anchor deadlines at the first record's time and
-			// re-reserve the governor budget. The reservation bypasses
-			// admission (force): a job admitted by a previous daemon
-			// life must not vanish because the budget shrank.
-			m.anchorDeadlines(j, firstAt[id])
+			// Re-anchor deadlines at the admission time, which requeues
+			// never move: an older daemon's job has it in jobs.log, and
+			// one with no record there is admitted now. The governor
+			// reservation bypasses admission (force): a job admitted by a
+			// previous daemon life must not vanish because the budget
+			// shrank.
+			admitted := m.now()
+			if evs[0].Admitted != 0 {
+				admitted = time.Unix(0, evs[0].Admitted)
+			} else if rec != nil {
+				admitted = rec.Time
+			}
+			m.anchorDeadlines(j, admitted)
 			rects := 0
-			if l, err := rec.Spec.ResolveLayout(m.layoutRoot); err == nil {
+			if l, err := spec.ResolveLayout(m.layoutRoot); err == nil {
 				rects = len(l.Rects)
 			}
-			j.cost = EstimateCost(rec.Spec, rects)
+			j.cost = EstimateCost(spec, rects)
 			m.gov.force(id, j.cost)
 		}
 		m.jobs[id] = j
 		m.order = append(m.order, id)
 	}
 	return nil
+}
+
+// readJobsLog decodes the jobs.log an older daemon left in the data
+// directory, if any, merged per ID: the newest record's state, error and
+// shots under the first record's spec and time.
+func (m *Manager) readJobsLog() (map[string]*jobRecord, error) {
+	payloads, err := checkpoint.ReadFS(m.fsys, filepath.Join(m.dataDir, "jobs.log"), jobsJournalHeader)
+	if iox.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("server: job journal: %w", err)
+	}
+	merged := map[string]*jobRecord{}
+	for i, p := range payloads {
+		var rec jobRecord
+		if err := json.Unmarshal(p, &rec); err != nil {
+			return nil, fmt.Errorf("server: job journal record %d: %w", i, err)
+		}
+		if prev := merged[rec.ID]; prev != nil {
+			rec.Spec, rec.Time = prev.Spec, prev.Time
+		} else if rec.Spec == nil {
+			return nil, fmt.Errorf("server: job %s has state records but no spec", rec.ID)
+		}
+		merged[rec.ID] = &rec
+	}
+	return merged, nil
 }
 
 // anchorDeadlines derives a job's absolute deadline and queue-TTL
@@ -459,7 +465,7 @@ func (m *Manager) monitor() {
 }
 
 // Stop halts the executor pool and waits for it. Running jobs are
-// interrupted without a terminal record — their journals still say
+// interrupted without a terminal event — their journals still say
 // running, so a later Manager requeues and resumes them.
 func (m *Manager) Stop() {
 	m.cancel()
@@ -468,10 +474,6 @@ func (m *Manager) Stop() {
 	defer m.mu.Unlock()
 	for _, j := range m.jobs {
 		j.hub.close()
-	}
-	if m.journal != nil {
-		m.journal.Close()
-		m.journal = nil
 	}
 }
 
@@ -503,40 +505,41 @@ func (m *Manager) Submit(spec *JobSpec) (JobStatus, error) {
 		m.gov.release(id)
 		return JobStatus{}, err
 	}
-	if err := m.fsys.MkdirAll(m.jobDir(id), 0o755); err != nil {
-		m.sched.cancel(id)
-		m.gov.release(id)
-		return JobStatus{}, err
-	}
-	h, err := newHubFS(m.fsys, m.eventPath(id), id, spec)
-	if err != nil {
-		m.sched.cancel(id)
-		m.gov.release(id)
-		return JobStatus{}, err
-	}
-	// Storage before visibility: the queued event and the queued record
-	// must both be durable before the job exists anywhere a client can
-	// see it. On failure the submission is rejected whole — queue slot
-	// released, journal handle closed, the orphaned event journal
-	// removed (best-effort) so a future job reusing the ID starts
-	// fresh. The event goes first: an events.log with no jobs.log
-	// record is an ignorable orphan at recovery, whereas a jobs.log
-	// record for a rejected job would resurrect it.
+	// Storage before visibility: the job exists, and a client can see
+	// it, only once its queued event and both directory entries above it
+	// are durable. On failure the submission is rejected whole —
+	// queue slot released, journal handle closed, its directory removed
+	// (best-effort). The ID is used up once the directory exists, so no
+	// later job can meet a journal a rejected one left behind.
+	var h *hub
 	reject := func(err error) (JobStatus, error) {
 		m.sched.cancel(id)
 		m.gov.release(id)
-		h.close()
+		if h != nil {
+			h.close()
+		}
 		m.fsys.Remove(m.eventPath(id))
+		m.fsys.Remove(m.jobDir(id))
 		return JobStatus{}, err
 	}
-	if _, err := h.publish(JobEvent{Kind: "state", State: string(JobQueued)}); err != nil {
+	if err := m.fsys.MkdirAll(m.jobDir(id), 0o755); err != nil {
+		return reject(err)
+	}
+	m.nextID++
+	if h, err = newHubFS(m.fsys, m.eventPath(id), id, spec); err != nil {
 		return reject(err)
 	}
 	admitted := m.now()
-	if err := m.appendRecord(jobRecord{ID: id, State: JobQueued, Spec: spec, Time: admitted}); err != nil {
-		return reject(fmt.Errorf("job journal: %w", err))
+	_, err = h.publish(JobEvent{Kind: "state", State: string(JobQueued), Admitted: admitted.UnixNano()})
+	if err == nil {
+		err = m.fsys.SyncDir(m.jobDir(id))
 	}
-	m.nextID++
+	if err == nil {
+		err = m.fsys.SyncDir(filepath.Dir(m.jobDir(id)))
+	}
+	if err != nil {
+		return reject(err)
+	}
 	j := &job{id: id, spec: spec, state: JobQueued, hub: h, cost: cost}
 	m.anchorDeadlines(j, admitted)
 	m.jobs[id] = j
@@ -637,7 +640,7 @@ func (m *Manager) executor() {
 }
 
 // runJob drives one dispatched job through RunSpec and records the
-// outcome. Daemon shutdown mid-run deliberately records nothing: the
+// outcome. Daemon shutdown mid-run deliberately journals nothing: the
 // journal still says running, which is exactly what makes the next
 // daemon requeue and resume it.
 func (m *Manager) runJob(id string) {
@@ -671,17 +674,9 @@ func (m *Manager) runJob(id string) {
 	j.state = JobRunning
 	j.stopRun = stop
 	j.lastEv.Store(now.UnixNano())
-	// A job whose state transitions cannot be journaled must not run:
-	// fail it cleanly before any work starts. finishLocked's own writes
-	// are best-effort against the same (likely poisoned) journals.
-	err := m.appendRecord(jobRecord{ID: id, State: JobRunning, Time: now})
-	if err != nil {
-		err = fmt.Errorf("job journal: %w", err)
-	} else {
-		// May ride the first tile's batch: the record above is synced.
-		err = j.hub.post(JobEvent{Kind: "state", State: string(JobRunning)})
-	}
-	if err != nil {
+	// May ride the first tile's batch. A job whose running event cannot
+	// be journaled must not run: fail it cleanly before any work starts.
+	if err := j.hub.post(JobEvent{Kind: "state", State: string(JobRunning)}); err != nil {
 		j.stopRun = nil
 		stop(nil)
 		m.finishLocked(j, JobFailed, err.Error(), 0)
@@ -772,9 +767,10 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 	}
 	res, err := m.runSpec(ctx, l, spec, opts)
 	if errors.Is(err, checkpoint.ErrHeaderMismatch) {
-		// The spec in jobs.log is the job; flow.ckpt only derives from it. A
-		// journal this build cannot resume — written under another numerics
-		// version, say — goes aside, and the job runs again from tile 0.
+		// The spec in the events.log header is the job; flow.ckpt only
+		// derives from it. A journal this build cannot resume — written
+		// under another numerics version, say — goes aside, and the job
+		// runs again from tile 0.
 		if err = m.fsys.Rename(opts.Checkpoint, opts.Checkpoint+".stale"); err == nil {
 			res, err = m.runSpec(ctx, l, spec, opts)
 		}
@@ -785,16 +781,14 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 	return res, err
 }
 
-// finishLocked moves a job to a terminal state: journal record, final
-// state event, event journal released. Callers hold m.mu.
+// finishLocked moves a job to a terminal state: final state event
+// journaled, event journal released. Callers hold m.mu.
 //
-// Storage failures here are counted, not fatal — the job is ending
-// regardless. The record goes first: the stream must never claim a
-// terminal state jobs.log does not have. If the record fails, no
-// terminal event is published at all (jobs.log still says running, so
-// the next daemon requeues and re-runs the job from its checkpoint)
-// and closing the hub ends every subscriber's stream instead. If only
-// the event fails, recovery synthesizes it from the durable record.
+// A storage failure here is counted, not fatal — the job is ending
+// regardless. A terminal event that cannot be journaled reaches no
+// subscriber: closing the hub ends every stream without one, and the
+// journal still says running, so the next daemon requeues the job and
+// resumes it from its checkpoint.
 func (m *Manager) finishLocked(j *job, state JobState, errMsg string, shots int) {
 	j.state = state
 	j.errMsg = errMsg
@@ -805,10 +799,8 @@ func (m *Manager) finishLocked(j *job, state JobState, errMsg string, shots int)
 		m.gov.expired++
 		m.gov.mu.Unlock()
 	}
-	if err := m.appendRecord(jobRecord{ID: j.id, State: state, Error: errMsg, Shots: shots, Time: m.now()}); err == nil {
-		if _, err := j.hub.publish(JobEvent{Kind: "state", State: string(state), Error: errMsg, Shots: shots}); err != nil {
-			m.eventErrs.Add(1)
-		}
+	if _, err := j.hub.publish(JobEvent{Kind: "state", State: string(state), Error: errMsg, Shots: shots}); err != nil {
+		m.eventErrs.Add(1)
 	}
 	j.hub.close()
 }
@@ -958,26 +950,3 @@ func (m *Manager) GovernorHealth() GovernorHealth { return m.gov.health() }
 
 // QueueHealth reports the scheduler's /healthz section.
 func (m *Manager) QueueHealth() QueueHealth { return m.sched.health() }
-
-// appendRecord journals one job-state transition durably, returning
-// the append or fsync error; either poisons jobs.log (see
-// internal/checkpoint), so after one failure every later call fails
-// too. Callers hold m.mu (or are inside NewManager, before the
-// manager escapes).
-func (m *Manager) appendRecord(rec jobRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		panic("server: marshal jobRecord failed: " + err.Error())
-	}
-	if m.journal == nil {
-		return nil
-	}
-	err = m.journal.Append(payload)
-	if err == nil {
-		err = m.journal.Sync()
-	}
-	if err != nil {
-		m.recordErrs.Add(1)
-	}
-	return err
-}

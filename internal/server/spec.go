@@ -45,7 +45,7 @@ type JobSpec struct {
 
 	// DeadlineMS bounds the job's total service time in milliseconds,
 	// measured from first admission (the anchor survives restarts: it
-	// is the first journaled record's timestamp). 0 means no per-job
+	// rides the job's seq-1 event). 0 means no per-job
 	// deadline; the daemon's queue TTL still applies. Expired jobs —
 	// queued or running — end in the terminal deadline_exceeded state
 	// with checkpoint state preserved for manual resume. The cfaopc
