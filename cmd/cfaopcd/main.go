@@ -16,12 +16,12 @@
 // youngest over-budget running job), with a wedge watchdog killing
 // jobs that stop emitting events. See DESIGN.md §9.
 //
-// Every job persists through two journals — the daemon's job-state log
-// and the flow's tile checkpoint — so a daemon killed mid-run (even
-// SIGKILL) restarts with every unfinished job requeued, resumed from
-// its checkpoint, and finishing with byte-identical output; SSE
-// clients reconnect with Last-Event-ID and replay exactly the events
-// they missed.
+// Every job persists through two logs in its directory — events.log,
+// its one record (the spec in its header, then every state and tile
+// event), and flow.ckpt, the flow's tile checkpoint — so a daemon
+// killed mid-run (even SIGKILL) restarts with every unfinished job
+// requeued, resumed from its checkpoint, and finishing with
+// byte-identical output; SSE clients resume exactly via Last-Event-ID.
 //
 // The listener's actual address is written to <data>/addr once the
 // daemon is serving, so scripts using -listen 127.0.0.1:0 can find it.

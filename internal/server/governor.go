@@ -74,9 +74,9 @@ func EstimateCost(spec *JobSpec, rects int) Cost {
 	indexBytes := int64(rects)*48 + int64((spec.GridN+31)/32)*24
 
 	flow := indexBytes
-	flow += int64(workers) * win2 * f64            // window targets
-	flow += int64(spec.GridN) * maskBandRows * f64 // WriteMask's band
-	flow += int64(tiles) * estShotsPerTile * 24    // shot list
+	flow += int64(workers) * win2 * f64         // window targets
+	flow += maskBandBytes(spec.GridN)           // WriteMask's band
+	flow += int64(tiles) * estShotsPerTile * 24 // shot list
 
 	sim := int64(workers) * int64(spec.KOpt+4) * win2 * c128
 
@@ -179,11 +179,11 @@ type governor struct {
 
 	shrinks     int64 // ladder entries into GovShrink
 	pauses      int64 // ladder entries into GovPause
-	sheds       int64 // jobs canceled by the shed rung
-	wedges      int64 // jobs killed by the wedge watchdog
-	expired     int64 // jobs that hit their deadline (queued or running)
 	rejected    int64 // admissions refused (over budget / paused / too big)
 	transitions int64 // total ladder level changes
+	// ended counts jobs by govCounter: deadline_exceeded, shed, or a run
+	// the wedge watchdog ended. The noCounter slot is never read.
+	ended [numCounters]int64
 }
 
 func newGovernor(cfg GovernorConfig) *governor {
@@ -209,11 +209,8 @@ func newGovernor(cfg GovernorConfig) *governor {
 }
 
 // liveHeapBytes reads the live-object heap size from runtime/metrics.
-var liveHeapSample = []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
-
 func liveHeapBytes() int64 {
-	s := make([]metrics.Sample, 1)
-	copy(s, liveHeapSample)
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
 	metrics.Read(s)
 	return int64(s[0].Value.Uint64())
 }
@@ -272,27 +269,38 @@ func (g *governor) reserveLocked(id string, c Cost) {
 	g.units += c.IterUnits
 }
 
-// release frees a terminal job's reservation. Unknown ids are a no-op
-// (jobs recovered as already-terminal never reserved).
-func (g *governor) release(id string) {
+// release frees a job's reservation; an unknown id is a no-op.
+func (g *governor) release(id string) { g.end(id, noCounter) }
+
+// govCounter names the /healthz counter a job's ending adds one to.
+type govCounter int
+
+const (
+	noCounter govCounter = iota
+	expiredCounter
+	shedCounter
+	wedgeCounter
+	numCounters
+)
+
+// end releases a terminal job's reservation and counts how it ended:
+// the one place a job leaves the governor.
+func (g *governor) end(id string, c govCounter) {
 	g.mu.Lock()
-	if c, ok := g.committed[id]; ok {
-		g.bytes -= c.PeakBytes
-		g.units -= c.IterUnits
+	defer g.mu.Unlock()
+	if cost, ok := g.committed[id]; ok {
+		g.bytes -= cost.PeakBytes
+		g.units -= cost.IterUnits
 		delete(g.committed, id)
 	}
-	g.mu.Unlock()
+	g.ended[c]++
 }
 
+// fairShare is one running slot's share of the budget.
+func (g *governor) fairShare(slots int) int64 { return g.budget / int64(slots) }
+
 func (g *governor) retryAfterLocked() time.Duration {
-	d := time.Duration(g.units * nominalUnitNS)
-	if d < time.Second {
-		d = time.Second
-	}
-	if d > 5*time.Minute {
-		d = 5 * time.Minute
-	}
-	return d
+	return min(max(time.Duration(g.units*nominalUnitNS), time.Second), 5*time.Minute)
 }
 
 // retryAfter is the exported drain estimate, shared by the queue-full
@@ -359,7 +367,7 @@ type GovernorHealth struct {
 	Shrinks       int64  `json:"shrinks,omitempty"`  // cache-shrink rung entries
 	Pauses        int64  `json:"pauses,omitempty"`   // admission-pause rung entries
 	Sheds         int64  `json:"sheds,omitempty"`    // running jobs shed
-	Wedges        int64  `json:"wedges,omitempty"`   // jobs killed by the wedge watchdog
+	Wedges        int64  `json:"wedges,omitempty"`   // runs the wedge watchdog ended
 	Expired       int64  `json:"expired,omitempty"`  // jobs ended deadline_exceeded
 	Rejected      int64  `json:"rejected,omitempty"` // admissions refused
 	Transitions   int64  `json:"transitions,omitempty"`
@@ -378,9 +386,9 @@ func (g *governor) health() GovernorHealth {
 		HeapLow:       g.heapLow,
 		Shrinks:       g.shrinks,
 		Pauses:        g.pauses,
-		Sheds:         g.sheds,
-		Wedges:        g.wedges,
-		Expired:       g.expired,
+		Sheds:         g.ended[shedCounter],
+		Wedges:        g.ended[wedgeCounter],
+		Expired:       g.ended[expiredCounter],
 		Rejected:      g.rejected,
 		Transitions:   g.transitions,
 	}

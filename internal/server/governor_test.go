@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cfaopc/internal/flow"
+	"cfaopc/internal/geom"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/wcache"
 )
@@ -52,6 +54,37 @@ func TestEstimateCostShape(t *testing.T) {
 	workers := EstimateCost(specFor(t, func(s *JobSpec) { s.TileWorkers = 4 }), 2)
 	if workers.PeakBytes <= small.PeakBytes {
 		t.Fatalf("more workers should price higher: %+v vs %+v", small, workers)
+	}
+}
+
+// TestEstimateCostPricesTheMaskBand holds EstimateCost's mask term to
+// what WriteMask allocates. Two grids with the same tiles and the same
+// index band headers are priced apart by their bands alone, and writing
+// an empty mask allocates its band plus one row of 255s and the file's
+// bookkeeping — 1 byte per pixel of the band, not a float64.
+func TestEstimateCostPricesTheMaskBand(t *testing.T) {
+	price := func(n int) int64 {
+		return EstimateCost(&JobSpec{GridN: n, TileCore: 1024, KOpt: 1, Iters: 1}, 0).FlowBytes
+	}
+	if got, want := price(2048)-price(2024), maskBandBytes(2048)-maskBandBytes(2024); got != want {
+		t.Fatalf("estimates of 2048 and 2024 px differ by %d bytes, want the bands' %d", got, want)
+	}
+	const n = 1024
+	path := filepath.Join(t.TempDir(), "mask.pgm")
+	var least uint64
+	for i := 0; i < 3; i++ { // the least of three, so a stray allocation elsewhere does not count
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := WriteMask(nil, path, n, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; i == 0 || got < least {
+			least = got
+		}
+	}
+	if band := uint64(maskBandBytes(n)); least < band || least > band+n+4096 {
+		t.Fatalf("WriteMask allocated %d bytes at %d px; its band is priced at %d", least, n, band)
 	}
 }
 
@@ -307,6 +340,97 @@ func TestWedgeWatchdog(t *testing.T) {
 	}
 }
 
+// tailRun is a runSpec stand-in for a run stopped where nothing can hear
+// it — after its last tile, inside ordering or writing: it publishes
+// nothing, waits for its context to end, and returns success anyway.
+func tailRun(ctx context.Context, _ *layout.Layout, _ *JobSpec, _ RunOpts) (*flow.Result, error) {
+	<-ctx.Done()
+	return &flow.Result{Shots: make([]geom.Circle, 3)}, nil
+}
+
+// TestStopInTheTailGetsItsTypedState drives each stop into a run that
+// finishes regardless. A DELETE, a deadline and a shed read first and
+// type the ending; a wedge and a daemon shutdown end only what they
+// interrupt, so the finished run is done and no wedge is counted.
+func TestStopInTheTailGetsItsTypedState(t *testing.T) {
+	heavy := func(s *JobSpec) {
+		s.GridN, s.TileCore, s.TileHalo, s.KOpt, s.TileWorkers = 512, 128, 64, 8, 4
+	}
+	for _, tc := range []struct {
+		name   string
+		config func(*ManagerConfig)
+		spec   func(*JobSpec)
+		stop   func(t *testing.T, m *Manager, heap *heapScript, id string)
+		state  JobState
+		prefix string
+		health GovernorHealth // the ending counters only
+	}{
+		{
+			name:  "delete",
+			stop:  func(t *testing.T, m *Manager, _ *heapScript, id string) { m.Cancel(id) },
+			state: JobCanceled,
+		},
+		{
+			name:   "deadline",
+			spec:   func(s *JobSpec) { s.DeadlineMS = 60 },
+			stop:   func(*testing.T, *Manager, *heapScript, string) {},
+			state:  JobDeadline,
+			prefix: "deadline 60ms exceeded",
+			health: GovernorHealth{Expired: 1},
+		},
+		{
+			name: "shed",
+			spec: heavy,
+			stop: func(_ *testing.T, m *Manager, heap *heapScript, _ string) {
+				heap.set(49 << 20)
+				m.Pulse() // pause
+				m.Pulse() // shed
+			},
+			state:  JobFailed,
+			prefix: "shed:",
+			health: GovernorHealth{Sheds: 1},
+		},
+		{
+			name:   "wedge",
+			config: func(cfg *ManagerConfig) { cfg.WedgeTimeout = 50 * time.Millisecond },
+			stop: func(_ *testing.T, m *Manager, _ *heapScript, _ string) {
+				time.Sleep(80 * time.Millisecond) // tailRun publishes nothing
+				m.Pulse()
+			},
+			state: JobDone,
+		},
+		{
+			name:  "shutdown",
+			stop:  func(_ *testing.T, m *Manager, _ *heapScript, _ string) { m.Stop() },
+			state: JobDone,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			heap := &heapScript{}
+			m := governedManager(t, heap, tc.config)
+			m.runSpec = tailRun
+			m.Start()
+			st, err := m.Submit(specFor(t, tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitJobState(t, m, st.ID, JobRunning)
+			tc.stop(t, m, heap, st.ID)
+			fin := waitTerminal(t, m, st.ID)
+			if fin.State != tc.state || !strings.HasPrefix(fin.Error, tc.prefix) {
+				t.Fatalf("job = %s (%q), want %s (%q…)", fin.State, fin.Error, tc.state, tc.prefix)
+			}
+			if tc.state == JobDone && fin.Shots != 3 {
+				t.Fatalf("done job reports %d shots, want tailRun's 3", fin.Shots)
+			}
+			h := m.GovernorHealth()
+			if got := (GovernorHealth{Expired: h.Expired, Sheds: h.Sheds, Wedges: h.Wedges}); got != tc.health {
+				t.Fatalf("ending counters = %+v, want %+v", got, tc.health)
+			}
+		})
+	}
+}
+
 func TestDeadlineQueuedAndTTL(t *testing.T) {
 	heap := &heapScript{}
 	for _, tc := range []struct {
@@ -386,7 +510,9 @@ func TestDeadlineWhileRunning(t *testing.T) {
 // TestDeadlineAnchorSurvivesRestart proves the deadline is measured
 // from first admission, not from the latest requeue: a manager reopened
 // on the same data directory must expire a still-pending job using the
-// original anchor.
+// original anchor. Everything else about the queued job survives too:
+// the requeue reports the status Submit did, but for the newer last_seq
+// of its requeue event, and reserves the same governor bytes.
 func TestDeadlineAnchorSurvivesRestart(t *testing.T) {
 	heap := &heapScript{}
 	root := testLayoutRoot(t)
@@ -400,10 +526,13 @@ func TestDeadlineAnchorSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m1.Submit(specFor(t, func(s *JobSpec) { s.DeadlineMS = 50 }))
+	st, err := m1.Submit(specFor(t, func(s *JobSpec) {
+		s.DeadlineMS, s.Tenant, s.Priority = 50, "acme", 3
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	committed := m1.GovernorHealth().Committed
 	m1.Stop() // never started; the job stays queued in the journal
 
 	time.Sleep(60 * time.Millisecond) // the deadline passes while "down"
@@ -422,6 +551,17 @@ func TestDeadlineAnchorSurvivesRestart(t *testing.T) {
 	}
 	if h := m2.GovernorHealth(); h.Committed == 0 {
 		t.Fatal("recovered job should re-reserve governor budget")
+	}
+	if st2.LastSeq <= st.LastSeq {
+		t.Fatalf("requeue published nothing: last_seq %d -> %d", st.LastSeq, st2.LastSeq)
+	}
+	same := st2
+	same.LastSeq = st.LastSeq
+	if same != st {
+		t.Fatalf("queued job changed across restart:\n  %+v\n->%+v", st, st2)
+	}
+	if h := m2.GovernorHealth(); h.Committed != committed {
+		t.Fatalf("recovered job reserves %d bytes, Submit reserved %d", h.Committed, committed)
 	}
 	m2.Pulse()
 	fin, err := m2.Status(st.ID)

@@ -311,6 +311,29 @@ func (h *hub) close() {
 	}
 }
 
+// Subscribe attaches a drop-oldest event consumer to a job's stream,
+// replaying everything after sinceSeq first. The caller must call
+// Unsubscribe when done.
+func (m *Manager) Subscribe(id string, sinceSeq int64, capacity int) (*subscriber, error) {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	m.mu.Unlock()
+	if !ok {
+		return nil, ErrNoJob
+	}
+	return j.hub.subscribe(sinceSeq, capacity), nil
+}
+
+// Unsubscribe detaches a Subscribe consumer.
+func (m *Manager) Unsubscribe(id string, sub *subscriber) {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	m.mu.Unlock()
+	if ok {
+		j.hub.unsubscribe(sub)
+	}
+}
+
 // subscriber is one consumer's bounded view of the stream: a
 // drop-oldest ring plus a doorbell. offer never blocks; a consumer
 // that falls more than cap events behind sees a seq gap (and the

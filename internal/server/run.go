@@ -118,6 +118,9 @@ func RunSpec(ctx context.Context, l *layout.Layout, spec *JobSpec, o RunOpts) (*
 func Run(ctx context.Context, l *layout.Layout, cfg flow.Config, o RunOpts) (*flow.Result, error) {
 	cfg.CheckpointPath, cfg.FS, cfg.Cache, cfg.Events = o.Checkpoint, o.FS, o.Cache, o.Events
 	res, err := flow.RunContext(ctx, l, cfg)
+	if err == nil {
+		err = ctx.Err() // stopped after the last tile: the tail cannot hear it
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -160,9 +163,11 @@ func WriteShots(fsys iox.FS, path string, shots []geom.Circle, dx float64) error
 	return f.Close()
 }
 
-// maskBandRows is how many rows WriteMask rasterizes at a time: its
-// working memory is one n × maskBandRows byte band whatever n is.
+// WriteMask rasterizes maskBandRows rows at a time into one byte band of
+// maskBandBytes, whatever n is; EstimateCost prices the band the same.
 const maskBandRows = 64
+
+func maskBandBytes(n int) int64 { return int64(n) * int64(min(maskBandRows, n)) }
 
 // WriteMask writes the n×n mask shots print as a binary PGM (P5),
 // fsynced — 255 where geom.RasterizeCircles(n, n, shots) is set, 0
@@ -175,7 +180,7 @@ func WriteMask(fsys iox.FS, path string, n int, shots []geom.Circle) error {
 		return err
 	}
 	_, err = fmt.Fprintf(f, "P5\n%d %d\n255\n", n, n)
-	band := make([]byte, n*min(maskBandRows, n))
+	band := make([]byte, maskBandBytes(n))
 	set := bytes.Repeat([]byte{255}, n)
 	for y0 := 0; y0 < n && err == nil; y0 += maskBandRows {
 		y1 := min(y0+maskBandRows, n)
