@@ -3,6 +3,7 @@ package cfaopc_test
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -35,18 +36,18 @@ var tools = []struct {
 	{"cfaopcd", true},
 	{"evalmask", true},
 	{"genlayout", true},
-	{"kernelinfo", false},
+	{"kernelinfo", true},
 	{"paperbench", false},
-	{"replaytile", true},
 	{"tileworker", true},
 }
 
-// binDir holds the tools this test binary built, each once: TestMain
-// creates it and removes it after the run.
+// binDir holds the tools this test binary built, all in one pass the
+// first time a test asks for one: TestMain creates it and removes it
+// after the run.
 var (
 	binDir string
 	binMu  sync.Mutex
-	built  = map[string]bool{}
+	built  bool
 )
 
 func TestMain(m *testing.M) {
@@ -61,30 +62,22 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// buildTools compiles the named tools (none named: every tool in the
-// table) into binDir, each the first time a test asks for it, and returns
-// a lookup from tool name to binary path.
-func buildTools(t *testing.T, names ...string) func(name string) string {
+// buildTools compiles every tool under ./cmd into binDir with one go
+// build, the first time a test asks for a tool, and returns a lookup
+// from tool name to binary path.
+func buildTools(t *testing.T) func(name string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("short mode: skipping CLI build")
 	}
-	if len(names) == 0 {
-		for _, tool := range tools {
-			names = append(names, tool.name)
-		}
-	}
 	binMu.Lock()
 	defer binMu.Unlock()
-	for _, name := range names {
-		if built[name] {
-			continue
-		}
-		cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, name), "./cmd/"+name)
+	if !built {
+		cmd := exec.Command("go", "build", "-o", binDir+string(filepath.Separator), "./cmd/...")
 		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", name, err, msg)
+			t.Fatalf("build ./cmd/...: %v\n%s", err, msg)
 		}
-		built[name] = true
+		built = true
 	}
 	return func(name string) string { return filepath.Join(binDir, name) }
 }
@@ -151,7 +144,7 @@ func TestEveryInternalPackageIsShipped(t *testing.T) {
 // artifact flow a user would: generate layouts, optimize one, and re-score
 // the emitted shot list.
 func TestCLIEndToEnd(t *testing.T) {
-	bin := buildTools(t, "genlayout", "cfaopc", "evalmask")
+	bin := buildTools(t)
 	genlayout, cfaopc, evalmask := bin("genlayout"), bin("cfaopc"), bin("evalmask")
 
 	work := t.TempDir()
@@ -193,11 +186,17 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// 4. GDS input path: optimizing from the GDS copy must agree on the
-	// target (same layout, same shot-count ballpark).
+	// target (same layout, same shot-count ballpark), and evalmask reads
+	// the same .gds file to re-score the shot list to the printed numbers.
 	out = run(cfaopc, "-layout", "layouts/case4.gds", "-grid", "128",
 		"-iters", "10", "-out", "out2", "-method", "develset")
 	if !strings.Contains(out, "shots") {
 		t.Fatalf("cfaopc GDS run unexpected:\n%s", out)
+	}
+	printed, scored := metricsLine(t, out), metricsLine(t, run(evalmask, "-layout", "layouts/case4.gds",
+		"-shots", "out2/case4_shots.csv", "-grid", "128"))
+	if printed != scored {
+		t.Errorf("GDS run: cfaopc printed %q, evalmask scores its shot CSV %q", printed, scored)
 	}
 
 	// 5. Tiled full-chip path: halo windows optimized by concurrent tile
@@ -214,13 +213,13 @@ func TestCLIEndToEnd(t *testing.T) {
 }
 
 // TestCLIWorkerParity runs one small tiled CircleRule job three ways —
-// in-process, on two tileworker subprocesses (-proc-workers with
-// -worker-bin), and on a listening tileworker (-remote-hosts) — and
+// in-process, on two worker subprocesses (-proc-workers, which
+// re-executes cfaopc), and on a listening tileworker (-remote-hosts) — and
 // requires the three shot lists to be the same bytes: the two ways of
 // reaching a worker are one session protocol, and neither may change
 // the output.
 func TestCLIWorkerParity(t *testing.T) {
-	bin := buildTools(t, "cfaopc", "tileworker")
+	bin := buildTools(t)
 	cfaopc, tileworker := bin("cfaopc"), bin("tileworker")
 
 	// A listening worker on an OS-chosen port; its "listening on" log
@@ -280,7 +279,7 @@ func TestCLIWorkerParity(t *testing.T) {
 	if len(bytes.Split(ref, []byte("\n"))) < 3 {
 		t.Fatalf("reference shot list is empty:\n%s", ref)
 	}
-	if got := shots("proc", "[proc]", "-proc-workers", "2", "-worker-bin", tileworker); !bytes.Equal(got, ref) {
+	if got := shots("proc", "[proc]", "-proc-workers", "2"); !bytes.Equal(got, ref) {
 		t.Error("-proc-workers shot list differs from the in-process run")
 	}
 	if got := shots("remote", "["+addr+"]", "-remote-hosts", addr); !bytes.Equal(got, ref) {
@@ -315,7 +314,7 @@ func readFile(t *testing.T, path ...string) []byte {
 // and JSON are two spellings of one spec on one run path, so the shot
 // CSV and the streamed mask PGM must be the same bytes all four times.
 func TestCLIFlagsEqualJobSpec(t *testing.T) {
-	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	cfaopc := buildTools(t)("cfaopc")
 	work := t.TempDir()
 	spec := `{"case":4,"grid":128,"method":"circlerule","fallback":"none","tile_core":64,"tile_halo":16,"tile_workers":2}`
 	if err := os.WriteFile(filepath.Join(work, "job.json"), []byte(spec), 0o644); err != nil {
@@ -382,7 +381,7 @@ func TestCLIFlagsEqualJobSpec(t *testing.T) {
 // the same four tiles behind mid-tile snapshots) is refused at its header,
 // as a user-supplied journal of other arithmetic always is.
 func TestCLIParentPartialJournalResumes(t *testing.T) {
-	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	cfaopc := buildTools(t)("cfaopc")
 	work := t.TempDir()
 	if err := os.WriteFile(filepath.Join(work, "v3.ckpt"), readFile(t, "testdata", "parent", "partial_v3.ckpt"), 0o644); err != nil {
 		t.Fatal(err)
@@ -411,15 +410,15 @@ func TestCLIParentPartialJournalResumes(t *testing.T) {
 	}
 }
 
-// TestCLIReplayTile drives replaytile against the quarantine bundle a
-// parent commit wrote (internal/flow/testdata/parent). Its tile failed
-// only under the fault script the bundle also carries, which replay no
-// longer reads: the window replays clean, so the failure does not
-// reproduce and the recorded engine counts as a fix. A damaged copy is
-// refused with the frame reader's typed error — torn and CRC, observed
-// through a binary.
+// TestCLIReplayTile drives tileworker's replay against the quarantine
+// bundle a parent commit wrote (internal/flow/testdata/parent). Its tile
+// failed only under the fault script the bundle also carries, which
+// replay no longer reads: the window replays clean, so the failure does
+// not reproduce and the recorded engine counts as a fix. A damaged copy
+// is refused with the frame reader's typed error — torn and CRC,
+// observed through a binary.
 func TestCLIReplayTile(t *testing.T) {
-	replaytile := buildTools(t, "replaytile")("replaytile")
+	tileworker := buildTools(t)("tileworker")
 	bundle := readFile(t, "internal", "flow", "testdata", "parent", "tile0003.qrb")
 	work := t.TempDir()
 	torn := bundle[:len(bundle)/2]
@@ -440,11 +439,68 @@ func TestCLIReplayTile(t *testing.T) {
 		{[]string{"torn.qrb"}, 1, "torn"},
 		{[]string{"flipped.qrb"}, 1, "CRC"},
 	} {
-		cmd := exec.Command(replaytile, tc.args...)
+		cmd := exec.Command(tileworker, tc.args...)
 		cmd.Dir = work
 		out, err := cmd.CombinedOutput()
 		if got := cmd.ProcessState.ExitCode(); got != tc.exit || !bytes.Contains(out, []byte(tc.want)) {
-			t.Errorf("replaytile %v: exit %d (%v), want %d and %q in:\n%s", tc.args, got, err, tc.exit, tc.want, out)
+			t.Errorf("tileworker %v: exit %d (%v), want %d and %q in:\n%s", tc.args, got, err, tc.exit, tc.want, out)
+		}
+	}
+}
+
+// TestCLITileworkerUsage: tileworker either listens or replays one
+// bundle. A command line that mixes the two modes, names more than one
+// bundle, or names neither exits 1 with the usage line before it
+// listens or reads a file.
+func TestCLITileworkerUsage(t *testing.T) {
+	tileworker := buildTools(t)("tileworker")
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, args := range [][]string{
+		{"-listen", "127.0.0.1:0", "a.qrb"},
+		{"-fingerprint", "fp", "a.qrb"},
+		{"-handshake", "1s", "a.qrb"},
+		{"-fixed", "circlerule"},
+		{"-fixed", "circlerule", "-listen", "127.0.0.1:0"},
+		{"a.qrb", "b.qrb"},
+		{},
+	} {
+		cmd := exec.CommandContext(ctx, tileworker, args...)
+		cmd.Dir = t.TempDir()
+		out, _ := cmd.CombinedOutput()
+		if got := cmd.ProcessState.ExitCode(); got != 1 || !bytes.HasPrefix(out, []byte("tileworker: usage: tileworker -listen addr")) {
+			t.Errorf("tileworker %q: exit %d, want 1 and the usage line, got:\n%s", args, got, out)
+		}
+	}
+}
+
+// TestCLIKernelInfo drives kernelinfo on a small imaging condition: the
+// cumulative energy column never decreases and ends at 1, and one PNG
+// per kernel is written.
+func TestCLIKernelInfo(t *testing.T) {
+	kernelinfo := buildTools(t)("kernelinfo")
+	dir := t.TempDir()
+	out, err := exec.Command(kernelinfo, "-tile", "512", "-k", "4", "-png", dir, "-png-grid", "32").CombinedOutput()
+	if err != nil {
+		t.Fatalf("kernelinfo: %v\n%s", err, out)
+	}
+	var cumul []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == fmt.Sprint(len(cumul)) {
+			cumul = append(cumul, f[3])
+		}
+	}
+	if len(cumul) != 4 || cumul[3] != "1.0000" {
+		t.Fatalf("cumulative column %q, want 4 rows ending at 1.0000:\n%s", cumul, out)
+	}
+	for i := 1; i < len(cumul); i++ {
+		if cumul[i] < cumul[i-1] { // fixed-width 0.dddd / 1.0000: string order is numeric order
+			t.Errorf("cumulative energy decreases at kernel %d: %q", i, cumul)
+		}
+	}
+	for i := range cumul {
+		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("kernel_%02d.png", i))); err != nil {
+			t.Error(err)
 		}
 	}
 }
@@ -467,8 +523,8 @@ var oneWindowRuns = []struct {
 // single-window branch wrote. Then the flags that branch refused, each
 // doing on one window what it does on sixty-four.
 func TestCLIOneWindowParity(t *testing.T) {
-	bin := buildTools(t, "cfaopc", "replaytile")
-	cfaopc, replaytile := bin("cfaopc"), bin("replaytile")
+	bin := buildTools(t)
+	cfaopc, tileworker := bin("cfaopc"), bin("tileworker")
 	work := t.TempDir()
 	for _, r := range oneWindowRuns {
 		out := runCLI(t, work, cfaopc, append(r.args, "-out", r.name)...)
@@ -527,10 +583,10 @@ func TestCLIOneWindowParity(t *testing.T) {
 	if !strings.Contains(out, "[quarantined: q/tile0000.qrb]") {
 		t.Fatalf("-quarantine-dir: no bundle reported:\n%s", out)
 	}
-	replay := exec.Command(replaytile, "q/tile0000.qrb")
+	replay := exec.Command(tileworker, "q/tile0000.qrb")
 	replay.Dir = work
 	if msg, err := replay.CombinedOutput(); err != nil || !bytes.Contains(msg, []byte("REPRODUCED")) {
-		t.Errorf("replaytile: %v\n%s", err, msg)
+		t.Errorf("tileworker replay: %v\n%s", err, msg)
 	}
 
 	// One window has no halo: -tile-halo beside it overflows the grid, and
@@ -562,29 +618,33 @@ func TestCLIOneWindowParity(t *testing.T) {
 // of the shot CSV it wrote — evalmask, given that CSV, prints the same
 // numbers.
 func TestCLIReportDescribesTheArtifact(t *testing.T) {
-	bin := buildTools(t, "cfaopc", "evalmask", "genlayout")
+	bin := buildTools(t)
 	work := t.TempDir()
 	runCLI(t, work, bin("genlayout"), "-out", "layouts")
-	report := func(out string) string {
-		for _, line := range strings.Split(out, "\n") {
-			if _, metrics, ok := strings.Cut(line, ": L2 "); ok {
-				return metrics
-			}
-		}
-		t.Fatalf("no metrics line in:\n%s", out)
-		return ""
-	}
 	for _, r := range oneWindowRuns {
 		if r.name == "circleopt192" {
 			continue // 10.67 nm/px: the CSV's 0.1 nm rounding moves pixels
 		}
-		printed := report(runCLI(t, work, bin("cfaopc"), append(r.args, "-out", r.name)...))
-		scored := report(runCLI(t, work, bin("evalmask"), "-layout", "layouts/case3.glp", "-grid", "128",
+		printed := metricsLine(t, runCLI(t, work, bin("cfaopc"), append(r.args, "-out", r.name)...))
+		scored := metricsLine(t, runCLI(t, work, bin("evalmask"), "-layout", "layouts/case3.glp", "-grid", "128",
 			"-shots", filepath.Join(r.name, "case3_shots.csv")))
 		if printed != scored {
 			t.Errorf("%s: cfaopc printed %q, its shot CSV scores %q", r.name, printed, scored)
 		}
 	}
+}
+
+// metricsLine returns what follows "L2 " on the metrics line a scoring
+// tool printed (cfaopc without -stream, or evalmask).
+func metricsLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if _, metrics, ok := strings.Cut(line, ": L2 "); ok {
+			return metrics
+		}
+	}
+	t.Fatalf("no metrics line in:\n%s", out)
+	return ""
 }
 
 // TestCLIParentTiledBytes holds the tiled flow to files the parent commit
@@ -597,7 +657,7 @@ func TestCLIReportDescribesTheArtifact(t *testing.T) {
 // same bytes, also when resumed from a journal cut mid-record, as a kill
 // leaves it.
 func TestCLIParentTiledBytes(t *testing.T) {
-	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	cfaopc := buildTools(t)("cfaopc")
 	work := t.TempDir()
 	pools := [][]string{{"-tile-workers", "1"}, {"-tile-workers", "2"}, {"-proc-workers", "2"}}
 	for _, r := range []struct {
@@ -690,7 +750,7 @@ func TestCLIParentTiledBytes(t *testing.T) {
 // clean, and a window narrower than λ/NA = 143 nm is refused in one line
 // before any tile starts.
 func TestCLIPaperPitchTiledRun(t *testing.T) {
-	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	cfaopc := buildTools(t)("cfaopc")
 	work := t.TempDir()
 	pitch := []string{"-case", "10", "-grid", "2048", "-tile-halo", "32", "-method", "circlerule", "-stream"}
 	out := runCLI(t, work, cfaopc, append(pitch, "-tile-core", "128")...)
@@ -716,7 +776,7 @@ func TestCLIPaperPitchTiledRun(t *testing.T) {
 // and a path whose directory cannot take the file is still refused at
 // launch, not after the last tile.
 func TestCLIUnfinishedRunKeepsMask(t *testing.T) {
-	cfaopc := buildTools(t, "cfaopc")("cfaopc")
+	cfaopc := buildTools(t)("cfaopc")
 	work := t.TempDir()
 	runCLI(t, work, cfaopc, "-case", "4", "-grid", "128", "-method", "circlerule", "-stream", "-mask-out", "keep.pgm")
 	kept := readFile(t, work, "keep.pgm")
@@ -757,7 +817,7 @@ func TestCLIUnfinishedRunKeepsMask(t *testing.T) {
 // resumes the job from its checkpoint — the event stream carries
 // resumed tiles — to the shot list cfaopc -job writes for the same spec.
 func TestCLIDaemonStopResumes(t *testing.T) {
-	bin := buildTools(t, "cfaopc", "cfaopcd")
+	bin := buildTools(t)
 	work := t.TempDir()
 	spec := `{"case":4,"grid":512,"method":"circleopt","tile_core":64,"tile_halo":32,"iters":24}`
 	if err := os.WriteFile(filepath.Join(work, "job.json"), []byte(spec), 0o644); err != nil {

@@ -37,11 +37,11 @@
 // grid.
 //
 // With -proc-workers N tiles run in supervised worker subprocesses (the
-// binary re-executes itself as its own worker, or -worker-bin names
-// one), with -remote-hosts on tileworker -listen hosts — the same
-// session either way: a crashed worker or dropped link costs one
-// dispatch, not the run, and output stays byte-identical to the
-// in-process flow.
+// binary re-executes itself as its own worker), with -remote-hosts on
+// tileworker -listen hosts — the same session either way: a crashed
+// worker or dropped link costs one dispatch, not the run, and output
+// stays byte-identical to the in-process flow. A tile that degrades to
+// empty under -quarantine-dir leaves a bundle that tileworker replays.
 //
 // Runs can skip repeated work: -window-cache mem|disk serves
 // content-identical windows from a dedup cache (disk adds a persistent
@@ -108,9 +108,8 @@ func main() {
 		stallTO     = flag.Duration("stall-timeout", 0, "kill an attempt whose optimizer heartbeats stop for this long (0 = none; must not exceed -tile-timeout)")
 		tileRetries = flag.Int("tile-retries", 1, "extra attempts for a failed tile before degrading (part of the checkpoint fingerprint)")
 		ckptPath    = flag.String("checkpoint", "", "journal completed tiles here and resume from it")
-		quarDir     = flag.String("quarantine-dir", "", "write a repro bundle here for every tile that degrades to empty (replay with cmd/replaytile)")
+		quarDir     = flag.String("quarantine-dir", "", "write a repro bundle here for every tile that degrades to empty (replay with tileworker bundle.qrb)")
 		procWorkers = flag.Int("proc-workers", 0, "run tiles in this many supervised worker subprocesses (0 = in-process; overrides -tile-workers)")
-		workerBin   = flag.String("worker-bin", "", "worker binary for -proc-workers (default: re-execute this binary)")
 		remoteHosts = flag.String("remote-hosts", "", "comma-separated tileworker -listen addresses; tiles shard across them (excludes -proc-workers)")
 		winCache    = flag.String("window-cache", "off", "dedup identical windows — off | mem | disk (disk adds a persistent tier under -cache-dir)")
 		cacheDir    = flag.String("cache-dir", "", "directory for the -window-cache disk tier (survives across runs)")
@@ -135,8 +134,6 @@ func main() {
 		}
 	})
 	switch {
-	case *workerBin != "" && *procWorkers <= 0:
-		log.Fatal("-worker-bin only applies with -proc-workers > 0")
 	case *winCache != "off" && *winCache != "mem" && *winCache != "disk":
 		log.Fatalf("-window-cache %q: want off, mem, or disk", *winCache)
 	case (*winCache == "disk") != (*cacheDir != ""):
@@ -189,11 +186,9 @@ func main() {
 	cfg.TileRetries, cfg.TileTimeout, cfg.StallTimeout = *tileRetries, *tileTimeout, *stallTO
 	cfg.QuarantineDir = *quarDir
 	if *procWorkers > 0 {
-		bin := *workerBin
-		if bin == "" {
-			if bin, err = os.Executable(); err != nil {
-				log.Fatalf("-proc-workers: cannot locate own binary (%v); set -worker-bin", err)
-			}
+		bin, err := os.Executable()
+		if err != nil {
+			log.Fatalf("-proc-workers: cannot locate own binary: %v", err)
 		}
 		cfg.ProcWorkers = *procWorkers
 		cfg.WorkerCmd = func() *exec.Cmd {

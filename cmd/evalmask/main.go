@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	evalmask -layout case1.glp -shots case1_shots.csv [-grid 256]
+//	evalmask -layout case1.glp|case1.gds -shots case1_shots.csv [-grid 256]
 package main
 
 import (
@@ -15,8 +15,8 @@ import (
 	"os"
 
 	"cfaopc/internal/fracture"
+	"cfaopc/internal/gds"
 	"cfaopc/internal/geom"
-	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/metrics"
 	"cfaopc/internal/optics"
@@ -50,7 +50,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("evalmask: ")
 	var (
-		layoutPath = flag.String("layout", "", "target layout (.glp)")
+		layoutPath = flag.String("layout", "", "target layout (.glp or .gds)")
 		shotsPath  = flag.String("shots", "", "circular shot list (.csv)")
 		gridN      = flag.Int("grid", 256, "simulation grid")
 		rMin       = flag.Float64("rmin", 12, "MRC minimum radius (nm)")
@@ -61,12 +61,7 @@ func main() {
 		log.Fatal("need -layout and -shots")
 	}
 
-	lf, err := os.Open(*layoutPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	l, err := layout.Parse(lf)
-	lf.Close()
+	l, err := gds.ReadFile(*layoutPath)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package engine names the optimizer chain. It adapts each named method
 // to the flow.Optimizer signature so one dispatch serves the flow and —
-// via quarantine.EngineMeta — the offline bundle replay in
-// cmd/replaytile: a bundle records the engine names and knobs, and
-// FromMeta rebuilds the exact optimizers a failed run was using, on
-// another machine, from nothing but the bundle.
+// via quarantine.EngineMeta — every tile worker and the offline bundle
+// replay in cmd/tileworker: a task or bundle records the engine names
+// and knobs, and FromMeta rebuilds the exact optimizers a failed run
+// was using, on another machine, from nothing but the bundle.
 package engine
 
 import (

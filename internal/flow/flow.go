@@ -52,7 +52,7 @@
 //     no longer silently: with Config.QuarantineDir set, the flow writes
 //     a self-contained repro bundle (window target, owning rects, config
 //     fingerprint, per-attempt history) through internal/quarantine;
-//     cmd/replaytile replays bundles offline via ServeTask.
+//     cmd/tileworker replays bundles offline (procworker.Run → ServeTask).
 //
 // Every tile takes one pipeline — rasterize, cache lookup, execute,
 // cache store (runTile) — and RunContext reads validate → plan → replay
@@ -172,9 +172,9 @@ type Config struct {
 	// cache object usually outlives one run.
 	FS iox.FS
 	// Engines describes how to rebuild Optimize/Fallback offline (method
-	// names + knobs). It is copied verbatim into quarantine bundles so
-	// cmd/replaytile can reconstruct the exact attempt sequence; the
-	// flow itself never interprets it.
+	// names + knobs). Worker tasks and quarantine bundles carry it
+	// verbatim, so a worker or cmd/tileworker's replay rebuilds the exact
+	// attempt sequence; the flow itself never interprets it.
 	Engines quarantine.EngineMeta
 
 	// ProcWorkers and RemoteHosts move tile execution out of this
@@ -208,8 +208,8 @@ type Config struct {
 	// ProcWorkers > 0; must be safe to call concurrently). The
 	// supervisor forces procpool.WorkerEnv=1 into its environment; the
 	// child must detect that (procpool.InWorker) and serve the session
-	// on stdin/stdout — cmd/tileworker, or any binary calling
-	// procworker.ServeIfWorker.
+	// on stdin/stdout, as procworker.ServeIfWorker does (cmd/cfaopc
+	// re-executes itself; tests spawn their own binary).
 	WorkerCmd func() *exec.Cmd
 	// linkSilence, linkBackoff and linkCrashLimit shorten the slot
 	// supervision constants (slot.go) for this package's tests; zero,
@@ -1093,19 +1093,18 @@ func (env *runEnv) reduce(outs []tileOut, workers int) *Result {
 	if cfg.Cache != nil {
 		res.CacheBytes = cfg.Cache.Stats().Bytes
 	}
-	res.PeakBytes = estimatePeakBytes(cfg, workers, env.ix.Bytes(), len(res.Shots))
+	res.PeakBytes = PeakBytes(env.ix.Bytes(), workers, cfg.window(), len(res.Shots))
 	res.CheckpointDegraded, res.CheckpointErr = env.journal.degraded()
 	res.QuarantineDropped = int(env.quarDropped.Load())
 	return res
 }
 
-// estimatePeakBytes adds up the flow-owned buffers documented on
-// Result.PeakBytes. Per-worker window targets dominate: no term scales
-// with GridN².
-func estimatePeakBytes(cfg Config, workers int, indexBytes int64, shots int) int64 {
+// PeakBytes is the formula behind Result.PeakBytes — span index bytes,
+// one float64 window target per tile worker, the stitched shot list —
+// and server.EstimateCost's flow half. Per-worker window targets
+// dominate: no term scales with GridN².
+func PeakBytes(indexBytes int64, workers, window, shots int) int64 {
 	const f64 = 8
-	peak := indexBytes
-	peak += int64(workers) * int64(cfg.window()) * int64(cfg.window()) * f64
-	peak += int64(shots) * 24 // geom.Circle{X, Y, R}
-	return peak
+	return indexBytes + int64(workers)*int64(window)*int64(window)*f64 +
+		int64(shots)*24 // geom.Circle{X, Y, R}
 }

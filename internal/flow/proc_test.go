@@ -374,8 +374,9 @@ func TestWorkerSpawnFailureBreaks(t *testing.T) {
 
 // TestNonWorkerBinarySilenceBreaks: a binary that starts but never
 // answers the coordinator's Hello is killed at the handshake deadline
-// (bounded by linkSilence) and counted as a failed dispatch, so a misconfigured -worker-bin degrades
-// instead of wedging the run.
+// (bounded by linkSilence) and counted as a failed dispatch, so a
+// WorkerCmd that names the wrong binary degrades instead of wedging the
+// run.
 func TestNonWorkerBinarySilenceBreaks(t *testing.T) {
 	l := bigLayout()
 	cfg := procConfig(t)

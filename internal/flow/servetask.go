@@ -33,11 +33,11 @@ func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
 // ServeTask walks one window's exact degradation ladder (primary →
 // retries → fallback → empty) from nothing but its task: the window
 // Config comes from the task's bundle (taskConfig), heartbeats stream
-// to sink, and the window-local result — no
-// core-ownership filter, no checkpoint or quarantine side effects; those
-// are the supervisor's — is packaged as the reply frame. It is what a
-// tile worker runs per task and what offline bundle replay
-// (internal/replay) runs per bundle. The caller resolves the optimizer
+// to sink, and the window-local result — no core-ownership filter, no
+// checkpoint or quarantine side effects; those are the supervisor's — is
+// packaged as the reply frame. It is what a tile worker runs per task
+// and what offline bundle replay (procworker.Run, cmd/tileworker
+// bundle.qrb) runs per bundle. The caller resolves the optimizer
 // chain from Bundle.Engines (the flow cannot — engine construction
 // lives above this package) and owns the simulator, which it should
 // cache across tasks since every window in a run shares one imaging

@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"cfaopc/internal/layout"
@@ -189,6 +192,22 @@ func DefaultLimits() Limits {
 // to tighten or loosen the caps.
 func Read(r io.Reader, layer int16) (*layout.Layout, error) {
 	return ReadWithLimits(r, layer, DefaultLimits())
+}
+
+// ReadFile loads a layout file by its extension: a .gds file (any case)
+// is a GDSII stream read on every layer, anything else the GLP text
+// format (layout.Parse). It is the one place a layout file's format is
+// chosen, so every tool that accepts a layout path accepts both.
+func ReadFile(path string) (*layout.Layout, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.EqualFold(filepath.Ext(path), ".gds") {
+		return Read(f, -1)
+	}
+	return layout.Parse(f)
 }
 
 // ReadWithLimits is Read under explicit resource caps: exceeding any

@@ -1,11 +1,12 @@
 // Package procworker is the engine-backed tile worker: the glue that
 // sits above internal/flow, internal/engine and internal/netpool and
-// turns a process into the worker side of a tile session, on its own
-// stdin/stdout or on a listener. It exists as its own package (rather
-// than living in flow) because engine construction imports the flow —
-// procpool stays a leaf, the flow stays below the engine registry, and
-// a binary that wants to be its own worker (cmd/cfaopc) just calls
-// ServeIfWorker.
+// runs tile tasks. It serves the worker side of a tile session on a
+// re-executed binary's stdin/stdout (ServeIfWorker) or on a listener
+// (Listen), and replays a quarantine bundle offline through the same
+// executor (Run). It exists as its own package (rather than living in
+// flow) because engine construction imports the flow — procpool stays
+// a leaf, the flow stays below the engine registry, and a binary that
+// wants to be its own worker (cmd/cfaopc) just calls ServeIfWorker.
 package procworker
 
 import (
@@ -47,17 +48,10 @@ func Runner() procpool.Runner {
 	}
 }
 
-// Serve runs one session on this process's stdin/stdout — the worker
-// end of a coordinator's procpool.Spawn — until the coordinator closes
-// the task stream. pin is the optional config fingerprint pin.
-func Serve(pin string) error {
-	srv := &netpool.Server{Pin: pin, Runner: Runner}
-	return srv.ServeConn(procpool.Stdio())
-}
-
-// Listen serves the same session over TCP, one per coordinator
-// connection, each handshaken under the handshake deadline. It blocks
-// until the listener closes.
+// Listen serves a session over TCP, one per coordinator connection,
+// each handshaken under the handshake deadline and, when pin is set,
+// refused unless its config fingerprint matches. It blocks until the
+// listener closes.
 func Listen(ln net.Listener, pin string, handshake time.Duration) error {
 	srv := &netpool.Server{Pin: pin, Handshake: handshake, Runner: Runner}
 	return srv.Serve(ln)
@@ -65,13 +59,16 @@ func Listen(ln net.Listener, pin string, handshake time.Duration) error {
 
 // ServeIfWorker is the re-exec branch every worker-capable binary runs
 // first: when the process was spawned as a tile worker
-// (procpool.InWorker), it serves its stdin/stdout and exits. Returns
-// without side effects otherwise.
+// (procpool.InWorker), it serves one session on its stdin/stdout — the
+// worker end of a coordinator's procpool.Spawn — until the coordinator
+// closes the task stream, and exits. Returns without side effects
+// otherwise.
 func ServeIfWorker() {
 	if !procpool.InWorker() {
 		return
 	}
-	if err := Serve(""); err != nil {
+	srv := &netpool.Server{Runner: Runner}
+	if err := srv.ServeConn(procpool.Stdio()); err != nil {
 		log.Fatal(err)
 	}
 	os.Exit(0)

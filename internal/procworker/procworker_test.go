@@ -28,7 +28,7 @@ func TestMain(m *testing.M) {
 }
 
 // TestWorkerParity runs one tiled job in-process, on spawned workers
-// (Serve on stdin/stdout) and on a listening worker (Listen), all
+// (ServeIfWorker on stdin/stdout) and on a listening worker (Listen), all
 // backed by the engine registry: every occupied tile must come from a
 // worker, no dispatch may fail, and the stitched shots must be equal.
 func TestWorkerParity(t *testing.T) {

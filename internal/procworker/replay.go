@@ -1,22 +1,23 @@
-// Package replay re-runs a quarantine bundle offline. A bundle is a
-// complete description of one failed tile — target raster, optics,
-// tiling knobs, engine metadata, recorded attempt history — and it is
-// also the encoding a live tile travels to a worker in. So Run serves
-// the bundle as a task to the very executor a tile worker runs
-// (procworker.Runner: engine.FromMeta rebuilds the optimizer chain,
-// flow.ServeTask maps bundle → flow.Config and walks the primary →
-// retries → fallback ladder), then compares what happened against what
-// the live run recorded. One mapping means a bundle field can never be honoured by
-// workers and ignored by replay. That
-// comparison is the point: "reproduced" means the failure is
-// deterministic and debuggable from the bundle alone; a divergence
-// means the failure depended on something outside it (machine state,
-// data races, wall-clock pressure), which is equally worth knowing.
+package procworker
+
+// Offline bundle replay. A quarantine bundle is a complete description
+// of one failed tile — target raster, optics, tiling knobs, engine
+// metadata, recorded attempt history — and it is also the encoding a
+// live tile travels to a worker in. So Run serves the bundle as a task
+// to the very executor a tile worker runs (Runner: engine.FromMeta
+// rebuilds the optimizer chain, flow.ServeTask maps bundle →
+// flow.Config and walks the primary → retries → fallback ladder), then
+// compares what happened against what the live run recorded. One
+// mapping means a bundle field can never be honoured by workers and
+// ignored by replay. That comparison is the point: "reproduced" means
+// the failure is deterministic and debuggable from the bundle alone; a
+// divergence means the failure depended on something outside it
+// (machine state, data races, wall-clock pressure), which is equally
+// worth knowing.
 //
 // Options.Fixed swaps the primary engine for a candidate fix and
 // reports whether the tile now succeeds — the verify loop for a repair
 // developed against a bundle.
-package replay
 
 import (
 	"context"
@@ -25,7 +26,6 @@ import (
 	"cfaopc/internal/flow"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/procpool"
-	"cfaopc/internal/procworker"
 	"cfaopc/internal/quarantine"
 )
 
@@ -75,7 +75,7 @@ func Run(ctx context.Context, b *quarantine.Bundle, o Options) (*Report, error) 
 	if o.Fixed != "" {
 		task.Bundle.Engines.Primary = o.Fixed
 	}
-	reply := procworker.Runner()(ctx, &task, nil)
+	reply := Runner()(ctx, &task, nil)
 	if reply.Err != "" {
 		return nil, fmt.Errorf("replay: %s", reply.Err)
 	}

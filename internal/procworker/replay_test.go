@@ -1,4 +1,4 @@
-package replay
+package procworker
 
 import (
 	"context"
@@ -12,7 +12,6 @@ import (
 	"cfaopc/internal/layout"
 	"cfaopc/internal/optics"
 	"cfaopc/internal/procpool"
-	"cfaopc/internal/procworker"
 	"cfaopc/internal/quarantine"
 )
 
@@ -143,7 +142,7 @@ func TestReplayWalksTheWorkerLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply := procworker.Runner()(context.Background(), &procpool.Task{Bundle: *b}, nil)
+	reply := Runner()(context.Background(), &procpool.Task{Bundle: *b}, nil)
 	if reply.Err != "" {
 		t.Fatal(reply.Err)
 	}

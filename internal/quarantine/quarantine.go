@@ -14,9 +14,9 @@
 // On disk a bundle is a gob blob in an iox sealed file — magic, then one
 // length | CRC32 | payload frame — so bit rot is detected, plus a
 // human-readable JSON sidecar (raster elided) for quick triage with
-// nothing but a pager. cmd/replaytile consumes bundles; this package
-// deliberately imports no flow code so the schema stays a leaf both the
-// flow and the replay tool can share.
+// nothing but a pager. A bundle is also a worker's task (procpool.Task),
+// so cmd/tileworker replays it; this package imports no flow code so the
+// schema stays a leaf the flow, the worker wire and the replay share.
 package quarantine
 
 import (
@@ -42,8 +42,8 @@ const MaxBundleBytes = 256 << 20
 // EngineMeta describes how to rebuild the optimizer chain offline: the
 // named primary and fallback engines plus the resolution-independent
 // knobs cmd/cfaopc resolves them with. It is copied verbatim from
-// flow.Config into every bundle so cmd/replaytile reconstructs the
-// exact attempt sequence.
+// flow.Config into every bundle so a replay (cmd/tileworker
+// bundle.qrb) reconstructs the exact attempt sequence.
 type EngineMeta struct {
 	Primary  string  // e.g. "circleopt"
 	Fallback string  // e.g. "circlerule"; "" when no fallback was set

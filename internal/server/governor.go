@@ -14,6 +14,8 @@ import (
 	"runtime/metrics"
 	"sync"
 	"time"
+
+	"cfaopc/internal/flow"
 )
 
 // Cost is the deterministic resource estimate of one job spec. It is a
@@ -25,9 +27,9 @@ type Cost struct {
 	// runs: FlowBytes plus the per-worker simulator working set
 	// (kernel spectra, FFT scratch, adjoint fields).
 	PeakBytes int64 `json:"peak_bytes"`
-	// FlowBytes mirrors the flow's own Result.PeakBytes accounting
-	// (span index + per-worker window targets + stitched shot list)
-	// plus WriteMask's one band; it is the calibratable half of the
+	// FlowBytes is the flow's own Result.PeakBytes formula
+	// (flow.PeakBytes: span index + per-worker window targets +
+	// stitched shot list) plus WriteMask's one band; it is the calibratable half of the
 	// estimate — BENCH_flow.json records estimate-vs-actual ratios.
 	FlowBytes int64 `json:"flow_bytes"`
 	// Tiles is the uniform-plan window count.
@@ -48,18 +50,15 @@ const estShotsPerTile = 192
 // layout's rectangle count (the only layout-dependent input — Submit
 // already resolves the layout to fail fast, so it is free).
 //
-// The flow half mirrors flow.Result.PeakBytes term by term —
-// span-index bytes, one window target per tile worker, the stitched
-// shot list — and adds the one band WriteMask rasterizes at a time
-// once the flow has returned. The simulator half prices
-// what the flow deliberately does not count — per-worker kernel and
-// FFT working sets of roughly (KOpt+4) complex window grids — because
-// the daemon's heap carries both.
+// The flow half is flow.PeakBytes — span-index bytes, one window
+// target per tile worker, the stitched shot list — at an estimated
+// shot count, plus the one band WriteMask rasterizes at a time once the
+// flow has returned. The simulator half prices what the flow
+// deliberately does not count — per-worker kernel and FFT working sets
+// of roughly (KOpt+4) complex window grids — because the daemon's heap
+// carries both.
 func EstimateCost(spec *JobSpec, rects int) Cost {
-	const (
-		f64  = 8  // float64
-		c128 = 16 // complex128
-	)
+	const c128 = 16 // complex128
 	window := spec.TileCore + 2*spec.TileHalo
 	cols := (spec.GridN + spec.TileCore - 1) / spec.TileCore
 	tiles := cols * cols
@@ -73,10 +72,7 @@ func EstimateCost(spec *JobSpec, rects int) Cost {
 	// are small vs bands, so 1.5 bands average) plus band headers.
 	indexBytes := int64(rects)*48 + int64((spec.GridN+31)/32)*24
 
-	flow := indexBytes
-	flow += int64(workers) * win2 * f64         // window targets
-	flow += maskBandBytes(spec.GridN)           // WriteMask's band
-	flow += int64(tiles) * estShotsPerTile * 24 // shot list
+	flowBytes := flow.PeakBytes(indexBytes, workers, window, tiles*estShotsPerTile) + maskBandBytes(spec.GridN)
 
 	sim := int64(workers) * int64(spec.KOpt+4) * win2 * c128
 
@@ -86,7 +82,7 @@ func EstimateCost(spec *JobSpec, rects int) Cost {
 	if units < 1 {
 		units = 1
 	}
-	return Cost{PeakBytes: flow + sim, FlowBytes: flow, Tiles: tiles, IterUnits: units}
+	return Cost{PeakBytes: flowBytes + sim, FlowBytes: flowBytes, Tiles: tiles, IterUnits: units}
 }
 
 // GovLevel is a rung of the degradation ladder. Levels only mean

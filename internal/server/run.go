@@ -61,7 +61,7 @@ func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 		fallback = "" // the metadata's spelling of "no fallback"
 	}
 	// The optimizers are built from the metadata that rides into worker
-	// tasks and quarantine bundles, so a tile worker or replaytile
+	// tasks and quarantine bundles, so a tile worker or a bundle replay
 	// rebuilds this exact chain by the same call.
 	meta := engine.Meta(s.Method, fallback, engine.Options{Iters: s.Iters, Gamma: s.Gamma, SampleNM: s.SampleNM})
 	optimize, fb, err := engine.FromMeta(meta)

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -235,15 +234,7 @@ func (s *JobSpec) ResolveLayout(root string) (*layout.Layout, error) {
 	if s.Case != 0 {
 		return layout.GenerateSuite()[s.Case-1], nil
 	}
-	f, err := os.Open(filepath.Join(root, s.Layout))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.EqualFold(filepath.Ext(s.Layout), ".gds") {
-		return gds.Read(f, -1)
-	}
-	return layout.Parse(f)
+	return gds.ReadFile(filepath.Join(root, s.Layout))
 }
 
 func knownMethod(name string) bool {
