@@ -2,6 +2,7 @@ package layout
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -126,6 +127,16 @@ func TestGenerateSuiteDeterministic(t *testing.T) {
 			if a[i].Rects[j] != b[i].Rects[j] {
 				t.Fatalf("case %d rect %d differs between runs", i+1, j)
 			}
+		}
+	}
+}
+
+// TestSuiteCaseIsGenerateSuites: one case alone is the same layout the
+// whole suite holds at its index.
+func TestSuiteCaseIsGenerateSuites(t *testing.T) {
+	for i, want := range GenerateSuite() {
+		if got := SuiteCase(i + 1); !reflect.DeepEqual(got, want) {
+			t.Errorf("SuiteCase(%d) = %+v, want %+v", i+1, got, want)
 		}
 	}
 }

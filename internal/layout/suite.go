@@ -20,13 +20,15 @@ var PaperAreas = []int{
 // single 320×320 square (the published area is exactly 320²).
 func GenerateSuite() []*Layout {
 	suite := make([]*Layout, len(PaperAreas))
-	for i, area := range PaperAreas {
-		suite[i] = generateCase(i+1, area)
+	for i := range suite {
+		suite[i] = SuiteCase(i + 1)
 	}
 	return suite
 }
 
-func generateCase(id, area int) *Layout {
+// SuiteCase synthesizes case id (1..10) of GenerateSuite alone.
+func SuiteCase(id int) *Layout {
+	area := PaperAreas[id-1]
 	l := &Layout{Name: fmt.Sprintf("case%d", id), TileNM: 2048}
 	if area == 102400 { // case10: one 320×320 block, centered
 		l.Rects = append(l.Rects, Rect{X: 864, Y: 864, W: 320, H: 320})

@@ -134,11 +134,11 @@ func decodeEvents(payloads [][]byte) ([]JobEvent, error) {
 	return evs, nil
 }
 
-// publish (state and governor events) returns once ev's batch is durable
-// and released. If the append or the covering fsync fails, the event
-// reaches no subscriber and the hub stays failed: the error ends this
-// job's stream. A closed hub (shutdown racing a late event) only skips
-// the journal.
+// publish (state and governor events, a run's first tile) returns once
+// ev's batch is durable and released. If the append or the covering
+// fsync fails, the event reaches no subscriber and the hub stays failed:
+// the error ends this job's stream. A closed hub (shutdown racing a late
+// event) only skips the journal.
 func (h *hub) publish(ev JobEvent) (JobEvent, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -149,9 +149,9 @@ func (h *hub) publish(ev JobEvent) (JobEvent, error) {
 	return ev, err
 }
 
-// post (the bridge's tile and beat events, and running) returns once the
-// append lands — a tile lane never waits on an fsync; one goroutine,
-// gone when nothing is pending, commits behind it.
+// post (running, the bridge's beats and later tiles) returns once the
+// append lands. One goroutine, gone when nothing is pending, commits
+// behind it once a lane blocks or is preempted, or a publish does first.
 func (h *hub) post(ev JobEvent) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()

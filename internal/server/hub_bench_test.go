@@ -2,25 +2,19 @@ package server
 
 import (
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
+	"cfaopc/internal/flow"
 	"cfaopc/internal/testkit/faultfs"
 )
 
-// bridgePost is what Manager.execute's event bridge does per flow event.
-func bridgePost(h *hub, ev JobEvent) error {
-	err := h.post(ev)
-	runtime.Gosched()
-	return err
-}
-
 // BenchmarkHubPublish times one hub on the real filesystem. wait is a
 // state publisher: serial events, each returning once its own fsync has;
-// bridge is the flow bridge with no compute between events — one poster
-// against the committer, close's drain inside the timer — so its
-// fsyncs/event is the floor batching can reach, not what a job sees.
+// bridge is Manager.execute's event bridge fed tile events with no
+// compute between them — one poster against the committer, close's
+// drain inside the timer — so its fsyncs/event is the floor batching
+// can reach, not what a job sees.
 func BenchmarkHubPublish(b *testing.B) {
 	spec, err := ParseSpec(strings.NewReader(`{"case":1}`))
 	if err != nil {
@@ -34,12 +28,17 @@ func BenchmarkHubPublish(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			sink := bridge(h, func(err error) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if mode == "wait" {
 					_, err = h.publish(JobEvent{Kind: "state", State: "running"})
 				} else {
-					err = bridgePost(h, JobEvent{Kind: "tile", Tile: i, Shots: 29, Path: "primary"})
+					sink(flow.Event{Kind: flow.EventTile, Tile: i, Stat: &flow.TileStat{Shots: 29, Path: flow.PathPrimary}})
 				}
 				if err != nil {
 					b.Fatal(err)

@@ -1,15 +1,20 @@
 package server
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
+	"cfaopc/internal/flow"
 	"cfaopc/internal/iox"
+	"cfaopc/internal/layout"
 	"cfaopc/internal/testkit/faultfs"
 )
 
@@ -345,4 +350,69 @@ func TestEventJournalSyncFailureFailsJob(t *testing.T) {
 		t.Fatalf("requeued job ended %s (%q), want done", fin.State, fin.Error)
 	}
 	replaySeqs(t, m2, st.ID)
+}
+
+// TestGroupCommitGroups runs one 67-event small job at one P, where no
+// idle P can commit each event on its own, so the events.log fsync count
+// shows the batching: at most one fsync per eight events the journal
+// carries (a bridge that yields per event read 34-66). And the run's
+// first tile is a milestone: when the bridge returns from it, the event
+// is in the hub's history.
+func TestGroupCommitGroups(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes scheduling")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	spec, err := parseSpecString(t, `{"case":4,"method":"circlerule","grid":512,"tile_core":64,"tile_halo":16}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	rec := faultfs.NewRecorder(nil, dir)
+	m := storageManager(t, filepath.Join(dir, "data"), dir, rec)
+	var (
+		id      string
+		once    sync.Once
+		visible bool
+	)
+	m.runSpec = func(ctx context.Context, l *layout.Layout, spec *JobSpec, opts RunOpts) (*flow.Result, error) {
+		sink := opts.Events
+		opts.Events = func(ev flow.Event) {
+			sink(ev)
+			if ev.Kind == flow.EventTile {
+				once.Do(func() {
+					sub, _ := m.Subscribe(id, 0, 4096)
+					history, _ := sub.drain()
+					m.Unsubscribe(id, sub)
+					for _, he := range history {
+						visible = visible || he.Kind == "tile" && he.Tile == ev.Tile
+					}
+				})
+			}
+		}
+		return RunSpec(ctx, l, spec, opts)
+	}
+	st, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id = st.ID
+	m.Start()
+	defer m.Stop()
+	if fin := waitTerminal(t, m, id); fin.State != JobDone {
+		t.Fatalf("job ended %s (%q)", fin.State, fin.Error)
+	}
+	if !visible {
+		t.Error("the bridge returned from the run's first tile before the event was in the hub's history")
+	}
+	events, fsyncs := len(replaySeqs(t, m, id)), 0
+	for _, op := range rec.Ops() {
+		if op.Kind == faultfs.OpSync && filepath.Base(op.Path) == "events.log" {
+			fsyncs++
+		}
+	}
+	t.Logf("%d events.log fsyncs for %d events", fsyncs, events)
+	if fsyncs*8 > events {
+		t.Fatalf("%d events.log fsyncs for %d events: more than one per eight", fsyncs, events)
+	}
 }

@@ -397,10 +397,10 @@ func (m *Manager) runEnding(j *job, res *flow.Result, err, cause error, shutdown
 }
 
 // execute runs the spec with the daemon's plumbing: per-job paths and
-// a flow event bridge into the hub. The bridge posts, and a post error
-// means the event journal is dead (the hub is poisoned — every later
-// publish fails too), so the run is canceled immediately and the hub's
-// error, not the resulting context cancellation, is returned.
+// a flow event bridge into the hub. A bridged event's error means the
+// event journal is dead (the hub is poisoned — every later publish
+// fails too), so the run is canceled immediately and the hub's error,
+// not the resulting context cancellation, is returned.
 func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*flow.Result, error) {
 	l, err := spec.ResolveLayout(m.layoutRoot)
 	if err != nil {
@@ -408,33 +408,18 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	pub := func(ev JobEvent) {
-		j.lastEv.Store(m.now().UnixNano()) // feeds the wedge watchdog
-		if h.post(ev) != nil {
-			cancel()
-		}
-		// Yield, or CPU-bound lanes keep every P while a committer back
-		// from its fsync waits to release (first tile seen 5 → 7 ms).
-		runtime.Gosched()
-	}
 	opts := RunOpts{
 		FS:         m.fsys,
 		Cache:      m.cache,
 		Checkpoint: filepath.Join(m.jobDir(j.id), "flow.ckpt"),
 		MaskPath:   m.MaskPath(j.id),
 		ShotsPath:  m.ShotsPath(j.id),
-		Events: func(ev flow.Event) {
-			switch ev.Kind {
-			case flow.EventBeat:
-				pub(JobEvent{Kind: "beat", Tile: ev.Tile, Iter: ev.Iter, Loss: ev.Loss})
-			case flow.EventTile:
-				pub(JobEvent{
-					Kind: "tile", Tile: ev.Tile, Shots: ev.Stat.Shots,
-					Resumed: ev.Stat.Resumed, CacheHit: ev.Stat.CacheHit,
-					Path: string(ev.Stat.Path),
-				})
+		Events: bridge(h, func(err error) {
+			j.lastEv.Store(m.now().UnixNano()) // feeds the wedge watchdog
+			if err != nil {
+				cancel()
 			}
-		},
+		}),
 	}
 	res, err := m.runSpec(ctx, l, spec, opts)
 	if errors.Is(err, checkpoint.ErrHeaderMismatch) {
@@ -450,6 +435,31 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 		return res, herr
 	}
 	return res, err
+}
+
+// bridge is a run's flow event sink on h; done gets each event's
+// journal error. Beats and every tile after the first are posted to ride
+// the hub's next group commit, with no yield per event. The run's first
+// tile is a milestone like queued: published, durable and released
+// before its lane moves on, then one yield lets subscribers deliver it.
+func bridge(h *hub, done func(error)) flow.EventSink {
+	var first atomic.Bool
+	return func(ev flow.Event) {
+		var err error
+		switch ev.Kind {
+		case flow.EventBeat:
+			err = h.post(JobEvent{Kind: "beat", Tile: ev.Tile, Iter: ev.Iter, Loss: ev.Loss})
+		case flow.EventTile:
+			je := JobEvent{Kind: "tile", Tile: ev.Tile, Shots: ev.Stat.Shots,
+				Resumed: ev.Stat.Resumed, CacheHit: ev.Stat.CacheHit, Path: ev.Stat.Path}
+			if !first.CompareAndSwap(false, true) {
+				err = h.post(je)
+			} else if _, err = h.publish(je); err == nil {
+				runtime.Gosched()
+			}
+		}
+		done(err)
+	}
 }
 
 // finishLocked moves a job to its ending: released and counted by the

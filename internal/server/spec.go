@@ -232,7 +232,7 @@ func (s *JobSpec) Equal(o *JobSpec) bool { return bytes.Equal(s.Canonical(), o.C
 // already confined s.Layout to the root; this only reads the file.
 func (s *JobSpec) ResolveLayout(root string) (*layout.Layout, error) {
 	if s.Case != 0 {
-		return layout.GenerateSuite()[s.Case-1], nil
+		return layout.SuiteCase(s.Case), nil
 	}
 	return gds.ReadFile(filepath.Join(root, s.Layout))
 }
