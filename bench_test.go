@@ -19,6 +19,7 @@ import (
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/layoutkit"
 	"cfaopc/internal/wcache"
 )
 
@@ -164,7 +165,7 @@ func BenchmarkAblationCoverageRepair(b *testing.B) {
 // sub-benchmarks differ only in wall time; the perf trajectory lands in
 // BENCH_*.json alongside the exhibit benchmarks.
 func BenchmarkFlowRun(b *testing.B) {
-	l := layout.GenerateRandom(7, layout.RandomConfig{Features: 8})
+	l := layoutkit.GenerateRandom(7, layoutkit.RandomConfig{Features: 8})
 	cfg := flow.Config{
 		GridN:  256, // 8 nm/px over the 2048 nm chip
 		CorePx: 128, // 2×2 cores

@@ -634,6 +634,34 @@ func TestCLIReportDescribesTheArtifact(t *testing.T) {
 	}
 }
 
+// TestCLIEvalmaskFailureExits drives evalmask's two failure exits: a shot
+// list that breaks the mask rule cfaopc checks is scored and exits 1 with
+// the violation count, and a list that cannot be scored at all — empty, a
+// non-finite row, a center off the grid — exits 1 with validateShots'
+// reason before any simulation.
+func TestCLIEvalmaskFailureExits(t *testing.T) {
+	bin := buildTools(t)
+	work := t.TempDir()
+	runCLI(t, work, bin("genlayout"), "-out", "layouts")
+	for _, tc := range []struct{ name, rows, want string }{
+		{"small", "1024.0,1024.0,8.0\n", "MRC: 1 violations\n"},
+		{"empty", "", "invalid shot list empty.csv: shot list is empty\n"},
+		{"nan", "NaN,1024.0,20.0\n", "invalid shot list nan.csv: shot 0 is not finite"},
+		{"offgrid", "1024.0,1024.0,20.0\n4096.0,1024.0,20.0\n", "invalid shot list offgrid.csv: shot 1 center (256, 64) px outside the 128 px grid"},
+	} {
+		csv := tc.name + ".csv"
+		if err := os.WriteFile(filepath.Join(work, csv), []byte("x_nm,y_nm,r_nm\n"+tc.rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cmd := exec.Command(bin("evalmask"), "-layout", "layouts/case3.glp", "-grid", "128", "-shots", csv)
+		cmd.Dir = work
+		out, _ := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 1 || !bytes.Contains(out, []byte(tc.want)) {
+			t.Errorf("evalmask -shots %s: exit %d, want 1 and %q in\n%s", csv, code, tc.want, out)
+		}
+	}
+}
+
 // metricsLine returns what follows "L2 " on the metrics line a scoring
 // tool printed (cfaopc without -stream, or evalmask).
 func metricsLine(t *testing.T, out string) string {

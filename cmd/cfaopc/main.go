@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"cfaopc/internal/flow"
+	"cfaopc/internal/fracture"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
@@ -241,7 +242,7 @@ func main() {
 	if *stream {
 		fmt.Printf("%s / %s: shots %d (streamed: dense-mask metrics skipped)\n",
 			l.Name, spec.Method, len(res.Shots))
-		metrics.WriteMRC(os.Stdout, metrics.CheckCircleMRC(res.Shots, dx, 12, 76))
+		metrics.WriteMRC(os.Stdout, metrics.CheckCircleMRC(res.Shots, dx, fracture.RMinNM, fracture.RMaxNM))
 		fmt.Printf("wrote %s\n", shotPath)
 		return
 	}
@@ -252,7 +253,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sim.KOpt = spec.KOpt
-	score := metrics.ScoreShots(os.Stdout, l.Name+" / "+spec.Method, l, sim, res.Shots, 12, 76)
+	score := metrics.ScoreShots(os.Stdout, l.Name+" / "+spec.Method, l, sim, res.Shots, fracture.RMinNM, fracture.RMaxNM)
 	for name, g := range map[string]*grid.Real{
 		"target": l.Rasterize(spec.GridN), "mask": score.Mask, "printed": score.Printed,
 	} {

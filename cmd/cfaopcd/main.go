@@ -11,9 +11,10 @@
 // and admitted against -mem-budget-mb (429 + Retry-After past it, 400
 // for jobs bigger than the whole budget); per-job deadline_ms and
 // -queue-ttl expire jobs into the terminal deadline_exceeded state;
-// and a watermark monitor walks a degradation ladder under measured
-// heap pressure (shrink window cache -> pause admissions -> shed the
-// youngest over-budget running job), with a wedge watchdog killing
+// and a monitor walks a degradation ladder as the measured heap passes
+// 3/4 of the budget and the budget itself (shrink window cache -> pause
+// admissions -> shed the youngest over-budget running job), with a
+// wedge watchdog killing
 // jobs that stop emitting events. See DESIGN.md §9.
 //
 // Every job persists through two logs in its directory — events.log,
@@ -44,6 +45,10 @@ import (
 	"cfaopc/internal/wcache"
 )
 
+// monitorEvery is the governor's pulse: a heap sample against the
+// watermarks, the deadline sweep and the wedge scan.
+const monitorEvery = 500 * time.Millisecond
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("cfaopcd: ")
@@ -55,13 +60,10 @@ func main() {
 		maxActive  = flag.Int("max-active", 1, "jobs running concurrently")
 		queueCap   = flag.Int("queue-cap", 64, "queued-job cap; beyond it submissions get 429")
 
-		memBudgetMB = flag.Int64("mem-budget-mb", 2048, "admission memory budget in MiB; jobs are priced by EstimateCost and 429ed past it")
-		heapHighMB  = flag.Int64("heap-high-mb", 0, "heap high watermark in MiB (0 = the budget); crossing it pauses admissions, holding it sheds")
-		heapLowMB   = flag.Int64("heap-low-mb", 0, "heap low watermark in MiB (0 = 3/4 of high); crossing it shrinks the window cache")
+		memBudgetMB = flag.Int64("mem-budget-mb", 2048, "admission memory budget in MiB; jobs are priced by EstimateCost and 429ed past it; the heap watermarks are 3/4 of it and all of it")
 		queueTTL    = flag.Duration("queue-ttl", 0, "max queue wait before a job ends deadline_exceeded (0 = none)")
 		wedgeTO     = flag.Duration("wedge-timeout", 2*time.Minute, "kill running jobs that publish no event for this long (<0 disables)")
 		maxWait     = flag.Duration("max-queue-wait", 5*time.Minute, "anti-starvation bound: queued past this preempts every priority (<0 disables)")
-		monitorTick = flag.Duration("monitor-every", 500*time.Millisecond, "governor pulse interval: watermark sample, deadline sweep, wedge scan")
 		cacheMB     = flag.Int64("cache-mb", 0, "shared window dedup cache memory tier in MiB (0 = off); shrinks under heap pressure")
 	)
 	flag.Parse()
@@ -76,13 +78,11 @@ func main() {
 		QueueCap:   *queueCap,
 		Governor: server.GovernorConfig{
 			MemBudget: *memBudgetMB << 20,
-			HeapHigh:  *heapHighMB << 20,
-			HeapLow:   *heapLowMB << 20,
 		},
 		QueueTTL:     *queueTTL,
 		WedgeTimeout: *wedgeTO,
 		MaxQueueWait: *maxWait,
-		MonitorEvery: *monitorTick,
+		MonitorEvery: monitorEvery,
 	}
 	if *cacheMB > 0 {
 		cache, err := wcache.New(wcache.Config{MaxBytes: *cacheMB << 20})

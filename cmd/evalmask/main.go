@@ -1,6 +1,8 @@
 // Command evalmask scores an existing circular shot list against a target
 // layout: it reconstructs the mask from the shots, simulates the three
-// process corners, and reports L2 / PVB / EPE / #Shot plus MRC status.
+// process corners, and reports L2 / PVB / EPE / #Shot plus MRC status
+// against the mask rule cfaopc checks (radii in [12, 76] nm). It exits 1
+// when the shot list is invalid or breaks the rule.
 //
 // Usage:
 //
@@ -53,8 +55,6 @@ func main() {
 		layoutPath = flag.String("layout", "", "target layout (.glp or .gds)")
 		shotsPath  = flag.String("shots", "", "circular shot list (.csv)")
 		gridN      = flag.Int("grid", 256, "simulation grid")
-		rMin       = flag.Float64("rmin", 12, "MRC minimum radius (nm)")
-		rMax       = flag.Float64("rmax", 76, "MRC maximum radius (nm)")
 	)
 	flag.Parse()
 	if *layoutPath == "" || *shotsPath == "" {
@@ -86,7 +86,7 @@ func main() {
 		log.Fatalf("invalid shot list %s: %v", *shotsPath, err)
 	}
 
-	if len(metrics.ScoreShots(os.Stdout, l.Name, l, sim, shots, *rMin, *rMax).MRC) > 0 {
+	if len(metrics.ScoreShots(os.Stdout, l.Name, l, sim, shots, fracture.RMinNM, fracture.RMaxNM).MRC) > 0 {
 		os.Exit(1)
 	}
 }

@@ -14,6 +14,7 @@ import (
 
 	"cfaopc/internal/core"
 	"cfaopc/internal/flow"
+	"cfaopc/internal/fracture"
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
@@ -72,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	metrics.ScoreShots(os.Stdout, "full-chip metrics", l, sim, res.Shots, 12, 76)
+	metrics.ScoreShots(os.Stdout, "full-chip metrics", l, sim, res.Shots, fracture.RMinNM, fracture.RMaxNM)
 	if v := metrics.CheckCircleSpacing(res.Shots, sim.DX, 40); len(v) == 0 {
 		fmt.Println("MRC spacing: clean")
 	} else {

@@ -13,6 +13,7 @@ import (
 	"log"
 
 	"cfaopc/internal/core"
+	"cfaopc/internal/fracture"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/metrics"
@@ -80,7 +81,7 @@ func main() {
 			break
 		}
 	}
-	if v := metrics.CheckCircleMRC(res.Shots, sim.DX, 12, 76); len(v) == 0 {
+	if v := metrics.CheckCircleMRC(res.Shots, sim.DX, fracture.RMinNM, fracture.RMaxNM); len(v) == 0 {
 		fmt.Println("MRC: clean")
 	} else {
 		fmt.Printf("MRC: %d violations\n", len(v))

@@ -16,6 +16,8 @@ import (
 	"cfaopc/internal/litho"
 	"cfaopc/internal/metrics"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/gridkit"
+	"cfaopc/internal/testkit/layoutkit"
 )
 
 // smallCase builds a 512 nm two-bar layout and its simulator at 4 nm/px.
@@ -85,7 +87,7 @@ func TestEndToEndCircleOpt(t *testing.T) {
 	// Rebuilding the mask from the round-tripped shots gives the same
 	// print and metrics the optimizer reported.
 	mask := geom.RasterizeCircles(sim.N, sim.N, back)
-	if mask.SqDiff(res.Mask) != 0 {
+	if gridkit.SqDiff(mask, res.Mask) != 0 {
 		t.Fatal("mask from round-tripped shots differs")
 	}
 	r := sim.Simulate(mask)
@@ -97,7 +99,7 @@ func TestEndToEndCircleOpt(t *testing.T) {
 		t.Fatal("suspiciously perfect L2; evaluation path broken?")
 	}
 	// Print must beat the empty mask decisively.
-	empty := sim.Simulate(mask.Clone().Scale(0))
+	empty := sim.Simulate(gridkit.Scale(gridkit.Clone(mask), 0))
 	repEmpty := metrics.Evaluate(parsed, empty.ZNom, empty.ZMax, empty.ZMin, 0)
 	if rep.L2 >= repEmpty.L2/2 {
 		t.Fatalf("optimized L2 %v not far below empty-mask %v", rep.L2, repEmpty.L2)
@@ -130,8 +132,8 @@ func TestEndToEndBaselinePlusCircleRule(t *testing.T) {
 
 	// Rect shots must tile exactly the Manhattanized mask.
 	man := fracture.Manhattanize(pixel, 2)
-	painted := geom.RasterizeRects(sim.N, sim.N, rects)
-	if man.SqDiff(painted) != 0 {
+	painted := layoutkit.RasterizeRects(sim.N, sim.N, rects)
+	if gridkit.SqDiff(man, painted) != 0 {
 		t.Fatal("rect shots do not reproduce the Manhattanized mask")
 	}
 
@@ -156,14 +158,14 @@ func TestEndToEndWriteBlurRobustness(t *testing.T) {
 	res := (&core.CircleOpt{Cfg: coCfg, InitIterations: 6}).Optimize(sim, target)
 
 	sharp := sim.Simulate(res.Mask)
-	blurred := sim.Simulate(litho.BlurMask(res.Mask, 12/sim.DX))
+	blurred := sim.Simulate(gridkit.BlurMask(res.Mask, 12/sim.DX))
 	moved := 0
 	for i := range sharp.ZNom.Data {
 		if (sharp.ZNom.Data[i] > 0.5) != (blurred.ZNom.Data[i] > 0.5) {
 			moved++
 		}
 	}
-	if moved > int(target.Sum())/4 {
+	if moved > int(gridkit.Sum(target))/4 {
 		t.Fatalf("print unstable under write blur: %d px moved", moved)
 	}
 }

@@ -103,8 +103,8 @@ func DefaultConfig(dxNM float64) Config {
 		LR:         0.1,
 		Iterations: 60,
 		QThreshold: 0.5,
-		RMin:       12 / dxNM,
-		RMax:       76 / dxNM,
+		RMin:       fracture.RMinNM / dxNM,
+		RMax:       fracture.RMaxNM / dxNM,
 		Margin:     3,
 		WL2:        1,
 		WPVB:       1,
@@ -277,9 +277,6 @@ type CircleOpt struct {
 	// value means the paper defaults at the simulator's resolution.
 	RuleCfg fracture.CircleRuleConfig
 }
-
-// Name identifies the method in reports.
-func (e *CircleOpt) Name() string { return "CircleOpt" }
 
 // Optimize runs the full two-stage pipeline on target.
 func (e *CircleOpt) Optimize(sim *litho.Simulator, target *grid.Real) *Result {

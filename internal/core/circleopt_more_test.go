@@ -5,6 +5,7 @@ import (
 
 	"cfaopc/internal/fracture"
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestLossHistoryLength(t *testing.T) {
@@ -56,8 +57,8 @@ func TestRenderMarginCoversTransitionBand(t *testing.T) {
 	cfg.Margin = 6
 	d6 := Render(p, cfg, 32, 32, true)
 	// A larger margin must capture more of the sigmoid tail.
-	if d6.M.Sum() <= d0.M.Sum() {
-		t.Fatalf("margin did not extend the rendered window: %v vs %v", d6.M.Sum(), d0.M.Sum())
+	if gridkit.Sum(d6.M) <= gridkit.Sum(d0.M) {
+		t.Fatalf("margin did not extend the rendered window: %v vs %v", gridkit.Sum(d6.M), gridkit.Sum(d0.M))
 	}
 }
 
@@ -109,7 +110,7 @@ func TestOptimizeFromShotsEmptySeeds(t *testing.T) {
 	cfg := testCfg()
 	cfg.Iterations = 3
 	res := (&CircleOpt{Cfg: cfg}).OptimizeFromShots(sim, grid.NewReal(64, 64), nil)
-	if res.Mask == nil || res.Mask.Sum() != 0 {
+	if res.Mask == nil || gridkit.Sum(res.Mask) != 0 {
 		t.Fatal("empty seeds should produce an empty mask")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func testCfg() Config {
@@ -103,7 +104,7 @@ func TestBackwardMatchesFiniteDifference(t *testing.T) {
 	}
 	loss := func(p *Params) float64 {
 		d := Render(p, cfg, w, h, false)
-		return d.M.Dot(wts)
+		return gridkit.Dot(d.M, wts)
 	}
 	d := Render(p, cfg, w, h, false)
 	g := Backward(p, cfg, d, wts)
@@ -139,7 +140,7 @@ func TestBackwardSTEGating(t *testing.T) {
 	p := &Params{X: []float64{16}, Y: []float64{16}, R: []float64{cfg.RMax + 5}, Q: []float64{1}}
 	d := Render(p, cfg, 32, 32, true)
 	dLdM := grid.NewReal(32, 32)
-	dLdM.Fill(1)
+	gridkit.Fill(dLdM, 1)
 	g := Backward(p, cfg, d, dLdM)
 	if g.R[0] != 0 {
 		t.Fatalf("out-of-bounds radius still received gradient %v", g.R[0])
@@ -215,7 +216,7 @@ func TestCircleOptEndToEnd(t *testing.T) {
 			diff++
 		}
 	}
-	if diff > int(target.Sum())/2 {
+	if diff > int(gridkit.Sum(target))/2 {
 		t.Fatalf("printed image misses most of the target: %d differing px", diff)
 	}
 	// Loss should drop over the run.
@@ -255,7 +256,7 @@ func TestCircleOptEmptyTarget(t *testing.T) {
 	if res.Mask == nil {
 		t.Fatal("nil mask for empty target")
 	}
-	if got := int(res.Mask.Sum()); got > 50 {
+	if got := int(gridkit.Sum(res.Mask)); got > 50 {
 		t.Fatalf("empty target grew a mask of %d px", got)
 	}
 }

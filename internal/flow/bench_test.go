@@ -6,6 +6,7 @@ import (
 
 	"cfaopc/internal/layout"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/layoutkit"
 )
 
 // benchFlowConfig sizes a 1024² chip in 8×8 tiles of 128-px cores with a
@@ -28,7 +29,7 @@ func benchFlowConfig(l *layout.Layout, gridN int) Config {
 // with the window size and not GridN².
 func BenchmarkFlowRunStreaming(b *testing.B) {
 	const gridN = 1024
-	l := layout.GenerateRandom(7, layout.RandomConfig{Features: 16, MarginNM: 128})
+	l := layoutkit.GenerateRandom(7, layoutkit.RandomConfig{Features: 16, MarginNM: 128})
 	cfg := benchFlowConfig(l, gridN)
 	// Warm the kernel cache outside the timed region.
 	if _, err := Run(l, cfg); err != nil {

@@ -470,3 +470,13 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 		t.Fatalf("err = %v, want ErrHeaderMismatch", err)
 	}
 }
+
+// TileInfoFrom extracts the tile identity the flow attached to ctx.
+// Outside a flow attempt (single-window use, nil context) ok is false.
+func TileInfoFrom(ctx context.Context) (TileInfo, bool) {
+	if ctx == nil {
+		return TileInfo{}, false
+	}
+	info, ok := ctx.Value(tileInfoKey{}).(TileInfo)
+	return info, ok
+}

@@ -10,6 +10,7 @@ import (
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/layoutkit"
 	"cfaopc/internal/wcache"
 )
 
@@ -199,7 +200,7 @@ func TestRunUnevenCore(t *testing.T) {
 // TestDeterministicAcrossTileWorkers is the concurrency contract: any
 // tile-worker count produces byte-identical shot lists.
 func TestDeterministicAcrossTileWorkers(t *testing.T) {
-	l := layout.GenerateRandom(42, layout.RandomConfig{TileNM: 1024, Features: 6, MarginNM: 128})
+	l := layoutkit.GenerateRandom(42, layoutkit.RandomConfig{TileNM: 1024, Features: 6, MarginNM: 128})
 	cfg := testConfig()
 	cfg.CorePx = 64 // 16 windows over the 256 grid
 	iters, workerCounts := 6, []int{8, -1}

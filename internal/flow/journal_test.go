@@ -9,7 +9,7 @@ import (
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/iox"
-	"cfaopc/internal/layout"
+	"cfaopc/internal/testkit/layoutkit"
 )
 
 // encodeRecord is the journal's codec as it was before the tile journal
@@ -106,7 +106,7 @@ func TestRuleTileAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under -race")
 	}
 	const gridN, runs = 1024, 5
-	l := layout.GenerateRandom(7, layout.RandomConfig{Features: 16, MarginNM: 128})
+	l := layoutkit.GenerateRandom(7, layoutkit.RandomConfig{Features: 16, MarginNM: 128})
 	cfg := benchFlowConfig(l, gridN)
 	tiles := 0
 	run := func() {

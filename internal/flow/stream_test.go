@@ -9,6 +9,7 @@ import (
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/layoutkit"
 )
 
 // fixedRuleOptimizer is a deterministic, simulator-independent engine for
@@ -93,7 +94,7 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			l := layout.GenerateRandom(tc.seed, layout.RandomConfig{
+			l := layoutkit.GenerateRandom(tc.seed, layoutkit.RandomConfig{
 				TileNM: 2048, Features: 7, MarginNM: 128,
 			})
 			dx := float64(l.TileNM) / float64(tc.gridN)
@@ -138,7 +139,7 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 // no dense grid, so the peak estimate scales with the window, not the
 // chip.
 func TestStreamingDropsDenseMask(t *testing.T) {
-	l := layout.GenerateRandom(5, layout.RandomConfig{Features: 6, MarginNM: 128})
+	l := layoutkit.GenerateRandom(5, layoutkit.RandomConfig{Features: 6, MarginNM: 128})
 	const gridN = 512
 	cfg := Config{
 		GridN:    gridN,

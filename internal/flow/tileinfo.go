@@ -1,7 +1,5 @@
 package flow
 
-import "context"
-
 // TileInfo identifies the window an optimizer invocation is serving. The
 // flow publishes it on the simulator's context (sim.Ctx) before every
 // attempt, which is what lets an Optimizer wrapper — a test's fault
@@ -17,14 +15,6 @@ type TileInfo struct {
 	Dispatch int
 }
 
+// tileInfoKey is the context key TileInfo travels under; the tests'
+// TileInfoFrom reads it.
 type tileInfoKey struct{}
-
-// TileInfoFrom extracts the tile identity the flow attached to ctx.
-// Outside a flow attempt (single-window use, nil context) ok is false.
-func TileInfoFrom(ctx context.Context) (TileInfo, bool) {
-	if ctx == nil {
-		return TileInfo{}, false
-	}
-	info, ok := ctx.Value(tileInfoKey{}).(TileInfo)
-	return info, ok
-}

@@ -8,6 +8,7 @@ import (
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // suiteWindow cuts an n×n window out of suite case 4 at 2 nm/px — the
@@ -18,7 +19,7 @@ func suiteWindow(tb testing.TB, n int) (*grid.Real, CircleRuleConfig) {
 	const chipN, x0, y0 = 1024, 288, 256
 	l := layout.GenerateSuite()[3]
 	m := cutWindow(l.Rasterize(chipN), x0, y0, n, n)
-	if s := m.Sum(); s == 0 || int(s) == n*n {
+	if s := gridkit.Sum(m); s == 0 || int(s) == n*n {
 		tb.Fatalf("suite window %d holds %v foreground pixels", n, s)
 	}
 	return m, DefaultCircleRuleConfig(float64(l.TileNM) / chipN)
@@ -44,7 +45,7 @@ func BenchmarkCircleRule(b *testing.B) {
 func BenchmarkSelectRadius(b *testing.B) {
 	cfg := DefaultCircleRuleConfig(2)
 	m := grid.NewReal(96, 96)
-	m.Fill(1)
+	gridkit.Fill(m, 1)
 	f := fracturer{cfg: cfg, ladder: geom.LadderFor(cfg.RMin, cfg.RMax)}
 	f.labels.Relabel(m, true)
 	f.crop(1)

@@ -8,6 +8,8 @@ import (
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
+	"cfaopc/internal/testkit/gridkit"
+	"cfaopc/internal/testkit/layoutkit"
 )
 
 // circleRuleRef is Algorithm 1 written the straightforward way, as
@@ -274,7 +276,7 @@ func TestCircleRuleMatchesRefOnRandomLayouts(t *testing.T) {
 		n = 128
 	}
 	for seed := int64(1); seed <= 8; seed++ {
-		l := layout.GenerateRandom(seed, layout.RandomConfig{})
+		l := layoutkit.GenerateRandom(seed, layoutkit.RandomConfig{})
 		requireMatchesRef(t, l.Name, l.Rasterize(n), DefaultCircleRuleConfig(float64(l.TileNM)/float64(n)))
 	}
 }
@@ -316,7 +318,7 @@ func TestCircleRuleMatchesRefOnCutWindows(t *testing.T) {
 		{X: 0, Y: 0, W: 40, H: 40}, {X: 56, Y: 0, W: 40, H: 50}, {X: 0, Y: 50, W: 45, H: 46}, {X: 50, Y: 52, W: 46, H: 44},
 		{X: 0, Y: 30, W: 96, H: 30}, {X: 30, Y: 0, W: 30, H: 96},
 	} {
-		m := geom.RasterizeRects(96, 96, []geom.Rect{r})
+		m := layoutkit.RasterizeRects(96, 96, []geom.Rect{r})
 		cfg := CircleRuleConfig{SampleDist: 8, RMin: 3, RMax: 9, CoverThreshold: 0.9}
 		if got := requireMatchesRef(t, fmt.Sprintf("cut block %+v", r), m, cfg); len(got) == 0 {
 			t.Fatalf("cut block %+v: no shots", r)
@@ -327,7 +329,7 @@ func TestCircleRuleMatchesRefOnCutWindows(t *testing.T) {
 func TestCircleRuleMatchesRefOnCornerCases(t *testing.T) {
 	cfg := CircleRuleConfig{SampleDist: 4, RMin: 1.5, RMax: 9.5, CoverThreshold: 0.9}
 	full := grid.NewReal(48, 40)
-	full.Fill(1)
+	gridkit.Fill(full, 1)
 	if got := requireMatchesRef(t, "all foreground", full, cfg); len(got) == 0 {
 		t.Fatal("all-foreground window: no shots")
 	}
@@ -371,7 +373,7 @@ func randomRects(rng *rand.Rand, w, h int) *grid.Real {
 			rects = append(rects, geom.Rect{X: x0, Y: y0, W: x1 - x0, H: y1 - y0})
 		}
 	}
-	return geom.RasterizeRects(w, h, rects)
+	return layoutkit.RasterizeRects(w, h, rects)
 }
 
 func TestCircleRuleMatchesRefOnRandomRects(t *testing.T) {

@@ -72,13 +72,22 @@ type CircleRuleConfig struct {
 	DisableRepair bool
 }
 
+// RMinNM and RMaxNM are the paper's mask rule for the circular writer:
+// every shot radius lies in [RMinNM, RMaxNM] nm. CircleRule and CircleOpt
+// place shots inside it, and every MRC check of a shot list holds the
+// list to it.
+const (
+	RMinNM = 12
+	RMaxNM = 76
+)
+
 // DefaultCircleRuleConfig returns the paper's settings (m = 32 nm, R ∈
-// [12, 76] nm, I = 0.9) converted to pixels for the given resolution.
+// [RMinNM, RMaxNM], I = 0.9) converted to pixels for the given resolution.
 func DefaultCircleRuleConfig(dxNM float64) CircleRuleConfig {
 	return CircleRuleConfig{
 		SampleDist:     max(1, int(32/dxNM+0.5)),
-		RMin:           12 / dxNM,
-		RMax:           76 / dxNM,
+		RMin:           RMinNM / dxNM,
+		RMax:           RMaxNM / dxNM,
 		CoverThreshold: 0.9,
 	}
 }

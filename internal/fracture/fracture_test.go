@@ -5,6 +5,7 @@ import (
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // disk paints a filled circle for test masks.
@@ -25,7 +26,7 @@ func TestManhattanizeIdentityAtBlockOne(t *testing.T) {
 	disk(m, 8, 8, 5)
 	out := Manhattanize(m, 1)
 	// Identity up to checkerboard cleanup, which for a disk changes nothing.
-	if out.SqDiff(m.Binarize(0.5)) != 0 {
+	if gridkit.SqDiff(out, m.Binarize(0.5)) != 0 {
 		t.Fatal("block=1 Manhattanize is not the identity")
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func greedyCfg() GreedyCircleConfig {
@@ -26,8 +27,8 @@ func TestGreedyCirclesDiskIsOneShot(t *testing.T) {
 			inter++
 		}
 	}
-	if float64(inter)/m.Sum() < 0.7 {
-		t.Fatalf("first greedy shot covers only %.2f of the disk", float64(inter)/m.Sum())
+	if float64(inter)/gridkit.Sum(m) < 0.7 {
+		t.Fatalf("first greedy shot covers only %.2f of the disk", float64(inter)/gridkit.Sum(m))
 	}
 }
 
@@ -46,7 +47,7 @@ func TestGreedyCirclesCoverage(t *testing.T) {
 			covered++
 		}
 	}
-	if frac := float64(covered) / m.Sum(); frac < 0.85 {
+	if frac := float64(covered) / gridkit.Sum(m); frac < 0.85 {
 		t.Fatalf("greedy covers only %.2f of the bar", frac)
 	}
 	for _, c := range shots {

@@ -203,3 +203,22 @@ func TestDecomposeStaircaseProperty(t *testing.T) {
 		}
 	}
 }
+
+// decodeReal8 converts a GDSII 8-byte real back to float64.
+func decodeReal8(b [8]byte) float64 {
+	sign := 1.0
+	if b[0]&0x80 != 0 {
+		sign = -1
+	}
+	exp := int(b[0]&0x7f) - 64
+	mant := 0.0
+	scale := 1.0
+	for i := 1; i < 8; i++ {
+		scale /= 256
+		mant += float64(b[i]) * scale
+	}
+	if mant == 0 {
+		return 0
+	}
+	return sign * mant * math.Pow(16, float64(exp))
+}

@@ -6,6 +6,7 @@ import (
 
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // suiteWindow cuts an n×n window out of suite case 4 at 2 nm/px — the
@@ -19,7 +20,7 @@ func suiteWindow(tb testing.TB, n int) *grid.Real {
 	for y := 0; y < n; y++ {
 		copy(m.Data[y*n:(y+1)*n], chip.Data[(y0+y)*chipN+x0:][:n])
 	}
-	if s := m.Sum(); s == 0 || int(s) == n*n {
+	if s := gridkit.Sum(m); s == 0 || int(s) == n*n {
 		tb.Fatalf("suite window %d holds %v foreground pixels", n, s)
 	}
 	return m

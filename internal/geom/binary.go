@@ -141,58 +141,6 @@ func (l *Labels) Areas() []int {
 	return a
 }
 
-// DiskElement returns the offsets of a discrete disk of the given radius,
-// the structuring element used by circle-aware morphology.
-func DiskElement(radius int) []Pt {
-	var pts []Pt
-	r2 := radius * radius
-	for dy := -radius; dy <= radius; dy++ {
-		for dx := -radius; dx <= radius; dx++ {
-			if dx*dx+dy*dy <= r2 {
-				pts = append(pts, Pt{dx, dy})
-			}
-		}
-	}
-	return pts
-}
-
-// Dilate returns m dilated by the structuring element.
-func Dilate(m *grid.Real, elem []Pt) *grid.Real {
-	out := grid.NewReal(m.W, m.H)
-	for y := 0; y < m.H; y++ {
-		for x := 0; x < m.W; x++ {
-			if m.Data[y*m.W+x] <= 0.5 {
-				continue
-			}
-			for _, d := range elem {
-				nx, ny := x+d.X, y+d.Y
-				if nx >= 0 && nx < m.W && ny >= 0 && ny < m.H {
-					out.Data[ny*m.W+nx] = 1
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Erode returns m eroded by the structuring element (pixels whose whole
-// element neighbourhood is foreground; the border acts as background).
-func Erode(m *grid.Real, elem []Pt) *grid.Real {
-	out := grid.NewReal(m.W, m.H)
-	for y := 0; y < m.H; y++ {
-	pixel:
-		for x := 0; x < m.W; x++ {
-			for _, d := range elem {
-				if !fg(m, x+d.X, y+d.Y) {
-					continue pixel
-				}
-			}
-			out.Data[y*m.W+x] = 1
-		}
-	}
-	return out
-}
-
 // RemoveCheckerboards rewrites m in place so that no 2×2 neighbourhood has
 // the two-diagonal pattern (non-manifold corners), by filling one cell.
 // Rectilinear partition requires manifold region boundaries.

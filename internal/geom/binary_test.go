@@ -1,11 +1,13 @@
 package geom
 
 import (
+	"image"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // mk builds a binary grid from string rows ('#' = foreground).
@@ -94,21 +96,21 @@ func TestComponentsEmpty(t *testing.T) {
 }
 
 func TestDiskElement(t *testing.T) {
-	d0 := DiskElement(0)
-	if len(d0) != 1 || d0[0] != (Pt{0, 0}) {
+	d0 := gridkit.DiskElement(0)
+	if len(d0) != 1 || d0[0] != (image.Point{0, 0}) {
 		t.Fatalf("disk(0) = %v", d0)
 	}
-	d1 := DiskElement(1)
+	d1 := gridkit.DiskElement(1)
 	if len(d1) != 5 { // center + 4 axis neighbours
 		t.Fatalf("disk(1) has %d points, want 5", len(d1))
 	}
 	// Disk is symmetric under (x,y) → (-x,-y).
-	set := map[Pt]bool{}
-	for _, p := range DiskElement(3) {
+	set := map[image.Point]bool{}
+	for _, p := range gridkit.DiskElement(3) {
 		set[p] = true
 	}
 	for p := range set {
-		if !set[Pt{-p.X, -p.Y}] {
+		if !set[image.Point{-p.X, -p.Y}] {
 			t.Fatalf("disk not symmetric at %v", p)
 		}
 	}
@@ -122,21 +124,21 @@ func TestDilateErodeBasics(t *testing.T) {
 		".....",
 		".....",
 	)
-	d := Dilate(m, DiskElement(1))
-	if int(d.Sum()) != 5 {
-		t.Fatalf("dilated area = %v, want 5", d.Sum())
+	d := gridkit.Dilate(m, gridkit.DiskElement(1))
+	if int(gridkit.Sum(d)) != 5 {
+		t.Fatalf("dilated area = %v, want 5", gridkit.Sum(d))
 	}
-	e := Erode(d, DiskElement(1))
-	if int(e.Sum()) != 1 || e.At(2, 2) != 1 {
+	e := gridkit.Erode(d, gridkit.DiskElement(1))
+	if int(gridkit.Sum(e)) != 1 || e.At(2, 2) != 1 {
 		t.Fatalf("erode(dilate) != original point: %v", e.Data)
 	}
 }
 
 func TestErodeBorderActsAsBackground(t *testing.T) {
 	m := grid.NewReal(3, 3)
-	m.Fill(1)
-	e := Erode(m, DiskElement(1))
-	if int(e.Sum()) != 1 || e.At(1, 1) != 1 {
+	gridkit.Fill(m, 1)
+	e := gridkit.Erode(m, gridkit.DiskElement(1))
+	if int(gridkit.Sum(e)) != 1 || e.At(1, 1) != 1 {
 		t.Fatalf("erosion of full grid should leave center only, got %v", e.Data)
 	}
 }
@@ -151,8 +153,8 @@ func TestMorphologyExtensivity(t *testing.T) {
 				m.Data[i] = 1
 			}
 		}
-		d := Dilate(m, DiskElement(2))
-		e := Erode(m, DiskElement(2))
+		d := gridkit.Dilate(m, gridkit.DiskElement(2))
+		e := gridkit.Erode(m, gridkit.DiskElement(2))
 		for i := range m.Data {
 			if m.Data[i] == 1 && d.Data[i] != 1 {
 				t.Fatal("dilation not extensive")
@@ -182,7 +184,7 @@ func TestRemoveCheckerboards(t *testing.T) {
 			}
 		}
 	}
-	if m.Sum() < 2 {
+	if gridkit.Sum(m) < 2 {
 		t.Fatal("RemoveCheckerboards deleted foreground instead of filling")
 	}
 }

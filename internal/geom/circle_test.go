@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestRasterizeCirclesBasics(t *testing.T) {
@@ -20,18 +21,18 @@ func TestRasterizeCirclesBasics(t *testing.T) {
 	}
 	// Area ≈ πr².
 	want := math.Pi * 25
-	if got := m.Sum(); math.Abs(got-want) > 0.25*want {
+	if got := gridkit.Sum(m); math.Abs(got-want) > 0.25*want {
 		t.Fatalf("disk area %v, want ≈ %v", got, want)
 	}
 }
 
 func TestRasterizeCirclesDegenerate(t *testing.T) {
-	if m := RasterizeCircles(16, 16, nil); m.Sum() != 0 {
+	if m := RasterizeCircles(16, 16, nil); gridkit.Sum(m) != 0 {
 		t.Fatal("no circles should paint nothing")
 	}
 	// Non-positive radius circles are skipped.
 	m := RasterizeCircles(16, 16, []Circle{{X: 8, Y: 8, R: 0}, {X: 8, Y: 8, R: -3}})
-	if m.Sum() != 0 {
+	if gridkit.Sum(m) != 0 {
 		t.Fatal("degenerate circles painted pixels")
 	}
 	// Off-grid circles clip cleanly.
@@ -111,7 +112,7 @@ func TestCoverRateBehaviour(t *testing.T) {
 
 func TestCoverRateOffGridCountsAgainst(t *testing.T) {
 	m := grid.NewReal(16, 16)
-	m.Fill(1)
+	gridkit.Fill(m, 1)
 	// Circle half off the grid: off-grid area counts as uncovered.
 	cr := CoverRate(Circle{X: 0, Y: 8, R: 4}, m)
 	if cr > 0.7 {

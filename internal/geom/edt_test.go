@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // bruteDistance is the O(n²) reference.
@@ -58,7 +59,7 @@ func TestDistanceTransformMatchesBrute(t *testing.T) {
 				m.Data[i] = 1
 			}
 		}
-		if m.Sum() == 0 {
+		if gridkit.Sum(m) == 0 {
 			m.Set(5, 5, 1)
 		}
 		want := bruteDistance(m)
@@ -118,7 +119,7 @@ func TestSignedDistanceSignsAndZeroCrossing(t *testing.T) {
 
 func TestSignedDistanceDegenerateMasks(t *testing.T) {
 	full := grid.NewReal(4, 4)
-	full.Fill(1)
+	gridkit.Fill(full, 1)
 	sd := SignedDistance(full)
 	for i, v := range sd.Data {
 		if v >= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
@@ -227,7 +228,7 @@ func TestSquaredMatchesBruteOnSparseFields(t *testing.T) {
 				}
 			}
 		case 2:
-			m.Fill(1)
+			gridkit.Fill(m, 1)
 		}
 		d := make([]float64, w*h)
 		for i, v := range m.Data {

@@ -5,6 +5,7 @@ import (
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // ExamplePartitionRects shows the minimum rectangle partition on an
@@ -35,7 +36,7 @@ func ExampleSkeleton() {
 		}
 	}
 	s := geom.Skeleton(m)
-	fmt.Println("skeleton pixels:", int(s.Sum()))
+	fmt.Println("skeleton pixels:", int(gridkit.Sum(s)))
 	// Output: skeleton pixels: 4
 }
 

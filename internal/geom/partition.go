@@ -303,19 +303,3 @@ func DecomposeBands(m *grid.Real) []Rect {
 	}
 	return rects
 }
-
-// RasterizeRects paints rectangles into a fresh w×h binary grid; the
-// inverse of a decomposition, used to verify partitions.
-func RasterizeRects(w, h int, rects []Rect) *grid.Real {
-	m := grid.NewReal(w, h)
-	for _, r := range rects {
-		for y := r.Y; y < r.Y+r.H; y++ {
-			for x := r.X; x < r.X+r.W; x++ {
-				if x >= 0 && x < w && y >= 0 && y < h {
-					m.Data[y*w+x] = 1
-				}
-			}
-		}
-	}
-	return m
-}

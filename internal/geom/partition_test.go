@@ -256,20 +256,3 @@ func TestPartitionNotWorseThanBands(t *testing.T) {
 		}
 	}
 }
-
-func TestRasterizeRectsRoundtrip(t *testing.T) {
-	m := mk(
-		"##.##",
-		"##.##",
-		"#####",
-	)
-	rects := PartitionRects(m)
-	back := RasterizeRects(m.W, m.H, rects)
-	clean := m.Clone()
-	RemoveCheckerboards(clean)
-	for i := range clean.Data {
-		if clean.Data[i] != back.Data[i] {
-			t.Fatalf("rasterize roundtrip mismatch at %d", i)
-		}
-	}
-}

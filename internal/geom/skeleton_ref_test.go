@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // skeletonRef is Zhang–Suen thinning written the obvious way — every
@@ -129,7 +130,7 @@ func TestSkeletonMatchesRef(t *testing.T) {
 		requireSkeletonMatchesRef(t, m)
 	}
 	full := grid.NewReal(33, 17)
-	full.Fill(1)
+	gridkit.Fill(full, 1)
 	requireSkeletonMatchesRef(t, full)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestSkeletonSubsetOfShape(t *testing.T) {
@@ -21,10 +22,10 @@ func TestSkeletonSubsetOfShape(t *testing.T) {
 			t.Fatal("skeleton pixel outside original shape")
 		}
 	}
-	if s.Sum() == 0 {
+	if gridkit.Sum(s) == 0 {
 		t.Fatal("skeleton is empty")
 	}
-	if s.Sum() >= m.Sum() {
+	if gridkit.Sum(s) >= gridkit.Sum(m) {
 		t.Fatal("skeleton did not thin the shape")
 	}
 }
@@ -39,8 +40,8 @@ func TestSkeletonOfLineIsLine(t *testing.T) {
 	s := Skeleton(m)
 	// A 1px line is already a skeleton; thinning may trim endpoints but
 	// must keep most of it on the same row.
-	if s.Sum() < 6 {
-		t.Fatalf("skeleton of a line lost too much: %v px", s.Sum())
+	if gridkit.Sum(s) < 6 {
+		t.Fatalf("skeleton of a line lost too much: %v px", gridkit.Sum(s))
 	}
 	for x := 0; x < 10; x++ {
 		for y := 0; y < 4; y++ {
@@ -120,7 +121,7 @@ func TestSkeletonConnectivityProperty(t *testing.T) {
 
 func TestSkeletonEmptyMask(t *testing.T) {
 	s := Skeleton(grid.NewReal(5, 5))
-	if s.Sum() != 0 {
+	if gridkit.Sum(s) != 0 {
 		t.Fatal("skeleton of empty mask not empty")
 	}
 }

@@ -33,20 +33,6 @@ func (g *Real) At(x, y int) float64 { return g.Data[y*g.W+x] }
 // Set stores v at column x, row y.
 func (g *Real) Set(x, y int, v float64) { g.Data[y*g.W+x] = v }
 
-// Clone returns a deep copy of g.
-func (g *Real) Clone() *Real {
-	c := NewReal(g.W, g.H)
-	copy(c.Data, g.Data)
-	return c
-}
-
-// Fill sets every element to v.
-func (g *Real) Fill(v float64) {
-	for i := range g.Data {
-		g.Data[i] = v
-	}
-}
-
 func (g *Real) sameShape(o *Real) {
 	if g.W != o.W || g.H != o.H {
 		panic(fmt.Sprintf("grid: shape mismatch %dx%d vs %dx%d", g.W, g.H, o.W, o.H))
@@ -60,44 +46,6 @@ func (g *Real) Mul(o *Real) *Real {
 		g.Data[i] *= v
 	}
 	return g
-}
-
-// Scale multiplies every element by s and returns g.
-func (g *Real) Scale(s float64) *Real {
-	for i := range g.Data {
-		g.Data[i] *= s
-	}
-	return g
-}
-
-// Sum returns the sum of all elements.
-func (g *Real) Sum() float64 {
-	s := 0.0
-	for _, v := range g.Data {
-		s += v
-	}
-	return s
-}
-
-// Dot returns the elementwise inner product Σ g⊙o.
-func (g *Real) Dot(o *Real) float64 {
-	g.sameShape(o)
-	s := 0.0
-	for i, v := range g.Data {
-		s += v * o.Data[i]
-	}
-	return s
-}
-
-// SqDiff returns Σ (g-o)², the squared L2 distance between the grids.
-func (g *Real) SqDiff(o *Real) float64 {
-	g.sameShape(o)
-	s := 0.0
-	for i, v := range g.Data {
-		d := v - o.Data[i]
-		s += d * d
-	}
-	return s
 }
 
 // MaxAbs returns the maximum absolute element value (0 for empty data).
@@ -122,16 +70,6 @@ func (g *Real) Binarize(t float64) *Real {
 	return b
 }
 
-// HasNaN reports whether any element is NaN or infinite.
-func (g *Real) HasNaN() bool {
-	for _, v := range g.Data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return true
-		}
-	}
-	return false
-}
-
 // Complex is a dense H×W grid of complex128 values in row-major order.
 type Complex struct {
 	W, H int
@@ -151,28 +89,3 @@ func (g *Complex) At(x, y int) complex128 { return g.Data[y*g.W+x] }
 
 // Set stores v at column x, row y.
 func (g *Complex) Set(x, y int, v complex128) { g.Data[y*g.W+x] = v }
-
-// Clone returns a deep copy of g.
-func (g *Complex) Clone() *Complex {
-	c := NewComplex(g.W, g.H)
-	copy(c.Data, g.Data)
-	return c
-}
-
-// FromReal returns a complex grid whose real parts are copied from r.
-func FromReal(r *Real) *Complex {
-	c := NewComplex(r.W, r.H)
-	for i, v := range r.Data {
-		c.Data[i] = complex(v, 0)
-	}
-	return c
-}
-
-// RealPart returns a real grid holding the real components of c.
-func RealPart(c *Complex) *Real {
-	r := NewReal(c.W, c.H)
-	for i, v := range c.Data {
-		r.Data[i] = real(v)
-	}
-	return r
-}

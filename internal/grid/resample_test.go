@@ -1,18 +1,21 @@
-package grid
+package grid_test
 
 import (
 	"math"
 	"testing"
+
+	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestUpsampleBilinearGradientRamp(t *testing.T) {
 	// A linear ramp must stay linear (bilinear interpolation is exact on
 	// affine functions away from the clamped borders).
-	g := NewReal(8, 1)
+	g := grid.NewReal(8, 1)
 	for x := 0; x < 8; x++ {
 		g.Set(x, 0, float64(x))
 	}
-	u := UpsampleBilinear(g, 4)
+	u := grid.UpsampleBilinear(g, 4)
 	// Interior samples: value at pixel p maps back to (p+0.5)/4 − 0.5.
 	for p := 8; p < 24; p++ {
 		want := (float64(p)+0.5)/4 - 0.5
@@ -30,16 +33,16 @@ func TestUpsampleBilinearPanicsOnBadFactor(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	UpsampleBilinear(NewReal(2, 2), 0)
+	grid.UpsampleBilinear(grid.NewReal(2, 2), 0)
 }
 
 func TestDownsampleIdentityFactorOne(t *testing.T) {
-	g := NewReal(3, 3)
+	g := grid.NewReal(3, 3)
 	for i := range g.Data {
 		g.Data[i] = float64(i)
 	}
-	d := DownsampleBox(g, 1)
-	if d.SqDiff(g) != 0 {
+	d := grid.DownsampleBox(g, 1)
+	if gridkit.SqDiff(d, g) != 0 {
 		t.Fatal("factor-1 box downsample not identity")
 	}
 }

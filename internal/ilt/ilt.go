@@ -152,10 +152,7 @@ type Mosaic struct {
 	Cfg Config
 }
 
-// Name implements Engine.
-func (e *Mosaic) Name() string { return "MOSAIC" }
-
-// Optimize implements Engine.
+// Optimize produces a binary mask for target on sim's grid.
 func (e *Mosaic) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Real {
 	e.Cfg.validate()
 	p := latentInit(target, e.Cfg.BackgroundBias)

@@ -10,6 +10,7 @@ import (
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // testSetup builds a 512 nm tile on a 64×64 grid (8 nm/px) with a
@@ -77,7 +78,7 @@ func TestEnginesImproveOverIdentityMask(t *testing.T) {
 		if got > base {
 			t.Errorf("%s: optimized print L2 %v worse than identity-mask %v", e.Name(), got, base)
 		}
-		if mask.Sum() == 0 {
+		if gridkit.Sum(mask) == 0 {
 			t.Errorf("%s: produced an empty mask", e.Name())
 		}
 	}
@@ -104,7 +105,7 @@ func TestCycleILTIgnoresPVB(t *testing.T) {
 	cfg := quickCfg()
 	cfg.WPVB = 99
 	b := (&CycleILT{Cfg: cfg}).Optimize(sim, target)
-	if a.SqDiff(b) != 0 {
+	if gridkit.SqDiff(a, b) != 0 {
 		t.Fatal("CycleILT result depends on WPVB; the L2-only override is broken")
 	}
 }
@@ -146,7 +147,7 @@ func TestMosaicDeterministic(t *testing.T) {
 	sim, target := testSetup(t)
 	a := (&Mosaic{Cfg: quickCfg()}).Optimize(sim, target)
 	b := (&Mosaic{Cfg: quickCfg()}).Optimize(sim, target)
-	if a.SqDiff(b) != 0 {
+	if gridkit.SqDiff(a, b) != 0 {
 		t.Fatal("Mosaic not deterministic")
 	}
 }
@@ -184,7 +185,7 @@ func TestMultiLevelOddGridFallsBack(t *testing.T) {
 	c := quickCfg()
 	c.Iterations = 5
 	mask := (&MultiLevel{Cfg: c}).Optimize(sim, target)
-	if mask.Sum() == 0 {
+	if gridkit.Sum(mask) == 0 {
 		t.Fatal("empty mask from odd-grid MultiLevel")
 	}
 }
@@ -239,12 +240,16 @@ func TestCleanMaskMatchesRefOnSuite(t *testing.T) {
 		}
 		for _, minPx := range []int{0, 1, 2, 4, 7, 1 << 20} {
 			got, want := CleanMask(m, minPx), cleanMaskRef(m, minPx)
-			if got.SqDiff(want) != 0 {
+			if gridkit.SqDiff(got, want) != 0 {
 				t.Fatalf("%s minPx %d: CleanMask differs from the reference", l.Name, minPx)
 			}
 		}
-		if kept, all := CleanMask(m, 4).Sum(), m.Binarize(0.5).Sum(); kept == all || kept == 0 {
+		if kept, all := gridkit.Sum(CleanMask(m, 4)), gridkit.Sum(m.Binarize(0.5)); kept == all || kept == 0 {
 			t.Fatalf("%s: cleanup kept %v of %v pixels; the speckles test nothing", l.Name, kept, all)
 		}
 	}
 }
+
+// Name makes Mosaic an Engine here, so the tests run it beside the
+// engines the product selects by name.
+func (e *Mosaic) Name() string { return "MOSAIC" }

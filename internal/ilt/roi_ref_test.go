@@ -10,6 +10,7 @@ import (
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/opt"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // mosaicRef is Mosaic.Optimize as it was before its parameters became the
@@ -174,7 +175,7 @@ func TestMosaicMatchesRef(t *testing.T) {
 			got, gotLoss := traced(sim, func() *grid.Real { return (&Mosaic{Cfg: cfg}).Optimize(sim, target) })
 			want, wantLoss := traced(refSim, func() *grid.Real { return mosaicRef(&Mosaic{Cfg: cfg}, refSim, target) })
 			sameRun(t, name, got, want, gotLoss, wantLoss)
-			if got.Sum() == 0 {
+			if gridkit.Sum(got) == 0 {
 				t.Fatalf("%s: empty mask; the comparison tests nothing", name)
 			}
 		}

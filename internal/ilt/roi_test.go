@@ -5,6 +5,7 @@ import (
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestROIMaskGeometry(t *testing.T) {
@@ -42,7 +43,7 @@ func TestMosaicROIDisabled(t *testing.T) {
 	cfg.ROIMarginNM = -1
 	cfg.Iterations = 5
 	mask := (&Mosaic{Cfg: cfg}).Optimize(sim, target)
-	if mask.Sum() == 0 {
+	if gridkit.Sum(mask) == 0 {
 		t.Fatal("empty mask with ROI disabled")
 	}
 }
@@ -72,7 +73,7 @@ func TestMosaicLBFGSOptimizer(t *testing.T) {
 	adam := printL2(sim, (&Mosaic{Cfg: cfg}).Optimize(sim, target), target)
 	cfg.Optimizer = "lbfgs"
 	mask := (&Mosaic{Cfg: cfg}).Optimize(sim, target)
-	if mask.Sum() == 0 {
+	if gridkit.Sum(mask) == 0 {
 		t.Fatal("L-BFGS Mosaic produced an empty mask")
 	}
 	if got := printL2(sim, mask, target); got > adam {

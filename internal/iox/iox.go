@@ -55,7 +55,6 @@ type FS interface {
 	OpenFile(path string, flag int, perm os.FileMode) (File, error)
 	Open(path string) (File, error)
 	Create(path string) (File, error)
-	WriteFile(path string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(path string) error
 	MkdirAll(path string, perm os.FileMode) error
@@ -77,10 +76,6 @@ func (OSFS) Create(path string) (File, error)             { return os.Create(pat
 func (OSFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
 func (OSFS) Remove(path string) error                     { return os.Remove(path) }
 func (OSFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
-
-func (OSFS) WriteFile(path string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(path, data, perm)
-}
 
 func (OSFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)

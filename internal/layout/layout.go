@@ -65,7 +65,7 @@ func (l *Layout) Validate() error {
 // Rasterize samples the layout onto an n×n grid covering the full tile:
 // a pixel is foreground when its center lies inside a rectangle (centers
 // at (i+0.5)·dx ∈ [X, X+W)). At 1 nm/px this reproduces the polygon area
-// exactly. RasterizeWindow produces any sub-window of this grid without
+// exactly. WindowIndex produces any sub-window of this grid without
 // allocating it.
 func (l *Layout) Rasterize(n int) *grid.Real {
 	if n <= 0 {

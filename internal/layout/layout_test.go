@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestValidate(t *testing.T) {
@@ -33,7 +35,7 @@ func TestValidate(t *testing.T) {
 func TestRasterizeExactAtOneNM(t *testing.T) {
 	l := &Layout{Name: "t", TileNM: 64, Rects: []Rect{{5, 7, 11, 13}, {30, 30, 8, 8}}}
 	m := l.Rasterize(64)
-	if got, want := int(m.Sum()), l.Area(); got != want {
+	if got, want := int(gridkit.Sum(m)), l.Area(); got != want {
 		t.Fatalf("raster area %d != polygon area %d", got, want)
 	}
 	// Check exact placement of one rect.
@@ -46,7 +48,7 @@ func TestRasterizeCoarse(t *testing.T) {
 	l := &Layout{Name: "t", TileNM: 64, Rects: []Rect{{8, 8, 32, 32}}}
 	m := l.Rasterize(16) // 4 nm/px
 	// 32nm square → 8×8 px = 64 px.
-	if got := int(m.Sum()); got != 64 {
+	if got := int(gridkit.Sum(m)); got != 64 {
 		t.Fatalf("coarse raster = %d px, want 64", got)
 	}
 }
@@ -145,7 +147,7 @@ func TestGenerateSuiteRasterizesExactAtFullRes(t *testing.T) {
 	// At 1 nm/px the raster must reproduce the polygon area exactly.
 	for _, l := range GenerateSuite()[:3] {
 		m := l.Rasterize(2048)
-		if got, want := int(m.Sum()), l.Area(); got != want {
+		if got, want := int(gridkit.Sum(m)), l.Area(); got != want {
 			t.Fatalf("%s raster area %d != %d", l.Name, got, want)
 		}
 	}

@@ -1,12 +1,15 @@
-package layout
+package layout_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"cfaopc/internal/layout"
+	"cfaopc/internal/testkit/layoutkit"
 )
 
 // occupancy by brute force: rasterize the window and count.
-func countWindow(ix *WindowIndex, x0, y0, w, h int) int {
+func countWindow(ix *layout.WindowIndex, x0, y0, w, h int) int {
 	m, _ := ix.Window(x0, y0, w, h)
 	n := 0
 	for _, v := range m.Data {
@@ -20,8 +23,8 @@ func countWindow(ix *WindowIndex, x0, y0, w, h int) int {
 func TestOccupancyMatchesWindowRaster(t *testing.T) {
 	const n = 256
 	for seed := int64(0); seed < 4; seed++ {
-		l := GenerateRandom(seed, RandomConfig{})
-		ix := NewWindowIndex(l, n)
+		l := layoutkit.GenerateRandom(seed, layoutkit.RandomConfig{})
+		ix := layout.NewWindowIndex(l, n)
 		rng := rand.New(rand.NewSource(seed + 100))
 		for i := 0; i < 200; i++ {
 			w := 1 + rng.Intn(160)
@@ -42,14 +45,14 @@ func TestOccupancyMatchesWindowRaster(t *testing.T) {
 	}
 }
 
-func mustOccupied(ix *WindowIndex, x0, y0, w, h int) bool {
+func mustOccupied(ix *layout.WindowIndex, x0, y0, w, h int) bool {
 	_, occ := ix.Window(x0, y0, w, h)
 	return occ
 }
 
 func TestOccupancyFullyOffGrid(t *testing.T) {
-	l := GenerateRandom(1, RandomConfig{})
-	ix := NewWindowIndex(l, 128)
+	l := layoutkit.GenerateRandom(1, layoutkit.RandomConfig{})
+	ix := layout.NewWindowIndex(l, 128)
 	if got := ix.Occupancy(-64, -64, 32, 32); got != 0 {
 		t.Fatalf("off-grid window occupancy = %d, want 0", got)
 	}
@@ -62,11 +65,11 @@ func TestWindowSpansTranslationInvariance(t *testing.T) {
 	// In an aligned array every cell window must produce byte-identical
 	// canonical spans — the property the dedup cache key rests on.
 	const n = 256
-	l := GenerateArray(8, 8, ArrayConfig{TileNM: 1024})
-	ix := NewWindowIndex(l, n)
+	l := layout.GenerateArray(8, 8, layout.ArrayConfig{TileNM: 1024})
+	ix := layout.NewWindowIndex(l, n)
 	const core, halo = 32, 8
 	win := core + 2*halo
-	var ref []Span
+	var ref []layout.Span
 	for r := 0; r < 8; r++ {
 		for c := 0; c < 8; c++ {
 			s := ix.WindowSpans(c*core-halo, r*core-halo, win, win)
@@ -92,14 +95,14 @@ func TestWindowSpansTranslationInvariance(t *testing.T) {
 func TestWindowSpansCanonicalForm(t *testing.T) {
 	// A rect spanning several index row-buckets must appear exactly once,
 	// and spans must come out sorted and clipped to the window ∩ grid.
-	l := &Layout{Name: "tall", TileNM: 256, Rects: []Rect{
+	l := &layout.Layout{Name: "tall", TileNM: 256, Rects: []layout.Rect{
 		{X: 10, Y: 0, W: 20, H: 250}, // crosses multiple 64-row buckets at n=256
 		{X: 100, Y: 40, W: 30, H: 30},
 	}}
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ix := NewWindowIndex(l, 256)
+	ix := layout.NewWindowIndex(l, 256)
 	spans := ix.WindowSpans(0, 0, 256, 256)
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2 (bucket dedup failed): %+v", len(spans), spans)

@@ -1,13 +1,15 @@
-package layout
+package layout_test
 
 import (
 	"testing"
 	"testing/quick"
+
+	"cfaopc/internal/testkit/layoutkit"
 )
 
 func TestGenerateRandomValidAndDeterministic(t *testing.T) {
-	a := GenerateRandom(7, RandomConfig{})
-	b := GenerateRandom(7, RandomConfig{})
+	a := layoutkit.GenerateRandom(7, layoutkit.RandomConfig{})
+	b := layoutkit.GenerateRandom(7, layoutkit.RandomConfig{})
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +24,7 @@ func TestGenerateRandomValidAndDeterministic(t *testing.T) {
 			t.Fatal("rects differ across runs")
 		}
 	}
-	c := GenerateRandom(8, RandomConfig{})
+	c := layoutkit.GenerateRandom(8, layoutkit.RandomConfig{})
 	same := len(a.Rects) == len(c.Rects)
 	if same {
 		for i := range a.Rects {
@@ -39,9 +41,9 @@ func TestGenerateRandomValidAndDeterministic(t *testing.T) {
 
 // Property: any seed yields a valid layout respecting spacing and margins.
 func TestGenerateRandomProperty(t *testing.T) {
-	cfg := RandomConfig{Features: 6, SpacingNM: 100, MarginNM: 300}
+	cfg := layoutkit.RandomConfig{Features: 6, SpacingNM: 100, MarginNM: 300}
 	f := func(seed int64) bool {
-		l := GenerateRandom(seed, cfg)
+		l := layoutkit.GenerateRandom(seed, cfg)
 		if l.Validate() != nil {
 			return false
 		}
@@ -75,8 +77,8 @@ func maxOf(a, b int) int {
 
 func TestGenerateRandomCrowdedTileDegradesGracefully(t *testing.T) {
 	// Ask for far more features than fit: must not hang or panic.
-	cfg := RandomConfig{Features: 200, TileNM: 1024, MarginNM: 200, SpacingNM: 150}
-	l := GenerateRandom(3, cfg)
+	cfg := layoutkit.RandomConfig{Features: 200, TileNM: 1024, MarginNM: 200, SpacingNM: 150}
+	l := layoutkit.GenerateRandom(3, cfg)
 	if err := l.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -47,40 +47,12 @@ func fillSpan(m *grid.Real, s pxSpan, x0, y0 int) bool {
 	return true
 }
 
-// RasterizeWindow rasterizes only the w×h pixel window at origin
-// (x0, y0) of the n×n full-tile grid, directly from the rect geometry —
-// no full-grid allocation. The origin may be negative and the window may
-// overhang the grid; out-of-grid pixels stay empty. The result is
-// byte-identical to extracting the same window out of Rasterize(n), and
-// the bool reports whether any foreground pixel landed in the window.
-func (l *Layout) RasterizeWindow(n, x0, y0, w, h int) (*grid.Real, bool) {
-	if n <= 0 {
-		panic(fmt.Sprintf("layout: invalid grid size %d", n))
-	}
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("layout: invalid window %dx%d", w, h))
-	}
-	m := grid.NewReal(w, h)
-	occupied := false
-	for _, r := range l.Rects {
-		s, ok := l.span(r, n)
-		if !ok {
-			continue
-		}
-		if fillSpan(m, s, x0, y0) {
-			occupied = true
-		}
-	}
-	return m, occupied
-}
-
 // indexBandRows is the row-bucket granularity of WindowIndex. Buckets
 // much smaller than a typical tile row would only grow the index; much
 // larger ones would scan rects far from the window.
 const indexBandRows = 64
 
-// WindowIndex accelerates repeated RasterizeWindow queries over one
-// layout at a fixed grid size: every rect's pixel span is precomputed
+// WindowIndex rasterizes windows of one layout at a fixed grid size: every rect's pixel span is precomputed
 // once and bucketed by horizontal row band, so rasterizing a window
 // touches only the rects whose spans can overlap the window's rows —
 // O(overlapping rects), not O(all rects). This is what lets the tiled
@@ -112,9 +84,6 @@ func NewWindowIndex(l *Layout, n int) *WindowIndex {
 	}
 	return ix
 }
-
-// N returns the grid size the index was built for.
-func (ix *WindowIndex) N() int { return ix.n }
 
 // Bytes estimates the index's resident size, for memory accounting.
 func (ix *WindowIndex) Bytes() int64 {
@@ -195,8 +164,9 @@ func (ix *WindowIndex) WindowSpans(x0, y0, w, h int) []Span {
 }
 
 // Window rasterizes the w×h window at origin (x0, y0) using the span
-// index. Semantics are identical to RasterizeWindow on the indexed
-// layout and grid size.
+// index. The result is byte-identical to extracting the same window out
+// of Rasterize(n); the origin may be negative and the window may
+// overhang the grid.
 func (ix *WindowIndex) Window(x0, y0, w, h int) (*grid.Real, bool) {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("layout: invalid window %dx%d", w, h))

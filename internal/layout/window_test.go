@@ -1,4 +1,4 @@
-package layout
+package layout_test
 
 import (
 	"math/rand"
@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"cfaopc/internal/grid"
+	"cfaopc/internal/layout"
+	"cfaopc/internal/testkit/gridkit"
+	"cfaopc/internal/testkit/layoutkit"
 )
 
 // extractRef copies the w×h window at (x0, y0) out of a full raster —
@@ -34,27 +37,27 @@ func extractRef(full *grid.Real, x0, y0, w, h int) (*grid.Real, bool) {
 	return out, occupied
 }
 
-// checkWindow compares RasterizeWindow and WindowIndex.Window against the
+// checkWindow compares RasterizeWindow and layout.WindowIndex.Window against the
 // full-raster extraction for one window.
-func checkWindow(t *testing.T, l *Layout, ix *WindowIndex, full *grid.Real, n, x0, y0, w, h int) {
+func checkWindow(t *testing.T, l *layout.Layout, ix *layout.WindowIndex, full *grid.Real, n, x0, y0, w, h int) {
 	t.Helper()
 	wantGrid, wantOcc := extractRef(full, x0, y0, w, h)
 	direct, dOcc := l.RasterizeWindow(n, x0, y0, w, h)
 	if dOcc != wantOcc {
 		t.Fatalf("RasterizeWindow(%d, %d, %d, %d, %d) occupied = %v, want %v", n, x0, y0, w, h, dOcc, wantOcc)
 	}
-	if direct.SqDiff(wantGrid) != 0 {
+	if gridkit.SqDiff(direct, wantGrid) != 0 {
 		t.Fatalf("RasterizeWindow(%d, %d, %d, %d, %d) differs from full-raster extraction", n, x0, y0, w, h)
 	}
 	indexed, iOcc := ix.Window(x0, y0, w, h)
 	if iOcc != wantOcc {
 		t.Fatalf("WindowIndex.Window(%d, %d, %d, %d) occupied = %v, want %v", x0, y0, w, h, iOcc, wantOcc)
 	}
-	if indexed.SqDiff(wantGrid) != 0 {
+	if gridkit.SqDiff(indexed, wantGrid) != 0 {
 		t.Fatalf("WindowIndex.Window(%d, %d, %d, %d) differs from full-raster extraction", x0, y0, w, h)
 	}
 	dirty := grid.NewReal(w, h)
-	dirty.Fill(7)
+	gridkit.Fill(dirty, 7)
 	if occ := ix.WindowInto(dirty, x0, y0); occ != wantOcc || !slices.Equal(dirty.Data, wantGrid.Data) {
 		t.Fatalf("WindowIndex.WindowInto(%d, %d) on a dirty %dx%d raster: occupied = %v, want %v and the fresh window's pixels", x0, y0, w, h, occ, wantOcc)
 	}
@@ -65,9 +68,9 @@ func checkWindow(t *testing.T, l *Layout, ix *WindowIndex, full *grid.Real, n, x
 // origins, overhang past the far edges, and an unoccupied window, which
 // must come back all zeros and false whatever the window before it drew.
 func TestWindowIntoReusesOneRaster(t *testing.T) {
-	l := GenerateRandom(3, RandomConfig{Features: 24, MarginNM: 64})
+	l := layoutkit.GenerateRandom(3, layoutkit.RandomConfig{Features: 24, MarginNM: 64})
 	const n, w = 256, 96
-	ix := NewWindowIndex(l, n)
+	ix := layout.NewWindowIndex(l, n)
 	buf := grid.NewReal(w, w)
 	unoccupied := 0
 	for _, o := range [][2]int{{-40, -40}, {80, 80}, {-w, 10}, {200, 200}, {n, n}, {120, -30}, {30, 5 * n}, {60, 60}} {
@@ -77,8 +80,8 @@ func TestWindowIntoReusesOneRaster(t *testing.T) {
 		}
 		if !wantOcc {
 			unoccupied++
-			if buf.Sum() != 0 {
-				t.Fatalf("unoccupied window at %v holds %v foreground", o, buf.Sum())
+			if gridkit.Sum(buf) != 0 {
+				t.Fatalf("unoccupied window at %v holds %v foreground", o, gridkit.Sum(buf))
 			}
 		}
 	}
@@ -91,10 +94,10 @@ func TestWindowIntoReusesOneRaster(t *testing.T) {
 // seam-straddling, negative-origin, overhanging, off-grid and
 // whole-grid windows over a layout with sub-pixel rect edges.
 func TestRasterizeWindowBorderCases(t *testing.T) {
-	l := &Layout{
+	l := &layout.Layout{
 		Name:   "edges",
 		TileNM: 1000, // 1000/64 px → non-integer nm-per-px, exercises ceilDiv
-		Rects: []Rect{
+		Rects: []layout.Rect{
 			{X: 0, Y: 0, W: 90, H: 70},     // touches the grid origin
 			{X: 905, Y: 930, W: 95, H: 70}, // touches the far corner
 			{X: 480, Y: 100, W: 40, H: 800},
@@ -107,7 +110,7 @@ func TestRasterizeWindowBorderCases(t *testing.T) {
 	}
 	const n = 64
 	full := l.Rasterize(n)
-	ix := NewWindowIndex(l, n)
+	ix := layout.NewWindowIndex(l, n)
 	cases := []struct{ x0, y0, w, h int }{
 		{0, 0, n, n},      // whole grid
 		{10, 10, 16, 16},  // interior
@@ -137,14 +140,14 @@ func TestRasterizeWindowProperty(t *testing.T) {
 		trials = 12
 	}
 	for trial := 0; trial < trials; trial++ {
-		l := GenerateRandom(int64(trial), RandomConfig{
+		l := layoutkit.GenerateRandom(int64(trial), layoutkit.RandomConfig{
 			TileNM:   1024 + 512*(trial%3),
 			Features: 3 + trial%8,
 			MarginNM: 64,
 		})
 		n := grids[trial%len(grids)]
 		full := l.Rasterize(n)
-		ix := NewWindowIndex(l, n)
+		ix := layout.NewWindowIndex(l, n)
 		for q := 0; q < 16; q++ {
 			w := 1 + rng.Intn(n+20)
 			h := 1 + rng.Intn(n+20)
@@ -157,16 +160,13 @@ func TestRasterizeWindowProperty(t *testing.T) {
 
 // TestWindowIndexBytes pins the accounting used by flow.Result.PeakBytes.
 func TestWindowIndexBytes(t *testing.T) {
-	l := GenerateRandom(3, RandomConfig{Features: 6})
-	ix := NewWindowIndex(l, 256)
-	if ix.N() != 256 {
-		t.Fatalf("N = %d", ix.N())
-	}
+	l := layoutkit.GenerateRandom(3, layoutkit.RandomConfig{Features: 6})
+	ix := layout.NewWindowIndex(l, 256)
 	if ix.Bytes() <= 0 {
 		t.Fatalf("Bytes = %d, want > 0", ix.Bytes())
 	}
-	empty := NewWindowIndex(&Layout{Name: "empty", TileNM: 2048}, 256)
-	if got, _ := empty.Window(0, 0, 64, 64); got.Sum() != 0 {
+	empty := layout.NewWindowIndex(&layout.Layout{Name: "empty", TileNM: 2048}, 256)
+	if got, _ := empty.Window(0, 0, 64, 64); gridkit.Sum(got) != 0 {
 		t.Fatal("empty layout produced foreground")
 	}
 }
@@ -187,16 +187,16 @@ func FuzzRasterizeWindow(f *testing.F) {
 		if x0 < -2*n || x0 > 2*n || y0 < -2*n || y0 > 2*n {
 			return
 		}
-		l := GenerateRandom(seed, RandomConfig{Features: 4, MarginNM: 64})
+		l := layoutkit.GenerateRandom(seed, layoutkit.RandomConfig{Features: 4, MarginNM: 64})
 		full := l.Rasterize(n)
 		wantGrid, wantOcc := extractRef(full, x0, y0, w, h)
 		got, occ := l.RasterizeWindow(n, x0, y0, w, h)
-		if occ != wantOcc || got.SqDiff(wantGrid) != 0 {
+		if occ != wantOcc || gridkit.SqDiff(got, wantGrid) != 0 {
 			t.Fatalf("RasterizeWindow(%d, %d, %d, %d, %d) seed %d diverges from full raster", n, x0, y0, w, h, seed)
 		}
-		ix := NewWindowIndex(l, n)
+		ix := layout.NewWindowIndex(l, n)
 		got, occ = ix.Window(x0, y0, w, h)
-		if occ != wantOcc || got.SqDiff(wantGrid) != 0 {
+		if occ != wantOcc || gridkit.SqDiff(got, wantGrid) != 0 {
 			t.Fatalf("WindowIndex.Window(%d, %d, %d, %d) seed %d diverges from full raster", x0, y0, w, h, seed)
 		}
 	})

@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestBlurMaskZeroSigmaIsIdentity(t *testing.T) {
 	m := grid.NewReal(16, 16)
 	m.Set(8, 8, 1)
-	b := BlurMask(m, 0)
-	if b.SqDiff(m) != 0 {
+	b := gridkit.BlurMask(m, 0)
+	if gridkit.SqDiff(b, m) != 0 {
 		t.Fatal("sigma=0 blur changed the mask")
 	}
 	// And must be a copy, not an alias.
@@ -28,11 +29,11 @@ func TestBlurMaskPreservesMass(t *testing.T) {
 			m.Set(x, y, 1)
 		}
 	}
-	b := BlurMask(m, 2)
+	b := gridkit.BlurMask(m, 2)
 	// A Gaussian preserves total intensity (DC gain 1); clamping removes a
 	// negligible amount for well-separated features.
-	if math.Abs(b.Sum()-m.Sum()) > 0.01*m.Sum() {
-		t.Fatalf("mass changed: %v → %v", m.Sum(), b.Sum())
+	if math.Abs(gridkit.Sum(b)-gridkit.Sum(m)) > 0.01*gridkit.Sum(m) {
+		t.Fatalf("mass changed: %v → %v", gridkit.Sum(m), gridkit.Sum(b))
 	}
 	// Peak must drop, tails must rise.
 	if b.At(15, 15) >= 1 {
@@ -45,8 +46,8 @@ func TestBlurMaskPreservesMass(t *testing.T) {
 
 func TestBlurMaskRangeClamped(t *testing.T) {
 	m := grid.NewReal(16, 16)
-	m.Fill(1)
-	b := BlurMask(m, 3)
+	gridkit.Fill(m, 1)
+	b := gridkit.BlurMask(m, 3)
 	for i, v := range b.Data {
 		if v < 0 || v > 1 {
 			t.Fatalf("blurred value out of range at %d: %v", i, v)
@@ -69,8 +70,8 @@ func TestBlurDegradesFracturedMaskPrint(t *testing.T) {
 		}
 	}
 	sharp := s.Aerial(m, s.Focus, false, nil)
-	blurred := s.Aerial(BlurMask(m, 3), s.Focus, false, nil) // 24 nm blur
-	if sharp.SqDiff(blurred) < 1e-6 {
+	blurred := s.Aerial(gridkit.BlurMask(m, 3), s.Focus, false, nil) // 24 nm blur
+	if gridkit.SqDiff(sharp, blurred) < 1e-6 {
 		t.Fatal("strong write blur had no effect on the aerial image")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"cfaopc/internal/grid"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // TestCooperativeCancel pins the Ctx contract: with a canceled context a
@@ -32,7 +33,7 @@ func TestCooperativeCancel(t *testing.T) {
 	// A live context must not perturb anything.
 	sim.Ctx = context.Background()
 	live := sim.LossGrad(mask, target, 1, 1)
-	if live.Loss != ref.Loss || live.GradM.SqDiff(ref.GradM) != 0 {
+	if live.Loss != ref.Loss || gridkit.SqDiff(live.GradM, ref.GradM) != 0 {
 		t.Fatal("live context changed the result")
 	}
 
@@ -60,7 +61,7 @@ func TestCooperativeCancel(t *testing.T) {
 	// Clearing Ctx restores normal operation on the same simulator.
 	sim.Ctx = nil
 	again := sim.LossGrad(mask, target, 1, 1)
-	if again.Loss != ref.Loss || again.GradM.SqDiff(ref.GradM) != 0 {
+	if again.Loss != ref.Loss || gridkit.SqDiff(again.GradM, ref.GradM) != 0 {
 		t.Fatal("simulator did not recover after cancellation")
 	}
 }

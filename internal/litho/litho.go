@@ -48,10 +48,10 @@ type Simulator struct {
 	// full set is always used by Simulate for evaluation. Zero means all.
 	KOpt int
 	// Ctx, when non-nil, is checked cooperatively before every kernel
-	// convolution. Once it is canceled, Aerial, AerialBackward,
-	// Simulate and LossGrad stop early and return incomplete images; any
-	// caller that sets Ctx must check Ctx.Err() after a pass and
-	// discard the output when it is non-nil. This is how the tiled
+	// convolution. Once it is canceled, Aerial, Simulate and LossGrad
+	// stop early and return incomplete images; any caller that sets Ctx
+	// must check Ctx.Err() after a pass and discard the output when it
+	// is non-nil. This is how the tiled
 	// flow makes SIGINT and per-tile deadlines interrupt a simulation
 	// within one kernel convolution instead of one full tile.
 	Ctx context.Context
@@ -395,8 +395,8 @@ func (s *Simulator) backward(a *arena, sets [2]*optics.KernelSet, kc [2]int, fie
 // Aerial computes the aerial intensity image of mask under the given
 // kernel set. When fields is non-nil it must have length ≥ the number of
 // kernels used; the per-kernel coherent fields, sampled on the simulation
-// grid, are stored there for a later AerialBackward. optimizing selects
-// the truncated kernel count. The returned image is the caller's.
+// grid, are stored there for the adjoint (the tests' AerialBackward).
+// optimizing selects the truncated kernel count. The returned image is the caller's.
 func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
 	a := s.arenaFor(set)
 	a.loadMask(mask)
@@ -417,20 +417,6 @@ func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet, optimizing bo
 	return intensity
 }
 
-// AerialBackward propagates a gradient dL/dI through the aerial image back
-// to the mask: dL/dM = Σ_k λ_k · 2·Re[ IFFT( conj(Ĥ_k) ⊙ FFT(dLdI ⊙
-// c_k) ) ], where c_k are the coherent fields saved by Aerial. The
-// returned gradient is the caller's.
-func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
-	a := s.arenaFor(set)
-	for i, g := range dLdI.Data {
-		a.packN.Data[i] = complex(g, 0)
-	}
-	kc := s.kcount(set, optimizing)
-	s.backward(a, [2]*optics.KernelSet{set, set}, [2]int{kc, 0}, [2][]*grid.Complex{fields, nil}, 0, s.N)
-	return a.gradM.Clone()
-}
-
 // Sigmoid is the logistic function used by both resist and mask
 // binarization models.
 func Sigmoid(x float64) float64 {
@@ -443,17 +429,6 @@ func logistic(x, e float64) float64 {
 		return 1 / (1 + e)
 	}
 	return e / (1 + e)
-}
-
-// ResistSigmoid maps an aerial image to a smooth printed image
-// σ(θ_z·(dose²·I − I_th)).
-func ResistSigmoid(intensity *grid.Real, dose float64) *grid.Real {
-	z := grid.NewReal(intensity.W, intensity.H)
-	d2 := dose * dose
-	for i, v := range intensity.Data {
-		z.Data[i] = Sigmoid(ResistSteepness * (d2*v - Threshold))
-	}
-	return z
 }
 
 // ResistBinary maps an aerial image to the hard-threshold printed image of

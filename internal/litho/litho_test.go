@@ -9,6 +9,7 @@ import (
 	"cfaopc/internal/fft"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // testSim builds a cheap but physical simulator: 256 nm tile on a 32×32
@@ -36,7 +37,7 @@ func simAt(t testing.TB, n int, tileNM float64) *Simulator {
 // compared with the result of a later call.
 func keep(r *DiffResult) *DiffResult {
 	c := *r
-	c.GradM = r.GradM.Clone()
+	c.GradM = gridkit.Clone(r.GradM)
 	return &c
 }
 
@@ -59,7 +60,7 @@ func TestNewRejectsBadInputs(t *testing.T) {
 func TestClearAndDarkField(t *testing.T) {
 	s := testSim(t, 32)
 	clear := grid.NewReal(32, 32)
-	clear.Fill(1)
+	gridkit.Fill(clear, 1)
 	i := s.Aerial(clear, s.Focus, false, nil)
 	for idx, v := range i.Data {
 		if math.Abs(v-1) > 1e-9 {
@@ -149,7 +150,7 @@ func TestSimulateDoseCornerNesting(t *testing.T) {
 		}
 	}
 	r := s.Simulate(m)
-	if r.ZNom.Sum() == 0 {
+	if gridkit.Sum(r.ZNom) == 0 {
 		t.Fatal("nominal image printed nothing")
 	}
 	// Max-dose print must contain the min-dose print (same aerial image).
@@ -192,7 +193,7 @@ func TestLossGradMatchesFiniteDifference(t *testing.T) {
 		for _, weights := range [][2]float64{{1, 0}, {0, 1}, {1, 1}} {
 			wL2, wPVB := weights[0], weights[1]
 			res := keep(s.LossGrad(mask, target, wL2, wPVB))
-			if res.GradM.HasNaN() {
+			if gridkit.HasNaN(res.GradM) {
 				t.Fatal("gradient contains NaN")
 			}
 			const eps = 1e-5
@@ -262,7 +263,7 @@ func TestAerialMatchesFullTransformReference(t *testing.T) {
 			}
 		}
 
-		maskF := grid.FromReal(mask)
+		maskF := gridkit.FromReal(mask)
 		fft.Forward2D(maskF)
 		wantI := grid.NewReal(n, n)
 		wantFields := make([]*grid.Complex, len(set.Kernels))
@@ -278,7 +279,7 @@ func TestAerialMatchesFullTransformReference(t *testing.T) {
 		}
 		fields := make([]*grid.Complex, len(set.Kernels))
 		gotI := s.Aerial(mask, set, false, fields)
-		if d := gotI.SqDiff(wantI); d != 0 {
+		if d := gridkit.SqDiff(gotI, wantI); d != 0 {
 			t.Errorf("n=%d: aerial image differs from the full-transform reference (Σd² = %g)", n, d)
 		}
 		for ki := range fields {
@@ -302,8 +303,8 @@ func TestAerialMatchesFullTransformReference(t *testing.T) {
 			})
 		}
 		fft.Inverse2D(accF)
-		wantG := grid.RealPart(accF).Scale(2)
-		if d := s.AerialBackward(dLdI, set, false, fields).SqDiff(wantG); d != 0 {
+		wantG := gridkit.Scale(gridkit.RealPart(accF), 2)
+		if d := gridkit.SqDiff(s.AerialBackward(dLdI, set, false, fields), wantG); d != 0 {
 			t.Errorf("n=%d: mask gradient differs from the full-transform reference (Σd² = %g)", n, d)
 		}
 	}
@@ -358,12 +359,12 @@ func TestKOptTruncation(t *testing.T) {
 	s.KOpt = 2
 	trunc := s.Aerial(m, s.Focus, true, nil)
 	// Truncation must change the image (fewer kernels)…
-	if full.SqDiff(trunc) == 0 {
+	if gridkit.SqDiff(full, trunc) == 0 {
 		t.Fatal("KOpt truncation had no effect")
 	}
 	// …but evaluation (optimizing=false) must ignore KOpt.
 	evalImg := s.Aerial(m, s.Focus, false, nil)
-	if full.SqDiff(evalImg) != 0 {
+	if gridkit.SqDiff(full, evalImg) != 0 {
 		t.Fatal("evaluation path affected by KOpt")
 	}
 }
@@ -438,7 +439,7 @@ func TestLossGradColsMatchesFull(t *testing.T) {
 func TestLoadMaskReusesUnchangedRows(t *testing.T) {
 	const n = 96
 	s, a, target := windowSim(t, n, 384)
-	b := a.Clone()
+	b := gridkit.Clone(a)
 	for y := 40; y < 52; y += 3 {
 		for x := 10; x < 60; x++ {
 			b.Data[y*n+x] = 0.25
@@ -483,4 +484,18 @@ func TestLoadMaskReusesUnchangedRows(t *testing.T) {
 	sameResult(t, "LossGrad on a rebuilt arena", keep(s.LossGrad(b, target, 1, 1)), fresh(n).LossGrad(b, target, 1, 1))
 	s.simGrid = 0
 	sameResult(t, "LossGrad on the arena rebuilt back", keep(s.LossGrad(a, target, 1, 1)), fresh(0).LossGrad(a, target, 1, 1))
+}
+
+// AerialBackward propagates a gradient dL/dI through the aerial image back
+// to the mask: dL/dM = Σ_k λ_k · 2·Re[ IFFT( conj(Ĥ_k) ⊙ FFT(dLdI ⊙
+// c_k) ) ], where c_k are the coherent fields saved by Aerial. The
+// returned gradient is the caller's.
+func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
+	a := s.arenaFor(set)
+	for i, g := range dLdI.Data {
+		a.packN.Data[i] = complex(g, 0)
+	}
+	kc := s.kcount(set, optimizing)
+	s.backward(a, [2]*optics.KernelSet{set, set}, [2]int{kc, 0}, [2][]*grid.Complex{fields, nil}, 0, s.N)
+	return gridkit.Clone(a.gradM)
 }

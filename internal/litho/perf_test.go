@@ -7,6 +7,7 @@ import (
 
 	"cfaopc/internal/grid"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 // benchWindows are the windows the repository benchmark optimizes: the
@@ -45,7 +46,7 @@ func windowSim(t testing.TB, n int, tileNM float64) (*Simulator, *grid.Real, *gr
 // masks in turn keeps loadMask transforming those rows, as an optimizer
 // step that moved them would: on one mask it would transform none.
 func alternate(mask *grid.Real, x0, x1, y0, y1 int) *grid.Real {
-	m := mask.Clone()
+	m := gridkit.Clone(mask)
 	for y := y0; y < y1; y++ {
 		for x := x0; x < x1; x++ {
 			m.Data[y*m.W+x] = 0.5 * (m.Data[y*m.W+x] + 0.3)

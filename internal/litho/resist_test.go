@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cfaopc/internal/grid"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestResistDoseMonotonicity(t *testing.T) {
@@ -15,8 +16,8 @@ func TestResistDoseMonotonicity(t *testing.T) {
 	}
 	prevBin, prevSig := -1.0, -1.0
 	for _, dose := range []float64{0.9, 0.95, 1.0, 1.05, 1.1} {
-		b := ResistBinary(i, dose).Sum()
-		s := ResistSigmoid(i, dose).Sum()
+		b := gridkit.Sum(ResistBinary(i, dose))
+		s := gridkit.Sum(ResistSigmoid(i, dose))
 		if b < prevBin {
 			t.Fatalf("binary print area decreased with dose at %v", dose)
 		}
@@ -52,13 +53,24 @@ func TestSimulateProducesAllCorners(t *testing.T) {
 		t.Fatal("corner images missing")
 	}
 	// The defocused aerial image differs from the nominal one.
-	if r.INom.SqDiff(r.IDef) == 0 {
+	if gridkit.SqDiff(r.INom, r.IDef) == 0 {
 		t.Fatal("defocus image identical to focus image")
 	}
 	// The outer corner can only print at least as much as the inner one
 	// (a ±2% dose swing may move the contour by less than one coarse
 	// pixel, so an empty band is legitimate at 8 nm/px).
-	if r.ZMax.Sum() < r.ZMin.Sum() {
+	if gridkit.Sum(r.ZMax) < gridkit.Sum(r.ZMin) {
 		t.Fatal("max-dose print smaller than min-dose print")
 	}
+}
+
+// ResistSigmoid maps an aerial image to a smooth printed image
+// σ(θ_z·(dose²·I − I_th)).
+func ResistSigmoid(intensity *grid.Real, dose float64) *grid.Real {
+	z := grid.NewReal(intensity.W, intensity.H)
+	d2 := dose * dose
+	for i, v := range intensity.Data {
+		z.Data[i] = Sigmoid(ResistSteepness * (d2*v - Threshold))
+	}
+	return z
 }

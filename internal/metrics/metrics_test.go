@@ -11,6 +11,7 @@ import (
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/optics"
+	"cfaopc/internal/testkit/gridkit"
 )
 
 func TestL2CountsDifferingPixels(t *testing.T) {
@@ -41,7 +42,7 @@ func TestL2PanicsOnShapeMismatch(t *testing.T) {
 func TestPVBSymmetric(t *testing.T) {
 	a := grid.NewReal(3, 3)
 	b := grid.NewReal(3, 3)
-	a.Fill(1)
+	gridkit.Fill(a, 1)
 	b.Set(1, 1, 1)
 	if PVB(a, b, 1) != PVB(b, a, 1) {
 		t.Fatal("PVB not symmetric")
@@ -79,12 +80,12 @@ func TestEPESmallShiftWithinConstraint(t *testing.T) {
 	// A print dilated by ~8 nm (2 px at 4 nm/px) stays within the 15 nm
 	// constraint, so no violations.
 	l, z := perfectPrint(128) // dx = 4 nm
-	dil := geom.Dilate(z, geom.DiskElement(2))
+	dil := gridkit.Dilate(z, gridkit.DiskElement(2))
 	if got := EPEViolations(l, dil, EPESpacingNM, EPEConstraintNM); got != 0 {
 		t.Fatalf("8 nm dilation caused %d violations", got)
 	}
 	// Dilation by ~24 nm (6 px) must violate on every edge sample.
-	big := geom.Dilate(z, geom.DiskElement(6))
+	big := gridkit.Dilate(z, gridkit.DiskElement(6))
 	if got := EPEViolations(l, big, EPESpacingNM, EPEConstraintNM); got == 0 {
 		t.Fatal("24 nm dilation caused no violations")
 	}
@@ -125,8 +126,8 @@ func TestEvaluateAggregates(t *testing.T) {
 		t.Fatalf("report = %+v", r)
 	}
 	// Degraded corners produce positive PVB.
-	zMax := geom.Dilate(z, geom.DiskElement(1))
-	zMin := geom.Erode(z, geom.DiskElement(1))
+	zMax := gridkit.Dilate(z, gridkit.DiskElement(1))
+	zMin := gridkit.Erode(z, gridkit.DiskElement(1))
 	r2 := Evaluate(l, z, zMax, zMin, 1)
 	if r2.PVB <= 0 {
 		t.Fatal("PVB should be positive for differing corners")
@@ -160,7 +161,7 @@ func TestScoreShots(t *testing.T) {
 	if want := Evaluate(l, res.ZNom, res.ZMax, res.ZMin, len(shots)); s.Report != want {
 		t.Fatalf("report %+v, want %+v", s.Report, want)
 	}
-	if s.Mask.SqDiff(mask) != 0 || s.Printed.SqDiff(res.ZNom) != 0 || len(s.MRC) != 12 {
+	if gridkit.SqDiff(s.Mask, mask) != 0 || gridkit.SqDiff(s.Printed, res.ZNom) != 0 || len(s.MRC) != 12 {
 		t.Fatalf("mask, print or %d violations differ from the pipeline's", len(s.MRC))
 	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")

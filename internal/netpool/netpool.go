@@ -129,13 +129,8 @@ type Conn struct {
 // Messages is the session's output stream: the worker's Ping, Beat and
 // Reply messages as decoded, in order. It is closed when the
 // link ends — the worker died, the stream broke, or the session was
-// killed — after which Err says why.
+// killed; the reason is kept in err.
 func (c *Conn) Messages() <-chan *procpool.Message { return c.msgs }
-
-// Err is the terminal error of a session whose Messages stream has
-// closed: io.EOF for a clean close by the worker, the framing, decode or
-// transport error otherwise.
-func (c *Conn) Err() error { return c.err }
 
 // Send frames one task to the worker.
 func (c *Conn) Send(t *procpool.Task) error {

@@ -145,12 +145,10 @@ const nominalUnitNS = 25 * int64(time.Millisecond)
 // GovernorConfig sizes the governor. Zero values take defaults.
 type GovernorConfig struct {
 	// MemBudget bounds the summed Cost.PeakBytes of all admitted
-	// (queued + running) jobs. Default 2 GiB.
+	// (queued + running) jobs. Default 2 GiB. It also sets the
+	// measured-heap watermarks the ladder walks between: the high one is
+	// the budget, the low one ¾ of it.
 	MemBudget int64
-	// HeapHigh / HeapLow are the measured-heap watermarks the ladder
-	// walks between. Defaults: HeapHigh = MemBudget, HeapLow = 3/4 of
-	// HeapHigh. HeapLow must be below HeapHigh.
-	HeapHigh, HeapLow int64
 	// ReadHeap returns the live heap reading; nil means
 	// runtime/metrics' /memory/classes/heap/objects:bytes. Tests
 	// inject scripted readings here.
@@ -186,19 +184,13 @@ func newGovernor(cfg GovernorConfig) *governor {
 	if cfg.MemBudget <= 0 {
 		cfg.MemBudget = 2 << 30
 	}
-	if cfg.HeapHigh <= 0 {
-		cfg.HeapHigh = cfg.MemBudget
-	}
-	if cfg.HeapLow <= 0 {
-		cfg.HeapLow = cfg.HeapHigh * 3 / 4
-	}
 	if cfg.ReadHeap == nil {
 		cfg.ReadHeap = liveHeapBytes
 	}
 	return &governor{
 		budget:    cfg.MemBudget,
-		heapHigh:  cfg.HeapHigh,
-		heapLow:   cfg.HeapLow,
+		heapHigh:  cfg.MemBudget,
+		heapLow:   cfg.MemBudget * 3 / 4,
 		readHeap:  cfg.ReadHeap,
 		committed: map[string]Cost{},
 	}

@@ -140,7 +140,7 @@ func TestGovernorAdmission(t *testing.T) {
 }
 
 func TestGovernorLadder(t *testing.T) {
-	g := newGovernor(GovernorConfig{MemBudget: 1000, HeapHigh: 800, HeapLow: 600})
+	g := newGovernor(GovernorConfig{MemBudget: 800})
 	step := func(heap int64, wantFrom, wantTo GovLevel, wantChanged bool) {
 		t.Helper()
 		from, to, changed := g.observe(heap)
@@ -188,7 +188,7 @@ func governedManager(t *testing.T, heap *heapScript, mutate func(*ManagerConfig)
 		LayoutRoot: root,
 		MaxActive:  2,
 		QueueCap:   16,
-		Governor:   GovernorConfig{MemBudget: 64 << 20, HeapHigh: 48 << 20, HeapLow: 32 << 20, ReadHeap: heap.read},
+		Governor:   GovernorConfig{MemBudget: 64 << 20, ReadHeap: heap.read},
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -258,14 +258,14 @@ func TestPressureLadderEndToEnd(t *testing.T) {
 	waitJobState(t, m, heavy.ID, JobRunning)
 
 	// Rung 1: low watermark -> cache shrinks.
-	heap.set(33 << 20)
+	heap.set(49 << 20)
 	m.Pulse()
 	if e, b := cache.Limits(); e != 64/4 || b != (1<<20)/4 {
 		t.Fatalf("cache not shrunk: limits (%d, %d)", e, b)
 	}
 
 	// Rung 2: high watermark -> admissions pause.
-	heap.set(49 << 20)
+	heap.set(65 << 20)
 	m.Pulse()
 	_, err = m.Submit(specFor(t, nil))
 	var admit *AdmitError
@@ -382,7 +382,7 @@ func TestStopInTheTailGetsItsTypedState(t *testing.T) {
 			name: "shed",
 			spec: heavy,
 			stop: func(_ *testing.T, m *Manager, heap *heapScript, _ string) {
-				heap.set(49 << 20)
+				heap.set(65 << 20)
 				m.Pulse() // pause
 				m.Pulse() // shed
 			},

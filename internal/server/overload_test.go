@@ -291,8 +291,6 @@ func overloadPressure(t *testing.T) {
 		cfg.MaxActive = 2
 		cfg.Governor = GovernorConfig{
 			MemBudget: 64 << 20,
-			HeapHigh:  48 << 20,
-			HeapLow:   32 << 20,
 			ReadHeap:  heap.read,
 		}
 	}, false)
@@ -332,10 +330,10 @@ func overloadPressure(t *testing.T) {
 		want string
 	}{
 		{1 << 20, "normal"},
-		{33 << 20, "shrink"},
-		{49 << 20, "pause"},
-		{49 << 20, "shed"},
-		{33 << 20, "shrink"},
+		{49 << 20, "shrink"},
+		{65 << 20, "pause"},
+		{65 << 20, "shed"},
+		{49 << 20, "shrink"},
 		{1 << 20, "normal"},
 	}
 	for _, step := range walk {

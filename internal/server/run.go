@@ -86,12 +86,12 @@ func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 		Fallback:    fb,
 		Engines:     meta,
 		TileRetries: 1,
-		// Validation bounds follow the MRC radius window (12-76 nm),
-		// scaled to window-grid pixels with a tolerance band so
+		// Validation bounds follow the mask rule's radius window, scaled
+		// to window-grid pixels with a tolerance band (½·RMin, 2·RMax) so
 		// borderline-legal shots degrade via MRC reporting, not tile
 		// retries.
-		RMinPx: 6 / dx,
-		RMaxPx: 152 / dx,
+		RMinPx: fracture.RMinNM / 2 / dx,
+		RMaxPx: 2 * fracture.RMaxNM / dx,
 	}, nil
 }
 

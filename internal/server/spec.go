@@ -6,7 +6,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -223,9 +222,6 @@ func (s *JobSpec) Canonical() []byte {
 	}
 	return b
 }
-
-// Equal reports whether two normalized specs describe the same job.
-func (s *JobSpec) Equal(o *JobSpec) bool { return bytes.Equal(s.Canonical(), o.Canonical()) }
 
 // ResolveLayout loads the job's target pattern: a synthetic benchmark
 // case, or a layout file under root. The traversal check in Validate

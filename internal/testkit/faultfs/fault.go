@@ -189,14 +189,6 @@ func (f *FaultFS) Create(path string) (iox.File, error) {
 	return &faultFile{File: inner, fs: f, path: path}, nil
 }
 
-func (f *FaultFS) WriteFile(path string, data []byte, perm os.FileMode) error {
-	allow, ferr := f.admitWrite(path, len(data))
-	if err := f.inner.WriteFile(path, data[:allow], perm); err != nil {
-		return err
-	}
-	return ferr
-}
-
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	if err := f.admitRename(newpath); err != nil {
 		return err

@@ -137,17 +137,6 @@ func (r *Recorder) Create(path string) (iox.File, error) {
 	return r.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 }
 
-func (r *Recorder) WriteFile(path string, data []byte, perm os.FileMode) error {
-	if err := r.inner.WriteFile(path, data, perm); err != nil {
-		return err
-	}
-	if rel, ok := r.rel(path); ok {
-		r.record(Op{Kind: OpCreate, Path: rel})
-		r.record(Op{Kind: OpWrite, Path: rel, Off: 0, Data: append([]byte(nil), data...)})
-	}
-	return nil
-}
-
 func (r *Recorder) Rename(oldpath, newpath string) error {
 	if err := r.inner.Rename(oldpath, newpath); err != nil {
 		return err

@@ -1,8 +1,19 @@
-package layout
+// Package layoutkit holds the layout fixtures that tests in several
+// packages share and no binary links; only _test.go files import it.
+//
+//   - GenerateRandom: seeded random layouts, the stress-test companion to
+//     the fixed benchmark suite;
+//   - RasterizeRects: rectangles painted into a binary grid, the inverse
+//     of a rectilinear decomposition.
+package layoutkit
 
 import (
 	"fmt"
 	"math/rand"
+
+	"cfaopc/internal/geom"
+	"cfaopc/internal/grid"
+	"cfaopc/internal/layout"
 )
 
 // RandomConfig controls the randomized layout generator, the stress-test
@@ -50,12 +61,12 @@ func (c *RandomConfig) fillDefaults() {
 // The same seed always yields the same layout. Fewer than cfg.Features
 // bars may be placed when the tile is too crowded; the result is still
 // valid.
-func GenerateRandom(seed int64, cfg RandomConfig) *Layout {
+func GenerateRandom(seed int64, cfg RandomConfig) *layout.Layout {
 	cfg.fillDefaults()
 	rng := rand.New(rand.NewSource(seed))
-	l := &Layout{Name: fmt.Sprintf("rand%d", seed), TileNM: cfg.TileNM}
+	l := &layout.Layout{Name: fmt.Sprintf("rand%d", seed), TileNM: cfg.TileNM}
 	clearance := cfg.SpacingNM
-	fits := func(c Rect) bool {
+	fits := func(c layout.Rect) bool {
 		if c.X < cfg.MarginNM || c.Y < cfg.MarginNM ||
 			c.X+c.W > cfg.TileNM-cfg.MarginNM || c.Y+c.H > cfg.TileNM-cfg.MarginNM {
 			return false
@@ -73,7 +84,7 @@ func GenerateRandom(seed int64, cfg RandomConfig) *Layout {
 		for try := 0; try < cfg.MaxRetries; try++ {
 			w := cfg.WidthsNM[rng.Intn(len(cfg.WidthsNM))]
 			length := cfg.MinLenNM + rng.Intn(cfg.MaxLenNM-cfg.MinLenNM+1)
-			r := Rect{
+			r := layout.Rect{
 				X: cfg.MarginNM + rng.Intn(span),
 				Y: cfg.MarginNM + rng.Intn(span),
 			}
@@ -89,7 +100,23 @@ func GenerateRandom(seed int64, cfg RandomConfig) *Layout {
 		}
 	}
 	if err := l.Validate(); err != nil {
-		panic(fmt.Sprintf("layout: random generator produced invalid layout: %v", err))
+		panic(fmt.Sprintf("layoutkit: random generator produced invalid layout: %v", err))
 	}
 	return l
+}
+
+// RasterizeRects paints rectangles into a fresh w×h binary grid; the
+// inverse of a decomposition, used to verify partitions.
+func RasterizeRects(w, h int, rects []geom.Rect) *grid.Real {
+	m := grid.NewReal(w, h)
+	for _, r := range rects {
+		for y := r.Y; y < r.Y+r.H; y++ {
+			for x := r.X; x < r.X+r.W; x++ {
+				if x >= 0 && x < w && y >= 0 && y < h {
+					m.Data[y*w+x] = 1
+				}
+			}
+		}
+	}
+	return m
 }

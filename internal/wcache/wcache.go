@@ -213,9 +213,6 @@ func New(cfg Config) (*Cache, error) {
 	return &Cache{cfg: cfg, fsys: fsys, ll: list.New(), items: make(map[Key]*list.Element)}, nil
 }
 
-// Dir returns the disk tier directory ("" when memory-only).
-func (c *Cache) Dir() string { return c.cfg.Dir }
-
 func (c *Cache) path(k Key) string {
 	return filepath.Join(c.cfg.Dir, string(k)+".wce")
 }
