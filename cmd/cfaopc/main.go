@@ -375,7 +375,11 @@ func run(l *layout.Layout, cfg flow.Config, o server.RunOpts) *flow.Result {
 			note += "  [quarantined: " + ts.Bundle + "]"
 		}
 		if ts.ProcCrashes > 0 {
-			note += fmt.Sprintf("  [%d worker crashes]", ts.ProcCrashes)
+			note += fmt.Sprintf("  [%d worker crashes", ts.ProcCrashes)
+			if ts.LinkErr != "" { // "" in a journal written before the reason was kept
+				note += ", last: " + ts.LinkErr
+			}
+			note += "]"
 		}
 		fmt.Printf("  tile %2d core(%3d,%3d): shots %3d  wall %s%s\n",
 			ts.Index, ts.CX, ts.CY, ts.Shots, ts.Wall.Round(time.Millisecond), note)

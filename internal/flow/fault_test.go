@@ -326,6 +326,7 @@ func sameResult(t *testing.T, got, want *Result) {
 		g.Resumed, w.Resumed = false, false
 		g.Proc, w.Proc = false, false
 		g.ProcCrashes, w.ProcCrashes = 0, 0
+		g.LinkErr, w.LinkErr = "", ""
 		g.Host, w.Host = "", ""
 		// A cache hit inherits its twin's attempt record, so everything
 		// except the hit markers must already match; the markers themselves

@@ -292,6 +292,10 @@ type TileStat struct {
 	// flight; the tile still completed through respawn or the
 	// in-process breaker path.
 	ProcCrashes int
+	// LinkErr is why the last failed dispatch failed ("" when none did):
+	// the torn frame, CRC error, protocol violation, silence, dial error
+	// or worker-reported task error that ended it.
+	LinkErr string
 
 	// CacheHit marks a tile answered by translating a cached twin's
 	// shots instead of optimizing; its Path/Attempts/Iters/LastLoss are

@@ -54,7 +54,7 @@ func randomRecord(rng *rand.Rand) journalRecord {
 		Wall: time.Duration(n()), RasterWall: time.Duration(n()), Attempts: n(),
 		Path: str(PathFallback), Failure: str("attempt 0 (primary): panic: injected"),
 		Iters: n(), LastLoss: float64(n()) / 7, Stalled: some(), Bundle: str("/q/tile0003.qrb"),
-		Proc: some(), Host: str("127.0.0.1:9"), ProcCrashes: n(), CacheHit: some(), CacheKey: str("k0"),
+		Proc: some(), Host: str("127.0.0.1:9"), ProcCrashes: n(), LinkErr: str("link ended: iox: torn frame"), CacheHit: some(), CacheKey: str("k0"),
 	}}
 	if some() {
 		t.Shots = make([]geom.Circle, rng.Intn(30))

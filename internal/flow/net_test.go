@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"cfaopc/internal/iox"
 	"cfaopc/internal/netpool"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
@@ -389,6 +390,47 @@ func TestNetMatrix(t *testing.T) {
 				}
 				sameResult(t, res, ref)
 			})
+		}
+	}
+}
+
+// A link that dies of a bad frame says so: the tile that was in flight
+// keeps the reason — a CRC mismatch for a flipped byte, a torn frame for
+// half a frame and a hang-up — beside its crash count.
+func TestLinkErrNamesTheBadFrame(t *testing.T) {
+	for _, c := range []struct {
+		fault chaosnet.FaultKind
+		want  string
+	}{
+		{chaosnet.FaultGarble, iox.ErrFrameCRC.Error()},
+		{chaosnet.FaultTrunc, iox.ErrTornFrame.Error()},
+	} {
+		h := startHost(t, false)
+		p, err := chaosnet.NewProxy(h.addr, chaosnet.ConnScript{Fault: c.fault, AfterFrames: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		res, err := Run(quadLayout(), netConfig(t, p.Addr()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		everyTileDone(t, res)
+		crashed := 0
+		for _, st := range res.TileStats {
+			if st.ProcCrashes == 0 {
+				if st.LinkErr != "" {
+					t.Errorf("tile %d: no failed dispatch, yet LinkErr %q", st.Index, st.LinkErr)
+				}
+				continue
+			}
+			crashed++
+			if !strings.Contains(st.LinkErr, c.want) {
+				t.Errorf("tile %d: %d failed dispatches, LinkErr %q; want it to name %q", st.Index, st.ProcCrashes, st.LinkErr, c.want)
+			}
+		}
+		if crashed == 0 {
+			t.Errorf("%q: no tile recorded a failed dispatch; the fault never bit", c.want)
 		}
 	}
 }

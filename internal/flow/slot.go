@@ -3,6 +3,7 @@ package flow
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math/rand"
 	"net"
 	"time"
@@ -117,13 +118,14 @@ func (env *runEnv) newSlot(id int, host string, conn *connector, local executor)
 
 // execute is the slot's executor: dispatch the rasterized tile until a
 // reply lands or the breaker opens, then fall back to the in-process
-// ladder. Every failed dispatch is counted on the tile and the run.
+// ladder. Every failed dispatch is counted on the tile and the run, and
+// the last one's reason is kept on the tile.
 func (s *slot) execute(ctx context.Context, j tileJob, target *grid.Real, out *tileOut) {
 	env := s.env
 	dispatch := 0
 	for ctx.Err() == nil && s.breaker.Allow() {
-		reply, ok := s.dispatch(ctx, j, target, dispatch)
-		if ok {
+		reply, err := s.dispatch(ctx, j, target, dispatch)
+		if err == nil {
 			s.breaker.Success()
 			out.stat.ProcCrashes = dispatch
 			out.stat.Proc = s.host == ""
@@ -135,6 +137,7 @@ func (s *slot) execute(ctx context.Context, j tileJob, target *grid.Real, out *t
 			return
 		}
 		dispatch++
+		out.stat.LinkErr = capString(err.Error(), maxAttemptErrBytes)
 		env.linkCrashes.Add(1)
 		if s.breaker.Failure() {
 			// The breaker opened: a new degradation episode. Terminal
@@ -154,25 +157,25 @@ func (s *slot) execute(ctx context.Context, j tileJob, target *grid.Real, out *t
 }
 
 // dispatch hands the tile to the slot's session — establishing or
-// re-establishing one as needed — and awaits its reply. ok is false
-// when the dispatch failed (spawn or connect error, refused or silent
+// re-establishing one as needed — and awaits its reply. The error says
+// why the dispatch failed (spawn or connect error, refused or silent
 // handshake, worker death, link drop, silence kill, protocol garbage,
 // or a worker-reported task error) and the tile must be redispatched or
 // degraded.
-func (s *slot) dispatch(ctx context.Context, j tileJob, target *grid.Real, dispatchN int) (*procpool.Reply, bool) {
+func (s *slot) dispatch(ctx context.Context, j tileJob, target *grid.Real, dispatchN int) (*procpool.Reply, error) {
 	if s.link == nil {
-		if !s.backoffWait(ctx) {
-			return nil, false
+		if err := s.backoffWait(ctx); err != nil {
+			return nil, err
 		}
 		link, err := s.dialer.Connect(ctx, s.host)
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
 		s.link = link
 	}
 	if err := s.link.Send(s.env.buildTask(j, target, dispatchN)); err != nil {
 		s.kill()
-		return nil, false
+		return nil, err
 	}
 	return s.await(ctx, j)
 }
@@ -192,7 +195,7 @@ func (env *runEnv) buildTask(j tileJob, target *grid.Real, dispatch int) *procpo
 // await consumes session messages until a reply for j arrives, the link
 // dies, or it goes silent past the slot's silence bound. Any message —
 // ping or beat — counts as liveness.
-func (s *slot) await(ctx context.Context, j tileJob) (*procpool.Reply, bool) {
+func (s *slot) await(ctx context.Context, j tileJob) (*procpool.Reply, error) {
 	env := s.env
 	timer := time.NewTimer(s.silence)
 	defer timer.Stop()
@@ -200,18 +203,19 @@ func (s *slot) await(ctx context.Context, j tileJob) (*procpool.Reply, bool) {
 		select {
 		case <-ctx.Done():
 			s.kill()
-			return nil, false
+			return nil, ctx.Err()
 		case <-timer.C:
 			// Alive but mute beyond even its ping loop: a wedged process
 			// or a stalled link. Kill and let the dispatch counter decide
 			// reconnect vs breaker.
 			s.kill()
-			return nil, false
+			return nil, fmt.Errorf("worker silent for %v", s.silence)
 		case m, ok := <-s.link.Messages():
 			if !ok {
 				// The link ended (worker death, drop, protocol garbage).
+				err := s.link.Err()
 				s.link = nil
-				return nil, false
+				return nil, fmt.Errorf("link ended: %w", err)
 			}
 			if !timer.Stop() {
 				<-timer.C
@@ -230,16 +234,16 @@ func (s *slot) await(ctx context.Context, j tileJob) (*procpool.Reply, bool) {
 					// Protocol confusion (a stale reply for some other
 					// tile): this link cannot be trusted with the tile.
 					s.kill()
-					return nil, false
+					return nil, fmt.Errorf("reply for tile %d while tile %d was in flight", m.Reply.Index, j.index)
 				}
 				if m.Reply.Err != "" {
 					// The worker is healthy but the task failed
 					// deterministically (bad payload, engine setup).
 					// Count it like a crash so the breaker bounds the
 					// retries and the tile still completes in-process.
-					return nil, false
+					return nil, fmt.Errorf("worker: %s", m.Reply.Err)
 				}
-				return m.Reply, true
+				return m.Reply, nil
 			}
 			// A Ping is liveness only.
 		}
@@ -248,20 +252,20 @@ func (s *slot) await(ctx context.Context, j tileJob) (*procpool.Reply, bool) {
 
 // backoffWait sleeps the exponential retry delay for the current
 // consecutive-failure count (none after a clean dispatch), with jitter
-// so a crash-looping fleet does not retry in lockstep. It reports
-// false when ctx was canceled during the wait.
-func (s *slot) backoffWait(ctx context.Context) bool {
+// so a crash-looping fleet does not retry in lockstep. It returns ctx's
+// error when ctx was canceled during the wait.
+func (s *slot) backoffWait(ctx context.Context) error {
 	d := s.backoff.Next(s.breaker.Consecutive())
 	if d <= 0 {
-		return true
+		return nil
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
+		return nil
 	case <-ctx.Done():
-		return false
+		return ctx.Err()
 	}
 }
 

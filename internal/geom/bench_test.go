@@ -63,3 +63,45 @@ func BenchmarkComponents(b *testing.B) {
 		}
 	})
 }
+
+// regionCrops cuts m into the rasters CircleRule thins: one per
+// 8-connected region, its bounding box plus a one-pixel background ring,
+// 1 on the region's pixels.
+func regionCrops(m *grid.Real) (crops [][]uint8, ws, hs []int) {
+	l := Components(m, true)
+	for id := 1; id <= l.N; id++ {
+		b := l.Bounds[id]
+		w, h := b.W+2, b.H+2
+		pix := make([]uint8, w*h)
+		for y := 0; y < b.H; y++ {
+			for x, v := range l.Label[(b.Y+y)*l.W+b.X:][:b.W] {
+				if int(v) == id {
+					pix[(y+1)*w+x+1] = 1
+				}
+			}
+		}
+		crops, ws, hs = append(crops, pix), append(ws, w), append(hs, h)
+	}
+	return crops, ws, hs
+}
+
+// BenchmarkThinner times Thin on the region crops CircleRule cuts from
+// the 192-px suite window, all of them per op, through one reused Thinner.
+func BenchmarkThinner(b *testing.B) {
+	crops, ws, hs := regionCrops(suiteWindow(b, 192))
+	var sizes []string
+	for i := range crops {
+		sizes = append(sizes, fmt.Sprintf("%d×%d", ws[i], hs[i]))
+	}
+	b.Logf("%d crops: %v", len(crops), sizes)
+	work := make([]uint8, 0, 192*192)
+	var th Thinner
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k, c := range crops {
+			work = append(work[:0], c...)
+			th.Thin(work, ws[k], hs[k])
+		}
+	}
+}

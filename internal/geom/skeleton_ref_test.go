@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 
 // skeletonRef is Zhang–Suen thinning written the obvious way — every
 // sub-pass sweeps the whole grid and tests every foreground pixel — and
-// the oracle Thin's work-list version must equal pixel for pixel.
+// the oracle Thin's bit-plane version must equal pixel for pixel.
 func skeletonRef(m *grid.Real) *grid.Real {
 	s := m.Binarize(0.5)
 	for {
@@ -148,24 +149,138 @@ func TestSkeletonMatchesRef(t *testing.T) {
 	}
 }
 
-// Thin's work lists are reused from call to call; a second region must
-// not see anything of the first.
+// requireThinMatchesRef pads m with the background ring Thin wants,
+// thins that crop with th and compares it with the reference pixel for
+// pixel.
+func requireThinMatchesRef(t *testing.T, th *Thinner, m *grid.Real) {
+	t.Helper()
+	w, h := m.W+2, m.H+2
+	pix := make([]uint8, w*h)
+	for i, v := range m.Data {
+		if v > 0.5 {
+			pix[(i/m.W+1)*w+i%m.W+1] = 1
+		}
+	}
+	th.Thin(pix, w, h)
+	want := skeletonRef(m)
+	for i, v := range pix {
+		x, y := i%w-1, i/w-1
+		inside := x >= 0 && x < m.W && y >= 0 && y < m.H
+		if inside && float64(v) != want.Data[y*m.W+x] || !inside && v != 0 {
+			t.Fatalf("%d×%d crop: pixel (%d, %d) = %d, want the reference's", w, h, x+1, y+1, v)
+		}
+	}
+}
+
+// Thin packs 64 pixels to a word, so the crops that end just short of,
+// on and just past a word boundary — 62 to 66, 126 to 130 and 190 to 194
+// pixels wide — must thin exactly as the reference does, with regions
+// that touch every edge of the crop, all-ones crops, checkerboards, a
+// thick frame, stripes across the boundary, teeth (rows equal within one
+// word, unequal in the next) and random shapes.
+func TestThinWordBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	var th Thinner
+	for _, base := range []int{62, 126, 190} {
+		for cw := base; cw <= base+4; cw++ {
+			for _, mh := range []int{1, 2, 5, 24} {
+				mw := cw - 2
+				full := grid.NewReal(mw, mh)
+				gridkit.Fill(full, 1)
+				checker, frame, stripes, teeth := grid.NewReal(mw, mh), grid.NewReal(mw, mh), grid.NewReal(mw, mh), grid.NewReal(mw, mh)
+				for y := 0; y < mh; y++ {
+					for x := 0; x < mw; x++ {
+						checker.Data[y*mw+x] = float64((x + y) % 2)
+						if min(x, y, mw-1-x, mh-1-y) < 3 {
+							frame.Data[y*mw+x] = 1
+						}
+						if x%64 >= 60 || x%64 < 3 {
+							stripes.Data[y*mw+x] = 1
+						}
+						if (x+1)/64%2 == 0 || y%3 == 0 && (x+1)%64 < 8 {
+							teeth.Data[y*mw+x] = 1
+						}
+					}
+				}
+				for _, m := range []*grid.Real{full, checker, frame, stripes, teeth, randomShapes(rng, mw, mh)} {
+					requireThinMatchesRef(t, &th, m)
+				}
+			}
+		}
+	}
+}
+
+// One sub-pass of thinColumn deletes what a full sweep deletes from
+// the same raster, also along runs of equal rows whose west and east
+// words change from row to row — the runs along which it reuses an
+// answer. Each trial is three word columns: runs of equal words in the
+// middle, a few distinct words at the sides.
+func TestThinColumnMatchesSubpassRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const h = 40
+	for trial := 0; trial < 300; trial++ {
+		cols := make([]uint64, 3*h)
+		c := rng.Uint64()
+		for y := 1; y < h-1; y++ {
+			if rng.Intn(5) == 0 {
+				c = rng.Uint64() & rng.Uint64()
+			}
+			cols[y] = [3]uint64{0, 1 << 63, ^uint64(0)}[rng.Intn(3)]
+			cols[h+y] = c
+			cols[2*h+y] = [3]uint64{0, 1, ^uint64(0)}[rng.Intn(3)]
+		}
+		m := grid.NewReal(192, h)
+		for i := range m.Data {
+			x, y := i%192, i/192
+			m.Data[i] = float64(cols[x/64*h+y] >> (x % 64) & 1)
+		}
+		for pass := int32(1); pass <= 2; pass++ {
+			d := make([]uint64, h)
+			thinColumn(d, cols, [][2]int32{{1, h - 1}}, make([]int32, h), pass)
+			want := gridkit.Clone(m)
+			skeletonSubpassRef(want, int(pass-1))
+			for y := 0; y < h; y++ {
+				for x := 64; x < 128; x++ {
+					deleted := m.Data[y*192+x] != want.Data[y*192+x]
+					if got := d[y]>>(x-64)&1 == 1; got != deleted {
+						t.Fatalf("trial %d, sub-pass %d: pixel (%d, %d) deleted = %v, want %v", trial, pass, x, y, got, deleted)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Thin's bit planes are reused from call to call; a crop must see
+// nothing of the one before it, whether it is wider, taller, narrower or
+// shorter — one Thinner alternates between growing and shrinking crops,
+// the large ones often all ones, so stale words would show.
 func TestThinnerReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	var th Thinner
-	for trial := 0; trial < 30; trial++ {
-		m := randomShapes(rng, rng.Intn(50)+1, rng.Intn(50)+1)
-		w, h := m.W+2, m.H+2
-		pix := make([]uint8, w*h)
-		for i, v := range m.Data {
-			pix[(i/m.W+1)*w+i%m.W+1] = uint8(v)
-		}
-		th.Thin(pix, w, h)
-		want := skeletonRef(m)
-		for i, v := range want.Data {
-			if got := pix[(i/m.W+1)*w+i%m.W+1]; float64(got) != v {
-				t.Fatalf("trial %d: pixel %d = %d, want %v", trial, i, got, v)
+	for trial := 0; trial < 40; trial++ {
+		var m *grid.Real
+		switch trial % 4 {
+		case 0: // grow: wide and often full
+			m = randomShapes(rng, rng.Intn(70)+130, rng.Intn(30)+1)
+			if rng.Intn(2) == 0 {
+				gridkit.Fill(m, 1)
 			}
+		case 1: // shrink
+			m = randomShapes(rng, rng.Intn(40)+1, rng.Intn(40)+1)
+		case 2: // grow again, tall
+			m = randomShapes(rng, rng.Intn(130)+60, rng.Intn(60)+30)
+		default: // shrink to a sliver
+			m = randomShapes(rng, rng.Intn(4)+1, rng.Intn(70)+1)
+		}
+		requireThinMatchesRef(t, &th, m)
+	}
+	// A raster too thin to have an interior is left as it is.
+	for _, wh := range [][2]int{{1, 1}, {2, 7}, {7, 2}, {130, 1}} {
+		pix := make([]uint8, wh[0]*wh[1])
+		th.Thin(pix, wh[0], wh[1])
+		if bytes.IndexByte(pix, 1) >= 0 {
+			t.Fatalf("%d×%d background raster gained a pixel", wh[0], wh[1])
 		}
 	}
 }
@@ -177,5 +292,19 @@ func FuzzSkeletonMatchesRef(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, w, h uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		requireSkeletonMatchesRef(t, randomShapes(rng, int(w)%96+1, int(h)%96+1))
+	})
+}
+
+// FuzzThinWide drives Thin past the second and third word boundary,
+// crops up to 202 pixels wide, which FuzzSkeletonMatchesRef's 96 do not
+// reach.
+func FuzzThinWide(f *testing.F) {
+	f.Add(int64(1), uint8(62), uint8(16))
+	f.Add(int64(2), uint8(127), uint8(5))
+	f.Add(int64(3), uint8(199), uint8(40))
+	f.Fuzz(func(t *testing.T, seed int64, w, h uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		var th Thinner
+		requireThinMatchesRef(t, &th, randomShapes(rng, int(w)%200+1, int(h)%48+1))
 	})
 }

@@ -69,8 +69,8 @@ func TestBlurDegradesFracturedMaskPrint(t *testing.T) {
 			m.Set(x, y, 1)
 		}
 	}
-	sharp := s.Aerial(m, s.Focus, false, nil)
-	blurred := s.Aerial(gridkit.BlurMask(m, 3), s.Focus, false, nil) // 24 nm blur
+	sharp := s.Aerial(m, s.Focus)
+	blurred := s.Aerial(gridkit.BlurMask(m, 3), s.Focus) // 24 nm blur
 	if gridkit.SqDiff(sharp, blurred) < 1e-6 {
 		t.Fatal("strong write blur had no effect on the aerial image")
 	}

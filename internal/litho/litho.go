@@ -392,22 +392,12 @@ func (s *Simulator) backward(a *arena, sets [2]*optics.KernelSet, kc [2]int, fie
 	}
 }
 
-// Aerial computes the aerial intensity image of mask under the given
-// kernel set. When fields is non-nil it must have length ≥ the number of
-// kernels used; the per-kernel coherent fields, sampled on the simulation
-// grid, are stored there for the adjoint (the tests' AerialBackward).
-// optimizing selects the truncated kernel count. The returned image is the caller's.
-func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
+// Aerial computes the aerial intensity image of mask under every kernel
+// of set. The returned image is the caller's.
+func (s *Simulator) Aerial(mask *grid.Real, set *optics.KernelSet) *grid.Real {
 	a := s.arenaFor(set)
 	a.loadMask(mask)
-	kc := s.kcount(set, optimizing)
-	if fields != nil {
-		fields = fields[:kc]
-		for ki := range fields {
-			fields[ki] = grid.NewComplex(a.m, a.m)
-		}
-	}
-	s.forward(a, 0, set, kc, fields)
+	s.forward(a, 0, set, len(set.Kernels), nil)
 	clear(a.inten[1])
 	a.raise()
 	intensity := grid.NewReal(s.N, s.N)

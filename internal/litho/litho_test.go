@@ -61,14 +61,14 @@ func TestClearAndDarkField(t *testing.T) {
 	s := testSim(t, 32)
 	clear := grid.NewReal(32, 32)
 	gridkit.Fill(clear, 1)
-	i := s.Aerial(clear, s.Focus, false, nil)
+	i := s.Aerial(clear, s.Focus)
 	for idx, v := range i.Data {
 		if math.Abs(v-1) > 1e-9 {
 			t.Fatalf("clear field intensity[%d] = %v, want 1", idx, v)
 		}
 	}
 	dark := grid.NewReal(32, 32)
-	i = s.Aerial(dark, s.Focus, false, nil)
+	i = s.Aerial(dark, s.Focus)
 	for idx, v := range i.Data {
 		if math.Abs(v) > 1e-12 {
 			t.Fatalf("dark field intensity[%d] = %v, want 0", idx, v)
@@ -83,7 +83,7 @@ func TestAerialNonNegativeAndFinite(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = rng.Float64()
 	}
-	img := s.Aerial(m, s.Defocus, false, nil)
+	img := s.Aerial(m, s.Defocus)
 	for i, v := range img.Data {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("intensity[%d] = %v", i, v)
@@ -98,7 +98,7 @@ func TestAerialPanicsOnSizeMismatch(t *testing.T) {
 			t.Error("expected panic for mismatched mask size")
 		}
 	}()
-	s.Aerial(grid.NewReal(16, 16), s.Focus, false, nil)
+	s.Aerial(grid.NewReal(16, 16), s.Focus)
 }
 
 func TestSigmoid(t *testing.T) {
@@ -277,11 +277,12 @@ func TestAerialMatchesFullTransformReference(t *testing.T) {
 				wantI.Data[i] += k.Weight * (real(v)*real(v) + imag(v)*imag(v))
 			}
 		}
-		fields := make([]*grid.Complex, len(set.Kernels))
-		gotI := s.Aerial(mask, set, false, fields)
+		gotI := s.Aerial(mask, set)
 		if d := gridkit.SqDiff(gotI, wantI); d != 0 {
 			t.Errorf("n=%d: aerial image differs from the full-transform reference (Σd² = %g)", n, d)
 		}
+		gotG := s.AerialBackward(mask, dLdI, set)
+		fields := s.arena.fields[0][:len(set.Kernels)]
 		for ki := range fields {
 			for i, v := range fields[ki].Data {
 				if v != wantFields[ki].Data[i] {
@@ -304,26 +305,31 @@ func TestAerialMatchesFullTransformReference(t *testing.T) {
 		}
 		fft.Inverse2D(accF)
 		wantG := gridkit.Scale(gridkit.RealPart(accF), 2)
-		if d := gridkit.SqDiff(s.AerialBackward(dLdI, set, false, fields), wantG); d != 0 {
+		if d := gridkit.SqDiff(gotG, wantG); d != 0 {
 			t.Errorf("n=%d: mask gradient differs from the full-transform reference (Σd² = %g)", n, d)
 		}
 	}
 }
 
-// Aerial leaves the field of every kernel it ran in fields[k] — the
-// fields AerialBackward reads — and none past the truncated count.
+// AerialBackward's forward pass leaves the field of every kernel it ran
+// in the arena — the fields its adjoint reads — and none past the
+// truncated count.
 func TestAerialFieldsSaved(t *testing.T) {
-	s := testSim(t, 32)
-	s.KOpt = 3
 	m := grid.NewReal(32, 32)
 	m.Set(16, 16, 1)
 	for _, optimizing := range []bool{false, true} {
-		fields := make([]*grid.Complex, len(s.Focus.Kernels))
-		s.Aerial(m, s.Focus, optimizing, fields)
+		s := testSim(t, 32)
+		s.KOpt = 3
+		set := s.Focus
+		if optimizing {
+			set = s.optimizingSet(set)
+		}
+		s.AerialBackward(m, grid.NewReal(32, 32), set)
 		kc := s.kcount(s.Focus, optimizing)
-		for i, f := range fields {
-			if (f != nil) != (i < kc) {
-				t.Fatalf("optimizing=%v: field %d saved = %v with %d kernels run", optimizing, i, f != nil, kc)
+		fields := s.arena.fields[0]
+		for i := range s.Focus.Kernels {
+			if saved := i < len(fields) && fields[i] != nil; saved != (i < kc) {
+				t.Fatalf("optimizing=%v: field %d saved = %v with %d kernels run", optimizing, i, saved, kc)
 			}
 		}
 	}
@@ -355,15 +361,15 @@ func TestKOptTruncation(t *testing.T) {
 			m.Set(x, y, 1)
 		}
 	}
-	full := s.Aerial(m, s.Focus, true, nil)
+	full := s.Aerial(m, s.optimizingSet(s.Focus))
 	s.KOpt = 2
-	trunc := s.Aerial(m, s.Focus, true, nil)
+	trunc := s.Aerial(m, s.optimizingSet(s.Focus))
 	// Truncation must change the image (fewer kernels)…
 	if gridkit.SqDiff(full, trunc) == 0 {
 		t.Fatal("KOpt truncation had no effect")
 	}
-	// …but evaluation (optimizing=false) must ignore KOpt.
-	evalImg := s.Aerial(m, s.Focus, false, nil)
+	// …but evaluation must ignore KOpt.
+	evalImg := s.Aerial(m, s.Focus)
 	if gridkit.SqDiff(full, evalImg) != 0 {
 		t.Fatal("evaluation path affected by KOpt")
 	}
@@ -477,7 +483,7 @@ func TestLoadMaskReusesUnchangedRows(t *testing.T) {
 	sameGrid(t, "Simulate after LossGrad, nominal", got.INom, ref.INom)
 	sameGrid(t, "Simulate after LossGrad, defocus", got.IDef, ref.IDef)
 	s.Simulate(a)
-	sameGrid(t, "Aerial after Simulate", s.Aerial(b, s.Focus, true, nil), fresh(0).Aerial(b, s.Focus, true, nil))
+	sameGrid(t, "Aerial after Simulate", s.Aerial(b, s.optimizingSet(s.Focus)), fresh(0).Aerial(b, s.optimizingSet(s.Focus)))
 	sameResult(t, "LossGrad after Aerial", keep(s.LossGrad(a, target, 1, 1)), fresh(0).LossGrad(a, target, 1, 1))
 
 	s.simGrid = n
@@ -486,16 +492,28 @@ func TestLoadMaskReusesUnchangedRows(t *testing.T) {
 	sameResult(t, "LossGrad on the arena rebuilt back", keep(s.LossGrad(a, target, 1, 1)), fresh(0).LossGrad(a, target, 1, 1))
 }
 
-// AerialBackward propagates a gradient dL/dI through the aerial image back
-// to the mask: dL/dM = Σ_k λ_k · 2·Re[ IFFT( conj(Ĥ_k) ⊙ FFT(dLdI ⊙
-// c_k) ) ], where c_k are the coherent fields saved by Aerial. The
-// returned gradient is the caller's.
-func (s *Simulator) AerialBackward(dLdI *grid.Real, set *optics.KernelSet, optimizing bool, fields []*grid.Complex) *grid.Real {
+// AerialBackward propagates a gradient dL/dI through the aerial image of
+// mask under set back to the mask: dL/dM = Σ_k λ_k · 2·Re[ IFFT(
+// conj(Ĥ_k) ⊙ FFT(dLdI ⊙ c_k) ) ]. Its forward pass saves the coherent
+// fields c_k in the arena's corner-0 slots, where LossGrad saves its
+// own. The returned gradient is the caller's.
+func (s *Simulator) AerialBackward(mask, dLdI *grid.Real, set *optics.KernelSet) *grid.Real {
 	a := s.arenaFor(set)
+	a.loadMask(mask)
+	kc := len(set.Kernels)
+	fields := a.saved(0, kc)
+	s.forward(a, 0, set, kc, fields)
 	for i, g := range dLdI.Data {
 		a.packN.Data[i] = complex(g, 0)
 	}
-	kc := s.kcount(set, optimizing)
 	s.backward(a, [2]*optics.KernelSet{set, set}, [2]int{kc, 0}, [2][]*grid.Complex{fields, nil}, 0, s.N)
 	return gridkit.Clone(a.gradM)
+}
+
+// optimizingSet is set cut to the kernels the optimizer runs: its first
+// KOpt, when KOpt truncates.
+func (s *Simulator) optimizingSet(set *optics.KernelSet) *optics.KernelSet {
+	cut := *set
+	cut.Kernels = set.Kernels[:s.kcount(set, true)]
+	return &cut
 }

@@ -126,7 +126,7 @@ func TestAerialMatchesDirectSpaceOracle(t *testing.T) {
 			for _, kopt := range []int{0, 2} {
 				s.KOpt = kopt
 				kc := s.kcount(set, true)
-				if d := relDiff(s.Aerial(mask, set, true, nil), o.aerial(mask, set, kc)); d > 1e-9 {
+				if d := relDiff(s.Aerial(mask, s.optimizingSet(set)), o.aerial(mask, set, kc)); d > 1e-9 {
 					t.Errorf("n=%d defocus=%v kernels=%d: aerial image is %g off the direct-space oracle (relative)", n, set.Defocus, kc, d)
 				}
 			}
@@ -167,7 +167,7 @@ func TestReducedGridMatchesFullGrid(t *testing.T) {
 			mask.Data[i] = math.Min(1, math.Max(0, mask.Data[i]+0.3*rng.NormFloat64()))
 		}
 		for _, set := range []*optics.KernelSet{fast.Focus, fast.Defocus} {
-			if d := relDiff(fast.Aerial(mask, set, false, nil), full.Aerial(mask, set, false, nil)); d > 1e-12 {
+			if d := relDiff(fast.Aerial(mask, set), full.Aerial(mask, set)); d > 1e-12 {
 				t.Errorf("%d px: aerial image (defocus=%v) differs by %g relative", w.n, set.Defocus, d)
 			}
 		}
@@ -218,11 +218,11 @@ func TestDegenerateSubspaceIsBasisIndependent(t *testing.T) {
 	for i := range mask.Data {
 		mask.Data[i] *= float64(i%7) / 6 // no symmetry for the pair to hide behind
 	}
-	whole, wholeRot := s.Aerial(mask, set(k1, k2), false, nil), s.Aerial(mask, set(r1, r2), false, nil)
+	whole, wholeRot := s.Aerial(mask, set(k1, k2)), s.Aerial(mask, set(r1, r2))
 	if d := relDiff(wholeRot, whole); d > 1e-12 {
 		t.Errorf("the whole degenerate pair images differently in a rotated basis: %g relative", d)
 	}
-	split, splitRot := s.Aerial(mask, set(k1), false, nil), s.Aerial(mask, set(r1), false, nil)
+	split, splitRot := s.Aerial(mask, set(k1)), s.Aerial(mask, set(r1))
 	if d := relDiff(splitRot, split); d < 1e-3 {
 		t.Errorf("half the pair images the same in both bases (%g relative): the test does not exercise a split", d)
 	}

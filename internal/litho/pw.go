@@ -78,7 +78,7 @@ func ProcessWindow(cfg optics.Config, n int, mask *grid.Real, pw PWConfig) ([]PW
 		return nil, err
 	}
 	sim := &Simulator{Cfg: nomCfg, N: n, DX: dx, Focus: nomSet, Defocus: nomSet}
-	iNom := sim.Aerial(mask, nomSet, false, nil)
+	iNom := sim.Aerial(mask, nomSet)
 	nomCD := MeasureCD(ResistBinary(iNom, 1.0), pw.Gauge) * dx
 	if nomCD == 0 {
 		return nil, fmt.Errorf("litho: gauge feature does not print at nominal conditions")
@@ -92,7 +92,7 @@ func ProcessWindow(cfg optics.Config, n int, mask *grid.Real, pw PWConfig) ([]PW
 		if err != nil {
 			return nil, err
 		}
-		img := sim.Aerial(mask, set, false, nil)
+		img := sim.Aerial(mask, set)
 		for _, dose := range pw.Doses {
 			cd := MeasureCD(ResistBinary(img, dose), pw.Gauge) * dx
 			out = append(out, PWPoint{

@@ -680,8 +680,3 @@ func TestProxyFaults(t *testing.T) {
 		}
 	})
 }
-
-// Err is the terminal error of a session whose Messages stream has
-// closed: io.EOF for a clean close by the worker, the framing, decode or
-// transport error otherwise.
-func (c *Conn) Err() error { return c.err }

@@ -132,6 +132,11 @@ type Conn struct {
 // killed; the reason is kept in err.
 func (c *Conn) Messages() <-chan *procpool.Message { return c.msgs }
 
+// Err is the terminal error of a session whose Messages stream has
+// closed: io.EOF for a clean close by the worker, the framing, decode or
+// transport error otherwise.
+func (c *Conn) Err() error { return c.err }
+
 // Send frames one task to the worker.
 func (c *Conn) Send(t *procpool.Task) error {
 	c.wmu.Lock()
