@@ -214,7 +214,10 @@ func BenchmarkFlowRun(b *testing.B) {
 // opcbench's array_cache geometry): at grid 256 the motif's bars are
 // four pixels wide and every window optimizes to zero shots.
 func BenchmarkFlowCached(b *testing.B) {
-	l := layout.GenerateArray(8, 8, layout.ArrayConfig{})
+	l, err := layout.GenerateArray(8, 8, layout.ArrayConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	mkCfg := func(c *wcache.Cache) flow.Config {
 		return flow.Config{
 			GridN:  512,

@@ -662,6 +662,80 @@ func TestCLIEvalmaskFailureExits(t *testing.T) {
 	}
 }
 
+// TestCLIGenlayoutArray: genlayout -array refuses an array its tile
+// cannot hold — a 3 nm or 2 nm pitch leaves a zero-nm motif bar, a
+// negative tile has no pitch at all — in one line with exit 1, never a
+// panic, and writes the 32 rects of a 4x4 array on a 2048 nm tile.
+func TestCLIGenlayoutArray(t *testing.T) {
+	genlayout := buildTools(t)("genlayout")
+	work := t.TempDir()
+	for _, args := range [][]string{
+		{"-array", "600x600"},
+		{"-array", "8x8", "-tile-nm", "16"},
+		{"-array", "4x4", "-tile-nm", "-8"},
+	} {
+		cmd := exec.Command(genlayout, append([]string{"-out", "lay"}, args...)...)
+		cmd.Dir = work
+		out, _ := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != 1 || bytes.Contains(out, []byte("goroutine")) ||
+			bytes.Count(bytes.TrimSpace(out), []byte("\n")) != 0 {
+			t.Errorf("genlayout %v: exit %d, want 1 and one line without a goroutine trace:\n%s", args, code, out)
+		}
+	}
+	out := runCLI(t, work, genlayout, "-out", "lay", "-array", "4x4", "-tile-nm", "2048")
+	if !strings.Contains(out, "lay/array4x4.glp: 32 rects") {
+		t.Errorf("genlayout -array 4x4: want 32 rects written:\n%s", out)
+	}
+}
+
+// TestCLIWindowCacheDisk drives the disk-backed window cache end to end
+// on a repeated-cell array: a cold run computes one window and serves
+// fifteen from memory, a second run on the same directory serves all
+// sixteen (the first from disk), and both write the uncached run's shot
+// CSV byte for byte.
+func TestCLIWindowCacheDisk(t *testing.T) {
+	bin := buildTools(t)
+	work := t.TempDir()
+	runCLI(t, work, bin("genlayout"), "-out", ".", "-array", "4x4", "-tile-nm", "2048")
+	run := []string{"-layout", "array4x4.glp", "-method", "circlerule", "-grid", "256",
+		"-tile-core", "64", "-tile-halo", "16", "-stream"}
+	runCLI(t, work, bin("cfaopc"), append(run, "-out", "uncached")...)
+	ref := readFile(t, work, "uncached", "array4x4_shots.csv")
+	cached := append(run, "-window-cache", "disk", "-cache-dir", "D")
+	for _, leg := range []struct{ out, want string }{
+		{"cold", "cache: 15 hits translated into place (0 from disk), 1 misses"},
+		{"disk", "cache: 16 hits translated into place (1 from disk), 0 misses"},
+	} {
+		out := runCLI(t, work, bin("cfaopc"), append(cached, "-out", leg.out)...)
+		if !strings.Contains(out, leg.want) {
+			t.Errorf("%s run: want %q in:\n%s", leg.out, leg.want, out)
+		}
+		if got := readFile(t, work, leg.out, "array4x4_shots.csv"); !bytes.Equal(got, ref) {
+			t.Errorf("%s run: shot CSV differs from the uncached run's", leg.out)
+		}
+	}
+}
+
+// TestCLIStallTimeout: a stall bound the optimizer's heartbeats keep
+// resetting changes nothing — the shot CSV is the unbounded run's — and
+// one longer than the tile's wall deadline is refused before any tile.
+func TestCLIStallTimeout(t *testing.T) {
+	cfaopc := buildTools(t)("cfaopc")
+	work := t.TempDir()
+	run := []string{"-case", "4", "-grid", "128", "-iters", "4", "-tile-core", "64", "-tile-halo", "16", "-stream"}
+	runCLI(t, work, cfaopc, append(run, "-out", "free")...)
+	runCLI(t, work, cfaopc, append(run, "-stall-timeout", "30s", "-out", "bounded")...)
+	if !bytes.Equal(readFile(t, work, "bounded", "case4_shots.csv"), readFile(t, work, "free", "case4_shots.csv")) {
+		t.Error("-stall-timeout 30s changed the shot CSV")
+	}
+	cmd := exec.Command(cfaopc, append(run, "-stall-timeout", "2s", "-tile-timeout", "1s", "-out", "refused")...)
+	cmd.Dir = work
+	out, _ := cmd.CombinedOutput()
+	if code := cmd.ProcessState.ExitCode(); code != 1 || !bytes.Contains(out, []byte("flow: stall timeout 2s exceeds tile timeout 1s")) {
+		t.Errorf("-stall-timeout 2s -tile-timeout 1s: exit %d, want 1 and the refusal:\n%s", code, out)
+	}
+}
+
 // metricsLine returns what follows "L2 " on the metrics line a scoring
 // tool printed (cfaopc without -stream, or evalmask).
 func metricsLine(t *testing.T, out string) string {

@@ -39,7 +39,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		suite = []*layout.Layout{layout.GenerateArray(rows, cols, layout.ArrayConfig{TileNM: *tileNM})}
+		l, err := layout.GenerateArray(rows, cols, layout.ArrayConfig{TileNM: *tileNM})
+		if err != nil {
+			log.Fatal(err)
+		}
+		suite = []*layout.Layout{l}
 	} else {
 		if *tileNM != 0 {
 			log.Fatal("-tile-nm only applies with -array RxC")

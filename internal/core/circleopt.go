@@ -378,7 +378,7 @@ func (e *CircleOpt) OptimizeFromShots(sim *litho.Simulator, target *grid.Real, s
 		res.LossHistory = append(res.LossHistory, lg.Loss+e.Cfg.Gamma*sparsity)
 		adam.Step(flat, gradFlat)
 		unpack()
-		opt.Beat(sim.Ctx, it, lg.Loss+e.Cfg.Gamma*sparsity)
+		sim.Beat(it, lg.Loss+e.Cfg.Gamma*sparsity)
 	}
 
 	res.Shots = p.ActiveShots(e.Cfg, sim.N, sim.N)

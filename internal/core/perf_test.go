@@ -1,19 +1,16 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/ilt"
 	"cfaopc/internal/litho"
-	"cfaopc/internal/opt"
 	"cfaopc/internal/optics"
 )
 
@@ -69,15 +66,15 @@ func BenchmarkCircleOptStage2(b *testing.B) {
 func stepBytes(sim *litho.Simulator, iters int, run func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var second, last runtime.MemStats
-	sim.Ctx = opt.WithProgress(context.Background(), func(it int, _ float64, _ time.Time) {
+	sim.OnBeat = func(it int, _ float64) {
 		switch it {
 		case 1:
 			runtime.ReadMemStats(&second)
 		case iters - 1:
 			runtime.ReadMemStats(&last)
 		}
-	})
-	defer func() { sim.Ctx = nil }()
+	}
+	defer func() { sim.OnBeat = nil }()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run()
 	return float64(last.TotalAlloc-second.TotalAlloc) / float64(iters-2)

@@ -19,7 +19,11 @@ import (
 // cacheConfig's CorePx, and whose default motif keeps a margin ≥ the
 // halo — so all 64 windows are pixel-identical and share one cache key.
 func arrayLayout() *layout.Layout {
-	return layout.GenerateArray(8, 8, layout.ArrayConfig{TileNM: 1024})
+	l, err := layout.GenerateArray(8, 8, layout.ArrayConfig{TileNM: 1024})
+	if err != nil {
+		panic(err) // constant arguments: only a generator bug lands here
+	}
+	return l
 }
 
 const arrayCells = 64

@@ -1,5 +1,5 @@
 // Live progress events: the subscriber hook that turns a run's internal
-// telemetry — optimizer heartbeats (opt.Beat), tile completions with
+// telemetry — optimizer heartbeats (litho.Simulator.Beat), tile completions with
 // their full TileStat (cache hits, degradation path, provenance), and
 // journal-replayed tiles on resume — into a stream an external observer
 // can broadcast. internal/server fans this stream out to SSE clients;

@@ -16,7 +16,6 @@ import (
 	"cfaopc/internal/grid"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
-	"cfaopc/internal/opt"
 )
 
 // ruleFallback is the graceful-degradation engine used by the fault
@@ -177,11 +176,12 @@ func TestTimedOutAttemptStopsComputing(t *testing.T) {
 	timed.TileRetries = 2
 	timed.Optimize = circleOptimizer(100)
 	free.Optimize = func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
-		last, fwd := time.Now(), opt.ProgressFrom(sim.Ctx)
-		sim.Ctx = opt.WithProgress(sim.Ctx, func(it int, loss float64, at time.Time) {
+		last, fwd := time.Now(), sim.OnBeat
+		sim.OnBeat = func(it int, loss float64) {
+			at := time.Now()
 			iter, last = max(iter, at.Sub(last)), at
-			fwd(it, loss, at)
-		})
+			fwd(it, loss)
+		}
 		return timed.Optimize(sim, target)
 	}
 	occupied := func(cfg Config) TileStat {
@@ -397,13 +397,13 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 	inner := cfg.Optimize
 	cfg.Optimize = func(sim *litho.Simulator, target *grid.Real) []geom.Circle {
 		if info, ok := TileInfoFrom(sim.Ctx); ok && info.Index == 2 {
-			beats, fwd := 0, opt.ProgressFrom(sim.Ctx)
-			sim.Ctx = opt.WithProgress(sim.Ctx, func(iter int, loss float64, at time.Time) {
-				fwd(iter, loss, at)
+			beats, fwd := 0, sim.OnBeat
+			sim.OnBeat = func(iter int, loss float64) {
+				fwd(iter, loss)
 				if beats++; beats == 7 {
 					cancel()
 				}
-			})
+			}
 			inner(sim, target)
 			cancel()
 			<-sim.Ctx.Done()

@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -14,7 +13,6 @@ import (
 	"cfaopc/internal/geom"
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
-	"cfaopc/internal/opt"
 	"cfaopc/internal/procpool"
 )
 
@@ -83,7 +81,7 @@ func InjectFaults(opt Optimizer, plan FaultPlan) Optimizer {
 			return nil
 		}
 		if f.Sleep > 0 {
-			if !sleepCtx(sim.Ctx, f.Sleep, f.BeatEvery) {
+			if !sleepCtx(sim, f.Sleep, f.BeatEvery) {
 				// Deadline or cancellation during the injected sleep:
 				// the flow discards whatever returns on ctx.Err().
 				return nil
@@ -103,9 +101,10 @@ func InjectFaults(opt Optimizer, plan FaultPlan) Optimizer {
 }
 
 // sleepCtx blocks for d, optionally emitting a synthetic heartbeat
-// every beatEvery, and reports whether the full sleep completed (false
-// when ctx was canceled first).
-func sleepCtx(ctx context.Context, d, beatEvery time.Duration) bool {
+// through sim every beatEvery, and reports whether the full sleep
+// completed (false when sim's context was canceled first).
+func sleepCtx(sim *litho.Simulator, d, beatEvery time.Duration) bool {
+	ctx := sim.Ctx
 	if beatEvery <= 0 || beatEvery > d {
 		t := time.NewTimer(d)
 		defer t.Stop()
@@ -129,7 +128,7 @@ func sleepCtx(ctx context.Context, d, beatEvery time.Duration) bool {
 		t := time.NewTimer(slice)
 		select {
 		case <-t.C:
-			opt.Beat(ctx, beat, 0)
+			sim.Beat(beat, 0)
 		case <-ctx.Done():
 			t.Stop()
 			return false

@@ -35,9 +35,10 @@
 //     window). A bad tile is retried (Config.TileRetries), then degraded
 //     to Config.Fallback, then to an empty tile — never a crashed run.
 //     TileStat records every attempt's outcome and failure mode.
-//   - Liveness. Engines emit per-iteration heartbeats (opt.Beat); with
-//     Config.StallTimeout set, a per-attempt watchdog kills an optimizer
-//     whose heartbeats stop — a wedge — long before the wall deadline
+//   - Liveness. Engines emit one heartbeat per iteration through the
+//     simulator (litho.Simulator.Beat); with Config.StallTimeout set, a
+//     timer every heartbeat resets kills an optimizer whose heartbeats
+//     stop — a wedge — long before the wall deadline
 //     (Config.TileTimeout) would, while an equally slow but heartbeating
 //     attempt runs on. TileStat.{Iters, LastLoss, Stalled} surface the
 //     heartbeat stream.
@@ -86,7 +87,6 @@ import (
 	"cfaopc/internal/iox"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
-	"cfaopc/internal/opt"
 	"cfaopc/internal/optics"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
@@ -98,7 +98,7 @@ import (
 // that wants the pixels after it returns copies them.
 type Optimizer func(sim *litho.Simulator, target *grid.Real) []geom.Circle
 
-// ErrStalled marks an optimizer attempt killed by the stall watchdog:
+// ErrStalled marks an optimizer attempt killed by its stall timer:
 // no heartbeat arrived within Config.StallTimeout, so the attempt was
 // wedged, not slow.
 var ErrStalled = errors.New("optimizer stalled")
@@ -141,13 +141,12 @@ type Config struct {
 	// like one); zero disables the deadline.
 	TileTimeout time.Duration
 	// StallTimeout bounds the gap between optimizer heartbeats within a
-	// single attempt. Engines emit one heartbeat per iteration
-	// (opt.Beat); when the stream goes quiet for this long the attempt
-	// is killed as stalled — distinguishing a wedged optimizer from a
-	// legitimately slow one, which TileTimeout alone cannot. The attempt
-	// start counts as the first heartbeat, so enable this only with
-	// engines that heartbeat (or finish) faster than the window. Zero
-	// disables the watchdog. Must not exceed a non-zero TileTimeout.
+	// single attempt (litho.Simulator.Beat, one per iteration): a timer
+	// armed at the attempt's start and reset by every heartbeat kills
+	// the attempt as stalled when it fires — telling a wedged optimizer
+	// from a legitimately slow one, which TileTimeout alone cannot.
+	// Enable it only with engines that heartbeat (or finish) faster than
+	// this. Zero disables it. Must not exceed a non-zero TileTimeout.
 	StallTimeout time.Duration
 	// RMinPx / RMaxPx bound valid shot radii (in window-grid pixels) for
 	// output validation; a shot outside [RMinPx, RMaxPx] fails the tile.
@@ -274,7 +273,7 @@ type TileStat struct {
 
 	Iters    int     // optimizer heartbeats received across all attempts
 	LastLoss float64 // loss reported by the most recent heartbeat
-	Stalled  bool    // some attempt was killed by the stall watchdog
+	Stalled  bool    // some attempt was killed by its stall timer
 	// Bundle is the quarantine repro bundle path for a tile that
 	// degraded to empty ("" otherwise, or when no QuarantineDir is set).
 	Bundle string
@@ -320,7 +319,7 @@ type Result struct {
 	Fallbacks   int // tiles that degraded to the Fallback optimizer
 	Empty       int // tiles degraded to empty after every optimizer failed
 	Resumed     int // tiles replayed from the checkpoint journal
-	Stalled     int // tiles where the stall watchdog killed an attempt
+	Stalled     int // tiles where a stall timer killed an attempt
 	Quarantined int // tiles that wrote a quarantine repro bundle
 
 	// LinkCrashes totals failed worker dispatches across the run (spawn
@@ -453,7 +452,7 @@ type runEnv struct {
 	cacheMisses atomic.Int64
 
 	// onBeat, when non-nil, observes every optimizer heartbeat in
-	// addition to the per-attempt stall watchdog — a worker forwards
+	// addition to the per-attempt stall timer — a worker forwards
 	// them to its supervisor as liveness frames.
 	onBeat func(index, iter int, loss float64)
 	// events is Config.Events: the run's progress subscriber (nil when
@@ -492,66 +491,9 @@ func validateTile(shots []geom.Circle, cfg Config, window int) error {
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
-// beatState accumulates one attempt's heartbeat stream. The optimizer
-// goroutine writes through beat while the watchdog goroutine polls
-// lastBeat, hence the lock.
-type beatState struct {
-	mu    sync.Mutex
-	last  time.Time
-	iters int
-	loss  float64
-}
-
-func newBeatState() *beatState { return &beatState{last: time.Now()} }
-
-func (b *beatState) beat(iter int, loss float64, at time.Time) {
-	b.mu.Lock()
-	b.last = at
-	b.iters++
-	b.loss = loss
-	b.mu.Unlock()
-}
-
-func (b *beatState) lastBeat() time.Time {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.last
-}
-
-func (b *beatState) totals() (iters int, loss float64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.iters, b.loss
-}
-
-// watchdog cancels the attempt with ErrStalled when the heartbeat
-// stream goes quiet for longer than stallAfter. Polling at a fraction
-// of the window bounds detection latency to ~1.13·stallAfter.
-func watchdog(tctx context.Context, cancel context.CancelCauseFunc, hb *beatState, stallAfter time.Duration, stop <-chan struct{}) {
-	period := stallAfter / 8
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-tctx.Done():
-			return
-		case <-tick.C:
-			if time.Since(hb.lastBeat()) > stallAfter {
-				cancel(fmt.Errorf("%w: no heartbeat within %s", ErrStalled, stallAfter))
-				return
-			}
-		}
-	}
-}
-
 // attemptTile runs one optimizer invocation in isolation: a panic or
 // invalid output becomes an error, the per-attempt wall deadline and
-// the heartbeat stall watchdog are enforced through the simulator's
+// the stall timer (reset by every heartbeat) cancel the simulator's
 // cooperative context, and the tile's identity is published on that
 // context for optimizer wrappers (TileInfo). The returned outcome records
 // the attempt for stats, bundles and replay comparison.
@@ -567,26 +509,28 @@ func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimi
 	}
 	tctx, cancelCause := context.WithCancelCause(tctx)
 	defer cancelCause(nil)
-	tctx = context.WithValue(tctx, tileInfoKey{}, TileInfo{
-		Index: j.index, Attempt: attempt, CX: j.cx, CY: j.cy, Dispatch: env.dispatch,
-	})
-	hb := newBeatState()
-	beat := hb.beat
-	if env.onBeat != nil {
-		beat = func(iter int, loss float64, at time.Time) {
-			hb.beat(iter, loss, at)
+	tctx = context.WithValue(tctx, tileInfoKey{}, TileInfo{Index: j.index, Attempt: attempt, Dispatch: env.dispatch})
+	var stall *time.Timer
+	stallAfter := cfg.StallTimeout
+	if stallAfter > 0 {
+		stall = time.AfterFunc(stallAfter, func() {
+			cancelCause(fmt.Errorf("%w: no heartbeat within %s", ErrStalled, stallAfter))
+		})
+		defer stall.Stop()
+	}
+	// Beats arrive on this goroutine, from inside optimize.
+	beat := func(iter int, loss float64) {
+		out.Iters++
+		out.LastLoss = loss
+		if stall != nil {
+			stall.Reset(stallAfter)
+		}
+		if env.onBeat != nil {
 			env.onBeat(j.index, iter, loss)
 		}
 	}
-	tctx = opt.WithProgress(tctx, beat)
-	if cfg.StallTimeout > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go watchdog(tctx, cancelCause, hb, cfg.StallTimeout, stop)
-	}
 
-	shots, err := runGuarded(tctx, sim, optimize, target, cfg, target.W)
-	out.Iters, out.LastLoss = hb.totals()
+	shots, err := runGuarded(tctx, sim, optimize, beat, target, cfg, target.W)
 	if err != nil {
 		if errors.Is(err, ErrStalled) {
 			out.Stalled = true
@@ -600,11 +544,11 @@ func (env *runEnv) attemptTile(ctx context.Context, sim *litho.Simulator, optimi
 // runGuarded executes one optimizer call under panic recovery, checks
 // the cooperative context afterwards (a canceled attempt's output is
 // untrusted), and validates the output.
-func runGuarded(tctx context.Context, sim *litho.Simulator, optimize Optimizer,
+func runGuarded(tctx context.Context, sim *litho.Simulator, optimize Optimizer, beat func(int, float64),
 	target *grid.Real, cfg Config, window int) (shots []geom.Circle, err error) {
-	sim.Ctx = tctx
+	sim.Ctx, sim.OnBeat = tctx, beat
 	defer func() {
-		sim.Ctx = nil
+		sim.Ctx, sim.OnBeat = nil, nil
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
@@ -612,7 +556,7 @@ func runGuarded(tctx context.Context, sim *litho.Simulator, optimize Optimizer,
 	shots = optimize(sim, target)
 	if cerr := tctx.Err(); cerr != nil {
 		// Canceled, timed out, or stall-killed mid-attempt: the output is
-		// untrusted. The cancellation cause distinguishes the watchdog
+		// untrusted. The cancellation cause distinguishes the stall timer
 		// (ErrStalled) from the wall deadline and run-level cancel.
 		if cause := context.Cause(tctx); cause != nil && !errors.Is(cause, cerr) {
 			return nil, cause
@@ -961,7 +905,7 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 	}
 	defer env.journal.close()
 
-	// Execute: one goroutine per lane draws tiles off jobCh.
+	// Execute: one goroutine per lane draws the plan's tiles in order.
 	lanes, err := env.lanes(cfg.connector(len(jobs)), len(jobs))
 	if err != nil {
 		return nil, err
@@ -976,7 +920,7 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 			env.journal.tile(out)
 		}
 	}
-	jobCh := make(chan tileJob)
+	var next atomic.Int64 // the plan's next undrawn tile
 	var wg sync.WaitGroup
 	for _, ln := range lanes {
 		wg.Add(1)
@@ -984,23 +928,15 @@ func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, err
 			defer wg.Done()
 			defer ln.stop()
 			target := grid.NewReal(cfg.window(), cfg.window()) // the lane's, repainted per tile
-			for j := range jobCh {
-				if ctx.Err() != nil {
-					continue // drain without work so the feeder never blocks
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= len(jobs) {
+					return
 				}
-				complete(j, env.runTile(ctx, ln.exec, target, j))
+				complete(jobs[i], env.runTile(ctx, ln.exec, target, jobs[i]))
 			}
 		}(ln)
 	}
-feed:
-	for _, j := range jobs {
-		select {
-		case jobCh <- j:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(jobCh)
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		env.journal.sync()

@@ -465,11 +465,6 @@ func testCancelResume(t *testing.T, proc bool) {
 	sameResult(t, res, ref)
 }
 
-// recSink counts the beats a ServeTask emits.
-type recSink struct{ beats int }
-
-func (s *recSink) Beat(index, iter int, loss float64) { s.beats++ }
-
 // TestServeTaskHooks drives the worker-side entry point in-process: a
 // hand-built task (the same shape buildTask wires) must stream beats
 // through the sink, and serving it again must land on identical shots —
@@ -513,7 +508,8 @@ func TestServeTaskHooks(t *testing.T) {
 		}
 	}
 
-	sink := &recSink{}
+	beats := 0
+	sink := func(index, iter int, loss float64) { beats++ }
 	reply := ServeTask(context.Background(), sim, mkTask(), circleOptimizer(8), nil, sink)
 	if reply.Err != "" {
 		t.Fatalf("reply error: %s", reply.Err)
@@ -521,12 +517,12 @@ func TestServeTaskHooks(t *testing.T) {
 	if reply.Path != PathPrimary || len(reply.Shots) == 0 {
 		t.Fatalf("reply path %q with %d shots", reply.Path, len(reply.Shots))
 	}
-	if sink.beats == 0 {
+	if beats == 0 {
 		t.Fatal("no heartbeats streamed")
 	}
 
 	// A redispatch is the same task served again, from scratch.
-	reply2 := ServeTask(context.Background(), sim, mkTask(), circleOptimizer(8), nil, &recSink{})
+	reply2 := ServeTask(context.Background(), sim, mkTask(), circleOptimizer(8), nil, func(int, int, float64) {})
 	if reply2.Err != "" || !reflect.DeepEqual(reply2.Shots, reply.Shots) {
 		t.Fatalf("second serving: err %q, %d shots vs %d", reply2.Err, len(reply2.Shots), len(reply.Shots))
 	}

@@ -53,10 +53,7 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 	}
 	// A window needs no layout, span index or journal: just the resolved
 	// config and where its liveness travels.
-	env := &runEnv{cfg: taskConfig(t, primary, fallback), dispatch: t.Dispatch}
-	if sink != nil {
-		env.onBeat = sink.Beat
-	}
+	env := &runEnv{cfg: taskConfig(t, primary, fallback), dispatch: t.Dispatch, onBeat: sink}
 	target := &grid.Real{W: b.TargetW, H: b.TargetH, Data: b.Target}
 	j := tileJob{index: index, cx: b.Tile.CX, cy: b.Tile.CY}
 	reply.Shots, reply.Path, reply.Outcomes = env.attemptSequence(ctx, sim, j, target)

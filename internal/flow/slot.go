@@ -16,9 +16,10 @@ import (
 const (
 	// linkSilence kills a session that delivers no frame — ping,
 	// heartbeat, reply or handshake answer — for this long while one is
-	// due: the cross-process analogue of StallTimeout, catching a wedged
-	// process, a dead link and a stalled remote alike. It comfortably
-	// exceeds the worker's ~100ms ping cadence.
+	// due. Like an attempt's StallTimeout it is one timer that every
+	// frame resets; it catches a wedged process, a dead link and a
+	// stalled remote alike, and comfortably exceeds the worker's ~100ms
+	// ping cadence.
 	linkSilence = 10 * time.Second
 	// linkBackoff is the base delay before a respawn or reconnect; it
 	// doubles per consecutive failure with jitter, so a crash-looping

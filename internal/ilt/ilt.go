@@ -205,14 +205,14 @@ func (c Config) descend(sim *litho.Simulator, target, p, roi *grid.Real, iters i
 		l.InitialStep = c.LearningRate
 		for it := 0; it < iters && !sim.Canceled(); it++ {
 			loss := l.Step(x, lossGrad)
-			opt.Beat(sim.Ctx, it, loss)
+			sim.Beat(it, loss)
 		}
 	} else {
 		adam := opt.NewAdam(len(x), c.LearningRate)
 		for it := 0; it < iters && !sim.Canceled(); it++ {
 			loss, g := lossGrad(x)
 			adam.Step(x, g)
-			opt.Beat(sim.Ctx, it, loss)
+			sim.Beat(it, loss)
 		}
 	}
 	for j, i := range open {
@@ -296,7 +296,7 @@ func (e *LevelSet) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Real 
 			gradPhi[i] = res.GradM.Data[i] * (-steep) * mi * (1 - mi)
 		}
 		sgd.Step(phi.Data, gradPhi)
-		opt.Beat(sim.Ctx, it, res.Loss)
+		sim.Beat(it, res.Loss)
 		if (it+1)%reinit == 0 {
 			phi = geom.SignedDistance(inside())
 		}
@@ -332,7 +332,7 @@ func (e *MultiLevel) Optimize(sim *litho.Simulator, target *grid.Real) *grid.Rea
 	if sim.N%2 == 0 {
 		if coarseSim, err := litho.New(sim.Cfg, sim.N/2); err == nil {
 			coarseSim.KOpt = sim.KOpt
-			coarseSim.Ctx = sim.Ctx // cancellation and heartbeats span both stages
+			coarseSim.Ctx, coarseSim.OnBeat = sim.Ctx, sim.OnBeat // cancellation and heartbeats span both stages
 			ct := grid.DownsampleBox(target, 2).Binarize(0.5)
 			cp := latentInit(ct, e.Cfg.BackgroundBias)
 			e.Cfg.descend(coarseSim, ct, cp, e.Cfg.roiFor(coarseSim, ct), coarseIters, false)

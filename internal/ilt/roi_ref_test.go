@@ -1,11 +1,9 @@
 package ilt
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"testing"
-	"time"
 
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
@@ -45,14 +43,14 @@ func mosaicRef(e *Mosaic, sim *litho.Simulator, target *grid.Real) *grid.Real {
 		l.InitialStep = e.Cfg.LearningRate
 		for it := 0; it < e.Cfg.Iterations; it++ {
 			loss := l.Step(p.Data, lossGrad)
-			opt.Beat(sim.Ctx, it, loss)
+			sim.Beat(it, loss)
 		}
 	} else {
 		adam := opt.NewAdam(len(p.Data), e.Cfg.LearningRate)
 		for it := 0; it < e.Cfg.Iterations; it++ {
 			loss, g := lossGrad(p.Data)
 			adam.Step(p.Data, g)
-			opt.Beat(sim.Ctx, it, loss)
+			sim.Beat(it, loss)
 		}
 	}
 	final := maskFromLatent(p, e.Cfg.MaskSteepness)
@@ -100,7 +98,7 @@ func multiLevelRef(e *MultiLevel, sim *litho.Simulator, target *grid.Real) *grid
 					}
 				}
 				adam.Step(cp.Data, gradP)
-				opt.Beat(sim.Ctx, it, res.Loss)
+				sim.Beat(it, res.Loss)
 			}
 			p = grid.UpsampleBilinear(cp, 2)
 		}
@@ -120,7 +118,7 @@ func multiLevelRef(e *MultiLevel, sim *litho.Simulator, target *grid.Real) *grid
 			}
 		}
 		adam.Step(p.Data, gradP)
-		opt.Beat(sim.Ctx, it, res.Loss)
+		sim.Beat(it, res.Loss)
 	}
 	final := maskFromLatent(p, e.Cfg.MaskSteepness)
 	if roi != nil {
@@ -133,10 +131,10 @@ func multiLevelRef(e *MultiLevel, sim *litho.Simulator, target *grid.Real) *grid
 // returns its mask and the loss of every step, in order.
 func traced(sim *litho.Simulator, optimize func() *grid.Real) (*grid.Real, []float64) {
 	var losses []float64
-	sim.Ctx = opt.WithProgress(context.Background(), func(_ int, loss float64, _ time.Time) {
+	sim.OnBeat = func(_ int, loss float64) {
 		losses = append(losses, loss)
-	})
-	defer func() { sim.Ctx = nil }()
+	}
+	defer func() { sim.OnBeat = nil }()
 	return optimize(), losses
 }
 

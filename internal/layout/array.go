@@ -44,15 +44,25 @@ func (c *ArrayConfig) fillDefaults(rows, cols int) {
 // GenerateArray produces a rows×cols array of one repeated cell — the
 // memory-array / std-cell-row regularity real masks have and the window
 // dedup cache exploits. Cells are placed at (col·PitchX, row·PitchY);
-// cells that would overhang the tile are skipped so the layout always
-// validates. Panics on non-positive dimensions or an invalid motif,
-// since every caller passes constants.
-func GenerateArray(rows, cols int, cfg ArrayConfig) *Layout {
+// cells that would overhang the tile are skipped. A non-positive array,
+// tile, pitch or motif size is an error, found before any cell is
+// placed: too many cells for the tile leave a pitch or a motif bar of
+// zero nm.
+func GenerateArray(rows, cols int, cfg ArrayConfig) (*Layout, error) {
 	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("layout: invalid array %dx%d", rows, cols))
+		return nil, fmt.Errorf("layout: invalid array %dx%d", rows, cols)
 	}
 	cfg.fillDefaults(rows, cols)
 	l := &Layout{Name: fmt.Sprintf("array%dx%d", rows, cols), TileNM: cfg.TileNM}
+	if cfg.TileNM <= 0 || cfg.PitchXNM <= 0 || cfg.PitchYNM <= 0 {
+		return nil, fmt.Errorf("layout: %s: non-positive tile %d nm or pitch %dx%d nm", l.Name, cfg.TileNM, cfg.PitchXNM, cfg.PitchYNM)
+	}
+	for i, cr := range cfg.CellRects {
+		if cr.W <= 0 || cr.H <= 0 {
+			return nil, fmt.Errorf("layout: %s: motif rect %d is %dx%d nm at a %dx%d nm pitch on a %d nm tile",
+				l.Name, i, cr.W, cr.H, cfg.PitchXNM, cfg.PitchYNM, cfg.TileNM)
+		}
+	}
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			ox, oy := c*cfg.PitchXNM, r*cfg.PitchYNM
@@ -66,7 +76,7 @@ func GenerateArray(rows, cols int, cfg ArrayConfig) *Layout {
 		}
 	}
 	if err := l.Validate(); err != nil {
-		panic(fmt.Sprintf("layout: array generator produced invalid layout: %v", err))
+		return nil, fmt.Errorf("layout: array generator produced an invalid layout: %w", err)
 	}
-	return l
+	return l, nil
 }

@@ -65,7 +65,10 @@ func TestWindowSpansTranslationInvariance(t *testing.T) {
 	// In an aligned array every cell window must produce byte-identical
 	// canonical spans — the property the dedup cache key rests on.
 	const n = 256
-	l := layout.GenerateArray(8, 8, layout.ArrayConfig{TileNM: 1024})
+	l, err := layout.GenerateArray(8, 8, layout.ArrayConfig{TileNM: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ix := layout.NewWindowIndex(l, n)
 	const core, halo = 32, 8
 	win := core + 2*halo

@@ -65,3 +65,29 @@ func TestCooperativeCancel(t *testing.T) {
 		t.Fatal("simulator did not recover after cancellation")
 	}
 }
+
+// TestBeatNoReceiver: without an OnBeat hook Beat is a silent no-op, so
+// engines call it unconditionally — also with a live context attached.
+func TestBeatNoReceiver(t *testing.T) {
+	var sim Simulator
+	sim.Beat(0, 1.5)
+	sim.Ctx = context.Background()
+	sim.Beat(1, 1.5)
+	if sim.OnBeat != nil {
+		t.Fatal("Beat installed a receiver")
+	}
+}
+
+// TestBeatDelivery: Beat hands the iteration and loss to OnBeat, once
+// per call and in order.
+func TestBeatDelivery(t *testing.T) {
+	var got [][2]float64
+	sim := Simulator{OnBeat: func(iter int, loss float64) {
+		got = append(got, [2]float64{float64(iter), loss})
+	}}
+	sim.Beat(7, 3.25)
+	sim.Beat(8, 2.5)
+	if len(got) != 2 || got[0] != [2]float64{7, 3.25} || got[1] != [2]float64{8, 2.5} {
+		t.Fatalf("heartbeats = %v", got)
+	}
+}

@@ -55,6 +55,10 @@ type Simulator struct {
 	// flow makes SIGINT and per-tile deadlines interrupt a simulation
 	// within one kernel convolution instead of one full tile.
 	Ctx context.Context
+	// OnBeat, when non-nil, receives the heartbeat (iteration, loss) an
+	// optimizer loop emits through Beat after each iteration. The tiled
+	// flow sets it beside Ctx for progress and its stall timer.
+	OnBeat func(iter int, loss float64)
 
 	// simGrid pins the side M of the simulation grid. It is zero outside
 	// the tests, which selects M by rule (simGridFor).
@@ -150,6 +154,14 @@ func (a *arena) saved(corner, k int) []*grid.Complex {
 // iteration boundary and stop, since every pass after it is incomplete.
 func (s *Simulator) Canceled() bool {
 	return s.Ctx != nil && s.Ctx.Err() != nil
+}
+
+// Beat emits one heartbeat to OnBeat; without a receiver it does
+// nothing, so optimizer loops call it once per iteration regardless.
+func (s *Simulator) Beat(iter int, loss float64) {
+	if s.OnBeat != nil {
+		s.OnBeat(iter, loss)
+	}
 }
 
 // New computes (or fetches cached) kernel sets for cfg and binds them to

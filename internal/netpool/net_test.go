@@ -34,7 +34,7 @@ func TestMain(m *testing.M) {
 func echoRunner() procpool.Runner {
 	return func(_ context.Context, t *procpool.Task, sink procpool.Sink) procpool.Reply {
 		index := t.Bundle.Tile.Index
-		sink.Beat(index, 1, 0.25)
+		sink(index, 1, 0.25)
 		return procpool.Reply{Index: index, Path: "primary"}
 	}
 }

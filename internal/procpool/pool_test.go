@@ -17,7 +17,7 @@ import (
 
 // stubRunner echoes a primary-path reply after emitting one beat.
 func stubRunner(_ context.Context, t *Task, sink Sink) Reply {
-	sink.Beat(t.Bundle.Tile.Index, 1, 0.5)
+	sink(t.Bundle.Tile.Index, 1, 0.5)
 	return Reply{
 		Index: t.Bundle.Tile.Index,
 		Shots: []geom.Circle{{X: 1, Y: 2, R: 3}},

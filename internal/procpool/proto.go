@@ -80,8 +80,8 @@ type Task struct {
 }
 
 // Beat is one optimizer heartbeat forwarded across the process
-// boundary, so the supervisor's silence watchdog sees exactly the
-// liveness stream the in-process stall watchdog would.
+// boundary, so the supervisor's silence bound sees exactly the
+// liveness stream the in-process stall timer would.
 type Beat struct {
 	Index int
 	Iter  int
@@ -97,7 +97,7 @@ type Outcome struct {
 	Err      string // "" on success; capped by the flow at 2 KiB
 	Iters    int    // heartbeats emitted during this attempt
 	LastLoss float64
-	Stalled  bool // killed by the stall watchdog
+	Stalled  bool // killed by the stall timer
 }
 
 // Reply is the worker's result for one task: window-local shots (the

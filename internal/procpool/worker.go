@@ -22,26 +22,14 @@ func InWorker() bool { return os.Getenv(WorkerEnv) == "1" }
 // runs while it is waiting on a reply.
 const pingEvery = 100 * time.Millisecond
 
-// Sink receives the liveness stream a running task emits; ServeTasks
-// forwards each call as one frame to the supervisor.
-type Sink interface {
-	Beat(index, iter int, loss float64)
-}
+// Sink receives the liveness stream a running task emits, one call per
+// heartbeat; ServeTasks forwards each call as one frame to the supervisor.
+type Sink func(index, iter int, loss float64)
 
 // Runner executes one task and returns its reply. The flow side
 // (flow.ServeTask via a caller-built adapter) is injected rather than
 // imported so procpool stays a leaf package.
 type Runner func(ctx context.Context, t *Task, sink Sink) Reply
-
-// frameSink forwards Beat calls as frames through a shared serialized
-// writer.
-type frameSink struct {
-	send func(*Message) error
-}
-
-func (s frameSink) Beat(index, iter int, loss float64) {
-	s.send(&Message{Beat: &Beat{Index: index, Iter: iter, Loss: loss}})
-}
 
 // ServeTasks is the worker task loop of a session whose handshake has
 // completed: read tasks off r one at a time, run each through the
@@ -88,7 +76,9 @@ func ServeTasks(r io.Reader, w io.Writer, run Runner) error {
 				}
 			}
 		}()
-		reply := run(ctx, m.Task, frameSink{send: send})
+		reply := run(ctx, m.Task, func(index, iter int, loss float64) {
+			send(&Message{Beat: &Beat{Index: index, Iter: iter, Loss: loss}})
+		})
 		cancel()
 		pinger.Wait()
 		if err := send(&Message{Reply: &reply}); err != nil {

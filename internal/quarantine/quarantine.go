@@ -59,7 +59,7 @@ type Attempt struct {
 	Err      string // failure mode; "" for a success (never in a bundle)
 	Iters    int    // heartbeats emitted before the attempt ended
 	LastLoss float64
-	Stalled  bool // killed by the stall watchdog, not the wall deadline
+	Stalled  bool // killed by the stall timer, not the wall deadline
 }
 
 // Tile identifies the quarantined window.
