@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -913,6 +914,97 @@ func TestCLIUnfinishedRunKeepsMask(t *testing.T) {
 	}
 }
 
+// startDaemon launches cfaopcd on a free port over data and returns it
+// with its output and base URL once <data>/addr names the bound address.
+func startDaemon(t *testing.T, bin func(string) string, data string) (*exec.Cmd, *bytes.Buffer, string) {
+	t.Helper()
+	addr := filepath.Join(data, "addr")
+	os.Remove(addr)
+	var out bytes.Buffer
+	d := exec.Command(bin("cfaopcd"), "-listen", "127.0.0.1:0", "-data", data)
+	d.Stdout, d.Stderr = &out, &out
+	if err := d.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if d.ProcessState == nil {
+			d.Process.Kill()
+			d.Wait()
+		}
+	})
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if b, err := os.ReadFile(addr); err == nil && bytes.HasSuffix(b, []byte("\n")) {
+			return d, &out, "http://" + strings.TrimSpace(string(b))
+		}
+	}
+	d.Process.Kill()
+	d.Wait()
+	t.Fatalf("cfaopcd never wrote %s:\n%s", addr, out.String())
+	return nil, nil, ""
+}
+
+// TestCLIDaemonStopIsPrompt: SIGTERM exits within a second while an SSE
+// client follows a running job and a TCP connection has sent nothing.
+// Stopping the manager ends the stream, and the silent connection is
+// closed rather than waited out.
+func TestCLIDaemonStopIsPrompt(t *testing.T) {
+	bin := buildTools(t)
+	d, out, base := startDaemon(t, bin, filepath.Join(t.TempDir(), "data"))
+	resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(`{"case":1,"method":"circleopt","grid":256,"iters":2000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st server.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /jobs: %s, %v", resp.Status, err)
+	}
+	stream, err := http.Get(base + "/jobs/" + st.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	running, ended := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(ended)
+		sc := bufio.NewScanner(stream.Body)
+		for sc.Scan() {
+			if strings.Contains(sc.Text(), `"state":"running"`) {
+				close(running)
+			}
+		}
+	}()
+	select {
+	case <-running:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("the job never ran:\n%s", out.String())
+	}
+	silent, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	time.Sleep(100 * time.Millisecond) // let the daemon accept it
+
+	t0 := time.Now()
+	d.Process.Signal(syscall.SIGTERM)
+	err = d.Wait()
+	took := time.Since(t0)
+	if err != nil {
+		t.Fatalf("SIGTERM: %v\n%s", err, out.String())
+	}
+	if took > time.Second {
+		t.Fatalf("SIGTERM took %v to exit, want under 1s", took)
+	}
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the SSE stream outlived the daemon")
+	}
+	t.Logf("exit %v after SIGTERM", took)
+}
+
 // TestCLIDaemonStopResumes drives cfaopcd end to end: a tiled job is
 // posted over HTTP, SIGTERM lands after its first tile, and the daemon
 // exits 0 with its shutdown line. Restarted on the same -data, it
@@ -928,34 +1020,7 @@ func TestCLIDaemonStopResumes(t *testing.T) {
 	runCLI(t, work, bin("cfaopc"), "-job", "job.json", "-out", "ref")
 	data := filepath.Join(work, "data")
 
-	// start launches cfaopcd on a free port and returns it with its base
-	// URL once <data>/addr names the bound address.
-	start := func() (*exec.Cmd, *bytes.Buffer, string) {
-		t.Helper()
-		addr := filepath.Join(data, "addr")
-		os.Remove(addr)
-		var out bytes.Buffer
-		d := exec.Command(bin("cfaopcd"), "-listen", "127.0.0.1:0", "-data", data)
-		d.Stdout, d.Stderr = &out, &out
-		if err := d.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			if d.ProcessState == nil {
-				d.Process.Kill()
-				d.Wait()
-			}
-		})
-		for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-			if b, err := os.ReadFile(addr); err == nil && bytes.HasSuffix(b, []byte("\n")) {
-				return d, &out, "http://" + strings.TrimSpace(string(b))
-			}
-		}
-		d.Process.Kill()
-		d.Wait()
-		t.Fatalf("cfaopcd never wrote %s:\n%s", addr, out.String())
-		return nil, nil, ""
-	}
+	start := func() (*exec.Cmd, *bytes.Buffer, string) { return startDaemon(t, bin, data) }
 	// events reads the job's SSE stream from its first event until stop
 	// accepts one or the stream ends.
 	events := func(base, id string, stop func(server.JobEvent) bool) []server.JobEvent {

@@ -38,6 +38,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sync"
 	"syscall"
 	"time"
 
@@ -108,6 +109,23 @@ func main() {
 		log.Fatal(err)
 	}
 	srv := &http.Server{Handler: server.NewHandler(m)}
+	// Shutdown counts a connection that has not delivered a request as
+	// busy until it is five seconds old. fresh holds those, so the stop can
+	// close them; nil once it has, when a late one is closed on arrival.
+	var freshMu sync.Mutex
+	fresh := map[net.Conn]bool{}
+	srv.ConnState = func(c net.Conn, s http.ConnState) {
+		freshMu.Lock()
+		defer freshMu.Unlock()
+		switch {
+		case s != http.StateNew:
+			delete(fresh, c)
+		case fresh == nil:
+			c.Close()
+		default:
+			fresh[c] = true
+		}
+	}
 
 	stopped := make(chan struct{})
 	sigCh := make(chan os.Signal, 2)
@@ -118,8 +136,17 @@ func main() {
 		log.Print("signal: shutting down — running jobs checkpoint and resume on the next start")
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		srv.Shutdown(ctx)
+		// With fresh connections closed, and every SSE stream ended by
+		// the manager closing its jobs' hubs, Shutdown waits only for
+		// the requests still in flight.
+		freshMu.Lock()
+		for c := range fresh {
+			c.Close()
+		}
+		fresh = nil
+		freshMu.Unlock()
 		m.Stop()
+		srv.Shutdown(ctx)
 	}()
 
 	log.Printf("serving on %s (data %s)", ln.Addr(), *dataDir)

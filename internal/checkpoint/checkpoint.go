@@ -31,7 +31,7 @@
 // pages, so a succeeding retry proves nothing (the fsyncgate bug
 // class). Callers decide the policy: the flow degrades the run to
 // un-resumable-but-correct, the daemon fails the job before any
-// subscriber observes the event.
+// client observes the event.
 package checkpoint
 
 import (

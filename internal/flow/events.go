@@ -39,9 +39,9 @@ type Event struct {
 
 // EventSink observes a run's progress stream. It is called from worker
 // goroutines concurrently and synchronously, so it must be fast and
-// must never block — a slow downstream consumer has to buffer or drop
-// on its own side of the boundary (internal/server's hub does
-// drop-oldest per subscriber). Errors cannot be returned: events are
+// must never block — a slow downstream consumer has to buffer on its own
+// side of the boundary (internal/server's hub keeps the job's history,
+// which each reader reads at its own pace). Errors cannot be returned: events are
 // observability, not control flow, and a broken subscriber must not be
 // able to fail a run.
 type EventSink func(Event)

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"cfaopc/internal/grid"
@@ -40,10 +41,15 @@ func (l *Layout) Area() int {
 }
 
 // Validate checks rectangles are positive-sized, inside the tile, and
-// mutually non-overlapping.
+// mutually non-overlapping. A sweep decides in O(n log n) whether
+// anything fails; only then does the pair loop run, to name the first
+// failure in index order.
 func (l *Layout) Validate() error {
 	if l.TileNM <= 0 {
 		return fmt.Errorf("layout %q: non-positive tile size %d", l.Name, l.TileNM)
+	}
+	if clean(l.Rects, l.TileNM) {
+		return nil
 	}
 	for i, r := range l.Rects {
 		if r.W <= 0 || r.H <= 0 {
@@ -60,6 +66,60 @@ func (l *Layout) Validate() error {
 		}
 	}
 	return nil
+}
+
+// clean reports whether every rect is positive-sized, inside the tile
+// and overlaps no other. The overlap test sweeps x, closing a rect at
+// X+W before opening those at X (touching is not overlap). Fenwick trees
+// over the y edges count the open rects' bottoms and tops: an opening
+// [y0, y1) overlaps as many as have a bottom below y1, less those whose
+// top is at or below y0.
+func clean(rects []Rect, tile int) bool {
+	ys := make([]int, 0, 2*len(rects))
+	for _, r := range rects {
+		if r.W <= 0 || r.H <= 0 || r.X < 0 || r.Y < 0 || r.X+r.W > tile || r.Y+r.H > tile {
+			return false
+		}
+		ys = append(ys, r.Y, r.Y+r.H)
+	}
+	slices.Sort(ys)
+	ys = slices.Compact(ys)
+	at := func(y int) int { i, _ := slices.BinarySearch(ys, y); return i }
+	bottoms, tops := make(fenwick, len(ys)+1), make(fenwick, len(ys)+1)
+	opens, closes := slices.Clone(rects), slices.Clone(rects)
+	slices.SortFunc(opens, func(a, b Rect) int { return a.X - b.X })
+	slices.SortFunc(closes, func(a, b Rect) int { return a.X + a.W - b.X - b.W })
+	for _, r := range opens {
+		for ; len(closes) > 0 && closes[0].X+closes[0].W <= r.X; closes = closes[1:] {
+			bottoms.add(at(closes[0].Y), -1)
+			tops.add(at(closes[0].Y+closes[0].H), -1)
+		}
+		y0, y1 := at(r.Y), at(r.Y+r.H)
+		if bottoms.below(y1) > tops.below(y0+1) {
+			return false
+		}
+		bottoms.add(y0, 1)
+		tops.add(y1, 1)
+	}
+	return true
+}
+
+// fenwick is a binary indexed tree of counts over compressed coordinates.
+type fenwick []int
+
+func (f fenwick) add(i, d int) {
+	for i++; i < len(f); i += i & -i {
+		f[i] += d
+	}
+}
+
+// below sums the counts at indices < i.
+func (f fenwick) below(i int) int {
+	n := 0
+	for ; i > 0; i -= i & -i {
+		n += f[i]
+	}
+	return n
 }
 
 // Rasterize samples the layout onto an n×n grid covering the full tile:

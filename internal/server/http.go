@@ -10,21 +10,13 @@ import (
 	"time"
 )
 
-// sseBufCap bounds each SSE subscriber's live buffer. A client that
-// falls further behind than this loses its oldest undelivered events —
-// visible as a seq gap plus a stream comment — and can reconnect with
-// Last-Event-ID for an exact replay. The flow is never throttled by a
-// slow reader.
-const sseBufCap = 1024
-
 // SSE keepalive cadence and per-write stall budget. The keepalive
 // comment serves two jobs: it keeps idle connections alive through
 // proxies, and it guarantees a blocked client is *written to* at least
 // every sseKeepalive — which is what arms the write deadline. A client
 // whose TCP window stays closed past sseWriteTimeout gets its write
-// errored by the deadline, ending the handler and freeing the hub ring
-// slot instead of pinning it forever. Vars, not consts: the blocked-
-// reader test tightens them.
+// errored by the deadline, ending the handler instead of pinning it
+// forever. Vars, not consts: the blocked-reader test tightens them.
 var (
 	sseKeepalive    = 15 * time.Second
 	sseWriteTimeout = 30 * time.Second
@@ -142,22 +134,24 @@ func NewHandler(m *Manager) http.Handler {
 // interrupted stream by sending the last seq it saw (the standard
 // Last-Event-ID header, or ?last= for hand-rolled clients); the reply
 // replays every event after it — exactly, because events are journaled
-// before they are visible — then continues live. The stream ends after
-// the job's terminal state event.
+// before they are visible — then continues live. The handler is a cursor
+// over the hub's history, so however slowly a client reads, it gets every
+// seq. The stream ends after the job's terminal state event, or when the
+// hub ends it without one.
 func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	since := int64(0)
+	last := int64(0)
 	if v := r.Header.Get("Last-Event-ID"); v != "" {
-		since, _ = strconv.ParseInt(v, 10, 64)
+		last, _ = strconv.ParseInt(v, 10, 64)
 	} else if v := r.URL.Query().Get("last"); v != "" {
-		since, _ = strconv.ParseInt(v, 10, 64)
+		last, _ = strconv.ParseInt(v, 10, 64)
 	}
-	sub, err := m.Subscribe(id, since, sseBufCap)
-	if err != nil {
-		writeAPIError(w, http.StatusNotFound, "not_found", err, 0)
+	m.mu.Lock()
+	j, ok := m.jobs[r.PathValue("id")]
+	m.mu.Unlock()
+	if !ok {
+		writeAPIError(w, http.StatusNotFound, "not_found", ErrNoJob, 0)
 		return
 	}
-	defer m.Unsubscribe(id, sub)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
@@ -165,10 +159,9 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 	rc.Flush()
 
-	// Every write batch re-arms a write deadline: a subscriber whose
-	// reads stall (closed TCP window, dead proxy) errors the write
-	// within sseWriteTimeout instead of blocking this handler — and the
-	// deferred Unsubscribe frees its hub ring slot. The keepalive tick
+	// Every write batch re-arms a write deadline: a client whose reads
+	// stall (closed TCP window, dead proxy) errors the write within
+	// sseWriteTimeout instead of blocking this handler. The keepalive tick
 	// guarantees a write happens at least every sseKeepalive even on an
 	// idle stream, so a stalled client is always detected within
 	// sseKeepalive + sseWriteTimeout.
@@ -177,51 +170,37 @@ func serveEvents(m *Manager, w http.ResponseWriter, r *http.Request) {
 	armWrite := func() { rc.SetWriteDeadline(time.Now().Add(sseWriteTimeout)) }
 
 	for {
-		// Ask before draining, not after: the hub publishes its terminal
-		// event and then shuts, so a shut seen here means the drain below
-		// takes the end of the stream. Asked after the drain, the two
-		// could land in between and the stream end without the event.
-		shut := sub.isShut()
-		evs, dropped := sub.drain()
-		if len(evs) > 0 || dropped > 0 {
+		evs, ended, grew := j.hub.since(last)
+		if len(evs) > 0 {
 			armWrite()
-		}
-		if dropped > 0 {
-			fmt.Fprintf(w, ": %d events dropped; reconnect with Last-Event-ID for an exact replay\n\n", dropped)
-		}
-		terminal := false
-		for _, ev := range evs {
-			payload, err := json.Marshal(ev)
-			if err != nil {
-				return
+			for _, ev := range evs {
+				payload, err := json.Marshal(ev)
+				if err != nil {
+					return
+				}
+				if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.Seq, payload); err != nil {
+					return
+				}
+				if ev.Kind == "state" && JobState(ev.State).terminal() {
+					ended = true
+				}
 			}
-			if _, err := fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.Seq, payload); err != nil {
-				return
-			}
-			if ev.Kind == "state" && JobState(ev.State).terminal() {
-				terminal = true
-			}
-		}
-		if len(evs) > 0 || dropped > 0 {
 			if err := rc.Flush(); err != nil {
 				return
 			}
+			last = evs[len(evs)-1].Seq
 		}
-		if terminal {
-			return
-		}
-		if shut {
-			// The hub ended the stream without a terminal event — the
-			// event journal died, or the daemon is shutting down. End the
-			// stream after the drain above; the client polls the job
-			// status or reconnects rather than waiting for a seq that
-			// will never come.
+		if ended {
+			// A terminal event, or a hub closed without one — the event
+			// journal died, or the daemon is stopping. The client polls
+			// the job status or reconnects rather than waiting for a seq
+			// that will never come.
 			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-sub.wait():
+		case <-grew:
 		case <-keep.C:
 			armWrite()
 			if _, err := io.WriteString(w, ": keepalive\n\n"); err != nil {

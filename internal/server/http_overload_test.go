@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cfaopc/internal/flow"
+	"cfaopc/internal/layout"
 )
 
 // newGovernedService is newTestService with the manager config open
@@ -224,9 +228,9 @@ func (w *stallWriter) Write(p []byte) (int, error) {
 	return 0, os.ErrDeadlineExceeded
 }
 
-// TestSSEStalledClientDropped pins the satellite contract: a subscriber
-// that stops reading is disconnected within the write deadline and its
-// hub ring slot is freed, instead of pinning the handler forever.
+// TestSSEStalledClientDropped pins the stall contract: a client that
+// stops reading is disconnected within the write deadline instead of
+// pinning the handler forever.
 func TestSSEStalledClientDropped(t *testing.T) {
 	oldKeep, oldTO := sseKeepalive, sseWriteTimeout
 	sseKeepalive, sseWriteTimeout = 10*time.Millisecond, 40*time.Millisecond
@@ -251,14 +255,88 @@ func TestSSEStalledClientDropped(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("serveEvents still blocked on a stalled client after 5s")
 	}
-	m.mu.Lock()
-	h := m.jobs[st.ID].hub
-	m.mu.Unlock()
-	h.mu.Lock()
-	n := len(h.subs)
-	h.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("%d subscribers still pinned after the stalled client was dropped", n)
+}
+
+// gateWriter holds every write until open is closed, then records it: a
+// client that reads nothing until it chooses to.
+type gateWriter struct {
+	header http.Header
+	open   chan struct{}
+	body   bytes.Buffer
+}
+
+func (w *gateWriter) Header() http.Header                { return w.header }
+func (w *gateWriter) WriteHeader(int)                    {}
+func (w *gateWriter) Flush()                             {}
+func (w *gateWriter) SetWriteDeadline(t time.Time) error { return nil }
+func (w *gateWriter) Write(p []byte) (int, error) {
+	<-w.open
+	return w.body.Write(p)
+}
+
+// TestSSESlowClientGetsEverySeq: a client whose handler is stuck in its
+// first write while a job publishes thousands of events — more than the
+// 1,024 a per-client ring once kept — still receives seqs 1..N, gap-free
+// and without a dropped-events comment, once it reads. A reconnect from
+// the middle with Last-Event-ID replays exactly the rest.
+func TestSSESlowClientGetsEverySeq(t *testing.T) {
+	const beats = 3000
+	m, ts := newGovernedService(t, nil, false)
+	m.runSpec = func(ctx context.Context, _ *layout.Layout, _ *JobSpec, o RunOpts) (*flow.Result, error) {
+		for i := 0; i < beats; i++ {
+			o.Events(flow.Event{Kind: flow.EventBeat, Iter: i})
+		}
+		return &flow.Result{}, nil
+	}
+	st, resp := postJob(t, ts.URL, fastSpecJSON)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: %s", resp.Status)
+	}
+
+	r := httptest.NewRequest("GET", "/jobs/"+st.ID+"/events", nil)
+	r.SetPathValue("id", st.ID)
+	w := &gateWriter{header: http.Header{}, open: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		serveEvents(m, w, r)
+	}()
+	m.Start()
+	if fin := waitTerminal(t, m, st.ID); fin.State != JobDone {
+		t.Fatalf("job ended %s (%q)", fin.State, fin.Error)
+	}
+	close(w.open)
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the stream did not end after the job was done")
+	}
+	if strings.Contains(w.body.String(), "dropped") {
+		t.Fatal("the stream reports dropped events")
+	}
+	evs := readSSE(t, &w.body)
+	n := getStatus(t, ts.URL, st.ID).LastSeq
+	if int64(len(evs)) != n || n < beats+3 {
+		t.Fatalf("the slow client got %d events, want all %d (%d beats and three states)", len(evs), n, beats)
+	}
+	for i, ev := range evs {
+		if ev.Seq != int64(i+1) {
+			t.Fatalf("position %d has seq %d: stream not contiguous", i, ev.Seq)
+		}
+	}
+	if last := evs[n-1]; last.Kind != "state" || last.State != string(JobDone) {
+		t.Fatalf("the stream ends with %+v, want the done event", last)
+	}
+
+	cut := n / 2
+	tail := streamEvents(t, ts.URL, st.ID, cut)
+	if int64(len(tail)) != n-cut {
+		t.Fatalf("Last-Event-ID %d replayed %d events, want %d", cut, len(tail), n-cut)
+	}
+	for i, ev := range tail {
+		if ev != evs[cut+int64(i)] {
+			t.Fatalf("replay position %d is %+v, want %+v", i, ev, evs[cut+int64(i)])
+		}
 	}
 }
 

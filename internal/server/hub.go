@@ -23,7 +23,7 @@ type JobEvent struct {
 	// kind=state: queued|running|done|failed|canceled|deadline_exceeded.
 	// kind=governor: the degradation-ladder level just entered
 	// (normal|shrink|pause|shed) — every live job's stream carries the
-	// transition so subscribers see pressure changes in-band.
+	// transition so clients see pressure changes in-band.
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"` // kind=state, failed only
 	// Admitted is the job's admission time in unix nanoseconds, on its
@@ -73,16 +73,16 @@ func readJournal(fsys iox.FS, path, id string) (*JobSpec, []JobEvent, error) {
 	return &spec, evs, err
 }
 
-// hub fans one job's event stream out to any number of SSE
-// subscribers through a group commit (DESIGN §8). An event gets its seq
-// and its journal Append under the hub lock — journal order is seq order
-// — and joins pending; one committer at a time issues a single Sync for
-// what was appended before it started, then moves exactly that batch
-// into history and offers it to every subscriber, never blocking: a slow
-// consumer loses its oldest buffered events, not the flow's time. No
-// event is visible before the Sync covering it returns, so every Seq a
-// client saw replays after a crash and Last-Event-ID reconnects are
-// exact; what a crash may lose — appended, unsynced — no client ever saw.
+// hub is one job's event stream: a group commit (DESIGN §8) in front of
+// an in-memory history that every SSE stream reads by cursor. An event
+// gets its seq and its journal Append under the hub lock — journal order
+// is seq order — and joins pending; one committer at a time issues a
+// single Sync for what was appended before it started, then moves exactly
+// that batch into history and rings grew. No event is visible before the
+// Sync covering it returns, so every Seq a client saw replays after a
+// crash and Last-Event-ID reconnects are exact; what a crash may lose —
+// appended, unsynced — no client ever saw. A reader holds nothing in the
+// hub: a slow one falls behind in history, and the flow never waits for it.
 type hub struct {
 	mu       sync.Mutex
 	journal  *checkpoint.Journal // nil once closed: no further events will be published
@@ -92,12 +92,12 @@ type hub struct {
 	bg       bool                // post's committer goroutine is alive
 	released sync.Cond           // L = &mu; rung after every Sync and when bg ends
 	err      error               // a journal failure: sticky, drops everything pending unseen
-	subs     map[*subscriber]struct{}
+	grew     chan struct{}       // closed, and replaced, when history grows or the hub closes
 }
 
 // newHub wraps an already durable history; a nil journal is a closed hub.
 func newHub(journal *checkpoint.Journal, history []JobEvent) *hub {
-	h := &hub{journal: journal, history: history, subs: map[*subscriber]struct{}{}}
+	h := &hub{journal: journal, history: history, grew: make(chan struct{})}
 	h.released.L = &h.mu
 	return h
 }
@@ -136,7 +136,7 @@ func decodeEvents(payloads [][]byte) ([]JobEvent, error) {
 
 // publish (state and governor events, a run's first tile) returns once
 // ev's batch is durable and released. If the append or the covering
-// fsync fails, the event reaches no subscriber and the hub stays failed:
+// fsync fails, the event reaches no stream and the hub stays failed:
 // the error ends this job's stream. A closed hub (shutdown racing a late
 // event) only skips the journal.
 func (h *hub) publish(ev JobEvent) (JobEvent, error) {
@@ -217,14 +217,12 @@ func (h *hub) commitLocked(until int64) bool {
 	return int64(len(h.history)) >= until
 }
 
-// release makes a durable batch visible. Callers hold h.mu.
+// release makes a durable batch visible and wakes every waiting reader.
+// Callers hold h.mu.
 func (h *hub) release(batch []JobEvent) {
 	h.history = append(h.history, batch...)
-	for sub := range h.subs {
-		for _, ev := range batch {
-			sub.offer(ev)
-		}
-	}
+	close(h.grew)
+	h.grew = make(chan struct{})
 }
 
 // failure returns the hub's sticky journal error, nil while healthy.
@@ -252,48 +250,26 @@ func (h *hub) lastSeq() int64 {
 	return int64(len(h.history))
 }
 
-// subscribe registers a consumer whose buffer holds at most capacity
-// events, pre-loaded with every event after sinceSeq. Replay and
-// registration are atomic under the hub lock, so no event published
-// concurrently is missed or doubled. Call h.unsubscribe when done.
-func (h *hub) subscribe(sinceSeq int64, capacity int) *subscriber {
-	if capacity < 1 {
-		capacity = 1
-	}
-	sub := &subscriber{cap: capacity, notify: make(chan struct{}, 1)}
+// since returns the visible events after seq, whether the stream has
+// ended (the hub is closed: nothing but a shutdown-racing straggler will
+// follow), and a channel closed once there is more to read. All three
+// come from one look under the lock, so a reader that sees ended has
+// every event released before the close. The events alias history, which
+// only ever grows: read them, never write them.
+func (h *hub) since(seq int64) (evs []JobEvent, ended bool, grew <-chan struct{}) {
 	h.mu.Lock()
-	if sinceSeq < 0 {
-		sinceSeq = 0
-	}
-	if sinceSeq < int64(len(h.history)) {
-		// The replay loads directly, bypassing the ring cap: a
-		// reconnecting client must get its full backlog, however large;
-		// the cap bounds only what accumulates while it consumes.
-		sub.buf = append(sub.buf, h.history[sinceSeq:]...)
-		sub.notify <- struct{}{}
-	}
-	if h.journal == nil {
-		// The stream already ended; tell the consumer so it drains the
-		// replay and stops waiting instead of hanging on a dead doorbell.
-		sub.shut()
-	}
-	h.subs[sub] = struct{}{}
-	h.mu.Unlock()
-	return sub
-}
-
-func (h *hub) unsubscribe(sub *subscriber) {
-	h.mu.Lock()
-	delete(h.subs, sub)
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	n := int64(len(h.history))
+	seq = min(max(seq, 0), n)
+	return h.history[seq:n:n], h.journal == nil, h.grew
 }
 
 // close releases the journal handle and marks the stream ended. The
-// history stays readable, so late subscribers to a finished job still
-// replay the full stream. Every live subscriber is woken and marked
-// shut: if the stream ended without a terminal event (the event
-// journal failed before one could be made durable), consumers must not
-// wait forever for a seq that will never come.
+// history stays readable, so a late reader of a finished job still
+// replays the full stream. Every waiting reader is woken: if the stream
+// ended without a terminal event (the event journal failed before one
+// could be made durable, or the daemon is stopping), it must not wait
+// forever for a seq that will never come.
 func (h *hub) close() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -305,93 +281,7 @@ func (h *hub) close() {
 	if h.journal != nil {
 		h.journal.Close()
 		h.journal = nil
+		close(h.grew)
+		h.grew = make(chan struct{})
 	}
-	for sub := range h.subs {
-		sub.shut()
-	}
-}
-
-// Subscribe attaches a drop-oldest event consumer to a job's stream,
-// replaying everything after sinceSeq first. The caller must call
-// Unsubscribe when done.
-func (m *Manager) Subscribe(id string, sinceSeq int64, capacity int) (*subscriber, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, ErrNoJob
-	}
-	return j.hub.subscribe(sinceSeq, capacity), nil
-}
-
-// Unsubscribe detaches a Subscribe consumer.
-func (m *Manager) Unsubscribe(id string, sub *subscriber) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if ok {
-		j.hub.unsubscribe(sub)
-	}
-}
-
-// subscriber is one consumer's bounded view of the stream: a
-// drop-oldest ring plus a doorbell. offer never blocks; a consumer
-// that falls more than cap events behind sees a seq gap (and the
-// dropped counter) and can reconnect with Last-Event-ID to replay.
-type subscriber struct {
-	mu      sync.Mutex
-	buf     []JobEvent // oldest first, len <= cap
-	cap     int
-	dropped int64
-	closed  bool // the hub ended the stream; nothing further will arrive
-	notify  chan struct{}
-}
-
-func (s *subscriber) offer(ev JobEvent) {
-	s.mu.Lock()
-	if len(s.buf) >= s.cap {
-		n := copy(s.buf, s.buf[1:])
-		s.buf = s.buf[:n]
-		s.dropped++
-	}
-	s.buf = append(s.buf, ev)
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// drain removes and returns everything buffered, plus how many events
-// were dropped since the previous drain.
-func (s *subscriber) drain() (evs []JobEvent, dropped int64) {
-	s.mu.Lock()
-	evs = append(evs, s.buf...)
-	s.buf = s.buf[:0]
-	dropped, s.dropped = s.dropped, 0
-	s.mu.Unlock()
-	return evs, dropped
-}
-
-// wait returns a channel that receives after the next offer.
-func (s *subscriber) wait() <-chan struct{} { return s.notify }
-
-// shut marks the stream ended and rings the doorbell so a waiting
-// consumer re-checks. Buffered events stay drainable; a consumer that
-// drains to empty while shut knows no more will ever arrive.
-func (s *subscriber) shut() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	select {
-	case s.notify <- struct{}{}:
-	default:
-	}
-}
-
-// isShut reports whether the hub has ended this subscriber's stream.
-func (s *subscriber) isShut() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }

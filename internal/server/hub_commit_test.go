@@ -110,36 +110,29 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 // invisible asserts nothing beyond seq want has reached lastSeq, the
-// history a new subscriber replays, or the live subscriber.
-func invisible(t *testing.T, h *hub, live *subscriber, want int64) {
+// history a new reader replays, or the live reader.
+func invisible(t *testing.T, h *hub, live *cursor, want int64) {
 	t.Helper()
 	if got := h.lastSeq(); got != want {
 		t.Fatalf("lastSeq %d while the covering Sync is parked, want %d", got, want)
 	}
-	late := h.subscribe(0, 64)
-	evs, _ := late.drain()
-	h.unsubscribe(late)
-	if int64(len(evs)) != want {
-		t.Fatalf("a new subscriber replayed %d events while the Sync is parked, want %d", len(evs), want)
+	if evs, _, _ := h.since(0); int64(len(evs)) != want {
+		t.Fatalf("a new reader replayed %d events while the Sync is parked, want %d", len(evs), want)
 	}
-	live.mu.Lock()
-	n := len(live.buf)
-	live.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("the live subscriber holds %d undrained events while the Sync is parked", n)
+	if evs, _, _ := h.since(live.last); len(evs) != 0 {
+		t.Fatalf("the live reader has %d unread events while the Sync is parked", len(evs))
 	}
 }
 
 // TestHubBatchInvisibleUntilSynced is durability-before-visibility per
-// batch: nothing reaches history, lastSeq or a subscriber while its Sync
+// batch: nothing reaches history, lastSeq or a reader while its Sync
 // is parked; the batch arrives whole and in seq order once released; and
 // events appended during a parked Sync are not released by it — they wait
 // for the next one. It fails on a hub that releases before Sync returns
 // and on one that releases everything pending when Sync returns.
 func TestHubBatchInvisibleUntilSynced(t *testing.T) {
 	h, g, path, spec := gatedHub(t)
-	live := h.subscribe(0, 64)
-	defer h.unsubscribe(live)
+	live := &cursor{h: h}
 
 	if err := h.post(JobEvent{Kind: "tile", Tile: 0}); err != nil {
 		t.Fatal(err)
@@ -243,8 +236,7 @@ func TestHubPublishWaitsForItsBatch(t *testing.T) {
 // and none of what was appended behind it; the hub stays failed.
 func TestHubFailedSyncDropsBatch(t *testing.T) {
 	h, g, _, _ := gatedHub(t)
-	live := h.subscribe(0, 64)
-	defer h.unsubscribe(live)
+	live := &cursor{h: h}
 	if err := h.post(JobEvent{Kind: "tile", Tile: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,48 @@ func readHistoryFS(fsys iox.FS, path, jobID string, spec *JobSpec) ([]JobEvent, 
 	return decodeEvents(payloads)
 }
 
+// cursor is a test's reader of a job's stream, the way serveEvents reads
+// it: the events after the last seq it took. Subscribe, Unsubscribe,
+// drain, wait and isShut keep the spelling the daemon tests were written
+// in; a cursor holds nothing in the hub, so there is nothing to free and
+// nothing is ever dropped.
+type cursor struct {
+	h    *hub
+	last int64
+	grew <-chan struct{}
+}
+
+func (m *Manager) Subscribe(id string, since int64, _ int) (*cursor, error) {
+	m.mu.Lock()
+	j, ok := m.jobs[id]
+	m.mu.Unlock()
+	if !ok {
+		return nil, ErrNoJob
+	}
+	_, _, grew := j.hub.since(since)
+	return &cursor{h: j.hub, last: since, grew: grew}, nil
+}
+
+func (m *Manager) Unsubscribe(string, *cursor) {}
+
+// drain takes every event after the cursor; the dropped count is always 0.
+func (c *cursor) drain() ([]JobEvent, int64) {
+	evs, _, grew := c.h.since(c.last)
+	if len(evs) > 0 {
+		c.last = evs[len(evs)-1].Seq
+	}
+	c.grew = grew
+	return evs, 0
+}
+
+// wait is closed once there is more than the last drain saw.
+func (c *cursor) wait() <-chan struct{} { return c.grew }
+
+func (c *cursor) isShut() bool {
+	_, ended, _ := c.h.since(c.last)
+	return ended
+}
+
 func testHub(t *testing.T) (*hub, string, *JobSpec) {
 	t.Helper()
 	spec, err := parseSpecString(t, `{"case":1}`)
@@ -34,30 +76,31 @@ func testHub(t *testing.T) (*hub, string, *JobSpec) {
 	return h, path, spec
 }
 
-// TestHubSlowConsumerDropsOldest pins the backpressure contract: a
-// consumer that never drains loses its oldest events (counted), keeps
-// the newest, and the publisher never blocks.
-func TestHubSlowConsumerDropsOldest(t *testing.T) {
+// TestHubSlowReaderMissesNothing: a reader that takes nothing while a
+// hundred events are published gets all of them, in order, on its first
+// read, and the publisher never waited for it.
+func TestHubSlowReaderMissesNothing(t *testing.T) {
 	h, _, _ := testHub(t)
-	sub := h.subscribe(0, 4)
-	defer h.unsubscribe(sub)
+	_, _, grew := h.since(0)
 	for i := 0; i < 100; i++ {
 		h.publish(JobEvent{Kind: "beat", Tile: i})
 	}
-	evs, dropped := sub.drain()
-	if dropped != 96 {
-		t.Fatalf("dropped %d, want 96", dropped)
+	select {
+	case <-grew:
+	default:
+		t.Fatal("grew still open after 100 releases")
 	}
-	if len(evs) != 4 {
-		t.Fatalf("buffered %d events, want 4", len(evs))
+	evs, ended, _ := h.since(0)
+	if ended || len(evs) != 100 {
+		t.Fatalf("read %d events (ended %v), want all 100 of a live stream", len(evs), ended)
 	}
 	for i, ev := range evs {
-		if want := int64(97 + i); ev.Seq != want {
-			t.Fatalf("kept seq %d at %d, want %d (newest survive)", ev.Seq, i, want)
+		if ev.Seq != int64(i+1) || ev.Tile != i {
+			t.Fatalf("position %d holds %+v", i, ev)
 		}
 	}
-	if evs2, d2 := sub.drain(); len(evs2) != 0 || d2 != 0 {
-		t.Fatalf("second drain returned %d events, %d dropped", len(evs2), d2)
+	if rest, _, _ := h.since(100); len(rest) != 0 {
+		t.Fatalf("read %d events past the newest", len(rest))
 	}
 }
 
@@ -66,32 +109,14 @@ func TestHubReplaySince(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.publish(JobEvent{Kind: "beat", Tile: i})
 	}
-	sub := h.subscribe(4, 64)
-	defer h.unsubscribe(sub)
-	evs, _ := sub.drain()
+	evs, _, _ := h.since(4)
 	if len(evs) != 6 || evs[0].Seq != 5 || evs[5].Seq != 10 {
 		t.Fatalf("replay since 4: got %d events, first %d", len(evs), evs[0].Seq)
 	}
 	h.publish(JobEvent{Kind: "tile", Tile: 0})
-	evs, _ = sub.drain()
+	evs, _, _ = h.since(evs[5].Seq)
 	if len(evs) != 1 || evs[0].Seq != 11 {
 		t.Fatalf("live event after replay: %+v", evs)
-	}
-}
-
-// TestHubReplayExceedsRingCap: the initial replay must deliver the
-// whole backlog even when it is larger than the subscriber's live
-// ring.
-func TestHubReplayExceedsRingCap(t *testing.T) {
-	h, _, _ := testHub(t)
-	for i := 0; i < 50; i++ {
-		h.publish(JobEvent{Kind: "beat", Tile: i})
-	}
-	sub := h.subscribe(0, 4)
-	defer h.unsubscribe(sub)
-	evs, dropped := sub.drain()
-	if dropped != 0 || len(evs) != 50 {
-		t.Fatalf("replay: %d events, %d dropped; want all 50, none dropped", len(evs), dropped)
 	}
 }
 
@@ -128,9 +153,7 @@ func TestHubRestartContinuesSeq(t *testing.T) {
 	if ev.Seq != 6 {
 		t.Fatalf("first post-restart event seq %d, want 6", ev.Seq)
 	}
-	sub := h2.subscribe(0, 64)
-	defer h2.unsubscribe(sub)
-	evs, _ := sub.drain()
+	evs, _, _ := h2.since(0)
 	if len(evs) != 6 {
 		t.Fatalf("full replay after restart: %d events, want 6", len(evs))
 	}
@@ -186,10 +209,10 @@ func TestHubReadHistoryMatchesHub(t *testing.T) {
 
 // TestHubConcurrentPublishSubscribe races four publishers — two that
 // wait for their batch, two that post like the flow bridge — against two
-// subscribers that keep dropping the connection and reconnecting with
-// the last seq they saw, and checks each still observes the whole
-// stream, gap-free and duplicate-free. Run under -race this is also the
-// locking proof.
+// readers that take one wake-up's worth of events at a time and carry on
+// from the last seq they saw, and checks each observes the whole stream,
+// gap-free and duplicate-free. Run under -race this is also the locking
+// proof.
 func TestHubConcurrentPublishSubscribe(t *testing.T) {
 	h, _, _ := testHub(t)
 	const publishers, perPublisher = 4, 50
@@ -215,15 +238,10 @@ func TestHubConcurrentPublishSubscribe(t *testing.T) {
 			defer wg.Done()
 			var last int64
 			for last < int64(total) {
-				// A buffer big enough to never drop; each connection reads
-				// one doorbell's worth, then reconnects with Last-Event-ID.
-				sub := h.subscribe(last, total+1)
-				<-sub.wait()
-				evs, dropped := sub.drain()
-				h.unsubscribe(sub)
-				if dropped != 0 {
-					t.Errorf("dropped %d with an oversized buffer", dropped)
-					return
+				evs, _, grew := h.since(last)
+				if len(evs) == 0 {
+					<-grew
+					continue
 				}
 				for _, ev := range evs {
 					if ev.Seq != last+1 {
@@ -241,24 +259,28 @@ func TestHubConcurrentPublishSubscribe(t *testing.T) {
 	}
 }
 
-// TestHubManySubscribersIndependent: each subscriber has its own ring;
-// one slow consumer must not affect another.
-func TestHubManySubscribersIndependent(t *testing.T) {
+// TestHubCursorsIndependent: two readers at different seqs of one
+// stream each get exactly what follows their own cursor, before and after
+// more events arrive, and reading moves neither the other nor the hub.
+func TestHubCursorsIndependent(t *testing.T) {
 	h, _, _ := testHub(t)
-	slow := h.subscribe(0, 2)
-	fast := h.subscribe(0, 128)
-	defer h.unsubscribe(slow)
-	defer h.unsubscribe(fast)
 	for i := 0; i < 20; i++ {
 		h.publish(JobEvent{Kind: "beat", Tile: i})
 	}
-	fastEvs, fastDropped := fast.drain()
-	slowEvs, slowDropped := slow.drain()
-	if fastDropped != 0 || len(fastEvs) != 20 {
-		t.Fatalf("fast consumer: %d events, %d dropped", len(fastEvs), fastDropped)
+	behind, _, _ := h.since(3)
+	ahead, _, _ := h.since(18)
+	if len(behind) != 17 || behind[0].Seq != 4 || len(ahead) != 2 || ahead[0].Seq != 19 {
+		t.Fatalf("cursors at 3 and 18 read %d from %d and %d from %d", len(behind), behind[0].Seq, len(ahead), ahead[0].Seq)
 	}
-	if slowDropped != 18 || len(slowEvs) != 2 {
-		t.Fatalf("slow consumer: %d events, %d dropped", len(slowEvs), slowDropped)
+	h.publish(JobEvent{Kind: "tile", Tile: 20})
+	if evs, _, _ := h.since(20); len(evs) != 1 || evs[0].Seq != 21 {
+		t.Fatalf("the cursor at 20 read %+v, want seq 21 alone", evs)
+	}
+	if evs, _, _ := h.since(3); len(evs) != 18 || evs[17].Seq != 21 {
+		t.Fatalf("the cursor at 3 read %d events, want 18 ending at seq 21", len(evs))
+	}
+	if h.lastSeq() != 21 {
+		t.Fatalf("reads moved the hub: lastSeq %d", h.lastSeq())
 	}
 }
 

@@ -111,9 +111,8 @@ type Manager struct {
 	wedgeTimeout time.Duration
 	monitorEvery time.Duration
 	cache        *wcache.Cache
-	// Full-size cache budgets, saved so the shrink rung can restore them.
-	cacheEntries0 int
-	cacheBytes0   int64
+	// The cache's full byte budget, saved so the shrink rung can restore it.
+	cacheBytes0 int64
 	// runSpec is RunSpec: the executor seam tests swap for stand-ins
 	// that block, stall or finish without compute.
 	runSpec func(ctx context.Context, l *layout.Layout, spec *JobSpec, opts RunOpts) (*flow.Result, error)
@@ -441,7 +440,7 @@ func (m *Manager) execute(ctx context.Context, j *job, spec *JobSpec, h *hub) (*
 // journal error. Beats and every tile after the first are posted to ride
 // the hub's next group commit, with no yield per event. The run's first
 // tile is a milestone like queued: published, durable and released
-// before its lane moves on, then one yield lets subscribers deliver it.
+// before its lane moves on, then one yield lets waiting streams deliver it.
 func bridge(h *hub, done func(error)) flow.EventSink {
 	var first atomic.Bool
 	return func(ev flow.Event) {
@@ -465,7 +464,7 @@ func bridge(h *hub, done func(error)) flow.EventSink {
 // finishLocked moves a job to its ending: released and counted by the
 // governor, its state event journaled, its journal closed. Callers hold
 // m.mu. A storage failure here is counted, not fatal: a terminal event
-// that cannot be journaled reaches no subscriber (closing the hub ends
+// that cannot be journaled reaches no stream (closing the hub ends
 // every stream without one), and the journal still says running, so
 // the next daemon requeues the job and resumes it from its checkpoint.
 func (m *Manager) finishLocked(j *job, e ending) {

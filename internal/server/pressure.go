@@ -53,9 +53,9 @@ func (m *Manager) ladderLocked(from, to GovLevel, heap int64) {
 		case from == GovNormal && to >= GovShrink:
 			// First rung: shrink the cache's memory tier to a quarter so
 			// the allocator gets room before anything client-visible.
-			m.cache.Resize(max(m.cacheEntries0/4, 1), max(m.cacheBytes0/4, 1))
+			m.cache.Resize(max(m.cacheBytes0/4, 1))
 		case to == GovNormal && from >= GovShrink:
-			m.cache.Resize(m.cacheEntries0, m.cacheBytes0)
+			m.cache.Resize(m.cacheBytes0)
 		}
 	}
 	if to == GovShed {

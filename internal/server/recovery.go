@@ -96,7 +96,7 @@ func NewManager(cfg ManagerConfig) (*Manager, error) {
 	m.sched.now = cfg.Now
 	m.sched.maxWait = max(cfg.MaxQueueWait, 0) // negative disables
 	if m.cache != nil {
-		m.cacheEntries0, m.cacheBytes0 = m.cache.Limits()
+		m.cacheBytes0 = m.cache.Limits()
 	}
 	if err := m.recover(); err != nil {
 		return nil, err

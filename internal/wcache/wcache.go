@@ -151,12 +151,11 @@ func (e *Entry) bytes() int64 {
 }
 
 // Config sizes the cache. Zero values get sane defaults; Dir == ""
-// means memory-only.
+// means memory-only. The memory tier has one budget, in bytes.
 type Config struct {
-	MaxEntries int    // in-memory LRU entry budget (default 4096)
-	MaxBytes   int64  // in-memory LRU byte budget (default 256 MiB)
-	Dir        string // on-disk store directory; "" disables the disk tier
-	FS         iox.FS // filesystem seam for the disk tier; nil = real filesystem
+	MaxBytes int64  // in-memory LRU byte budget (default 256 MiB)
+	Dir      string // on-disk store directory; "" disables the disk tier
+	FS       iox.FS // filesystem seam for the disk tier; nil = real filesystem
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -198,9 +197,6 @@ type Cache struct {
 
 // New builds a cache, creating the disk directory when one is set.
 func New(cfg Config) (*Cache, error) {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = 4096
-	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = 256 << 20
 	}
@@ -287,10 +283,10 @@ func (c *Cache) insert(k Key, e *Entry) {
 	c.stats.Bytes = c.bytes
 }
 
-// evictLocked trims the memory tier to the configured budgets, always
-// keeping at least one entry so a single oversized window still caches.
+// evictLocked trims the memory tier to its byte budget, always keeping
+// at least one entry so a single oversized window still caches.
 func (c *Cache) evictLocked() {
-	for (c.ll.Len() > c.cfg.MaxEntries || c.bytes > c.cfg.MaxBytes) && c.ll.Len() > 1 {
+	for c.bytes > c.cfg.MaxBytes && c.ll.Len() > 1 {
 		back := c.ll.Back()
 		it := back.Value.(*lruItem)
 		c.ll.Remove(back)
@@ -300,30 +296,25 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// Resize changes the memory-tier budgets at runtime and evicts down to
-// them immediately. A non-positive argument leaves that budget
-// unchanged. This is the pressure-shedding hook: a resource governor
-// can shrink the tier when the heap crosses a watermark and restore it
-// once pressure recedes. The disk tier is unaffected.
-func (c *Cache) Resize(maxEntries int, maxBytes int64) {
+// Resize changes the memory tier's byte budget at runtime and evicts
+// down to it immediately, never below one entry. This is the
+// pressure-shedding hook: a resource governor can shrink the
+// tier when the heap crosses a watermark and restore it once pressure
+// recedes. The disk tier is unaffected.
+func (c *Cache) Resize(maxBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if maxEntries > 0 {
-		c.cfg.MaxEntries = maxEntries
-	}
-	if maxBytes > 0 {
-		c.cfg.MaxBytes = maxBytes
-	}
+	c.cfg.MaxBytes = maxBytes
 	c.evictLocked()
 	c.stats.Entries = c.ll.Len()
 	c.stats.Bytes = c.bytes
 }
 
-// Limits reports the current memory-tier budgets.
-func (c *Cache) Limits() (maxEntries int, maxBytes int64) {
+// Limits reports the memory tier's current byte budget.
+func (c *Cache) Limits() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cfg.MaxEntries, c.cfg.MaxBytes
+	return c.cfg.MaxBytes
 }
 
 func (c *Cache) count(f func(*Stats)) {

@@ -2,6 +2,7 @@ package wcache
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -45,8 +46,10 @@ func TestMemoryHitMissAndStats(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionByEntries(t *testing.T) {
-	c, err := New(Config{MaxEntries: 2})
+// TestLRUEvictionOrder: with room for two entries, the least recently
+// used one goes first.
+func TestLRUEvictionOrder(t *testing.T) {
+	c, err := New(Config{MaxBytes: 2 * testEntry(1).bytes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +278,28 @@ func TestMemoryOnlyMissDoesNotTouchDisk(t *testing.T) {
 	}
 }
 
+// TestByteBudgetIsTheOnlyBound: a budget with room for 5,000 small
+// entries holds all 5,000; no hidden entry count evicts below it.
+func TestByteBudgetIsTheOnlyBound(t *testing.T) {
+	const n = 5000
+	c, err := New(Config{MaxBytes: n * testEntry(1).bytes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		c.Put(key(fmt.Sprint(i)), testEntry(1))
+	}
+	if s := c.Stats(); s.Entries != n || s.Evictions != 0 {
+		t.Fatalf("%d entries resident, %d evicted; want all %d resident", s.Entries, s.Evictions, n)
+	}
+}
+
 // TestResizeShrinksAndRestores pins the governor's shrink rung: Resize
-// evicts immediately down to the new limits, Limits reports them, and
-// restoring the original limits lets the cache grow again.
+// evicts immediately down to the new byte budget, Limits reports it, and
+// restoring the original budget lets the cache grow again.
 func TestResizeShrinksAndRestores(t *testing.T) {
-	c, err := New(Config{MaxEntries: 8})
+	one := testEntry(1).bytes()
+	c, err := New(Config{MaxBytes: 8 * one})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +310,11 @@ func TestResizeShrinksAndRestores(t *testing.T) {
 		t.Fatalf("entries %d, want 6", s.Entries)
 	}
 
-	_, bytes0 := c.Limits() // byte limit as defaulted by New
-	c.Resize(2, 0)          // shrink entry limit; byte limit unchanged
-	if me, mb := c.Limits(); me != 2 || mb != bytes0 {
-		t.Fatalf("Limits() = %d, %d after Resize(2, 0), want 2, %d", me, mb, bytes0)
+	c.Resize(2 * one)
+	if mb := c.Limits(); mb != 2*one {
+		t.Fatalf("Limits() = %d after Resize(%d)", mb, 2*one)
 	}
-	if s := c.Stats(); s.Entries != 2 || s.Evictions != 4 {
+	if s := c.Stats(); s.Entries != 2 || s.Evictions != 4 || s.Bytes > 2*one {
 		t.Fatalf("after shrink: %+v", s)
 	}
 	// LRU order holds: the two most recent keys survive.
@@ -306,7 +325,7 @@ func TestResizeShrinksAndRestores(t *testing.T) {
 		t.Fatal("oldest key survived shrink")
 	}
 
-	c.Resize(8, 0) // restore
+	c.Resize(8 * one) // restore
 	for _, k := range []string{"g", "h", "i"} {
 		c.Put(key(k), testEntry(1))
 	}
@@ -314,16 +333,10 @@ func TestResizeShrinksAndRestores(t *testing.T) {
 		t.Fatalf("after restore: %+v", s)
 	}
 
-	// Byte-limit shrink evicts by bytes too, never below one entry.
-	one := testEntry(1).bytes()
-	c.Resize(0, one)
-	if s := c.Stats(); s.Entries != 1 || s.Bytes > one {
-		t.Fatalf("after byte shrink: %+v", s)
-	}
-	// Non-positive arguments leave both limits alone.
-	c.Resize(0, 0)
-	if me, mb := c.Limits(); me != 8 || mb != one {
-		t.Fatalf("Limits() = %d, %d after no-op Resize", me, mb)
+	// A shrink never evicts below one entry.
+	c.Resize(0)
+	if s := c.Stats(); s.Entries != 1 || c.Limits() != 0 {
+		t.Fatalf("after shrink below one entry: %+v, limit %d", s, c.Limits())
 	}
 }
 
