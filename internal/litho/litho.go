@@ -170,21 +170,25 @@ func New(cfg optics.Config, n int) (*Simulator, error) {
 	return newWith(cfg, n, optics.CachedKernels)
 }
 
-// newWith is New over a given source of kernel sets.
+// newWith is New over a given source of kernel sets. The grid is checked
+// against the kernel support before anything is decomposed, and the two
+// sets are built side by side, the defocus set on a goroutine of its own.
 func newWith(cfg optics.Config, n int, kernels func(optics.Config, bool) (*optics.KernelSet, error)) (*Simulator, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("litho: invalid grid size %d", n)
 	}
+	if support := 2*cfg.SupportHalf() + 1; support > n {
+		return nil, fmt.Errorf("litho: grid %d too small for kernel support %d", n, support)
+	}
+	var defocus *optics.KernelSet
+	derr := make(chan error, 1)
+	go func() { set, err := kernels(cfg, true); defocus = set; derr <- err }()
 	focus, err := kernels(cfg, false)
+	if e := <-derr; err == nil {
+		err = e
+	}
 	if err != nil {
 		return nil, err
-	}
-	defocus, err := kernels(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	if 2*focus.Kernels[0].Half+1 > n {
-		return nil, fmt.Errorf("litho: grid %d too small for kernel support %d", n, 2*focus.Kernels[0].Half+1)
 	}
 	return &Simulator{Cfg: cfg, N: n, DX: cfg.TileNM / float64(n), Focus: focus, Defocus: defocus}, nil
 }

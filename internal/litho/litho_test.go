@@ -57,6 +57,22 @@ func TestNewRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// A grid narrower than the kernel support is refused before either set is
+// decomposed: a 4096 nm tile on 64 px needs 105 bins, and building its two
+// kernel sets first used to cost about 170 ms and 8.5 MB of cache.
+func TestNewRefusesSupportBeforeDecomposing(t *testing.T) {
+	cfg := optics.Default()
+	cfg.TileNM = 4096
+	calls := 0
+	_, err := newWith(cfg, 64, func(c optics.Config, defocus bool) (*optics.KernelSet, error) {
+		calls++
+		return optics.ComputeKernels(c, defocus)
+	})
+	if err == nil || err.Error() != "litho: grid 64 too small for kernel support 105" || calls != 0 {
+		t.Fatalf("err %v after %d decompositions; want the support error after none", err, calls)
+	}
+}
+
 func TestClearAndDarkField(t *testing.T) {
 	s := testSim(t, 32)
 	clear := grid.NewReal(32, 32)

@@ -3,6 +3,7 @@ package optics
 import (
 	"math"
 	"math/cmplx"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,5 +248,23 @@ func TestCachedKernelsSingleFlight(t *testing.T) {
 	}
 	if set, _ := CachedKernels(cfg, true); set != sets[0] || computes.Load() != 1 {
 		t.Fatal("a warm lookup recomputed")
+	}
+}
+
+// ComputeKernels holds only B's nonzeros: at 2048 nm it allocates about
+// 2.9 MB in all, under a bound that the dense B alone (2809 bins × 87
+// source points × 16 B ≈ 3.9 MB) would break.
+func TestComputeKernelsAllocBound(t *testing.T) {
+	const bound = 3_500_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ComputeKernels(Default(), true); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > bound {
+		t.Fatalf("ComputeKernels at 2048 nm allocated %d B, bound %d", n, bound)
+	} else {
+		t.Logf("ComputeKernels at 2048 nm allocated %d B (bound %d)", n, bound)
 	}
 }

@@ -214,6 +214,46 @@ func TestHTTPSubmitRefusesSubWavelengthWindow(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitRefusesPitchTooCoarseForKernels: at 64 nm/px a 64-px
+// window spans 4096 nm, where the kernels' support is 105 bins. The spec is
+// a 400 naming both before anything is journaled — it used to be admitted,
+// build two 4096 nm kernel sets and then fail inside litho.New.
+func TestHTTPSubmitRefusesPitchTooCoarseForKernels(t *testing.T) {
+	root := testLayoutRoot(t)
+	l := &layout.Layout{Name: "coarse", TileNM: 8192, Rects: []layout.Rect{{X: 1024, Y: 1024, W: 512, H: 2048}}}
+	f, err := os.Create(filepath.Join(root, "coarse.glp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, ts := newTestService(t, root, 1, 2, false)
+	resp, err := http.Post(ts.URL+"/jobs", "application/json",
+		strings.NewReader(`{"layout":"coarse.glp","grid":128,"tile_core":48,"tile_halo":8,"method":"circlerule"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var apiErr apiError
+	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || apiErr.Reason != "bad_spec" ||
+		!strings.Contains(apiErr.Error, "window 64 px (4096 nm at 64 nm/px) too small for kernel support 105") {
+		t.Fatalf("status %d, error %+v; want a 400 bad_spec naming the window and the kernel support", resp.StatusCode, apiErr)
+	}
+	if len(m.List()) != 0 {
+		t.Fatalf("the refused spec was admitted: %d jobs listed", len(m.List()))
+	}
+	if _, err := os.Stat(m.jobDir("job-0000")); !os.IsNotExist(err) {
+		t.Fatalf("the refused spec created a job directory: %v", err)
+	}
+}
+
 func TestHTTPQueueFull(t *testing.T) {
 	root := testLayoutRoot(t)
 	// Executor never started: nothing drains, so the cap must hold.

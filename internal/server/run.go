@@ -52,9 +52,9 @@ type RunOpts struct {
 // flow.Config already owns; Run fills in the RunOpts plumbing.
 //
 // It is also the first place the pixel pitch is known, so the physical
-// window floor is checked here: a window narrower than λ/NA holds no
-// frequency bin inside the pupil, and the kernel build would fail on it
-// at dispatch.
+// bounds are checked here: a window narrower than λ/NA holds no frequency
+// bin inside the pupil, and a pitch too coarse leaves the window fewer
+// pixels than the kernels' support; either would fail at dispatch.
 func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 	fallback := s.Fallback
 	if fallback == "none" {
@@ -74,6 +74,12 @@ func (s *JobSpec) FlowConfig(l *layout.Layout) (cfg flow.Config, err error) {
 	if nm, floor := float64(window)*dx, o.Wavelength/o.NA; nm < floor {
 		return cfg, fmt.Errorf("spec: window %d px (core %d + 2x halo %d) is %.4g nm at %.4g nm/px, below the λ/NA = %.1f nm floor the optics can image; raise tile_core or tile_halo",
 			window, s.TileCore, s.TileHalo, nm, dx, floor)
+	}
+	w := o
+	w.TileNM = float64(window) * dx
+	if support := 2*w.SupportHalf() + 1; support > window {
+		return cfg, fmt.Errorf("spec: window %d px (%.4g nm at %.4g nm/px) too small for kernel support %d; raise grid for a finer pitch",
+			window, w.TileNM, dx, support)
 	}
 	return flow.Config{
 		GridN:       s.GridN,
