@@ -6,6 +6,7 @@
 package cfaopc_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -179,7 +180,7 @@ func BenchmarkFlowRun(b *testing.B) {
 		},
 	}
 	// Warm the kernel cache outside the timed loops.
-	if _, err := flow.Run(l, cfg); err != nil {
+	if _, err := flow.RunContext(context.Background(), l, cfg); err != nil {
 		b.Fatal(err)
 	}
 	sweep := []int{1, 2, runtime.GOMAXPROCS(0)}
@@ -188,7 +189,7 @@ func BenchmarkFlowRun(b *testing.B) {
 		b.Run(fmt.Sprintf("tileworkers=%d", tw), func(b *testing.B) {
 			cfg.TileWorkers = tw
 			for i := 0; i < b.N; i++ {
-				res, err := flow.Run(l, cfg)
+				res, err := flow.RunContext(context.Background(), l, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -235,7 +236,7 @@ func BenchmarkFlowCached(b *testing.B) {
 	}
 	// Warm the kernel cache (and pin the uncached shot list) outside the
 	// timed loops.
-	ref, err := flow.Run(l, mkCfg(nil))
+	ref, err := flow.RunContext(context.Background(), l, mkCfg(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,7 +254,7 @@ func BenchmarkFlowCached(b *testing.B) {
 	}
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := flow.Run(l, mkCfg(nil))
+			res, err := flow.RunContext(context.Background(), l, mkCfg(nil))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -266,7 +267,7 @@ func BenchmarkFlowCached(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := flow.Run(l, mkCfg(c))
+			res, err := flow.RunContext(context.Background(), l, mkCfg(c))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -278,12 +279,12 @@ func BenchmarkFlowCached(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := flow.Run(l, mkCfg(c)); err != nil {
+		if _, err := flow.RunContext(context.Background(), l, mkCfg(c)); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := flow.Run(l, mkCfg(c))
+			res, err := flow.RunContext(context.Background(), l, mkCfg(c))
 			if err != nil {
 				b.Fatal(err)
 			}

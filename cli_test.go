@@ -843,8 +843,8 @@ func TestCLIParentTiledBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.CheckpointPath = journal
-	if _, err := flow.Run(l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
-		t.Errorf("flow.Run over the parent's adaptive journal: %v, want ErrHeaderMismatch", err)
+	if _, err := flow.RunContext(context.Background(), l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
+		t.Errorf("flow.RunContext over the parent's adaptive journal: %v, want ErrHeaderMismatch", err)
 	}
 }
 

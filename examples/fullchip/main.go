@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -54,7 +55,7 @@ func main() {
 			return (&core.CircleOpt{Cfg: coCfg, InitIterations: 10}).Optimize(sim, target).Shots
 		},
 	}
-	res, err := flow.Run(l, cfg)
+	res, err := flow.RunContext(context.Background(), l, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

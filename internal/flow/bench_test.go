@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -32,7 +33,7 @@ func BenchmarkFlowRunStreaming(b *testing.B) {
 	l := layoutkit.GenerateRandom(7, layoutkit.RandomConfig{Features: 16, MarginNM: 128})
 	cfg := benchFlowConfig(l, gridN)
 	// Warm the kernel cache outside the timed region.
-	if _, err := Run(l, cfg); err != nil {
+	if _, err := RunContext(context.Background(), l, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -40,7 +41,7 @@ func BenchmarkFlowRunStreaming(b *testing.B) {
 	var peak int64
 	tiles := 1
 	for i := 0; i < b.N; i++ {
-		res, err := Run(l, cfg)
+		res, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,13 +67,13 @@ func BenchmarkFlowTransport(b *testing.B) {
 		{"subprocess", procConfig(b)},
 		{"tcp", netConfig(b, startHost(b, false).addr)},
 	}
-	ref, err := Run(l, legs[0].cfg)
+	ref, err := RunContext(context.Background(), l, legs[0].cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, leg := range legs {
 		b.Run(leg.name, func(b *testing.B) {
-			res, err := Run(l, leg.cfg)
+			res, err := RunContext(context.Background(), l, leg.cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func BenchmarkFlowTransport(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(l, leg.cfg); err != nil {
+				if _, err := RunContext(context.Background(), l, leg.cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,17 +14,12 @@ import (
 	"cfaopc/internal/wcache"
 )
 
-// windowKey builds tile j's canonical cache key over the rasterized
-// target. The prefix is the run's config fingerprint — the same
-// machinery that binds checkpoint journals, minus the layout terms, so
-// identical windows collide across layouts and across runs.
-func (env *runEnv) windowKey(j tileJob, target *grid.Real) wcache.Key {
-	ox, oy := j.origin(env.cfg.HaloPx)
-	ls := env.ix.WindowSpans(ox, oy, target.W, target.H)
-	spans := make([]wcache.Span, len(ls))
-	for i, s := range ls {
-		spans[i] = wcache.Span(s)
-	}
+// windowKey builds a window's canonical cache key over its target raster
+// and its window-local spans (the list runTile painted the target from).
+// The prefix is the run's config fingerprint — the same machinery that
+// binds checkpoint journals, minus the layout terms, so identical windows
+// collide across layouts and across runs.
+func (env *runEnv) windowKey(target *grid.Real, spans []wcache.Span) wcache.Key {
 	return wcache.WindowKey(env.keyPrefix, wcache.WindowDesc{
 		W: target.W, H: target.H, Raster: target.Data, Spans: spans,
 		CoreX: env.cfg.HaloPx, CoreY: env.cfg.HaloPx, CoreW: env.cfg.CorePx, CoreH: env.cfg.CorePx,
@@ -38,18 +33,16 @@ func (env *runEnv) windowKey(j tileJob, target *grid.Real) wcache.Key {
 // twin's attempt record (path, attempts, iters, loss) so run-level
 // counters stay self-consistent. On a miss the computed key is left on
 // the stat so the eventual result can be stored.
-func (env *runEnv) tryCache(j tileJob, target *grid.Real, out *tileOut) bool {
+func (env *runEnv) tryCache(j tileJob, target *grid.Real, spans []wcache.Span, out *tileOut) bool {
 	if env.cfg.Cache == nil {
 		return false
 	}
-	key := env.windowKey(j, target)
+	key := env.windowKey(target, spans)
 	out.stat.CacheKey = string(key)
 	e, ok := env.cfg.Cache.Get(key)
 	if !ok {
-		env.cacheMisses.Add(1)
 		return false
 	}
-	env.cacheHits.Add(1)
 	ox, oy := j.origin(env.cfg.HaloPx)
 	out.shots = ownedShots(e.Shots, ox, oy, j.cx, j.cy, env.cfg.CorePx)
 	out.stat.CacheHit = true

@@ -57,7 +57,7 @@ func TestCacheDeterminism(t *testing.T) {
 	l := arrayLayout()
 	refCfg := cacheConfig()
 	refCfg.TileWorkers = 1
-	ref, err := Run(l, refCfg)
+	ref, err := RunContext(context.Background(), l, refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCacheDeterminism(t *testing.T) {
 		cfg := cacheConfig()
 		cfg.TileWorkers = 1
 		cfg.Cache = cache
-		cold, err := Run(l, cfg)
+		cold, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestCacheDeterminism(t *testing.T) {
 		cfg = cacheConfig()
 		cfg.TileWorkers = 1
 		cfg.Cache = cache
-		warm, err := Run(l, cfg)
+		warm, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestCacheDeterminism(t *testing.T) {
 		cfg := cacheConfig()
 		cfg.TileWorkers = workers
 		cfg.Cache = mustCache(t, wcache.Config{})
-		res, err := Run(l, cfg)
+		res, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestCacheDeterminism(t *testing.T) {
 		cfg.ProcWorkers = procs
 		cfg.WorkerCmd = testWorkerCmd(t)
 		cfg.Cache = mustCache(t, wcache.Config{})
-		res, err := Run(l, cfg)
+		res, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestCacheDeterminism(t *testing.T) {
 		cfg := cacheConfig()
 		cfg.TileWorkers = 1
 		cfg.Cache = first
-		if _, err := Run(l, cfg); err != nil {
+		if _, err := RunContext(context.Background(), l, cfg); err != nil {
 			t.Fatal(err)
 		}
 		if s := first.Stats(); s.Puts != 1 || s.DiskErrs != 0 {
@@ -177,7 +177,7 @@ func TestCacheDeterminism(t *testing.T) {
 		cfg = cacheConfig()
 		cfg.TileWorkers = 1
 		cfg.Cache = second
-		res, err := Run(l, cfg)
+		res, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestCacheMatrix(t *testing.T) {
 	l := arrayLayout()
 	refCfg := cacheConfig()
 	refCfg.TileWorkers = 1
-	ref, err := Run(l, refCfg)
+	ref, err := RunContext(context.Background(), l, refCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestCacheMatrix(t *testing.T) {
 				}
 				cfg := mk()
 				cfg.Cache = cache
-				cold, err := Run(l, cfg)
+				cold, err := RunContext(context.Background(), l, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -259,7 +259,7 @@ func TestCacheMatrix(t *testing.T) {
 				}
 				cfg = mk()
 				cfg.Cache = cache
-				warm, err := Run(l, cfg)
+				warm, err := RunContext(context.Background(), l, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -289,7 +289,7 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 		cfg.TileWorkers = 1
 		return withFaults(cfg, plan)
 	}
-	ref, err := Run(l, mk())
+	ref, err := RunContext(context.Background(), l, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wcache")
 	cfg := mk()
 	cfg.Cache = mustCache(t, wcache.Config{Dir: dir})
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 	cfg = mk()
 	cfg.Cache = mustCache(t, wcache.Config{Dir: dir})
 	cfg.CheckpointPath = ckpt
-	res2, err := Run(l, cfg)
+	res2, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func TestCacheFaultDeterminismAndResume(t *testing.T) {
 // wrong tile — and the healed entry serves the next run.
 func TestCacheCorruptDiskEntryDegradesToMiss(t *testing.T) {
 	l := arrayLayout()
-	ref, err := Run(l, func() Config { cfg := cacheConfig(); cfg.TileWorkers = 1; return cfg }())
+	ref, err := RunContext(context.Background(), l, func() Config { cfg := cacheConfig(); cfg.TileWorkers = 1; return cfg }())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestCacheCorruptDiskEntryDegradesToMiss(t *testing.T) {
 			cfg := cacheConfig()
 			cfg.TileWorkers = 1
 			cfg.Cache = mustCache(t, wcache.Config{Dir: dir})
-			if _, err := Run(l, cfg); err != nil {
+			if _, err := RunContext(context.Background(), l, cfg); err != nil {
 				t.Fatal(err)
 			}
 			entries, err := filepath.Glob(filepath.Join(dir, "*.wce"))
@@ -411,7 +411,7 @@ func TestCacheCorruptDiskEntryDegradesToMiss(t *testing.T) {
 			cfg = cacheConfig()
 			cfg.TileWorkers = 1
 			cfg.Cache = cache
-			res, err := Run(l, cfg)
+			res, err := RunContext(context.Background(), l, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -429,7 +429,7 @@ func TestCacheCorruptDiskEntryDegradesToMiss(t *testing.T) {
 			cfg = cacheConfig()
 			cfg.TileWorkers = 1
 			cfg.Cache = healed
-			res2, err := Run(l, cfg)
+			res2, err := RunContext(context.Background(), l, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

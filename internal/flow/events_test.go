@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -48,7 +49,7 @@ func TestEventsStream(t *testing.T) {
 	l := bigLayout()
 	cfg := testConfig()
 	cfg.Optimize = circleOptimizer(2)
-	ref, err := Run(l, cfg)
+	ref, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestEventsStream(t *testing.T) {
 	var log eventLog
 	cfg.Events = log.sink()
 	cfg.TileWorkers = 4
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +114,13 @@ func TestEventsResumedTiles(t *testing.T) {
 	cfg := testConfig()
 	cfg.Optimize = circleOptimizer(2)
 	cfg.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-	if _, err := Run(l, cfg); err != nil {
+	if _, err := RunContext(context.Background(), l, cfg); err != nil {
 		t.Fatal(err)
 	}
 
 	var log eventLog
 	cfg.Events = log.sink()
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func TestTileTimeoutRetries(t *testing.T) {
 	cfg.Optimize = InjectFaults(ruleFallback(), FaultPlan{
 		0: {{Sleep: time.Minute}},
 	})
-	res, err := Run(bigLayout(), cfg)
+	res, err := RunContext(context.Background(), bigLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestTimedOutAttemptStopsComputing(t *testing.T) {
 	}
 	occupied := func(cfg Config) TileStat {
 		t.Helper()
-		res, err := Run(l, cfg)
+		res, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestPanicRetryNaNFallbackEmpty(t *testing.T) {
 		1: {{NaN: true}, {NaN: true}},
 		3: {{NaN: true}, {Panic: true}},
 	})
-	res, err := Run(quadLayout(), cfg)
+	res, err := RunContext(context.Background(), quadLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestBadRadiusValidation(t *testing.T) {
 	cfg.Optimize = InjectFaults(cfg.Optimize, FaultPlan{
 		0: {{BadRadius: true}},
 	})
-	res, err := Run(bigLayout(), cfg)
+	res, err := RunContext(context.Background(), bigLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 	}
 
 	// Reference: uninterrupted faulted run, no checkpoint.
-	ref, err := Run(l, mkCfg())
+	ref, err := RunContext(context.Background(), l, mkCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 	// Resume with the plain faulted optimizer.
 	cfg = mkCfg()
 	cfg.CheckpointPath = ckpt
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestFaultDeterminismAndResume(t *testing.T) {
 	// A third run replays everything and recomputes nothing.
 	cfg = mkCfg()
 	cfg.CheckpointPath = ckpt
-	res2, err := Run(l, cfg)
+	res2, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,11 +463,11 @@ func TestCheckpointConfigMismatch(t *testing.T) {
 	cfg := faultConfig()
 	cfg.Optimize = ruleFallback() // journal binding is what's under test, keep tiles cheap
 	cfg.CheckpointPath = ckpt
-	if _, err := Run(l, cfg); err != nil {
+	if _, err := RunContext(context.Background(), l, cfg); err != nil {
 		t.Fatal(err)
 	}
 	cfg.CorePx = 64 // different tiling, same journal
-	if _, err := Run(l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
+	if _, err := RunContext(context.Background(), l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
 		t.Fatalf("err = %v, want ErrHeaderMismatch", err)
 	}
 }

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -72,7 +73,7 @@ func faultDeadline(t *testing.T) time.Duration {
 	t.Helper()
 	cfg := faultConfig()
 	cfg.Optimize = ruleFallback()
-	res, err := Run(quadLayout(), cfg)
+	res, err := RunContext(context.Background(), quadLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func runFaultMatrixCase(t *testing.T, kind string, workers int, cacheMode string
 
 	run := func() *Result {
 		t.Helper()
-		res, err := Run(quadLayout(), mkCfg())
+		res, err := RunContext(context.Background(), quadLayout(), mkCfg())
 		if err != nil {
 			t.Fatal(err)
 		}

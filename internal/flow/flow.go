@@ -14,8 +14,8 @@
 // Peak flow memory scales with the window size and worker count, not
 // GridN² (Result.PeakBytes makes that observable).
 //
-// Windows are independent, so Run distributes them over a bounded pool of
-// tile workers (Config.TileWorkers), each owning a private
+// Windows are independent, so RunContext distributes them over a bounded
+// pool of tile workers (Config.TileWorkers), each owning a private
 // litho.Simulator. Kernel sets are shared read-only through the optics
 // cache, so per-worker simulator construction is cheap. Per-tile results
 // are collected into a slice indexed by row-major tile order and reduced
@@ -446,11 +446,6 @@ type runEnv struct {
 	ix        *layout.WindowIndex
 	journal   *tileJournal // nil without a checkpoint
 
-	quarDropped atomic.Int64 // bundles lost to storage faults
-
-	cacheHits   atomic.Int64
-	cacheMisses atomic.Int64
-
 	// onBeat, when non-nil, observes every optimizer heartbeat in
 	// addition to the per-attempt stall timer — a worker forwards
 	// them to its supervisor as liveness frames.
@@ -463,9 +458,9 @@ type runEnv struct {
 	dispatch int
 
 	quarMu sync.Mutex // serializes bundle saves
-	// Failed dispatches and breaker openings across every worker slot.
-	linkCrashes atomic.Int64
-	linkBroken  atomic.Int64
+	// Breaker openings across every worker slot: an episode belongs to
+	// the slot, not to the tile that tripped it.
+	linkBroken atomic.Int64
 }
 
 // validateTile rejects optimizer output that would poison the stitched
@@ -652,15 +647,16 @@ func capString(s string, n int) string {
 type executor func(ctx context.Context, j tileJob, target *grid.Real, out *tileOut)
 
 // runTile takes one window through raster → cache lookup → execute →
-// cache store, the same pipeline in every dispatch mode. The window
-// target is rasterized on demand from the layout's span index — the
-// streaming path; no full-grid raster exists anywhere — into target, the
-// calling lane's one window raster: it holds this tile's pixels until
-// the lane's next runTile, so whatever wants them longer (a bundle, a
-// task on the wire) copies them. A tile degrades through retry →
-// fallback → empty instead of failing the run; when ctx is canceled it
-// is abandoned (stat.Path stays empty) and RunContext turns that into
-// ctx.Err() for the whole run.
+// cache store, the same pipeline in every dispatch mode. The window's
+// span list is read once from the layout's span index — the streaming
+// path; no full-grid raster exists anywhere — and is both painted into
+// target and hashed into the cache key. target is the calling lane's one
+// window raster: it holds this tile's pixels until the lane's next
+// runTile, so whatever wants them longer (a bundle, a task on the wire)
+// copies them. A tile degrades through retry → fallback → empty instead
+// of failing the run; when ctx is canceled it is abandoned (stat.Path
+// stays empty) and RunContext turns that into ctx.Err() for the whole
+// run.
 func (env *runEnv) runTile(ctx context.Context, exec executor, target *grid.Real, j tileJob) (out tileOut) {
 	start := time.Now()
 	out = tileOut{stat: j.stat(env.cfg)}
@@ -668,13 +664,14 @@ func (env *runEnv) runTile(ctx context.Context, exec executor, target *grid.Real
 	// after the return value was already copied out.
 	defer func() { out.stat.Wall = time.Since(start) }()
 	ox, oy := j.origin(env.cfg.HaloPx)
-	occupied := env.ix.WindowInto(target, ox, oy)
+	spans := env.ix.WindowSpans(ox, oy, target.W, target.H)
+	occupied := layout.Paint(target, spans)
 	out.stat.Occupied = occupied
 	out.stat.RasterWall = time.Since(start)
 	if !occupied {
 		return out
 	}
-	if env.tryCache(j, target, &out) {
+	if env.tryCache(j, target, spans, &out) {
 		return out
 	}
 	exec(ctx, j, target, &out)
@@ -710,27 +707,34 @@ func (env *runEnv) fold(j tileJob, target *grid.Real, shots []geom.Circle, path 
 }
 
 // saveQuarantine writes the repro bundle for a tile that degraded to
-// empty. Saves are serialized under quarMu.
+// empty, with the layout rects that overlap its window: a scan of every
+// rect, paid only by a bundle that goes to disk. Saves are serialized
+// under quarMu.
 func (env *runEnv) saveQuarantine(j tileJob, target *grid.Real, outcomes []AttemptOutcome, st *TileStat) {
 	cfg := env.cfg
 	if cfg.QuarantineDir == "" {
 		return
 	}
+	b := env.buildBundle(j, target, outcomes)
+	if env.lay != nil {
+		ox, oy := j.origin(cfg.HaloPx)
+		b.Rects = overlapRects(env.lay, cfg.GridN, ox, oy, cfg.window())
+	}
 	env.quarMu.Lock()
 	defer env.quarMu.Unlock()
-	bpath, err := quarantine.SaveFS(cfg.FS, cfg.QuarantineDir, env.buildBundle(j, target, outcomes))
+	bpath, err := quarantine.SaveFS(cfg.FS, cfg.QuarantineDir, b)
 	if err != nil {
 		// Losing the bundle loses forensics, never the tile: the empty
-		// result is already folded in, so the run continues and the drop
-		// is counted.
-		env.quarDropped.Add(1)
+		// result is already folded in, so the run continues, and reduce
+		// counts the drop from the bundle-less stat.
 		return
 	}
 	st.Bundle = bpath
 }
 
-// buildBundle assembles the self-contained repro artifact for a tile
-// that exhausted every engine.
+// buildBundle assembles a tile's bundle: its target, the config and the
+// attempts, everything a worker needs to run the tile and a replay needs
+// to reproduce it. Only saveQuarantine adds the layout rects.
 func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptOutcome) *quarantine.Bundle {
 	cfg := env.cfg
 	ox, oy := j.origin(cfg.HaloPx)
@@ -759,7 +763,6 @@ func (env *runEnv) buildBundle(j tileJob, target *grid.Real, outcomes []AttemptO
 	if env.lay != nil {
 		b.LayoutName = env.lay.Name
 		b.TileNM = env.lay.TileNM
-		b.Rects = overlapRects(env.lay, cfg.GridN, ox, oy, cfg.window())
 	}
 	for _, o := range outcomes {
 		b.Attempts = append(b.Attempts, quarantine.Attempt{
@@ -821,12 +824,6 @@ func configFingerprint(cfg Config, dxNM float64) string {
 	return fmt.Sprintf("cfaopc-cfg-v2 %016x", h.Sum64())
 }
 
-// Run tiles the layout and optimizes every window. It is RunContext with
-// a background context.
-func Run(l *layout.Layout, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), l, cfg)
-}
-
 // validate rejects configurations RunContext cannot run.
 func (cfg Config) validate() error {
 	switch {
@@ -861,12 +858,12 @@ func (cfg Config) validate() error {
 // side.
 func (cfg Config) window() int { return cfg.CorePx + 2*cfg.HaloPx }
 
-// RunContext is Run under a context: cancellation (SIGINT, deadline)
-// stops the worker pool and the in-flight simulations promptly and
-// returns a nil Result with ctx.Err(). Tiles finished before the cancel
-// are journaled and fsynced before it returns, so a canceled run resumes
-// where it stopped even after a crash. It reads validate → plan →
-// replay → execute → reduce.
+// RunContext tiles the layout and optimizes every window under ctx.
+// Cancellation (SIGINT, deadline) stops the worker pool and the
+// in-flight simulations promptly and returns a nil Result with
+// ctx.Err(). Tiles finished before the cancel are journaled and fsynced
+// before it returns, so a canceled run resumes where it stopped even
+// after a crash. It reads validate → plan → replay → execute → reduce.
 func RunContext(ctx context.Context, l *layout.Layout, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -1001,7 +998,9 @@ func (env *runEnv) lanes(conn *connector, jobs int) ([]lane, error) {
 }
 
 // reduce stitches the per-tile outputs in row-major tile order,
-// regardless of completion order, and totals the run's counters.
+// regardless of completion order, and totals the run's counters from the
+// tile stats. Cache lookups, failed dispatches and dropped bundles are
+// this run's, so tiles replayed from the journal add none.
 func (env *runEnv) reduce(outs []tileOut, workers int) *Result {
 	cfg := env.cfg
 	res := &Result{Tiles: len(outs), TileStats: make([]TileStat, 0, len(outs))}
@@ -1025,17 +1024,26 @@ func (env *runEnv) reduce(outs []tileOut, workers int) *Result {
 		if st.Bundle != "" {
 			res.Quarantined++
 		}
+		if st.Resumed {
+			continue
+		}
+		res.LinkCrashes += st.ProcCrashes
+		switch {
+		case st.CacheHit:
+			res.CacheHits++
+		case st.CacheKey != "":
+			res.CacheMisses++
+		}
+		if st.Path == PathEmpty && st.Bundle == "" && cfg.QuarantineDir != "" {
+			res.QuarantineDropped++
+		}
 	}
-	res.LinkCrashes = int(env.linkCrashes.Load())
 	res.LinkBroken = int(env.linkBroken.Load())
-	res.CacheHits = int(env.cacheHits.Load())
-	res.CacheMisses = int(env.cacheMisses.Load())
 	if cfg.Cache != nil {
 		res.CacheBytes = cfg.Cache.Stats().Bytes
 	}
 	res.PeakBytes = PeakBytes(env.ix.Bytes(), workers, cfg.window(), len(res.Shots))
 	res.CheckpointDegraded, res.CheckpointErr = env.journal.degraded()
-	res.QuarantineDropped = int(env.quarDropped.Load())
 	return res
 }
 

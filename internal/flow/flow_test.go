@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -52,18 +53,18 @@ func TestRunValidation(t *testing.T) {
 	l := bigLayout()
 	bad := testConfig()
 	bad.GridN = 0
-	if _, err := Run(l, bad); err == nil {
+	if _, err := RunContext(context.Background(), l, bad); err == nil {
 		t.Error("zero grid accepted")
 	}
 	bad = testConfig()
 	bad.Optimize = nil
-	if _, err := Run(l, bad); err == nil {
+	if _, err := RunContext(context.Background(), l, bad); err == nil {
 		t.Error("nil optimizer accepted")
 	}
 	bad = testConfig()
 	bad.CorePx = 300
 	bad.HaloPx = 100 // window 500 > grid 256
-	if _, err := Run(l, bad); err == nil {
+	if _, err := RunContext(context.Background(), l, bad); err == nil {
 		t.Error("oversized window accepted")
 	}
 }
@@ -71,7 +72,7 @@ func TestRunValidation(t *testing.T) {
 func TestRunStitchesTiles(t *testing.T) {
 	l := bigLayout()
 	cfg := testConfig()
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestRunStitchesTiles(t *testing.T) {
 
 func TestRunEmptyLayout(t *testing.T) {
 	l := &layout.Layout{Name: "empty", TileNM: 1024}
-	res, err := Run(l, testConfig())
+	res, err := RunContext(context.Background(), l, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestRunUnevenCore(t *testing.T) {
 	cfg := testConfig()
 	cfg.CorePx = 96 // 256/96 → 3 tiles per axis, last core partial
 	cfg.HaloPx = 16 // window 128 ≤ grid 256
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestDeterministicAcrossTileWorkers(t *testing.T) {
 	cfg.Optimize = circleOptimizer(iters)
 
 	cfg.TileWorkers = 1
-	serial, err := Run(l, cfg)
+	serial, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestDeterministicAcrossTileWorkers(t *testing.T) {
 	}
 	for _, tw := range workerCounts {
 		cfg.TileWorkers = tw
-		par, err := Run(l, cfg)
+		par, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +354,7 @@ func TestCoreOwnershipNoDuplicates(t *testing.T) {
 		TileNM: 1024,
 		Rects:  []layout.Rect{{X: 460, Y: 400, W: 100, H: 200}}, // spans x=512 seam
 	}
-	res, err := Run(l, testConfig())
+	res, err := RunContext(context.Background(), l, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +380,7 @@ func TestTileStatWall(t *testing.T) {
 	cfg := testConfig()
 	cfg.Optimize = ruleFallback()
 	corner := &layout.Layout{Name: "corner", TileNM: 1024, Rects: []layout.Rect{{X: 100, Y: 100, W: 80, H: 200}}}
-	res, err := Run(corner, cfg)
+	res, err := RunContext(context.Background(), corner, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,7 @@ func TestTileStatWall(t *testing.T) {
 
 	cfg = cacheConfig()
 	cfg.Cache = mustCache(t, wcache.Config{})
-	res, err = Run(arrayLayout(), cfg)
+	res, err = RunContext(context.Background(), arrayLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

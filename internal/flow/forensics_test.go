@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cfaopc/internal/layout"
 	"cfaopc/internal/litho"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
@@ -32,7 +33,7 @@ func TestStallWatchdogKillsWedgedSparesSlow(t *testing.T) {
 		3: {{Sleep: 900 * time.Millisecond, BeatEvery: 50 * time.Millisecond}}, // slow but alive
 	})
 	start := time.Now()
-	res, err := Run(bigLayout(), cfg)
+	res, err := RunContext(context.Background(), bigLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +74,13 @@ func TestStallConfigValidation(t *testing.T) {
 	cfg.Optimize = ruleFallback()
 	cfg.TileTimeout = time.Second
 	cfg.StallTimeout = 2 * time.Second
-	if _, err := Run(bigLayout(), cfg); err == nil || !strings.Contains(err.Error(), "stall timeout") {
+	if _, err := RunContext(context.Background(), bigLayout(), cfg); err == nil || !strings.Contains(err.Error(), "stall timeout") {
 		t.Fatalf("err = %v, want stall-vs-tile timeout rejection", err)
 	}
 	cfg = testConfig()
 	cfg.Optimize = ruleFallback()
 	cfg.StallTimeout = -time.Second
-	if _, err := Run(bigLayout(), cfg); err == nil {
+	if _, err := RunContext(context.Background(), bigLayout(), cfg); err == nil {
 		t.Fatal("negative StallTimeout accepted")
 	}
 }
@@ -128,7 +129,7 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 	cfg.RMinPx = 1
 	cfg.RMaxPx = 40
 
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,6 +198,23 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 	}
 }
 
+// A task on the wire carries no layout rects: the worker never reads
+// them, and finding them scans every rect of the layout, which a
+// dispatch must not pay per tile. Only a bundle saved to disk has them.
+func TestTaskCarriesNoRects(t *testing.T) {
+	l := quadLayout()
+	cfg := testConfig()
+	env := &runEnv{cfg: cfg, lay: l, ix: layout.NewWindowIndex(l, cfg.GridN)}
+	j := planTiles(cfg)[0]
+	target, occupied := env.ix.Window(j.cx-cfg.HaloPx, j.cy-cfg.HaloPx, cfg.window(), cfg.window())
+	if !occupied {
+		t.Fatal("tile 0 of the quad layout is empty")
+	}
+	if task := env.buildTask(j, target, 0); len(task.Bundle.Rects) != 0 {
+		t.Fatalf("task for tile 0 carries %d layout rects", len(task.Bundle.Rects))
+	}
+}
+
 // TestQuarantineWriteFailureDegrades: a quarantine directory that cannot
 // be created loses that tile's forensics — counted in
 // Result.QuarantineDropped — but never the tile or the run.
@@ -211,7 +229,7 @@ func TestQuarantineWriteFailureDegrades(t *testing.T) {
 	cfg.TileRetries = 0
 	cfg.QuarantineDir = filepath.Join(blocker, "sub") // MkdirAll must fail
 
-	res, err := Run(bigLayout(), cfg)
+	res, err := RunContext(context.Background(), bigLayout(), cfg)
 	if err != nil {
 		t.Fatalf("quarantine write failure must not fail the run: %v", err)
 	}

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -110,7 +111,7 @@ func TestRuleTileAllocs(t *testing.T) {
 	cfg := benchFlowConfig(l, gridN)
 	tiles := 0
 	run := func() {
-		res, err := Run(l, cfg)
+		res, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

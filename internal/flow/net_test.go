@@ -180,12 +180,12 @@ func TestNetValidation(t *testing.T) {
 	cfg := netConfig(t, "127.0.0.1:1")
 	cfg.ProcWorkers = 1
 	cfg.WorkerCmd = testWorkerCmd(t)
-	if _, err := Run(l, cfg); err == nil {
+	if _, err := RunContext(context.Background(), l, cfg); err == nil {
 		t.Error("RemoteHosts together with ProcWorkers accepted")
 	}
 	cfg = netConfig(t, "127.0.0.1:1")
 	cfg.Engines = quarantine.EngineMeta{}
-	if _, err := Run(l, cfg); err == nil {
+	if _, err := RunContext(context.Background(), l, cfg); err == nil {
 		t.Error("RemoteHosts without engine metadata accepted")
 	}
 }
@@ -218,7 +218,7 @@ func TestNetAcceptance(t *testing.T) {
 		return withFaults(cfg, plan)
 	}
 
-	ref, err := Run(l, serialRef(mk(plan)))
+	ref, err := RunContext(context.Background(), l, serialRef(mk(plan)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestNetAcceptance(t *testing.T) {
 		t.Fatalf("serial reference recorded remote activity: %+v", ref)
 	}
 
-	res, err := Run(l, mk(plan))
+	res, err := RunContext(context.Background(), l, mk(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestNetAcceptance(t *testing.T) {
 	writeFaultPlan(t, planFile, nil)
 	cfg = mk(nil)
 	cfg.CheckpointPath = ckpt
-	res2, err := Run(l, cfg)
+	res2, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +295,11 @@ func TestNetAcceptance(t *testing.T) {
 		cfg.Engines = quarantine.EngineMeta{Primary: "circle", Iters: 8}
 		return cfg
 	}
-	ref3, err := Run(bigLayout(), serialRef(mk3()))
+	ref3, err := RunContext(context.Background(), bigLayout(), serialRef(mk3()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res3, err := Run(bigLayout(), mk3(p.Addr()))
+	res3, err := RunContext(context.Background(), bigLayout(), mk3(p.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestNetMatrix(t *testing.T) {
 	l := quadLayout()
 	// Network faults never touch the in-process reference, so one serial
 	// run anchors every cell.
-	ref, err := Run(l, serialRef(netConfig(t)))
+	ref, err := RunContext(context.Background(), l, serialRef(netConfig(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestNetMatrix(t *testing.T) {
 				if kind == "stall" {
 					cfg.linkSilence = 250 * time.Millisecond
 				}
-				res, err := Run(l, cfg)
+				res, err := RunContext(context.Background(), l, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -411,7 +411,7 @@ func TestLinkErrNamesTheBadFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(p.Close)
-		res, err := Run(quadLayout(), netConfig(t, p.Addr()))
+		res, err := RunContext(context.Background(), quadLayout(), netConfig(t, p.Addr()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +443,7 @@ func TestNetZeroHostsDegradesLocal(t *testing.T) {
 	l := bigLayout()
 	cfg := netConfig(t, deadAddr(t), deadAddr(t))
 	cfg.linkCrashLimit = 2
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +453,7 @@ func TestNetZeroHostsDegradesLocal(t *testing.T) {
 			t.Errorf("tile %d claims remote/proc provenance: %+v", st.Index, st)
 		}
 	}
-	ref, err := Run(l, serialRef(cfg))
+	ref, err := RunContext(context.Background(), l, serialRef(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func TestOldWorkerRefusedByVersion(t *testing.T) {
 		return coord, nil
 	}
 	start := time.Now()
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +493,7 @@ func TestOldWorkerRefusedByVersion(t *testing.T) {
 			t.Errorf("tile %d was computed by the old worker", st.Index)
 		}
 	}
-	ref, err := Run(l, serialRef(cfg))
+	ref, err := RunContext(context.Background(), l, serialRef(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

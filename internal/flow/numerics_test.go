@@ -67,7 +67,7 @@ func TestNumericsVersionStaleCacheEntryIsMiss(t *testing.T) {
 	l := arrayLayout()
 	cfg := cacheConfig()
 	cfg.TileWorkers = 1
-	ref, err := Run(l, cfg)
+	ref, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,11 @@ func TestNumericsVersionStaleCacheEntryIsMiss(t *testing.T) {
 	env := &runEnv{cfg: cfg, ix: layout.NewWindowIndex(l, cfg.GridN)}
 	j := planTiles(cfg)[0]
 	target, _ := env.ix.Window(j.cx-cfg.HaloPx, j.cy-cfg.HaloPx, cfg.window(), cfg.window())
+	spans := env.ix.WindowSpans(j.cx-cfg.HaloPx, j.cy-cfg.HaloPx, cfg.window(), cfg.window())
 	env.keyPrefix = configFingerprintV1(cfg, dx)
-	staleKey := env.windowKey(j, target)
+	staleKey := env.windowKey(target, spans)
 	env.keyPrefix = configFingerprint(cfg, dx)
-	liveKey := env.windowKey(j, target)
+	liveKey := env.windowKey(target, spans)
 
 	dir := t.TempDir()
 	old := mustCache(t, wcache.Config{Dir: dir})
@@ -93,7 +94,7 @@ func TestNumericsVersionStaleCacheEntryIsMiss(t *testing.T) {
 
 	cache := mustCache(t, wcache.Config{Dir: dir}) // a fresh process over the old directory
 	cfg.Cache = cache
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestNumericsVersionOldJournalFailsHeaderCheck(t *testing.T) {
 	if err := journal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
+	if _, err := RunContext(context.Background(), l, cfg); !errors.Is(err, checkpoint.ErrHeaderMismatch) {
 		t.Fatalf("err = %v, want ErrHeaderMismatch", err)
 	}
 }
@@ -157,7 +158,7 @@ func TestNumericsVersionSkewedWorkerRefused(t *testing.T) {
 		t.Fatalf("handshake err = %v, want a fingerprint-mismatch refusal", err)
 	}
 
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,17 +140,17 @@ func TestProcValidation(t *testing.T) {
 	l := bigLayout()
 	cfg := procConfig(t)
 	cfg.ProcWorkers = -1
-	if _, err := Run(l, cfg); err == nil {
+	if _, err := RunContext(context.Background(), l, cfg); err == nil {
 		t.Error("negative ProcWorkers accepted")
 	}
 	cfg = procConfig(t)
 	cfg.WorkerCmd = nil
-	if _, err := Run(l, cfg); err == nil {
+	if _, err := RunContext(context.Background(), l, cfg); err == nil {
 		t.Error("ProcWorkers without WorkerCmd accepted")
 	}
 	cfg = procConfig(t)
 	cfg.Engines = quarantine.EngineMeta{}
-	if _, err := Run(l, cfg); err == nil {
+	if _, err := RunContext(context.Background(), l, cfg); err == nil {
 		t.Error("ProcWorkers without engine metadata accepted")
 	}
 }
@@ -174,7 +174,7 @@ func TestProcAcceptance(t *testing.T) {
 		return faultedProc(t, cfg, plan)
 	}
 
-	ref, err := Run(l, serialRef(mk()))
+	ref, err := RunContext(context.Background(), l, serialRef(mk()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestProcAcceptance(t *testing.T) {
 		t.Fatalf("serial reference recorded proc activity: %+v", ref)
 	}
 
-	res, err := Run(l, mk())
+	res, err := RunContext(context.Background(), l, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestProcAcceptance(t *testing.T) {
 		cfg.Engines = quarantine.EngineMeta{Primary: "circle", Iters: 8}
 		return cfg
 	}
-	ref2, err := Run(bigLayout(), serialRef(mk2()))
+	ref2, err := RunContext(context.Background(), bigLayout(), serialRef(mk2()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestProcAcceptance(t *testing.T) {
 			worker.Load().Process.Kill()
 		}
 	}
-	res2, err := Run(bigLayout(), cfg)
+	res2, err := RunContext(context.Background(), bigLayout(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,11 +303,11 @@ func TestCrashMatrix(t *testing.T) {
 					cfg.linkCrashLimit = crashLimit
 					return faultedProc(t, cfg, plan)
 				}
-				ref, err := Run(l, serialRef(mk()))
+				ref, err := RunContext(context.Background(), l, serialRef(mk()))
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := Run(l, mk())
+				res, err := RunContext(context.Background(), l, mk())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -330,7 +330,7 @@ func TestWorkerSoftErrorBreaksToFallback(t *testing.T) {
 	cfg := procConfig(t)
 	cfg.Engines.Primary = "bogus" // the worker-side registry rejects it
 	cfg.linkCrashLimit = 2
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestWorkerSoftErrorBreaksToFallback(t *testing.T) {
 			t.Fatalf("tile %d claims a proc result after circuit break", st.Index)
 		}
 	}
-	ref, err := Run(l, serialRef(cfg))
+	ref, err := RunContext(context.Background(), l, serialRef(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,14 +358,14 @@ func TestWorkerSpawnFailureBreaks(t *testing.T) {
 	cfg.linkCrashLimit = 2
 	missing := filepath.Join(t.TempDir(), "no-such-worker")
 	cfg.WorkerCmd = func() *exec.Cmd { return exec.Command(missing) }
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LinkCrashes != 2 || res.LinkBroken != 1 {
 		t.Fatalf("crashes=%d broken=%d, want 2/1", res.LinkCrashes, res.LinkBroken)
 	}
-	ref, err := Run(l, serialRef(cfg))
+	ref, err := RunContext(context.Background(), l, serialRef(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,14 +383,14 @@ func TestNonWorkerBinarySilenceBreaks(t *testing.T) {
 	cfg.linkCrashLimit = 2
 	cfg.linkSilence = 150 * time.Millisecond
 	cfg.WorkerCmd = func() *exec.Cmd { return exec.Command("sleep", "60") }
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.LinkCrashes != 2 || res.LinkBroken != 1 {
 		t.Fatalf("crashes=%d broken=%d, want 2/1", res.LinkCrashes, res.LinkBroken)
 	}
-	ref, err := Run(l, serialRef(cfg))
+	ref, err := RunContext(context.Background(), l, serialRef(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func testCancelResume(t *testing.T, proc bool) {
 	if proc {
 		crash[0] = []Fault{{Kill: 1}}
 	}
-	ref, err := Run(l, serialRef(mk(crash)))
+	ref, err := RunContext(context.Background(), l, serialRef(mk(crash)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func testCancelResume(t *testing.T, proc bool) {
 
 	cfg = mk(crash)
 	cfg.CheckpointPath = ckpt
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

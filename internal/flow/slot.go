@@ -119,8 +119,8 @@ func (env *runEnv) newSlot(id int, host string, conn *connector, local executor)
 
 // execute is the slot's executor: dispatch the rasterized tile until a
 // reply lands or the breaker opens, then fall back to the in-process
-// ladder. Every failed dispatch is counted on the tile and the run, and
-// the last one's reason is kept on the tile.
+// ladder. Every failed dispatch is counted on the tile (reduce totals
+// them for the run), and the last one's reason is kept on the tile.
 func (s *slot) execute(ctx context.Context, j tileJob, target *grid.Real, out *tileOut) {
 	env := s.env
 	dispatch := 0
@@ -139,7 +139,6 @@ func (s *slot) execute(ctx context.Context, j tileJob, target *grid.Real, out *t
 		}
 		dispatch++
 		out.stat.LinkErr = capString(err.Error(), maxAttemptErrBytes)
-		env.linkCrashes.Add(1)
 		if s.breaker.Failure() {
 			// The breaker opened: a new degradation episode. Terminal
 			// for subprocess slots; remote slots re-probe after the
@@ -182,10 +181,10 @@ func (s *slot) dispatch(ctx context.Context, j tileJob, target *grid.Real, dispa
 }
 
 // buildTask encodes one window as a procpool task. The quarantine
-// bundle schema doubles as the wire protocol — the payload is exactly
-// what a repro bundle holds, minus the attempt history a not-yet-run
-// tile does not have — plus the redispatch counter (published on
-// TileInfo).
+// bundle schema doubles as the wire protocol — the payload is what a
+// repro bundle holds, minus the attempt history a not-yet-run tile does
+// not have and the layout rects a worker never reads — plus the
+// redispatch counter (published on TileInfo).
 func (env *runEnv) buildTask(j tileJob, target *grid.Real, dispatch int) *procpool.Task {
 	return &procpool.Task{
 		Bundle:   *env.buildBundle(j, target, nil),

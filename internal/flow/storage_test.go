@@ -36,7 +36,7 @@ func storageConfig() Config {
 // shots, CheckpointDegraded set — instead of failing it.
 func TestCheckpointAppendFailureDegrades(t *testing.T) {
 	l := quadLayout()
-	ref, err := Run(l, storageConfig())
+	ref, err := RunContext(context.Background(), l, storageConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCheckpointAppendFailureDegrades(t *testing.T) {
 	// Admit the journal birth (magic + header ≈ tens of bytes) and the
 	// first tile record, then run dry.
 	cfg.FS = faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: 600})
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatalf("checkpoint ENOSPC must degrade, not fail: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestCheckpointAppendFailureDegrades(t *testing.T) {
 	}
 	// The torn journal must still open cleanly for the next run: every
 	// record before the fault replays, the torn tail is dropped.
-	res2, err := Run(l, mustCkptConfig(t, cfg.CheckpointPath))
+	res2, err := RunContext(context.Background(), l, mustCkptConfig(t, cfg.CheckpointPath))
 	if err != nil {
 		t.Fatalf("resume after degraded run: %v", err)
 	}
@@ -80,7 +80,7 @@ func mustCkptConfig(t *testing.T, path string) Config {
 // reference.
 func TestStorageDegradeNeverFailsRun(t *testing.T) {
 	l := quadLayout()
-	ref, err := Run(l, storageConfig())
+	ref, err := RunContext(context.Background(), l, storageConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestStorageDegradeNeverFailsRun(t *testing.T) {
 			}
 			cfg := storageConfig()
 			cfg.Cache = cache
-			res, err := Run(l, cfg)
+			res, err := RunContext(context.Background(), l, cfg)
 			if err != nil {
 				t.Fatalf("wcache %s fault failed the run: %v", kind, err)
 			}
@@ -133,7 +133,7 @@ func TestStorageDegradeNeverFailsRun(t *testing.T) {
 			cfg.QuarantineDir = qdir
 			cfg = withFaults(cfg, FaultPlan{0: {{Panic: true}}})
 			cfg.FS = faultfs.NewFaultFS(nil, plan)
-			res, err := Run(l, cfg)
+			res, err := RunContext(context.Background(), l, cfg)
 			if err != nil {
 				t.Fatalf("quarantine %s fault failed the run: %v", kind, err)
 			}
@@ -213,7 +213,7 @@ func TestCanceledRunSyncsJournal(t *testing.T) {
 // explicit typed error — never corruption, never divergence.
 func TestCrashConsistency(t *testing.T) {
 	l := quadLayout()
-	ref, err := Run(l, storageConfig())
+	ref, err := RunContext(context.Background(), l, storageConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCrashConsistency(t *testing.T) {
 	cfg := storageConfig()
 	cfg.FS = rec
 	cfg.CheckpointPath = filepath.Join(root, "flow.ckpt")
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestCrashConsistency(t *testing.T) {
 		t.Helper()
 		cfg := storageConfig()
 		cfg.CheckpointPath = filepath.Join(dir, "flow.ckpt")
-		res, err := Run(l, cfg)
+		res, err := RunContext(context.Background(), l, cfg)
 		if err != nil {
 			// A crash prefix may leave any valid-or-torn journal state;
 			// the only acceptable failures are the typed ones recovery

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"context"
 	"testing"
 
 	"cfaopc/internal/fracture"
@@ -115,7 +116,7 @@ func TestStreamingEquivalenceFullGrid(t *testing.T) {
 				t.Fatal("reference run produced no shots")
 			}
 			for _, workers := range []int{1, 8} {
-				res, err := Run(l, mk(workers))
+				res, err := RunContext(context.Background(), l, mk(workers))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +150,7 @@ func TestStreamingDropsDenseMask(t *testing.T) {
 		KOpt:     2,
 		Optimize: fixedRuleOptimizer(float64(l.TileNM) / gridN),
 	}
-	res, err := Run(l, cfg)
+	res, err := RunContext(context.Background(), l, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

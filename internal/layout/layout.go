@@ -3,6 +3,12 @@
 // simulation grids, and a deterministic generator that synthesizes an
 // ICCAD-2013-like benchmark suite whose per-case polygon areas match the
 // paper's Table 2 exactly.
+//
+// Every raster is painted from pixel spans by one painter, Paint. A
+// window of a large layout is one span list: WindowIndex.WindowSpans,
+// the only reader of the index's row bands, returns it clipped and
+// window-local, and Window, Occupancy and the tiled flow's rasterize
+// and cache key all start from that list.
 package layout
 
 import (
@@ -131,14 +137,14 @@ func (l *Layout) Rasterize(n int) *grid.Real {
 	if n <= 0 {
 		panic(fmt.Sprintf("layout: invalid grid size %d", n))
 	}
-	m := grid.NewReal(n, n)
+	var spans []Span
 	for _, r := range l.Rects {
-		s, ok := l.span(r, n)
-		if !ok {
-			continue
+		if s, ok := l.span(r, n); ok {
+			spans = append(spans, s)
 		}
-		fillSpan(m, s, 0, 0)
 	}
+	m := grid.NewReal(n, n)
+	Paint(m, spans)
 	return m
 }
 

@@ -8,18 +8,22 @@ import (
 	"cfaopc/internal/grid"
 )
 
-// pxSpan is one rectangle's half-open pixel footprint [X0, X1) × [Y0, Y1)
-// on an n×n grid, clipped to the grid, in the same pixel-center
-// convention Rasterize uses.
-type pxSpan struct{ X0, X1, Y0, Y1 int }
+// Span is one rectangle's half-open pixel footprint [X0, X1) × [Y0, Y1),
+// in the same pixel-center convention Rasterize uses. The index holds
+// spans in full-grid coordinates; WindowSpans hands them out clipped and
+// translated into window-local ones, the canonical geometry the window
+// dedup cache hashes alongside the target raster: two windows over
+// pixel-identical content produce identical span lists regardless of
+// where they sit on the full grid.
+type Span struct{ X0, X1, Y0, Y1 int }
 
-// span computes r's clipped pixel span with exactly the arithmetic
-// Rasterize uses, so a window rasterized from spans can never drift from
-// the full-grid raster by even one pixel. ok is false when the clipped
-// span is empty.
-func (l *Layout) span(r Rect, n int) (pxSpan, bool) {
+// span computes r's pixel span on an n×n grid, clipped to the grid. Every
+// raster and span list of the layout comes from this arithmetic, so a
+// window can never drift from the full-grid raster by even one pixel. ok
+// is false when the clipped span is empty.
+func (l *Layout) span(r Rect, n int) (Span, bool) {
 	dx := float64(l.TileNM) / float64(n)
-	s := pxSpan{
+	s := Span{
 		X0: max(int(ceilDiv(float64(r.X), dx)), 0),
 		X1: min(int(ceilDiv(float64(r.X+r.W), dx)), n),
 		Y0: max(int(ceilDiv(float64(r.Y), dx)), 0),
@@ -28,23 +32,21 @@ func (l *Layout) span(r Rect, n int) (pxSpan, bool) {
 	return s, s.X0 < s.X1 && s.Y0 < s.Y1
 }
 
-// fillSpan paints the intersection of span s (full-grid pixel
-// coordinates) with the w×h window at origin (x0, y0) and reports
-// whether any pixel was painted. Painting is idempotent (pixels go to 1),
-// so overlapping spans compose safely.
-func fillSpan(m *grid.Real, s pxSpan, x0, y0 int) bool {
-	cx0, cx1 := max(s.X0-x0, 0), min(s.X1-x0, m.W)
-	cy0, cy1 := max(s.Y0-y0, 0), min(s.Y1-y0, m.H)
-	if cx0 >= cx1 || cy0 >= cy1 {
-		return false
-	}
-	for y := cy0; y < cy1; y++ {
-		row := m.Data[y*m.W : y*m.W+m.W]
-		for x := cx0; x < cx1; x++ {
-			row[x] = 1
+// Paint clears dst, sets every pixel of spans to 1 and reports whether
+// it painted any. The spans must be non-empty and lie inside dst, as
+// WindowSpans returns them; overlapping spans compose, since painting is
+// idempotent.
+func Paint(dst *grid.Real, spans []Span) bool {
+	clear(dst.Data)
+	for _, s := range spans {
+		for y := s.Y0; y < s.Y1; y++ {
+			row := dst.Data[y*dst.W+s.X0 : y*dst.W+s.X1]
+			for x := range row {
+				row[x] = 1
+			}
 		}
 	}
-	return true
+	return len(spans) > 0
 }
 
 // indexBandRows is the row-bucket granularity of WindowIndex. Buckets
@@ -60,7 +62,7 @@ const indexBandRows = 64
 type WindowIndex struct {
 	n        int
 	bandRows int
-	bands    [][]pxSpan
+	bands    [][]Span
 	spans    int // total bucketed span entries, for memory accounting
 }
 
@@ -71,7 +73,7 @@ func NewWindowIndex(l *Layout, n int) *WindowIndex {
 	}
 	ix := &WindowIndex{n: n, bandRows: indexBandRows}
 	nb := (n + ix.bandRows - 1) / ix.bandRows
-	ix.bands = make([][]pxSpan, nb)
+	ix.bands = make([][]Span, nb)
 	for _, r := range l.Rects {
 		s, ok := l.span(r, n)
 		if !ok {
@@ -92,42 +94,19 @@ func (ix *WindowIndex) Bytes() int64 {
 }
 
 // Occupancy returns the number of foreground pixels the w×h window at
-// origin (x0, y0) would contain, without allocating the raster. For a
-// validated layout (non-overlapping rects) the count is exact: the
-// center-sample convention maps disjoint rects to disjoint pixel spans,
-// so summing clipped span areas never double-counts. It agrees with
-// Window — occupancy zero if and only if Window reports unoccupied — and
-// is what the benchmark's probes pick their densest window by.
+// origin (x0, y0) would contain, without allocating the raster: the
+// summed areas of its WindowSpans. For a validated layout (non-overlapping
+// rects) the count is exact: the center-sample convention maps disjoint
+// rects to disjoint pixel spans, so the sum never double-counts. It is
+// zero if and only if Window reports unoccupied, and is what the
+// benchmark's probes pick their densest window by.
 func (ix *WindowIndex) Occupancy(x0, y0, w, h int) int {
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("layout: invalid window %dx%d", w, h))
-	}
-	gy0, gy1 := max(y0, 0), min(y0+h, ix.n)
-	if gy0 >= gy1 {
-		return 0
-	}
 	total := 0
-	for b := gy0 / ix.bandRows; b <= (gy1-1)/ix.bandRows; b++ {
-		lo, hi := b*ix.bandRows, (b+1)*ix.bandRows
-		for _, s := range ix.bands[b] {
-			// Clip rows to the bucket (spans repeat across buckets),
-			// then to the window, then columns to the window ∩ grid.
-			s.Y0, s.Y1 = max(s.Y0, lo, y0), min(s.Y1, hi, y0+h)
-			s.X0, s.X1 = max(s.X0, x0), min(s.X1, x0+w)
-			if s.X0 < s.X1 && s.Y0 < s.Y1 {
-				total += (s.X1 - s.X0) * (s.Y1 - s.Y0)
-			}
-		}
+	for _, s := range ix.WindowSpans(x0, y0, w, h) {
+		total += (s.X1 - s.X0) * (s.Y1 - s.Y0)
 	}
 	return total
 }
-
-// Span is one owning rectangle's half-open pixel footprint
-// [X0, X1) × [Y0, Y1) translated into window-local coordinates. It is
-// the canonical geometry the window dedup cache hashes alongside the
-// target raster: two windows over pixel-identical content produce
-// identical span lists regardless of where they sit on the full grid.
-type Span struct{ X0, X1, Y0, Y1 int }
 
 // WindowSpans returns the canonical window-local footprint of every
 // indexed rect that overlaps the w×h window at (x0, y0): clipped to the
@@ -163,38 +142,12 @@ func (ix *WindowIndex) WindowSpans(x0, y0, w, h int) []Span {
 	return slices.Compact(out)
 }
 
-// Window rasterizes the w×h window at origin (x0, y0) using the span
-// index. The result is byte-identical to extracting the same window out
-// of Rasterize(n); the origin may be negative and the window may
+// Window rasterizes the w×h window at origin (x0, y0) from its
+// WindowSpans. The result is byte-identical to extracting the same window
+// out of Rasterize(n); the origin may be negative and the window may
 // overhang the grid.
 func (ix *WindowIndex) Window(x0, y0, w, h int) (*grid.Real, bool) {
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("layout: invalid window %dx%d", w, h))
-	}
+	spans := ix.WindowSpans(x0, y0, w, h)
 	m := grid.NewReal(w, h)
-	return m, ix.WindowInto(m, x0, y0)
-}
-
-// WindowInto is Window into a raster the caller owns: whatever dst held
-// is cleared, then the dst.W×dst.H window at origin (x0, y0) is painted.
-// A caller that walks window after window reuses one raster for all.
-func (ix *WindowIndex) WindowInto(dst *grid.Real, x0, y0 int) bool {
-	clear(dst.Data)
-	gy0, gy1 := max(y0, 0), min(y0+dst.H, ix.n)
-	if gy0 >= gy1 {
-		return false
-	}
-	occupied := false
-	for b := gy0 / ix.bandRows; b <= (gy1-1)/ix.bandRows; b++ {
-		lo, hi := b*ix.bandRows, (b+1)*ix.bandRows
-		for _, s := range ix.bands[b] {
-			// Clip the span's rows to this bucket so a span listed in
-			// several buckets paints each of its pixels exactly once.
-			s.Y0, s.Y1 = max(s.Y0, lo), min(s.Y1, hi)
-			if fillSpan(dst, s, x0, y0) {
-				occupied = true
-			}
-		}
-	}
-	return occupied
+	return m, Paint(m, spans)
 }

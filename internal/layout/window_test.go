@@ -58,15 +58,16 @@ func checkWindow(t *testing.T, l *layout.Layout, ix *layout.WindowIndex, full *g
 	}
 	dirty := grid.NewReal(w, h)
 	gridkit.Fill(dirty, 7)
-	if occ := ix.WindowInto(dirty, x0, y0); occ != wantOcc || !slices.Equal(dirty.Data, wantGrid.Data) {
-		t.Fatalf("WindowIndex.WindowInto(%d, %d) on a dirty %dx%d raster: occupied = %v, want %v and the fresh window's pixels", x0, y0, w, h, occ, wantOcc)
+	if occ := layout.Paint(dirty, ix.WindowSpans(x0, y0, w, h)); occ != wantOcc || !slices.Equal(dirty.Data, wantGrid.Data) {
+		t.Fatalf("Paint of WindowSpans(%d, %d) on a dirty %dx%d raster: occupied = %v, want %v and the fresh window's pixels", x0, y0, w, h, occ, wantOcc)
 	}
 }
 
 // One raster carried from window to window — what a tile lane does — holds
-// after every WindowInto exactly what a fresh Window holds: negative
-// origins, overhang past the far edges, and an unoccupied window, which
-// must come back all zeros and false whatever the window before it drew.
+// after every Paint of the window's spans exactly what a fresh Window
+// holds: negative origins, overhang past the far edges, and an unoccupied
+// window, which must come back all zeros and false whatever the window
+// before it drew.
 func TestWindowIntoReusesOneRaster(t *testing.T) {
 	l := layoutkit.GenerateRandom(3, layoutkit.RandomConfig{Features: 24, MarginNM: 64})
 	const n, w = 256, 96
@@ -75,7 +76,7 @@ func TestWindowIntoReusesOneRaster(t *testing.T) {
 	unoccupied := 0
 	for _, o := range [][2]int{{-40, -40}, {80, 80}, {-w, 10}, {200, 200}, {n, n}, {120, -30}, {30, 5 * n}, {60, 60}} {
 		want, wantOcc := ix.Window(o[0], o[1], w, w)
-		if occ := ix.WindowInto(buf, o[0], o[1]); occ != wantOcc || !slices.Equal(buf.Data, want.Data) {
+		if occ := layout.Paint(buf, ix.WindowSpans(o[0], o[1], w, w)); occ != wantOcc || !slices.Equal(buf.Data, want.Data) {
 			t.Fatalf("window at %v: occupied = %v, want %v and a fresh window's pixels", o, occ, wantOcc)
 		}
 		if !wantOcc {

@@ -176,9 +176,17 @@ func (c Config) sourcePoints() [][2]int {
 	return pts
 }
 
+// maxKernelSets bounds the kernel cache to the most recently used
+// conditions (one Config, in focus or defocused): a long-lived daemon
+// that sees many window sizes would otherwise keep every size's pair,
+// 8.7 MB at 4096 nm. A simulator keeps its sets whether or not the cache
+// still does.
+const maxKernelSets = 16
+
 var (
 	kernelCacheMu sync.Mutex
 	kernelCache   = map[kernelKey]*kernelEntry{}
+	kernelClock   uint64 // counts lookups; an entry's used is its last
 )
 
 type kernelKey struct {
@@ -192,6 +200,7 @@ type kernelEntry struct {
 	once sync.Once
 	set  *KernelSet
 	err  error
+	used uint64 // kernelClock at the last lookup, under kernelCacheMu
 }
 
 // computeKernels is ComputeKernels, replaceable by the single-flight test.
@@ -204,15 +213,28 @@ var computeKernels = ComputeKernels
 // concurrent jobs request the same physical condition repeatedly, so
 // callers should prefer this over ComputeKernels. Concurrent first callers
 // of one key wait for a single computation and share its result (or its
-// error).
+// error). The cache holds the last maxKernelSets conditions used.
 func CachedKernels(cfg Config, defocus bool) (*KernelSet, error) {
 	key := kernelKey{cfg: cfg, defocus: defocus}
 	kernelCacheMu.Lock()
 	e := kernelCache[key]
 	if e == nil {
+		if len(kernelCache) >= maxKernelSets {
+			// Callers already waiting on the evicted entry keep it.
+			var oldest kernelKey
+			least := uint64(math.MaxUint64)
+			for k, o := range kernelCache {
+				if o.used < least {
+					oldest, least = k, o.used
+				}
+			}
+			delete(kernelCache, oldest)
+		}
 		e = &kernelEntry{}
 		kernelCache[key] = e
 	}
+	kernelClock++
+	e.used = kernelClock
 	kernelCacheMu.Unlock()
 	e.once.Do(func() { e.set, e.err = computeKernels(cfg, defocus) })
 	return e.set, e.err

@@ -57,3 +57,37 @@ func TestConcurrentNewSharesKernelSets(t *testing.T) {
 		}
 	}
 }
+
+// The kernel cache holds the MaxKernelSets most recently used conditions.
+// One condition past the bound evicts the least recently used, which the
+// next lookup rebuilds; the newest, and an old one looked up again since,
+// are still served.
+func TestKernelCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	computes := map[float64]int{}
+	defer optics.SetComputeKernels(func(cfg optics.Config, defocus bool) (*optics.KernelSet, error) {
+		computes[cfg.TileNM]++
+		return &optics.KernelSet{}, nil
+	})()
+	cond := func(i int) optics.Config {
+		cfg := optics.Default()
+		cfg.TileNM = float64(1000 + i)
+		return cfg
+	}
+	get := func(i int) {
+		if _, err := optics.CachedKernels(cond(i), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < optics.MaxKernelSets; i++ {
+		get(i)
+	}
+	get(0) // condition 1 is now the least recently used
+	get(optics.MaxKernelSets)
+	for _, i := range []int{optics.MaxKernelSets, 0, 1} {
+		get(i)
+	}
+	newest, recent, oldest := computes[cond(optics.MaxKernelSets).TileNM], computes[cond(0).TileNM], computes[cond(1).TileNM]
+	if newest != 1 || recent != 1 || oldest != 2 {
+		t.Fatalf("decompositions: newest %d, re-used %d, least recently used %d; want 1, 1, 2", newest, recent, oldest)
+	}
+}

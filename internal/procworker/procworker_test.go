@@ -46,7 +46,7 @@ func TestWorkerParity(t *testing.T) {
 			Engines:  engine.Meta("circlerule", "", opts),
 		}
 	}
-	ref, err := flow.Run(l, mk())
+	ref, err := flow.RunContext(context.Background(), l, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestWorkerParity(t *testing.T) {
 	remote := mk()
 	remote.RemoteHosts = []string{ln.Addr().String()}
 	for name, cfg := range map[string]flow.Config{"proc": proc, "remote": remote} {
-		res, err := flow.Run(l, cfg)
+		res, err := flow.RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

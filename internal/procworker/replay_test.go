@@ -61,7 +61,7 @@ func quarantinedBundle(t *testing.T) *quarantine.Bundle {
 			QuarantineDir: filepath.Join(t.TempDir(), "quarantine"),
 			Engines:       engine.Meta("circleopt", "", opts),
 		}
-		res, err := flow.Run(l, cfg)
+		res, err := flow.RunContext(context.Background(), l, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func FuzzWindowKey(f *testing.F) {
 			}
 			cp.Spans[j].X1--
 		} else {
-			cp.Spans = []Span{{0, 1, 0, 1}}
+			cp.Spans = []Span{{X0: 0, X1: 1, Y0: 0, Y1: 1}}
 			if WindowKey(prefix, cp) == base {
 				t.Fatal("added span kept the key")
 			}

@@ -35,6 +35,7 @@ import (
 
 	"cfaopc/internal/geom"
 	"cfaopc/internal/iox"
+	"cfaopc/internal/layout"
 )
 
 var magic = []byte("CFWC1\n")
@@ -52,10 +53,9 @@ const MaxEntryBytes = 64 << 20
 // Key is the hex-encoded canonical content hash of one window.
 type Key string
 
-// Span is one owning rectangle's half-open pixel footprint in
-// window-local coordinates, mirroring layout.Span without importing it
-// (wcache stays a leaf below layout-consuming packages).
-type Span struct{ X0, X1, Y0, Y1 int }
+// Span is one owning rectangle's window-local pixel footprint, exactly
+// as layout.WindowIndex.WindowSpans returns it.
+type Span = layout.Span
 
 // WindowDesc is everything about one tile window that the optimizer's
 // output depends on, in window-local coordinates. Two windows with

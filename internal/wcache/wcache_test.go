@@ -24,7 +24,7 @@ func testEntry(n int) *Entry {
 
 func key(s string) Key {
 	return WindowKey("test-prefix", WindowDesc{W: 4, H: 4, Raster: make([]float64, 16),
-		Spans: []Span{{0, 1, 0, 1}}, CoreX: 1, CoreY: 1, CoreW: 2, CoreH: 2}) + Key(s)
+		Spans: []Span{{X0: 0, X1: 1, Y0: 0, Y1: 1}}, CoreX: 1, CoreY: 1, CoreW: 2, CoreH: 2}) + Key(s)
 }
 
 func TestMemoryHitMissAndStats(t *testing.T) {
