@@ -8,12 +8,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -178,6 +180,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	if _, err := os.Stat(shotCSV); err != nil {
 		t.Fatalf("shot list missing: %v", err)
 	}
+	requireTravelOfCSV(t, out, shotCSV)
 
 	// 3. Re-score the shot list with evalmask; metrics must be reported.
 	out = run(evalmask, "-layout", "layouts/case4.glp", "-shots",
@@ -739,6 +742,24 @@ func TestCLIStallTimeout(t *testing.T) {
 
 // metricsLine returns what follows "L2 " on the metrics line a scoring
 // tool printed (cfaopc without -stream, or evalmask).
+// requireTravelOfCSV: the travel cfaopc printed beside the shot count is
+// that of the order the shot CSV holds, to the CSV's 0.1 nm rounding.
+func requireTravelOfCSV(t *testing.T, out, csv string) {
+	t.Helper()
+	m := regexp.MustCompile(`shots (\d+), travel ([0-9.]+) nm`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no travel beside the shot count in:\n%s", out)
+	}
+	shots, err := fracture.ReadShotsCSV(bytes.NewReader(readFile(t, csv)), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	printed, _ := strconv.ParseFloat(m[2], 64)
+	if written := fracture.TravelLength(shots); m[1] != strconv.Itoa(len(shots)) || math.Abs(printed-written) > 0.15*float64(len(shots))+0.05 {
+		t.Errorf("printed shots %s, travel %s nm; %s holds %d shots whose order travels %.1f nm", m[1], m[2], csv, len(shots), written)
+	}
+}
+
 func metricsLine(t *testing.T, out string) string {
 	t.Helper()
 	for _, line := range strings.Split(out, "\n") {
@@ -861,6 +882,7 @@ func TestCLIPaperPitchTiledRun(t *testing.T) {
 	if !strings.Contains(out, "flow: 256 windows (16 occupied)") || !strings.Contains(out, "MRC: clean") || m == nil || m[1] == "0" {
 		t.Errorf("paper-pitch run: want 256 windows, 16 occupied, shots > 0 and a clean MRC:\n%s", out)
 	}
+	requireTravelOfCSV(t, out, filepath.Join(work, "out", "case10_shots.csv"))
 	runCLI(t, work, cfaopc, append(pitch, "-tile-core", "80")...) // 144 nm: just above the floor
 
 	refused := exec.Command(cfaopc, append(pitch, "-tile-core", "64")...)

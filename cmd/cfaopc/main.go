@@ -240,8 +240,8 @@ func main() {
 	// it would print: the shot list and its MRC status are the product
 	// (-mask-out still writes the mask to disk, one band at a time).
 	if *stream {
-		fmt.Printf("%s / %s: shots %d (streamed: dense-mask metrics skipped)\n",
-			l.Name, spec.Method, len(res.Shots))
+		fmt.Printf("%s / %s: shots %d, travel %.1f nm (streamed: dense-mask metrics skipped)\n",
+			l.Name, spec.Method, len(res.Shots), res.TravelNM)
 		metrics.WriteMRC(os.Stdout, metrics.CheckCircleMRC(res.Shots, dx, fracture.RMinNM, fracture.RMaxNM))
 		fmt.Printf("wrote %s\n", shotPath)
 		return
@@ -254,6 +254,7 @@ func main() {
 	}
 	sim.KOpt = spec.KOpt
 	score := metrics.ScoreShots(os.Stdout, l.Name+" / "+spec.Method, l, sim, res.Shots, fracture.RMinNM, fracture.RMaxNM)
+	fmt.Printf("shots %d, travel %.1f nm in the written order\n", len(res.Shots), res.TravelNM)
 	for name, g := range map[string]*grid.Real{
 		"target": l.Rasterize(spec.GridN), "mask": score.Mask, "printed": score.Printed,
 	} {

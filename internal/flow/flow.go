@@ -356,6 +356,10 @@ type Result struct {
 	// QuarantineDropped counts empty tiles whose repro bundle could not
 	// be written (disk fault); the tiles themselves completed normally.
 	QuarantineDropped int
+
+	// TravelNM is the beam travel, in nm, of the ordered shot file the
+	// job wrote after the run (server.Run sets it; 0 when none was).
+	TravelNM float64
 }
 
 // maxFailureBytes caps TileStat.Failure; maxAttemptErrBytes caps each

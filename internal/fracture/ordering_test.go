@@ -1,25 +1,12 @@
 package fracture
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"cfaopc/internal/geom"
 )
-
-// TravelLength returns the total beam travel of a shot sequence: the sum
-// of center-to-center distances in writing order (pixels). Stage settling
-// between flashes is a real component of mask write time, so shot lists
-// should be ordered before hand-off to the writer.
-func TravelLength(shots []geom.Circle) float64 {
-	total := 0.0
-	for i := 1; i < len(shots); i++ {
-		total += math.Hypot(shots[i].X-shots[i-1].X, shots[i].Y-shots[i-1].Y)
-	}
-	return total
-}
 
 func TestTravelLength(t *testing.T) {
 	shots := []geom.Circle{{X: 0, Y: 0}, {X: 3, Y: 4}, {X: 3, Y: 10}}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"cfaopc/internal/geom"
@@ -11,14 +12,20 @@ import (
 
 // WriteShotsCSV emits a circular shot list as "x_nm,y_nm,r_nm" rows — the
 // interchange format a circular e-beam writer's data path would ingest.
-// Shots are given in pixels and scaled by dxNM.
+// Shots are given in pixels and scaled by dxNM. Each value is written as
+// fmt's %.1f writes it (strconv's 'f' format at one digit), one row
+// buffer reused for the whole list.
 func WriteShotsCSV(w io.Writer, shots []geom.Circle, dxNM float64) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "x_nm,y_nm,r_nm"); err != nil {
+	if _, err := bw.WriteString("x_nm,y_nm,r_nm\n"); err != nil {
 		return err
 	}
+	var row []byte
 	for _, s := range shots {
-		if _, err := fmt.Fprintf(bw, "%.1f,%.1f,%.1f\n", s.X*dxNM, s.Y*dxNM, s.R*dxNM); err != nil {
+		row = strconv.AppendFloat(row[:0], s.X*dxNM, 'f', 1, 64)
+		row = strconv.AppendFloat(append(row, ','), s.Y*dxNM, 'f', 1, 64)
+		row = strconv.AppendFloat(append(row, ','), s.R*dxNM, 'f', 1, 64)
+		if _, err := bw.Write(append(row, '\n')); err != nil {
 			return err
 		}
 	}

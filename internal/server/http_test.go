@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,6 +19,7 @@ import (
 
 	"cfaopc/internal/checkpoint"
 	"cfaopc/internal/flow"
+	"cfaopc/internal/fracture"
 	"cfaopc/internal/iox"
 	"cfaopc/internal/layout"
 	"cfaopc/internal/testkit/faultfs"
@@ -381,8 +383,8 @@ func TestHTTPJobLifecycle(t *testing.T) {
 
 	// Artifacts.
 	final := getStatus(t, ts.URL, st.ID)
-	if final.State != JobDone || final.Shots == 0 {
-		t.Fatalf("final status %+v", final)
+	if final.State != JobDone || final.Shots == 0 || final.TravelNM <= 0 || final.TravelNM != last.TravelNM {
+		t.Fatalf("final status %+v, done event %+v: want shots and the event's travel", final, last)
 	}
 	mask := httpGetBytes(t, ts.URL+"/jobs/"+st.ID+"/mask", http.StatusOK)
 	wantHeader := fmt.Sprintf("P5\n%d %d\n255\n", 128, 128)
@@ -392,6 +394,14 @@ func TestHTTPJobLifecycle(t *testing.T) {
 	shots := httpGetBytes(t, ts.URL+"/jobs/"+st.ID+"/shots", http.StatusOK)
 	if !bytes.HasPrefix(shots, []byte("x_nm,y_nm,r_nm")) {
 		t.Fatalf("shots CSV starts %q", shots[:min(32, len(shots))])
+	}
+	// The travel is the CSV's, to its 0.1 nm rounding per coordinate.
+	written, err := fracture.ReadShotsCSV(bytes.NewReader(shots), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if csv := fracture.TravelLength(written); math.Abs(csv-final.TravelNM) > 0.1*float64(len(written)) {
+		t.Fatalf("status travel %v nm, the served CSV's order travels %v nm", final.TravelNM, csv)
 	}
 
 	// The list endpoint knows the job.
@@ -574,7 +584,9 @@ func TestManagerRestartResumesQueued(t *testing.T) {
 	waitState(t, ts.URL, st1.ID, JobDone)
 	waitState(t, ts.URL, st2.ID, JobDone)
 
-	// Byte parity with a direct run of each spec.
+	// Byte parity with a direct run of each spec, and the same travel,
+	// which a third daemon life reads back from the done event.
+	travel := map[string]float64{}
 	for i, s := range []*JobSpec{spec, spec2} {
 		id := []string{st1.ID, st2.ID}[i]
 		dir := t.TempDir()
@@ -582,7 +594,7 @@ func TestManagerRestartResumesQueued(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = RunSpec(context.Background(), l, s, RunOpts{
+		res, err := RunSpec(context.Background(), l, s, RunOpts{
 			MaskPath:  filepath.Join(dir, "mask.pgm"),
 			ShotsPath: filepath.Join(dir, "shots.csv"),
 		})
@@ -591,6 +603,18 @@ func TestManagerRestartResumesQueued(t *testing.T) {
 		}
 		compareFiles(t, m2.MaskPath(id), filepath.Join(dir, "mask.pgm"))
 		compareFiles(t, m2.ShotsPath(id), filepath.Join(dir, "shots.csv"))
+		travel[id] = res.TravelNM
+	}
+	m2.Stop()
+	m3, err := NewManager(ManagerConfig{DataDir: dataDir, LayoutRoot: root, QueueCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m3.Stop()
+	for id, want := range travel {
+		if got, err := m3.Status(id); err != nil || got.TravelNM != want || want <= 0 {
+			t.Errorf("job %s reopened: %+v, %v; want travel %v nm", id, got, err, want)
+		}
 	}
 }
 

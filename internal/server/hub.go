@@ -37,7 +37,8 @@ type JobEvent struct {
 	Tile     int     `json:"tile,omitempty"`      // kind=beat|tile
 	Iter     int     `json:"iter,omitempty"`      // kind=beat
 	Loss     float64 `json:"loss,omitempty"`      // kind=beat
-	Shots    int     `json:"shots,omitempty"`     // kind=tile
+	Shots    int     `json:"shots,omitempty"`     // kind=tile, and kind=state done
+	TravelNM float64 `json:"travel_nm,omitempty"` // kind=state done: beam travel of shots.csv
 	Resumed  bool    `json:"resumed,omitempty"`   // kind=tile: replayed from the flow checkpoint
 	CacheHit bool    `json:"cache_hit,omitempty"` // kind=tile: served from the window cache
 	Path     string  `json:"path,omitempty"`      // kind=tile: primary|fallback|empty

@@ -56,7 +56,9 @@ type JobStatus struct {
 	Grid     int      `json:"grid"` // simulation grid edge (mask dimensions)
 	Error    string   `json:"error,omitempty"`
 	Shots    int      `json:"shots,omitempty"`
-	LastSeq  int64    `json:"last_seq"` // newest published event seq
+	// TravelNM is the beam travel of the written shot order (done only).
+	TravelNM float64 `json:"travel_nm,omitempty"`
+	LastSeq  int64   `json:"last_seq"` // newest published event seq
 	// CostBytes is the governor's admitted peak-memory estimate.
 	CostBytes int64 `json:"cost_bytes,omitempty"`
 	// DeadlineUnixMS is the absolute wall-clock deadline (per-job
@@ -73,6 +75,7 @@ type job struct {
 	state    JobState
 	errMsg   string
 	shots    int
+	travel   float64
 	hub      *hub
 	canceled bool // cancel requested (may still be dispatching)
 	stopRun  context.CancelCauseFunc
@@ -363,10 +366,11 @@ func (m *Manager) runJob(id string) {
 // ending is a job's terminal state, the error and shots its state event
 // carries, and the governor counter it adds one to.
 type ending struct {
-	state JobState
-	msg   string
-	shots int
-	count govCounter
+	state  JobState
+	msg    string
+	shots  int
+	travel float64
+	count  govCounter
 }
 
 // runEnding is the one map from a finished run to its ending. The cause
@@ -385,7 +389,7 @@ func (m *Manager) runEnding(j *job, res *flow.Result, err, cause error, shutdown
 	case errors.Is(cause, errShedCause):
 		return ending{state: JobFailed, msg: "shed: canceled under memory pressure (resubmit to resume from checkpoint)", count: shedCounter}
 	case err == nil:
-		return ending{state: JobDone, shots: len(res.Shots)}
+		return ending{state: JobDone, shots: len(res.Shots), travel: res.TravelNM}
 	case errors.Is(cause, errWedgeCause):
 		return ending{state: JobFailed, msg: fmt.Sprintf("wedged: no events for %s", m.wedgeTimeout), count: wedgeCounter}
 	case shutdown:
@@ -468,9 +472,9 @@ func bridge(h *hub, done func(error)) flow.EventSink {
 // every stream without one), and the journal still says running, so
 // the next daemon requeues the job and resumes it from its checkpoint.
 func (m *Manager) finishLocked(j *job, e ending) {
-	j.state, j.errMsg, j.shots = e.state, e.msg, e.shots
+	j.state, j.errMsg, j.shots, j.travel = e.state, e.msg, e.shots, e.travel
 	m.gov.end(j.id, e.count)
-	if _, err := j.hub.publish(JobEvent{Kind: "state", State: string(e.state), Error: e.msg, Shots: e.shots}); err != nil {
+	if _, err := j.hub.publish(JobEvent{Kind: "state", State: string(e.state), Error: e.msg, Shots: e.shots, TravelNM: e.travel}); err != nil {
 		m.eventErrs.Add(1)
 	}
 	j.hub.close()
@@ -480,7 +484,7 @@ func (m *Manager) finishLocked(j *job, e ending) {
 func (m *Manager) statusLocked(j *job) JobStatus {
 	st := JobStatus{
 		ID: j.id, State: j.state, Tenant: j.spec.Tenant, Priority: j.spec.Priority,
-		Grid: j.spec.GridN, Error: j.errMsg, Shots: j.shots, LastSeq: j.hub.lastSeq(),
+		Grid: j.spec.GridN, Error: j.errMsg, Shots: j.shots, TravelNM: j.travel, LastSeq: j.hub.lastSeq(),
 		CostBytes: j.cost.PeakBytes,
 	}
 	if !j.expireAt.IsZero() {

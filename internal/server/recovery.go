@@ -137,7 +137,7 @@ func (m *Manager) recover() error {
 		j := &job{id: id, spec: spec}
 		for i := len(evs) - 1; i >= 0; i-- {
 			if ev := evs[i]; ev.Kind == "state" {
-				j.state, j.errMsg, j.shots = JobState(ev.State), ev.Error, ev.Shots
+				j.state, j.errMsg, j.shots, j.travel = JobState(ev.State), ev.Error, ev.Shots, ev.TravelNM
 				break
 			}
 		}

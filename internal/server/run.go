@@ -132,7 +132,7 @@ func Run(ctx context.Context, l *layout.Layout, cfg flow.Config, o RunOpts) (*fl
 	}
 	if o.ShotsPath != "" {
 		dx := float64(l.TileNM) / float64(cfg.GridN)
-		if err := WriteShots(o.FS, o.ShotsPath, res.Shots, dx); err != nil {
+		if res.TravelNM, err = WriteShots(o.FS, o.ShotsPath, res.Shots, dx); err != nil {
 			return nil, err
 		}
 	}
@@ -147,26 +147,27 @@ func Run(ctx context.Context, l *layout.Layout, cfg flow.Config, o RunOpts) (*fl
 // WriteShots writes the hand-off artifact: shots ordered to minimize
 // beam travel, as CSV in nm (dx nm per pixel), fsynced — the shot list
 // is the product; it must be on the platter before the caller records
-// the job done.
-func WriteShots(fsys iox.FS, path string, shots []geom.Circle, dx float64) error {
+// the job done. It returns the beam travel of the written order in nm.
+func WriteShots(fsys iox.FS, path string, shots []geom.Circle, dx float64) (float64, error) {
 	f, err := iox.OrOS(fsys).Create(path)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	ordered := fracture.OrderShots(shots)
 	bw := bufio.NewWriter(f)
-	if err := fracture.WriteShotsCSV(bw, fracture.OrderShots(shots), dx); err != nil {
+	if err := fracture.WriteShotsCSV(bw, ordered, dx); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := bw.Flush(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return err
+		return 0, err
 	}
-	return f.Close()
+	return fracture.TravelLength(ordered) * dx, f.Close()
 }
 
 // WriteMask rasterizes maskBandRows rows at a time into one byte band of

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -24,12 +25,14 @@ import (
 
 // The shot list is the product: WriteShots must report every way the
 // bytes can fail to reach the platter — a missing directory, a full
-// disk mid-write, a failed fsync — and write the ordered CSV otherwise.
+// disk mid-write, a failed fsync — and write the ordered CSV otherwise,
+// returning that order's beam travel in nm.
 func TestWriteShotsDurableOrError(t *testing.T) {
 	shots := []geom.Circle{{X: 10, Y: 10, R: 4}, {X: 90, Y: 90, R: 5}, {X: 12, Y: 11, R: 4}}
 	dir := t.TempDir()
 	good := filepath.Join(dir, "shots.csv")
-	if err := WriteShots(nil, good, shots, 2); err != nil {
+	travel, err := WriteShots(nil, good, shots, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(good)
@@ -40,6 +43,9 @@ func TestWriteShotsDurableOrError(t *testing.T) {
 	if err != nil || len(got) != len(shots) || got[1] != shots[2] {
 		t.Fatalf("CSV not the beam-ordered list (neighbour of shot 0 second): %v, %+v", err, got)
 	}
+	if want := 2 * (math.Hypot(2, 1) + math.Hypot(78, 79)); travel != want {
+		t.Fatalf("travel %v nm, want %v", travel, want)
+	}
 	for name, fsys := range map[string]iox.FS{
 		"create": nil,
 		"enospc": faultfs.NewFaultFS(nil, faultfs.Plan{WriteBudget: 8}),
@@ -49,7 +55,7 @@ func TestWriteShotsDurableOrError(t *testing.T) {
 		if name == "create" {
 			path = filepath.Join(dir, "no", "such", "dir", "shots.csv")
 		}
-		if err := WriteShots(fsys, path, shots, 2); err == nil {
+		if _, err := WriteShots(fsys, path, shots, 2); err == nil {
 			t.Errorf("%s fault: WriteShots reported success", name)
 		}
 	}

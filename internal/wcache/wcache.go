@@ -28,6 +28,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -75,24 +76,22 @@ type WindowDesc struct {
 // grid scale, retry/validation policy); the flow derives it from the
 // same fingerprint machinery that binds checkpoint journals.
 func WindowKey(prefix string, d WindowDesc) Key {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int) {
-		binary.BigEndian.PutUint64(buf[:], uint64(int64(v)))
-		h.Write(buf[:])
-	}
-	h.Write([]byte(keyVersion))
-	writeInt(len(prefix))
-	h.Write([]byte(prefix))
-	writeInt(d.W)
-	writeInt(d.H)
-	writeInt(d.CoreX)
-	writeInt(d.CoreY)
-	writeInt(d.CoreW)
-	writeInt(d.CoreH)
+	// The encoding is packed into one buffer and hashed in one call; its
+	// bytes are the ones TestWindowKeyGoldenPin pins.
+	b := make([]byte, 0, len(keyVersion)+len(prefix)+8*(9+4*len(d.Spans))+(len(d.Raster)+7)/8)
+	putInt := func(v int) { b = binary.BigEndian.AppendUint64(b, uint64(int64(v))) }
+	b = append(b, keyVersion...)
+	putInt(len(prefix))
+	b = append(b, prefix...)
+	putInt(d.W)
+	putInt(d.H)
+	putInt(d.CoreX)
+	putInt(d.CoreY)
+	putInt(d.CoreW)
+	putInt(d.CoreH)
 	// Raster as a packed bitmap: the optimizer sees a binary target, so
 	// the key must too — 0.99 vs 1.0 foreground encodes identically.
-	writeInt(len(d.Raster))
+	putInt(len(d.Raster))
 	var acc byte
 	var nbits int
 	for _, v := range d.Raster {
@@ -102,21 +101,22 @@ func WindowKey(prefix string, d WindowDesc) Key {
 		}
 		nbits++
 		if nbits == 8 {
-			h.Write([]byte{acc})
+			b = append(b, acc)
 			acc, nbits = 0, 0
 		}
 	}
 	if nbits > 0 {
-		h.Write([]byte{acc << (8 - nbits)})
+		b = append(b, acc<<(8-nbits))
 	}
-	writeInt(len(d.Spans))
+	putInt(len(d.Spans))
 	for _, s := range d.Spans {
-		writeInt(s.X0)
-		writeInt(s.X1)
-		writeInt(s.Y0)
-		writeInt(s.Y1)
+		putInt(s.X0)
+		putInt(s.X1)
+		putInt(s.Y0)
+		putInt(s.Y1)
 	}
-	return Key(fmt.Sprintf("%x", h.Sum(nil)))
+	sum := sha256.Sum256(b)
+	return Key(hex.EncodeToString(sum[:]))
 }
 
 // Entry is one cached optimization result: the full window-local shot
