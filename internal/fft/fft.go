@@ -3,17 +3,17 @@
 // simulator can evaluate Hopkins convolutions as frequency-domain products
 // without external dependencies.
 //
-// Every length whose prime factors are all ≤ 5 — which includes the
-// powers of two and every window the tiled flow uses (96, 128, 160, 192,
-// 256) — runs one Stockham autosort mixed-radix plan: radix-4 stages
-// first, then at most one radix-2, then radix-3 and radix-5, each a
-// hard-coded butterfly with its twiddle table built once in NewPlan. A
-// stage reads one buffer and writes the other, so no bit-reversal pass is
-// needed and both access patterns are unit-stride in the inner loop; the
-// last stage touches the same indices it reads and therefore always lands
-// in the caller's slice. Any other length falls back to Bluestein's
-// chirp-z convolution, evaluated on a Stockham plan of the smallest
-// 5-smooth length ≥ 2n−1.
+// Every 5-smooth length (prime factors all ≤ 5) runs one Stockham
+// autosort mixed-radix plan: radix-4 stages first, then at most one
+// radix-2, then radix-3 and radix-5, each a hard-coded butterfly with its
+// twiddle table built once in NewPlan. A stage reads one buffer and
+// writes the other, so no bit-reversal pass is needed and both access
+// patterns are unit-stride in the inner loop; the last stage touches the
+// same indices it reads and therefore always lands in the caller's slice.
+// Any other length falls back to Bluestein's chirp-z convolution,
+// evaluated on a Stockham plan of the smallest 5-smooth length ≥ 2n−1:
+// so do flow windows of core 480 or 384 with the default 32-px halo
+// (544 = 2⁵·17, 448 = 2⁶·7), at several times the cost (ROADMAP item 21).
 //
 // A plan transforms one sequence or several interleaved ones: with nb
 // sequences stored element-major (x[k·nb+b] is element k of sequence b)

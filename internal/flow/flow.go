@@ -16,8 +16,9 @@
 //
 // Windows are independent, so RunContext distributes them over a bounded
 // pool of tile workers (Config.TileWorkers), each owning a private
-// litho.Simulator. Kernel sets are shared read-only through the optics
-// cache, so per-worker simulator construction is cheap. Per-tile results
+// litho.Simulator, bound without kernels (windowSim): the first pass that
+// reads them fetches both sets, shared through the optics cache, so a
+// lane that never simulates builds none. Per-tile results
 // are collected into a slice indexed by row-major tile order and reduced
 // in that order, so the stitched shot list is bit-identical at any
 // worker count. Tiles are the only unit of parallelism: inside a window
@@ -955,22 +956,18 @@ type lane struct {
 	stop func()
 }
 
-// lanes builds the run's worker lanes. Simulators are built serially up
-// front so a kernel error surfaces before any goroutine starts: one per
-// in-process lane, or — worker processes build their own — a single
+// lanes builds the run's worker lanes over simulators bound up front, so
+// a support error surfaces before any goroutine starts: one per
+// in-process lane, or — worker processes bind their own — a single
 // shared one that every slot's open breaker falls back to, one tile at
-// a time.
+// a time. The first tile that simulates fetches the kernels.
 func (env *runEnv) lanes(conn *connector, jobs int) ([]lane, error) {
 	cfg := env.cfg
 	local := func() (executor, error) {
-		sim, err := litho.New(env.optics, cfg.window())
-		if err != nil {
-			return nil, fmt.Errorf("flow: %dpx window simulator: %w", cfg.window(), err)
-		}
-		sim.KOpt = cfg.KOpt
+		sim, err := windowSim(env.optics, cfg.window(), cfg.KOpt)
 		return func(ctx context.Context, j tileJob, target *grid.Real, out *tileOut) {
 			env.ladder(ctx, sim, j, target, out)
-		}, nil
+		}, err
 	}
 	if conn == nil {
 		lanes := make([]lane, tileWorkerCount(cfg.TileWorkers, jobs))

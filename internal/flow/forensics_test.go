@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cfaopc/internal/layout"
-	"cfaopc/internal/litho"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
 )
@@ -177,12 +176,7 @@ func TestQuarantineBundleRoundTrip(t *testing.T) {
 	}
 
 	// Replay from the bundle alone: same attempt-by-attempt failures.
-	sim, err := litho.New(b.Optics, b.Tile.WindowPx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.KOpt = b.KOpt
-	reply := ServeTask(context.Background(), sim, &procpool.Task{Bundle: *b}, faulted, faulted, nil)
+	reply := ServeTask(context.Background(), &procpool.Task{Bundle: *b}, faulted, faulted, nil)
 	routcomes := reply.Outcomes
 	if reply.Err != "" || reply.Path != PathEmpty || len(routcomes) != len(b.Attempts) {
 		t.Fatalf("replay: %+v", reply)

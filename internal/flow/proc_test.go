@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"cfaopc/internal/layout"
-	"cfaopc/internal/litho"
 	"cfaopc/internal/netpool"
 	"cfaopc/internal/procpool"
 	"cfaopc/internal/quarantine"
@@ -41,10 +40,9 @@ func TestMain(m *testing.M) {
 
 // testRunner is the worker-side task executor the re-exec branches
 // serve (stdin/stdout and TCP alike): the proc tests' miniature of the engine
-// registry, with a per-session simulator cache, and the fault plan the
-// spawning test handed over (faultPlanEnv) wrapped around both engines.
+// registry, with the fault plan the spawning test handed over
+// (faultPlanEnv) wrapped around both engines.
 func testRunner() procpool.Runner {
-	var cache SimCache
 	return func(ctx context.Context, task *procpool.Task, sink procpool.Sink) procpool.Reply {
 		b := &task.Bundle
 		reply := procpool.Reply{Index: b.Tile.Index}
@@ -60,12 +58,7 @@ func testRunner() procpool.Runner {
 			return reply
 		}
 		chain := withFaults(Config{Optimize: primary, Fallback: fallback}, plan)
-		sim, err := cache.For(task)
-		if err != nil {
-			reply.Err = err.Error()
-			return reply
-		}
-		return ServeTask(ctx, sim, task, chain.Optimize, chain.Fallback, sink)
+		return ServeTask(ctx, task, chain.Optimize, chain.Fallback, sink)
 	}
 }
 
@@ -481,12 +474,6 @@ func TestServeTaskHooks(t *testing.T) {
 	if !occupied {
 		t.Fatal("tile 0 of bigLayout should be occupied")
 	}
-	sim, err := litho.New(oCfg, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.KOpt = base.KOpt
-
 	mkTask := func() *procpool.Task {
 		return &procpool.Task{
 			Bundle: quarantine.Bundle{
@@ -510,7 +497,7 @@ func TestServeTaskHooks(t *testing.T) {
 
 	beats := 0
 	sink := func(index, iter int, loss float64) { beats++ }
-	reply := ServeTask(context.Background(), sim, mkTask(), circleOptimizer(8), nil, sink)
+	reply := ServeTask(context.Background(), mkTask(), circleOptimizer(8), nil, sink)
 	if reply.Err != "" {
 		t.Fatalf("reply error: %s", reply.Err)
 	}
@@ -522,7 +509,7 @@ func TestServeTaskHooks(t *testing.T) {
 	}
 
 	// A redispatch is the same task served again, from scratch.
-	reply2 := ServeTask(context.Background(), sim, mkTask(), circleOptimizer(8), nil, func(int, int, float64) {})
+	reply2 := ServeTask(context.Background(), mkTask(), circleOptimizer(8), nil, func(int, int, float64) {})
 	if reply2.Err != "" || !reflect.DeepEqual(reply2.Shots, reply.Shots) {
 		t.Fatalf("second serving: err %q, %d shots vs %d", reply2.Err, len(reply2.Shots), len(reply.Shots))
 	}
@@ -530,7 +517,7 @@ func TestServeTaskHooks(t *testing.T) {
 	// A task-grade bundle failing validation is a soft error, not a panic.
 	bad := mkTask()
 	bad.Bundle.Target = nil
-	if r := ServeTask(context.Background(), sim, bad, circleOptimizer(8), nil, nil); r.Err == "" {
+	if r := ServeTask(context.Background(), bad, circleOptimizer(8), nil, nil); r.Err == "" {
 		t.Fatal("invalid task accepted")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"cfaopc/internal/grid"
 	"cfaopc/internal/litho"
+	"cfaopc/internal/optics"
 	"cfaopc/internal/procpool"
 )
 
@@ -39,15 +40,21 @@ func taskConfig(t *procpool.Task, primary, fallback Optimizer) Config {
 // and what offline bundle replay (procworker.Run, cmd/tileworker
 // bundle.qrb) runs per bundle. The caller resolves the optimizer
 // chain from Bundle.Engines (the flow cannot — engine construction
-// lives above this package) and owns the simulator, which it should
-// cache across tasks since every window in a run shares one imaging
-// condition.
-func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
+// lives above this package). The window simulator is the task's own,
+// bound like a lane's (windowSim): a ladder that simulates fetches the
+// kernels from the process-wide optics cache, so a session pays their
+// decomposition once, and a ladder that never simulates not at all.
+func ServeTask(ctx context.Context, t *procpool.Task,
 	primary, fallback Optimizer, sink procpool.Sink) procpool.Reply {
 	b := &t.Bundle
 	index := b.Tile.Index
 	reply := procpool.Reply{Index: index}
 	if err := b.ValidateTask(); err != nil {
+		reply.Err = err.Error()
+		return reply
+	}
+	sim, err := windowSim(b.Optics, b.Tile.WindowPx, b.KOpt)
+	if err != nil {
 		reply.Err = err.Error()
 		return reply
 	}
@@ -65,39 +72,13 @@ func ServeTask(ctx context.Context, sim *litho.Simulator, t *procpool.Task,
 	return reply
 }
 
-// simKey identifies the simulator a task needs; tasks from one run all
-// share it, so a worker caches a single simulator across tasks.
-type simKey struct {
-	optics   string
-	windowPx int
-	kOpt     int
-}
-
-// SimCache builds and reuses the window simulator across tasks served
-// by one worker process. Kernel setup is the expensive part of a
-// respawn; caching it means a healthy worker pays it once.
-type SimCache struct {
-	key simKey
-	sim *litho.Simulator
-}
-
-// For returns a simulator matching the task's imaging condition,
-// building one only when the condition changed (in practice: once).
-func (c *SimCache) For(t *procpool.Task) (*litho.Simulator, error) {
-	b := &t.Bundle
-	key := simKey{
-		optics:   fmt.Sprintf("%+v", b.Optics),
-		windowPx: b.Tile.WindowPx,
-		kOpt:     b.KOpt,
-	}
-	if c.sim != nil && c.key == key {
-		return c.sim, nil
-	}
-	sim, err := litho.New(b.Optics, b.Tile.WindowPx)
+// windowSim binds the simulator of every window a lane, the breaker
+// fallback or ServeTask runs: litho.Bind, with KOpt, and no kernels.
+func windowSim(o optics.Config, window, kOpt int) (*litho.Simulator, error) {
+	sim, err := litho.Bind(o, window)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("flow: %dpx window simulator: %w", window, err)
 	}
-	sim.KOpt = b.KOpt
-	c.sim, c.key = sim, key
+	sim.KOpt = kOpt
 	return sim, nil
 }

@@ -113,15 +113,10 @@ func TestParentBundleDecodesAndReproduces(t *testing.T) {
 		t.Fatalf("recorded attempts: %+v", b.Attempts)
 	}
 	task := &procpool.Task{Bundle: *b}
-	var cache SimCache
-	sim, err := cache.For(task)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// The recorded script is ignored: served as a task, the window the
 	// parent's rule engine failed on only under that script succeeds.
-	reply := ServeTask(context.Background(), sim, task, ruleFallback(), ruleFallback(), nil)
+	reply := ServeTask(context.Background(), task, ruleFallback(), ruleFallback(), nil)
 	if reply.Err != "" || reply.Path != PathPrimary || len(reply.Outcomes) != 1 || len(reply.Shots) == 0 {
 		t.Fatalf("reply without the script: %+v", reply)
 	}
@@ -131,7 +126,7 @@ func TestParentBundleDecodesAndReproduces(t *testing.T) {
 	faulted := InjectFaults(ruleFallback(), FaultPlan{3: {
 		{Panic: true}, {Sleep: time.Millisecond, BeatEvery: time.Millisecond, BadRadius: true}, {Panic: true},
 	}})
-	reply = ServeTask(context.Background(), sim, task, faulted, faulted, nil)
+	reply = ServeTask(context.Background(), task, faulted, faulted, nil)
 	if reply.Err != "" || reply.Path != PathEmpty || len(reply.Outcomes) != len(b.Attempts) {
 		t.Fatalf("reply: %+v", reply)
 	}
@@ -165,12 +160,7 @@ func TestParentFramesDecode(t *testing.T) {
 	if err := task.Bundle.ValidateTask(); err != nil {
 		t.Fatal(err)
 	}
-	var cache SimCache
-	sim, err := cache.For(task)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := ServeTask(context.Background(), sim, task, ruleFallback(), nil, nil); r.Err != "" || r.Path != PathPrimary || len(r.Outcomes) != 1 {
+	if r := ServeTask(context.Background(), task, ruleFallback(), nil, nil); r.Err != "" || r.Path != PathPrimary || len(r.Outcomes) != 1 {
 		t.Fatalf("task frame served: %+v", r)
 	}
 

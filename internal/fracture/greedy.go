@@ -83,7 +83,7 @@ func GreedyCircles(mask *grid.Real, cfg GreedyCircleConfig) []geom.Circle {
 					continue
 				}
 				dx := float64(x) - c.X
-				if dx*dx+dy*dy <= r2 && mask.Data[y*w+x] > 0.5 && covered.Data[y*w+x] <= 0.5 {
+				if float64(dx*dx)+float64(dy*dy) <= r2 && mask.Data[y*w+x] > 0.5 && covered.Data[y*w+x] <= 0.5 {
 					g++
 				}
 			}
@@ -143,7 +143,7 @@ func paintCircle(m *grid.Real, c geom.Circle) {
 				continue
 			}
 			dx := float64(x) - c.X
-			if dx*dx+dy*dy <= r2 {
+			if float64(dx*dx)+float64(dy*dy) <= r2 {
 				m.Data[y*m.W+x] = 1
 			}
 		}

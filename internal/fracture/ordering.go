@@ -27,7 +27,7 @@ func dist(a, b geom.Circle) float64 { return math.Hypot(a.X-b.X, a.Y-b.Y) }
 // the Hypot.
 func closer(a, c geom.Circle, r float64) bool {
 	dx, dy := a.X-c.X, a.Y-c.Y
-	return dx*dx+dy*dy <= r*r*(1+1e-9) && math.Hypot(dx, dy) < r
+	return float64(dx*dx)+float64(dy*dy) <= r*r*(1+1e-9) && math.Hypot(dx, dy) < r
 }
 
 // OrderShots returns the shots reordered to reduce beam travel: a
@@ -161,7 +161,7 @@ func (g *shotGrid) chain() []int32 {
 			for c := y*g.x.n + max(x0, 0); c <= y*g.x.n+min(x1, g.x.n-1); c++ {
 				for _, s := range live[g.start[c] : g.start[c]+left[c]] {
 					dx, dy := p.X-g.shots[s].X, p.Y-g.shots[s].Y
-					if dx*dx+dy*dy > bestD*bestD*(1+1e-9) {
+					if float64(dx*dx)+float64(dy*dy) > bestD*bestD*(1+1e-9) {
 						continue // farther than bestD: see closer
 					}
 					if d := math.Hypot(dx, dy); d < bestD || d == bestD && s < best {

@@ -178,6 +178,51 @@ func TestOrderShotsMatchesRefOnSuite(t *testing.T) {
 	requireOrderMatchesRef(t, fmt.Sprintf("%dx%d array", cells, cells), arrayShots(t, cells))
 }
 
+// FuzzOrderShotsMatchesRef holds OrderShots to the reference on shots
+// placed on its own grid's cell boundaries, each a few ulps either side
+// or none, where the cell mapping's rounding can file a shot one cell
+// off: the case the chain's 1/1024-cell stop margin is for. Two anchor
+// shots fix the extent, and so the grid, before the others move onto
+// its boundaries. Each shot's radius is its index, so a swap of two
+// equal distances shows.
+func FuzzOrderShotsMatchesRef(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint16(977), uint16(13))
+	// Sets on which dropping the margin changes the chain.
+	f.Add(int64(405), uint8(188), uint16(32554), uint16(52752))
+	f.Add(int64(448), uint8(201), uint16(39052), uint16(3483))
+	f.Add(int64(916), uint8(68), uint16(24366), uint16(47460))
+	f.Add(int64(1434), uint8(97), uint16(50933), uint16(45021))
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, w, h uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		shots := make([]geom.Circle, 3+int(n)%120)
+		ox, oy := float64(rng.Intn(4000))/10, -float64(rng.Intn(4000))/10
+		lo := rng.Intn(len(shots))
+		hi := (lo + 1 + rng.Intn(len(shots)-1)) % len(shots)
+		for i := range shots {
+			shots[i] = geom.Circle{X: ox, Y: oy, R: float64(i)}
+		}
+		shots[hi].X, shots[hi].Y = ox+float64(w%4096+1)/10, oy+float64(h%4096)/10
+		g := newShotGrid(shots)
+		at := func(a axis, top float64) float64 {
+			v := a.lo + float64(rng.Intn(a.n))*a.size
+			ulps := rng.Intn(5) - 2
+			for ; ulps > 0; ulps-- {
+				v = math.Nextafter(v, top)
+			}
+			for ; ulps < 0; ulps++ {
+				v = math.Nextafter(v, a.lo)
+			}
+			return min(top, max(a.lo, v))
+		}
+		for i := range shots {
+			if i != lo && i != hi {
+				shots[i].X, shots[i].Y = at(g.x, shots[hi].X), at(g.y, shots[hi].Y)
+			}
+		}
+		requireOrderMatchesRef(t, fmt.Sprintf("fuzz seed %d", seed), shots)
+	})
+}
+
 // arrayShots is the shot list of a cells×cells array chip as the tiled
 // flow stitches it, one 128 px tile after another in row-major order,
 // each tile's shots CircleRule's on the array's cell at 8 nm/px.

@@ -36,14 +36,13 @@ const (
 
 // Simulator binds a kernel pair (focus + defocus) to a pixel grid. It owns
 // the buffers its passes run in and runs its kernels one after another, so
-// one Simulator serves one goroutine at a time; the tiled flow builds one
+// one Simulator serves one goroutine at a time; the tiled flow binds one
 // per lane, and lanes are the only parallelism.
 type Simulator struct {
-	Cfg     optics.Config // the imaging condition the kernels derive from
-	N       int           // grid pixels per side
-	DX      float64       // nm per pixel
-	Focus   *optics.KernelSet
-	Defocus *optics.KernelSet
+	Cfg            optics.Config     // the imaging condition the kernels derive from
+	N              int               // grid pixels per side
+	DX             float64           // nm per pixel
+	Focus, Defocus *optics.KernelSet // nil until fetched: by New, or by a Bind simulator's first pass
 	// KOpt is the number of kernels used inside optimization loops; the
 	// full set is always used by Simulate for evaluation. Zero means all.
 	KOpt int
@@ -164,33 +163,63 @@ func (s *Simulator) Beat(iter int, loss float64) {
 	}
 }
 
-// New computes (or fetches cached) kernel sets for cfg and binds them to
-// an n×n pixel grid.
+// New binds cfg to an n×n pixel grid (Bind) and fetches its kernel sets,
+// computed or shared from the optics cache, at once.
 func New(cfg optics.Config, n int) (*Simulator, error) {
 	return newWith(cfg, n, optics.CachedKernels)
 }
 
-// newWith is New over a given source of kernel sets. The grid is checked
-// against the kernel support before anything is decomposed, and the two
-// sets are built side by side, the defocus set on a goroutine of its own.
+// newWith is New over a given source of kernel sets.
 func newWith(cfg optics.Config, n int, kernels func(optics.Config, bool) (*optics.KernelSet, error)) (*Simulator, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("litho: invalid grid size %d", n)
-	}
-	if support := 2*cfg.SupportHalf() + 1; support > n {
-		return nil, fmt.Errorf("litho: grid %d too small for kernel support %d", n, support)
-	}
-	var defocus *optics.KernelSet
-	derr := make(chan error, 1)
-	go func() { set, err := kernels(cfg, true); defocus = set; derr <- err }()
-	focus, err := kernels(cfg, false)
-	if e := <-derr; err == nil {
-		err = e
+	s, err := Bind(cfg, n)
+	if err == nil {
+		err = s.fetch(kernels)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{Cfg: cfg, N: n, DX: cfg.TileNM / float64(n), Focus: focus, Defocus: defocus}, nil
+	return s, nil
+}
+
+// Bind checks cfg, and an n×n grid against its kernel support, and binds
+// them without kernels: the first Simulate or LossGrad fetches those.
+func Bind(cfg optics.Config, n int) (*Simulator, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("litho: %w", err)
+	}
+	if support := 2*cfg.SupportHalf() + 1; support > n {
+		return nil, fmt.Errorf("litho: grid %d too small for kernel support %d", n, support)
+	}
+	return &Simulator{Cfg: cfg, N: n, DX: cfg.TileNM / float64(n)}, nil
+}
+
+// fetch builds the focus and defocus sets from kernels side by side, the
+// defocus set on a goroutine of its own, unless the simulator holds them.
+func (s *Simulator) fetch(kernels func(optics.Config, bool) (*optics.KernelSet, error)) error {
+	if s.Focus != nil {
+		return nil
+	}
+	var defocus *optics.KernelSet
+	derr := make(chan error, 1)
+	go func() { set, err := kernels(s.Cfg, true); defocus = set; derr <- err }()
+	focus, err := kernels(s.Cfg, false)
+	if e := <-derr; err == nil {
+		err = e
+	}
+	if err == nil {
+		s.Focus, s.Defocus = focus, defocus
+	}
+	return err
+}
+
+// fetched returns the kernel sets, fetched on a pass's first use. Bind
+// refused every config the decomposition refuses, so a failed fetch is a
+// fault: it panics with its error, which the flow's attempt records.
+func (s *Simulator) fetched() (focus, defocus *optics.KernelSet) {
+	if err := s.fetch(optics.CachedKernels); err != nil {
+		panic(err)
+	}
+	return s.Focus, s.Defocus
 }
 
 func (s *Simulator) kcount(set *optics.KernelSet, optimizing bool) int {
@@ -459,10 +488,11 @@ type Result struct {
 // Simulate runs the full-accuracy forward model (all kernels, hard resist)
 // at the three process corners. The result's grids are the caller's.
 func (s *Simulator) Simulate(mask *grid.Real) *Result {
-	a := s.arenaFor(s.Focus)
+	focus, defocus := s.fetched()
+	a := s.arenaFor(focus)
 	a.loadMask(mask)
-	s.forward(a, 0, s.Focus, len(s.Focus.Kernels), nil)
-	s.forward(a, 1, s.Defocus, len(s.Defocus.Kernels), nil)
+	s.forward(a, 0, focus, len(focus.Kernels), nil)
+	s.forward(a, 1, defocus, len(defocus.Kernels), nil)
 	a.raise()
 	iNom, iDef := grid.NewReal(s.N, s.N), grid.NewReal(s.N, s.N)
 	for i, v := range a.packN.Data {
@@ -506,10 +536,11 @@ func (s *Simulator) LossGradCols(mask, target *grid.Real, wL2, wPVB float64, x0,
 	if x0 < 0 || x1 > s.N || x0 > x1 {
 		panic(fmt.Sprintf("litho: gradient columns [%d, %d) outside grid %d", x0, x1, s.N))
 	}
-	a := s.arenaFor(s.Focus)
+	focus, defocus := s.fetched()
+	a := s.arenaFor(focus)
 	a.loadMask(mask)
-	sets := [2]*optics.KernelSet{s.Focus, s.Defocus}
-	kc := [2]int{s.kcount(s.Focus, true), s.kcount(s.Defocus, true)}
+	sets := [2]*optics.KernelSet{focus, defocus}
+	kc := [2]int{s.kcount(focus, true), s.kcount(defocus, true)}
 	if wPVB == 0 {
 		kc[1] = 0 // the defocus corner is not simulated at all
 	}

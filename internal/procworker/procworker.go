@@ -24,27 +24,18 @@ import (
 
 // Runner builds the engine-backed task executor one worker session
 // uses: each task's optimizer chain is rebuilt from its bundle's engine
-// metadata, and the window simulator is cached across tasks (every
+// metadata, and ServeTask binds the task's window simulator, whose first
+// pass fetches the kernels from the process-wide optics cache (every
 // window in a run shares one imaging condition, so a healthy session
-// pays kernel setup once). Each call returns an independent executor —
-// sessions never share the simulator cache, so concurrent TCP sessions
-// stay race-free.
+// decomposes them at most once, and a rule-only session never). The
+// executor keeps no state, so concurrent TCP sessions stay race-free.
 func Runner() procpool.Runner {
-	var cache flow.SimCache
 	return func(ctx context.Context, t *procpool.Task, sink procpool.Sink) procpool.Reply {
-		b := &t.Bundle
-		reply := procpool.Reply{Index: b.Tile.Index}
-		primary, fallback, err := engine.FromMeta(b.Engines)
+		primary, fallback, err := engine.FromMeta(t.Bundle.Engines)
 		if err != nil {
-			reply.Err = "engine: " + err.Error()
-			return reply
+			return procpool.Reply{Index: t.Bundle.Tile.Index, Err: "engine: " + err.Error()}
 		}
-		sim, err := cache.For(t)
-		if err != nil {
-			reply.Err = "litho: " + err.Error()
-			return reply
-		}
-		return flow.ServeTask(ctx, sim, t, primary, fallback, sink)
+		return flow.ServeTask(ctx, t, primary, fallback, sink)
 	}
 }
 
